@@ -82,11 +82,8 @@ def cmd_info(args) -> int:
     print(f"{mesh.n_elements} elements, {mesh.n_points} points, "
           f"min orthogonality {report.min_orthogonality_deg:.1f}\N{DEGREE SIGN}")
     print(f"dimension: {mesh.dim}")
-    kinds: dict[str, int] = {}
-    for kind, _ in mesh.elements:
-        kinds[kind] = kinds.get(kind, 0) + 1
-    for kind in sorted(kinds):
-        print(f"  {kind}: {kinds[kind]}")
+    for kind, (_, rows) in sorted(mesh.cells.items()):
+        print(f"  {kind}: {len(rows)}")
     print("markers:")
     for name, faces in mesh.markers.items():
         print(f"  {name}: {len(faces)} faces")

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .config import MotionConfig
-from .geometry import QualityReport, orthogonality_metrics
+from .geometry import QualityReport
 from .kinematics import (azimuth_matrix, eval_series, grid_velocity_backward,
                          grid_velocity_bdf2, hinge_matrix)
 from .mesh import Mesh, extract_marker_points
@@ -141,8 +141,3 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
             grid_velocity=velocity, velocity_scheme=scheme, quality=quality,
             history=result.history,
             surface_max_err=result.history.final_max_err)
-
-
-def quality_of(mesh: Mesh) -> QualityReport:
-    """Convenience wrapper used by the CLI."""
-    return orthogonality_metrics(mesh)

@@ -5,7 +5,9 @@ decomposition about the cell vertex mean; tetrahedra use the direct
 determinant formula. Possibly non-planar quad faces are split along the
 diagonal through their lowest-numbered vertex, which makes the split (and
 hence areas and normals) identical when a face is visited from either of
-its two cells.
+its two cells. The face topology depends on connectivity alone, so
+cell_geometry builds it once and caches it in mesh.derived, which every
+with_points copy shares; each call is then a metric pass over the points.
 """
 
 from __future__ import annotations
@@ -31,17 +33,29 @@ CELL_EDGES_2D = {
 
 
 @dataclass(frozen=True)
-class MeshGeometry:
-    """Per-cell and per-unique-face geometric data.
+class Topology:
+    """The connectivity-only part of cell_geometry. Triangles are (n, ntri,
+    3) vertex index arrays, quads split as described above."""
 
-    Face normals are unit vectors oriented out of the owner cell; neighbor
-    is -1 for boundary faces. Cell volumes are signed (negative = inverted
-    cell), face areas are non-negative.
+    face_owner: np.ndarray     # (nface,)
+    face_neighbor: np.ndarray  # (nface,), -1 on the boundary
+    # (face ids, (n, 2) edge windings in 2D or triangles in 3D) per face size
+    face_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # per fan-decomposed 3D kind, the triangles of each local face
+    cell_triangles: dict[str, tuple[np.ndarray, ...]]
+
+
+@dataclass(frozen=True)
+class MeshGeometry:
+    """Per-cell (in file order) and per-unique-face geometric data.
+
+    face_owner and face_neighbor (-1 on the boundary) are the arrays of the
+    mesh's cached Topology; unit face normals point out of the owner cell.
+    Cell volumes are signed (negative = inverted cell), areas non-negative.
     """
 
     volumes: np.ndarray        # (ncell,)
     centroids: np.ndarray      # (ncell, 3)
-    face_vertices: list[tuple[int, ...]]
     face_owner: np.ndarray     # (nface,)
     face_neighbor: np.ndarray  # (nface,), -1 on the boundary
     face_areas: np.ndarray     # (nface,)
@@ -67,37 +81,29 @@ class QualityReport:
     min_volume: float
 
 
-def _roll_to_min(idx: np.ndarray) -> np.ndarray:
-    """Cyclically roll each row of a (n, 4) index array so the smallest
-    global vertex index comes first."""
-    shift = np.argmin(idx, axis=1)
-    offsets = (shift[:, None] + np.arange(idx.shape[1])[None, :]) % idx.shape[1]
-    return np.take_along_axis(idx, offsets, axis=1)
+def _split_faces(idx: np.ndarray) -> np.ndarray:
+    """(nface, ntri, 3) triangle vertex indices of equal-size faces.
 
-
-def _face_triangles(points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Triangle vertex coordinates for a batch of equal-size faces.
-
-    Returns (nface, ntri, 3, 3). Quads are split along the diagonal through
-    their lowest-numbered vertex; triangles pass through unchanged.
+    Quads are rolled to start at their lowest-numbered vertex and split along
+    the diagonal through it; triangles pass through unchanged.
     """
     nv = idx.shape[1]
     if nv == 3:
-        return points[idx][:, None, :, :]
-    if nv == 4:
-        rolled = _roll_to_min(idx)
-        coords = points[rolled]
-        return np.stack([coords[:, (0, 1, 2)], coords[:, (0, 2, 3)]], axis=1)
-    raise ValueError(f"unsupported face size {nv}")
+        return idx[:, None, :]
+    if nv != 4:
+        raise ValueError(f"unsupported face size {nv}")
+    roll = (np.argmin(idx, axis=1)[:, None] + np.arange(4)[None, :]) % 4
+    return np.take_along_axis(idx, roll, axis=1)[:, ((0, 1, 2), (0, 2, 3))]
 
 
 def faces_area_normal_centroid(points: np.ndarray, idx: np.ndarray):
-    """Area, unit normal, and centroid for a batch of 3-or-4 vertex faces.
+    """Area, unit normal, and centroid for a batch of faces, given as (n, 3)
+    or (n, 4) vertex indices or as (n, ntri, 3) triangles from _split_faces.
 
     The unit normal of a quad is the normalized average of its two triangle
     unit normals; the area is the sum of the triangle areas.
     """
-    tris = _face_triangles(points, idx)
+    tris = points[idx if idx.ndim == 3 else _split_faces(idx)]
     a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
     cross = np.cross(b - a, c - a)
     tri_area = 0.5 * np.linalg.norm(cross, axis=-1)
@@ -112,15 +118,19 @@ def faces_area_normal_centroid(points: np.ndarray, idx: np.ndarray):
     denom = np.where(area > 0.0, area, 1.0)[:, None]
     centroid = np.where(area[:, None] > 0.0,
                         (tri_centroid * tri_area[..., None]).sum(axis=1) / denom,
-                        tris.reshape(len(idx), -1, 3).mean(axis=1))
+                        tris.reshape(len(tris), -1, 3).mean(axis=1))
     return area, normal, centroid
 
 
-def face_area_normal_centroid(points: np.ndarray, vertices):
-    """Scalar convenience wrapper around faces_area_normal_centroid."""
-    idx = np.asarray([vertices], dtype=np.intp)
-    area, normal, centroid = faces_area_normal_centroid(points, idx)
-    return area[0], normal[0], centroid[0]
+def _edge_metrics(points: np.ndarray, edges: np.ndarray):
+    """Length, in-plane unit normal (right of the edge), and midpoint of
+    (nface, 2) edges of a planar (z = 0) mesh."""
+    a, b = points[edges[:, 0]], points[edges[:, 1]]
+    t = b - a
+    length = np.linalg.norm(t, axis=1)
+    safe = np.where(length > 0.0, length, 1.0)
+    normal = np.stack([t[:, 1] / safe, -t[:, 0] / safe, np.zeros(len(t))], 1)
+    return length, normal, 0.5 * (a + b)
 
 
 def _tet_volumes_centroids(points: np.ndarray, conn: np.ndarray):
@@ -130,13 +140,14 @@ def _tet_volumes_centroids(points: np.ndarray, conn: np.ndarray):
     return vol, cent
 
 
-def _fan_volumes_centroids(points: np.ndarray, conn: np.ndarray, kind: str):
+def _fan_volumes_centroids(points: np.ndarray, conn: np.ndarray,
+                           face_triangles: tuple[np.ndarray, ...]):
     """Signed volume and centroid via tet fans about the cell vertex mean."""
     apex = points[conn].mean(axis=1)
     vol = np.zeros(len(conn))
     moment = np.zeros((len(conn), 3))
-    for local in CELL_FACES_3D[kind]:
-        tris = _face_triangles(points, conn[:, local])
+    for tri_idx in face_triangles:
+        tris = points[tri_idx]
         a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
         ap = apex[:, None, :]
         tv = np.einsum("nij,nij->ni", a - ap,
@@ -166,8 +177,46 @@ def _poly_areas_centroids_2d(points: np.ndarray, conn: np.ndarray):
     return area, cent
 
 
+def build_topology(mesh: Mesh) -> Topology:
+    """Unique-face table and triangle split of the mesh's connectivity.
+
+    Per face size, every cell-side face is stacked and duplicates are
+    identified by their sorted vertex set (lexsort); the first visitor owns
+    the face and its stored winding (outward from the owner).
+    """
+    local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
+    owner, neighbor, groups = [], [], []
+    for nv in ((2,) if mesh.dim == 2 else (3, 4)):
+        blocks = [(conn[:, local], rows)
+                  for kind, (conn, rows) in mesh.cells.items()
+                  for local in local_faces[kind] if len(local) == nv]
+        if not blocks:
+            continue
+        faces, cells = (np.concatenate(parts) for parts in zip(*blocks))
+        keys = np.sort(faces, axis=1)
+        order = np.lexsort(keys.T[::-1])
+        keys_sorted = keys[order]
+        new_group = np.ones(len(keys_sorted), dtype=bool)
+        new_group[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
+        first = np.flatnonzero(new_group)
+        has_pair = np.diff(np.append(first, len(keys_sorted))) >= 2
+        owner.append(cells[order[first]])
+        neighbor.append(np.full(len(first), -1, dtype=np.intp))
+        neighbor[-1][has_pair] = cells[order[first[has_pair] + 1]]
+        ids = np.arange(len(first)) + sum(map(len, owner[:-1]))
+        windings = faces[order[first]]
+        groups.append((ids, windings if nv == 2 else _split_faces(windings)))
+    cell_triangles = {
+        kind: tuple(_split_faces(conn[:, local])
+                    for local in CELL_FACES_3D[kind])
+        for kind, (conn, _) in mesh.cells.items()
+        if mesh.dim == 3 and kind != "tetrahedron"}
+    return Topology(np.concatenate(owner), np.concatenate(neighbor),
+                    tuple(groups), cell_triangles)
+
+
 def cell_geometry(mesh: Mesh) -> MeshGeometry:
-    """Volumes, centroids, and a unique-face table for the whole mesh.
+    """Volumes, centroids, and per-face metrics for the whole mesh.
 
     Negative volumes (inverted cells) are reported, never raised. Faces of
     2D meshes are edges: area = length, normal = in-plane outward normal of
@@ -175,90 +224,33 @@ def cell_geometry(mesh: Mesh) -> MeshGeometry:
     """
     if mesh.n_elements == 0:
         raise ValueError("mesh has no cells")
+    if "topology" not in mesh.derived:
+        mesh.derived["topology"] = build_topology(mesh)
+    topo = mesh.derived["topology"]
     points = mesh.points
-    ncell = mesh.n_elements
-    volumes = np.zeros(ncell)
-    centroids = np.zeros((ncell, 3))
-
-    cell_ids_by_kind: dict[str, np.ndarray] = {}
-    conn_by_kind: dict[str, np.ndarray] = {}
-    order: dict[str, list[int]] = {}
-    for i, (kind, _) in enumerate(mesh.elements):
-        order.setdefault(kind, []).append(i)
-    grouped = mesh.elements_by_kind()
-    for kind, conn in grouped.items():
-        ids = np.asarray(order[kind], dtype=np.intp)
-        cell_ids_by_kind[kind] = ids
-        conn_by_kind[kind] = conn
+    volumes = np.zeros(mesh.n_elements)
+    centroids = np.zeros((mesh.n_elements, 3))
+    for kind, (conn, ids) in mesh.cells.items():
         if mesh.dim == 2:
             vol, cent = _poly_areas_centroids_2d(points, conn)
         elif kind == "tetrahedron":
             vol, cent = _tet_volumes_centroids(points, conn)
         else:
-            vol, cent = _fan_volumes_centroids(points, conn, kind)
-        volumes[ids] = vol
-        centroids[ids] = cent
+            vol, cent = _fan_volumes_centroids(points, conn,
+                                               topo.cell_triangles[kind])
+        volumes[ids], centroids[ids] = vol, cent
 
-    # Unique-face table: stack every cell-side face, identify duplicates by
-    # their sorted vertex set (lexsort), first visitor owns the face and its
-    # stored winding (outward from the owner).
-    local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
-    max_nv = 2 if mesh.dim == 2 else 4
-    row_blocks, cell_blocks = [], []
-    for kind, conn in conn_by_kind.items():
-        ids = cell_ids_by_kind[kind]
-        for local in local_faces[kind]:
-            fv = conn[:, local]
-            if fv.shape[1] < max_nv:
-                pad = np.full((len(fv), max_nv - fv.shape[1]), -1,
-                              dtype=np.intp)
-                fv = np.hstack([pad, fv])
-            row_blocks.append(fv)
-            cell_blocks.append(ids)
-    rows = np.vstack(row_blocks)
-    cells = np.concatenate(cell_blocks)
-    keys = np.sort(rows, axis=1)
-    order = np.lexsort(keys.T[::-1])
-    keys_sorted = keys[order]
-    new_group = np.ones(len(keys_sorted), dtype=bool)
-    new_group[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
-    first = np.flatnonzero(new_group)
-    group_sizes = np.diff(np.append(first, len(keys_sorted)))
-
-    owner_arr = cells[order[first]]
-    neighbor_arr = np.full(len(first), -1, dtype=np.intp)
-    has_pair = group_sizes >= 2
-    neighbor_arr[has_pair] = cells[order[first[has_pair] + 1]]
-    windings = rows[order[first]]
-    face_vertices = [tuple(int(v) for v in row if v >= 0) for row in windings]
-    nface = len(face_vertices)
+    nface = len(topo.face_owner)
     areas = np.zeros(nface)
     normals = np.zeros((nface, 3))
     fcentroids = np.zeros((nface, 3))
-    if mesh.dim == 2:
-        a = points[windings[:, 0]]
-        b = points[windings[:, 1]]
-        t = b - a
-        length = np.linalg.norm(t, axis=1)
-        areas[:] = length
-        safe = np.where(length > 0.0, length, 1.0)
-        normals[:, 0] = t[:, 1] / safe
-        normals[:, 1] = -t[:, 0] / safe
-        fcentroids[:] = 0.5 * (a + b)
-    else:
-        sizes = (windings >= 0).sum(axis=1)
-        for nv in (3, 4):
-            sel = np.nonzero(sizes == nv)[0]
-            if len(sel) == 0:
-                continue
-            idx = windings[sel][:, max_nv - nv:]
-            area, normal, centroid = faces_area_normal_centroid(points, idx)
-            areas[sel] = area
-            normals[sel] = normal
-            fcentroids[sel] = centroid
+    for ids, idx in topo.face_groups:
+        areas[ids], normals[ids], fcentroids[ids] = (
+            _edge_metrics(points, idx) if mesh.dim == 2
+            else faces_area_normal_centroid(points, idx))
 
-    return MeshGeometry(volumes, centroids, face_vertices, owner_arr,
-                        neighbor_arr, areas, normals, fcentroids)
+    return MeshGeometry(volumes, centroids, topo.face_owner,
+                        topo.face_neighbor, areas, normals, fcentroids)
 
 
 def orthogonality_metrics(mesh: Mesh,

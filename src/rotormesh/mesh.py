@@ -7,7 +7,9 @@ ASCII VTK unstructured-grid format.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -34,8 +36,8 @@ VERTEX_COUNT = {
     "pyramid": 5,
 }
 
-SURFACE_KINDS_3D = ("triangle", "quadrilateral")
 VOLUME_KINDS = ("tetrahedron", "hexahedron", "prism", "pyramid")
+CELL_KINDS = {2: ("triangle", "quadrilateral"), 3: VOLUME_KINDS}
 
 
 class MeshFormatError(ValueError):
@@ -48,45 +50,81 @@ class MeshFormatError(ValueError):
         super().__init__(message)
 
 
+class _BadRow(ValueError):
+    """args: message, marker (None for a cell), file position or face index"""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _points_array(points) -> np.ndarray:
+    pts = np.ascontiguousarray(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("points must have shape (n, 3)")
+    pts.flags.writeable = False
+    return pts
+
+
+def _check_connectivity(dim: int, n_points: int, cells: dict, markers: dict):
+    """Raise _BadRow, a ValueError, at an invalid cell or marker face."""
+    positions = np.concatenate([np.arange(0), *(r for _, r in cells.values())])
+    if not np.array_equal(np.sort(positions), np.arange(len(positions))):
+        raise ValueError("cell rows must number the cells 0..n-1 once each")
+    for kind, (conn, rows) in cells.items():
+        if kind not in CELL_KINDS[dim]:
+            why = f"{kind} elements are not allowed as {dim}D cells"
+        elif conn.shape != (len(rows), VERTEX_COUNT[kind]):
+            why = (f"{len(rows)} {kind} cells need {VERTEX_COUNT[kind]} "
+                   f"vertices each, got shape {conn.shape}")
+        else:
+            out = (conn < 0) | (conn >= n_points)
+            if not out.any():
+                continue
+            rows = rows[out.any(axis=1)]
+            why = f"vertex index {conn[out][0]} out of range (NPOIN={n_points})"
+        raise _BadRow(why, None, int(rows.min(initial=0)))
+    for name, faces in markers.items():
+        flat = np.fromiter(chain.from_iterable(faces), dtype=np.intp)
+        out = np.flatnonzero((flat < 0) | (flat >= n_points))
+        if len(out):
+            face = np.searchsorted(np.cumsum([len(f) for f in faces]),
+                                   out[0], side="right")
+            raise _BadRow(f"marker {name!r} vertex index {flat[out[0]]} out "
+                          f"of range (NPOIN={n_points})", name, int(face))
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Immutable unstructured mesh.
 
-    points are stored as an (n, 3) float array (z = 0 for 2D meshes),
-    elements as (kind, vertex tuple) pairs in file order, and markers as a
-    mapping from marker name to a tuple of boundary faces (vertex tuples).
+    points are stored as an (n, 3) float array (z = 0 for 2D meshes), cells
+    as a mapping from element kind to (conn, rows): an (n_k, nv) integer
+    array of vertex indices and the (n_k,) file-order position of each row,
+    both read-only. markers map a marker name to a tuple of boundary faces
+    (vertex tuples).
+
+    Construction validates connectivity once, with numpy: vertex indices are
+    in range, 2D cells are triangles or quadrilaterals, 3D cells are
+    VOLUME_KINDS; lines are marker faces only. with_points copies share
+    cells, markers and `derived`, where cell_geometry caches the topology.
     """
 
     dim: int
     points: np.ndarray
-    elements: tuple[tuple[str, tuple[int, ...]], ...]
+    cells: dict[str, tuple[np.ndarray, np.ndarray]]
     markers: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+    derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("points must have shape (n, 3)")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _points_array(self.points))
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        n = len(pts)
-        for kind, verts in self.elements:
-            if kind not in VERTEX_COUNT:
-                raise ValueError(f"unknown element kind {kind!r}")
-            if len(verts) != VERTEX_COUNT[kind]:
-                raise ValueError(
-                    f"{kind} element has {len(verts)} vertices, "
-                    f"expected {VERTEX_COUNT[kind]}"
-                )
-            if any(v < 0 or v >= n for v in verts):
-                raise ValueError(f"element vertex index out of range (n={n})")
-        for name, faces in self.markers.items():
-            for verts in faces:
-                if any(v < 0 or v >= n for v in verts):
-                    raise ValueError(
-                        f"marker {name!r} face index out of range (n={n})"
-                    )
+        cells = {kind: tuple(np.asarray(a, dtype=np.intp) for a in pair)
+                 for kind, pair in self.cells.items()}
+        for conn, rows in cells.values():
+            conn.flags.writeable = rows.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+        _check_connectivity(self.dim, self.n_points, cells, self.markers)
 
     @property
     def n_points(self) -> int:
@@ -94,21 +132,16 @@ class Mesh:
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return sum(len(rows) for _, rows in self.cells.values())
 
     def with_points(self, new_points: np.ndarray) -> "Mesh":
-        """New mesh with moved points; connectivity and markers are shared."""
-        new_points = np.asarray(new_points, dtype=float)
-        if new_points.shape != self.points.shape:
+        """New mesh with moved points; the rest is shared, not rechecked."""
+        points = _points_array(new_points)
+        if points.shape != self.points.shape:
             raise ValueError("replacement point array has wrong shape")
-        return Mesh(self.dim, new_points, self.elements, self.markers)
-
-    def elements_by_kind(self) -> dict[str, np.ndarray]:
-        """Group element connectivity into one (n, nv) index array per kind."""
-        grouped: dict[str, list[tuple[int, ...]]] = {}
-        for kind, verts in self.elements:
-            grouped.setdefault(kind, []).append(verts)
-        return {k: np.asarray(v, dtype=np.intp) for k, v in grouped.items()}
+        moved = copy.copy(self)
+        object.__setattr__(moved, "points", points)
+        return moved
 
 
 def extract_marker_points(mesh: Mesh, marker: str) -> tuple[np.ndarray, np.ndarray]:
@@ -158,17 +191,16 @@ def _header_value(line: str, key: str, lineno: int) -> str:
     return rest.strip()
 
 
-def _int_header(stream: _LineStream, key: str) -> int:
-    line = stream.next(f"{key} header")
-    value = _header_value(line, key, stream.lineno)
+def _int_header(line: str, key: str, lineno: int) -> int:
+    value = _header_value(line, key, lineno)
     try:
         return int(value)
     except ValueError:
         raise MeshFormatError(f"{key} value {value!r} is not an integer",
-                              stream.lineno) from None
+                              lineno) from None
 
 
-def _parse_connectivity(line: str, lineno: int, n_points: int | None):
+def _parse_connectivity(line: str, lineno: int):
     fields = line.split()
     try:
         code = int(fields[0])
@@ -187,11 +219,6 @@ def _parse_connectivity(line: str, lineno: int, n_points: int | None):
     except ValueError:
         raise MeshFormatError(f"non-integer vertex index in {line!r}",
                               lineno) from None
-    if n_points is not None:
-        for v in verts:
-            if v < 0 or v >= n_points:
-                raise MeshFormatError(
-                    f"vertex index {v} out of range (NPOIN={n_points})", lineno)
     return kind, verts
 
 
@@ -199,42 +226,38 @@ def parse_mesh(text: str) -> Mesh:
     """Parse native ASCII mesh text into a Mesh.
 
     Sections may appear in any order; NPOIN may come before or after NELEM
-    (vertex range checks are deferred until the point count is known).
-    Raises MeshFormatError with a line number on malformed input.
+    (connectivity is validated once the whole file is read). Raises
+    MeshFormatError with a line number on malformed input.
     """
     stream = _LineStream(text)
     dim: int | None = None
-    raw_elements: list[tuple[str, tuple[int, ...], int]] = []
+    conn: dict[str, list[tuple[int, ...]]] = {}
+    rows: dict[str, list[int]] = {}
     points: np.ndarray | None = None
     markers: dict[str, tuple[tuple[int, ...], ...]] = {}
-
-    def _int_value(line: str, key: str) -> int:
-        value = _header_value(line, key, stream.lineno)
-        try:
-            return int(value)
-        except ValueError:
-            raise MeshFormatError(f"{key} value {value!r} is not an integer",
-                                  stream.lineno) from None
+    line_of: dict[tuple[str | None, int], int] = {}
 
     while not stream.exhausted():
         line = stream.next("section header")
         key = line.partition("=")[0].strip()
         if key == "NDIME":
-            dim = _int_value(line, "NDIME")
+            dim = _int_header(line, "NDIME", stream.lineno)
             if dim not in (2, 3):
                 raise MeshFormatError(f"NDIME must be 2 or 3, got {dim}",
                                       stream.lineno)
         elif key == "NELEM":
-            n_elem = _int_value(line, "NELEM")
-            for _ in range(n_elem):
-                elem_line = stream.next("element connectivity")
-                kind, verts = _parse_connectivity(elem_line, stream.lineno, None)
-                raw_elements.append((kind, verts, stream.lineno))
+            for _ in range(_int_header(line, "NELEM", stream.lineno)):
+                kind, verts = _parse_connectivity(
+                    stream.next("element connectivity"), stream.lineno)
+                position = sum(map(len, rows.values()))
+                conn.setdefault(kind, []).append(verts)
+                rows.setdefault(kind, []).append(position)
+                line_of[None, position] = stream.lineno
         elif key == "NPOIN":
             if dim is None:
                 raise MeshFormatError("NPOIN section before NDIME",
                                       stream.lineno)
-            n_poin = _int_value(line, "NPOIN")
+            n_poin = _int_header(line, "NPOIN", stream.lineno)
             coords = np.zeros((n_poin, 3))
             for i in range(n_poin):
                 pt_line = stream.next("point coordinates")
@@ -251,21 +274,20 @@ def parse_mesh(text: str) -> Mesh:
                         stream.lineno) from None
             points = coords
         elif key == "NMARK":
-            n_mark = _int_value(line, "NMARK")
-            for _ in range(n_mark):
+            for _ in range(_int_header(line, "NMARK", stream.lineno)):
                 tag_line = stream.next("MARKER_TAG header")
                 name = _header_value(tag_line, "MARKER_TAG", stream.lineno)
                 if name in markers:
                     raise MeshFormatError(f"duplicate marker name {name!r}",
                                           stream.lineno)
-                n_faces = _int_header(stream, "MARKER_ELEMS")
+                n_faces = _int_header(stream.next("MARKER_ELEMS header"),
+                                      "MARKER_ELEMS", stream.lineno)
                 faces = []
-                for _ in range(n_faces):
-                    face_line = stream.next(f"marker {name!r} face")
-                    kind, verts = _parse_connectivity(face_line, stream.lineno,
-                                                      None)
-                    faces.append((kind, verts, stream.lineno))
-                markers[name] = faces  # type: ignore[assignment]
+                for i in range(n_faces):
+                    faces.append(_parse_connectivity(
+                        stream.next(f"marker {name!r} face"), stream.lineno)[1])
+                    line_of[name, i] = stream.lineno
+                markers[name] = tuple(faces)
         else:
             raise MeshFormatError(f"unrecognized header {line!r}",
                                   stream.lineno)
@@ -275,27 +297,21 @@ def parse_mesh(text: str) -> Mesh:
     if points is None:
         raise MeshFormatError("missing NPOIN section")
 
-    n_points = len(points)
-    elements = []
-    for kind, verts, lineno in raw_elements:
-        for v in verts:
-            if v >= n_points:
-                raise MeshFormatError(
-                    f"vertex index {v} out of range (NPOIN={n_points})", lineno)
-        elements.append((kind, verts))
-    checked_markers: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for name, faces in markers.items():
-        face_tuples = []
-        for kind, verts, lineno in faces:  # type: ignore[misc]
-            for v in verts:
-                if v >= n_points:
-                    raise MeshFormatError(
-                        f"vertex index {v} out of range (NPOIN={n_points})",
-                        lineno)
-            face_tuples.append(verts)
-        checked_markers[name] = tuple(face_tuples)
+    try:
+        return Mesh(dim, points, {k: (v, rows[k]) for k, v in conn.items()},
+                    markers)
+    except _BadRow as exc:
+        raise MeshFormatError(exc.args[0], line_of[exc.args[1:]]) from None
 
-    return Mesh(dim, points, tuple(elements), checked_markers)
+
+def _cell_lines(mesh: Mesh, head: dict[str, int]) -> list[tuple[str, str]]:
+    """(kind, "head[kind] v0 v1 ...") for every cell, in file order."""
+    lines: list = [None] * mesh.n_elements
+    for kind, (conn, rows) in mesh.cells.items():
+        fmt = f"{head[kind]}" + " %d" * conn.shape[1]
+        for pos, verts in zip(rows.tolist(), conn.tolist()):
+            lines[pos] = (kind, fmt % tuple(verts))
+    return lines
 
 
 def write_mesh(mesh: Mesh) -> str:
@@ -306,9 +322,8 @@ def write_mesh(mesh: Mesh) -> str:
     """
     out = [f"NDIME= {mesh.dim}"]
     out.append(f"NELEM= {mesh.n_elements}")
-    for i, (kind, verts) in enumerate(mesh.elements):
-        out.append(f"{KIND_TO_CODE[kind]} " + " ".join(map(str, verts)) +
-                   f" {i}")
+    for i, (_, line) in enumerate(_cell_lines(mesh, KIND_TO_CODE)):
+        out.append(f"{line} {i}")
     out.append(f"NPOIN= {mesh.n_points}")
     for i, p in enumerate(mesh.points):
         coords = " ".join(f"{c:.17g}" for c in p[:mesh.dim])
@@ -360,12 +375,12 @@ def write_vtk(mesh: Mesh, point_fields: dict[str, np.ndarray] | None = None,
     for p in mesh.points:
         out.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
 
-    total = sum(1 + VERTEX_COUNT[kind] for kind, _ in mesh.elements)
+    elements = _cell_lines(mesh, VERTEX_COUNT)
+    total = sum(1 + VERTEX_COUNT[kind] for kind, _ in elements)
     out.append(f"CELLS {mesh.n_elements} {total}")
-    for kind, verts in mesh.elements:
-        out.append(f"{len(verts)} " + " ".join(map(str, verts)))
+    out.extend(line for _, line in elements)
     out.append(f"CELL_TYPES {mesh.n_elements}")
-    for kind, _ in mesh.elements:
+    for kind, _ in elements:
         out.append(str(KIND_TO_CODE[kind]))
 
     if point_fields:

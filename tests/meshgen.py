@@ -33,6 +33,11 @@ MARKER_ELEMS= 1
 """
 
 
+def _hexes(conn):
+    """Cells of an all-hexahedron mesh, in file order."""
+    return {"hexahedron": (conn, np.arange(len(conn)))}
+
+
 def box_hex_mesh(nx: int, ny: int, nz: int, lo=(0.0, 0.0, 0.0),
                  hi=(1.0, 1.0, 1.0), marker_prefix: str = "") -> Mesh:
     """Structured hex block with one marker per side (xmin, xmax, ...)."""
@@ -48,10 +53,10 @@ def box_hex_mesh(nx: int, ny: int, nz: int, lo=(0.0, 0.0, 0.0),
     for k in range(nz):
         for j in range(ny):
             for i in range(nx):
-                elements.append(("hexahedron", (
+                elements.append((
                     pid(i, j, k), pid(i + 1, j, k), pid(i + 1, j + 1, k),
                     pid(i, j + 1, k), pid(i, j, k + 1), pid(i + 1, j, k + 1),
-                    pid(i + 1, j + 1, k + 1), pid(i, j + 1, k + 1))))
+                    pid(i + 1, j + 1, k + 1), pid(i, j + 1, k + 1)))
 
     markers: dict[str, list[tuple[int, ...]]] = {}
 
@@ -77,7 +82,7 @@ def box_hex_mesh(nx: int, ny: int, nz: int, lo=(0.0, 0.0, 0.0),
             add("zmax", (pid(i, j, nz), pid(i + 1, j, nz),
                          pid(i + 1, j + 1, nz), pid(i, j + 1, nz)))
 
-    return Mesh(3, pts, tuple(elements),
+    return Mesh(3, pts, _hexes(elements),
                 {k: tuple(v) for k, v in markers.items()})
 
 
@@ -124,10 +129,10 @@ def box_with_plate_mesh(n: int = 12, half: float = 1.8,
                 if inside(i, j, k):
                     removed.add((i, j, k))
                     continue
-                elements.append(("hexahedron", (
+                elements.append((
                     pid(i, j, k), pid(i + 1, j, k), pid(i + 1, j + 1, k),
                     pid(i, j + 1, k), pid(i, j, k + 1), pid(i + 1, j, k + 1),
-                    pid(i + 1, j + 1, k + 1), pid(i, j + 1, k + 1))))
+                    pid(i + 1, j + 1, k + 1), pid(i, j + 1, k + 1)))
     if not removed:
         raise ValueError("cavity does not contain any cells; refine the grid")
 
@@ -172,15 +177,14 @@ def box_with_plate_mesh(n: int = 12, half: float = 1.8,
             farfield.append((pid(i, j, nz), pid(i + 1, j, nz),
                              pid(i + 1, j + 1, nz), pid(i, j + 1, nz)))
 
-    used = sorted({v for _, verts in elements for v in verts})
+    used = sorted({v for verts in elements for v in verts})
     remap = {old: new for new, old in enumerate(used)}
     pts = pts[used]
-    elements = tuple((kind, tuple(remap[v] for v in verts))
-                     for kind, verts in elements)
+    hexes = np.searchsorted(used, elements)
     blade_faces = tuple(tuple(remap[v] for v in f) for f in blade)
     far_faces = tuple(tuple(remap[v] for v in f) for f in farfield)
-    return Mesh(3, pts, elements, {"blade": blade_faces,
-                                   "farfield": far_faces})
+    return Mesh(3, pts, _hexes(hexes),
+                {"blade": blade_faces, "farfield": far_faces})
 
 
 def stacked_interface_mesh(na: int = 4, nb: int = 5) -> Mesh:
@@ -194,17 +198,46 @@ def stacked_interface_mesh(na: int = 4, nb: int = 5) -> Mesh:
     upper = box_hex_mesh(nb, nb, 2, lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 0.5))
     off = lower.n_points
     pts = np.vstack([lower.points, upper.points])
-    elements = lower.elements + tuple(
-        (kind, tuple(v + off for v in verts)) for kind, verts in upper.elements)
+    hexes = np.vstack([lower.cells["hexahedron"][0],
+                       upper.cells["hexahedron"][0] + off])
     iface_a = lower.markers["zmax"]
     iface_b = tuple(tuple(v + off for v in f) for f in upper.markers["zmin"])
     markers = {"iface_a": iface_a, "iface_b": iface_b}
-    return Mesh(3, pts, elements, markers)
+    return Mesh(3, pts, _hexes(hexes), markers)
 
 
 def shell_mesh(n_outer: int = 6) -> Mesh:
     """Hex shell between an inner cube (marker inner) and an outer cube."""
     m = box_with_plate_mesh(n=n_outer, half=1.5, plate_x=(-0.5, 0.5),
                             plate_y=(-0.5, 0.5), plate_z=(-0.5, 0.5))
-    return Mesh(3, m.points, m.elements,
+    return Mesh(3, m.points, m.cells,
                 {"inner": m.markers["blade"], "outer": m.markers["farfield"]})
+
+
+def mixed_kind_mesh() -> Mesh:
+    """A 2 x 2 x 1 block whose four hex slots hold a hexahedron, two prisms,
+    six tetrahedra and six pyramids about an added centre point, so that
+    every 3D kind appears; the second prism follows the tetrahedra, so kinds
+    interleave in file order."""
+    block = box_hex_mesh(2, 2, 1)
+    hexes = block.cells["hexahedron"][0].tolist()
+    pts = np.vstack([block.points, block.points[hexes[3]].mean(axis=0)])
+    apex = len(pts) - 1
+    rows: list[tuple[str, list[int]]] = [("hexahedron", hexes[0])]
+    h = hexes[1]
+    rows.append(("prism", [h[0], h[1], h[2], h[4], h[5], h[6]]))
+    second_prism = ("prism", [h[0], h[2], h[3], h[4], h[6], h[7]])
+    h = hexes[2]
+    rows += [("tetrahedron", [h[0], h[a], h[b], h[6]])
+             for a, b in ((1, 2), (2, 3), (3, 7), (7, 4), (4, 5), (5, 1))]
+    rows.append(second_prism)
+    h = hexes[3]
+    rows += [("pyramid", [h[q] for q in face] + [apex])
+             for face in ((0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),
+                          (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7))]
+    cells: dict[str, tuple[list, list]] = {}
+    for pos, (kind, verts) in enumerate(rows):
+        conn, order = cells.setdefault(kind, ([], []))
+        conn.append(verts)
+        order.append(pos)
+    return Mesh(3, pts, cells, {"zmin": block.markers["zmin"]})

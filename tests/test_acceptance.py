@@ -233,7 +233,10 @@ def test_criterion_10_roundtrip_io():
             again = parse_mesh(write_mesh(mesh))
             assert again.dim == mesh.dim
             assert again.n_points == mesh.n_points
-            assert again.elements == mesh.elements
+            assert list(again.cells) == list(mesh.cells)
+            for kind, (conn, rows) in mesh.cells.items():
+                assert np.array_equal(again.cells[kind][0], conn)
+                assert np.array_equal(again.cells[kind][1], rows)
             assert again.markers == mesh.markers
             scale = np.abs(mesh.points).max()
             assert np.abs(again.points - mesh.points).max() <= \

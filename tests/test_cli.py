@@ -72,6 +72,14 @@ def test_info_reports_negative_volume(tmp_path, capsys):
     assert "negative_volume_count: 1" in capsys.readouterr().out
 
 
+def test_info_bad_connectivity_exit_code(tmp_path, capsys):
+    path = tmp_path / "tri3d.mesh"
+    path.write_text(INVERTED_TET.replace("10 0 2 1 3", "5 0 1 2"))
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 4: triangle elements are not allowed as 3D cells" in err
+
+
 def test_usage_error_exit_code(capsys):
     # argparse errors go through the overridden .error -> process exit 1
     for argv in (["info"], ["not-a-command"]):

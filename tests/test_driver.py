@@ -3,6 +3,7 @@ import pytest
 
 from meshgen import box_with_plate_mesh
 
+from rotormesh import geometry
 from rotormesh.config import parse_motion_config
 from rotormesh.driver import DeformationFailure, run_deformation
 from rotormesh.kinematics import azimuth_matrix
@@ -101,3 +102,17 @@ def test_negative_volume_aborts():
                              revolutions=1.0))
     assert err.value.last_good == err.value.step - 1
     assert err.value.report.negative_volume_count > 0
+
+
+def test_face_table_built_once_per_sweep(monkeypatch):
+    built = []
+    build = geometry.build_topology
+    monkeypatch.setattr(geometry, "build_topology",
+                        lambda mesh: built.append(mesh) or build(mesh))
+    mesh = box_with_plate_mesh(n=8, plate_x=(0.3, 0.9),
+                               plate_y=(-0.3, 0.3), plate_z=(-0.1, 0.1))
+    results = list(run_deformation(mesh, parse_motion_config(PITCHING),
+                                   ["blade"], steps_per_rev=2,
+                                   revolutions=1.0))
+    assert len(results) == 3
+    assert len(built) == 1

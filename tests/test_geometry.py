@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meshgen import box_hex_mesh
+from meshgen import box_hex_mesh, mixed_kind_mesh
 
 from rotormesh.geometry import (cell_geometry, faces_area_normal_centroid,
                                 orthogonality_metrics)
-from rotormesh.mesh import Mesh
+from rotormesh.kinematics import hinge_matrix
+from rotormesh.mesh import Mesh, parse_mesh, write_mesh
 
 
 def tet_mesh(points):
     return Mesh(3, np.asarray(points, dtype=float),
-                (("tetrahedron", (0, 1, 2, 3)),))
+                {"tetrahedron": ([[0, 1, 2, 3]], [0])})
 
 
 def test_unit_cube_volume_and_faces(cube_mesh):
@@ -40,12 +43,12 @@ def test_inverted_tet_flagged_negative():
 def test_prism_and_pyramid_volumes():
     prism = Mesh(3, np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0),
                               (0, 0, 1), (1, 0, 1), (0, 1, 1)], dtype=float),
-                 (("prism", (0, 1, 2, 3, 4, 5)),))
+                 {"prism": ([[0, 1, 2, 3, 4, 5]], [0])})
     assert cell_geometry(prism).volumes[0] == pytest.approx(0.5, rel=1e-13)
 
     pyramid = Mesh(3, np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
                                 (0.5, 0.5, 1.0)], dtype=float),
-                   (("pyramid", (0, 1, 2, 3, 4)),))
+                   {"pyramid": ([[0, 1, 2, 3, 4]], [0])})
     assert cell_geometry(pyramid).volumes[0] == pytest.approx(1.0 / 3.0,
                                                               rel=1e-13)
 
@@ -85,9 +88,8 @@ def test_shared_face_normals_antiparallel(block_mesh):
     mesh = mesh.with_points(pts)
 
     sides: dict[tuple, list[np.ndarray]] = {}
-    for kind, verts in mesh.elements:
-        verts = np.asarray(verts)
-        for local in CELL_FACES_3D[kind]:
+    for verts in mesh.cells["hexahedron"][0]:
+        for local in CELL_FACES_3D["hexahedron"]:
             face = verts[list(local)]
             _, normal, _ = faces_area_normal_centroid(
                 mesh.points, face[None, :])
@@ -109,7 +111,7 @@ def test_orthogonality_equilateral_triangles():
     h = np.sqrt(3.0) / 2.0
     pts = np.array([(0, 0, 0), (1, 0, 0), (0.5, h, 0), (1.5, h, 0)],
                    dtype=float)
-    mesh = Mesh(2, pts, (("triangle", (0, 1, 2)), ("triangle", (1, 3, 2))))
+    mesh = Mesh(2, pts, {"triangle": ([[0, 1, 2], [1, 3, 2]], [0, 1])})
     report = orthogonality_metrics(mesh)
     assert report.min_orthogonality_deg == pytest.approx(90.0, abs=1e-9)
 
@@ -133,7 +135,7 @@ def test_orthogonality_rigid_motion_invariant(block_mesh):
 
 
 def test_orthogonality_no_cells():
-    mesh = Mesh(2, np.zeros((1, 3)), ())
+    mesh = Mesh(2, np.zeros((1, 3)), {})
     with pytest.raises(ValueError, match="no cells"):
         orthogonality_metrics(mesh)
 
@@ -145,3 +147,67 @@ def test_quality_report_invariants(block_mesh):
         report.per_cell_deg.min())
     assert np.all(report.per_cell_deg >= 0.0)
     assert np.all(report.per_cell_deg <= 90.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Face topology built once per connectivity
+# ---------------------------------------------------------------------------
+
+MIXED_2D = Mesh(2, np.array([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0),
+                             (1, 1, 0), (2, 1, 0)], dtype=float),
+                {"triangle": ([[1, 2, 5], [1, 5, 4]], [0, 2]),
+                 "quadrilateral": ([[0, 1, 4, 3]], [1])})
+TOPOLOGY_MESHES = {"mixed_3d": mixed_kind_mesh(), "mixed_2d": MIXED_2D}
+
+
+def test_with_points_shares_connectivity_and_topology(block_mesh):
+    moved = block_mesh.with_points(block_mesh.points + 0.01)
+    assert moved.cells is block_mesh.cells
+    assert moved.markers is block_mesh.markers
+    cell_geometry(moved)
+    assert moved.derived["topology"] is block_mesh.derived["topology"]
+    again = moved.with_points(block_mesh.points)
+    cell_geometry(again)
+    assert again.derived["topology"] is block_mesh.derived["topology"]
+
+
+def test_mixed_kinds_geometry_in_file_order():
+    mesh = mixed_kind_mesh()
+    assert mesh.cells["prism"][1].tolist() == [1, 8]
+    geo = cell_geometry(mesh)
+    for kind, (conn, rows) in mesh.cells.items():
+        for verts, pos in zip(conn, rows):
+            one = cell_geometry(Mesh(3, mesh.points, {kind: ([verts], [0])}))
+            assert geo.volumes[pos] == one.volumes[0]
+            assert np.array_equal(geo.centroids[pos], one.centroids[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(TOPOLOGY_MESHES)), rigid=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       angles=st.tuples(*[st.floats(-3.2, 3.2)] * 3),
+       shift=st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+def test_cached_topology_matches_fresh_parse(name, rigid, seed, angles,
+                                             shift):
+    """Geometry of a with_points copy, whose face topology is the cached
+    one of the original mesh, equals bit for bit the geometry of the same
+    mesh written out and parsed again, whose topology is built afresh."""
+    mesh = TOPOLOGY_MESHES[name]
+    cell_geometry(mesh)  # fill the cache before moving
+    if rigid:
+        rot = hinge_matrix(*angles) if mesh.dim == 3 else \
+            hinge_matrix(0.0, angles[0], 0.0)
+        points = mesh.points @ rot.T + np.array(shift)
+    else:
+        rng = np.random.default_rng(seed)
+        points = mesh.points + 0.2 * rng.uniform(-1, 1, mesh.points.shape)
+    if mesh.dim == 2:
+        points[:, 2] = 0.0
+    moved = mesh.with_points(points)
+    fresh = parse_mesh(write_mesh(moved))
+    assert "topology" not in fresh.derived
+    got, want = cell_geometry(moved), cell_geometry(fresh)
+    for field in ("volumes", "centroids", "face_owner", "face_neighbor",
+                  "face_areas", "face_normals", "face_centroids"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field

@@ -3,8 +3,9 @@ import pytest
 
 from meshgen import SQUARE_2TRI, box_hex_mesh
 
-from rotormesh.mesh import (Mesh, MeshFormatError, extract_marker_points,
-                            parse_mesh, write_mesh, write_vtk)
+from rotormesh.mesh import (TYPE_CODES, Mesh, MeshFormatError,
+                            extract_marker_points, parse_mesh, write_mesh,
+                            write_vtk)
 
 
 def test_parse_square(square_mesh):
@@ -12,8 +13,10 @@ def test_parse_square(square_mesh):
     assert m.dim == 2
     assert m.n_points == 4
     assert m.n_elements == 2
-    assert [kind for kind, _ in m.elements] == ["triangle", "triangle"]
-    assert m.elements[0][1] == (0, 1, 2)
+    conn, rows = m.cells["triangle"]
+    assert list(m.cells) == ["triangle"]
+    assert conn.tolist() == [[0, 1, 2], [0, 2, 3]]
+    assert rows.tolist() == [0, 1]
     assert m.markers["lower"] == ((0, 1),)
     assert np.allclose(m.points[2], [1.0, 1.0, 0.0])
 
@@ -64,15 +67,19 @@ def test_element_order_preserved():
     text = ("NDIME= 2\nNELEM= 3\n5 0 1 2\n5 0 2 3\n5 0 3 4\nNPOIN= 5\n"
             "0 0\n1 0\n1 1\n0 1\n-1 1\nNMARK= 0\n")
     m = parse_mesh(text)
-    assert [verts for _, verts in m.elements] == [(0, 1, 2), (0, 2, 3),
-                                                  (0, 3, 4)]
+    conn, rows = m.cells["triangle"]
+    assert conn.tolist() == [[0, 1, 2], [0, 2, 3], [0, 3, 4]]
+    assert rows.tolist() == [0, 1, 2]
 
 
 def test_roundtrip_exact(square_mesh, block_mesh):
     for mesh in (square_mesh, block_mesh):
         again = parse_mesh(write_mesh(mesh))
         assert again.dim == mesh.dim
-        assert again.elements == mesh.elements
+        assert list(again.cells) == list(mesh.cells)
+        for kind, (conn, rows) in mesh.cells.items():
+            assert np.array_equal(again.cells[kind][0], conn)
+            assert np.array_equal(again.cells[kind][1], rows)
         assert again.markers == mesh.markers
         assert np.array_equal(again.points, mesh.points)
 
@@ -80,11 +87,59 @@ def test_roundtrip_exact(square_mesh, block_mesh):
 def test_mesh_invariant_validation():
     pts = np.zeros((3, 3))
     with pytest.raises(ValueError, match="vertices"):
-        Mesh(2, pts, (("triangle", (0, 1)),))
+        Mesh(2, pts, {"triangle": ([[0, 1]], [0])})
     with pytest.raises(ValueError, match="out of range"):
-        Mesh(2, pts, (("triangle", (0, 1, 5)),))
+        Mesh(2, pts, {"triangle": ([[0, 1, 5]], [0])})
     with pytest.raises(ValueError, match="out of range"):
-        Mesh(2, pts, (), {"m": ((0, 9),)})
+        Mesh(2, pts, {}, {"m": ((0, 9),)})
+
+
+ONE_CELL = """NDIME= {dim}
+NELEM= 1
+{cell}
+NPOIN= 4
+0 0 0
+1 0 0
+0 1 0
+0 0 1
+NMARK= 1
+MARKER_TAG= m
+MARKER_ELEMS= 1
+{face}
+"""
+
+BAD_CONNECTIVITY = [
+    # dim, cell line, marker face line, offending line, message
+    (2, "5 0 -1 2", "3 0 1", 3, "index -1 out of range"),
+    (2, "5 0 1 2", "3 0 -2", 12, "index -2 out of range"),
+    (3, "5 0 1 2", "5 0 1 2", 3, "triangle elements are not allowed as 3D"),
+    (2, "10 0 1 2 3", "3 0 1", 3, "tetrahedron elements are not allowed as 2D"),
+    (2, "3 0 1", "3 0 1", 3, "line elements are not allowed as 2D"),
+]
+
+
+@pytest.mark.parametrize("dim,cell,face,line,message", BAD_CONNECTIVITY)
+def test_bad_connectivity_rejected(dim, cell, face, line, message):
+    with pytest.raises(MeshFormatError, match=message) as exc:
+        parse_mesh(ONE_CELL.format(dim=dim, cell=cell, face=face))
+    assert exc.value.line == line
+    code, *verts = map(int, cell.split())
+    with pytest.raises(ValueError, match=message):
+        Mesh(dim, np.eye(4, 3), {TYPE_CODES[code]: ([verts], [0])},
+             {"m": (tuple(map(int, face.split()[1:])),)})
+
+
+def test_mixed_kinds_keep_file_order():
+    text = ("NDIME= 3\nNELEM= 3\n10 0 1 2 3 0\n14 0 1 2 3 4 1\n"
+            "10 1 2 3 4 2\nNPOIN= 5\n0 0 0 0\n1 0 0 1\n1 1 0 2\n"
+            "0 1 0 3\n0.5 0.5 1 4\nNMARK= 0\n")
+    m = parse_mesh(text)
+    conn, rows = m.cells["tetrahedron"]
+    assert conn.tolist() == [[0, 1, 2, 3], [1, 2, 3, 4]]
+    assert rows.tolist() == [0, 2]
+    assert m.cells["pyramid"][1].tolist() == [1]
+    assert write_mesh(m) == text
+    assert _parse_vtk(write_vtk(m))[2] == [10, 14, 10]
 
 
 def test_points_immutable(square_mesh):
@@ -161,7 +216,7 @@ def test_write_vtk_geometry_only(square_mesh):
     text = write_vtk(square_mesh)
     points, cells, types, fields = _parse_vtk(text)
     assert np.array_equal(points, square_mesh.points)
-    assert cells == [verts for _, verts in square_mesh.elements]
+    assert cells == [(0, 1, 2), (0, 2, 3)]
     assert types == [5, 5]
     assert fields == {}
 
