@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -58,17 +57,6 @@ def _load_config(path: str):
         return load_motion_config(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-
-
-def _set_threads(args) -> int:
-    n = args.threads
-    if n is None:
-        n = int(os.environ.get("ROTORMESH_THREADS", "1"))
-    if n < 1:
-        raise UsageError("--threads must be >= 1")
-    from . import rbf
-    rbf.NUM_THREADS = n
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +114,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    _set_threads(args)
     mesh = _load_mesh(args.mesh)
     cfg = _load_config(args.config)
     markers = args.markers.split(",")
@@ -201,20 +188,20 @@ def cmd_interface(args) -> int:
     except KeyError as exc:
         raise MeshFormatError(str(exc)) from exc
     sm = build_supermesh(side_a, side_b)
-    if len(sm.faces) == 0:
+    if len(sm.area) == 0:
         print("interface markers do not overlap", file=sys.stderr)
         return EXIT_INTERFACE
 
     Path(args.output).write_text(sm.to_csv())
     sums = sm.weight_sums()
-    donors = [len(d) for d in sm.donors()]
+    donors = np.diff(sm.weights.indptr)
     partial = int(np.count_nonzero(sums < 1.0 - 1e-9))
-    print(f"supermesh faces: {len(sm.faces)}")
+    print(f"supermesh faces: {len(sm.area)}")
     print(f"total intersection area: {_fmt(sm.total_area)}")
     print(f"A faces: {sm.n_a}, B faces: {sm.n_b}")
     print(f"weight sums: min {_fmt(float(sums.min()))}, "
           f"max {_fmt(float(sums.max()))}")
-    print(f"donors per A face: min {min(donors)}, max {max(donors)}")
+    print(f"donors per A face: min {donors.min()}, max {donors.max()}")
     print(f"partially covered A faces: {partial}")
     if args.viz:
         Path(args.viz).write_text(_supermesh_vtk(sm))
@@ -222,24 +209,19 @@ def cmd_interface(args) -> int:
 
 
 def _supermesh_vtk(sm) -> str:
-    """Legacy VTK polygon soup of the intersection faces."""
-    points: list[tuple[float, float, float]] = []
-    polys: list[list[int]] = []
-    for f in sm.faces:
-        if f.polygon is None:
-            continue
-        base = len(points)
-        points.extend((p[0], p[1], 0.0) for p in f.polygon)
-        polys.append(list(range(base, base + len(f.polygon))))
+    """Legacy VTK polygon soup of the clipped intersection pieces."""
+    sizes = [len(p) for p in sm.polygons]
+    points = np.vstack(sm.polygons).tolist() if sizes else []
     out = ["# vtk DataFile Version 3.0", "supermesh intersection polygons",
            "ASCII", "DATASET UNSTRUCTURED_GRID",
            f"POINTS {len(points)} double"]
-    out.extend(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in points)
-    total = sum(1 + len(p) for p in polys)
-    out.append(f"CELLS {len(polys)} {total}")
-    out.extend(f"{len(p)} " + " ".join(map(str, p)) for p in polys)
-    out.append(f"CELL_TYPES {len(polys)}")
-    out.extend("7" for _ in polys)  # VTK_POLYGON
+    out.extend(f"{x:.17g} {y:.17g} 0" for x, y in points)
+    starts = np.cumsum([0] + sizes)
+    out.append(f"CELLS {len(sizes)} {len(sizes) + len(points)}")
+    out.extend(f"{n} " + " ".join(map(str, range(s, s + n)))
+               for n, s in zip(sizes, starts.tolist()))
+    out.append(f"CELL_TYPES {len(sizes)}")
+    out.extend("7" for _ in sizes)  # VTK_POLYGON
     return "\n".join(out) + "\n"
 
 
@@ -317,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1,
                    help="write a VTK frame every N steps")
     p.add_argument("--output-dir", default="deform_out")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("interface", help="supermesh weights for a marker pair")

@@ -24,11 +24,6 @@ from .mesh import Mesh, extract_marker_points
 KERNEL_KINDS = ("wendland_c2", "thin_plate_spline", "gaussian",
                 "multiquadric", "inverse_multiquadric")
 
-# Worker threads for chunked field evaluation (set via CLI --threads or
-# ROTORMESH_THREADS). Chunks write disjoint output slices, so results are
-# identical for any thread count.
-NUM_THREADS = 1
-
 _NEEDS_RADIUS = ("wendland_c2", "gaussian", "multiquadric",
                  "inverse_multiquadric")
 
@@ -202,19 +197,10 @@ def evaluate_field(solution: RbfSolution, targets,
                 out[idx] += np.outer(kernel_eval(kernel, d),
                                      solution.weights[i])
     else:
-        def _fill(start: int):
+        for start in range(0, n, chunk):
             sl = slice(start, min(start + chunk, n))
             phi = kernel_eval(kernel, cdist(targets[sl], centers))
             out[sl] = phi @ solution.weights
-
-        starts = range(0, n, chunk)
-        if NUM_THREADS > 1 and len(starts) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=NUM_THREADS) as pool:
-                list(pool.map(_fill, starts))
-        else:
-            for start in starts:
-                _fill(start)
 
     if solution.affine is not None:
         out += _poly_block(targets) @ solution.affine

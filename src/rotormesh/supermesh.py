@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
 
 from .mesh import Mesh
 
@@ -32,7 +33,7 @@ def polygon_area(poly: np.ndarray) -> float:
     return abs(signed_area(poly))
 
 
-def is_convex(poly: np.ndarray, tol: float = 0.0) -> bool:
+def is_convex(poly: np.ndarray) -> bool:
     """Cross-product sign test; collinear vertices are allowed."""
     poly = np.asarray(poly, dtype=float)
     n = len(poly)
@@ -43,8 +44,7 @@ def is_convex(poly: np.ndarray, tol: float = 0.0) -> bool:
         e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
     scale = max(float(np.abs(cross).max()), 1e-300)
     cross = cross / scale
-    return bool(np.all(cross >= -max(tol, 1e-12)) or
-                np.all(cross <= max(tol, 1e-12)))
+    return bool(np.all(cross >= -1e-12) or np.all(cross <= 1e-12))
 
 
 def ensure_ccw(poly: np.ndarray) -> np.ndarray:
@@ -172,50 +172,68 @@ class InterfaceFaceSet:
 
 
 @dataclass(frozen=True)
-class SupermeshFace:
-    parent_a: int
-    parent_b: int
-    area: float
-    weight: float
-    polygon: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Supermesh:
-    """Intersection faces with donor weights W = area(A&B)/area(A)."""
+    """Intersection faces and the donor operator between two face sets.
 
-    faces: tuple[SupermeshFace, ...]
-    n_a: int
-    n_b: int
+    Face q intersects A face parent_a[q] with B face parent_b[q] over
+    area[q]; faces are sorted by (A face, B face). weights is the
+    n_a x n_b CSR matrix W[a, b] = area(A & B) / area(A) with the same
+    entries in the same order. polygons holds every clipped piece (several
+    for a pair whose faces were split into convex parts) and polygon_pair
+    the index q of each piece's face; both are empty for 1D interfaces.
+    """
+
+    parent_a: np.ndarray
+    parent_b: np.ndarray
+    area: np.ndarray
+    weights: csr_array
     area_a: np.ndarray
     area_b: np.ndarray
+    polygons: tuple[np.ndarray, ...]
+    polygon_pair: np.ndarray
+
+    @property
+    def n_a(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def n_b(self) -> int:
+        return self.weights.shape[1]
 
     @property
     def total_area(self) -> float:
-        return float(sum(f.area for f in self.faces))
+        return float(self.area.sum())
 
     def weight_sums(self) -> np.ndarray:
-        sums = np.zeros(self.n_a)
-        for f in self.faces:
-            sums[f.parent_a] += f.weight
-        return sums
-
-    def donors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n_a)]
-        for i, f in enumerate(self.faces):
-            out[f.parent_a].append(i)
-        return out
-
-    def coverage_deficit(self) -> np.ndarray:
-        """1 - weight sum per A face; positive means partially covered."""
-        return 1.0 - self.weight_sums()
+        """Covered fraction of each A face; below 1 means partial cover."""
+        return self.weights.sum(axis=1)
 
     def to_csv(self) -> str:
+        rows = zip(self.parent_a.tolist(), self.parent_b.tolist(),
+                   self.area.tolist(), self.weights.data.tolist())
         lines = ["a_face,b_face,area,weight"]
-        for f in self.faces:
-            lines.append(f"{f.parent_a},{f.parent_b},{f.area:.12g},"
-                         f"{f.weight:.12g}")
+        lines.extend(f"{a},{b},{area:.12g},{w:.12g}" for a, b, area, w in rows)
         return "\n".join(lines) + "\n"
+
+
+def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
+              polygons: tuple[np.ndarray, ...] = ()) -> Supermesh:
+    """Supermesh from intersection pieces (rows[k], cols[k], areas[k]) in
+    any order; pieces of one (A, B) pair are summed in the order given.
+    polygons, if given, holds the clipped polygon of each piece."""
+    shape = (len(area_a), len(area_b))
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    pairs = coo_array((np.asarray(areas, dtype=float), (rows, cols)),
+                      shape=shape)
+    pairs.sum_duplicates()
+    parent_a, parent_b = pairs.coords
+    weights = pairs.tocsr()  # pairs is sorted, so the entry order is kept
+    weights.data = weights.data / area_a[parent_a]
+    polygon_pair = np.searchsorted(parent_a * shape[1] + parent_b,
+                                   rows * shape[1] + cols)
+    return Supermesh(parent_a, parent_b, pairs.data, weights, area_a, area_b,
+                     polygons, polygon_pair[:len(polygons)])
 
 
 def _split_convex(face: np.ndarray, index: int, side: str,
@@ -247,8 +265,8 @@ def _split_convex(face: np.ndarray, index: int, side: str,
     yield ensure_ccw(face[[order[0], order[2], order[3]]])
 
 
-def build_supermesh(side_a: InterfaceFaceSet, side_b: InterfaceFaceSet,
-                    keep_polygons: bool = True) -> Supermesh:
+def build_supermesh(side_a: InterfaceFaceSet,
+                    side_b: InterfaceFaceSet) -> Supermesh:
     """All pairwise intersections between the two face sets.
 
     Intersection areas below 1e-14 of the smaller parent are discarded as
@@ -295,7 +313,10 @@ def build_supermesh(side_a: InterfaceFaceSet, side_b: InterfaceFaceSet,
 
     area_a = side_a.measures
     area_b = side_b.measures
-    raw: dict[tuple[int, int], tuple[float, list[np.ndarray]]] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    areas: list[float] = []
+    polygons: list[np.ndarray] = []
     for ia, poly_a in pieces_a:
         bmin, bmax = bin_range(poly_a)
         candidates: set[int] = set()
@@ -310,47 +331,34 @@ def build_supermesh(side_a: InterfaceFaceSet, side_b: InterfaceFaceSet,
             area = polygon_area(overlap)
             if area <= 1e-14 * min(area_a[ia], area_b[ib]):
                 continue
-            prev_area, polys = raw.get((ia, ib), (0.0, []))
-            polys.append(overlap)
-            raw[(ia, ib)] = (prev_area + area, polys)
-
-    faces = []
-    for (ia, ib) in sorted(raw):
-        area, polys = raw[(ia, ib)]
-        poly = polys[0] if keep_polygons and len(polys) == 1 else None
-        faces.append(SupermeshFace(ia, ib, area, area / area_a[ia], poly))
-    return Supermesh(tuple(faces), len(side_a.faces), len(side_b.faces),
-                     area_a, area_b)
+            rows.append(ia)
+            cols.append(ib)
+            areas.append(area)
+            polygons.append(overlap)
+    return _assemble(rows, cols, areas, area_a, area_b, tuple(polygons))
 
 
 def _build_supermesh_1d(side_a: InterfaceFaceSet,
                         side_b: InterfaceFaceSet) -> Supermesh:
     len_a = side_a.measures
     len_b = side_b.measures
-    faces = []
-    for ia, seg_a in enumerate(side_a.faces):
-        for ib, seg_b in enumerate(side_b.faces):
-            lo = max(seg_a[0], seg_b[0])
-            hi = min(seg_a[1], seg_b[1])
-            overlap = hi - lo
-            if overlap <= 1e-14 * min(len_a[ia], len_b[ib]):
-                continue
-            faces.append(SupermeshFace(ia, ib, float(overlap),
-                                       float(overlap / len_a[ia])))
-    return Supermesh(tuple(faces), len(side_a.faces), len(side_b.faces),
-                     len_a, len_b)
+    seg_a = np.asarray(side_a.faces)[:, None, :]
+    seg_b = np.asarray(side_b.faces)[None, :, :]
+    overlap = np.minimum(seg_a[..., 1], seg_b[..., 1]) - \
+        np.maximum(seg_a[..., 0], seg_b[..., 0])
+    ia, ib = np.nonzero(overlap > 1e-14 * np.minimum(len_a[:, None],
+                                                      len_b[None, :]))
+    return _assemble(ia, ib, overlap[ia, ib], len_a, len_b)
 
 
 def weighted_exchange(sm: Supermesh, field_on_b) -> np.ndarray:
-    """Transfer per-B-face values to A faces: value_A = sum_q W_q value_B."""
+    """Transfer per-B-face values to A faces: value_A = W @ value_B."""
     values = np.asarray(field_on_b, dtype=float)
-    if values.shape[0] != sm.n_b:
-        raise ValueError(
-            f"expected {sm.n_b} B-face values, got {values.shape[0]}")
-    out = np.zeros((sm.n_a,) + values.shape[1:])
-    for f in sm.faces:
-        out[f.parent_a] += f.weight * values[f.parent_b]
-    return out
+    if values.ndim == 0 or values.shape[0] != sm.n_b:
+        got = "a scalar" if values.ndim == 0 else values.shape[0]
+        raise ValueError(f"expected {sm.n_b} B-face values, got {got}")
+    out = sm.weights @ values.reshape(sm.n_b, -1)
+    return out.reshape((sm.n_a,) + values.shape[1:])
 
 
 # ---------------------------------------------------------------------------

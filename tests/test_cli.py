@@ -4,8 +4,10 @@ import pytest
 from meshgen import (SQUARE_2TRI, box_with_plate_mesh,
                      stacked_interface_mesh)
 
-from rotormesh.cli import main
+from rotormesh.cli import _supermesh_vtk, main
 from rotormesh.mesh import write_mesh
+from rotormesh.supermesh import (InterfaceFaceSet, build_supermesh,
+                                 polygon_area)
 
 ZERO_MOTION = """
 [rotor]
@@ -238,6 +240,25 @@ def test_interface_4x4_vs_5x5(tmp_path, capsys):
     assert viz.read_text().startswith("# vtk DataFile")
 
 
+def test_interface_vtk_keeps_split_faces():
+    """A non-convex A face is clipped as two convex pieces; the VTK polygon
+    soup holds both, so its polygon areas add up to the total area."""
+    dart = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]])
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    sm = build_supermesh(InterfaceFaceSet("A", (dart,)),
+                         InterfaceFaceSet("B", (square,)))
+    lines = _supermesh_vtk(sm).splitlines()
+    n_points = int(lines[4].split()[1])
+    points = np.array([[float(x) for x in line.split()[:2]]
+                       for line in lines[5:5 + n_points]])
+    n_cells = int(lines[5 + n_points].split()[1])
+    cells = [[int(v) for v in line.split()[1:]]
+             for line in lines[6 + n_points:6 + n_points + n_cells]]
+    assert n_cells == 2
+    area = sum(polygon_area(points[c]) for c in cells)
+    assert area == pytest.approx(sm.total_area, rel=1e-12)
+
+
 def test_interface_disjoint_exit_4(tmp_path, capsys):
     mesh = stacked_interface_mesh(2, 2)
     # B faces shifted far away: reuse marker A against a translated copy
@@ -296,25 +317,3 @@ def test_hb_positive_shorthand(capsys):
     assert main(["hb", "--omega", "2.0", "--instances", "3"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("t,input")
-
-
-def test_deform_threads_env(tmp_path, monkeypatch):
-    mesh = box_with_plate_mesh(n=6, plate_x=(0.1, 0.7), plate_y=(-0.3, 0.3),
-                               plate_z=(-0.15, 0.15))
-    mesh_file = tmp_path / "box.mesh"
-    mesh_file.write_text(write_mesh(mesh))
-    cfg = tmp_path / "zero.cfg"
-    cfg.write_text(ZERO_MOTION + "[pitch]\nmean_deg = 3.0\n")
-    out1 = tmp_path / "o1"
-    out2 = tmp_path / "o2"
-    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
-                 "--steps-per-rev", "4", "--revolutions", "0.5",
-                 "--output-dir", str(out1), "--threads", "1"]) == 0
-    monkeypatch.setenv("ROTORMESH_THREADS", "4")
-    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
-                 "--steps-per-rev", "4", "--revolutions", "0.5",
-                 "--output-dir", str(out2)]) == 0
-    assert (out1 / "quality.csv").read_text() == \
-        (out2 / "quality.csv").read_text()
-    for name in ("step_0000.vtk", "step_0002.vtk"):
-        assert (out1 / name).read_text() == (out2 / name).read_text()

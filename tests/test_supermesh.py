@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from meshgen import stacked_interface_mesh
@@ -12,8 +14,9 @@ from rotormesh.supermesh import (InterfaceFaceSet, build_supermesh,
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
-def grid_faces(n, lo=0.0, hi=1.0):
-    xs = np.linspace(lo, hi, n + 1)
+def quad_grid(xs):
+    """Quads of the tensor grid with breakpoints xs in both directions."""
+    n = len(xs) - 1
     faces = []
     for j in range(n):
         for i in range(n):
@@ -21,6 +24,10 @@ def grid_faces(n, lo=0.0, hi=1.0):
                                    [xs[i + 1], xs[j + 1]],
                                    [xs[i], xs[j + 1]]]))
     return tuple(faces)
+
+
+def grid_faces(n, lo=0.0, hi=1.0):
+    return quad_grid(np.linspace(lo, hi, n + 1))
 
 
 def grid_centroids(n, lo=0.0, hi=1.0):
@@ -114,8 +121,8 @@ def test_triangulate_too_few_vertices():
 def test_identity_interface():
     side = InterfaceFaceSet("A", (SQUARE,))
     sm = build_supermesh(side, InterfaceFaceSet("B", (SQUARE,)))
-    assert len(sm.faces) == 1
-    assert sm.faces[0].weight == pytest.approx(1.0, abs=1e-12)
+    assert len(sm.area) == 1
+    assert sm.weights.data[0] == pytest.approx(1.0, abs=1e-12)
     assert sm.total_area == pytest.approx(1.0, abs=1e-12)
 
 
@@ -124,8 +131,8 @@ def test_two_half_squares():
               np.array([[0.5, 0], [1, 0], [1, 1], [0.5, 1]], dtype=float))
     sm = build_supermesh(InterfaceFaceSet("A", (SQUARE,)),
                          InterfaceFaceSet("B", halves))
-    assert len(sm.faces) == 2
-    weights = sorted(f.weight for f in sm.faces)
+    assert len(sm.area) == 2
+    weights = sorted(sm.weights.data)
     assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
     out = weighted_exchange(sm, np.array([3.0, 5.0]))
     assert out[0] == pytest.approx(4.0, abs=1e-12)
@@ -137,9 +144,9 @@ def test_grid_4x4_vs_5x5():
     sums = sm.weight_sums()
     assert np.abs(sums - 1.0).max() < 1e-9
     assert sm.total_area == pytest.approx(1.0, abs=1e-9)
-    donors = [len(d) for d in sm.donors()]
-    assert min(donors) >= 1 and max(donors) <= 4
-    assert np.count_nonzero(sm.coverage_deficit() > 1e-9) == 0
+    donors = np.diff(sm.weights.indptr)
+    assert donors.min() >= 1 and donors.max() <= 4
+    assert np.count_nonzero(1.0 - sums > 1e-9) == 0
 
 
 def test_partial_coverage_reported_not_renormalized():
@@ -148,7 +155,7 @@ def test_partial_coverage_reported_not_renormalized():
     sm = build_supermesh(InterfaceFaceSet("A", (SQUARE,)),
                          InterfaceFaceSet("B", small_b))
     assert sm.weight_sums()[0] == pytest.approx(0.25, abs=1e-12)
-    assert sm.coverage_deficit()[0] == pytest.approx(0.75, abs=1e-12)
+    assert 1.0 - sm.weight_sums()[0] == pytest.approx(0.75, abs=1e-12)
 
 
 def test_empty_face_set_rejected():
@@ -187,6 +194,11 @@ def test_nonconvex_quad_split():
     # dart fully inside the square: intersection area = dart area
     assert sm.total_area == pytest.approx(polygon_area(dart), rel=1e-12)
     assert sm.weight_sums()[0] == pytest.approx(1.0, abs=1e-9)
+    # the dart is split in two: both clipped pieces are kept for one face
+    assert len(sm.polygons) == 2 and list(sm.polygon_pair) == [0, 0]
+    pieces = np.bincount(sm.polygon_pair,
+                         weights=[polygon_area(p) for p in sm.polygons])
+    assert pieces == pytest.approx(sm.area, rel=1e-12)
 
 
 def test_weighted_exchange_constant_and_length_check():
@@ -194,8 +206,12 @@ def test_weighted_exchange_constant_and_length_check():
                          InterfaceFaceSet("B", grid_faces(5)))
     out = weighted_exchange(sm, np.full(25, 7.25))
     assert np.abs(out - 7.25).max() < 1e-9
+    out = weighted_exchange(sm, np.full((25, 2, 3), 7.25))
+    assert out.shape == (16, 2, 3) and np.abs(out - 7.25).max() < 1e-9
     with pytest.raises(ValueError, match="25"):
         weighted_exchange(sm, np.zeros(24))
+    with pytest.raises(ValueError, match="expected 25 B-face values"):
+        weighted_exchange(sm, 1.0)
 
 
 def test_weighted_exchange_linear_refinement_study():
@@ -214,11 +230,8 @@ def test_weighted_exchange_linear_refinement_study():
 def test_measure_symmetry_between_sides():
     sm = build_supermesh(InterfaceFaceSet("A", grid_faces(3)),
                          InterfaceFaceSet("B", grid_faces(7)))
-    by_a = np.zeros(sm.n_a)
-    by_b = np.zeros(sm.n_b)
-    for f in sm.faces:
-        by_a[f.parent_a] += f.area
-        by_b[f.parent_b] += f.area
+    by_a = np.bincount(sm.parent_a, weights=sm.area, minlength=sm.n_a)
+    by_b = np.bincount(sm.parent_b, weights=sm.area, minlength=sm.n_b)
     assert by_a.sum() == pytest.approx(by_b.sum(), rel=1e-12)
 
 
@@ -229,9 +242,7 @@ def test_conservation_under_full_coverage():
     vb = rng.normal(size=25)
     va = weighted_exchange(sm, vb)
     total_a = float(np.dot(sm.area_a, va))
-    covered_b = np.zeros(sm.n_b)
-    for f in sm.faces:
-        covered_b[f.parent_b] += f.area
+    covered_b = np.bincount(sm.parent_b, weights=sm.area, minlength=sm.n_b)
     total_b = float(np.dot(covered_b, vb))
     assert total_a == pytest.approx(total_b, rel=1e-9)
 
@@ -249,8 +260,8 @@ def test_weights_invariant_under_rigid_motion():
     sm1 = build_supermesh(
         InterfaceFaceSet("A", tuple(f @ rot.T + shift for f in a_faces)),
         InterfaceFaceSet("B", tuple(f @ rot.T + shift for f in b_faces)))
-    w0 = {(f.parent_a, f.parent_b): f.weight for f in sm0.faces}
-    w1 = {(f.parent_a, f.parent_b): f.weight for f in sm1.faces}
+    w0 = dict(zip(zip(sm0.parent_a, sm0.parent_b), sm0.weights.data))
+    w1 = dict(zip(zip(sm1.parent_a, sm1.parent_b), sm1.weights.data))
     assert set(w0) == set(w1)
     for key in w0:
         assert w0[key] == pytest.approx(w1[key], abs=1e-12)
@@ -306,6 +317,75 @@ def test_clip_against_monte_carlo_oracle():
 
 
 # ---------------------------------------------------------------------------
+# Property tests
+# ---------------------------------------------------------------------------
+
+@st.composite
+def convex_polygons(draw):
+    """Vertices of a rotated ellipse at increasing angles: always convex."""
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=3,
+                                  max_size=9)))
+    theta = 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    rx, ry, turn = draw(st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5),
+                                  st.floats(0.0, np.pi)))
+    centre = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    c, s = np.cos(turn), np.sin(turn)
+    pts = np.column_stack([rx * np.cos(theta), ry * np.sin(theta)])
+    return pts @ np.array([[c, s], [-s, c]]) + centre
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=convex_polygons(), b=convex_polygons(), turn=st.floats(-3.2, 3.2),
+       shift=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+def test_clip_area_properties(a, b, turn, shift):
+    """The intersection is no larger than either input, the same either way
+    round, and unchanged by a rigid motion of both polygons."""
+    area = polygon_area(clip_convex(a, b))  # 0 for an empty intersection
+    assert area <= min(polygon_area(a), polygon_area(b)) + 1e-9
+    assert polygon_area(clip_convex(b, a)) == pytest.approx(area, abs=1e-9)
+    c, s = np.cos(turn), np.sin(turn)
+    rot = np.array([[c, -s], [s, c]])
+    moved = polygon_area(clip_convex(a @ rot.T + shift, b @ rot.T + shift))
+    assert moved == pytest.approx(area, abs=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_a=st.integers(1, 6), n_b=st.integers(1, 7),
+       turn=st.floats(-3.2, 3.2), seed=st.integers(0, 2**32 - 1))
+def test_operator_matches_csv_rows(n_a, n_b, turn, seed):
+    """The CSR operator holds exactly the pairs written to the CSV, and
+    applying it equals a dense matrix assembled from the CSV rows. Side A
+    is graded, so each row of weights has its own face area."""
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 1.5, n_a)]))
+    c, s = np.cos(turn), np.sin(turn)
+    rot = np.array([[c, -s], [s, c]])
+    centre = np.array([0.5, 0.5])
+    b_faces = tuple((f - centre) @ rot.T + centre for f in grid_faces(n_b))
+    sm = build_supermesh(InterfaceFaceSet("A", quad_grid(xs / xs[-1])),
+                         InterfaceFaceSet("B", b_faces))
+    lines = sm.to_csv().splitlines()
+    assert lines[0] == "a_face,b_face,area,weight"
+    rows = [line.split(",") for line in lines[1:]]
+    dense = np.zeros((sm.n_a, sm.n_b))
+    for a, b, area, w in rows:
+        assert float(w) == pytest.approx(float(area) / sm.area_a[int(a)],
+                                         rel=1e-10)
+        dense[int(a), int(b)] += float(w)
+    coo = sm.weights.tocoo()
+    assert sorted(zip(coo.row.tolist(), coo.col.tolist())) == \
+        [(int(a), int(b)) for a, b, _, _ in rows]
+    assert sm.weights.shape == (n_a * n_a, n_b * n_b)
+    values = rng.normal(size=(sm.n_b, 3))
+    expect = dense @ values
+    got = weighted_exchange(sm, values)
+    assert got.shape == expect.shape
+    assert np.allclose(got, expect, rtol=1e-10, atol=1e-10)
+    assert np.allclose(weighted_exchange(sm, values[:, 0]), expect[:, 0],
+                       rtol=1e-10, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # Marker projection
 # ---------------------------------------------------------------------------
 
@@ -323,9 +403,9 @@ def test_interface_from_markers_conformal_identity():
     mesh = stacked_interface_mesh(4, 4)
     side_a, side_b, _ = interface_from_markers(mesh, "iface_a", "iface_b")
     sm = build_supermesh(side_a, side_b)
-    assert len(sm.faces) == 16
+    assert len(sm.area) == 16
     assert np.abs(sm.weight_sums() - 1.0).max() < 1e-9
-    assert all(len(d) == 1 for d in sm.donors())
+    assert np.all(np.diff(sm.weights.indptr) == 1)
 
 
 def test_interface_unknown_marker():
