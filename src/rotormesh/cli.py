@@ -135,10 +135,18 @@ def cmd_deform(args) -> int:
 
     exit_code = EXIT_OK
     last_good = -1
+    unconverged = []
     try:
         for res in run_deformation(mesh, cfg, markers,
                                    steps_per_rev=args.steps_per_rev,
                                    revolutions=args.revolutions):
+            if not res.history.converged:
+                unconverged.append(res.step)
+                print(f"warning: step {res.step}: greedy selection did not "
+                      f"converge: surface error {res.surface_max_err:.3e} m "
+                      f">= tol {cfg.rbf.greedy_tol:.3e} m with "
+                      f"{res.history.selected_points} points",
+                      file=sys.stderr)
             quality_rows.append(",".join([
                 str(res.step), _fmt(np.degrees(res.psi)),
                 _fmt(res.quality.min_orthogonality_deg),
@@ -175,6 +183,7 @@ def cmd_deform(args) -> int:
             "step >= 2": "second-order backward difference",
         },
         "last_completed_step": last_good,
+        "greedy_unconverged_steps": unconverged,
     }
     (outdir / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
     return exit_code

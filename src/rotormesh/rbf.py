@@ -5,7 +5,9 @@ Surface displacements are interpolated by a weighted sum of radial kernels
 points are chosen by a multi-level greedy worst-point selection: each level
 grows its center set one worst-residual point at a time up to a cap, the
 next level interpolates whatever residual is left, and the final field is
-the sum of the per-level fields.
+the sum of the per-level fields. For positive definite kernels the greedy
+loop grows a Cholesky factor by one row per added point and re-solves only
+once per level to verify the level's solution.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_solve, lu_factor, lu_solve, solve_triangular
+from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -26,6 +29,10 @@ KERNEL_KINDS = ("wendland_c2", "thin_plate_spline", "gaussian",
 
 _NEEDS_RADIUS = ("wendland_c2", "gaussian", "multiquadric",
                  "inverse_multiquadric")
+
+# Strictly positive definite in 3D: the kernel matrix alone has a Cholesky
+# factor (Wendland C2: Wendland, Adv. Comput. Math. 4, 1995).
+_SPD_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
 
 
 class RbfSystemError(RuntimeError):
@@ -123,7 +130,8 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         lu = lu_factor(a)
         x = lu_solve(lu, rhs)
-        x += lu_solve(lu, rhs - a @ x)
+        if np.all(np.isfinite(x)):
+            x += lu_solve(lu, rhs - a @ x)
     except np.linalg.LinAlgError:
         x = None
     if x is None or not np.all(np.isfinite(x)):
@@ -173,11 +181,12 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
 
 
 def evaluate_field(solution: RbfSolution, targets,
-                   chunk: int = 16384) -> np.ndarray:
-    """Displacement field at target points.
+                   chunk: int = 2048) -> np.ndarray:
+    """Displacement field at target points, in blocks of chunk targets.
 
-    Compact kernels use a KD-tree to touch only targets inside a center's
-    support; other kernels evaluate densely in chunks.
+    Compact kernels build one KD-tree of the centers and, per block, one
+    sparse kernel matrix of the (target, center) pairs inside the support
+    times the weights; other kernels evaluate each block densely.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n = len(targets)
@@ -185,22 +194,22 @@ def evaluate_field(solution: RbfSolution, targets,
     out = np.zeros((n, k))
     centers = solution.centers
     kernel = solution.kernel
+    sparse = kernel.compact and n * len(centers) > 512 * 512
+    if sparse:
+        center_tree = cKDTree(centers)
 
-    if kernel.compact and n * len(centers) > 512 * 512:
-        tree = cKDTree(targets)
-        rho = kernel.support_radius
-        for i, c in enumerate(centers):
-            idx = tree.query_ball_point(c, rho)
-            if idx:
-                idx = np.asarray(idx, dtype=np.intp)
-                d = np.linalg.norm(targets[idx] - c, axis=1)
-                out[idx] += np.outer(kernel_eval(kernel, d),
-                                     solution.weights[i])
-    else:
-        for start in range(0, n, chunk):
-            sl = slice(start, min(start + chunk, n))
-            phi = kernel_eval(kernel, cdist(targets[sl], centers))
-            out[sl] = phi @ solution.weights
+    for start in range(0, n, chunk):
+        block = targets[start:start + chunk]
+        if sparse:
+            pairs = cKDTree(block).sparse_distance_matrix(
+                center_tree, kernel.support_radius, output_type="ndarray")
+            # canonical CSR: centers ascending within each target's row
+            phi = coo_array((kernel_eval(kernel, pairs["v"]),
+                             (pairs["i"], pairs["j"])),
+                            shape=(len(block), len(centers))).tocsr()
+        else:
+            phi = kernel_eval(kernel, cdist(block, centers))
+        out[start:start + len(block)] = phi @ solution.weights
 
     if solution.affine is not None:
         out += _poly_block(targets) @ solution.affine
@@ -264,6 +273,33 @@ def _affine_seed(points: np.ndarray, first: int) -> list[int]:
     return seed
 
 
+def _extend_cholesky(factor: np.ndarray, phi_cols: np.ndarray,
+                     selected: list[int], start: int, phi0: float) -> None:
+    """Extend the lower Cholesky factor factor[:start, :start] of the kernel
+    matrix of the selected centers to all of them, one row per center: the
+    row l solves L l = phi(center, earlier centers) and the new pivot is
+    d^2 = phi(0) - l.l (O(m^2) per center)."""
+    for j in range(start, len(selected)):
+        row = solve_triangular(factor[:j, :j], phi_cols[selected[j], :j],
+                               lower=True)
+        d2 = phi0 - float(row @ row)
+        if not (np.isfinite(d2) and d2 > np.finfo(float).eps * phi0):
+            block = phi_cols[selected[:j + 1], :j + 1]
+            raise RbfSystemError(
+                f"kernel matrix not positive definite at center {j + 1} "
+                f"(pivot {d2:.3e})", condition=float(np.linalg.cond(block)))
+        factor[j, :j] = row
+        factor[j, j] = np.sqrt(d2)
+
+
+def _next_point(err: np.ndarray, selected: list[int]) -> int | None:
+    """Worst-residual point not yet selected, or None if none is left."""
+    masked = err.copy()
+    masked[selected] = -1.0
+    nxt = int(np.argmax(masked))
+    return nxt if masked[nxt] > 0.0 else None
+
+
 def greedy_select(surface_points, displacements, kernel: RbfKernel,
                   tol: float, level_caps=(8, 32, 64, 256),
                   levels: int | None = None,
@@ -275,6 +311,13 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     following level interpolates the remaining residual (previously
     selected points stay in the center set, pinning the field there).
     Terminates once the max surface residual drops below tol.
+
+    Positive definite kernels without an affine block re-solve from a
+    Cholesky factor grown by one row per added point (O(m^2) per point);
+    the affine level and conditionally positive kernels call solve_weights
+    every iteration. Either way the level ends with a solve_weights call
+    on its centers, whose checked solution, residual and error make the
+    level's record and decide convergence.
     """
     pts = np.atleast_2d(np.asarray(surface_points, dtype=float))
     data = np.asarray(displacements, dtype=float)
@@ -303,8 +346,17 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     selected = list(dict.fromkeys(selected))
 
     residual = data.copy()
-    phi_cols = kernel_eval(kernel, cdist(pts, pts[selected]))  # (n, m) grows
+    # kernel columns of the selected centers at every surface point, one
+    # column written per added point
+    width = max(min(max(caps), n), len(selected))
+    phi_cols = np.empty((n, width), order="F")
+    phi_cols[:, :len(selected)] = kernel_eval(kernel,
+                                              cdist(pts, pts[selected]))
     poly = _poly_block(pts)
+    spd = kernel.kind in _SPD_KINDS
+    phi0 = kernel_eval(kernel, 0.0)
+    factor = np.zeros((width, width)) if spd else None
+    factored = 0  # centers in factor
 
     level_records: list[GreedyLevel] = []
     level_solutions: list[tuple[int, np.ndarray, np.ndarray | None]] = []
@@ -314,29 +366,36 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     for level, cap in enumerate(caps):
         level_t0 = time.perf_counter()
         affine_here = with_affine and level == 0
+        incremental = spd and not affine_here
         while True:
-            sol = solve_weights(pts[selected], residual[selected], kernel,
-                                with_affine=affine_here)
-            surf_field = phi_cols @ sol.weights
-            if sol.affine is not None:
-                surf_field += poly @ sol.affine
-            err_vec = residual - surf_field
-            err = np.linalg.norm(err_vec, axis=1)
-            max_err = float(err.max())
-            if max_err < tol:
-                converged = True
-                break
-            if len(selected) >= min(cap, n):
-                break
-            masked = err.copy()
-            masked[selected] = -1.0
-            nxt = int(np.argmax(masked))
-            if masked[nxt] <= 0.0:
-                break
+            m = len(selected)
+            at_cap = m >= min(cap, n)
+            nxt = None
+            if incremental:
+                _extend_cholesky(factor, phi_cols, selected, factored, phi0)
+                factored = m
+                weights = cho_solve((factor[:m, :m], True), residual[selected])
+                err = np.linalg.norm(residual - phi_cols[:, :m] @ weights,
+                                     axis=1)
+                if not (at_cap or err.max() < tol):
+                    nxt = _next_point(err, selected)
+            if nxt is None:
+                sol = solve_weights(pts[selected], residual[selected], kernel,
+                                    with_affine=affine_here)
+                surf_field = phi_cols[:, :m] @ sol.weights
+                if sol.affine is not None:
+                    surf_field += poly @ sol.affine
+                err_vec = residual - surf_field
+                err = np.linalg.norm(err_vec, axis=1)
+                max_err = float(err.max())
+                if max_err < tol:
+                    converged = True
+                    break
+                nxt = None if at_cap else _next_point(err, selected)
+                if nxt is None:
+                    break
             selected.append(nxt)
-            phi_cols = np.hstack([
-                phi_cols,
-                kernel_eval(kernel, cdist(pts, pts[[nxt]]))])
+            phi_cols[:, m] = kernel_eval(kernel, cdist(pts, pts[[nxt]]))[:, 0]
         level_records.append(GreedyLevel(
             level=level + 1, points=len(selected), max_err=max_err,
             mean_err=float(err.mean()),

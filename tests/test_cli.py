@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,36 @@ def test_deform_zero_motion(tmp_path):
         pts.append([float(v) for v in ln.split()])
     rotated = mesh.points @ azimuth_matrix(2 * np.pi).T
     assert np.allclose(np.asarray(pts), rotated, atol=1e-12)
-    assert (outdir / "metadata.json").exists()
+    meta = json.loads((outdir / "metadata.json").read_text())
+    assert meta["greedy_unconverged_steps"] == []
     assert (outdir / "greedy.csv").exists()
+
+
+def test_deform_reports_unconverged_greedy(tmp_path, capsys):
+    mesh = box_with_plate_mesh(n=6, plate_x=(0.1, 0.7), plate_y=(-0.3, 0.3),
+                               plate_z=(-0.15, 0.15))
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(mesh))
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(ZERO_MOTION.replace("greedy_tol_m = 1e-6",
+                                       "greedy_tol_m = 1e-12\n"
+                                       "level_caps = [2]")
+                   + "[pitch]\nmean_deg = 5.0\n")
+    outdir = tmp_path / "out"
+    code = main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "2", "--revolutions", "1.0",
+                 "--output-dir", str(outdir)])
+    assert code == 0
+    err = capsys.readouterr().err
+    for step in range(3):
+        assert f"warning: step {step}: greedy selection did not converge" \
+            in err
+    meta = json.loads((outdir / "metadata.json").read_text())
+    assert meta["greedy_unconverged_steps"] == [0, 1, 2]
+    assert meta["last_completed_step"] == 2
+    _, grows = _read_csv(outdir / "greedy.csv")
+    assert [(r["step"], r["points"]) for r in grows] == \
+        [("0", "2"), ("1", "2"), ("2", "2")]
 
 
 def test_deform_negative_volume_exit_code(tmp_path, capsys):

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from meshgen import shell_mesh
 
-from rotormesh.rbf import (RbfConfig, RbfKernel, deform_mesh,
-                           evaluate_field, greedy_select, kernel_eval,
-                           solve_weights)
+import rotormesh.rbf as rbf
+from rotormesh.rbf import (RbfConfig, RbfKernel, RbfSystemError,
+                           deform_mesh, evaluate_field, greedy_select,
+                           kernel_eval, solve_weights)
 
 WENDLAND = RbfKernel("wendland_c2", support_radius=1.0)
 
@@ -138,17 +143,47 @@ def test_linearity_in_data():
     assert np.abs(f12 - (a * f1 + b * f2)).max() < 1e-10 * max(ref, 1.0)
 
 
-def test_truncated_and_dense_paths_agree():
+def test_truncated_and_dense_paths_agree(monkeypatch):
     rng = np.random.default_rng(13)
     pts = rng.uniform(size=(40, 3))
     disp = 0.05 * rng.normal(size=(40, 3))
     sol = solve_weights(pts, disp, WENDLAND)
-    targets = rng.uniform(-0.2, 1.2, size=(3000, 3))
-    dense = evaluate_field(sol, targets, chunk=10 ** 9)  # forces single chunk
-    # small target count below the KD-tree threshold: dense path
+    # 7001 targets x 40 centers crosses the 512^2 KD-tree threshold; 7001
+    # is three full 2048-target blocks plus a partial one
+    targets = rng.uniform(-0.2, 1.2, size=(7001, 3))
+    assert len(targets) * len(pts) > 512 * 512
+    trees = []
+
+    def counting_tree(data, *args, **kwargs):
+        trees.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr(rbf, "cKDTree", counting_tree)
+    sparse = evaluate_field(sol, targets)
+    assert trees == [40, 2048, 2048, 2048, 857]
+    dense = kernel_eval(WENDLAND, cdist(targets, pts)) @ sol.weights
+    assert np.abs(dense).min() > 0.0  # a dropped block would show
+    assert np.abs(sparse - dense).max() < 1e-13
+    # single-target calls stay below the threshold: dense path
     small = np.vstack([evaluate_field(sol, targets[i:i + 1])
                        for i in range(100)])
-    assert np.allclose(dense[:100], small, atol=1e-13)
+    assert np.abs(small - dense[:100]).max() < 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize("gap", [1e-13, 1e-9, 1e-6])
+def test_near_duplicate_centers_raise(gap):
+    rng = np.random.default_rng(0)
+    p = rng.uniform(size=(40, 3))
+    with pytest.raises(RbfSystemError, match="condition estimate"):
+        solve_weights([p[0], p[0] + gap], rng.normal(size=(2, 3)), WENDLAND)
+    # opposite displacements on the pair make greedy pick both first
+    pts = np.vstack([p, p[0] + gap])
+    disp = 0.01 * rng.normal(size=(41, 3))
+    disp[0] = [1.0, 0.0, 0.0]
+    disp[40] = [-1.0, 0.0, 0.0]
+    with pytest.raises(RbfSystemError, match="condition estimate"):
+        greedy_select(pts, disp, WENDLAND, tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +278,144 @@ def test_greedy_inverse_deformation_roundtrip():
     sol_back, _ = greedy_select(moved, -disp, WENDLAND, tol=tol)
     back = moved + evaluate_field(sol_back, moved)
     assert np.abs(back - pts).max() < 2.0 * tol
+
+
+def _reference_greedy(pts, data, kernel, tol, caps, with_affine=False):
+    """The greedy loop re-solved with solve_weights on every iteration.
+    Returns the selected sequence and (points, max_err, mean_err) per
+    level."""
+    n = len(pts)
+    first = int(np.argmax(np.linalg.norm(data, axis=1)))
+    selected = list(dict.fromkeys(
+        rbf._affine_seed(pts, first) if with_affine else [first]))
+    residual = data.copy()
+    poly = np.hstack([np.ones((n, 1)), pts])
+    levels = []
+    for level, cap in enumerate(caps):
+        affine_here = with_affine and level == 0
+        while True:
+            sol = solve_weights(pts[selected], residual[selected], kernel,
+                                with_affine=affine_here)
+            field = kernel_eval(kernel, cdist(pts, pts[selected])) \
+                @ sol.weights
+            if sol.affine is not None:
+                field += poly @ sol.affine
+            err_vec = residual - field
+            err = np.linalg.norm(err_vec, axis=1)
+            done = err.max() < tol
+            if done or len(selected) >= min(cap, n):
+                break
+            masked = err.copy()
+            masked[selected] = -1.0
+            if masked.max() <= 0.0:
+                break
+            selected.append(int(np.argmax(masked)))
+        levels.append((len(selected), err.max(), err.mean()))
+        residual = err_vec
+        if done:
+            break
+    return selected, levels
+
+
+def _assert_matches_reference(pts, disp, kernel, tol, caps,
+                              with_affine=False):
+    ref_sel, ref_levels = _reference_greedy(pts, disp, kernel, tol, caps,
+                                            with_affine)
+    sol, hist = greedy_select(pts, disp, kernel, tol=tol, level_caps=caps,
+                              with_affine=with_affine)
+    assert np.array_equal(sol.centers, pts[ref_sel])
+    assert [lv.points for lv in hist.levels] == [c for c, _, _ in ref_levels]
+    got = np.array([(lv.max_err, lv.mean_err) for lv in hist.levels])
+    want = np.array([(mx, mn) for _, mx, mn in ref_levels])
+    # relative, with a floor for residuals already at round-off
+    floor = 1e-14 * np.abs(disp).max()
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + floor)
+
+
+_SPD_RADII = {"wendland_c2": (0.4, 1.5), "gaussian": (0.05, 0.2),
+              "inverse_multiquadric": (0.05, 0.3)}
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(_SPD_RADII)),
+       n=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.floats(0.0, 1.0), tol_exp=st.integers(-9, -3),
+       caps=st.sampled_from([(8, 32, 64), (1, 5, 20), (3,), (50, 200)]))
+def test_incremental_greedy_matches_per_iteration_solves(kind, n, seed,
+                                                          shape, tol_exp,
+                                                          caps):
+    rng = np.random.default_rng(seed)
+    lo, hi = _SPD_RADII[kind]
+    kernel = RbfKernel(kind, support_radius=lo + shape * (hi - lo))
+    pts = rng.uniform(size=(n, 3))
+    disp = 0.01 * np.sin(3.0 * pts + rng.uniform(0.0, 6.0, size=3))
+    try:
+        _reference_greedy(pts, disp, kernel, 10.0 ** tol_exp, caps)
+    except RbfSystemError:
+        assume(False)  # ill-conditioned draws fail in both
+    _assert_matches_reference(pts, disp, kernel, 10.0 ** tol_exp, caps)
+
+
+@pytest.mark.parametrize("kernel,with_affine", [
+    (RbfKernel("thin_plate_spline"), True),
+    (RbfKernel("multiquadric", support_radius=0.5), False)])
+def test_conditionally_positive_kernels_match_reference(kernel, with_affine):
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(size=(80, 3))
+    disp = 0.01 * np.sin(3.0 * pts)
+    _assert_matches_reference(pts, disp, kernel, 1e-6, (6, 16, 40),
+                              with_affine)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    original = rbf.solve_weights
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("with_affine", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rbf, "solve_weights", counting)
+    return calls
+
+
+def test_spd_greedy_solves_once_per_level(monkeypatch):
+    pts = surface_grid(12)
+    disp = np.zeros_like(pts)
+    disp[:, 2] = 0.02 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
+    calls = _count_solves(monkeypatch)
+    _, hist = greedy_select(pts, disp, WENDLAND, tol=1e-7,
+                            level_caps=(8, 32, 64))
+    assert hist.selected_points > len(hist.levels)
+    assert len(calls) == len(hist.levels)
+
+
+def test_dense_greedy_solves_every_iteration(monkeypatch):
+    pts = surface_grid(8)
+    disp = np.zeros_like(pts)
+    disp[:, 2] = 0.01 * np.sin(np.pi * pts[:, 0])
+    calls = _count_solves(monkeypatch)
+    _, hist = greedy_select(pts, disp,
+                            RbfKernel("multiquadric", support_radius=0.5),
+                            tol=1e-9, level_caps=(4, 12))
+    # one solve per added point plus the last one of each level
+    assert len(calls) == hist.selected_points - 1 + len(hist.levels)
+
+
+def test_affine_level_zero_stays_dense(monkeypatch):
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(size=(60, 3))
+    disp = 0.01 * np.sin(3.0 * pts)
+    calls = _count_solves(monkeypatch)
+    _, hist = greedy_select(pts, disp, WENDLAND, tol=1e-8,
+                            level_caps=(10, 30), with_affine=True)
+    assert len(hist.levels) == 2
+    # four spanning seeds, then one affine solve per iteration on level 1
+    assert calls == [True] * (hist.levels[0].points - 4 + 1) + [False]
+    monkeypatch.undo()
+    _assert_matches_reference(pts, disp, WENDLAND, 1e-8, (10, 30),
+                              with_affine=True)
 
 
 # ---------------------------------------------------------------------------
