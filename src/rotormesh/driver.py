@@ -57,8 +57,8 @@ class _BladeMarker:
 
 
 def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
-                    steps_per_rev: int = 360, revolutions: float = 5.0,
-                    raise_on_negative: bool = True) -> Iterator[StepResult]:
+                    steps_per_rev: int = 360,
+                    revolutions: float = 5.0) -> Iterator[StepResult]:
     """Yield one StepResult per physical time step, step 0 included.
 
     The as-built mesh is taken as the blade geometry at zero flap, lead-lag
@@ -94,7 +94,6 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
 
     rotor_points = np.array(mesh.points)
     lab_history: list[np.ndarray] = []
-    quality_prev: QualityReport | None = None
 
     for k in range(n_steps + 1):
         t = k * dt
@@ -112,11 +111,9 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
 
         frame = mesh.with_points(rotor_points)
         result = deform_mesh(frame, displacements,
-                             fixed_markers=cfg.fixed_markers, config=cfg.rbf,
-                             quality_before=quality_prev)
+                             fixed_markers=cfg.fixed_markers, config=cfg.rbf)
         rotor_points = np.array(result.mesh.points)
         quality = result.quality_after
-        quality_prev = quality
 
         lab_points = rotor_points @ azimuth_matrix(psi).T
         if len(lab_history) >= 2:
@@ -133,7 +130,7 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
         if len(lab_history) > 2:
             lab_history.pop(0)
 
-        if quality.negative_volume_count > 0 and raise_on_negative:
+        if quality.negative_volume_count > 0:
             raise DeformationFailure(k, k - 1, quality)
 
         yield StepResult(

@@ -38,6 +38,9 @@ VERTEX_COUNT = {
 
 VOLUME_KINDS = ("tetrahedron", "hexahedron", "prism", "pyramid")
 CELL_KINDS = {2: ("triangle", "quadrilateral"), 3: VOLUME_KINDS}
+# marker face kind by vertex count, and the counts each dimension allows
+FACE_KINDS = {2: "line", 3: "triangle", 4: "quadrilateral"}
+FACE_SIZES = {2: (2,), 3: (3, 4)}
 
 
 class MeshFormatError(ValueError):
@@ -84,11 +87,16 @@ def _check_connectivity(dim: int, n_points: int, cells: dict, markers: dict):
             why = f"vertex index {conn[out][0]} out of range (NPOIN={n_points})"
         raise _BadRow(why, None, int(rows.min(initial=0)))
     for name, faces in markers.items():
+        sizes = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+        bad = np.flatnonzero(~np.isin(sizes, FACE_SIZES[dim]))
+        if len(bad):
+            raise _BadRow(f"marker {name!r} face with {sizes[bad[0]]} "
+                          f"vertices is not allowed in {dim}D", name,
+                          int(bad[0]))
         flat = np.fromiter(chain.from_iterable(faces), dtype=np.intp)
         out = np.flatnonzero((flat < 0) | (flat >= n_points))
         if len(out):
-            face = np.searchsorted(np.cumsum([len(f) for f in faces]),
-                                   out[0], side="right")
+            face = np.searchsorted(np.cumsum(sizes), out[0], side="right")
             raise _BadRow(f"marker {name!r} vertex index {flat[out[0]]} out "
                           f"of range (NPOIN={n_points})", name, int(face))
 
@@ -105,8 +113,9 @@ class Mesh:
 
     Construction validates connectivity once, with numpy: vertex indices are
     in range, 2D cells are triangles or quadrilaterals, 3D cells are
-    VOLUME_KINDS; lines are marker faces only. with_points copies share
-    cells, markers and `derived`, where cell_geometry caches the topology.
+    VOLUME_KINDS; marker faces are lines in 2D, triangles or quadrilaterals
+    in 3D. with_points copies share cells, markers and `derived`, where
+    cell_geometry caches the topology.
     """
 
     dim: int
@@ -183,6 +192,15 @@ class _LineStream:
     def exhausted(self) -> bool:
         return self._pos >= len(self._lines)
 
+    @property
+    def position(self) -> int:
+        """Index of the next line next() returns."""
+        return self._pos
+
+    def line(self, position: int) -> tuple[int, str]:
+        """(line number, content) of an already read line."""
+        return self._lines[position]
+
 
 def _header_value(line: str, key: str, lineno: int) -> str:
     prefix, _, rest = line.partition("=")
@@ -258,6 +276,7 @@ def parse_mesh(text: str) -> Mesh:
                 raise MeshFormatError("NPOIN section before NDIME",
                                       stream.lineno)
             n_poin = _int_header(line, "NPOIN", stream.lineno)
+            first = stream.position
             coords = np.zeros((n_poin, 3))
             for i in range(n_poin):
                 pt_line = stream.next("point coordinates")
@@ -272,6 +291,11 @@ def parse_mesh(text: str) -> Mesh:
                     raise MeshFormatError(
                         f"non-numeric coordinate in {pt_line!r}",
                         stream.lineno) from None
+            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+            if len(bad):
+                lineno, content = stream.line(first + int(bad[0]))
+                raise MeshFormatError(f"non-finite coordinate in {content!r}",
+                                      lineno)
             points = coords
         elif key == "NMARK":
             for _ in range(_int_header(line, "NMARK", stream.lineno)):
@@ -284,8 +308,13 @@ def parse_mesh(text: str) -> Mesh:
                                       "MARKER_ELEMS", stream.lineno)
                 faces = []
                 for i in range(n_faces):
-                    faces.append(_parse_connectivity(
-                        stream.next(f"marker {name!r} face"), stream.lineno)[1])
+                    kind, verts = _parse_connectivity(
+                        stream.next(f"marker {name!r} face"), stream.lineno)
+                    if kind not in FACE_KINDS.values():
+                        raise MeshFormatError(
+                            f"{kind} elements are not allowed as marker "
+                            "faces", stream.lineno)
+                    faces.append(verts)
                     line_of[name, i] = stream.lineno
                 markers[name] = tuple(faces)
         else:
@@ -333,19 +362,9 @@ def write_mesh(mesh: Mesh) -> str:
         out.append(f"MARKER_TAG= {name}")
         out.append(f"MARKER_ELEMS= {len(faces)}")
         for verts in faces:
-            kind = _face_kind(len(verts))
-            out.append(f"{KIND_TO_CODE[kind]} " + " ".join(map(str, verts)))
+            code = KIND_TO_CODE[FACE_KINDS[len(verts)]]
+            out.append(f"{code} " + " ".join(map(str, verts)))
     return "\n".join(out) + "\n"
-
-
-def _face_kind(n_vertices: int) -> str:
-    if n_vertices == 2:
-        return "line"
-    if n_vertices == 3:
-        return "triangle"
-    if n_vertices == 4:
-        return "quadrilateral"
-    raise ValueError(f"boundary face with {n_vertices} vertices not supported")
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,6 @@ class GreedyLevel:
 @dataclass(frozen=True)
 class GreedyHistory:
     levels: tuple[GreedyLevel, ...]
-    total_seconds: float
     converged: bool
 
     def to_csv(self) -> str:
@@ -302,7 +301,6 @@ def _next_point(err: np.ndarray, selected: list[int]) -> int | None:
 
 def greedy_select(surface_points, displacements, kernel: RbfKernel,
                   tol: float, level_caps=(8, 32, 64, 256),
-                  levels: int | None = None,
                   with_affine: bool = False) -> tuple[RbfSolution, GreedyHistory]:
     """Multi-level greedy control-point reduction.
 
@@ -333,10 +331,6 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
         raise ValueError("tol must be positive")
 
     caps = [int(c) for c in level_caps]
-    if levels is not None:
-        while len(caps) < levels:
-            caps.append(caps[-1] * 4 if caps else 8)
-        caps = caps[:levels]
     if not caps:
         raise ValueError("at least one level required")
 
@@ -360,7 +354,6 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
 
     level_records: list[GreedyLevel] = []
     level_solutions: list[tuple[int, np.ndarray, np.ndarray | None]] = []
-    t_start = time.perf_counter()
     converged = False
 
     for level, cap in enumerate(caps):
@@ -412,10 +405,7 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
         if affine is not None:
             affine_total = affine if affine_total is None else affine_total + affine
     merged = RbfSolution(pts[selected], total_weights, kernel, affine_total)
-    history = GreedyHistory(tuple(level_records),
-                            total_seconds=time.perf_counter() - t_start,
-                            converged=converged)
-    return merged, history
+    return merged, GreedyHistory(tuple(level_records), converged)
 
 
 @dataclass(frozen=True)
@@ -432,13 +422,11 @@ class RbfConfig:
 class DeformResult:
     mesh: Mesh
     history: GreedyHistory
-    quality_before: QualityReport
     quality_after: QualityReport
 
 
 def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
-                fixed_markers=(), config: RbfConfig | None = None,
-                quality_before: QualityReport | None = None) -> DeformResult:
+                fixed_markers=(), config: RbfConfig | None = None) -> DeformResult:
     """Deform the volume mesh so marker points follow their prescribed
     displacements while fixed markers stay put.
 
@@ -478,14 +466,10 @@ def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
     surf_idx = surf_idx[order]
     surf_disp = np.asarray(list(point_disp.values()))[order]
 
-    before = quality_before if quality_before is not None \
-        else orthogonality_metrics(mesh)
-
     if np.abs(surf_disp).max(initial=0.0) == 0.0:
         # nothing moves; keep the exact point array
-        history = GreedyHistory(
-            (GreedyLevel(1, 1, 0.0, 0.0, 0.0),), 0.0, True)
-        return DeformResult(mesh, history, before, before)
+        history = GreedyHistory((GreedyLevel(1, 1, 0.0, 0.0, 0.0),), True)
+        return DeformResult(mesh, history, orthogonality_metrics(mesh))
 
     solution, history = greedy_select(
         mesh.points[surf_idx], surf_disp, config.kernel,
@@ -493,5 +477,4 @@ def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
         with_affine=config.with_affine)
     displacement = evaluate_field(solution, mesh.points)
     deformed = mesh.with_points(mesh.points + displacement)
-    after = orthogonality_metrics(deformed)
-    return DeformResult(deformed, history, before, after)
+    return DeformResult(deformed, history, orthogonality_metrics(deformed))

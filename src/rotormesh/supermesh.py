@@ -3,17 +3,21 @@
 Both interface sides are first projected to a common plane (or line for 2D
 domains). Every overlapping pair of faces contributes an intersection
 polygon; its area divided by the receiving face's area is the donor weight
-used for conservative data exchange. Candidate pairs come from a uniform
-background bin grid sized to the median face diameter.
+used for conservative data exchange. Candidate pairs come from one k-d
+tree query: each convex piece lies in the circle about its vertex mean
+through its farthest vertex, so two pieces can only overlap when their
+centres are closer than the sum of their radii.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
+from scipy.spatial import cKDTree
 
 from .mesh import Mesh
 
@@ -33,15 +37,20 @@ def polygon_area(poly: np.ndarray) -> float:
     return abs(signed_area(poly))
 
 
+def _turns(poly: np.ndarray) -> np.ndarray:
+    """Cross product of edge i with edge i + 1, i.e. the turn at vertex
+    i + 1: positive left, negative right."""
+    e = np.roll(poly, -1, axis=0) - poly
+    e_next = np.roll(e, -1, axis=0)
+    return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+
+
 def is_convex(poly: np.ndarray) -> bool:
     """Cross-product sign test; collinear vertices are allowed."""
     poly = np.asarray(poly, dtype=float)
-    n = len(poly)
-    if n < 3:
+    if len(poly) < 3:
         return False
-    e = np.roll(poly, -1, axis=0) - poly
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - \
-        e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
+    cross = _turns(poly)
     scale = max(float(np.abs(cross).max()), 1e-300)
     cross = cross / scale
     return bool(np.all(cross >= -1e-12) or np.all(cross <= 1e-12))
@@ -140,35 +149,42 @@ class InterfaceFaceSet:
 
     For 3D domains faces are planar polygons (k, 2) in the projection
     plane; for 2D domains they are intervals (2,) on the projection line.
+    Construction measures each face once: measures holds its area (or
+    length) and ccw whether its polygon is wound counter-clockwise
+    (always true for intervals, which are stored sorted).
     """
 
     side: str
     faces: tuple[np.ndarray, ...]
     manifold_dim: int = 2
+    measures: np.ndarray = field(init=False, repr=False)
+    ccw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.faces) == 0:
             raise ValueError(f"interface side {self.side!r} has no faces")
         faces = []
+        signed = np.empty(len(self.faces))
         for i, f in enumerate(self.faces):
             f = np.asarray(f, dtype=float)
+            if self.manifold_dim == 2 and (f.ndim != 2 or f.shape[1] != 2
+                                           or len(f) < 3):
+                raise ValueError(f"face {i}: expected (k>=3, 2) polygon")
+            if not np.isfinite(f).all():
+                raise ValueError(f"face {i}: non-finite coordinates")
             if self.manifold_dim == 2:
-                if f.ndim != 2 or f.shape[1] != 2 or len(f) < 3:
-                    raise ValueError(f"face {i}: expected (k>=3, 2) polygon")
-                if polygon_area(f) <= 0.0:
+                signed[i] = signed_area(f)
+                if signed[i] == 0.0:
                     raise ValueError(f"face {i}: zero-area polygon")
             else:
                 f = np.sort(f.reshape(2))
-                if f[1] - f[0] <= 0.0:
+                signed[i] = f[1] - f[0]
+                if signed[i] <= 0.0:
                     raise ValueError(f"face {i}: zero-length segment")
             faces.append(f)
         object.__setattr__(self, "faces", tuple(faces))
-
-    @property
-    def measures(self) -> np.ndarray:
-        if self.manifold_dim == 2:
-            return np.asarray([polygon_area(f) for f in self.faces])
-        return np.asarray([f[1] - f[0] for f in self.faces])
+        object.__setattr__(self, "measures", np.abs(signed))
+        object.__setattr__(self, "ccw", signed >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -236,33 +252,41 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
                      polygons, polygon_pair[:len(polygons)])
 
 
-def _split_convex(face: np.ndarray, index: int, side: str,
-                  majority_ccw: bool = True):
-    """Yield convex CCW pieces of a face; non-convex quads are split at a
-    reflex vertex. Faces wound against their side's majority orientation
-    are reoriented with a warning (a consistently flipped side, e.g. from
-    an arbitrary projection basis, is normalized silently)."""
-    ccw = signed_area(face) >= 0.0
-    if ccw != majority_ccw:
-        warnings.warn(f"reorienting inconsistently wound face {index} "
-                      f"on side {side}")
-    if not ccw:
-        face = face[::-1].copy()
-    if is_convex(face):
-        yield face
-        return
-    if len(face) != 4:
-        raise ValueError(
-            f"non-convex face {index} on side {side} with {len(face)} "
-            "vertices is not supported")
-    e = np.roll(face, -1, axis=0) - face
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - \
-        e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    reflex = int(np.argmin(cross))  # vertex after the offending turn
-    reflex = (reflex + 1) % 4
-    order = [(reflex + k) % 4 for k in range(4)]
-    yield ensure_ccw(face[[order[0], order[1], order[2]]])
-    yield ensure_ccw(face[[order[0], order[2], order[3]]])
+def _convex_pieces(side: InterfaceFaceSet) -> list[tuple[int, np.ndarray]]:
+    """Convex CCW pieces (face index, polygon) of a side's faces, in face
+    order; non-convex quads are split at a reflex vertex. Faces wound
+    against their side's majority orientation are reoriented with a
+    warning (a consistently flipped side, e.g. from an arbitrary
+    projection basis, is normalized silently)."""
+    majority_ccw = 2 * np.count_nonzero(side.ccw) >= len(side.ccw)
+    pieces = []
+    for i, (face, ccw) in enumerate(zip(side.faces, side.ccw.tolist())):
+        if ccw != majority_ccw:
+            warnings.warn(f"reorienting inconsistently wound face {i} "
+                          f"on side {side.side}")
+        if not ccw:
+            face = face[::-1].copy()
+        if is_convex(face):
+            pieces.append((i, face))
+            continue
+        if len(face) != 4:
+            raise ValueError(
+                f"non-convex face {i} on side {side.side} with {len(face)} "
+                "vertices is not supported")
+        # vertex after the offending turn
+        reflex = (int(np.argmin(_turns(face))) + 1) % 4
+        order = [(reflex + k) % 4 for k in range(4)]
+        pieces.append((i, ensure_ccw(face[[order[0], order[1], order[2]]])))
+        pieces.append((i, ensure_ccw(face[[order[0], order[2], order[3]]])))
+    return pieces
+
+
+def _bounding_circles(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """Centre (vertex mean) and radius (farthest vertex) of each piece."""
+    centres = np.array([p.mean(axis=0) for _, p in pieces])
+    radii = np.array([np.linalg.norm(p - c, axis=1).max()
+                      for (_, p), c in zip(pieces, centres)])
+    return centres, radii
 
 
 def build_supermesh(side_a: InterfaceFaceSet,
@@ -281,35 +305,13 @@ def build_supermesh(side_a: InterfaceFaceSet,
     diag = float(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)))
     snap = 1e-12 * max(diag, 1e-300)
 
-    ccw_a = np.count_nonzero([signed_area(f) >= 0.0 for f in side_a.faces])
-    ccw_b = np.count_nonzero([signed_area(f) >= 0.0 for f in side_b.faces])
-    pieces_a = []
-    for i, f in enumerate(side_a.faces):
-        for piece in _split_convex(f, i, "A", 2 * ccw_a >= len(side_a.faces)):
-            pieces_a.append((i, piece))
-    pieces_b = []
-    for j, f in enumerate(side_b.faces):
-        for piece in _split_convex(f, j, "B", 2 * ccw_b >= len(side_b.faces)):
-            pieces_b.append((j, piece))
-
-    # uniform background bins sized to the median face diameter
-    diameters = [np.linalg.norm(p.max(axis=0) - p.min(axis=0))
-                 for _, p in pieces_a + pieces_b]
-    h = float(np.median(diameters))
-    h = h if h > 0.0 else 1.0
-    lo = all_pts.min(axis=0)
-
-    def bin_range(poly):
-        bmin = np.floor((poly.min(axis=0) - lo) / h).astype(int)
-        bmax = np.floor((poly.max(axis=0) - lo) / h).astype(int)
-        return bmin, bmax
-
-    bins: dict[tuple[int, int], list[int]] = {}
-    for k, (_, poly) in enumerate(pieces_b):
-        bmin, bmax = bin_range(poly)
-        for bx in range(bmin[0], bmax[0] + 1):
-            for by in range(bmin[1], bmax[1] + 1):
-                bins.setdefault((bx, by), []).append(k)
+    pieces_a = _convex_pieces(side_a)
+    pieces_b = _convex_pieces(side_b)
+    centres_a, radii_a = _bounding_circles(pieces_a)
+    centres_b, radii_b = _bounding_circles(pieces_b)
+    # pieces overlap only if their centres are within r_a + r_b
+    near = cKDTree(centres_b).query_ball_point(
+        centres_a, radii_a + radii_b.max() + snap, return_sorted=True)
 
     area_a = side_a.measures
     area_b = side_b.measures
@@ -317,13 +319,8 @@ def build_supermesh(side_a: InterfaceFaceSet,
     cols: list[int] = []
     areas: list[float] = []
     polygons: list[np.ndarray] = []
-    for ia, poly_a in pieces_a:
-        bmin, bmax = bin_range(poly_a)
-        candidates: set[int] = set()
-        for bx in range(bmin[0], bmax[0] + 1):
-            for by in range(bmin[1], bmax[1] + 1):
-                candidates.update(bins.get((bx, by), ()))
-        for k in sorted(candidates):
+    for (ia, poly_a), candidates in zip(pieces_a, near):
+        for k in candidates:
             ib, poly_b = pieces_b[k]
             overlap = clip_convex(poly_a, poly_b, snap=snap)
             if len(overlap) == 0:
@@ -427,19 +424,20 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str,
     if len(faces_a) == 0 or len(faces_b) == 0:
         raise ValueError("interface markers must contain faces")
 
-    idx = sorted({v for face in faces_a + faces_b for v in face})
-    cloud = mesh.points[np.asarray(idx, dtype=np.intp)]
+    idx = np.unique(np.fromiter(chain.from_iterable(faces_a + faces_b),
+                                dtype=np.intp))
+    cloud = mesh.points[idx]
+
+    def faces_of(projected, faces):
+        return tuple(projected[np.searchsorted(idx, f)] for f in faces)
 
     if mesh.dim == 2:
         origin = cloud.mean(axis=0)
         _, _, vt = np.linalg.svd(cloud - origin, full_matrices=False)
         axis = vt[0]
-        segs_a = [np.sort((mesh.points[list(f)] - origin) @ axis)
-                  for f in faces_a]
-        segs_b = [np.sort((mesh.points[list(f)] - origin) @ axis)
-                  for f in faces_b]
-        return (InterfaceFaceSet("A", tuple(segs_a), manifold_dim=1),
-                InterfaceFaceSet("B", tuple(segs_b), manifold_dim=1),
+        line = (cloud - origin) @ axis
+        return (InterfaceFaceSet("A", faces_of(line, faces_a), manifold_dim=1),
+                InterfaceFaceSet("B", faces_of(line, faces_b), manifold_dim=1),
                 ("line", origin, axis))
 
     proj: PlaneProjection | CylinderProjection
@@ -455,9 +453,7 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str,
     else:
         raise ValueError(f"unknown projection {projection!r}")
 
-    def project_faces(faces):
-        return tuple(proj.project(mesh.points[list(f)]) for f in faces)
-
-    return (InterfaceFaceSet("A", project_faces(faces_a)),
-            InterfaceFaceSet("B", project_faces(faces_b)),
+    flat = proj.project(cloud)
+    return (InterfaceFaceSet("A", faces_of(flat, faces_a)),
+            InterfaceFaceSet("B", faces_of(flat, faces_b)),
             proj)

@@ -54,6 +54,13 @@ def test_parse_malformed_header():
         parse_mesh("NDIME= banana\nNPOIN= 0\n")
     with pytest.raises(MeshFormatError, match="unrecognized"):
         parse_mesh("WHAT= 3\n")
+    for bad in ("nan", "inf", "-inf"):
+        # the comment line checks that the error names the point's own line
+        text = f"NDIME= 2\nNELEM= 0\nNPOIN= 2\n0 0\n% skipped\n{bad} 1\n"
+        with pytest.raises(MeshFormatError, match="non-finite coordinate") \
+                as exc:
+            parse_mesh(text)
+        assert exc.value.line == 6
 
 
 def test_parse_comments_ignored(square_mesh):
@@ -115,6 +122,10 @@ BAD_CONNECTIVITY = [
     (3, "5 0 1 2", "5 0 1 2", 3, "triangle elements are not allowed as 3D"),
     (2, "10 0 1 2 3", "3 0 1", 3, "tetrahedron elements are not allowed as 2D"),
     (2, "3 0 1", "3 0 1", 3, "line elements are not allowed as 2D"),
+    (3, "10 0 1 2 3", "12 0 1 2 3 0 1 2 3", 12,
+     "hexahedron elements are not allowed as marker faces"
+     "|face with 8 vertices is not allowed in 3D"),
+    (2, "5 0 1 2", "5 0 1 2", 12, "face with 3 vertices is not allowed in 2D"),
 ]
 
 
@@ -127,6 +138,17 @@ def test_bad_connectivity_rejected(dim, cell, face, line, message):
     with pytest.raises(ValueError, match=message):
         Mesh(dim, np.eye(4, 3), {TYPE_CODES[code]: ([verts], [0])},
              {"m": (tuple(map(int, face.split()[1:])),)})
+
+
+def test_volume_coded_marker_face_rejected():
+    """Four vertices fit a quadrilateral face, so only the parser, which
+    sees the tetrahedron code, can reject this face."""
+    text = ONE_CELL.format(dim=3, cell="10 0 1 2 3", face="10 0 1 2 3")
+    with pytest.raises(MeshFormatError,
+                       match="tetrahedron elements are not allowed as "
+                             "marker faces") as exc:
+        parse_mesh(text)
+    assert exc.value.line == 12
 
 
 def test_mixed_kinds_keep_file_order():

@@ -6,10 +6,11 @@ from scipy.spatial import ConvexHull
 
 from meshgen import stacked_interface_mesh
 
-from rotormesh.supermesh import (InterfaceFaceSet, build_supermesh,
-                                 clip_convex, ensure_ccw, fit_cylinder_z,
-                                 interface_from_markers, polygon_area,
-                                 signed_area, triangulate, weighted_exchange)
+from rotormesh.supermesh import (InterfaceFaceSet, _convex_pieces,
+                                 build_supermesh, clip_convex, ensure_ccw,
+                                 fit_cylinder_z, interface_from_markers,
+                                 polygon_area, signed_area, triangulate,
+                                 weighted_exchange)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -24,6 +25,12 @@ def quad_grid(xs):
                                    [xs[i + 1], xs[j + 1]],
                                    [xs[i], xs[j + 1]]]))
     return tuple(faces)
+
+
+def graded_grid(n, rng):
+    """Quads of a tensor grid on the unit square with random spacing."""
+    xs = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 1.5, n)]))
+    return list(quad_grid(xs / xs[-1]))
 
 
 def grid_faces(n, lo=0.0, hi=1.0):
@@ -167,6 +174,12 @@ def test_zero_area_face_rejected():
     degenerate = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
     with pytest.raises(ValueError, match="zero-area"):
         InterfaceFaceSet("A", (degenerate,))
+    with pytest.raises(ValueError, match="face 1: non-finite coordinates"):
+        InterfaceFaceSet("A", (SQUARE, SQUARE + [np.nan, 0.0]))
+    with pytest.raises(ValueError, match="face 0: non-finite coordinates"):
+        InterfaceFaceSet("A", (np.array([0.0, np.inf]),), manifold_dim=1)
+    with pytest.raises(ValueError, match="face 0: non-finite coordinates"):
+        InterfaceFaceSet("A", (np.array([np.nan, 1.0]),), manifold_dim=1)
 
 
 def test_inconsistent_orientation_warns_and_reorients():
@@ -357,12 +370,12 @@ def test_operator_matches_csv_rows(n_a, n_b, turn, seed):
     applying it equals a dense matrix assembled from the CSV rows. Side A
     is graded, so each row of weights has its own face area."""
     rng = np.random.default_rng(seed)
-    xs = np.cumsum(np.concatenate([[0.0], rng.uniform(0.5, 1.5, n_a)]))
+    a_faces = tuple(graded_grid(n_a, rng))
     c, s = np.cos(turn), np.sin(turn)
     rot = np.array([[c, -s], [s, c]])
     centre = np.array([0.5, 0.5])
     b_faces = tuple((f - centre) @ rot.T + centre for f in grid_faces(n_b))
-    sm = build_supermesh(InterfaceFaceSet("A", quad_grid(xs / xs[-1])),
+    sm = build_supermesh(InterfaceFaceSet("A", a_faces),
                          InterfaceFaceSet("B", b_faces))
     lines = sm.to_csv().splitlines()
     assert lines[0] == "a_face,b_face,area,weight"
@@ -383,6 +396,50 @@ def test_operator_matches_csv_rows(n_a, n_b, turn, seed):
     assert np.allclose(got, expect, rtol=1e-10, atol=1e-10)
     assert np.allclose(weighted_exchange(sm, values[:, 0]), expect[:, 0],
                        rtol=1e-10, atol=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_a=st.integers(1, 5), extra=st.integers(1, 3),
+       turn=st.floats(-3.2, 3.2),
+       shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       dart=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
+    """The candidate search misses no overlapping pair: clipping every A
+    piece against every B piece, with the same sliver filter, gives the
+    same faces, areas and polygons in the same order."""
+    rng = np.random.default_rng(seed)
+    a_faces = graded_grid(n_a, rng)
+    if dart:  # pull the third corner past the diagonal: split in two
+        lo, hi = a_faces[0][0], a_faces[0][2]
+        a_faces[0] = np.array([lo, a_faces[0][1], lo + 0.3 * (hi - lo),
+                               a_faces[0][3]])
+    c, s = np.cos(turn), np.sin(turn)
+    rot = np.array([[c, -s], [s, c]])
+    b_faces = [(f - 0.5) @ rot.T + 0.5 + shift
+               for f in graded_grid(n_a + extra, rng)]
+    side_a = InterfaceFaceSet("A", tuple(a_faces))
+    side_b = InterfaceFaceSet("B", tuple(b_faces))
+    sm = build_supermesh(side_a, side_b)
+
+    pts = np.vstack(a_faces + b_faces)
+    snap = 1e-12 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    areas: dict[tuple[int, int], float] = {}
+    polygons = []
+    for ia, poly_a in _convex_pieces(side_a):
+        for ib, poly_b in _convex_pieces(side_b):
+            overlap = clip_convex(poly_a, poly_b, snap=snap)
+            if len(overlap) == 0:
+                continue
+            area = polygon_area(overlap)
+            if area <= 1e-14 * min(side_a.measures[ia], side_b.measures[ib]):
+                continue
+            areas[ia, ib] = areas.get((ia, ib), 0.0) + area
+            polygons.append(overlap)
+    pairs = sorted(areas)
+    assert list(zip(sm.parent_a.tolist(), sm.parent_b.tolist())) == pairs
+    assert sm.area.tolist() == [areas[pair] for pair in pairs]
+    assert len(sm.polygons) == len(polygons)
+    assert all(np.array_equal(p, q) for p, q in zip(sm.polygons, polygons))
 
 
 # ---------------------------------------------------------------------------
