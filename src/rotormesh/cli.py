@@ -19,7 +19,8 @@ from .config import ConfigError, load_fixture, load_motion_config, FIXTURE_NAMES
 from .driver import DeformationFailure, run_deformation
 from .geometry import cell_geometry, orthogonality_metrics
 from .kinematics import blade_normal_mach, eval_series
-from .mesh import Mesh, MeshFormatError, parse_mesh, write_vtk
+from .mesh import (Mesh, MeshFormatError, _rows, _vtk_grid, parse_mesh,
+                   write_vtk)
 from .supermesh import build_supermesh, interface_from_markers
 
 EXIT_OK = 0
@@ -36,10 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _load_mesh(path: str) -> Mesh:
@@ -75,10 +72,10 @@ def cmd_info(args) -> int:
     print("markers:")
     for name, faces in mesh.markers.items():
         print(f"  {name}: {len(faces)} faces")
-    print(f"min orthogonality [deg]: {_fmt(report.min_orthogonality_deg)}")
+    print(f"min orthogonality [deg]: {report.min_orthogonality_deg:.12g}")
     print(f"negative_volume_count: {report.negative_volume_count}")
-    print(f"min volume: {_fmt(report.min_volume)}")
-    print(f"total volume: {_fmt(float(geo.volumes.sum()))}")
+    print(f"min volume: {report.min_volume:.12g}")
+    print(f"total volume: {geo.volumes.sum():.12g}")
     return EXIT_OK
 
 
@@ -95,17 +92,16 @@ def cmd_sweep(args) -> int:
         raise ConfigError("bad config keys: [flight] section required "
                           "for sweeps")
 
-    lines = ["psi_deg,r_over_R,beta_deg,delta_deg,theta_deg,mach_normal"]
+    rows = []
     for k in range(args.steps):
         psi = 2.0 * np.pi * k / args.steps
         beta = np.degrees(eval_series(cfg.flap, psi))
         delta = np.degrees(eval_series(cfg.leadlag, psi))
         theta = np.degrees(eval_series(cfg.pitch, psi))
-        for r in stations:
-            mn = blade_normal_mach(r, cfg.flight, psi)
-            lines.append(",".join(_fmt(v) for v in
-                                  (np.degrees(psi), r, beta, delta, theta, mn)))
-    csv = "\n".join(lines) + "\n"
+        rows.extend((np.degrees(psi), r, beta, delta, theta,
+                     blade_normal_mach(r, cfg.flight, psi)) for r in stations)
+    csv = ("psi_deg,r_over_R,beta_deg,delta_deg,theta_deg,mach_normal\n"
+           + _rows("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n", rows))
     if args.output:
         Path(args.output).write_text(csv)
     else:
@@ -117,29 +113,28 @@ def cmd_deform(args) -> int:
     mesh = _load_mesh(args.mesh)
     cfg = _load_config(args.config)
     markers = args.markers.split(",")
-    if args.steps_per_rev < 1:
-        raise UsageError("--steps-per-rev must be >= 1")
-    if args.revolutions < 0:
-        raise UsageError("--revolutions must be >= 0")
     if args.stride < 1:
         raise UsageError("--stride must be >= 1")
-    for m in markers + list(cfg.fixed_markers):
-        if m not in mesh.markers:
-            raise MeshFormatError(f"marker {m!r} not present in mesh")
+    if cfg.rbf is None:
+        raise ConfigError("bad config keys: [rbf] section or [rotor] chord_m "
+                          "required for deformation")
+    try:  # checks the markers and step counts before any step runs
+        steps = run_deformation(mesh, cfg, markers,
+                                steps_per_rev=args.steps_per_rev,
+                                revolutions=args.revolutions)
+    except KeyError as exc:
+        raise MeshFormatError(exc.args[0]) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    quality_rows = ["step,psi_deg,min_orthogonality_deg,negative_volume_count,"
-                    "min_volume,surface_max_err"]
-    greedy_rows = ["step,level,points,max_err,mean_err,seconds"]
+    quality_rows, greedy_rows = [], []
 
     exit_code = EXIT_OK
-    last_good = -1
     unconverged = []
     try:
-        for res in run_deformation(mesh, cfg, markers,
-                                   steps_per_rev=args.steps_per_rev,
-                                   revolutions=args.revolutions):
+        for res in steps:
             if not res.history.converged:
                 unconverged.append(res.step)
                 print(f"warning: step {res.step}: greedy selection did not "
@@ -147,15 +142,14 @@ def cmd_deform(args) -> int:
                       f">= tol {cfg.rbf.greedy_tol:.3e} m with "
                       f"{res.history.selected_points} points",
                       file=sys.stderr)
-            quality_rows.append(",".join([
-                str(res.step), _fmt(np.degrees(res.psi)),
-                _fmt(res.quality.min_orthogonality_deg),
-                str(res.quality.negative_volume_count),
-                _fmt(res.quality.min_volume), _fmt(res.surface_max_err)]))
-            for lv in res.history.levels:
-                greedy_rows.append(
-                    f"{res.step},{lv.level},{lv.points},{_fmt(lv.max_err)},"
-                    f"{_fmt(lv.mean_err)},{_fmt(lv.seconds)}")
+            quality_rows.append((
+                res.step, np.degrees(res.psi),
+                res.quality.min_orthogonality_deg,
+                res.quality.negative_volume_count, res.quality.min_volume,
+                res.surface_max_err))
+            greedy_rows.extend((res.step, lv.level, lv.points, lv.max_err,
+                                lv.mean_err, lv.seconds)
+                               for lv in res.history.levels)
             if res.step % args.stride == 0:
                 frame = mesh.with_points(res.points)
                 path = outdir / f"step_{res.step:04d}.vtk"
@@ -163,14 +157,18 @@ def cmd_deform(args) -> int:
                     frame, {"grid_velocity": res.grid_velocity},
                     title=f"step {res.step} psi "
                           f"{np.degrees(res.psi):.3f} deg"))
-            last_good = res.step
     except DeformationFailure as exc:
         print(f"deformation failed: {exc}", file=sys.stderr)
         print(f"last good step: {exc.last_good}", file=sys.stderr)
         exit_code = EXIT_DEFORM
 
-    (outdir / "quality.csv").write_text("\n".join(quality_rows) + "\n")
-    (outdir / "greedy.csv").write_text("\n".join(greedy_rows) + "\n")
+    (outdir / "quality.csv").write_text(
+        "step,psi_deg,min_orthogonality_deg,negative_volume_count,min_volume,"
+        "surface_max_err\n"
+        + _rows("%d,%.12g,%.12g,%d,%.12g,%.12g\n", quality_rows))
+    (outdir / "greedy.csv").write_text(
+        "step,level,points,max_err,mean_err,seconds\n"
+        + _rows("%d,%d,%d,%.12g,%.12g,%.12g\n", greedy_rows))
     meta = {
         "mesh": args.mesh,
         "config": args.config,
@@ -182,7 +180,7 @@ def cmd_deform(args) -> int:
             "step 1": "first-order backward difference",
             "step >= 2": "second-order backward difference",
         },
-        "last_completed_step": last_good,
+        "last_completed_step": quality_rows[-1][0] if quality_rows else -1,
         "greedy_unconverged_steps": unconverged,
     }
     (outdir / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
@@ -206,10 +204,9 @@ def cmd_interface(args) -> int:
     donors = np.diff(sm.weights.indptr)
     partial = int(np.count_nonzero(sums < 1.0 - 1e-9))
     print(f"supermesh faces: {len(sm.area)}")
-    print(f"total intersection area: {_fmt(sm.total_area)}")
+    print(f"total intersection area: {sm.total_area:.12g}")
     print(f"A faces: {sm.n_a}, B faces: {sm.n_b}")
-    print(f"weight sums: min {_fmt(float(sums.min()))}, "
-          f"max {_fmt(float(sums.max()))}")
+    print(f"weight sums: min {sums.min():.12g}, max {sums.max():.12g}")
     print(f"donors per A face: min {donors.min()}, max {donors.max()}")
     print(f"partially covered A faces: {partial}")
     if args.viz:
@@ -219,19 +216,16 @@ def cmd_interface(args) -> int:
 
 def _supermesh_vtk(sm) -> str:
     """Legacy VTK polygon soup of the clipped intersection pieces."""
-    sizes = [len(p) for p in sm.polygons]
-    points = np.vstack(sm.polygons).tolist() if sizes else []
-    out = ["# vtk DataFile Version 3.0", "supermesh intersection polygons",
-           "ASCII", "DATASET UNSTRUCTURED_GRID",
-           f"POINTS {len(points)} double"]
-    out.extend(f"{x:.17g} {y:.17g} 0" for x, y in points)
-    starts = np.cumsum([0] + sizes)
-    out.append(f"CELLS {len(sizes)} {len(sizes) + len(points)}")
-    out.extend(f"{n} " + " ".join(map(str, range(s, s + n)))
-               for n, s in zip(sizes, starts.tolist()))
-    out.append(f"CELL_TYPES {len(sizes)}")
-    out.extend("7" for _ in sizes)  # VTK_POLYGON
-    return "\n".join(out) + "\n"
+    sizes = np.array([len(p) for p in sm.polygons], dtype=np.intp)
+    first = np.cumsum(sizes) - sizes
+    cells = {}  # polygons grouped by vertex count, as Mesh.cells by kind
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        cells[k] = (first[rows, None] + np.arange(k), rows)
+    points = np.concatenate([np.empty((0, 2)), *sm.polygons])
+    return _vtk_grid("supermesh intersection polygons",
+                     np.column_stack([points, np.zeros(len(points))]),
+                     cells, dict.fromkeys(cells, 7))  # VTK_POLYGON
 
 
 def cmd_hb(args) -> int:
@@ -262,10 +256,9 @@ def cmd_hb(args) -> int:
     approx = hb.apply(op, signal)
     err = approx - exact
 
-    lines = ["t,input,exact_derivative,hb_derivative,error"]
-    for row in zip(t, signal, exact, approx, err):
-        lines.append(",".join(_fmt(v) for v in row))
-    csv = "\n".join(lines) + "\n"
+    csv = ("t,input,exact_derivative,hb_derivative,error\n"
+           + _rows("%.12g,%.12g,%.12g,%.12g,%.12g\n",
+                   np.column_stack([t, signal, exact, approx, err])))
     if args.output:
         Path(args.output).write_text(csv)
     else:

@@ -59,12 +59,13 @@ class _BladeMarker:
 def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
                     steps_per_rev: int = 360,
                     revolutions: float = 5.0) -> Iterator[StepResult]:
-    """Yield one StepResult per physical time step, step 0 included.
+    """Iterator of one StepResult per physical time step, step 0 included.
 
     The as-built mesh is taken as the blade geometry at zero flap, lead-lag
     and pitch, each blade marker sitting at its own azimuth offset
     2 pi i / n_blades in marker order. Step 0 therefore already deforms the
-    mesh into the t = 0 attitude.
+    mesh into the t = 0 attitude. The arguments are checked on call, before
+    any step runs.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -75,6 +76,11 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
         raise ValueError("at least one blade marker required")
     if cfg.rbf is None:
         raise ValueError("config lacks [rbf] deformation settings")
+    for i, name in enumerate(blade_markers):
+        if name in blade_markers[:i]:
+            raise ValueError(f"blade marker {name!r} is listed twice")
+        if name in cfg.fixed_markers:
+            raise ValueError(f"blade marker {name!r} is also a fixed marker")
 
     hinge = np.asarray(cfg.hinge)
     blades = []
@@ -87,7 +93,11 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
             offset=offset, rotate_into_place=rot))
     for name in cfg.fixed_markers:
         extract_marker_points(mesh, name)  # existence check
+    return _steps(mesh, cfg, hinge, blades, steps_per_rev, revolutions)
 
+
+def _steps(mesh: Mesh, cfg: MotionConfig, hinge: np.ndarray, blades: list,
+           steps_per_rev: int, revolutions: float) -> Iterator[StepResult]:
     omega = cfg.omega
     dt = cfg.revolution_period / steps_per_rev
     n_steps = int(round(steps_per_rev * revolutions))

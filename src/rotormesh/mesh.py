@@ -333,14 +333,19 @@ def parse_mesh(text: str) -> Mesh:
         raise MeshFormatError(exc.args[0], line_of[exc.args[1:]]) from None
 
 
-def _cell_lines(mesh: Mesh, head: dict[str, int]) -> list[tuple[str, str]]:
-    """(kind, "head[kind] v0 v1 ...") for every cell, in file order."""
-    lines: list = [None] * mesh.n_elements
-    for kind, (conn, rows) in mesh.cells.items():
-        fmt = f"{head[kind]}" + " %d" * conn.shape[1]
-        for pos, verts in zip(rows.tolist(), conn.tolist()):
-            lines[pos] = (kind, fmt % tuple(verts))
-    return lines
+def _rows(fmt: str, a) -> str:
+    """Every row of the array a formatted by fmt, in a single % pass."""
+    return (fmt * len(a)) % tuple(np.ravel(a).tolist())
+
+
+def _lines_in_order(groups: dict, head: dict) -> str:
+    """A line "head[key] v0 v1 ..." for every row of the (conn, rows) groups
+    (as Mesh.cells), ordered by the rows' positions."""
+    lines = np.empty(sum(len(rows) for _, rows in groups.values()), object)
+    for key, (conn, rows) in groups.items():
+        fmt = f"{head[key]}" + " %d" * conn.shape[1] + "\n"
+        lines[rows] = _rows(fmt, conn).splitlines(keepends=True)
+    return "".join(lines)
 
 
 def write_mesh(mesh: Mesh) -> str:
@@ -349,27 +354,45 @@ def write_mesh(mesh: Mesh) -> str:
     Coordinates are written with 17 significant digits so that a
     parse -> write -> parse round trip is exact.
     """
-    out = [f"NDIME= {mesh.dim}"]
-    out.append(f"NELEM= {mesh.n_elements}")
-    for i, (_, line) in enumerate(_cell_lines(mesh, KIND_TO_CODE)):
-        out.append(f"{line} {i}")
-    out.append(f"NPOIN= {mesh.n_points}")
-    for i, p in enumerate(mesh.points):
-        coords = " ".join(f"{c:.17g}" for c in p[:mesh.dim])
-        out.append(f"{coords} {i}")
-    out.append(f"NMARK= {len(mesh.markers)}")
+    numbered = {kind: (np.column_stack([conn, rows]), rows)
+                for kind, (conn, rows) in mesh.cells.items()}
+    points = np.column_stack([mesh.points[:, :mesh.dim],
+                              np.arange(mesh.n_points)])
+    out = [f"NDIME= {mesh.dim}\nNELEM= {mesh.n_elements}\n",
+           _lines_in_order(numbered, KIND_TO_CODE),
+           f"NPOIN= {mesh.n_points}\n",
+           _rows("%.17g " * mesh.dim + "%d\n", points),
+           f"NMARK= {len(mesh.markers)}\n"]
+    face_fmt = {k: f"{KIND_TO_CODE[kind]}" + " %d" * k + "\n"
+                for k, kind in FACE_KINDS.items()}
     for name, faces in mesh.markers.items():
-        out.append(f"MARKER_TAG= {name}")
-        out.append(f"MARKER_ELEMS= {len(faces)}")
-        for verts in faces:
-            code = KIND_TO_CODE[FACE_KINDS[len(verts)]]
-            out.append(f"{code} " + " ".join(map(str, verts)))
-    return "\n".join(out) + "\n"
+        out.append(f"MARKER_TAG= {name}\nMARKER_ELEMS= {len(faces)}\n")
+        out.append("".join(map(face_fmt.__getitem__, map(len, faces)))
+                   % tuple(chain.from_iterable(faces)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
 # Legacy VTK writer
 # ---------------------------------------------------------------------------
+
+def _vtk_grid(title: str, points: np.ndarray, cells: dict,
+              types: dict) -> str:
+    """Legacy ASCII VTK header with the POINTS, CELLS and CELL_TYPES blocks.
+
+    points is (n, 3); cells map a key to (conn, rows) as Mesh.cells does,
+    and types map each key to its VTK cell type id.
+    """
+    n_cells = sum(len(rows) for _, rows in cells.values())
+    size = sum(conn.size + len(rows) for conn, rows in cells.values())
+    counts = {key: conn.shape[1] for key, (conn, _) in cells.items()}
+    typed = {key: (conn[:, :0], rows) for key, (conn, rows) in cells.items()}
+    return (f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n"
+            + _rows("%.17g %.17g %.17g\n", points)
+            + f"CELLS {n_cells} {size}\n" + _lines_in_order(cells, counts)
+            + f"CELL_TYPES {n_cells}\n" + _lines_in_order(typed, types))
+
 
 def write_vtk(mesh: Mesh, point_fields: dict[str, np.ndarray] | None = None,
               title: str = "rotormesh export") -> str:
@@ -378,40 +401,20 @@ def write_vtk(mesh: Mesh, point_fields: dict[str, np.ndarray] | None = None,
     Scalar fields are (n,) arrays, vector fields (n, 3). Every field must
     have one entry per mesh point.
     """
-    point_fields = point_fields or {}
     n = mesh.n_points
-    for name, values in point_fields.items():
-        values = np.asarray(values)
+    out = [f"POINT_DATA {n}\n"] if point_fields else []
+    for name, values in (point_fields or {}).items():
+        values = np.asarray(values, dtype=float)
         if values.shape[0] != n:
             raise ValueError(
                 f"field {name!r} has {values.shape[0]} values for {n} points")
-        if values.ndim not in (1, 2) or (values.ndim == 2 and
-                                         values.shape[1] != 3):
+        if values.ndim == 1:
+            out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+                       + _rows("%.17g\n", values))
+        elif values.shape[1:] == (3,):
+            out.append(f"VECTORS {name} double\n"
+                       + _rows("%.17g %.17g %.17g\n", values))
+        else:
             raise ValueError(f"field {name!r} must be (n,) or (n, 3)")
-
-    out = ["# vtk DataFile Version 3.0", title, "ASCII",
-           "DATASET UNSTRUCTURED_GRID", f"POINTS {n} double"]
-    for p in mesh.points:
-        out.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-
-    elements = _cell_lines(mesh, VERTEX_COUNT)
-    total = sum(1 + VERTEX_COUNT[kind] for kind, _ in elements)
-    out.append(f"CELLS {mesh.n_elements} {total}")
-    out.extend(line for _, line in elements)
-    out.append(f"CELL_TYPES {mesh.n_elements}")
-    for kind, _ in elements:
-        out.append(str(KIND_TO_CODE[kind]))
-
-    if point_fields:
-        out.append(f"POINT_DATA {n}")
-        for name, values in point_fields.items():
-            values = np.asarray(values, dtype=float)
-            if values.ndim == 1:
-                out.append(f"SCALARS {name} double 1")
-                out.append("LOOKUP_TABLE default")
-                out.extend(f"{v:.17g}" for v in values)
-            else:
-                out.append(f"VECTORS {name} double")
-                out.extend(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}"
-                           for v in values)
-    return "\n".join(out) + "\n"
+    return "".join([_vtk_grid(title, mesh.points, mesh.cells, KIND_TO_CODE),
+                    *out])

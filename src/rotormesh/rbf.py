@@ -230,13 +230,6 @@ class GreedyHistory:
     levels: tuple[GreedyLevel, ...]
     converged: bool
 
-    def to_csv(self) -> str:
-        lines = ["level,points,max_err,mean_err,seconds"]
-        for lv in self.levels:
-            lines.append(f"{lv.level},{lv.points},{lv.max_err:.12g},"
-                         f"{lv.mean_err:.12g},{lv.seconds:.12g}")
-        return "\n".join(lines) + "\n"
-
     @property
     def selected_points(self) -> int:
         return self.levels[-1].points if self.levels else 0

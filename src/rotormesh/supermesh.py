@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_array, csr_array
 from scipy.spatial import cKDTree
 
-from .mesh import Mesh
+from .mesh import Mesh, _rows
 
 
 def signed_area(poly: np.ndarray) -> float:
@@ -28,7 +28,7 @@ def signed_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
     x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = np.concatenate([poly[1:], poly[:1]])[:, :2].T
     return 0.5 * float(np.sum(x * yn - xn * y))
 
 
@@ -40,8 +40,8 @@ def polygon_area(poly: np.ndarray) -> float:
 def _turns(poly: np.ndarray) -> np.ndarray:
     """Cross product of edge i with edge i + 1, i.e. the turn at vertex
     i + 1: positive left, negative right."""
-    e = np.roll(poly, -1, axis=0) - poly
-    e_next = np.roll(e, -1, axis=0)
+    e = np.concatenate([poly[1:], poly[:1]]) - poly
+    e_next = np.concatenate([e[1:], e[:1]])
     return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
 
 
@@ -225,11 +225,10 @@ class Supermesh:
         return self.weights.sum(axis=1)
 
     def to_csv(self) -> str:
-        rows = zip(self.parent_a.tolist(), self.parent_b.tolist(),
-                   self.area.tolist(), self.weights.data.tolist())
-        lines = ["a_face,b_face,area,weight"]
-        lines.extend(f"{a},{b},{area:.12g},{w:.12g}" for a, b, area, w in rows)
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack([self.parent_a, self.parent_b, self.area,
+                                self.weights.data])
+        return "a_face,b_face,area,weight\n" + _rows("%d,%d,%.12g,%.12g\n",
+                                                      rows)
 
 
 def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,

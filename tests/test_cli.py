@@ -229,6 +229,35 @@ def test_deform_unknown_marker(square_file, tmp_path, capsys):
                  "--output-dir", str(tmp_path / "o")]) == 2
 
 
+def test_deform_without_rbf_settings_is_config_error(tmp_path, capsys):
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    cfg = tmp_path / "motion.cfg"
+    cfg.write_text("[rotor]\nradius_m = 1.0\nrpm = 60.0\n")
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--output-dir", str(outdir)]) == 2
+    assert "[rbf]" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("markers,message", [
+    ("blade,blade", "'blade' is listed twice"),
+    ("blade,farfield", "'farfield' is also a fixed marker"),
+])
+def test_deform_bad_marker_list_is_usage_error(tmp_path, capsys, markers,
+                                               message):
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_MOTION)
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", markers,
+                 "--output-dir", str(outdir)]) == 1
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 # ---------------------------------------------------------------------------
 # interface
 # ---------------------------------------------------------------------------

@@ -92,6 +92,19 @@ def test_missing_rbf_section_rejected(small_mesh):
                              revolutions=0.0))
 
 
+@pytest.mark.parametrize("markers,message", [
+    (["blade", "blade"], "'blade' is listed twice"),
+    (["blade", "farfield"], "'farfield' is also a fixed marker"),
+])
+def test_bad_blade_marker_list_rejected_on_call(small_mesh, markers, message):
+    """Rejected when called, before a step runs: a repeated marker would
+    leave only its last azimuth offset, a fixed one conflicting targets."""
+    cfg = parse_motion_config(STILL_ROTOR)
+    with pytest.raises(ValueError, match=message):
+        run_deformation(small_mesh, cfg, markers, steps_per_rev=4,
+                        revolutions=0.0)
+
+
 def test_negative_volume_aborts():
     # violent pitch of a plate filling most of a tight box inverts cells
     mesh = box_with_plate_mesh(n=6, half=0.6, plate_x=(-0.4, 0.4),

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from meshgen import SQUARE_2TRI, box_hex_mesh
 
-from rotormesh.mesh import (TYPE_CODES, Mesh, MeshFormatError,
+from rotormesh.cli import _supermesh_vtk
+from rotormesh.mesh import (CELL_KINDS, FACE_KINDS, FACE_SIZES, KIND_TO_CODE,
+                            TYPE_CODES, VERTEX_COUNT, Mesh, MeshFormatError,
                             extract_marker_points, parse_mesh, write_mesh,
                             write_vtk)
+from rotormesh.supermesh import InterfaceFaceSet, Supermesh, build_supermesh
 
 
 def test_parse_square(square_mesh):
@@ -264,6 +270,164 @@ def test_write_vtk_vector_field_roundtrip(block_mesh):
 def test_write_vtk_field_length_mismatch(square_mesh):
     with pytest.raises(ValueError, match="3 values for 4 points"):
         write_vtk(square_mesh, {"bad": np.zeros(3)})
+
+
+# ---------------------------------------------------------------------------
+# Writers against per-row reference writers
+# ---------------------------------------------------------------------------
+
+def _ref_cells(mesh):
+    """(kind, vertex list) of every cell, in file order."""
+    cells = [None] * mesh.n_elements
+    for kind, (conn, rows) in mesh.cells.items():
+        for pos, verts in zip(rows.tolist(), conn.tolist()):
+            cells[pos] = (kind, verts)
+    return cells
+
+
+def _ref_write_mesh(mesh):
+    out = [f"NDIME= {mesh.dim}", f"NELEM= {mesh.n_elements}"]
+    for i, (kind, verts) in enumerate(_ref_cells(mesh)):
+        out.append(" ".join(map(str, [KIND_TO_CODE[kind], *verts, i])))
+    out.append(f"NPOIN= {mesh.n_points}")
+    for i, p in enumerate(mesh.points):
+        out.append(" ".join(f"{c:.17g}" for c in p[:mesh.dim]) + f" {i}")
+    out.append(f"NMARK= {len(mesh.markers)}")
+    for name, faces in mesh.markers.items():
+        out += [f"MARKER_TAG= {name}", f"MARKER_ELEMS= {len(faces)}"]
+        out += [" ".join(map(str, [KIND_TO_CODE[FACE_KINDS[len(f)]], *f]))
+                for f in faces]
+    return "\n".join(out) + "\n"
+
+
+def _ref_vtk(title, points, cells, fields):
+    """cells: (VTK type id, vertex list) per cell, in file order."""
+    out = ["# vtk DataFile Version 3.0", title, "ASCII",
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
+    out += [" ".join(f"{c:.17g}" for c in p) for p in points]
+    out.append(f"CELLS {len(cells)} {sum(1 + len(v) for _, v in cells)}")
+    out += [" ".join(map(str, [len(v), *v])) for _, v in cells]
+    out.append(f"CELL_TYPES {len(cells)}")
+    out += [str(code) for code, _ in cells]
+    if fields:
+        out.append(f"POINT_DATA {len(points)}")
+    for name, values in fields.items():
+        if values.ndim == 1:
+            out += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            out += [f"{v:.17g}" for v in values]
+        else:
+            out.append(f"VECTORS {name} double")
+            out += [" ".join(f"{c:.17g}" for c in v) for v in values]
+    return "\n".join(out) + "\n"
+
+
+def _ref_csv(sm):
+    lines = ["a_face,b_face,area,weight"]
+    for a, b, area, w in zip(sm.parent_a.tolist(), sm.parent_b.tolist(),
+                             sm.area.tolist(), sm.weights.data.tolist()):
+        lines.append(f"{a},{b},{area:.12g},{w:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0 / 3.0)
+FINITE = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from((np.inf, -np.inf, np.nan)))
+
+
+def _float_array(draw, elements, shape):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@st.composite
+def meshes_with_fields(draw):
+    """Random connectivity (only its ranges are validated) with cell kinds
+    and marker face sizes interleaved, special coordinates and fields."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 12))
+    points = np.zeros((n, 3))
+    points[:, :dim] = _float_array(draw, FINITE, (n, dim))
+    vertex = st.integers(0, n - 1)
+    kinds = draw(st.lists(st.sampled_from(CELL_KINDS[dim]), max_size=10))
+    groups = {}
+    for pos, kind in enumerate(kinds):
+        nv = VERTEX_COUNT[kind]
+        conn, rows = groups.setdefault(kind, ([], []))
+        conn.append(draw(st.lists(vertex, min_size=nv, max_size=nv)))
+        rows.append(pos)
+    cells = {kind: (np.array(conn).reshape(-1, VERTEX_COUNT[kind]), rows)
+             for kind, (conn, rows) in groups.items()}
+    markers = {}
+    for m in range(draw(st.integers(0, 2))):
+        sizes = draw(st.lists(st.sampled_from(FACE_SIZES[dim]), max_size=6))
+        markers[f"m{m}"] = tuple(
+            tuple(draw(st.lists(vertex, min_size=k, max_size=k)))
+            for k in sizes)
+    fields = {}
+    if draw(st.booleans()):
+        fields["s"] = _float_array(draw, ANY_FLOAT, (n,))
+    if draw(st.booleans()):
+        fields["v"] = _float_array(draw, ANY_FLOAT, (n, 3))
+    return Mesh(dim, points, cells, markers), fields
+
+
+# tetrahedron, pyramid, tetrahedron in file order, as in
+# test_mixed_kinds_keep_file_order, with special coordinates and both
+# field kinds
+_INTERLEAVED = Mesh(
+    3, [[-0.0, 5e-324, 1e308], [1, 0, 0], [1, 1, 0], [0, 1, -0.0],
+        [0.5, 0.5, 1]],
+    {"tetrahedron": ([[0, 1, 2, 3], [1, 2, 3, 4]], [0, 2]),
+     "pyramid": ([[0, 1, 2, 3, 4]], [1])},
+    {"wall": ((0, 1, 2), (0, 1, 2, 3), (1, 2, 4))})
+_INTERLEAVED_FIELDS = {"s": np.array([-0.0, 5e-324, 1e308, np.nan, 1.0]),
+                       "v": np.full((5, 3), -1e308)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=meshes_with_fields())
+@example(case=(_INTERLEAVED, _INTERLEAVED_FIELDS))
+@example(case=(parse_mesh(SQUARE_2TRI), {"s": np.array([-0.0, 5e-324,
+                                                        1e308, 2.0])}))
+def test_writers_match_per_row_reference(case):
+    mesh, fields = case
+    assert write_mesh(mesh) == _ref_write_mesh(mesh)
+    cells = [(KIND_TO_CODE[kind], verts) for kind, verts in _ref_cells(mesh)]
+    assert write_vtk(mesh, fields, title="t") == \
+        _ref_vtk("t", mesh.points, cells, fields)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), data=st.data())
+def test_supermesh_csv_matches_per_row_reference(n_a, n_b, data):
+    flat = np.unique(data.draw(st.lists(st.integers(0, n_a * n_b - 1),
+                                        max_size=30)))
+    parent_a, parent_b = np.divmod(flat, n_b)
+    area = _float_array(data.draw, FINITE, (len(flat),))
+    weights = csr_array((_float_array(data.draw, FINITE, (len(flat),)),
+                         (parent_a, parent_b)), shape=(n_a, n_b))
+    sm = Supermesh(parent_a, parent_b, area, weights, np.ones(n_a),
+                   np.ones(n_b), (), np.empty(0, dtype=np.intp))
+    assert sm.to_csv() == _ref_csv(sm)
+
+
+def test_supermesh_vtk_matches_per_row_reference():
+    """The split dart beside a square: triangles, then a quadrilateral."""
+    dart = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]])
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    beside = square + [1.0, 0.0]
+    sm = build_supermesh(InterfaceFaceSet("A", (dart, beside)),
+                         InterfaceFaceSet("B", (square, beside)))
+    points = [[x, y, 0.0] for poly in sm.polygons for x, y in poly.tolist()]
+    cells, start = [], 0
+    for poly in sm.polygons:
+        cells.append((7, list(range(start, start + len(poly)))))
+        start += len(poly)
+    assert [len(v) for _, v in cells] == [3, 3, 4]
+    assert _supermesh_vtk(sm) == _ref_vtk(
+        "supermesh intersection polygons", points, cells, {})
 
 
 # ---------------------------------------------------------------------------

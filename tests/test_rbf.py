@@ -246,16 +246,6 @@ def _index_of(pts, target):
     return int(np.argmin(np.linalg.norm(pts - target, axis=1)))
 
 
-def test_greedy_history_csv():
-    pts = surface_grid(8)
-    disp = np.zeros_like(pts)
-    disp[:, 2] = 0.01 * pts[:, 0] ** 2
-    _, hist = greedy_select(pts, disp, WENDLAND, tol=1e-6)
-    csv = hist.to_csv()
-    assert csv.splitlines()[0] == "level,points,max_err,mean_err,seconds"
-    assert len(csv.splitlines()) == len(hist.levels) + 1
-
-
 def test_greedy_validation_errors():
     pts = surface_grid(3)
     with pytest.raises(ValueError, match="tol"):
