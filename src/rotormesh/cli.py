@@ -193,7 +193,7 @@ def cmd_interface(args) -> int:
         side_a, side_b, _ = interface_from_markers(
             mesh, args.marker_a, args.marker_b, projection=args.projection)
     except KeyError as exc:
-        raise MeshFormatError(str(exc)) from exc
+        raise MeshFormatError(exc.args[0]) from exc
     sm = build_supermesh(side_a, side_b)
     if len(sm.area) == 0:
         print("interface markers do not overlap", file=sys.stderr)

@@ -78,7 +78,10 @@ def kernel_eval(kernel: RbfKernel, d):
     rho = kernel.support_radius
     if kernel.kind == "wendland_c2":
         q = d / rho
-        out = np.where(q < 1.0, (1.0 - q) ** 4 * (4.0 * q + 1.0), 0.0)
+        out = np.zeros_like(q)
+        inside = q < 1.0  # compact support: evaluate only inside it
+        q = q[inside]
+        out[inside] = (1.0 - q) ** 4 * (4.0 * q + 1.0)
     elif kernel.kind == "thin_plate_spline":
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(d > 0.0, d * d * np.log(np.where(d > 0.0, d, 1.0)),

@@ -27,9 +27,7 @@ def signed_area(poly: np.ndarray) -> float:
     poly = np.asarray(poly, dtype=float)
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.concatenate([poly[1:], poly[:1]])[:, :2].T
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    return float(_signed_areas(poly[None], np.array([len(poly)]))[0])
 
 
 def polygon_area(poly: np.ndarray) -> float:
@@ -37,101 +35,173 @@ def polygon_area(poly: np.ndarray) -> float:
     return abs(signed_area(poly))
 
 
-def _turns(poly: np.ndarray) -> np.ndarray:
+# A stack of P polygons is a (P, k, 2) array; a polygon of n < k vertices
+# repeats its last vertex in slots n..k-1 (the padding rule).
+CLIP_BLOCK = 4096  # pairs per clip_convex pass; bounds its temporary arrays
+
+
+def _counts(stack: np.ndarray) -> np.ndarray:
+    """Vertex count of each polygon of a stack."""
+    differs = (stack != stack[:, -1:]).any(axis=2)[:, ::-1]
+    return np.where(differs.any(axis=1),
+                    stack.shape[1] + 1 - differs.argmax(axis=1), 1)
+
+
+def _slots(n: np.ndarray, k: int) -> np.ndarray:
+    """(P, k) vertex indices that pad polygons of n vertices to k."""
+    return np.minimum(np.arange(k), n[:, None] - 1)
+
+
+def _take(stack: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(stack, idx[..., None], axis=1)
+
+
+def _stack(polygons) -> tuple[np.ndarray, np.ndarray]:
+    """Non-empty (n, 2) polygons as one stack, and their vertex counts."""
+    n = np.fromiter(map(len, polygons), dtype=np.intp, count=len(polygons))
+    flat = np.concatenate([np.zeros((0, 2)), *polygons])
+    return flat[(np.cumsum(n) - n)[:, None] + _slots(n, n.max(initial=1))], n
+
+
+def _norm(d: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each 2-vector to the bit (a dot, not x*x + y*y)."""
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def _turns(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cross product of edge i with edge i + 1, i.e. the turn at vertex
-    i + 1: positive left, negative right."""
-    e = np.concatenate([poly[1:], poly[:1]]) - poly
-    e_next = np.concatenate([e[1:], e[:1]])
-    return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+    i + 1 (positive left, negative right); 0 in padding slots."""
+    j = np.arange(stack.shape[1])
+    nxt = np.where(j + 1 < n[:, None], j + 1, 0)
+    e = _take(stack, nxt) - stack
+    e_next = _take(e, nxt)
+    cross = e[..., 0] * e_next[..., 1] - e[..., 1] * e_next[..., 0]
+    return np.where(j < n[:, None], cross, 0.0)
 
 
-def is_convex(poly: np.ndarray) -> bool:
+def _convex(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cross-product sign test; collinear vertices are allowed."""
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) < 3:
-        return False
-    cross = _turns(poly)
-    scale = max(float(np.abs(cross).max()), 1e-300)
-    cross = cross / scale
-    return bool(np.all(cross >= -1e-12) or np.all(cross <= 1e-12))
+    cross = _turns(stack, n)
+    cross = cross / np.maximum(np.abs(cross).max(axis=1), 1e-300)[:, None]
+    return (n >= 3) & ((cross >= -1e-12).all(axis=1)
+                       | (cross <= 1e-12).all(axis=1))
 
 
-def ensure_ccw(poly: np.ndarray) -> np.ndarray:
-    return poly if signed_area(poly) >= 0.0 else poly[::-1].copy()
+def _signed_areas(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Shoelace signed area of each polygon. A padding slot adds an exact
+    zero, and the terms are summed in order, as np.sum does for up to 7
+    terms; more terms are summed by np.sum, which then sums pairwise."""
+    x, y = stack[..., 0], stack[..., 1]
+    terms = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
+    area = 0.5 * np.cumsum(terms, axis=1)[:, -1]
+    for i in np.flatnonzero(n > 7).tolist():  # drop the padding terms
+        area[i] = 0.5 * np.sum(np.delete(terms[i], np.s_[n[i] - 1:-1]))
+    return area
 
 
-def _dedupe(poly: np.ndarray, snap: float) -> np.ndarray:
-    """Drop consecutive vertices closer than snap (cyclically)."""
-    if len(poly) == 0:
-        return poly
-    keep = [poly[0]]
-    for p in poly[1:]:
-        if np.linalg.norm(p - keep[-1]) > snap:
-            keep.append(p)
-    while len(keep) > 1 and np.linalg.norm(keep[-1] - keep[0]) <= snap:
-        keep.pop()
-    return np.asarray(keep)
+def _ccw(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The stack with its clockwise polygons reversed."""
+    j = np.arange(stack.shape[1])
+    back = np.where(j < n[:, None], n[:, None] - 1 - j, 0)
+    return _take(stack, np.where((_signed_areas(stack, n) < 0.0)[:, None],
+                                 back, j))
+
+
+def _compact(keep: np.ndarray, cand: np.ndarray):
+    """The kept slots of each row of cand (P, w, 2) moved to its front in
+    order (cumulative-sum compaction) and padded, and their counts."""
+    n = keep.sum(axis=1)
+    out = np.zeros((len(n), max(n.max(initial=0), 1), 2))
+    out[np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]] = cand[keep]
+    return _take(out, _slots(np.maximum(n, 1), out.shape[1])), n
 
 
 def clip_convex(poly_a: np.ndarray, poly_b: np.ndarray,
-                snap: float | None = None) -> np.ndarray:
-    """Intersection of two convex polygons (Sutherland-Hodgman).
+                snap: float | None = None):
+    """Intersection of convex polygons (Sutherland-Hodgman), pair by pair.
 
-    Inputs may be CW or CCW; the result is CCW, empty (0, 2) when the
-    polygons are disjoint. Raises ValueError for non-convex input.
-    """
-    a = np.asarray(poly_a, dtype=float)
-    b = np.asarray(poly_b, dtype=float)
-    if len(a) < 3 or len(b) < 3:
-        raise ValueError("polygons need at least 3 vertices")
-    if not is_convex(a) or not is_convex(b):
-        raise ValueError("clip_convex requires convex polygons")
-    a = ensure_ccw(a)
-    b = ensure_ccw(b)
-
-    if snap is None:
-        span = np.vstack([a, b])
-        diag = float(np.linalg.norm(span.max(axis=0) - span.min(axis=0)))
-        snap = 1e-12 * max(diag, 1e-300)
-    eps = snap * max(float(np.abs(np.vstack([a, b])).max()), 1.0)
-
-    output = list(b)
-    for i in range(len(a)):
-        p0, p1 = a[i], a[(i + 1) % len(a)]
-        edge = p1 - p0
-        if len(output) == 0:
-            break
-        polygon = output
-        output = []
-        prev = polygon[-1]
-        prev_side = edge[0] * (prev[1] - p0[1]) - edge[1] * (prev[0] - p0[0])
-        for cur in polygon:
-            side = edge[0] * (cur[1] - p0[1]) - edge[1] * (cur[0] - p0[0])
-            if side >= -eps:
-                if prev_side < -eps:
-                    output.append(_edge_intersection(prev, cur, prev_side,
-                                                     side))
-                output.append(cur)
-            elif prev_side >= -eps:
-                output.append(_edge_intersection(prev, cur, prev_side, side))
-            prev, prev_side = cur, side
-
-    if len(output) < 3:
-        return np.zeros((0, 2))
-    result = _dedupe(np.asarray(output), snap)
-    if len(result) < 3:
-        return np.zeros((0, 2))
-    return result
+    poly_a and poly_b are one polygon (k, 2) each, or stacks (P, k, 2) of
+    P polygons; either may be CW or CCW. Returns the CCW intersection
+    (m, 2), empty (0, 2) for disjoint polygons, or a list of P of them for
+    stacks, clipped CLIP_BLOCK pairs at a time. Raises ValueError naming
+    a polygon that is not convex."""
+    a, b = (np.asarray(p, dtype=float) for p in (poly_a, poly_b))
+    single = a.ndim == 2
+    a, b = (a[None], b[None]) if single else (a, b)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[::2] != b.shape[::2] or \
+            a.shape[2] != 2:
+        raise ValueError("expected two (k, 2) polygons or two stacks")
+    out = []
+    for s in range(0, len(a), CLIP_BLOCK):
+        block = slice(s, s + CLIP_BLOCK)
+        clip, _ = _convex_ccw(a[block], "poly_a", s)
+        subject, n = _convex_ccw(b[block], "poly_b", s)
+        out += _clip_block(clip, subject, n, snap)
+    return out[0] if single else out
 
 
-def _edge_intersection(s: np.ndarray, e: np.ndarray, side_s: float,
-                       side_e: float) -> np.ndarray:
-    """Crossing point of segment s-e with the clip line, from the signed
-    side values (linear along the segment). Near-parallel edges can push u
-    outside [0, 1]; clamping snaps the crossing onto the segment."""
-    u = side_s / (side_s - side_e)
-    u = min(max(u, 0.0), 1.0)
-    return s + u * (e - s)
+def _convex_ccw(stack: np.ndarray, name: str, first: int):
+    """The stack wound CCW and its vertex counts. Raises ValueError naming
+    a polygon that is not convex, as name[first + its index]."""
+    n = _counts(stack)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    bad = ~finite | ~_convex(np.where(finite[:, None, None], stack, 0.0), n)
+    if bad.any():
+        raise ValueError(f"clip_convex requires convex polygons: "
+                         f"{name}[{first + int(np.argmax(bad))}] is not a "
+                         "convex polygon of at least 3 finite vertices")
+    return _ccw(stack, n), n
+
+
+def _clip_block(a, b, n, snap) -> list[np.ndarray]:
+    """Clip each CCW polygon b (n vertices) by its CCW convex a, one pass
+    per edge of a, then drop each vertex within snap of the last kept one
+    and closing vertices within snap of the first. Every vertex is computed
+    by the same float operations as a loop over pairs and vertices."""
+    if snap is None:  # 1e-12 of the diagonal of the pair's bounding box
+        span = np.concatenate([a, b], axis=1)
+        snap = 1e-12 * np.maximum(
+            _norm(span.max(axis=1) - span.min(axis=1)), 1e-300)
+    snap = np.broadcast_to(np.asarray(snap, dtype=float), (len(a),))
+    eps = snap * np.maximum(np.maximum(np.abs(a).max(axis=(1, 2)),
+                                       np.abs(b).max(axis=(1, 2))), 1.0)
+    live = np.arange(len(a))  # pairs whose polygon is not yet empty
+    poly, k = b, a.shape[1]
+    for i in range(k):  # a padding edge has zero length: all inside
+        p0, edge = a[:, i], a[:, (i + 1) % k] - a[:, i]
+        side = edge[:, :1] * (poly[..., 1] - p0[:, 1:]) - \
+            edge[:, 1:] * (poly[..., 0] - p0[:, :1])
+        inside = side >= -eps[:, None]
+        # a padding slot repeats its predecessor, so never crosses
+        cross = inside != np.roll(inside, 1, axis=1)
+        prev = np.roll(poly, 1, axis=1)[cross]
+        before = np.roll(side, 1, axis=1)[cross]
+        u = before / (before - side[cross])
+        u = np.where(u > 1.0, 1.0, np.where(u < 0.0, 0.0, u))
+        cand = np.stack([poly, poly], axis=2)  # [crossing, vertex] slots
+        cand[:, :, 0][cross] = prev + u[:, None] * (poly[cross] - prev)
+        keep = np.stack([cross, inside & (np.arange(poly.shape[1])
+                                          < n[:, None])], axis=2)
+        w = 2 * poly.shape[1]
+        poly, n = _compact(keep.reshape(-1, w), cand.reshape(-1, w, 2))
+        rows = n > 0  # an empty polygon stays empty: drop its pair
+        live, a, eps, snap, poly, n = (x[rows] for x in
+                                       (live, a, eps, snap, poly, n))
+
+    keep = [np.ones(len(n), dtype=bool)]
+    last = poly[:, 0]
+    for j in range(1, poly.shape[1]):
+        keep.append((j < n) & (_norm(poly[:, j] - last) > snap))
+        last = np.where(keep[-1][:, None], poly[:, j], last)
+    poly, n = _compact(np.stack(keep, axis=1), poly)
+    while (pop := (n > 1) & (_norm(poly[np.arange(len(n)), n - 1]
+                                   - poly[:, 0]) <= snap)).any():
+        n = n - pop
+    sizes = np.zeros(len(b), dtype=np.intp)
+    sizes[live] = np.where(n >= 3, n, 0)
+    verts = poly[np.arange(poly.shape[1]) < sizes[live, None]]
+    ends = np.cumsum(sizes).tolist()
+    return [verts[e - m:e] for e, m in zip(ends, sizes.tolist())]
 
 
 def triangulate(poly: np.ndarray) -> np.ndarray:
@@ -163,26 +233,23 @@ class InterfaceFaceSet:
     def __post_init__(self):
         if len(self.faces) == 0:
             raise ValueError(f"interface side {self.side!r} has no faces")
-        faces = []
-        signed = np.empty(len(self.faces))
-        for i, f in enumerate(self.faces):
-            f = np.asarray(f, dtype=float)
+        faces = tuple(np.asarray(f, dtype=float) for f in self.faces)
+        for i, f in enumerate(faces):
             if self.manifold_dim == 2 and (f.ndim != 2 or f.shape[1] != 2
                                            or len(f) < 3):
                 raise ValueError(f"face {i}: expected (k>=3, 2) polygon")
             if not np.isfinite(f).all():
                 raise ValueError(f"face {i}: non-finite coordinates")
-            if self.manifold_dim == 2:
-                signed[i] = signed_area(f)
-                if signed[i] == 0.0:
-                    raise ValueError(f"face {i}: zero-area polygon")
-            else:
-                f = np.sort(f.reshape(2))
-                signed[i] = f[1] - f[0]
-                if signed[i] <= 0.0:
-                    raise ValueError(f"face {i}: zero-length segment")
-            faces.append(f)
-        object.__setattr__(self, "faces", tuple(faces))
+        if self.manifold_dim == 2:
+            signed = _signed_areas(*_stack(faces))
+            zero, what = signed == 0.0, "zero-area polygon"
+        else:
+            faces = tuple(np.sort(f.reshape(2)) for f in faces)
+            signed = np.array([f[1] - f[0] for f in faces])
+            zero, what = signed <= 0.0, "zero-length segment"
+        if zero.any():
+            raise ValueError(f"face {int(np.argmax(zero))}: {what}")
+        object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "measures", np.abs(signed))
         object.__setattr__(self, "ccw", signed >= 0.0)
 
@@ -251,41 +318,54 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
                      polygons, polygon_pair[:len(polygons)])
 
 
-def _convex_pieces(side: InterfaceFaceSet) -> list[tuple[int, np.ndarray]]:
-    """Convex CCW pieces (face index, polygon) of a side's faces, in face
-    order; non-convex quads are split at a reflex vertex. Faces wound
-    against their side's majority orientation are reoriented with a
-    warning (a consistently flipped side, e.g. from an arbitrary
-    projection basis, is normalized silently)."""
+def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
+    """Convex CCW pieces of a side's faces in face order: the face index of
+    each piece and the pieces as one stack. Non-convex quads are split at a
+    reflex vertex. Faces wound against their side's majority orientation
+    are reoriented with a warning (a consistently flipped side, e.g. from
+    an arbitrary projection basis, is normalized silently)."""
     majority_ccw = 2 * np.count_nonzero(side.ccw) >= len(side.ccw)
-    pieces = []
-    for i, (face, ccw) in enumerate(zip(side.faces, side.ccw.tolist())):
-        if ccw != majority_ccw:
-            warnings.warn(f"reorienting inconsistently wound face {i} "
-                          f"on side {side.side}")
-        if not ccw:
-            face = face[::-1].copy()
-        if is_convex(face):
-            pieces.append((i, face))
-            continue
-        if len(face) != 4:
-            raise ValueError(
-                f"non-convex face {i} on side {side.side} with {len(face)} "
-                "vertices is not supported")
-        # vertex after the offending turn
-        reflex = (int(np.argmin(_turns(face))) + 1) % 4
-        order = [(reflex + k) % 4 for k in range(4)]
-        pieces.append((i, ensure_ccw(face[[order[0], order[1], order[2]]])))
-        pieces.append((i, ensure_ccw(face[[order[0], order[2], order[3]]])))
-    return pieces
+    for i in np.flatnonzero(side.ccw != majority_ccw).tolist():
+        warnings.warn(f"reorienting inconsistently wound face {i} "
+                      f"on side {side.side}")
+    faces, n = _stack(side.faces)
+    faces = _ccw(faces, n)
+    split = np.flatnonzero(~_convex(faces, n))
+    if (n[split] != 4).any():
+        i = split[n[split] != 4][0]
+        raise ValueError(f"non-convex face {i} on side {side.side} with "
+                         f"{n[i]} vertices is not supported")
+    # two triangles from the vertex after the offending turn
+    reflex = np.argmin(_turns(faces[split], n[split])[:, :4], axis=1) + 1
+    tris = _take(faces[split], (reflex[:, None] + [0, 1, 2, 0, 2, 3]) % 4)
+    tris = _ccw(tris.reshape(-1, 3, 2), np.full(2 * len(split), 3))
+    face = np.concatenate([np.delete(np.arange(len(n)), split),
+                           np.repeat(split, 2)])
+    pieces = np.concatenate([np.delete(faces, split, axis=0), _take(
+        tris, _slots(np.full(len(tris), 3), faces.shape[1]))])
+    order = np.argsort(face, kind="stable")
+    return face[order], pieces[order]
 
 
-def _bounding_circles(pieces) -> tuple[np.ndarray, np.ndarray]:
+def _bounding_circles(pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centre (vertex mean) and radius (farthest vertex) of each piece."""
-    centres = np.array([p.mean(axis=0) for _, p in pieces])
-    radii = np.array([np.linalg.norm(p - c, axis=1).max()
-                      for (_, p), c in zip(pieces, centres)])
+    n = _counts(pieces)
+    centres = np.cumsum(pieces, axis=1)[np.arange(len(n)), n - 1] / n[:, None]
+    radii = np.linalg.norm(pieces - centres[:, None], axis=2).max(axis=1)
     return centres, radii
+
+
+def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float):
+    """Index arrays of the (A piece, B piece) pairs whose bounding circles
+    may overlap, sorted by A piece, then B piece."""
+    (centres_a, radii_a), (centres_b, radii_b) = map(_bounding_circles,
+                                                     (pieces_a, pieces_b))
+    # pieces overlap only if their centres are within r_a + r_b
+    near = cKDTree(centres_b).query_ball_point(
+        centres_a, radii_a + radii_b.max() + snap, return_sorted=True)
+    ia = np.repeat(np.arange(len(near)), [len(c) for c in near])
+    return ia, np.fromiter(chain.from_iterable(near), dtype=np.intp,
+                           count=len(ia))
 
 
 def build_supermesh(side_a: InterfaceFaceSet,
@@ -304,34 +384,19 @@ def build_supermesh(side_a: InterfaceFaceSet,
     diag = float(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)))
     snap = 1e-12 * max(diag, 1e-300)
 
-    pieces_a = _convex_pieces(side_a)
-    pieces_b = _convex_pieces(side_b)
-    centres_a, radii_a = _bounding_circles(pieces_a)
-    centres_b, radii_b = _bounding_circles(pieces_b)
-    # pieces overlap only if their centres are within r_a + r_b
-    near = cKDTree(centres_b).query_ball_point(
-        centres_a, radii_a + radii_b.max() + snap, return_sorted=True)
-
-    area_a = side_a.measures
-    area_b = side_b.measures
-    rows: list[int] = []
-    cols: list[int] = []
-    areas: list[float] = []
-    polygons: list[np.ndarray] = []
-    for (ia, poly_a), candidates in zip(pieces_a, near):
-        for k in candidates:
-            ib, poly_b = pieces_b[k]
-            overlap = clip_convex(poly_a, poly_b, snap=snap)
-            if len(overlap) == 0:
-                continue
-            area = polygon_area(overlap)
-            if area <= 1e-14 * min(area_a[ia], area_b[ib]):
-                continue
-            rows.append(ia)
-            cols.append(ib)
-            areas.append(area)
-            polygons.append(overlap)
-    return _assemble(rows, cols, areas, area_a, area_b, tuple(polygons))
+    face_a, pieces_a = _convex_pieces(side_a)
+    face_b, pieces_b = _convex_pieces(side_b)
+    ia, ib = _candidates(pieces_a, pieces_b, snap)
+    overlaps = clip_convex(pieces_a[ia], pieces_b[ib], snap=snap)
+    hit = np.flatnonzero([len(p) for p in overlaps])
+    stack, n = _stack([overlaps[i] for i in hit.tolist()])
+    area = np.abs(_signed_areas(stack, n))  # polygon_area of each overlap
+    rows, cols = face_a[ia[hit]], face_b[ib[hit]]
+    keep = area > 1e-14 * np.minimum(side_a.measures[rows],
+                                     side_b.measures[cols])
+    return _assemble(rows[keep], cols[keep], area[keep], side_a.measures,
+                     side_b.measures,
+                     tuple(overlaps[i] for i in hit[keep].tolist()))
 
 
 def _build_supermesh_1d(side_a: InterfaceFaceSet,

@@ -338,6 +338,8 @@ def test_interface_unknown_marker(tmp_path, capsys):
     mesh_file.write_text(write_mesh(mesh))
     assert main(["interface", str(mesh_file), "iface_a", "nope",
                  "--output", str(tmp_path / "w.csv")]) == 2
+    assert capsys.readouterr().err == \
+        "rotormesh: parse error: unknown marker 'nope'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,28 @@ def test_wendland_endpoint_values():
     assert kernel_eval(WENDLAND, 2.3) == 0.0
 
 
+def test_wendland_matches_dense_expression():
+    """Evaluating only inside the support gives, bit for bit, the dense
+    expression that computes the polynomial everywhere and masks it."""
+    rho = 1.7
+    k = RbfKernel("wendland_c2", rho)
+    d = np.array([0.0, np.nextafter(rho, 0.0), rho, np.nextafter(rho, 4.0),
+                  2.5, 1e-9, 0.3, 1.2, 1.69, 40.0])
+    d = np.concatenate([d, np.random.default_rng(5).uniform(0.0, 2.5, 996)])
+
+    def dense(d):
+        q = np.asarray(d, dtype=float) / rho
+        return np.where(q < 1.0, (1.0 - q) ** 4 * (4.0 * q + 1.0), 0.0)
+
+    assert kernel_eval(k, d).tobytes() == dense(d).tobytes()
+    assert kernel_eval(k, d.reshape(2, -1)).tobytes() == \
+        dense(d.reshape(2, -1)).tobytes()
+    for x in d[:10]:
+        got = kernel_eval(k, x)
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == dense(x).tobytes()
+
+
 def test_wendland_formula_interior():
     rho = 2.0
     k = RbfKernel("wendland_c2", rho)

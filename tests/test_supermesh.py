@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from meshgen import stacked_interface_mesh
 
+import rotormesh.supermesh as supermesh
 from rotormesh.supermesh import (InterfaceFaceSet, _convex_pieces,
-                                 build_supermesh, clip_convex, ensure_ccw,
+                                 build_supermesh, clip_convex,
                                  fit_cylinder_z, interface_from_markers,
                                  polygon_area, signed_area, triangulate,
                                  weighted_exchange)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+CHEVRON = np.array([[0, 0], [2, 0], [1, 0.25], [2, 1], [0, 1]], dtype=float)
 
 
 def quad_grid(xs):
@@ -79,10 +81,8 @@ def test_clip_result_ccw_with_cw_inputs():
 
 
 def test_clip_rejects_nonconvex():
-    chevron = np.array([[0, 0], [2, 0], [1, 0.25], [2, 1], [0, 1]],
-                       dtype=float)
     with pytest.raises(ValueError, match="convex"):
-        clip_convex(chevron, SQUARE)
+        clip_convex(CHEVRON, SQUARE)
 
 
 def test_clip_contained_vertices_and_edge_points():
@@ -214,6 +214,14 @@ def test_nonconvex_quad_split():
     assert pieces == pytest.approx(sm.area, rel=1e-12)
 
 
+def test_nonconvex_face_other_than_quad_rejected():
+    faces = (SQUARE + [3.0, 0.0], CHEVRON, CHEVRON + [0.0, 2.0])
+    with pytest.raises(ValueError, match="non-convex face 1 on side A with "
+                       "5 vertices is not supported"):
+        build_supermesh(InterfaceFaceSet("A", faces),
+                        InterfaceFaceSet("B", (SQUARE,)))
+
+
 def test_weighted_exchange_constant_and_length_check():
     sm = build_supermesh(InterfaceFaceSet("A", grid_faces(4)),
                          InterfaceFaceSet("B", grid_faces(5)))
@@ -330,6 +338,80 @@ def test_clip_against_monte_carlo_oracle():
 
 
 # ---------------------------------------------------------------------------
+# Per-pair reference: the scalar Sutherland-Hodgman loop the batched
+# clip_convex must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def _dedupe(poly, snap):
+    """Drop consecutive vertices closer than snap (cyclically)."""
+    if len(poly) == 0:
+        return poly
+    keep = [poly[0]]
+    for p in poly[1:]:
+        if np.linalg.norm(p - keep[-1]) > snap:
+            keep.append(p)
+    while len(keep) > 1 and np.linalg.norm(keep[-1] - keep[0]) <= snap:
+        keep.pop()
+    return np.asarray(keep)
+
+
+def _edge_intersection(s, e, side_s, side_e):
+    u = side_s / (side_s - side_e)
+    u = min(max(u, 0.0), 1.0)
+    return s + u * (e - s)
+
+
+def reference_clip(poly_a, poly_b, snap=None):
+    """Intersection of two convex polygons, one pair and one vertex at a
+    time; the result is CCW, (0, 2) when empty."""
+    a, b = (p if signed_area(p) >= 0.0 else p[::-1].copy()
+            for p in (np.asarray(poly_a, float), np.asarray(poly_b, float)))
+    if snap is None:
+        span = np.vstack([a, b])
+        diag = float(np.linalg.norm(span.max(axis=0) - span.min(axis=0)))
+        snap = 1e-12 * max(diag, 1e-300)
+    eps = snap * max(float(np.abs(np.vstack([a, b])).max()), 1.0)
+
+    output = list(b)
+    for i in range(len(a)):
+        p0, p1 = a[i], a[(i + 1) % len(a)]
+        edge = p1 - p0
+        if len(output) == 0:
+            break
+        polygon = output
+        output = []
+        prev = polygon[-1]
+        prev_side = edge[0] * (prev[1] - p0[1]) - edge[1] * (prev[0] - p0[0])
+        for cur in polygon:
+            side = edge[0] * (cur[1] - p0[1]) - edge[1] * (cur[0] - p0[0])
+            if side >= -eps:
+                if prev_side < -eps:
+                    output.append(_edge_intersection(prev, cur, prev_side,
+                                                     side))
+                output.append(cur)
+            elif prev_side >= -eps:
+                output.append(_edge_intersection(prev, cur, prev_side, side))
+            prev, prev_side = cur, side
+
+    if len(output) < 3:
+        return np.zeros((0, 2))
+    result = _dedupe(np.asarray(output), snap)
+    if len(result) < 3:
+        return np.zeros((0, 2))
+    return result
+
+
+def shoelace_terms(p):
+    xn, yn = np.concatenate([p[1:], p[:1]]).T
+    return p[:, 0] * yn - xn * p[:, 1]
+
+
+def pad(poly, k=9):
+    """The padding rule: repeat the last vertex up to k slots."""
+    return np.vstack([poly, np.repeat(poly[-1:], k - len(poly), axis=0)])
+
+
+# ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
 
@@ -360,6 +442,130 @@ def test_clip_area_properties(a, b, turn, shift):
     rot = np.array([[c, -s], [s, c]])
     moved = polygon_area(clip_convex(a @ rot.T + shift, b @ rot.T + shift))
     assert moved == pytest.approx(area, abs=1e-9)
+
+
+@st.composite
+def clip_pairs(draw):
+    """A convex pair that overlaps at random, is disjoint, shares an edge
+    or is identical up to the starting vertex; each wound either way."""
+    a = draw(convex_polygons())
+    kind = draw(st.sampled_from(["random", "disjoint", "edge", "same"]))
+    if kind in ("random", "disjoint"):
+        b = draw(convex_polygons()) + (10.0 if kind == "disjoint" else 0.0)
+    elif kind == "edge":  # a triangle on the far side of one edge of a
+        i = draw(st.integers(0, len(a) - 1))
+        p, q = a[i], a[(i + 1) % len(a)]
+        b = np.array([q, p, p + q - a.mean(axis=0)])
+    else:
+        b = np.roll(a, draw(st.integers(0, len(a) - 1)), axis=0)
+    flip_a, flip_b = draw(st.tuples(st.booleans(), st.booleans()))
+    return (a[::-1] if flip_a else a), (b[::-1] if flip_b else b)
+
+
+@settings(max_examples=150, deadline=None)
+@example(pairs=[(4.0 * SQUARE - 1.0, np.array(  # collinear vertices 0.6 apart
+    [[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [1.2, 1.0], [0.0, 1.0]]))], snap=0.7)
+@given(pairs=st.lists(clip_pairs(), min_size=1, max_size=12),
+       snap=st.one_of(st.none(), st.just(3e-12), st.floats(1e-3, 0.3)))
+def test_stack_clip_matches_per_pair_reference(pairs, snap):
+    """Each pair of a padded stack, and the first pair on its own, clips to
+    the per-pair reference bit for bit. A coarse snap makes the clip
+    tolerance and the vertex dedupe act on most pairs."""
+    got = clip_convex(np.stack([pad(a) for a, _ in pairs]),
+                      np.stack([pad(b) for _, b in pairs]), snap=snap)
+    assert len(got) == len(pairs)
+    for (a, b), poly in zip(pairs, got):
+        ref = reference_clip(a, b, snap=snap)
+        assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
+    a, b = pairs[0]
+    single = clip_convex(a, b, snap=snap)
+    assert single.tobytes() == got[0].tobytes() and single.ndim == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(pairs=st.lists(clip_pairs(), min_size=1, max_size=8), data=st.data())
+def test_stack_clip_names_nonconvex_polygon(pairs, data):
+    stacks = {"poly_a": [pad(a) for a, _ in pairs],
+              "poly_b": [pad(b) for _, b in pairs]}
+    name = data.draw(st.sampled_from(sorted(stacks)))
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    turn = data.draw(st.integers(0, len(CHEVRON) - 1))  # reflex vertex
+    stacks[name][i] = pad(np.roll(CHEVRON, turn, axis=0))  # anywhere
+    with pytest.raises(ValueError, match=rf"convex.*{name}\[{i}\]"):
+        clip_convex(np.stack(stacks["poly_a"]), np.stack(stacks["poly_b"]))
+
+
+def test_stack_clip_blocks_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(21)
+    a = np.stack([pad(random_convex(rng)) for _ in range(40)])
+    b = np.stack([pad(random_convex(rng)) for _ in range(40)])
+    whole = clip_convex(a, b)
+    monkeypatch.setattr(supermesh, "CLIP_BLOCK", 7)
+    blocked = clip_convex(a, b)
+    assert sum(len(p) > 0 for p in whole) > 10
+    assert [p.tobytes() for p in blocked] == [p.tobytes() for p in whole]
+    assert clip_convex(a[:0], b[:0]) == []
+    b[23] = pad(CHEVRON)
+    with pytest.raises(ValueError, match=r"poly_b\[23\]"):
+        clip_convex(a, b)
+
+
+def test_norm_is_numpy_vector_norm_to_the_bit():
+    d = np.random.default_rng(2).normal(size=(4000, 2)) * 1e3
+    assert supermesh._norm(d).tolist() == [np.linalg.norm(v) for v in d]
+
+
+def test_build_areas_equal_numpy_shoelace_with_octagons():
+    """Quads turned 40 degrees against each other overlap in up to eight
+    vertices; numpy sums eight shoelace terms in another order than the
+    slot-by-slot sum, and the build's areas still equal np.sum's."""
+    c, s = np.cos(np.radians(40.0)), np.sin(np.radians(40.0))
+    b = tuple((f - 0.5) @ np.array([[c, s], [-s, c]]) + 0.5
+              for f in grid_faces(5))
+    sm = build_supermesh(InterfaceFaceSet("A", grid_faces(5)),
+                         InterfaceFaceSet("B", b))
+    terms = [shoelace_terms(p) for p in sm.polygons if len(p) == 8]
+    assert any(np.cumsum(t)[-1] != np.sum(t) for t in terms)
+    assert list(sm.polygon_pair) == list(range(len(sm.area)))
+    assert sm.area.tolist() == [abs(0.5 * np.sum(shoelace_terms(p)))
+                                for p in sm.polygons]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(3, 12), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_signed_areas_match_numpy_shoelace(sizes, seed):
+    """signed_area and the stacked areas (padded to 12 slots) equal the
+    shoelace sum by np.sum bit for bit, at every vertex count."""
+    rng = np.random.default_rng(seed)
+    polys = [rng.normal(size=(k, 2)) * 10.0 ** rng.integers(-3, 4)
+             for k in sizes]
+    expect = [0.5 * np.sum(shoelace_terms(p)) for p in polys]
+    assert [signed_area(p) for p in polys] == expect
+    areas = supermesh._signed_areas(np.stack([pad(p, 12) for p in polys]),
+                                    np.array(sizes))
+    assert areas.tolist() == expect
+
+
+def test_build_reaches_clip_through_module_attribute(monkeypatch):
+    """The bench times the kernel by wrapping rotormesh.supermesh.clip_convex;
+    a build that reached it under another name would go untimed."""
+    side_a, side_b, _ = interface_from_markers(stacked_interface_mesh(4, 5),
+                                               "iface_a", "iface_b")
+    plain = build_supermesh(side_a, side_b)
+    kernel, calls = supermesh.clip_convex, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(supermesh, "clip_convex", counting)
+    traced = build_supermesh(side_a, side_b)
+    assert calls and sum(calls) >= len(traced.area)
+    assert traced.area.tobytes() == plain.area.tobytes()
+    assert traced.weights.data.tobytes() == plain.weights.data.tobytes()
+    assert [p.tobytes() for p in traced.polygons] == \
+        [p.tobytes() for p in plain.polygons]
 
 
 @settings(max_examples=30, deadline=None)
@@ -409,10 +615,11 @@ def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
     same faces, areas and polygons in the same order."""
     rng = np.random.default_rng(seed)
     a_faces = graded_grid(n_a, rng)
-    if dart:  # pull the third corner past the diagonal: split in two
-        lo, hi = a_faces[0][0], a_faces[0][2]
-        a_faces[0] = np.array([lo, a_faces[0][1], lo + 0.3 * (hi - lo),
-                               a_faces[0][3]])
+    for k in {0, seed % len(a_faces)} if dart else ():
+        # pull the third corner past the diagonal: split in two
+        lo, hi = a_faces[k][0], a_faces[k][2]
+        a_faces[k] = np.array([lo, a_faces[k][1], lo + 0.3 * (hi - lo),
+                               a_faces[k][3]])
     c, s = np.cos(turn), np.sin(turn)
     rot = np.array([[c, -s], [s, c]])
     b_faces = [(f - 0.5) @ rot.T + 0.5 + shift
@@ -425,16 +632,19 @@ def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
     snap = 1e-12 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
     areas: dict[tuple[int, int], float] = {}
     polygons = []
-    for ia, poly_a in _convex_pieces(side_a):
-        for ib, poly_b in _convex_pieces(side_b):
-            overlap = clip_convex(poly_a, poly_b, snap=snap)
-            if len(overlap) == 0:
-                continue
-            area = polygon_area(overlap)
-            if area <= 1e-14 * min(side_a.measures[ia], side_b.measures[ib]):
-                continue
-            areas[ia, ib] = areas.get((ia, ib), 0.0) + area
-            polygons.append(overlap)
+    face_a, pieces_a = _convex_pieces(side_a)
+    face_b, pieces_b = _convex_pieces(side_b)
+    ka, kb = np.divmod(np.arange(len(face_a) * len(face_b)), len(face_b))
+    overlaps = clip_convex(pieces_a[ka], pieces_b[kb], snap=snap)
+    for ia, ib, overlap in zip(face_a[ka].tolist(), face_b[kb].tolist(),
+                               overlaps):
+        if len(overlap) == 0:
+            continue
+        area = polygon_area(overlap)
+        if area <= 1e-14 * min(side_a.measures[ia], side_b.measures[ib]):
+            continue
+        areas[ia, ib] = areas.get((ia, ib), 0.0) + area
+        polygons.append(overlap)
     pairs = sorted(areas)
     assert list(zip(sm.parent_a.tolist(), sm.parent_b.tolist())) == pairs
     assert sm.area.tolist() == [areas[pair] for pair in pairs]
@@ -487,6 +697,6 @@ def test_cylinder_projection_preserves_areas():
             [radius * np.cos(a1), radius * np.sin(a1), 1.0],
             [radius * np.cos(a0), radius * np.sin(a0), 1.0]]))
     unwrapped = [proj.project(q) for q in quads]
-    widths = [polygon_area(ensure_ccw(u)) for u in unwrapped]
+    widths = [polygon_area(u) for u in unwrapped]
     expected = radius * (angles[1] - angles[0]) * 1.0
     assert np.allclose(widths, expected, rtol=1e-12)
