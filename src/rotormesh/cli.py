@@ -19,8 +19,8 @@ from .config import ConfigError, load_fixture, load_motion_config, FIXTURE_NAMES
 from .driver import DeformationFailure, run_deformation
 from .geometry import cell_geometry, orthogonality_metrics
 from .kinematics import blade_normal_mach, eval_series
-from .mesh import (Mesh, MeshFormatError, _rows, _vtk_grid, parse_mesh,
-                   write_vtk)
+from .mesh import (Mesh, MeshFormatError, _n_rows, _rows, _vtk_grid,
+                   parse_mesh, write_vtk)
 from .supermesh import build_supermesh, interface_from_markers
 
 EXIT_OK = 0
@@ -70,8 +70,8 @@ def cmd_info(args) -> int:
     for kind, (_, rows) in sorted(mesh.cells.items()):
         print(f"  {kind}: {len(rows)}")
     print("markers:")
-    for name, faces in mesh.markers.items():
-        print(f"  {name}: {len(faces)} faces")
+    for name, groups in mesh.markers.items():
+        print(f"  {name}: {_n_rows(groups)} faces")
     print(f"min orthogonality [deg]: {report.min_orthogonality_deg:.12g}")
     print(f"negative_volume_count: {report.negative_volume_count}")
     print(f"min volume: {report.min_volume:.12g}")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import BladeMotion, FlightCondition, MotionSeries, rpm_to_rad_s
-from .rbf import RbfConfig, RbfKernel
+from .rbf import KERNEL_KINDS, RbfConfig, RbfKernel
 
 FIXTURE_NAMES = ("caradonna_tung_hover", "ah1g_low_speed", "ah1g_high_speed")
 
@@ -45,6 +45,18 @@ def _read_sections(text: str) -> dict[str, dict[str, object]]:
     return {section: {key: _coerce(value)
                       for key, value in parser.items(section)}
             for section in parser.sections()}
+
+
+def _positive(value, section: str, key: str, kind=float):
+    """value as a positive kind (float or int), else a ConfigError naming
+    the key."""
+    try:
+        if kind(value) > 0:
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"bad config value: [{section}] {key} must be a "
+                      f"positive {kind.__name__}, got {value!r}")
 
 
 def _series_from_section(data: dict[str, object], name: str) -> MotionSeries:
@@ -99,23 +111,17 @@ class MotionConfig:
 
 def parse_motion_config(text: str) -> MotionConfig:
     sections = _read_sections(text)
-    problems: list[str] = []
-
     rotor = sections.get("rotor", {})
-    if "radius_m" not in rotor:
-        problems.append("[rotor] radius_m")
-    if "rpm" not in rotor:
-        problems.append("[rotor] rpm")
+    problems = [f"[rotor] {k}" for k in ("radius_m", "rpm") if k not in rotor]
     known_rotor = {"radius_m", "rpm", "n_blades", "hinge", "chord_m"}
     problems.extend(f"[rotor] {k} (unknown)" for k in rotor
                     if k not in known_rotor)
 
-    if "flight" in sections:
-        fdata = sections["flight"]
-        known_flight = {"tip_mach", "freestream_mach", "advance_ratio",
-                        "thrust_coefficient"}
+    optional = ("freestream_mach", "advance_ratio", "thrust_coefficient")
+    fdata = sections.get("flight")
+    if fdata is not None:
         problems.extend(f"[flight] {k} (unknown)" for k in fdata
-                        if k not in known_flight)
+                        if k not in ("tip_mach", *optional))
         if "tip_mach" not in fdata:
             problems.append("[flight] tip_mach")
 
@@ -130,18 +136,13 @@ def parse_motion_config(text: str) -> MotionConfig:
     hinge = tuple(float(c) for c in hinge_raw)
 
     flight = None
-    if "flight" in sections:
-        fdata = sections["flight"]
-        flight = FlightCondition(
-            tip_mach=float(fdata["tip_mach"]),
-            rotor_radius=radius,
-            advance_ratio=(float(fdata["advance_ratio"])
-                           if "advance_ratio" in fdata else None),
-            freestream_mach=(float(fdata["freestream_mach"])
-                             if "freestream_mach" in fdata else None),
-            thrust_coefficient=(float(fdata["thrust_coefficient"])
-                                if "thrust_coefficient" in fdata else None),
-        )
+    if fdata is not None:
+        try:
+            flight = FlightCondition(
+                tip_mach=float(fdata["tip_mach"]), rotor_radius=radius,
+                **{k: float(fdata[k]) for k in optional if k in fdata})
+        except ValueError as exc:
+            raise ConfigError(f"bad config value: [flight] {exc}") from exc
 
     # RBF settings are optional for motion-only configs (sweeps); a missing
     # support radius is an error only once a kernel actually needs one.
@@ -160,15 +161,26 @@ def parse_motion_config(text: str) -> MotionConfig:
                 raise ConfigError(
                     "[rbf] support radius in chords requires [rotor] chord_m")
             support = chords * chord
-        kernel = RbfKernel(kind, support)
+        try:
+            kernel = RbfKernel(kind, support)
+        except ValueError as exc:
+            key = "kernel" if kind not in KERNEL_KINDS else (
+                "support_radius_m" if "support_radius_m" in rbf_data
+                else "support_radius_chords")
+            raise ConfigError(f"bad config value: [rbf] {key}: {exc}") from exc
         caps = rbf_data.get("level_caps", [8, 32, 64, 256])
+        if not isinstance(caps, (list, tuple)) or not caps:
+            raise ConfigError("bad config value: [rbf] level_caps must be a "
+                              f"non-empty list, got {caps!r}")
         fixed_raw = rbf_data.get("fixed_markers", [])
         fixed = [fixed_raw] if isinstance(fixed_raw, str) else list(fixed_raw)
         rbf_cfg = RbfConfig(
             kernel=kernel,
             with_affine=bool(rbf_data.get("affine", False)),
-            greedy_tol=float(rbf_data.get("greedy_tol_m", 1e-6)),
-            level_caps=tuple(int(c) for c in caps),
+            greedy_tol=_positive(rbf_data.get("greedy_tol_m", 1e-6), "rbf",
+                                 "greedy_tol_m"),
+            level_caps=tuple(_positive(c, "rbf", "level_caps", int)
+                             for c in caps),
         )
 
     pair = None
@@ -181,8 +193,8 @@ def parse_motion_config(text: str) -> MotionConfig:
 
     return MotionConfig(
         radius_m=radius,
-        rpm=float(rotor["rpm"]),
-        n_blades=int(rotor.get("n_blades", 1)),
+        rpm=_positive(rotor["rpm"], "rotor", "rpm"),
+        n_blades=_positive(rotor.get("n_blades", 1), "rotor", "n_blades", int),
         hinge=hinge,  # type: ignore[arg-type]
         chord_m=chord,
         pitch=_series_from_section(sections.get("pitch", {}), "pitch"),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -38,9 +37,7 @@ VERTEX_COUNT = {
 
 VOLUME_KINDS = ("tetrahedron", "hexahedron", "prism", "pyramid")
 CELL_KINDS = {2: ("triangle", "quadrilateral"), 3: VOLUME_KINDS}
-# marker face kind by vertex count, and the counts each dimension allows
-FACE_KINDS = {2: "line", 3: "triangle", 4: "quadrilateral"}
-FACE_SIZES = {2: (2,), 3: (3, 4)}
+MARKER_KINDS = {2: ("line",), 3: ("triangle", "quadrilateral")}
 
 
 class MeshFormatError(ValueError):
@@ -54,7 +51,7 @@ class MeshFormatError(ValueError):
 
 
 class _BadRow(ValueError):
-    """args: message, marker (None for a cell), file position or face index"""
+    """args: message, marker (None for a cell), position of the row"""
 
     def __str__(self):
         return self.args[0]
@@ -68,37 +65,45 @@ def _points_array(points) -> np.ndarray:
     return pts
 
 
+def _groups(groups: dict) -> dict:
+    """kind -> (conn, rows) with both as read-only intp arrays."""
+    out = {kind: tuple(np.asarray(a, dtype=np.intp) for a in pair)
+           for kind, pair in groups.items()}
+    for conn, rows in out.values():
+        conn.flags.writeable = rows.flags.writeable = False
+    return out
+
+
+def _n_rows(groups: dict) -> int:
+    return sum(len(rows) for _, rows in groups.values())
+
+
 def _check_connectivity(dim: int, n_points: int, cells: dict, markers: dict):
     """Raise _BadRow, a ValueError, at an invalid cell or marker face."""
-    positions = np.concatenate([np.arange(0), *(r for _, r in cells.values())])
-    if not np.array_equal(np.sort(positions), np.arange(len(positions))):
-        raise ValueError("cell rows must number the cells 0..n-1 once each")
-    for kind, (conn, rows) in cells.items():
-        if kind not in CELL_KINDS[dim]:
-            why = f"{kind} elements are not allowed as {dim}D cells"
-        elif conn.shape != (len(rows), VERTEX_COUNT[kind]):
-            why = (f"{len(rows)} {kind} cells need {VERTEX_COUNT[kind]} "
-                   f"vertices each, got shape {conn.shape}")
-        else:
-            out = (conn < 0) | (conn >= n_points)
-            if not out.any():
-                continue
-            rows = rows[out.any(axis=1)]
-            why = f"vertex index {conn[out][0]} out of range (NPOIN={n_points})"
-        raise _BadRow(why, None, int(rows.min(initial=0)))
-    for name, faces in markers.items():
-        sizes = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
-        bad = np.flatnonzero(~np.isin(sizes, FACE_SIZES[dim]))
-        if len(bad):
-            raise _BadRow(f"marker {name!r} face with {sizes[bad[0]]} "
-                          f"vertices is not allowed in {dim}D", name,
-                          int(bad[0]))
-        flat = np.fromiter(chain.from_iterable(faces), dtype=np.intp)
-        out = np.flatnonzero((flat < 0) | (flat >= n_points))
-        if len(out):
-            face = np.searchsorted(np.cumsum(sizes), out[0], side="right")
-            raise _BadRow(f"marker {name!r} vertex index {flat[out[0]]} out "
-                          f"of range (NPOIN={n_points})", name, int(face))
+    for name, groups in [(None, cells), *markers.items()]:
+        prefix, what, allowed = (
+            ("", "cells", CELL_KINDS[dim]) if name is None else
+            (f"marker {name!r}: ", "marker faces", MARKER_KINDS[dim]))
+        positions = np.concatenate([np.arange(0),
+                                    *(r for _, r in groups.values())])
+        if not np.array_equal(np.sort(positions), np.arange(len(positions))):
+            raise ValueError(f"{prefix}rows must number the {what} 0..n-1 "
+                             "once each")
+        for kind, (conn, rows) in groups.items():
+            if kind not in allowed:
+                why = f"{kind} elements are not allowed as {dim}D {what}"
+            elif conn.shape != (len(rows), VERTEX_COUNT[kind]):
+                why = (f"{len(rows)} {kind} {what} need {VERTEX_COUNT[kind]} "
+                       f"vertices each, got shape {conn.shape}")
+            else:
+                out = (conn < 0) | (conn >= n_points)
+                if not out.any():
+                    continue
+                rows = rows[out.any(axis=1)]
+                why = (f"vertex index {conn[out][0]} out of range "
+                       f"(NPOIN={n_points})")
+            raise _BadRow(prefix + why, name,
+                          int(rows.min()) if len(rows) else 0)
 
 
 @dataclass(frozen=True)
@@ -108,32 +113,30 @@ class Mesh:
     points are stored as an (n, 3) float array (z = 0 for 2D meshes), cells
     as a mapping from element kind to (conn, rows): an (n_k, nv) integer
     array of vertex indices and the (n_k,) file-order position of each row,
-    both read-only. markers map a marker name to a tuple of boundary faces
-    (vertex tuples).
+    both read-only. markers map a marker name to boundary faces stored the
+    same way, rows holding each face's position within the marker.
 
     Construction validates connectivity once, with numpy: vertex indices are
-    in range, 2D cells are triangles or quadrilaterals, 3D cells are
-    VOLUME_KINDS; marker faces are lines in 2D, triangles or quadrilaterals
-    in 3D. with_points copies share cells, markers and `derived`, where
+    in range, rows number the cells (the faces of each marker) 0..n-1, cells
+    are CELL_KINDS and marker faces MARKER_KINDS of the dimension.
+    with_points copies share cells, markers and `derived`, where
     cell_geometry caches the topology.
     """
 
     dim: int
     points: np.ndarray
     cells: dict[str, tuple[np.ndarray, np.ndarray]]
-    markers: dict[str, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+    markers: dict[str, dict] = field(default_factory=dict)
     derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _points_array(self.points))
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        cells = {kind: tuple(np.asarray(a, dtype=np.intp) for a in pair)
-                 for kind, pair in self.cells.items()}
-        for conn, rows in cells.values():
-            conn.flags.writeable = rows.flags.writeable = False
-        object.__setattr__(self, "cells", cells)
-        _check_connectivity(self.dim, self.n_points, cells, self.markers)
+        object.__setattr__(self, "cells", _groups(self.cells))
+        object.__setattr__(self, "markers", {
+            name: _groups(groups) for name, groups in self.markers.items()})
+        _check_connectivity(self.dim, self.n_points, self.cells, self.markers)
 
     @property
     def n_points(self) -> int:
@@ -141,7 +144,7 @@ class Mesh:
 
     @property
     def n_elements(self) -> int:
-        return sum(len(rows) for _, rows in self.cells.values())
+        return _n_rows(self.cells)
 
     def with_points(self, new_points: np.ndarray) -> "Mesh":
         """New mesh with moved points; the rest is shared, not rechecked."""
@@ -158,8 +161,8 @@ def extract_marker_points(mesh: Mesh, marker: str) -> tuple[np.ndarray, np.ndarr
     if marker not in mesh.markers:
         raise KeyError(f"unknown marker {marker!r}"
                        f" (available: {sorted(mesh.markers)})")
-    idx = sorted({v for face in mesh.markers[marker] for v in face})
-    indices = np.asarray(idx, dtype=np.intp)
+    indices = np.unique(np.concatenate([np.empty(0, np.intp), *(
+        conn.ravel() for conn, _ in mesh.markers[marker].values())]))
     return indices, mesh.points[indices]
 
 
@@ -167,39 +170,25 @@ def extract_marker_points(mesh: Mesh, marker: str) -> tuple[np.ndarray, np.ndarr
 # Native format parser / writer
 # ---------------------------------------------------------------------------
 
-def _significant_lines(text: str):
-    """Yield (line_number, content) pairs, skipping blanks and % comments."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("%", 1)[0].strip()
-        if content:
-            yield lineno, content
-
-
 class _LineStream:
+    """The (line number, content) pairs of the lines that are not blank or
+    % comments; pos is the index of the one next() returns next, lineno
+    the line number of the last one read."""
+
     def __init__(self, text: str):
-        self._lines = list(_significant_lines(text))
-        self._pos = 0
+        self.lines = [(lineno, content) for lineno, raw
+                      in enumerate(text.splitlines(), start=1)
+                      if (content := raw.split("%", 1)[0].strip())]
+        self.pos = 0
         self.lineno = 0
 
     def next(self, context: str) -> str:
-        if self._pos >= len(self._lines):
+        if self.pos >= len(self.lines):
             raise MeshFormatError(f"truncated file while reading {context}",
                                   self.lineno or None)
-        self.lineno, content = self._lines[self._pos]
-        self._pos += 1
+        self.lineno, content = self.lines[self.pos]
+        self.pos += 1
         return content
-
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._lines)
-
-    @property
-    def position(self) -> int:
-        """Index of the next line next() returns."""
-        return self._pos
-
-    def line(self, position: int) -> tuple[int, str]:
-        """(line number, content) of an already read line."""
-        return self._lines[position]
 
 
 def _header_value(line: str, key: str, lineno: int) -> str:
@@ -218,26 +207,37 @@ def _int_header(line: str, key: str, lineno: int) -> int:
                               lineno) from None
 
 
-def _parse_connectivity(line: str, lineno: int):
-    fields = line.split()
-    try:
-        code = int(fields[0])
-    except (ValueError, IndexError):
-        raise MeshFormatError(f"bad element line {line!r}", lineno) from None
-    if code not in TYPE_CODES:
-        raise MeshFormatError(f"unknown element type code {code}", lineno)
-    kind = TYPE_CODES[code]
-    nv = VERTEX_COUNT[kind]
-    if len(fields) < 1 + nv:
-        raise MeshFormatError(
-            f"{kind} element needs {nv} vertex indices, got {len(fields) - 1}",
-            lineno)
-    try:
-        verts = tuple(int(f) for f in fields[1:1 + nv])
-    except ValueError:
-        raise MeshFormatError(f"non-integer vertex index in {line!r}",
-                              lineno) from None
-    return kind, verts
+def _read_groups(stream: _LineStream, count: int, context: str, groups: dict,
+                 key: str | None, line_of: dict):
+    """Read count lines "type_code v0 v1 ..." into groups, kind -> (vertex
+    tuples, positions) as Mesh.cells holds them, numbering on from the rows
+    already there; line_of[key, position] records each line number."""
+    start = _n_rows(groups)
+    for position in range(start, start + count):
+        line = stream.next(context)
+        fields = line.split()
+        try:
+            code = int(fields[0])
+        except (ValueError, IndexError):
+            raise MeshFormatError(f"bad element line {line!r}",
+                                  stream.lineno) from None
+        if code not in TYPE_CODES:
+            raise MeshFormatError(f"unknown element type code {code}",
+                                  stream.lineno)
+        kind = TYPE_CODES[code]
+        nv = VERTEX_COUNT[kind]
+        if len(fields) < 1 + nv:
+            raise MeshFormatError(f"{kind} element needs {nv} vertex indices, "
+                                  f"got {len(fields) - 1}", stream.lineno)
+        try:
+            verts = tuple(int(f) for f in fields[1:1 + nv])
+        except ValueError:
+            raise MeshFormatError(f"non-integer vertex index in {line!r}",
+                                  stream.lineno) from None
+        conn, rows = groups.setdefault(kind, ([], []))
+        conn.append(verts)
+        rows.append(position)
+        line_of[key, position] = stream.lineno
 
 
 def parse_mesh(text: str) -> Mesh:
@@ -249,13 +249,12 @@ def parse_mesh(text: str) -> Mesh:
     """
     stream = _LineStream(text)
     dim: int | None = None
-    conn: dict[str, list[tuple[int, ...]]] = {}
-    rows: dict[str, list[int]] = {}
+    cells: dict[str, tuple[list, list]] = {}
     points: np.ndarray | None = None
-    markers: dict[str, tuple[tuple[int, ...], ...]] = {}
+    markers: dict[str, dict[str, tuple[list, list]]] = {}
     line_of: dict[tuple[str | None, int], int] = {}
 
-    while not stream.exhausted():
+    while stream.pos < len(stream.lines):
         line = stream.next("section header")
         key = line.partition("=")[0].strip()
         if key == "NDIME":
@@ -264,21 +263,15 @@ def parse_mesh(text: str) -> Mesh:
                 raise MeshFormatError(f"NDIME must be 2 or 3, got {dim}",
                                       stream.lineno)
         elif key == "NELEM":
-            for _ in range(_int_header(line, "NELEM", stream.lineno)):
-                kind, verts = _parse_connectivity(
-                    stream.next("element connectivity"), stream.lineno)
-                position = sum(map(len, rows.values()))
-                conn.setdefault(kind, []).append(verts)
-                rows.setdefault(kind, []).append(position)
-                line_of[None, position] = stream.lineno
+            _read_groups(stream, _int_header(line, "NELEM", stream.lineno),
+                         "element connectivity", cells, None, line_of)
         elif key == "NPOIN":
             if dim is None:
                 raise MeshFormatError("NPOIN section before NDIME",
                                       stream.lineno)
-            n_poin = _int_header(line, "NPOIN", stream.lineno)
-            first = stream.position
-            coords = np.zeros((n_poin, 3))
-            for i in range(n_poin):
+            coords = np.zeros((_int_header(line, "NPOIN", stream.lineno), 3))
+            first = stream.pos
+            for i in range(len(coords)):
                 pt_line = stream.next("point coordinates")
                 fields = pt_line.split()
                 if len(fields) < dim:
@@ -293,7 +286,7 @@ def parse_mesh(text: str) -> Mesh:
                         stream.lineno) from None
             bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
             if len(bad):
-                lineno, content = stream.line(first + int(bad[0]))
+                lineno, content = stream.lines[first + int(bad[0])]
                 raise MeshFormatError(f"non-finite coordinate in {content!r}",
                                       lineno)
             points = coords
@@ -306,17 +299,9 @@ def parse_mesh(text: str) -> Mesh:
                                           stream.lineno)
                 n_faces = _int_header(stream.next("MARKER_ELEMS header"),
                                       "MARKER_ELEMS", stream.lineno)
-                faces = []
-                for i in range(n_faces):
-                    kind, verts = _parse_connectivity(
-                        stream.next(f"marker {name!r} face"), stream.lineno)
-                    if kind not in FACE_KINDS.values():
-                        raise MeshFormatError(
-                            f"{kind} elements are not allowed as marker "
-                            "faces", stream.lineno)
-                    faces.append(verts)
-                    line_of[name, i] = stream.lineno
-                markers[name] = tuple(faces)
+                markers[name] = {}
+                _read_groups(stream, n_faces, f"marker {name!r} face",
+                             markers[name], name, line_of)
         else:
             raise MeshFormatError(f"unrecognized header {line!r}",
                                   stream.lineno)
@@ -327,8 +312,7 @@ def parse_mesh(text: str) -> Mesh:
         raise MeshFormatError("missing NPOIN section")
 
     try:
-        return Mesh(dim, points, {k: (v, rows[k]) for k, v in conn.items()},
-                    markers)
+        return Mesh(dim, points, cells, markers)
     except _BadRow as exc:
         raise MeshFormatError(exc.args[0], line_of[exc.args[1:]]) from None
 
@@ -341,7 +325,7 @@ def _rows(fmt: str, a) -> str:
 def _lines_in_order(groups: dict, head: dict) -> str:
     """A line "head[key] v0 v1 ..." for every row of the (conn, rows) groups
     (as Mesh.cells), ordered by the rows' positions."""
-    lines = np.empty(sum(len(rows) for _, rows in groups.values()), object)
+    lines = np.empty(_n_rows(groups), object)
     for key, (conn, rows) in groups.items():
         fmt = f"{head[key]}" + " %d" * conn.shape[1] + "\n"
         lines[rows] = _rows(fmt, conn).splitlines(keepends=True)
@@ -363,12 +347,9 @@ def write_mesh(mesh: Mesh) -> str:
            f"NPOIN= {mesh.n_points}\n",
            _rows("%.17g " * mesh.dim + "%d\n", points),
            f"NMARK= {len(mesh.markers)}\n"]
-    face_fmt = {k: f"{KIND_TO_CODE[kind]}" + " %d" * k + "\n"
-                for k, kind in FACE_KINDS.items()}
-    for name, faces in mesh.markers.items():
-        out.append(f"MARKER_TAG= {name}\nMARKER_ELEMS= {len(faces)}\n")
-        out.append("".join(map(face_fmt.__getitem__, map(len, faces)))
-                   % tuple(chain.from_iterable(faces)))
+    for name, groups in mesh.markers.items():
+        out.append(f"MARKER_TAG= {name}\nMARKER_ELEMS= {_n_rows(groups)}\n")
+        out.append(_lines_in_order(groups, KIND_TO_CODE))
     return "".join(out)
 
 
@@ -383,7 +364,7 @@ def _vtk_grid(title: str, points: np.ndarray, cells: dict,
     points is (n, 3); cells map a key to (conn, rows) as Mesh.cells does,
     and types map each key to its VTK cell type id.
     """
-    n_cells = sum(len(rows) for _, rows in cells.values())
+    n_cells = _n_rows(cells)
     size = sum(conn.size + len(rows) for conn, rows in cells.values())
     counts = {key: conn.shape[1] for key, (conn, _) in cells.items()}
     typed = {key: (conn[:, :0], rows) for key, (conn, rows) in cells.items()}

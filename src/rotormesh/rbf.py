@@ -421,6 +421,28 @@ class DeformResult:
     quality_after: QualityReport
 
 
+def _merge_displacements(entries) -> tuple[np.ndarray, np.ndarray]:
+    """One displacement per point from (indices, disp, label) entries, in
+    processing order: each must be np.allclose (atol 1e-12) to the one
+    before it for the same point, or the first that is not raises; the last
+    one wins. Returns the sorted point indices and their displacements."""
+    indices = np.concatenate([np.empty(0, np.intp), *(e[0] for e in entries)])
+    disp = np.concatenate([np.empty((0, 3)), *(e[1] for e in entries)])
+    order = np.argsort(indices, kind="stable")
+    idx, disp = indices[order], disp[order]
+    again = np.flatnonzero(idx[1:] == idx[:-1]) + 1
+    bad = again[~np.isclose(disp[again - 1], disp[again],
+                            atol=1e-12).all(axis=1)]
+    if len(bad):
+        first = int(order[bad].min())
+        ends = np.cumsum([len(e[0]) for e in entries])
+        label = entries[int(np.searchsorted(ends, first, side="right"))][2]
+        raise ValueError(f"conflicting displacement at point "
+                         f"{indices[first]} from {label}")
+    last = np.diff(idx, append=-1) != 0
+    return idx[last], disp[last]
+
+
 def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
                 fixed_markers=(), config: RbfConfig | None = None) -> DeformResult:
     """Deform the volume mesh so marker points follow their prescribed
@@ -432,16 +454,7 @@ def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
     """
     if config is None:
         raise ValueError("an RbfConfig is required")
-    point_disp: dict[int, np.ndarray] = {}
-
-    def _add(indices, disp, label):
-        for idx, vec in zip(indices, disp):
-            prev = point_disp.get(int(idx))
-            if prev is not None and not np.allclose(prev, vec, atol=1e-12):
-                raise ValueError(
-                    f"conflicting displacement at point {idx} from {label}")
-            point_disp[int(idx)] = np.asarray(vec, dtype=float)
-
+    entries = []
     for name, disp in marker_displacements.items():
         indices, _ = extract_marker_points(mesh, name)
         disp = np.asarray(disp, dtype=float)
@@ -451,16 +464,12 @@ def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
                 f"{(len(indices), 3)}, got {disp.shape}")
         if not np.all(np.isfinite(disp)):
             raise ValueError(f"marker {name!r} displacement must be finite")
-        _add(indices, disp, f"marker {name!r}")
+        entries.append((indices, disp, f"marker {name!r}"))
     for name in fixed_markers:
         indices, _ = extract_marker_points(mesh, name)
-        _add(indices, np.zeros((len(indices), 3)), f"fixed marker {name!r}")
-
-    surf_idx = np.fromiter(point_disp.keys(), dtype=np.intp,
-                           count=len(point_disp))
-    order = np.argsort(surf_idx)
-    surf_idx = surf_idx[order]
-    surf_disp = np.asarray(list(point_disp.values()))[order]
+        entries.append((indices, np.zeros((len(indices), 3)),
+                        f"fixed marker {name!r}"))
+    surf_idx, surf_disp = _merge_displacements(entries)
 
     if np.abs(surf_disp).max(initial=0.0) == 0.0:
         # nothing moves; keep the exact point array

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_array, csr_array
 from scipy.spatial import cKDTree
 
-from .mesh import Mesh, _rows
+from .mesh import Mesh, _n_rows, _rows, extract_marker_points
 
 
 def signed_area(poly: np.ndarray) -> float:
@@ -480,44 +480,40 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str,
     "plane", or "cylinder-z"; auto falls back to the cylinder when the
     plane fit leaves points more than 1e-6 of the diagonal out of plane.
     """
-    faces_a = mesh.markers.get(marker_a)
-    faces_b = mesh.markers.get(marker_b)
-    if faces_a is None or faces_b is None:
-        missing = marker_a if faces_a is None else marker_b
+    groups = [mesh.markers.get(marker_a), mesh.markers.get(marker_b)]
+    if None in groups:
+        missing = marker_a if groups[0] is None else marker_b
         raise KeyError(f"unknown marker {missing!r}")
-    if len(faces_a) == 0 or len(faces_b) == 0:
+    if not all(map(_n_rows, groups)):
         raise ValueError("interface markers must contain faces")
 
-    idx = np.unique(np.fromiter(chain.from_iterable(faces_a + faces_b),
-                                dtype=np.intp))
+    idx = np.union1d(extract_marker_points(mesh, marker_a)[0],
+                     extract_marker_points(mesh, marker_b)[0])
     cloud = mesh.points[idx]
-
-    def faces_of(projected, faces):
-        return tuple(projected[np.searchsorted(idx, f)] for f in faces)
-
     if mesh.dim == 2:
         origin = cloud.mean(axis=0)
         _, _, vt = np.linalg.svd(cloud - origin, full_matrices=False)
-        axis = vt[0]
-        line = (cloud - origin) @ axis
-        return (InterfaceFaceSet("A", faces_of(line, faces_a), manifold_dim=1),
-                InterfaceFaceSet("B", faces_of(line, faces_b), manifold_dim=1),
-                ("line", origin, axis))
-
-    proj: PlaneProjection | CylinderProjection
-    if projection == "plane":
-        proj = fit_plane(cloud)
-    elif projection == "cylinder-z":
-        proj = fit_cylinder_z(cloud)
-    elif projection == "auto":
-        plane = fit_plane(cloud)
-        diag = float(np.linalg.norm(cloud.max(axis=0) - cloud.min(axis=0)))
-        proj = plane if plane.max_offset <= 1e-6 * max(diag, 1e-300) \
-            else fit_cylinder_z(cloud)
+        proj, flat = ("line", origin, vt[0]), (cloud - origin) @ vt[0]
     else:
-        raise ValueError(f"unknown projection {projection!r}")
+        if projection == "plane":
+            proj = fit_plane(cloud)
+        elif projection == "cylinder-z":
+            proj = fit_cylinder_z(cloud)
+        elif projection == "auto":
+            plane = fit_plane(cloud)
+            diag = float(np.linalg.norm(cloud.max(axis=0) - cloud.min(axis=0)))
+            proj = plane if plane.max_offset <= 1e-6 * max(diag, 1e-300) \
+                else fit_cylinder_z(cloud)
+        else:
+            raise ValueError(f"unknown projection {projection!r}")
+        flat = proj.project(cloud)
 
-    flat = proj.project(cloud)
-    return (InterfaceFaceSet("A", faces_of(flat, faces_a)),
-            InterfaceFaceSet("B", faces_of(flat, faces_b)),
-            proj)
+    def side(name, groups):
+        """The side's projected faces, looked up per kind group."""
+        faces = list(chain.from_iterable(flat[np.searchsorted(idx, conn)]
+                                         for conn, _ in groups.values()))
+        rows = np.concatenate([rows for _, rows in groups.values()])
+        return InterfaceFaceSet(name, tuple(map(
+            faces.__getitem__, np.argsort(rows).tolist())), mesh.dim - 1)
+
+    return side("A", groups[0]), side("B", groups[1]), proj

@@ -38,6 +38,25 @@ def _hexes(conn):
     return {"hexahedron": (conn, np.arange(len(conn)))}
 
 
+def _quads(faces):
+    """Faces of an all-quadrilateral marker, in marker order."""
+    return {"quadrilateral": (np.reshape(faces, (-1, 4)),
+                              np.arange(len(faces)))}
+
+
+def same_groups(a: dict, b: dict) -> bool:
+    """Whether two kind -> (conn, rows) mappings hold the same kinds in the
+    same order with equal arrays."""
+    return list(a) == list(b) and all(
+        np.array_equal(a[kind][0], b[kind][0])
+        and np.array_equal(a[kind][1], b[kind][1]) for kind in a)
+
+
+def same_markers(a: Mesh, b: Mesh) -> bool:
+    return list(a.markers) == list(b.markers) and all(
+        same_groups(a.markers[name], b.markers[name]) for name in a.markers)
+
+
 def box_hex_mesh(nx: int, ny: int, nz: int, lo=(0.0, 0.0, 0.0),
                  hi=(1.0, 1.0, 1.0), marker_prefix: str = "") -> Mesh:
     """Structured hex block with one marker per side (xmin, xmax, ...)."""
@@ -83,7 +102,7 @@ def box_hex_mesh(nx: int, ny: int, nz: int, lo=(0.0, 0.0, 0.0),
                          pid(i + 1, j + 1, nz), pid(i, j + 1, nz)))
 
     return Mesh(3, pts, _hexes(elements),
-                {k: tuple(v) for k, v in markers.items()})
+                {k: _quads(v) for k, v in markers.items()})
 
 
 def box_with_plate_mesh(n: int = 12, half: float = 1.8,
@@ -177,14 +196,10 @@ def box_with_plate_mesh(n: int = 12, half: float = 1.8,
             farfield.append((pid(i, j, nz), pid(i + 1, j, nz),
                              pid(i + 1, j + 1, nz), pid(i, j + 1, nz)))
 
-    used = sorted({v for verts in elements for v in verts})
-    remap = {old: new for new, old in enumerate(used)}
-    pts = pts[used]
-    hexes = np.searchsorted(used, elements)
-    blade_faces = tuple(tuple(remap[v] for v in f) for f in blade)
-    far_faces = tuple(tuple(remap[v] for v in f) for f in farfield)
-    return Mesh(3, pts, _hexes(hexes),
-                {"blade": blade_faces, "farfield": far_faces})
+    used = np.unique(elements)
+    return Mesh(3, pts[used], _hexes(np.searchsorted(used, elements)),
+                {"blade": _quads(np.searchsorted(used, blade)),
+                 "farfield": _quads(np.searchsorted(used, farfield))})
 
 
 def stacked_interface_mesh(na: int = 4, nb: int = 5) -> Mesh:
@@ -200,9 +215,9 @@ def stacked_interface_mesh(na: int = 4, nb: int = 5) -> Mesh:
     pts = np.vstack([lower.points, upper.points])
     hexes = np.vstack([lower.cells["hexahedron"][0],
                        upper.cells["hexahedron"][0] + off])
-    iface_a = lower.markers["zmax"]
-    iface_b = tuple(tuple(v + off for v in f) for f in upper.markers["zmin"])
-    markers = {"iface_a": iface_a, "iface_b": iface_b}
+    iface_b = {kind: (conn + off, rows)
+               for kind, (conn, rows) in upper.markers["zmin"].items()}
+    markers = {"iface_a": lower.markers["zmax"], "iface_b": iface_b}
     return Mesh(3, pts, _hexes(hexes), markers)
 
 

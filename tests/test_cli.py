@@ -241,6 +241,32 @@ def test_deform_without_rbf_settings_is_config_error(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("old,new", [
+    ("rpm = 60.0", "rpm = 0"),
+    ("rpm = 60.0", "rpm = -300"),
+    ("n_blades = 1", "n_blades = 0"),
+    ("support_radius_chords = 2.5", "support_radius_chords = -1"),
+    ("greedy_tol_m = 1e-6", "greedy_tol_m = 0"),
+    ("", "kernel = foo"),
+    ("", "level_caps = []"),
+    ("", "[flight]\ntip_mach = 0"),
+])
+def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    cfg = tmp_path / "bad.cfg"
+    # an empty old line appends the new one to the last section, [rbf]
+    cfg.write_text(ZERO_MOTION.replace(old, new) if old
+                   else ZERO_MOTION + new + "\n")
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--output-dir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "parse error: bad config value" in err
+    assert new.split("=")[0].split()[-1] in err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("markers,message", [
     ("blade,blade", "'blade' is listed twice"),
     ("blade,farfield", "'farfield' is also a fixed marker"),
@@ -322,7 +348,8 @@ def test_interface_disjoint_exit_4(tmp_path, capsys):
     mesh = stacked_interface_mesh(2, 2)
     # B faces shifted far away: reuse marker A against a translated copy
     pts = np.array(mesh.points)
-    b_idx = sorted({v for f in mesh.markers["iface_b"] for v in f})
+    b_idx = np.unique(np.concatenate(
+        [conn.ravel() for conn, _ in mesh.markers["iface_b"].values()]))
     pts[b_idx, 0] += 100.0
     mesh_file = tmp_path / "gap.mesh"
     mesh_file.write_text(write_mesh(mesh.with_points(pts)))

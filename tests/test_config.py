@@ -130,3 +130,28 @@ def test_flight_requires_tip_mach():
     text = MINIMAL + "[flight]\nadvance_ratio = 0.1\n"
     with pytest.raises(ConfigError, match="tip_mach"):
         parse_motion_config(text)
+
+
+WITH_RBF = MINIMAL + "chord_m = 0.3\n[rbf]\n"
+
+
+@pytest.mark.parametrize("text,key", [
+    (WITH_RBF + "kernel = foo\n", r"\[rbf\] kernel"),
+    (WITH_RBF + "support_radius_chords = -1\n",
+     r"\[rbf\] support_radius_chords"),
+    (WITH_RBF + "kernel = gaussian\nsupport_radius_m = 0\n",
+     r"\[rbf\] support_radius_m"),
+    (WITH_RBF + "greedy_tol_m = 0\n", r"\[rbf\] greedy_tol_m"),
+    (WITH_RBF + "level_caps = []\n", r"\[rbf\] level_caps"),
+    (WITH_RBF + "level_caps = [8, 0]\n", r"\[rbf\] level_caps"),
+    (WITH_RBF + "level_caps = 8\n", r"\[rbf\] level_caps"),
+    (MINIMAL + "n_blades = 0\n", r"\[rotor\] n_blades"),
+    (MINIMAL.replace("60.0", "0"), r"\[rotor\] rpm"),
+    (MINIMAL.replace("60.0", "-300"), r"\[rotor\] rpm"),
+    (MINIMAL + "[flight]\ntip_mach = 0\n", r"\[flight\] tip_mach"),
+    (MINIMAL + "[flight]\ntip_mach = 0.6\nadvance_ratio = 0.2\n"
+     "freestream_mach = 0.3\n", r"\[flight\] advance_ratio"),
+])
+def test_bad_values_name_their_key(text, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_motion_config(text)

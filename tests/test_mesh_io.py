@@ -4,14 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from meshgen import SQUARE_2TRI, box_hex_mesh
+from meshgen import SQUARE_2TRI, box_hex_mesh, same_markers
 
 from rotormesh.cli import _supermesh_vtk
-from rotormesh.mesh import (CELL_KINDS, FACE_KINDS, FACE_SIZES, KIND_TO_CODE,
+from rotormesh.mesh import (CELL_KINDS, KIND_TO_CODE, MARKER_KINDS,
                             TYPE_CODES, VERTEX_COUNT, Mesh, MeshFormatError,
                             extract_marker_points, parse_mesh, write_mesh,
                             write_vtk)
-from rotormesh.supermesh import InterfaceFaceSet, Supermesh, build_supermesh
+from rotormesh.supermesh import (InterfaceFaceSet, Supermesh, build_supermesh,
+                                 interface_from_markers)
 
 
 def test_parse_square(square_mesh):
@@ -23,7 +24,10 @@ def test_parse_square(square_mesh):
     assert list(m.cells) == ["triangle"]
     assert conn.tolist() == [[0, 1, 2], [0, 2, 3]]
     assert rows.tolist() == [0, 1]
-    assert m.markers["lower"] == ((0, 1),)
+    assert list(m.markers["lower"]) == ["line"]
+    conn, rows = m.markers["lower"]["line"]
+    assert conn.tolist() == [[0, 1]]
+    assert rows.tolist() == [0]
     assert np.allclose(m.points[2], [1.0, 1.0, 0.0])
 
 
@@ -93,7 +97,7 @@ def test_roundtrip_exact(square_mesh, block_mesh):
         for kind, (conn, rows) in mesh.cells.items():
             assert np.array_equal(again.cells[kind][0], conn)
             assert np.array_equal(again.cells[kind][1], rows)
-        assert again.markers == mesh.markers
+        assert same_markers(again, mesh)
         assert np.array_equal(again.points, mesh.points)
 
 
@@ -104,7 +108,11 @@ def test_mesh_invariant_validation():
     with pytest.raises(ValueError, match="out of range"):
         Mesh(2, pts, {"triangle": ([[0, 1, 5]], [0])})
     with pytest.raises(ValueError, match="out of range"):
-        Mesh(2, pts, {}, {"m": ((0, 9),)})
+        Mesh(2, pts, {}, {"m": {"line": ([[0, 9]], [0])}})
+    with pytest.raises(ValueError, match="^rows must number the cells"):
+        Mesh(2, pts, {"triangle": ([[0, 1, 2]], [1])})
+    with pytest.raises(ValueError, match="'m': rows must number the marker"):
+        Mesh(2, pts, {}, {"m": {"line": ([[0, 1], [1, 2]], [0, 0])}})
 
 
 ONE_CELL = """NDIME= {dim}
@@ -129,9 +137,9 @@ BAD_CONNECTIVITY = [
     (2, "10 0 1 2 3", "3 0 1", 3, "tetrahedron elements are not allowed as 2D"),
     (2, "3 0 1", "3 0 1", 3, "line elements are not allowed as 2D"),
     (3, "10 0 1 2 3", "12 0 1 2 3 0 1 2 3", 12,
-     "hexahedron elements are not allowed as marker faces"
-     "|face with 8 vertices is not allowed in 3D"),
-    (2, "5 0 1 2", "5 0 1 2", 12, "face with 3 vertices is not allowed in 2D"),
+     "hexahedron elements are not allowed as 3D marker faces"),
+    (2, "5 0 1 2", "5 0 1 2", 12,
+     "triangle elements are not allowed as 2D marker faces"),
 ]
 
 
@@ -141,20 +149,45 @@ def test_bad_connectivity_rejected(dim, cell, face, line, message):
         parse_mesh(ONE_CELL.format(dim=dim, cell=cell, face=face))
     assert exc.value.line == line
     code, *verts = map(int, cell.split())
+    face_code, *face = map(int, face.split())
     with pytest.raises(ValueError, match=message):
         Mesh(dim, np.eye(4, 3), {TYPE_CODES[code]: ([verts], [0])},
-             {"m": (tuple(map(int, face.split()[1:])),)})
+             {"m": {TYPE_CODES[face_code]: ([face], [0])}})
+
+
+@pytest.mark.parametrize("dim,cells,faces,line,message", [
+    (2, "5 0 1 2\n5 0 2 3\n10 0 1 2 3", "3 0 1", 5,
+     "tetrahedron elements are not allowed as 2D cells"),
+    (3, "10 0 1 2 3", "9 0 1 2 3\n3 0 1", 13,
+     "line elements are not allowed as 3D marker faces"),
+    (3, "10 0 1 2 3", "5 0 1 2\n9 0 1 2 3\n5 1 2 9", 14,
+     "vertex index 9 out of range"),
+])
+def test_bad_row_after_the_first_names_its_line(dim, cells, faces, line,
+                                               message):
+    """The reported line is that of the first bad row of its kind group,
+    not of the group's or the section's first row."""
+    text = (f"NDIME= {dim}\nNELEM= {cells.count(chr(10)) + 1}\n{cells}\n"
+            "NPOIN= 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\nNMARK= 1\n"
+            f"MARKER_TAG= m\nMARKER_ELEMS= {faces.count(chr(10)) + 1}\n"
+            f"{faces}\n")
+    with pytest.raises(MeshFormatError, match=message) as exc:
+        parse_mesh(text)
+    assert exc.value.line == line
 
 
 def test_volume_coded_marker_face_rejected():
-    """Four vertices fit a quadrilateral face, so only the parser, which
-    sees the tetrahedron code, can reject this face."""
+    """Four vertices would fit a quadrilateral face; the tetrahedron kind
+    is what is rejected, by the parser and by Mesh alike."""
+    message = "tetrahedron elements are not allowed as 3D marker faces"
     text = ONE_CELL.format(dim=3, cell="10 0 1 2 3", face="10 0 1 2 3")
-    with pytest.raises(MeshFormatError,
-                       match="tetrahedron elements are not allowed as "
-                             "marker faces") as exc:
+    with pytest.raises(MeshFormatError, match=message) as exc:
         parse_mesh(text)
     assert exc.value.line == 12
+    with pytest.raises(ValueError, match=message):
+        Mesh(3, np.eye(4, 3), {"tetrahedron": ([[0, 1, 2, 3]], [0])},
+             {"m": {"quadrilateral": ([[0, 1, 2, 3]], [0]),
+                    "tetrahedron": ([[0, 1, 2, 3]], [1])}})
 
 
 def test_mixed_kinds_keep_file_order():
@@ -276,13 +309,19 @@ def test_write_vtk_field_length_mismatch(square_mesh):
 # Writers against per-row reference writers
 # ---------------------------------------------------------------------------
 
+def _ref_rows(groups):
+    """(kind, vertex list) of every row of kind -> (conn, rows) groups, in
+    row order."""
+    out = [None] * sum(len(rows) for _, rows in groups.values())
+    for kind, (conn, rows) in groups.items():
+        for pos, verts in zip(rows.tolist(), conn.tolist()):
+            out[pos] = (kind, verts)
+    return out
+
+
 def _ref_cells(mesh):
     """(kind, vertex list) of every cell, in file order."""
-    cells = [None] * mesh.n_elements
-    for kind, (conn, rows) in mesh.cells.items():
-        for pos, verts in zip(rows.tolist(), conn.tolist()):
-            cells[pos] = (kind, verts)
-    return cells
+    return _ref_rows(mesh.cells)
 
 
 def _ref_write_mesh(mesh):
@@ -293,10 +332,11 @@ def _ref_write_mesh(mesh):
     for i, p in enumerate(mesh.points):
         out.append(" ".join(f"{c:.17g}" for c in p[:mesh.dim]) + f" {i}")
     out.append(f"NMARK= {len(mesh.markers)}")
-    for name, faces in mesh.markers.items():
+    for name, groups in mesh.markers.items():
+        faces = _ref_rows(groups)
         out += [f"MARKER_TAG= {name}", f"MARKER_ELEMS= {len(faces)}"]
-        out += [" ".join(map(str, [KIND_TO_CODE[FACE_KINDS[len(f)]], *f]))
-                for f in faces]
+        out += [" ".join(map(str, [KIND_TO_CODE[kind], *f]))
+                for kind, f in faces]
     return "\n".join(out) + "\n"
 
 
@@ -341,30 +381,30 @@ def _float_array(draw, elements, shape):
                     dtype=float).reshape(shape)
 
 
-@st.composite
-def meshes_with_fields(draw):
-    """Random connectivity (only its ranges are validated) with cell kinds
-    and marker face sizes interleaved, special coordinates and fields."""
-    dim = draw(st.sampled_from((2, 3)))
-    n = draw(st.integers(1, 12))
-    points = np.zeros((n, 3))
-    points[:, :dim] = _float_array(draw, FINITE, (n, dim))
-    vertex = st.integers(0, n - 1)
-    kinds = draw(st.lists(st.sampled_from(CELL_KINDS[dim]), max_size=10))
+def _draw_groups(draw, allowed, vertex, max_size):
+    """kind -> (conn, rows) groups of random rows with kinds interleaved."""
+    kinds = draw(st.lists(st.sampled_from(allowed), max_size=max_size))
     groups = {}
     for pos, kind in enumerate(kinds):
         nv = VERTEX_COUNT[kind]
         conn, rows = groups.setdefault(kind, ([], []))
         conn.append(draw(st.lists(vertex, min_size=nv, max_size=nv)))
         rows.append(pos)
-    cells = {kind: (np.array(conn).reshape(-1, VERTEX_COUNT[kind]), rows)
-             for kind, (conn, rows) in groups.items()}
-    markers = {}
-    for m in range(draw(st.integers(0, 2))):
-        sizes = draw(st.lists(st.sampled_from(FACE_SIZES[dim]), max_size=6))
-        markers[f"m{m}"] = tuple(
-            tuple(draw(st.lists(vertex, min_size=k, max_size=k)))
-            for k in sizes)
+    return groups
+
+
+@st.composite
+def meshes_with_fields(draw):
+    """Random connectivity (only its ranges are validated) with cell and
+    marker face kinds interleaved, special coordinates and fields."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 12))
+    points = np.zeros((n, 3))
+    points[:, :dim] = _float_array(draw, FINITE, (n, dim))
+    vertex = st.integers(0, n - 1)
+    cells = _draw_groups(draw, CELL_KINDS[dim], vertex, 10)
+    markers = {f"m{m}": _draw_groups(draw, MARKER_KINDS[dim], vertex, 6)
+               for m in range(draw(st.integers(0, 2)))}
     fields = {}
     if draw(st.booleans()):
         fields["s"] = _float_array(draw, ANY_FLOAT, (n,))
@@ -381,7 +421,8 @@ _INTERLEAVED = Mesh(
         [0.5, 0.5, 1]],
     {"tetrahedron": ([[0, 1, 2, 3], [1, 2, 3, 4]], [0, 2]),
      "pyramid": ([[0, 1, 2, 3, 4]], [1])},
-    {"wall": ((0, 1, 2), (0, 1, 2, 3), (1, 2, 4))})
+    {"wall": {"triangle": ([[0, 1, 2], [1, 2, 4]], [0, 2]),
+              "quadrilateral": ([[0, 1, 2, 3]], [1])}})
 _INTERLEAVED_FIELDS = {"s": np.array([-0.0, 5e-324, 1e308, np.nan, 1.0]),
                        "v": np.full((5, 3), -1e308)}
 
@@ -451,3 +492,64 @@ def test_extract_marker_points_dedup():
 def test_extract_marker_points_missing(square_mesh):
     with pytest.raises(KeyError, match="missing"):
         extract_marker_points(square_mesh, "missing")
+
+
+@st.composite
+def planar_marker_meshes(draw):
+    """A 3D mesh whose markers hold the cells of an n x n grid in the z = 0
+    plane, each cell a quadrilateral or two triangles, shuffled so that the
+    kinds interleave, plus an empty marker. Returns the mesh and each
+    marker's faces as vertex tuples in marker order."""
+    n = draw(st.integers(2, 4))
+    xs = np.linspace(0.0, 1.0, n + 1)
+    points = np.array([(x, y, 0.0) for y in xs for x in xs])
+    faces = []
+    for j in range(n):
+        for i in range(n):
+            a, b = i + (n + 1) * j, i + 1 + (n + 1) * j
+            c, d = b + n + 1, a + n + 1
+            if draw(st.booleans()):
+                faces.append((a, b, c, d))
+            elif draw(st.booleans()):
+                faces += [(a, b, c), (a, c, d)]
+            else:
+                faces += [(a, b, d), (b, c, d)]
+    faces = draw(st.permutations(faces))
+    # the first two faces keep m0 and m1 non-empty
+    owner = [0, 1] + draw(st.lists(st.integers(0, 2), min_size=len(faces) - 2,
+                                   max_size=len(faces) - 2))
+    names = draw(st.permutations(["m0", "m1", "m2", "empty"]))
+    per_marker = {name: [] for name in names}
+    for face, m in zip(faces, owner):
+        per_marker[f"m{m}"].append(face)
+    markers = {}
+    for name, marker_faces in per_marker.items():
+        groups = markers.setdefault(name, {})
+        for pos, face in enumerate(marker_faces):
+            kind = "triangle" if len(face) == 3 else "quadrilateral"
+            conn, rows = groups.setdefault(kind, ([], []))
+            conn.append(face)
+            rows.append(pos)
+    return Mesh(3, points, {}, markers), per_marker
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planar_marker_meshes())
+def test_marker_groups_match_per_face_references(case):
+    mesh, faces = case
+    assert "empty" in mesh.markers and mesh.markers["empty"] == {}
+    assert same_markers(parse_mesh(write_mesh(mesh)), mesh)
+    for name, marker_faces in faces.items():
+        idx, coords = extract_marker_points(mesh, name)
+        assert idx.tolist() == sorted({v for f in marker_faces for v in f})
+        assert np.array_equal(coords, mesh.points[idx])
+
+    side_a, side_b, proj = interface_from_markers(mesh, "m0", "m1")
+    idx = np.array(sorted({v for name in ("m0", "m1") for f in faces[name]
+                           for v in f}))
+    flat = proj.project(mesh.points[idx])
+    for side, name in ((side_a, "m0"), (side_b, "m1")):
+        reference = [flat[np.searchsorted(idx, f)] for f in faces[name]]
+        assert len(side.faces) == len(reference)
+        assert all(np.array_equal(got, ref)
+                   for got, ref in zip(side.faces, reference))

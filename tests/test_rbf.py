@@ -495,3 +495,83 @@ def test_deform_fixed_markers_unmoved():
                   - mesh.points[out_idx]).max() < 1e-7
     moved = result.mesh.points[idx] - mesh.points[idx]
     assert np.abs(moved - disp).max() < 1e-6
+
+
+def _merge_reference(entries):
+    """The per-point loop the array merge replaced."""
+    merged = {}
+    for indices, disp, label in entries:
+        for idx, vec in zip(indices, disp):
+            prev = merged.get(int(idx))
+            if prev is not None and not np.allclose(prev, vec, atol=1e-12):
+                raise ValueError(
+                    f"conflicting displacement at point {idx} from {label}")
+            merged[int(idx)] = vec
+    keys = sorted(merged)
+    return np.array(keys, dtype=np.intp), np.array([merged[k] for k in keys])
+
+
+def test_deform_three_overlapping_markers():
+    """xmin and ymin share an edge and agree within the tolerance; zmin
+    shares edges with both and conflicts first at point 0."""
+    from meshgen import box_hex_mesh
+    from rotormesh.mesh import extract_marker_points
+    mesh = box_hex_mesh(2, 2, 2)
+
+    def tiled(name, vec):
+        return np.tile(vec, (len(extract_marker_points(mesh, name)[0]), 1))
+
+    disp = {"xmin": tiled("xmin", [0.01, 0.0, 0.0]),
+            "ymin": tiled("ymin", [0.01 + 1e-13, 0.0, 0.0])}
+    result = deform_mesh(mesh, disp, config=_config())
+    assert result.history.converged
+    disp["zmin"] = tiled("zmin", [0.0, 0.0, 0.01])
+    with pytest.raises(ValueError) as exc:
+        deform_mesh(mesh, disp, config=_config())
+    assert str(exc.value) == \
+        "conflicting displacement at point 0 from marker 'zmin'"
+
+
+# 1 + _EDGE is within np.allclose's tolerance of 1, but not 1 of it
+_EDGE = 1e-5 + 5e-11
+
+
+def _check_merge(entries):
+    try:
+        expected = _merge_reference(entries)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            rbf._merge_displacements(entries)
+        assert str(got.value) == str(exc)
+        return
+    idx, disp = rbf._merge_displacements(entries)
+    assert idx.tolist() == expected[0].tolist()
+    assert np.array_equal(disp.reshape(-1, 3), expected[1].reshape(-1, 3))
+
+
+@pytest.mark.parametrize("first,second", [
+    (1.0, 1.0 + _EDGE),   # agrees: the second entry wins
+    (1.0 + _EDGE, 1.0),   # conflicts in this argument order
+    (0.0, 1e-13),         # agrees within atol: the second entry wins
+])
+def test_merge_displacements_order_rules(first, second):
+    point = np.array([3], dtype=np.intp)
+    _check_merge([(point, np.array([[first, 0.0, 0.0]]), "marker 'a'"),
+                  (point, np.array([[second, 0.0, 0.0]]), "marker 'b'")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_merge_displacements_matches_per_point_loop(data):
+    """Values one relative tolerance apart agree in one argument order only,
+    so the comparison order and the last-wins rule both show."""
+    values = st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + _EDGE, 2.0])
+    entries = []
+    for k in range(data.draw(st.integers(0, 4))):
+        idx = np.array(sorted(data.draw(st.sets(st.integers(0, 6),
+                                                max_size=5))), dtype=np.intp)
+        x = data.draw(st.lists(values, min_size=len(idx), max_size=len(idx)))
+        disp = np.zeros((len(idx), 3))
+        disp[:, k % 3] = x
+        entries.append((idx, disp, f"marker 'm{k}'"))
+    _check_merge(entries)

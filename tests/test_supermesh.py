@@ -675,6 +675,33 @@ def test_interface_from_markers_conformal_identity():
     assert np.all(np.diff(sm.weights.indptr) == 1)
 
 
+def test_interface_from_markers_2d_line():
+    """A 2D mesh whose lower strip meets the upper one along y = 0.5 in two
+    segments against three: the sides are intervals on the fitted line."""
+    from rotormesh.mesh import Mesh
+    xs_a, xs_b = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
+    points = np.array([(x, y, 0.0) for x, y in [
+        *((x, 0.0) for x in xs_a), *((x, 0.5) for x in xs_a),
+        *((x, 0.5) for x in xs_b), *((x, 1.0) for x in xs_b)]])
+    quads = [(i, i + 1, i + 4, i + 3) for i in range(2)] + \
+        [(i, i + 1, i + 5, i + 4) for i in range(6, 9)]
+    lines_a = [(3 + i, 4 + i) for i in range(2)]
+    lines_b = [(7 + i, 6 + i) for i in range(3)]  # wound the other way
+    mesh = Mesh(2, points, {"quadrilateral": (quads, np.arange(5))},
+                {"a": {"line": (lines_a, [0, 1])},
+                 "b": {"line": (lines_b, [0, 1, 2])}})
+    side_a, side_b, (kind, origin, axis) = interface_from_markers(
+        mesh, "a", "b")
+    assert kind == "line"
+    assert (side_a.manifold_dim, side_b.manifold_dim) == (1, 1)
+    for side, lines in ((side_a, lines_a), (side_b, lines_b)):
+        ends = (points[np.array(lines)] - origin) @ axis
+        assert np.allclose(side.faces, np.sort(ends, axis=1), atol=1e-15)
+    sm = build_supermesh(side_a, side_b)
+    assert np.allclose(sm.weight_sums(), 1.0)
+    assert sm.total_area == pytest.approx(1.0)
+
+
 def test_interface_unknown_marker():
     mesh = stacked_interface_mesh(2, 3)
     with pytest.raises(KeyError, match="nope"):
