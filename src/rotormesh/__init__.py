@@ -12,8 +12,7 @@ from .kinematics import BladeMotion, FlightCondition, MotionSeries, \
 from .rbf import GreedyHistory, RbfConfig, RbfKernel, RbfSolution, \
     deform_mesh, evaluate_field, greedy_select, kernel_eval, solve_weights
 from .supermesh import InterfaceFaceSet, Supermesh, build_supermesh, \
-    clip_convex, interface_from_markers, polygon_area, triangulate, \
-    weighted_exchange
+    clip_convex, interface_from_markers, polygon_area, weighted_exchange
 from .hb import FrequencySet, SpectralOperator, build_operator, \
     choose_instances
 from .config import MotionConfig, load_fixture, load_motion_config, \

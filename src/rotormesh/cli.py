@@ -241,10 +241,7 @@ def cmd_hb(args) -> int:
         if args.instances != fs.count:
             raise UsageError(
                 f"--instances must equal the frequency count {fs.count}")
-        if args.instances % 2 == 0:
-            raise UsageError("--instances must be odd")
-        instances = hb.choose_instances(fs, args.instances)
-        op = hb.build_operator(fs, instances)
+        op = hb.build_operator(fs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

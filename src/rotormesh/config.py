@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import configparser
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -17,63 +18,125 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import BladeMotion, FlightCondition, MotionSeries, rpm_to_rad_s
-from .rbf import KERNEL_KINDS, RbfConfig, RbfKernel
+from .rbf import RbfConfig, RbfKernel
 
 FIXTURE_NAMES = ("caradonna_tung_hover", "ah1g_low_speed", "ah1g_high_speed")
 
 
 class ConfigError(ValueError):
-    """Bad or missing configuration keys; lists every offending key."""
+    """Unknown or missing keys, all listed, or the first bad value."""
 
 
 def _coerce(raw: str):
     try:
         return ast.literal_eval(raw)
     except (ValueError, SyntaxError):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "false"):
-            return lowered == "true"
-        return raw.strip()
+        raw = raw.strip()
+        return {"true": True, "false": False}.get(raw.lower(), raw)
 
 
-def _read_sections(text: str) -> dict[str, dict[str, object]]:
+def _rule(what: str, ok, convert=float):
+    """Converter: convert(value) if ok(value), else a ValueError."""
+    def run(value):
+        if not ok(value):
+            raise ValueError(f"must be {what}, got {value!r}")
+        return convert(value)
+    return run
+
+
+def _real(value) -> bool:
+    """A finite int or float literal (a bool or a string is not one)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _count(value) -> bool:
+    return type(value) is int and value > 0
+
+
+def _list(value, ok) -> bool:
+    return type(value) in (list, tuple) and all(map(ok, value))
+
+
+def _name(value) -> bool:
+    return type(value) is str
+
+
+_NUMBER = _rule("a finite number", _real)
+_POSITIVE = _rule("a positive number", lambda v: _real(v) and v > 0)
+_SERIES = {  # degrees in the file, radians in memory
+    "mean_deg": _rule("a finite number", _real,
+                      lambda v: float(np.radians(v))),
+    **dict.fromkeys(("sin_deg", "cos_deg"), _rule(
+        "a number or a list of numbers", lambda v: _real(v) or _list(v, _real),
+        lambda v: tuple(np.radians(np.atleast_1d(v)).tolist()))),
+}
+
+# section -> key -> converter; each converter raises ValueError on a bad value
+_KEYS = {
+    "rotor": {
+        "radius_m": _POSITIVE, "rpm": _POSITIVE, "chord_m": _POSITIVE,
+        "n_blades": _rule("a positive integer", _count, int),
+        "hinge": _rule("a list of 3 numbers",
+                       lambda v: _list(v, _real) and len(v) == 3,
+                       lambda v: tuple(map(float, v))),
+    },
+    "pitch": _SERIES, "flap": _SERIES, "leadlag": _SERIES,
+    "flight": {"tip_mach": _POSITIVE, **dict.fromkeys(
+        ("advance_ratio", "freestream_mach", "thrust_coefficient"), _NUMBER)},
+    "rbf": {
+        "kernel": _rule("a kernel name", _name, str),
+        "support_radius_m": _POSITIVE, "support_radius_chords": _POSITIVE,
+        "affine": _rule("true or false", lambda v: type(v) is bool, bool),
+        "greedy_tol_m": _POSITIVE,
+        "level_caps": _rule(
+            "a non-empty list of positive integers",
+            lambda v: _list(v, _count) and len(v) > 0, tuple),
+        "fixed_markers": _rule(
+            "a marker name or a list of them",
+            lambda v: _name(v) or _list(v, _name),
+            lambda v: (v,) if _name(v) else tuple(v)),
+    },
+    "interface": {"pair": _rule("a list of 2 marker names",
+                                lambda v: _list(v, _name) and len(v) == 2,
+                                tuple)},
+}
+_REQUIRED = {"rotor": ("radius_m", "rpm"), "flight": ("tip_mach",)}
+# the dataclass field of each key not named like it
+_FIELDS = {"mean_deg": "mean", "sin_deg": "sine_coeffs",
+           "cos_deg": "cosine_coeffs", "affine": "with_affine",
+           "greedy_tol_m": "greedy_tol", "pair": "interface_pair"}
+
+
+def _read_config(text: str) -> dict[str, dict[str, object]]:
+    """Each section ([rotor] even if absent) with its values converted by
+    _KEYS and keyed by field. One ConfigError lists every unknown section,
+    unknown key and missing required key, else names the first bad value."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    return {section: {key: _coerce(value)
-                      for key, value in parser.items(section)}
-            for section in parser.sections()}
-
-
-def _positive(value, section: str, key: str, kind=float):
-    """value as a positive kind (float or int), else a ConfigError naming
-    the key."""
-    try:
-        if kind(value) > 0:
-            return kind(value)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"bad config value: [{section}] {key} must be a "
-                      f"positive {kind.__name__}, got {value!r}")
-
-
-def _series_from_section(data: dict[str, object], name: str) -> MotionSeries:
-    bad = [k for k in data if k not in ("mean_deg", "sin_deg", "cos_deg")]
-    if bad:
-        raise ConfigError(f"unknown keys in [{name}]: {', '.join(sorted(bad))}")
-
-    def _to_radians(value):
-        if isinstance(value, (list, tuple)):
-            return tuple(np.radians(float(v)) for v in value)
-        return (np.radians(float(value)),)
-
-    mean = np.radians(float(data.get("mean_deg", 0.0)))
-    sine = _to_radians(data.get("sin_deg", ()))
-    cosine = _to_radians(data.get("cos_deg", ()))
-    return MotionSeries(mean=float(mean), sine_coeffs=sine,
-                        cosine_coeffs=cosine)
+    sections = {"rotor": {}, **{name: dict(parser.items(name))
+                                for name in parser.sections()}}
+    problems = [f"[{name}] (unknown section)"
+                for name in sections if name not in _KEYS]
+    for name, values in sections.items():
+        problems += [f"[{name}] {key} (unknown)" for key in values
+                     if name in _KEYS and key not in _KEYS[name]]
+        problems += [f"[{name}] {key} (missing)"
+                     for key in _REQUIRED.get(name, ()) if key not in values]
+    if problems:
+        raise ConfigError("bad config keys: " + "; ".join(problems))
+    converted = {name: {} for name in sections}
+    for name, values in sections.items():
+        for key, raw in values.items():
+            try:
+                value = _KEYS[name][key](_coerce(raw))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"bad config value: [{name}] {key} {exc}") from exc
+            converted[name][_FIELDS.get(key, key)] = value
+    return converted
 
 
 @dataclass(frozen=True)
@@ -83,14 +146,14 @@ class MotionConfig:
 
     radius_m: float
     rpm: float
-    n_blades: int
-    hinge: tuple[float, float, float]
-    chord_m: float | None
-    pitch: MotionSeries
-    flap: MotionSeries
-    leadlag: MotionSeries
-    flight: FlightCondition | None
-    rbf: RbfConfig | None
+    n_blades: int = 1
+    hinge: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    chord_m: float | None = None
+    pitch: MotionSeries = MotionSeries()
+    flap: MotionSeries = MotionSeries()
+    leadlag: MotionSeries = MotionSeries()
+    flight: FlightCondition | None = None
+    rbf: RbfConfig | None = None
     fixed_markers: tuple[str, ...] = ()
     interface_pair: tuple[str, str] | None = None
 
@@ -110,114 +173,51 @@ class MotionConfig:
 
 
 def parse_motion_config(text: str) -> MotionConfig:
-    sections = _read_sections(text)
-    rotor = sections.get("rotor", {})
-    problems = [f"[rotor] {k}" for k in ("radius_m", "rpm") if k not in rotor]
-    known_rotor = {"radius_m", "rpm", "n_blades", "hinge", "chord_m"}
-    problems.extend(f"[rotor] {k} (unknown)" for k in rotor
-                    if k not in known_rotor)
-
-    optional = ("freestream_mach", "advance_ratio", "thrust_coefficient")
-    fdata = sections.get("flight")
-    if fdata is not None:
-        problems.extend(f"[flight] {k} (unknown)" for k in fdata
-                        if k not in ("tip_mach", *optional))
-        if "tip_mach" not in fdata:
-            problems.append("[flight] tip_mach")
-
-    if problems:
-        raise ConfigError("bad config keys: " + "; ".join(problems))
-
-    radius = float(rotor["radius_m"])
-    chord = float(rotor["chord_m"]) if "chord_m" in rotor else None
-    hinge_raw = rotor.get("hinge", [0.0, 0.0, 0.0])
-    if not isinstance(hinge_raw, (list, tuple)) or len(hinge_raw) != 3:
-        raise ConfigError("[rotor] hinge must be a 3-element list")
-    hinge = tuple(float(c) for c in hinge_raw)
-
+    sections = _read_config(text)
+    rotor = sections["rotor"]
     flight = None
-    if fdata is not None:
+    if "flight" in sections:
         try:
-            flight = FlightCondition(
-                tip_mach=float(fdata["tip_mach"]), rotor_radius=radius,
-                **{k: float(fdata[k]) for k in optional if k in fdata})
+            flight = FlightCondition(rotor_radius=rotor["radius_m"],
+                                     **sections["flight"])
         except ValueError as exc:
             raise ConfigError(f"bad config value: [flight] {exc}") from exc
 
     # RBF settings are optional for motion-only configs (sweeps); a missing
     # support radius is an error only once a kernel actually needs one.
+    rbf = sections.get("rbf", {})
+    fixed = rbf.pop("fixed_markers", ())
     rbf_cfg = None
-    fixed: list[str] = []
-    if "rbf" in sections or chord is not None:
-        rbf_data = sections.get("rbf", {})
-        kind = str(rbf_data.get("kernel", "wendland_c2"))
-        if "support_radius_m" in rbf_data:
-            support = float(rbf_data["support_radius_m"])
-        elif kind == "thin_plate_spline":
-            support = None
-        else:
-            chords = float(rbf_data.get("support_radius_chords", 2.5))
-            if chord is None:
+    if "rbf" in sections or "chord_m" in rotor:
+        kind = rbf.pop("kernel", "wendland_c2")
+        support = rbf.pop("support_radius_m", None)
+        chords = rbf.pop("support_radius_chords", 2.5)
+        if support is None and kind != "thin_plate_spline":
+            if "chord_m" not in rotor:
                 raise ConfigError(
                     "[rbf] support radius in chords requires [rotor] chord_m")
-            support = chords * chord
+            support = chords * rotor["chord_m"]
         try:
-            kernel = RbfKernel(kind, support)
+            rbf_cfg = RbfConfig(RbfKernel(kind, support), **rbf)
         except ValueError as exc:
-            key = "kernel" if kind not in KERNEL_KINDS else (
-                "support_radius_m" if "support_radius_m" in rbf_data
-                else "support_radius_chords")
-            raise ConfigError(f"bad config value: [rbf] {key}: {exc}") from exc
-        caps = rbf_data.get("level_caps", [8, 32, 64, 256])
-        if not isinstance(caps, (list, tuple)) or not caps:
-            raise ConfigError("bad config value: [rbf] level_caps must be a "
-                              f"non-empty list, got {caps!r}")
-        fixed_raw = rbf_data.get("fixed_markers", [])
-        fixed = [fixed_raw] if isinstance(fixed_raw, str) else list(fixed_raw)
-        rbf_cfg = RbfConfig(
-            kernel=kernel,
-            with_affine=bool(rbf_data.get("affine", False)),
-            greedy_tol=_positive(rbf_data.get("greedy_tol_m", 1e-6), "rbf",
-                                 "greedy_tol_m"),
-            level_caps=tuple(_positive(c, "rbf", "level_caps", int)
-                             for c in caps),
-        )
-
-    pair = None
-    if "interface" in sections:
-        pdata = sections["interface"].get("pair")
-        if pdata is not None:
-            if not isinstance(pdata, (list, tuple)) or len(pdata) != 2:
-                raise ConfigError("[interface] pair must list two markers")
-            pair = (str(pdata[0]), str(pdata[1]))
+            raise ConfigError(
+                f"bad config value: [rbf] kernel: {exc}") from exc
 
     return MotionConfig(
-        radius_m=radius,
-        rpm=_positive(rotor["rpm"], "rotor", "rpm"),
-        n_blades=_positive(rotor.get("n_blades", 1), "rotor", "n_blades", int),
-        hinge=hinge,  # type: ignore[arg-type]
-        chord_m=chord,
-        pitch=_series_from_section(sections.get("pitch", {}), "pitch"),
-        flap=_series_from_section(sections.get("flap", {}), "flap"),
-        leadlag=_series_from_section(sections.get("leadlag", {}), "leadlag"),
-        flight=flight,
-        rbf=rbf_cfg,
-        fixed_markers=tuple(str(m) for m in fixed),
-        interface_pair=pair,
-    )
+        **rotor,
+        **{name: MotionSeries(**sections.get(name, {}))
+           for name in ("pitch", "flap", "leadlag")},
+        flight=flight, rbf=rbf_cfg, fixed_markers=fixed,
+        **sections.get("interface", {}))
 
 
 def load_motion_config(path: str | Path) -> MotionConfig:
     return parse_motion_config(Path(path).read_text())
 
 
-def fixture_text(name: str) -> str:
-    """Raw text of a shipped configuration fixture."""
+def load_fixture(name: str) -> MotionConfig:
+    """One of the shipped configuration fixtures, FIXTURE_NAMES."""
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r} (have {FIXTURE_NAMES})")
-    return resources.files("rotormesh").joinpath(
-        f"fixtures/{name}.cfg").read_text()
-
-
-def load_fixture(name: str) -> MotionConfig:
-    return parse_motion_config(fixture_text(name))
+    return parse_motion_config(resources.files("rotormesh").joinpath(
+        f"fixtures/{name}.cfg").read_text())

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _COMMENSURATE_RTOL = 1e-9
+_CANDIDATES = 200    # jittered instance sets tried for a non-commensurate set
+_SEED = 20210527     # their seed, so the choice is reproducible
 
 
 @dataclass(frozen=True)
@@ -86,25 +88,21 @@ class SpectralOperator:
         return len(self.instances)
 
 
-def choose_instances(fs: FrequencySet, n: int, candidates: int = 200,
-                     seed: int = 20210527) -> np.ndarray:
-    """Time instances for the operator.
+def choose_instances(fs: FrequencySet) -> np.ndarray:
+    """The fs.count time instances for the operator.
 
     Commensurate sets get the classic equispaced placement over the base
     period. Non-commensurate (almost-periodic) sets pick, out of a seeded
     batch of jittered equispaced candidates, the one whose basis matrix is
     best conditioned.
     """
-    if n != fs.count:
-        raise ValueError(f"need N = {fs.count} instances, got {n}")
-    if n % 2 == 0:
-        raise ValueError("instance count must be odd")
+    n = fs.count
     base = np.arange(n) * fs.base_period / n
     if fs.commensurate:
         return base
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     best, best_cond = base, np.linalg.cond(_basis_matrix(fs, base)[0])
-    for _ in range(candidates):
+    for _ in range(_CANDIDATES):
         jitter = rng.uniform(-0.45, 0.45, n)
         trial = (np.arange(n) + jitter) * fs.base_period / n
         cond = np.linalg.cond(_basis_matrix(fs, trial)[0])
@@ -130,7 +128,7 @@ def build_operator(fs: FrequencySet, instances=None) -> SpectralOperator:
     extremely ill-conditioned basis matrix), reporting its condition.
     """
     if instances is None:
-        instances = choose_instances(fs, fs.count)
+        instances = choose_instances(fs)
     t = np.asarray(instances, dtype=float)
     if t.ndim != 1 or len(t) != fs.count:
         raise ValueError(f"need exactly {fs.count} instances")

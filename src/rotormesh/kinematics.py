@@ -30,9 +30,6 @@ class MotionSeries:
     sine_coeffs: tuple[float, ...] = ()
     cosine_coeffs: tuple[float, ...] = ()
 
-    def __call__(self, psi):
-        return eval_series(self, psi)
-
 
 def eval_series(series: MotionSeries, psi):
     """Evaluate a MotionSeries at azimuth psi (radians, scalar or array)."""

@@ -34,6 +34,8 @@ _NEEDS_RADIUS = ("wendland_c2", "gaussian", "multiquadric",
 # factor (Wendland C2: Wendland, Adv. Comput. Math. 4, 1995).
 _SPD_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
 
+EVAL_CHUNK = 2048  # targets per evaluate_field block
+
 
 class RbfSystemError(RuntimeError):
     """Singular or hopelessly ill-conditioned interpolation system."""
@@ -65,9 +67,6 @@ class RbfKernel:
     @property
     def compact(self) -> bool:
         return self.kind == "wendland_c2"
-
-    def __call__(self, d):
-        return kernel_eval(self, d)
 
 
 def kernel_eval(kernel: RbfKernel, d):
@@ -103,9 +102,6 @@ class RbfSolution:
     weights: np.ndarray            # (m, k)
     kernel: RbfKernel
     affine: np.ndarray | None = None  # (4, k): constant, x, y, z rows
-
-    def evaluate(self, targets) -> np.ndarray:
-        return evaluate_field(self, targets)
 
 
 def _poly_block(points: np.ndarray) -> np.ndarray:
@@ -183,9 +179,8 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
     return sol
 
 
-def evaluate_field(solution: RbfSolution, targets,
-                   chunk: int = 2048) -> np.ndarray:
-    """Displacement field at target points, in blocks of chunk targets.
+def evaluate_field(solution: RbfSolution, targets) -> np.ndarray:
+    """Displacement field at target points, in blocks of EVAL_CHUNK targets.
 
     Compact kernels build one KD-tree of the centers and, per block, one
     sparse kernel matrix of the (target, center) pairs inside the support
@@ -201,8 +196,8 @@ def evaluate_field(solution: RbfSolution, targets,
     if sparse:
         center_tree = cKDTree(centers)
 
-    for start in range(0, n, chunk):
-        block = targets[start:start + chunk]
+    for start in range(0, n, EVAL_CHUNK):
+        block = targets[start:start + EVAL_CHUNK]
         if sparse:
             pairs = cKDTree(block).sparse_distance_matrix(
                 center_tree, kernel.support_radius, output_type="ndarray")

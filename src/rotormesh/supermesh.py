@@ -204,15 +204,6 @@ def _clip_block(a, b, n, snap) -> list[np.ndarray]:
     return [verts[e - m:e] for e, m in zip(ends, sizes.tolist())]
 
 
-def triangulate(poly: np.ndarray) -> np.ndarray:
-    """Fan triangulation of a convex CCW polygon: (k - 2, 3, 2)."""
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) < 3:
-        raise ValueError("cannot triangulate fewer than 3 vertices")
-    tris = [(poly[0], poly[i], poly[i + 1]) for i in range(1, len(poly) - 1)]
-    return np.asarray(tris)
-
-
 @dataclass(frozen=True)
 class InterfaceFaceSet:
     """One side of a non-conformal interface after projection.
@@ -234,24 +225,40 @@ class InterfaceFaceSet:
         if len(self.faces) == 0:
             raise ValueError(f"interface side {self.side!r} has no faces")
         faces = tuple(np.asarray(f, dtype=float) for f in self.faces)
-        for i, f in enumerate(faces):
-            if self.manifold_dim == 2 and (f.ndim != 2 or f.shape[1] != 2
-                                           or len(f) < 3):
-                raise ValueError(f"face {i}: expected (k>=3, 2) polygon")
-            if not np.isfinite(f).all():
-                raise ValueError(f"face {i}: non-finite coordinates")
         if self.manifold_dim == 2:
-            signed = _signed_areas(*_stack(faces))
+            try:  # fails, or stacks wrongly, unless every face is (k, 2)
+                stack, n = _stack(faces)
+                good = stack.shape[2:] == (2,) and n.min() >= 3 and \
+                    np.isfinite(stack).all()
+            except (TypeError, ValueError, IndexError):
+                good = False
+        else:
+            segments = np.sort(np.reshape(faces, (len(faces), 2)), axis=1)
+            good = np.isfinite(segments).all()
+        if not good:
+            raise ValueError(self._first_bad_face(faces))
+        if self.manifold_dim == 2:
+            signed = _signed_areas(stack, n)
             zero, what = signed == 0.0, "zero-area polygon"
         else:
-            faces = tuple(np.sort(f.reshape(2)) for f in faces)
-            signed = np.array([f[1] - f[0] for f in faces])
+            faces = tuple(segments)
+            signed = segments[:, 1] - segments[:, 0]
             zero, what = signed <= 0.0, "zero-length segment"
         if zero.any():
             raise ValueError(f"face {int(np.argmax(zero))}: {what}")
         object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "measures", np.abs(signed))
         object.__setattr__(self, "ccw", signed >= 0.0)
+
+    def _first_bad_face(self, faces) -> str:
+        """The error of the first face that is not a finite polygon (k>=3, 2)
+        or interval; a loop that only runs to report an error."""
+        for i, f in enumerate(faces):
+            if self.manifold_dim == 2 and (f.ndim != 2 or f.shape[1] != 2
+                                           or len(f) < 3):
+                return f"face {i}: expected (k>=3, 2) polygon"
+            if not np.isfinite(f).all():
+                return f"face {i}: non-finite coordinates"
 
 
 @dataclass(frozen=True)

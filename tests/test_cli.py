@@ -267,6 +267,26 @@ def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("radius_m = 1.0", "radius_m = abc",
+     "bad config value: [rotor] radius_m must be a positive number, "
+     "got 'abc'"),
+    ("fixed_markers", "fixed_marker",
+     "bad config keys: [rbf] fixed_marker (unknown)"),
+])
+def test_deform_config_typo_is_parse_error(tmp_path, capsys, old, new,
+                                           message):
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(ZERO_MOTION.replace(old, new))
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--output-dir", str(outdir)]) == 2
+    assert f"parse error: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("markers,message", [
     ("blade,blade", "'blade' is listed twice"),
     ("blade,farfield", "'farfield' is also a fixed marker"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +12,7 @@ import rotormesh.supermesh as supermesh
 from rotormesh.supermesh import (InterfaceFaceSet, _convex_pieces,
                                  build_supermesh, clip_convex,
                                  fit_cylinder_z, interface_from_markers,
-                                 polygon_area, signed_area, triangulate,
+                                 polygon_area, signed_area,
                                  weighted_exchange)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -92,35 +94,6 @@ def test_clip_contained_vertices_and_edge_points():
     assert out[:, 0].max() <= 1.0 + 1e-12
 
 
-def test_triangulate_triangle_identity():
-    tri = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
-    tris = triangulate(tri)
-    assert tris.shape == (1, 3, 2)
-    assert np.allclose(tris[0], tri)
-
-
-def test_triangulate_square():
-    tris = triangulate(SQUARE)
-    assert tris.shape == (2, 3, 2)
-    areas = [polygon_area(t) for t in tris]
-    assert areas == pytest.approx([0.5, 0.5])
-
-
-def test_triangulate_hexagon():
-    ang = np.pi / 3.0 * np.arange(6)
-    hexagon = np.column_stack([np.cos(ang), np.sin(ang)])
-    tris = triangulate(hexagon)
-    assert len(tris) == 4
-    total = sum(polygon_area(t) for t in tris)
-    assert total == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, rel=1e-12)
-    assert total == pytest.approx(polygon_area(hexagon), rel=1e-12)
-
-
-def test_triangulate_too_few_vertices():
-    with pytest.raises(ValueError, match="3 vertices"):
-        triangulate(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-
 # ---------------------------------------------------------------------------
 # Supermesh construction
 # ---------------------------------------------------------------------------
@@ -180,6 +153,28 @@ def test_zero_area_face_rejected():
         InterfaceFaceSet("A", (np.array([0.0, np.inf]),), manifold_dim=1)
     with pytest.raises(ValueError, match="face 0: non-finite coordinates"):
         InterfaceFaceSet("A", (np.array([np.nan, 1.0]),), manifold_dim=1)
+
+
+NAN_SQUARE = SQUARE + [np.nan, 0.0]
+
+
+@pytest.mark.parametrize("faces,message", [
+    ((SQUARE, SQUARE[:2]), "face 1: expected"),
+    ((SQUARE, np.zeros((4, 3))), "face 1: expected"),
+    ((SQUARE, np.zeros(4)), "face 1: expected"),
+    ((SQUARE, SQUARE[None]), "face 1: expected"),
+    ((np.zeros((0, 2)),), "face 0: expected"),
+    ((SQUARE, np.float64(1.0)), "face 1: expected"),
+    ((NAN_SQUARE, SQUARE[:2]), "face 0: non-finite coordinates"),
+    ((SQUARE[:2], NAN_SQUARE), "face 0: expected"),
+    ((SQUARE, SQUARE, NAN_SQUARE[:3], np.zeros((4, 3))),
+     "face 2: non-finite coordinates"),
+])
+def test_bad_face_is_named_by_its_index(faces, message):
+    """The faces are checked as one stack; the first bad face, in the order
+    of a per-face check of shape and then finiteness, is reported."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        InterfaceFaceSet("A", faces)
 
 
 def test_inconsistent_orientation_warns_and_reorients():
