@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .kinematics import BladeMotion, FlightCondition, MotionSeries, rpm_to_rad_s
-from .rbf import RbfConfig, RbfKernel
+from .rbf import KERNEL_KINDS, RbfConfig, RbfKernel
 
 FIXTURE_NAMES = ("caradonna_tung_hover", "ah1g_low_speed", "ah1g_high_speed")
 
@@ -63,6 +63,7 @@ def _name(value) -> bool:
 
 _NUMBER = _rule("a finite number", _real)
 _POSITIVE = _rule("a positive number", lambda v: _real(v) and v > 0)
+_NON_NEGATIVE = _rule("a non-negative number", lambda v: _real(v) and v >= 0)
 _SERIES = {  # degrees in the file, radians in memory
     "mean_deg": _rule("a finite number", _real,
                       lambda v: float(np.radians(v))),
@@ -81,10 +82,12 @@ _KEYS = {
                        lambda v: tuple(map(float, v))),
     },
     "pitch": _SERIES, "flap": _SERIES, "leadlag": _SERIES,
-    "flight": {"tip_mach": _POSITIVE, **dict.fromkeys(
-        ("advance_ratio", "freestream_mach", "thrust_coefficient"), _NUMBER)},
+    "flight": {"tip_mach": _POSITIVE, "advance_ratio": _NON_NEGATIVE,
+               "freestream_mach": _NON_NEGATIVE,
+               "thrust_coefficient": _NUMBER},
     "rbf": {
-        "kernel": _rule("a kernel name", _name, str),
+        "kernel": _rule("one of " + ", ".join(KERNEL_KINDS),
+                        lambda v: v in KERNEL_KINDS, str),
         "support_radius_m": _POSITIVE, "support_radius_chords": _POSITIVE,
         "affine": _rule("true or false", lambda v: type(v) is bool, bool),
         "greedy_tol_m": _POSITIVE,
@@ -191,17 +194,23 @@ def parse_motion_config(text: str) -> MotionConfig:
     if "rbf" in sections or "chord_m" in rotor:
         kind = rbf.pop("kernel", "wendland_c2")
         support = rbf.pop("support_radius_m", None)
-        chords = rbf.pop("support_radius_chords", 2.5)
-        if support is None and kind != "thin_plate_spline":
+        chords = rbf.pop("support_radius_chords", None)
+        if kind == "thin_plate_spline":
+            unused = [f"[rbf] {key} (unused by thin_plate_spline)"
+                      for key, value in (("support_radius_m", support),
+                                         ("support_radius_chords", chords))
+                      if value is not None]
+            if unused:
+                raise ConfigError("bad config keys: " + "; ".join(unused))
+        elif support is None:
             if "chord_m" not in rotor:
                 raise ConfigError(
                     "[rbf] support radius in chords requires [rotor] chord_m")
-            support = chords * rotor["chord_m"]
-        try:
-            rbf_cfg = RbfConfig(RbfKernel(kind, support), **rbf)
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad config value: [rbf] kernel: {exc}") from exc
+            support = (2.5 if chords is None else chords) * rotor["chord_m"]
+        elif chords is not None:
+            raise ConfigError("bad config keys: [rbf] support_radius_chords "
+                              "(conflicts with support_radius_m)")
+        rbf_cfg = RbfConfig(RbfKernel(kind, support), **rbf)
 
     return MotionConfig(
         **rotor,

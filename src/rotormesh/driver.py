@@ -2,9 +2,13 @@
 
 Per step the azimuthal rotation is applied as a rigid rotation of the whole
 grid while the hinge-frame flap/lead-lag/pitch motion of each blade marker
-is absorbed by RBF deformation in the rotating frame. Grid velocities come
-from position history: zero at the first state, first-order backward at the
-second, second-order backward differences afterwards.
+is absorbed by RBF deformation of the as-built mesh in the rotating frame.
+The motion depends on the azimuth alone, so the rotating-frame state of
+step k is that of step k - steps_per_rev: the first revolution is computed
+and later ones replay it, which keeps the grid periodic. Grid velocities
+come from the lab-frame position history: zero at the first state,
+first-order backward at the second, second-order backward differences
+afterwards.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ class StepResult:
     time: float
     psi: float                      # grid azimuth, radians
     points: np.ndarray              # lab-frame coordinates
+    rotor_points: np.ndarray        # rotating-frame coordinates
     grid_velocity: np.ndarray
     velocity_scheme: str            # zero | backward1 | bdf2
     quality: QualityReport
@@ -63,9 +68,12 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
 
     The as-built mesh is taken as the blade geometry at zero flap, lead-lag
     and pitch, each blade marker sitting at its own azimuth offset
-    2 pi i / n_blades in marker order. Step 0 therefore already deforms the
-    mesh into the t = 0 attitude. The arguments are checked on call, before
-    any step runs.
+    2 pi i / n_blades in marker order. Every step deforms the as-built mesh,
+    so step 0 already moves it into the t = 0 attitude. Steps from
+    steps_per_rev on yield the stored rotating-frame state of step
+    k % steps_per_rev (points, quality and greedy history), rotated to
+    their own azimuth; the store holds steps_per_rev x n_points x 3
+    floats. The arguments are checked on call, before any step runs.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -102,28 +110,36 @@ def _steps(mesh: Mesh, cfg: MotionConfig, hinge: np.ndarray, blades: list,
     dt = cfg.revolution_period / steps_per_rev
     n_steps = int(round(steps_per_rev * revolutions))
 
-    rotor_points = np.array(mesh.points)
+    # first-revolution states that a later step replays
+    stored: list[tuple[np.ndarray, QualityReport, GreedyHistory]] = []
     lab_history: list[np.ndarray] = []
 
     for k in range(n_steps + 1):
         t = k * dt
         psi = omega * t
-        displacements = {}
-        for blade in blades:
-            psi_blade = psi + blade.offset
-            beta = eval_series(cfg.flap, psi_blade)
-            delta = eval_series(cfg.leadlag, psi_blade)
-            theta = eval_series(cfg.pitch, psi_blade)
-            c_hinge = hinge_matrix(beta, delta, theta)
-            hinge_frame = hinge + (blade.reference - hinge) @ c_hinge.T
-            target = hinge_frame @ blade.rotate_into_place.T
-            displacements[blade.name] = target - rotor_points[blade.indices]
-
-        frame = mesh.with_points(rotor_points)
-        result = deform_mesh(frame, displacements,
-                             fixed_markers=cfg.fixed_markers, config=cfg.rbf)
-        rotor_points = np.array(result.mesh.points)
-        quality = result.quality_after
+        if k < steps_per_rev:
+            displacements = {}
+            for blade in blades:
+                psi_blade = psi + blade.offset
+                beta = eval_series(cfg.flap, psi_blade)
+                delta = eval_series(cfg.leadlag, psi_blade)
+                theta = eval_series(cfg.pitch, psi_blade)
+                c_hinge = hinge_matrix(beta, delta, theta)
+                hinge_frame = hinge + (blade.reference - hinge) @ c_hinge.T
+                target = hinge_frame @ blade.rotate_into_place.T
+                displacements[blade.name] = target - mesh.points[blade.indices]
+            result = deform_mesh(mesh, displacements,
+                                 fixed_markers=cfg.fixed_markers,
+                                 config=cfg.rbf)
+            state = (result.mesh.points, result.quality_after,
+                     result.history)
+            if result.quality_after.negative_volume_count > 0:
+                raise DeformationFailure(k, k - 1, result.quality_after)
+            if k + steps_per_rev <= n_steps:
+                stored.append(state)
+        else:
+            state = stored[k % steps_per_rev]
+        rotor_points, quality, history = state
 
         lab_points = rotor_points @ azimuth_matrix(psi).T
         if len(lab_history) >= 2:
@@ -140,11 +156,8 @@ def _steps(mesh: Mesh, cfg: MotionConfig, hinge: np.ndarray, blades: list,
         if len(lab_history) > 2:
             lab_history.pop(0)
 
-        if quality.negative_volume_count > 0:
-            raise DeformationFailure(k, k - 1, quality)
-
         yield StepResult(
             step=k, time=t, psi=psi, points=lab_points,
-            grid_velocity=velocity, velocity_scheme=scheme, quality=quality,
-            history=result.history,
-            surface_max_err=result.history.final_max_err)
+            rotor_points=rotor_points, grid_velocity=velocity,
+            velocity_scheme=scheme, quality=quality, history=history,
+            surface_max_err=history.final_max_err)

@@ -6,8 +6,8 @@ points are chosen by a multi-level greedy worst-point selection: each level
 grows its center set one worst-residual point at a time up to a cap, the
 next level interpolates whatever residual is left, and the final field is
 the sum of the per-level fields. For positive definite kernels the greedy
-loop grows a Cholesky factor by one row per added point and re-solves only
-once per level to verify the level's solution.
+loop grows a Newton basis of the centers by one column per added point and
+re-solves only once per level to verify the level's solution.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.sparse import coo_array
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -263,23 +263,29 @@ def _affine_seed(points: np.ndarray, first: int) -> list[int]:
     return seed
 
 
-def _extend_cholesky(factor: np.ndarray, phi_cols: np.ndarray,
-                     selected: list[int], start: int, phi0: float) -> None:
-    """Extend the lower Cholesky factor factor[:start, :start] of the kernel
-    matrix of the selected centers to all of them, one row per center: the
-    row l solves L l = phi(center, earlier centers) and the new pivot is
-    d^2 = phi(0) - l.l (O(m^2) per center)."""
+def _extend_newton(cols: np.ndarray, factor: np.ndarray, selected: list[int],
+                   start: int, phi0: float, pts: np.ndarray,
+                   kernel: RbfKernel) -> None:
+    """Turn the kernel columns cols[:, start:m] of the selected centers into
+    Newton basis columns (Pazouki & Schaback, J. Comput. Appl. Math. 236,
+    2011) and extend the lower Cholesky factor of their kernel matrix, one
+    center at a time: the center's Cholesky row l is the basis row at that
+    center, the new pivot is d^2 = phi(0) - l.l, and its basis column is
+    (kernel column - basis @ l) / d, one n x j product per center."""
     for j in range(start, len(selected)):
-        row = solve_triangular(factor[:j, :j], phi_cols[selected[j], :j],
-                               lower=True)
+        row = cols[selected[j], :j].copy()
         d2 = phi0 - float(row @ row)
         if not (np.isfinite(d2) and d2 > np.finfo(float).eps * phi0):
-            block = phi_cols[selected[:j + 1], :j + 1]
+            centers = pts[selected[:j + 1]]
+            block = kernel_eval(kernel, cdist(centers, centers))
             raise RbfSystemError(
                 f"kernel matrix not positive definite at center {j + 1} "
                 f"(pivot {d2:.3e})", condition=float(np.linalg.cond(block)))
+        d = np.sqrt(d2)
+        cols[:, j] -= cols[:, :j] @ row
+        cols[:, j] /= d
         factor[j, :j] = row
-        factor[j, j] = np.sqrt(d2)
+        factor[j, j] = d
 
 
 def _next_point(err: np.ndarray, selected: list[int]) -> int | None:
@@ -301,12 +307,13 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     selected points stay in the center set, pinning the field there).
     Terminates once the max surface residual drops below tol.
 
-    Positive definite kernels without an affine block re-solve from a
-    Cholesky factor grown by one row per added point (O(m^2) per point);
-    the affine level and conditionally positive kernels call solve_weights
-    every iteration. Either way the level ends with a solve_weights call
-    on its centers, whose checked solution, residual and error make the
-    level's record and decide convergence.
+    Positive definite kernels without an affine block keep the surface
+    residual in a Newton basis of the selected centers: an added point
+    costs one basis column (an n x m product) and a rank-1 residual
+    update. The affine level and conditionally positive kernels call
+    solve_weights every iteration. Either way the level ends with a
+    solve_weights call on its centers, whose checked solution, residual
+    and error make the level's record and decide convergence.
     """
     pts = np.atleast_2d(np.asarray(surface_points, dtype=float))
     data = np.asarray(displacements, dtype=float)
@@ -331,17 +338,17 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     selected = list(dict.fromkeys(selected))
 
     residual = data.copy()
-    # kernel columns of the selected centers at every surface point, one
-    # column written per added point
+    # columns of the selected centers at every surface point, one written
+    # per added point: kernel columns, turned into Newton basis columns
+    # once a positive definite level needs them
     width = max(min(max(caps), n), len(selected))
-    phi_cols = np.empty((n, width), order="F")
-    phi_cols[:, :len(selected)] = kernel_eval(kernel,
-                                              cdist(pts, pts[selected]))
+    cols = np.empty((n, width), order="F")
+    cols[:, :len(selected)] = kernel_eval(kernel, cdist(pts, pts[selected]))
     poly = _poly_block(pts)
     spd = kernel.kind in _SPD_KINDS
     phi0 = kernel_eval(kernel, 0.0)
     factor = np.zeros((width, width)) if spd else None
-    factored = 0  # centers in factor
+    basis = 0  # leading columns of cols that are Newton basis columns
 
     level_records: list[GreedyLevel] = []
     level_solutions: list[tuple[int, np.ndarray, np.ndarray | None]] = []
@@ -350,23 +357,28 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     for level, cap in enumerate(caps):
         level_t0 = time.perf_counter()
         affine_here = with_affine and level == 0
-        incremental = spd and not affine_here
+        newton = spd and not affine_here
+        if newton:
+            _extend_newton(cols, factor, selected, basis, phi0, pts, kernel)
+            basis = len(selected)
+            # residual left by interpolating this level's data on the centers
+            running = residual - cols[:, :basis] @ solve_triangular(
+                factor[:basis, :basis], residual[selected], lower=True)
         while True:
             m = len(selected)
             at_cap = m >= min(cap, n)
             nxt = None
-            if incremental:
-                _extend_cholesky(factor, phi_cols, selected, factored, phi0)
-                factored = m
-                weights = cho_solve((factor[:m, :m], True), residual[selected])
-                err = np.linalg.norm(residual - phi_cols[:, :m] @ weights,
-                                     axis=1)
+            if newton:
+                err = np.linalg.norm(running, axis=1)
                 if not (at_cap or err.max() < tol):
                     nxt = _next_point(err, selected)
             if nxt is None:
                 sol = solve_weights(pts[selected], residual[selected], kernel,
                                     with_affine=affine_here)
-                surf_field = phi_cols[:, :m] @ sol.weights
+                # kernel weights, or their Newton basis coefficients L^T w
+                coeffs = factor[:m, :m].T @ sol.weights if newton \
+                    else sol.weights
+                surf_field = cols[:, :m] @ coeffs
                 if sol.affine is not None:
                     surf_field += poly @ sol.affine
                 err_vec = residual - surf_field
@@ -378,8 +390,15 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
                 nxt = None if at_cap else _next_point(err, selected)
                 if nxt is None:
                     break
+                # Newton updates go on from the checked residual
+                running = err_vec
             selected.append(nxt)
-            phi_cols[:, m] = kernel_eval(kernel, cdist(pts, pts[[nxt]]))[:, 0]
+            cols[:, m] = kernel_eval(kernel, cdist(pts, pts[[nxt]]))[:, 0]
+            if newton:
+                _extend_newton(cols, factor, selected, m, phi0, pts, kernel)
+                basis = m + 1
+                running = running - np.outer(cols[:, m],
+                                             running[nxt] / factor[m, m])
         level_records.append(GreedyLevel(
             level=level + 1, points=len(selected), max_err=max_err,
             mean_err=float(err.mean()),

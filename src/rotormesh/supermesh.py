@@ -210,14 +210,18 @@ class InterfaceFaceSet:
 
     For 3D domains faces are planar polygons (k, 2) in the projection
     plane; for 2D domains they are intervals (2,) on the projection line.
-    Construction measures each face once: measures holds its area (or
-    length) and ccw whether its polygon is wound counter-clockwise
-    (always true for intervals, which are stored sorted).
+    Construction stacks and measures the faces once: stack holds them as
+    one padded (n, k, 2) array (intervals: (n, 2)) with counts vertices
+    each, measures their areas (or lengths) and ccw whether each polygon
+    is wound counter-clockwise (always true for intervals, which are
+    stored sorted).
     """
 
     side: str
     faces: tuple[np.ndarray, ...]
     manifold_dim: int = 2
+    stack: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
     measures: np.ndarray = field(init=False, repr=False)
     ccw: np.ndarray = field(init=False, repr=False)
 
@@ -242,11 +246,14 @@ class InterfaceFaceSet:
             zero, what = signed == 0.0, "zero-area polygon"
         else:
             faces = tuple(segments)
+            stack, n = segments, np.full(len(segments), 2)
             signed = segments[:, 1] - segments[:, 0]
             zero, what = signed <= 0.0, "zero-length segment"
         if zero.any():
             raise ValueError(f"face {int(np.argmax(zero))}: {what}")
         object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "counts", n)
         object.__setattr__(self, "measures", np.abs(signed))
         object.__setattr__(self, "ccw", signed >= 0.0)
 
@@ -335,8 +342,8 @@ def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(side.ccw != majority_ccw).tolist():
         warnings.warn(f"reorienting inconsistently wound face {i} "
                       f"on side {side.side}")
-    faces, n = _stack(side.faces)
-    faces = _ccw(faces, n)
+    n = side.counts
+    faces = _ccw(side.stack, n)
     split = np.flatnonzero(~_convex(faces, n))
     if (n[split] != 4).any():
         i = split[n[split] != 4][0]
@@ -410,8 +417,8 @@ def _build_supermesh_1d(side_a: InterfaceFaceSet,
                         side_b: InterfaceFaceSet) -> Supermesh:
     len_a = side_a.measures
     len_b = side_b.measures
-    seg_a = np.asarray(side_a.faces)[:, None, :]
-    seg_b = np.asarray(side_b.faces)[None, :, :]
+    seg_a = side_a.stack[:, None, :]
+    seg_b = side_b.stack[None, :, :]
     overlap = np.minimum(seg_a[..., 1], seg_b[..., 1]) - \
         np.maximum(seg_a[..., 0], seg_b[..., 0])
     ia, ib = np.nonzero(overlap > 1e-14 * np.minimum(len_a[:, None],

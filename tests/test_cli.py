@@ -136,6 +136,17 @@ def test_sweep_bad_config_lists_keys(tmp_path, capsys):
     assert "rpm" in capsys.readouterr().err
 
 
+def test_sweep_rejects_negative_advance_ratio(tmp_path, capsys):
+    cfg = tmp_path / "reverse.cfg"
+    cfg.write_text(ZERO_MOTION + "[flight]\ntip_mach = 0.6\n"
+                                 "advance_ratio = -0.2\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--output", str(out)]) == 2
+    assert "bad config value: [flight] advance_ratio must be a " \
+        "non-negative number, got -0.2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_flight_section(tmp_path, capsys):
     cfg = tmp_path / "noflight.cfg"
     cfg.write_text(ZERO_MOTION)
@@ -206,6 +217,35 @@ def test_deform_reports_unconverged_greedy(tmp_path, capsys):
         [("0", "2"), ("1", "2"), ("2", "2")]
 
 
+def test_deform_writes_rows_for_replayed_steps(tmp_path):
+    """Steps from --steps-per-rev on replay revolution 1: each gets its
+    quality.csv and greedy.csv rows, equal to those of the step one
+    revolution earlier but for the step number and azimuth."""
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(
+        n=6, plate_x=(0.1, 0.7), plate_y=(-0.3, 0.3), plate_z=(-0.15, 0.15))))
+    cfg = tmp_path / "cyclic.cfg"
+    cfg.write_text(ZERO_MOTION + "[pitch]\nmean_deg = 4.0\nsin_deg = 3.0\n")
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "3", "--revolutions", "2",
+                 "--output-dir", str(outdir)]) == 0
+    _, qrows = _read_csv(outdir / "quality.csv")
+    _, grows = _read_csv(outdir / "greedy.csv")
+    assert [r["step"] for r in qrows] == [str(k) for k in range(7)]
+    assert {r["step"] for r in grows} == {str(k) for k in range(7)}
+
+    def without(row, *keys):
+        return {k: v for k, v in row.items() if k not in keys}
+
+    for k in range(3, 7):
+        assert without(qrows[k], "step", "psi_deg") == \
+            without(qrows[k - 3], "step", "psi_deg")
+        assert [without(r, "step") for r in grows if r["step"] == str(k)] == \
+            [without(r, "step") for r in grows if r["step"] == str(k - 3)]
+    assert len({r["min_orthogonality_deg"] for r in qrows[:3]}) == 3
+
+
 def test_deform_negative_volume_exit_code(tmp_path, capsys):
     mesh = box_with_plate_mesh(n=6, half=0.6, plate_x=(-0.4, 0.4),
                                plate_y=(-0.4, 0.4), plate_z=(-0.1, 0.1))
@@ -273,6 +313,14 @@ def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
      "got 'abc'"),
     ("fixed_markers", "fixed_marker",
      "bad config keys: [rbf] fixed_marker (unknown)"),
+    ("support_radius_chords = 2.5",
+     "support_radius_chords = 9\nsupport_radius_m = 0.4",
+     "bad config keys: [rbf] support_radius_chords (conflicts with "
+     "support_radius_m)"),
+    ("support_radius_chords = 2.5",
+     "kernel = thin_plate_spline\nsupport_radius_chords = 2.5",
+     "bad config keys: [rbf] support_radius_chords (unused by "
+     "thin_plate_spline)"),
 ])
 def test_deform_config_typo_is_parse_error(tmp_path, capsys, old, new,
                                            message):

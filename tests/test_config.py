@@ -127,6 +127,27 @@ def test_support_radius_in_chords_requires_chord():
         parse_motion_config(text)
 
 
+@pytest.mark.parametrize("rbf,message", [
+    ("support_radius_m = 0.4\nsupport_radius_chords = 9\n",
+     "bad config keys: [rbf] support_radius_chords (conflicts with "
+     "support_radius_m)"),
+    ("kernel = thin_plate_spline\nsupport_radius_m = 0.4\n",
+     "bad config keys: [rbf] support_radius_m (unused by thin_plate_spline)"),
+    ("kernel = thin_plate_spline\nsupport_radius_chords = 2.5\n",
+     "bad config keys: [rbf] support_radius_chords (unused by "
+     "thin_plate_spline)"),
+    ("kernel = thin_plate_spline\nsupport_radius_m = 0.4\n"
+     "support_radius_chords = 2.5\n",
+     "bad config keys: [rbf] support_radius_m (unused by thin_plate_spline); "
+     "[rbf] support_radius_chords (unused by thin_plate_spline)"),
+])
+def test_support_keys_that_would_be_ignored_are_rejected(rbf, message):
+    """A support key the kernel would not use is an error, not a value read,
+    checked and dropped."""
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        parse_motion_config(MINIMAL + "chord_m = 0.3\n[rbf]\n" + rbf)
+
+
 def test_interface_pair():
     text = MINIMAL + '[interface]\npair = ["rotor_outer", "stator_inner"]\n'
     cfg = parse_motion_config(text)
@@ -186,13 +207,14 @@ FULL = {
 _POSITIVE = ["abc", "0", "-1", "nan", "1e999", "-1e999", "true", "[1.0]",
              '"1.0"', ""]
 _NUMBER = ["abc", "nan", "1e999", "true", "[1.0]", '"1.0"', ""]
+_NON_NEGATIVE = _NUMBER + ["-0.2", "-1e-300", "-1e999"]
 # per key: raw values its converter must reject
 BAD_VALUES = {
     **dict.fromkeys(("radius_m", "rpm", "chord_m", "support_radius_m",
                      "support_radius_chords", "greedy_tol_m", "tip_mach"),
                     _POSITIVE),
-    **dict.fromkeys(("mean_deg", "advance_ratio", "freestream_mach",
-                     "thrust_coefficient"), _NUMBER),
+    **dict.fromkeys(("mean_deg", "thrust_coefficient"), _NUMBER),
+    **dict.fromkeys(("advance_ratio", "freestream_mach"), _NON_NEGATIVE),
     **dict.fromkeys(("sin_deg", "cos_deg"),
                     ["abc", "nan", "1e999", "true", '"1.0"', "",
                      '[1.0, "x"]', "[1e999]", "[true]"]),
@@ -225,7 +247,11 @@ def test_full_config_covers_the_table():
     assert {s: set(k) for s, k in FULL.items()} == \
         {s: set(k) for s, k in config._KEYS.items()}
     assert set(BAD_VALUES) == {key for _, key in TABLE}
-    cfg = parse_motion_config(_config(FULL))
+    # the two support keys exclude each other; FULL lists both for the
+    # per-key tests
+    rbf = dict(FULL["rbf"])
+    del rbf["support_radius_chords"]
+    cfg = parse_motion_config(_config({**FULL, "rbf": rbf}))
     assert cfg.hinge == (0.0, 0.1, 0.0)
     assert cfg.leadlag == MotionSeries(np.radians(8.0), tuple(
         np.radians([1.5, 0.5])), (np.radians(-2.0),))

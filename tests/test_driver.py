@@ -3,7 +3,7 @@ import pytest
 
 from meshgen import box_with_plate_mesh
 
-from rotormesh import geometry
+from rotormesh import geometry, hb
 from rotormesh.config import parse_motion_config
 from rotormesh.driver import DeformationFailure, run_deformation
 from rotormesh.kinematics import azimuth_matrix
@@ -26,6 +26,17 @@ fixed_markers = ["farfield"]
 PITCHING = STILL_ROTOR + """
 [pitch]
 mean_deg = 10.0
+"""
+
+# once-per-revolution cyclic pitch and flap
+FLAPPING = STILL_ROTOR + """
+[pitch]
+mean_deg = 6.0
+cos_deg = 4.0
+
+[flap]
+mean_deg = 2.0
+sin_deg = -3.0
 """
 
 
@@ -129,3 +140,66 @@ def test_face_table_built_once_per_sweep(monkeypatch):
                                    revolutions=1.0))
     assert len(results) == 3
     assert len(built) == 1
+
+
+def test_later_revolutions_replay_the_first(small_mesh):
+    """Every step deforms the as-built mesh, so the grid is periodic: each
+    rotating-frame state of revolutions 2 and 3 is the one of revolution
+    1, and the lab-frame grid returns to its earlier state."""
+    cfg = parse_motion_config(FLAPPING)
+    n = 6
+    results = list(run_deformation(small_mesh, cfg, ["blade"],
+                                   steps_per_rev=n, revolutions=3.0))
+    assert len(results) == 3 * n + 1
+    assert np.abs(results[1].rotor_points - small_mesh.points).max() > 0.01
+    size = np.ptp(small_mesh.points, axis=0).max()
+    for r in results[n:]:
+        first = results[r.step % n]
+        assert np.array_equal(r.rotor_points, first.rotor_points)
+        assert r.history == first.history
+        assert r.quality.min_orthogonality_deg == \
+            first.quality.min_orthogonality_deg
+        assert r.surface_max_err == first.surface_max_err
+        assert np.abs(r.points - first.points).max() <= 1e-10 * size
+    assert [r.velocity_scheme for r in results[:3]] == \
+        ["zero", "backward1", "bdf2"]
+    # a full revolution after step 2 the BDF2 velocity repeats too
+    scale = np.abs(results[2].grid_velocity).max()
+    assert np.abs(results[n + 2].grid_velocity -
+                  results[2].grid_velocity).max() <= 1e-9 * scale
+
+
+def test_hb_velocity_matches_fine_step_bdf2(small_mesh):
+    """Oracle for the periodic grid: the harmonic-balance derivative of the
+    positions at the 2K + 1 instances of one revolution matches the BDF2
+    grid velocity of fine-step sweeps at the same azimuths. Richardson
+    extrapolation of two step sizes cancels BDF2's dt^2 error, so what is
+    left is the smaller O(dt^3) term plus the HB truncation."""
+    cfg = parse_motion_config(FLAPPING)
+    k = 3
+    n = 2 * k + 1
+    coarse = list(run_deformation(small_mesh, cfg, ["blade"],
+                                  steps_per_rev=n, revolutions=1.0))
+    positions = np.stack([r.points for r in coarse[:n]])
+    op = hb.build_operator(hb.FrequencySet.harmonics(cfg.omega, k))
+    assert np.allclose(op.instances, [r.time for r in coarse[:n]],
+                       rtol=0.0, atol=1e-12)
+    spectral = hb.apply(op, positions)
+    scale = np.abs(spectral).max()
+    size = np.ptp(small_mesh.points, axis=0).max()
+
+    bdf2 = {}
+    for m in (4, 8):
+        # the second revolution, whose BDF2 history is past its start-up
+        fine = list(run_deformation(small_mesh, cfg, ["blade"],
+                                    steps_per_rev=n * m, revolutions=2.0))
+        at = [fine[n * m + j * m] for j in range(n)]
+        assert all(r.velocity_scheme == "bdf2" for r in at)
+        # the same azimuth gives the same grid, whatever the step size
+        assert np.abs(np.stack([r.points for r in at]) -
+                      positions).max() <= 1e-10 * size
+        bdf2[m] = np.stack([r.grid_velocity for r in at])
+    err = {m: np.abs(v - spectral).max() / scale for m, v in bdf2.items()}
+    assert err[8] < 0.3 * err[4]        # second order: about a quarter
+    extrapolated = (4.0 * bdf2[8] - bdf2[4]) / 3.0
+    assert np.abs(extrapolated - spectral).max() < 1e-3 * scale

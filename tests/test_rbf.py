@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -367,6 +368,137 @@ def test_incremental_greedy_matches_per_iteration_solves(kind, n, seed,
     except RbfSystemError:
         assume(False)  # ill-conditioned draws fail in both
     _assert_matches_reference(pts, disp, kernel, 10.0 ** tol_exp, caps)
+
+
+def _cholesky_greedy(pts, data, kernel, tol, caps, with_affine=False):
+    """The positive definite greedy loop before the Newton basis: each added
+    point extends a lower Cholesky factor by one triangular solve, and the
+    residual comes from cho_solve weights times the kernel columns (an
+    n x m x k product). Returns the selected sequence, the level point
+    counts, converged, and the merged weights and affine part."""
+    n = len(pts)
+    first = int(np.argmax(np.linalg.norm(data, axis=1)))
+    selected = list(dict.fromkeys(
+        rbf._affine_seed(pts, first) if with_affine else [first]))
+    residual = data.copy()
+    phi = kernel_eval(kernel, cdist(pts, pts))  # column j: kernel at point j
+    phi0 = kernel_eval(kernel, 0.0)
+    factor = np.zeros((n, n))
+    factored = 0
+    poly = np.hstack([np.ones((n, 1)), pts])
+    counts, solutions, converged = [], [], False
+    for level, cap in enumerate(caps):
+        affine_here = with_affine and level == 0
+        while True:
+            m = len(selected)
+            at_cap = m >= min(cap, n)
+            nxt = None
+            if not affine_here:
+                for j in range(factored, m):
+                    row = solve_triangular(factor[:j, :j],
+                                           phi[selected[j], selected[:j]],
+                                           lower=True)
+                    d2 = phi0 - float(row @ row)
+                    if not (np.isfinite(d2) and
+                            d2 > np.finfo(float).eps * phi0):
+                        raise RbfSystemError("not positive definite")
+                    factor[j, :j] = row
+                    factor[j, j] = np.sqrt(d2)
+                factored = m
+                weights = cho_solve((factor[:m, :m], True),
+                                    residual[selected])
+                err = np.linalg.norm(
+                    residual - phi[:, selected] @ weights, axis=1)
+                if not (at_cap or err.max() < tol):
+                    nxt = rbf._next_point(err, selected)
+            if nxt is None:
+                sol = solve_weights(pts[selected], residual[selected], kernel,
+                                    with_affine=affine_here)
+                field = phi[:, selected] @ sol.weights
+                if sol.affine is not None:
+                    field += poly @ sol.affine
+                err_vec = residual - field
+                err = np.linalg.norm(err_vec, axis=1)
+                if err.max() < tol:
+                    converged = True
+                    break
+                nxt = None if at_cap else rbf._next_point(err, selected)
+                if nxt is None:
+                    break
+            selected.append(nxt)
+        counts.append(len(selected))
+        solutions.append(sol)
+        residual = err_vec
+        if converged:
+            break
+    weights = np.zeros((len(selected), data.shape[1]))
+    for count, sol in zip(counts, solutions):
+        weights[:count] += sol.weights
+    affine = solutions[0].affine if with_affine else None
+    return selected, counts, converged, weights, affine
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(_SPD_RADII)),
+       n=st.integers(2, 80), seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.floats(0.0, 1.0), tol_exp=st.integers(-9, -3),
+       caps=st.sampled_from([(8, 32, 64), (1, 5, 20), (3,), (50, 200)]),
+       with_affine=st.booleans())
+def test_newton_greedy_matches_cholesky_greedy(kind, n, seed, shape, tol_exp,
+                                               caps, with_affine):
+    rng = np.random.default_rng(seed)
+    lo, hi = _SPD_RADII[kind]
+    kernel = RbfKernel(kind, support_radius=lo + shape * (hi - lo))
+    pts = rng.uniform(size=(n, 3))
+    disp = 0.01 * np.sin(3.0 * pts + rng.uniform(0.0, 6.0, size=3))
+    tol = 10.0 ** tol_exp
+    try:
+        selected, counts, converged, weights, affine = _cholesky_greedy(
+            pts, disp, kernel, tol, caps, with_affine)
+    except RbfSystemError:
+        assume(False)  # ill-conditioned draws fail in both
+    sol, hist = greedy_select(pts, disp, kernel, tol=tol, level_caps=caps,
+                              with_affine=with_affine)
+    assert np.array_equal(sol.centers, pts[selected])
+    assert [lv.points for lv in hist.levels] == counts
+    assert hist.converged == converged
+    scale = np.abs(weights).max()
+    assert np.abs(sol.weights - weights).max() <= 1e-10 * scale
+    if with_affine:
+        assert np.abs(sol.affine - affine).max() <= \
+            1e-10 * np.abs(affine).max()
+
+
+def test_newton_greedy_has_no_per_point_solves(monkeypatch):
+    """An added point costs a basis column and a rank-1 residual update:
+    one triangular solve per level (its data in the Newton basis) and one
+    checked solve_weights call, however many points the level adds."""
+    pts = surface_grid(12)
+    disp = np.zeros_like(pts)
+    disp[:, 2] = 0.02 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
+    triangular = []
+    original = rbf.solve_triangular
+    monkeypatch.setattr(rbf, "solve_triangular", lambda *a, **k: (
+        triangular.append(1), original(*a, **k))[1])
+    calls = _count_solves(monkeypatch)
+    _, hist = greedy_select(pts, disp, WENDLAND, tol=1e-7,
+                            level_caps=(8, 32, 64))
+    assert hist.selected_points > 4 * len(hist.levels)
+    assert len(triangular) == len(calls) == len(hist.levels)
+
+
+def test_newton_pivot_of_a_near_duplicate_raises():
+    rng = np.random.default_rng(0)
+    p = rng.uniform(size=(40, 3))
+    pts = np.vstack([p, p[0] + 1e-13])
+    disp = 0.01 * rng.normal(size=(41, 3))
+    disp[0] = [1.0, 0.0, 0.0]
+    disp[40] = [-1.0, 0.0, 0.0]
+    with pytest.raises(RbfSystemError, match=r"not positive definite at "
+                       r"center 2 .*condition estimate") as err:
+        greedy_select(pts, disp, WENDLAND, tol=1e-9)
+    assert err.value.condition > 1e12
 
 
 @pytest.mark.parametrize("kernel,with_affine", [
