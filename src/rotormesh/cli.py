@@ -17,7 +17,7 @@ import numpy as np
 from . import hb
 from .config import ConfigError, load_fixture, load_motion_config, FIXTURE_NAMES
 from .driver import DeformationFailure, run_deformation
-from .geometry import cell_geometry, orthogonality_metrics
+from .geometry import cell_geometry, orthogonality_metrics, topology
 from .kinematics import blade_normal_mach, eval_series
 from .mesh import (Mesh, MeshFormatError, _n_rows, _rows, _vtk_grid,
                    parse_mesh, write_vtk)
@@ -111,6 +111,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_deform(args) -> int:
     mesh = _load_mesh(args.mesh)
+    topology(mesh)  # built and cached now, so a bad face fails before output
     cfg = _load_config(args.config)
     markers = args.markers.split(",")
     if args.stride < 1:

@@ -1,13 +1,13 @@
 """Cell and face geometry plus mesh quality metrics.
 
-Volumes and centroids of general polyhedra come from a tetrahedral fan
-decomposition about the cell vertex mean; tetrahedra use the direct
-determinant formula. Possibly non-planar quad faces are split along the
-diagonal through their lowest-numbered vertex, which makes the split (and
-hence areas and normals) identical when a face is visited from either of
-its two cells. The face topology depends on connectivity alone, so
-cell_geometry builds it once and caches it in mesh.derived, which every
-with_points copy shares; each call is then a metric pass over the points.
+Everything comes from the unique-face table (Topology), which depends on
+connectivity alone: topology() builds it once and caches it in mesh.derived,
+which every with_points copy shares. Faces split into triangles about their
+lowest-numbered vertex, alike from either of their cells. One face pass
+gives the face metrics and, for both cells of each face, the cone from the
+cell's vertex mean (not a global origin, which loses digits far from it) to
+the face; cones sum to cell volumes and centroids. Mirrored cells get
+negative volume; a face shared by more than two cells is rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh
+from .mesh import Mesh, MeshFormatError
 
 # Outward-oriented local faces for positively ordered cells.
 CELL_FACES_3D = {
@@ -34,15 +34,20 @@ CELL_EDGES_2D = {
 
 @dataclass(frozen=True)
 class Topology:
-    """The connectivity-only part of cell_geometry. Triangles are (n, ntri,
-    3) vertex index arrays, quads split as described above."""
+    """The connectivity-only part of cell_geometry: the unique-face table.
+
+    Each face is stored once, wound outward from its owner, the first cell
+    that lists it. neighbor_sign is +1 where the neighbour winds the face
+    like the owner, because one of the two cells is mirrored, and -1 where
+    it winds it the other way, as two cells of one orientation do, or where
+    the face is on the boundary.
+    """
 
     face_owner: np.ndarray     # (nface,)
     face_neighbor: np.ndarray  # (nface,), -1 on the boundary
-    # (face ids, (n, 2) edge windings in 2D or triangles in 3D) per face size
+    neighbor_sign: np.ndarray  # (nface,), +1.0 or -1.0
+    # per face size: face ids, and (n, 2) edges or _split_faces corners
     face_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    # per fan-decomposed 3D kind, the triangles of each local face
-    cell_triangles: dict[str, tuple[np.ndarray, ...]]
 
 
 @dataclass(frozen=True)
@@ -82,99 +87,54 @@ class QualityReport:
 
 
 def _split_faces(idx: np.ndarray) -> np.ndarray:
-    """(nface, ntri, 3) triangle vertex indices of equal-size faces.
+    """(3, ntri, nface) corner vertex indices of the triangles of (nface, 3)
+    or (nface, 4) faces.
 
-    Quads are rolled to start at their lowest-numbered vertex and split along
-    the diagonal through it; triangles pass through unchanged.
+    Faces are rolled to start at their lowest-numbered vertex, and a quad is
+    split along the diagonal through it. Both windings of a face then give
+    the same triangles with the same first corner, in reverse order and
+    each wound the other way.
     """
     nv = idx.shape[1]
-    if nv == 3:
-        return idx[:, None, :]
-    if nv != 4:
+    if nv not in (3, 4):
         raise ValueError(f"unsupported face size {nv}")
-    roll = (np.argmin(idx, axis=1)[:, None] + np.arange(4)[None, :]) % 4
-    return np.take_along_axis(idx, roll, axis=1)[:, ((0, 1, 2), (0, 2, 3))]
+    roll = (np.argmin(idx, axis=1)[:, None] + np.arange(nv)) % nv
+    corners = np.array(((0, 0), (1, 2), (2, 3)))[:, :nv - 2]  # of each tri
+    return np.take_along_axis(idx, roll, axis=1).T[corners]
 
 
-def faces_area_normal_centroid(points: np.ndarray, idx: np.ndarray):
-    """Area, unit normal, and centroid for a batch of faces, given as (n, 3)
-    or (n, 4) vertex indices or as (n, ntri, 3) triangles from _split_faces.
+def _triangle_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Area, unit normal and centroid of faces split into triangles a b c,
+    each a (3, ntri, nface) array of coordinates, and the triangles' cross
+    products (b - a) x (c - a). Vectors come first-axis, as (3, ...).
 
     The unit normal of a quad is the normalized average of its two triangle
     unit normals; the area is the sum of the triangle areas.
     """
-    tris = points[idx if idx.ndim == 3 else _split_faces(idx)]
-    a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
-    cross = np.cross(b - a, c - a)
-    tri_area = 0.5 * np.linalg.norm(cross, axis=-1)
+    u, v = b - a, c - a
+    cross = np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                      u[0] * v[1] - u[1] * v[0]])
+    del u, v  # face-sized: freed before the next temporaries
+    tri_area = 0.5 * np.linalg.norm(cross, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        tri_unit = np.where(tri_area[..., None] > 0.0,
-                            0.5 * cross / tri_area[..., None], 0.0)
-    area = tri_area.sum(axis=1)
+        tri_unit = np.where(tri_area > 0.0, 0.5 * cross / tri_area, 0.0)
+    area = tri_area.sum(axis=0)
     normal_sum = tri_unit.sum(axis=1)
-    nn = np.linalg.norm(normal_sum, axis=-1, keepdims=True)
+    nn = np.linalg.norm(normal_sum, axis=0)
     normal = np.where(nn > 0.0, normal_sum / np.where(nn > 0.0, nn, 1.0), 0.0)
-    tri_centroid = tris.mean(axis=2)
-    denom = np.where(area > 0.0, area, 1.0)[:, None]
-    centroid = np.where(area[:, None] > 0.0,
-                        (tri_centroid * tri_area[..., None]).sum(axis=1) / denom,
-                        tris.reshape(len(tris), -1, 3).mean(axis=1))
-    return area, normal, centroid
+    tri_centroid = (a + b + c) / 3.0
+    centroid = np.where(area > 0.0, (tri_centroid * tri_area).sum(axis=1)
+                        / np.where(area > 0.0, area, 1.0),
+                        tri_centroid.mean(axis=1))
+    return area, normal, centroid, cross
 
 
-def _edge_metrics(points: np.ndarray, edges: np.ndarray):
-    """Length, in-plane unit normal (right of the edge), and midpoint of
-    (nface, 2) edges of a planar (z = 0) mesh."""
-    a, b = points[edges[:, 0]], points[edges[:, 1]]
-    t = b - a
-    length = np.linalg.norm(t, axis=1)
-    safe = np.where(length > 0.0, length, 1.0)
-    normal = np.stack([t[:, 1] / safe, -t[:, 0] / safe, np.zeros(len(t))], 1)
-    return length, normal, 0.5 * (a + b)
-
-
-def _tet_volumes_centroids(points: np.ndarray, conn: np.ndarray):
-    a, b, c, d = (points[conn[:, i]] for i in range(4))
-    vol = np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) / 6.0
-    cent = (a + b + c + d) / 4.0
-    return vol, cent
-
-
-def _fan_volumes_centroids(points: np.ndarray, conn: np.ndarray,
-                           face_triangles: tuple[np.ndarray, ...]):
-    """Signed volume and centroid via tet fans about the cell vertex mean."""
-    apex = points[conn].mean(axis=1)
-    vol = np.zeros(len(conn))
-    moment = np.zeros((len(conn), 3))
-    for tri_idx in face_triangles:
-        tris = points[tri_idx]
-        a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
-        ap = apex[:, None, :]
-        tv = np.einsum("nij,nij->ni", a - ap,
-                       np.cross(b - ap, c - ap)) / 6.0
-        tc = (a + b + c + ap) / 4.0
-        vol += tv.sum(axis=1)
-        moment += (tv[..., None] * tc).sum(axis=1)
-    denom = np.where(vol != 0.0, vol, 1.0)
-    cent = np.where(vol[:, None] != 0.0, moment / denom[:, None], apex)
-    return vol, cent
-
-
-def _poly_areas_centroids_2d(points: np.ndarray, conn: np.ndarray):
-    """Signed area and centroid of planar (z = 0) polygons."""
-    x = points[conn][:, :, 0]
-    y = points[conn][:, :, 1]
-    xn = np.roll(x, -1, axis=1)
-    yn = np.roll(y, -1, axis=1)
-    w = x * yn - xn * y
-    area = 0.5 * w.sum(axis=1)
-    denom = np.where(area != 0.0, area, 1.0)
-    cx = ((x + xn) * w).sum(axis=1) / (6.0 * denom)
-    cy = ((y + yn) * w).sum(axis=1) / (6.0 * denom)
-    mean = points[conn].mean(axis=1)
-    cent = np.where(area[:, None] != 0.0,
-                    np.stack([cx, cy, np.zeros_like(cx)], axis=1), mean)
-    return area, cent
+def faces_area_normal_centroid(points: np.ndarray, idx: np.ndarray):
+    """Area, unit normal, and centroid for a batch of faces given as (n, 3)
+    or (n, 4) vertex indices, split as _split_faces does."""
+    area, normal, centroid, _ = _triangle_faces(
+        *(points.T[:, corner] for corner in _split_faces(idx)))
+    return area, normal.T, centroid.T
 
 
 def build_topology(mesh: Mesh) -> Topology:
@@ -182,10 +142,13 @@ def build_topology(mesh: Mesh) -> Topology:
 
     Per face size, every cell-side face is stacked and duplicates are
     identified by their sorted vertex set (lexsort); the first visitor owns
-    the face and its stored winding (outward from the owner).
+    the face and its stored winding (outward from the owner). A face listed
+    by more than two cells raises MeshFormatError, a ValueError.
     """
+    if mesh.n_elements == 0:
+        raise ValueError("mesh has no cells")
     local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
-    owner, neighbor, groups = [], [], []
+    owner, neighbor, sign, groups = [], [], [], []
     for nv in ((2,) if mesh.dim == 2 else (3, 4)):
         blocks = [(conn[:, local], rows)
                   for kind, (conn, rows) in mesh.cells.items()
@@ -199,20 +162,58 @@ def build_topology(mesh: Mesh) -> Topology:
         new_group = np.ones(len(keys_sorted), dtype=bool)
         new_group[1:] = np.any(keys_sorted[1:] != keys_sorted[:-1], axis=1)
         first = np.flatnonzero(new_group)
-        has_pair = np.diff(np.append(first, len(keys_sorted))) >= 2
-        owner.append(cells[order[first]])
-        neighbor.append(np.full(len(first), -1, dtype=np.intp))
-        neighbor[-1][has_pair] = cells[order[first[has_pair] + 1]]
+        count = np.diff(np.append(first, len(keys_sorted)))
+        if np.any(count > 2):
+            g = np.argmax(count > 2)
+            shared = np.sort(cells[order[first[g]:first[g] + count[g]]])
+            raise MeshFormatError(
+                f"face {tuple(keys_sorted[first[g]].tolist())} is shared by "
+                f"cells {shared.tolist()}; a face bounds at most two cells")
+        paired = count == 2  # then the next visitor is the neighbour
+        one, two = order[first], order[np.minimum(first + 1, len(order) - 1)]
+        owner.append(cells[one])
+        neighbor.append(np.where(paired, cells[two], -1))
+        # the two cells wind a face alike when the vertex after its lowest
+        # is the same for both (for an edge, its first vertex)
+        own = faces[one] if nv == 2 else _split_faces(faces[one])
+        alike = (own[:, 0] == faces[two][:, 0] if nv == 2 else
+                 own[1, 0] == _split_faces(faces[two])[1, 0])
+        sign.append(np.where(paired & alike, 1.0, -1.0))
         ids = np.arange(len(first)) + sum(map(len, owner[:-1]))
-        windings = faces[order[first]]
-        groups.append((ids, windings if nv == 2 else _split_faces(windings)))
-    cell_triangles = {
-        kind: tuple(_split_faces(conn[:, local])
-                    for local in CELL_FACES_3D[kind])
-        for kind, (conn, _) in mesh.cells.items()
-        if mesh.dim == 3 and kind != "tetrahedron"}
+        groups.append((ids, own))
     return Topology(np.concatenate(owner), np.concatenate(neighbor),
-                    tuple(groups), cell_triangles)
+                    np.concatenate(sign), tuple(groups))
+
+
+def topology(mesh: Mesh) -> Topology:
+    """The mesh's face table, built on first use and cached in mesh.derived,
+    which every with_points copy shares."""
+    if "topology" not in mesh.derived:
+        mesh.derived["topology"] = build_topology(mesh)
+    return mesh.derived["topology"]
+
+
+def _face_group(coords: np.ndarray, idx: np.ndarray, o: np.ndarray):
+    """Areas, unit normals and centroids of a face group, and the volume and
+    first moment about o of the cone from each side's cell origin o to each
+    face, stacked as (4, side, nf). idx holds (nf, 2) edges in 2D and the
+    corners of _split_faces in 3D; vectors come first, o as (3, side, nf)."""
+    if idx.ndim == 2:
+        a, b = coords[:, idx[:, 0]], coords[:, idx[:, 1]]
+        t = b - a
+        area = np.linalg.norm(t, axis=0)
+        normal = np.stack([t[1], -t[0], 0.0 * t[0]]) \
+            / np.where(area > 0.0, area, 1.0)  # right of the edge
+        ra, rb = a[:, None] - o, b[:, None] - o
+        vol = (ra[0] * rb[1] - ra[1] * rb[0]) / 2.0
+        moment = vol * ((a + b)[:, None] - 2.0 * o) / 3.0
+        return area, normal, 0.5 * (a + b), np.vstack([vol[None], moment])
+    a, b, c = (coords[:, corner] for corner in idx)  # (3, tri, nf)
+    area, normal, centroid, cross = _triangle_faces(a, b, c)
+    o = o[:, :, None]
+    cone = ((a[:, None] - o) * cross[:, None]).sum(axis=0) / 6.0
+    moment = (cone * ((a + (b + c))[:, None] - 3.0 * o) / 4.0).sum(axis=2)
+    return area, normal, centroid, np.vstack([cone.sum(axis=1)[None], moment])
 
 
 def cell_geometry(mesh: Mesh) -> MeshGeometry:
@@ -220,35 +221,31 @@ def cell_geometry(mesh: Mesh) -> MeshGeometry:
 
     Negative volumes (inverted cells) are reported, never raised. Faces of
     2D meshes are edges: area = length, normal = in-plane outward normal of
-    the owner cell.
+    the owner cell. A cell's terms are summed in face order whatever its
+    neighbours, so its volume and centroid do not depend on them.
     """
-    if mesh.n_elements == 0:
-        raise ValueError("mesh has no cells")
-    if "topology" not in mesh.derived:
-        mesh.derived["topology"] = build_topology(mesh)
-    topo = mesh.derived["topology"]
-    points = mesh.points
-    volumes = np.zeros(mesh.n_elements)
-    centroids = np.zeros((mesh.n_elements, 3))
-    for kind, (conn, ids) in mesh.cells.items():
-        if mesh.dim == 2:
-            vol, cent = _poly_areas_centroids_2d(points, conn)
-        elif kind == "tetrahedron":
-            vol, cent = _tet_volumes_centroids(points, conn)
-        else:
-            vol, cent = _fan_volumes_centroids(points, conn,
-                                               topo.cell_triangles[kind])
-        volumes[ids], centroids[ids] = vol, cent
+    topo = topology(mesh)
+    n, coords = mesh.n_elements, mesh.points.T
+    origin = np.zeros((n + 1, 3))  # row n takes the boundary's missing side
+    for conn, rows in mesh.cells.values():
+        origin[rows] = mesh.points[conn].mean(axis=1)
+    cells = np.stack([topo.face_owner, topo.face_neighbor])
+    cells[cells < 0] = n
+    sign = np.stack([np.ones_like(topo.neighbor_sign), topo.neighbor_sign])
 
-    nface = len(topo.face_owner)
-    areas = np.zeros(nface)
-    normals = np.zeros((nface, 3))
-    fcentroids = np.zeros((nface, 3))
-    for ids, idx in topo.face_groups:
-        areas[ids], normals[ids], fcentroids[ids] = (
-            _edge_metrics(points, idx) if mesh.dim == 2
-            else faces_area_normal_centroid(points, idx))
+    parts = []  # per face group: areas, normals, centroids, side terms
+    for ids, idx in topo.face_groups:  # ids run on from group to group
+        area, normal, centroid, terms = _face_group(
+            coords, idx, origin.T[:, cells[:, ids]])
+        parts.append((area, normal.T, centroid.T, (terms * sign[:, ids]).T))
+    areas, normals, fcentroids, terms = map(np.concatenate, zip(*parts))
 
+    sums = np.bincount((4 * cells.T[..., None] + np.arange(4)).ravel(),
+                       terms.ravel(), minlength=4 * (n + 1)).reshape(-1, 4)
+    volumes = sums[:n, 0]
+    centroids = origin[:n] + np.divide(sums[:n, 1:], volumes[:, None],
+                                       out=np.zeros((n, 3)),
+                                       where=volumes[:, None] != 0.0)
     return MeshGeometry(volumes, centroids, topo.face_owner,
                         topo.face_neighbor, areas, normals, fcentroids)
 

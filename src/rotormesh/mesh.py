@@ -120,7 +120,7 @@ class Mesh:
     in range, rows number the cells (the faces of each marker) 0..n-1, cells
     are CELL_KINDS and marker faces MARKER_KINDS of the dimension.
     with_points copies share cells, markers and `derived`, where
-    cell_geometry caches the topology.
+    geometry.topology caches the face table.
     """
 
     dim: int

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from meshgen import (SQUARE_2TRI, box_with_plate_mesh,
+from meshgen import (SQUARE_2TRI, box_hex_mesh, box_with_plate_mesh,
                      stacked_interface_mesh)
 
+from rotormesh import geometry
 from rotormesh.cli import _supermesh_vtk, main
-from rotormesh.mesh import write_mesh
+from rotormesh.mesh import Mesh, write_mesh
 from rotormesh.supermesh import (InterfaceFaceSet, build_supermesh,
                                  polygon_area)
 
@@ -350,6 +351,46 @@ def test_deform_bad_marker_list_is_usage_error(tmp_path, capsys, markers,
                  "--output-dir", str(outdir)]) == 1
     assert message in capsys.readouterr().err
     assert not outdir.exists()
+
+
+
+@pytest.mark.parametrize("command", ["info", "deform"])
+def test_face_of_three_cells_is_parse_error(tmp_path, capsys, command):
+    """A hex listed three times makes each of its faces bound three cells:
+    both commands refuse the mesh before they write anything."""
+    cube = box_hex_mesh(1, 1, 1)
+    mesh = Mesh(3, cube.points,
+                {"hexahedron": (np.repeat(cube.cells["hexahedron"][0], 3, 0),
+                                [0, 1, 2])},
+                {"blade": cube.markers["xmin"],
+                 "farfield": cube.markers["xmax"]})
+    mesh_file = tmp_path / "triple.mesh"
+    mesh_file.write_text(write_mesh(mesh))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_MOTION)
+    outdir = tmp_path / "out"
+    argv = {"info": ["info", str(mesh_file)],
+            "deform": ["deform", str(mesh_file), str(cfg), "--markers",
+                       "blade", "--output-dir", str(outdir)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "parse error: face (0, 1, 2, 3) is shared by cells [0, 1, 2]" in err
+    assert not outdir.exists()
+
+
+def test_deform_builds_face_table_once(tmp_path, monkeypatch):
+    built = []
+    build = geometry.build_topology
+    monkeypatch.setattr(geometry, "build_topology",
+                        lambda mesh: built.append(mesh) or build(mesh))
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_MOTION)
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "2", "--revolutions", "1.0",
+                 "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 from meshgen import box_hex_mesh, mixed_kind_mesh
 
-from rotormesh.geometry import (cell_geometry, faces_area_normal_centroid,
+from rotormesh.geometry import (CELL_FACES_3D, cell_geometry,
+                                faces_area_normal_centroid,
                                 orthogonality_metrics)
 from rotormesh.kinematics import hinge_matrix
 from rotormesh.mesh import Mesh, parse_mesh, write_mesh
@@ -211,3 +214,133 @@ def test_cached_topology_matches_fresh_parse(name, rigid, seed, angles,
                   "face_areas", "face_normals", "face_centroids"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+
+
+# ---------------------------------------------------------------------------
+# Reference: per-cell volumes and centroids, each cell from its own faces
+# ---------------------------------------------------------------------------
+
+def _split_cell_faces(idx):
+    """(n, ntri, 3) triangles of (n, 3) or (n, 4) faces, split along the
+    diagonal through the lowest-numbered vertex."""
+    if idx.shape[1] == 3:
+        return idx[:, None, :]
+    roll = (np.argmin(idx, axis=1)[:, None] + np.arange(4)[None, :]) % 4
+    return np.take_along_axis(idx, roll, axis=1)[:, ((0, 1, 2), (0, 2, 3))]
+
+
+def _tet_volumes_centroids(points, conn):
+    a, b, c, d = (points[conn[:, i]] for i in range(4))
+    vol = np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) / 6.0
+    cent = (a + b + c + d) / 4.0
+    return vol, cent
+
+
+def _fan_volumes_centroids(points, conn, face_triangles):
+    """Signed volume and centroid via tet fans about the cell vertex mean."""
+    apex = points[conn].mean(axis=1)
+    vol = np.zeros(len(conn))
+    moment = np.zeros((len(conn), 3))
+    for tri_idx in face_triangles:
+        tris = points[tri_idx]
+        a, b, c = tris[:, :, 0], tris[:, :, 1], tris[:, :, 2]
+        ap = apex[:, None, :]
+        tv = np.einsum("nij,nij->ni", a - ap,
+                       np.cross(b - ap, c - ap)) / 6.0
+        tc = (a + b + c + ap) / 4.0
+        vol += tv.sum(axis=1)
+        moment += (tv[..., None] * tc).sum(axis=1)
+    denom = np.where(vol != 0.0, vol, 1.0)
+    cent = np.where(vol[:, None] != 0.0, moment / denom[:, None], apex)
+    return vol, cent
+
+
+def _poly_areas_centroids_2d(points, conn):
+    """Signed area and centroid of planar (z = 0) polygons."""
+    x = points[conn][:, :, 0]
+    y = points[conn][:, :, 1]
+    xn = np.roll(x, -1, axis=1)
+    yn = np.roll(y, -1, axis=1)
+    w = x * yn - xn * y
+    area = 0.5 * w.sum(axis=1)
+    denom = np.where(area != 0.0, area, 1.0)
+    cx = ((x + xn) * w).sum(axis=1) / (6.0 * denom)
+    cy = ((y + yn) * w).sum(axis=1) / (6.0 * denom)
+    mean = points[conn].mean(axis=1)
+    cent = np.where(area[:, None] != 0.0,
+                    np.stack([cx, cy, np.zeros_like(cx)], axis=1), mean)
+    return area, cent
+
+
+def reference_volumes_centroids(mesh):
+    volumes = np.zeros(mesh.n_elements)
+    centroids = np.zeros((mesh.n_elements, 3))
+    for kind, (conn, rows) in mesh.cells.items():
+        if mesh.dim == 2:
+            vol, cent = _poly_areas_centroids_2d(mesh.points, conn)
+        elif kind == "tetrahedron":
+            vol, cent = _tet_volumes_centroids(mesh.points, conn)
+        else:
+            vol, cent = _fan_volumes_centroids(
+                mesh.points, conn, [_split_cell_faces(conn[:, local])
+                                    for local in CELL_FACES_3D[kind]])
+        volumes[rows], centroids[rows] = vol, cent
+    return volumes, centroids
+
+
+# Vertex orders that mirror a cell of each kind (negative volume).
+MIRRORED = {"tetrahedron": [0, 2, 1, 3], "pyramid": [0, 3, 2, 1, 4],
+            "prism": [3, 4, 5, 0, 1, 2],
+            "hexahedron": [4, 5, 6, 7, 0, 1, 2, 3],
+            "triangle": [0, 2, 1], "quadrilateral": [0, 3, 2, 1]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(TOPOLOGY_MESHES)),
+       seed=st.integers(0, 2**32 - 1),
+       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+def test_face_table_geometry_matches_per_cell_reference(name, seed, shift):
+    """Volumes and centroids from the unique-face table match the per-cell
+    fan, tetrahedron and shoelace formulas on jittered meshes in which a
+    random subset of cells is mirrored, however far the mesh is moved from
+    the origin."""
+    base = TOPOLOGY_MESHES[name]
+    rng = np.random.default_rng(seed)
+    size = np.ptp(base.points, axis=0).max()
+    cells = {kind: (np.where(rng.random((len(conn), 1)) < 0.5,
+                             conn[:, MIRRORED[kind]], conn), rows)
+             for kind, (conn, rows) in base.cells.items()}
+    offset = size * np.array(shift)
+    points = base.points + 0.05 * size * rng.uniform(-1, 1, base.points.shape)
+    if base.dim == 2:
+        points[:, 2] = offset[2] = 0.0
+    mesh = Mesh(base.dim, points + offset, cells)
+
+    geo = cell_geometry(mesh)
+    # the reference runs on the same points moved back to the origin, where
+    # its absolute-coordinate shoelace loses no digits
+    want_vol, want_cent = reference_volumes_centroids(
+        Mesh(mesh.dim, mesh.points - offset, cells))
+    want_cent += offset
+    assert np.abs(geo.volumes - want_vol).max() \
+        <= 1e-12 * np.abs(want_vol).max()
+    assert np.abs(geo.centroids - want_cent).max() \
+        <= 1e-12 * (np.linalg.norm(offset) + size)
+    assert np.count_nonzero(geo.volumes < 0) == \
+        np.count_nonzero(want_vol < 0)
+
+
+@pytest.mark.parametrize("dim,kind,verts", [
+    (3, "hexahedron", [0, 1, 3, 2, 4, 5, 7, 6]),
+    (2, "triangle", [0, 1, 2]),
+])
+def test_face_of_three_cells_rejected(dim, kind, verts):
+    """A face can bound at most two cells; the error names the face's
+    vertices and every cell that lists it."""
+    cube = box_hex_mesh(1, 1, 1)
+    mesh = Mesh(dim, cube.points * [1, 1, dim == 3],
+                {kind: ([verts] * 3, [0, 1, 2])})
+    face = "(0, 1, 2, 3)" if dim == 3 else "(0, 1)"
+    with pytest.raises(ValueError, match=rf"face {re.escape(face)} is "
+                                         r"shared by cells \[0, 1, 2\]"):
+        cell_geometry(mesh)
