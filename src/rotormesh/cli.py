@@ -139,10 +139,9 @@ def cmd_deform(args) -> int:
             if not res.history.converged:
                 unconverged.append(res.step)
                 print(f"warning: step {res.step}: greedy selection did not "
-                      f"converge: surface error {res.surface_max_err:.3e} m "
-                      f">= tol {cfg.rbf.greedy_tol:.3e} m with "
-                      f"{res.history.selected_points} points",
-                      file=sys.stderr)
+                      f"converge with {res.history.selected_points} points; "
+                      f"surface error {res.surface_max_err:.3e} m, tol "
+                      f"{cfg.rbf.greedy_tol:.3e} m", file=sys.stderr)
             quality_rows.append((
                 res.step, np.degrees(res.psi),
                 res.quality.min_orthogonality_deg,

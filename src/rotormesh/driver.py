@@ -1,25 +1,26 @@
 """Time-stepping driver for blade-motion mesh deformation sweeps.
 
-Per step the azimuthal rotation is applied as a rigid rotation of the whole
-grid while the hinge-frame flap/lead-lag/pitch motion of each blade marker
-is absorbed by RBF deformation of the as-built mesh in the rotating frame.
-The motion depends on the azimuth alone, so the rotating-frame state of
-step k is that of step k - steps_per_rev: the first revolution is computed
-and later ones replay it, which keeps the grid periodic. Grid velocities
-come from the lab-frame position history: zero at the first state,
-first-order backward at the second, second-order backward differences
-afterwards.
+Blades move rigidly about their hinge, so in the rotating frame blade b moves
+by (x - h_b) @ A_b(psi), A_b = R_b (C^T - I) R_b^T for the hinge matrix C and
+the blade's offset rotation R_b. RBF interpolation on fixed centers is linear
+in its data: one greedy selection per blade marker, before the first step,
+solves a basis field G_b (x - h_b on blade b, zero on the other markers), and
+a step's rotating-frame grid is X + sum_b G_b @ A_b(psi), rotated rigidly to
+its azimuth. Later revolutions repeat the first and reuse its quality. Grid
+velocities come from the lab-frame history: zero at the first state,
+first-order backward at the second, second-order backward (BDF2) after.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .config import MotionConfig
-from .geometry import QualityReport
+from .geometry import QualityReport, orthogonality_metrics
 from .kinematics import (azimuth_matrix, eval_series, grid_velocity_backward,
                          grid_velocity_bdf2, hinge_matrix)
 from .mesh import Mesh, extract_marker_points
@@ -52,28 +53,18 @@ class StepResult:
     surface_max_err: float
 
 
-@dataclass(frozen=True)
-class _BladeMarker:
-    name: str
-    indices: np.ndarray
-    reference: np.ndarray           # blade coordinates at azimuth zero
-    offset: float
-    rotate_into_place: np.ndarray   # azimuth_matrix(offset)
-
-
 def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
                     steps_per_rev: int = 360,
                     revolutions: float = 5.0) -> Iterator[StepResult]:
     """Iterator of one StepResult per physical time step, step 0 included.
 
-    The as-built mesh is taken as the blade geometry at zero flap, lead-lag
-    and pitch, each blade marker sitting at its own azimuth offset
-    2 pi i / n_blades in marker order. Every step deforms the as-built mesh,
-    so step 0 already moves it into the t = 0 attitude. Steps from
-    steps_per_rev on yield the stored rotating-frame state of step
-    k % steps_per_rev (points, quality and greedy history), rotated to
-    their own azimuth; the store holds steps_per_rev x n_points x 3
-    floats. The arguments are checked on call, before any step runs.
+    The as-built mesh is the blade geometry at zero flap, lead-lag and pitch,
+    blade marker i sitting at azimuth offset 2 pi i / n_blades, so step 0
+    already moves it into its t = 0 attitude. Before the first step,
+    deform_mesh runs once per blade marker; a step is then one product with
+    the basis. Step k takes the hinge motion and the quality report of step
+    k % steps_per_rev and carries the run's greedy history and its own
+    surface error. The arguments are checked on call, before any step runs.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -90,74 +81,82 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
         if name in cfg.fixed_markers:
             raise ValueError(f"blade marker {name!r} is also a fixed marker")
 
-    hinge = np.asarray(cfg.hinge)
-    blades = []
-    for i, name in enumerate(blade_markers):
-        indices, coords = extract_marker_points(mesh, name)
-        offset = 2.0 * np.pi * i / cfg.n_blades
-        rot = azimuth_matrix(offset)
-        blades.append(_BladeMarker(
-            name=name, indices=indices, reference=coords @ rot,
-            offset=offset, rotate_into_place=rot))
-    for name in cfg.fixed_markers:
-        extract_marker_points(mesh, name)  # existence check
-    return _steps(mesh, cfg, hinge, blades, steps_per_rev, revolutions)
+    markers = {name: extract_marker_points(mesh, name)[0]
+               for name in (*blade_markers, *cfg.fixed_markers)}
+    return _steps(mesh, cfg, blade_markers, markers, steps_per_rev,
+                  revolutions)
 
 
-def _steps(mesh: Mesh, cfg: MotionConfig, hinge: np.ndarray, blades: list,
-           steps_per_rev: int, revolutions: float) -> Iterator[StepResult]:
-    omega = cfg.omega
+def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
+           markers: dict, steps_per_rev: int,
+           revolutions: float) -> Iterator[StepResult]:
     dt = cfg.revolution_period / steps_per_rev
-    n_steps = int(round(steps_per_rev * revolutions))
+    points = mesh.points
+    series = (cfg.flap, cfg.leadlag, cfg.pitch)
+    offsets = 2.0 * np.pi * np.arange(len(blade_markers)) / cfg.n_blades
+    rots = np.stack([azimuth_matrix(offset) for offset in offsets])
+    # x - h_b, h_b blade b's own hinge: its displacement per unit of A_b
+    arms = [points[markers[name]] - rot @ np.asarray(cfg.hinge)
+            for name, rot in zip(blade_markers, rots)]
+    # |eval_series| <= |mean| + sum |s_k| + sum |c_k|, and three rotations
+    # by beta, delta, theta give ||C - I||_2 <= min(2, |beta| + |delta| +
+    # |theta|), which bounds every ||A_b||_2. Each basis field is solved on
+    # its arm times n_blades times that bound, so a greedy converged to
+    # greedy_tol keeps every step's surface error below it.
+    bound = sum(abs(s.mean) + sum(map(abs, s.sine_coeffs))
+                + sum(map(abs, s.cosine_coeffs)) for s in series)
+    scale = len(blade_markers) * min(2.0, bound)
+    fields, levels, converged = [], [], True
+    for name, arm in zip(blade_markers, arms):
+        res = deform_mesh(mesh, {name: scale * arm}, config=cfg.rbf,
+                          fixed_markers=[*cfg.fixed_markers, *(
+                              b for b in blade_markers if b != name)])
+        # with no hinge motion nothing moves and every field is zero
+        fields.append((res.mesh.points - points) / (scale or 1.0))
+        before = levels[-1].points if levels else 0
+        levels += [replace(lv, level=len(levels) + i,
+                           points=before + lv.points)
+                   for i, lv in enumerate(res.history.levels, start=1)]
+        converged = converged and res.history.converged
+    basis = np.hstack(fields)
+    history = GreedyHistory(tuple(levels), converged)
+    # every marker point and its rigid displacement per unit of each A_b
+    surface = np.concatenate(list(markers.values()))
+    n_fixed = len(surface) - sum(map(len, arms))
+    rigid = block_diag(*arms, np.zeros((n_fixed, 0)))
+    reports: list[QualityReport] = []  # one per first-revolution step
+    previous: list[np.ndarray] = []    # the last two lab-frame grids
 
-    # first-revolution states that a later step replays
-    stored: list[tuple[np.ndarray, QualityReport, GreedyHistory]] = []
-    lab_history: list[np.ndarray] = []
-
-    for k in range(n_steps + 1):
-        t = k * dt
-        psi = omega * t
-        if k < steps_per_rev:
-            displacements = {}
-            for blade in blades:
-                psi_blade = psi + blade.offset
-                beta = eval_series(cfg.flap, psi_blade)
-                delta = eval_series(cfg.leadlag, psi_blade)
-                theta = eval_series(cfg.pitch, psi_blade)
-                c_hinge = hinge_matrix(beta, delta, theta)
-                hinge_frame = hinge + (blade.reference - hinge) @ c_hinge.T
-                target = hinge_frame @ blade.rotate_into_place.T
-                displacements[blade.name] = target - mesh.points[blade.indices]
-            result = deform_mesh(mesh, displacements,
-                                 fixed_markers=cfg.fixed_markers,
-                                 config=cfg.rbf)
-            state = (result.mesh.points, result.quality_after,
-                     result.history)
-            if result.quality_after.negative_volume_count > 0:
-                raise DeformationFailure(k, k - 1, result.quality_after)
-            if k + steps_per_rev <= n_steps:
-                stored.append(state)
-        else:
-            state = stored[k % steps_per_rev]
-        rotor_points, quality, history = state
+    for k in range(int(round(steps_per_rev * revolutions)) + 1):
+        psi = cfg.omega * (k * dt)
+        j = k % steps_per_rev
+        # C_b^T of every blade, (n_blades, 3, 3), then the stacked A_b
+        c_hinge = hinge_matrix(*(eval_series(s, cfg.omega * (j * dt) + offsets)
+                                 for s in series)).transpose(2, 1, 0)
+        motion = (rots @ (c_hinge - np.eye(3)) @ rots.transpose(0, 2, 1)
+                  ).reshape(-1, 3)
+        rotor_points = points + basis @ motion
+        if j == len(reports):
+            report = orthogonality_metrics(mesh.with_points(rotor_points))
+            if report.negative_volume_count > 0:
+                raise DeformationFailure(k, k - 1, report)
+            reports.append(report)
+        surface_err = np.linalg.norm(
+            rotor_points[surface] - points[surface] - rigid @ motion,
+            axis=1).max(initial=0.0)
 
         lab_points = rotor_points @ azimuth_matrix(psi).T
-        if len(lab_history) >= 2:
-            velocity = grid_velocity_bdf2(lab_points, lab_history[-1],
-                                          lab_history[-2], dt)
-            scheme = "bdf2"
-        elif len(lab_history) == 1:
-            velocity = grid_velocity_backward(lab_points, lab_history[-1], dt)
-            scheme = "backward1"
+        if len(previous) == 2:
+            velocity = grid_velocity_bdf2(lab_points, *previous[::-1], dt)
+        elif previous:
+            velocity = grid_velocity_backward(lab_points, previous[0], dt)
         else:
             velocity = np.zeros_like(lab_points)
-            scheme = "zero"
-        lab_history.append(lab_points)
-        if len(lab_history) > 2:
-            lab_history.pop(0)
+        scheme = ("zero", "backward1", "bdf2")[len(previous)]
+        previous = [*previous[-1:], lab_points]
 
         yield StepResult(
-            step=k, time=t, psi=psi, points=lab_points,
+            step=k, time=k * dt, psi=psi, points=lab_points,
             rotor_points=rotor_points, grid_velocity=velocity,
-            velocity_scheme=scheme, quality=quality, history=history,
-            surface_max_err=history.final_max_err)
+            velocity_scheme=scheme, quality=reports[j], history=history,
+            surface_max_err=float(surface_err))

@@ -142,11 +142,12 @@ def build_topology(mesh: Mesh) -> Topology:
 
     Per face size, every cell-side face is stacked and duplicates are
     identified by their sorted vertex set (lexsort); the first visitor owns
-    the face and its stored winding (outward from the owner). A face listed
-    by more than two cells raises MeshFormatError, a ValueError.
+    the face and its stored winding (outward from the owner). A mesh with
+    no cells, or a face listed by more than two cells, raises
+    MeshFormatError, a ValueError.
     """
     if mesh.n_elements == 0:
-        raise ValueError("mesh has no cells")
+        raise MeshFormatError("mesh has no cells")
     local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
     owner, neighbor, sign, groups = [], [], [], []
     for nv in ((2,) if mesh.dim == 2 else (3, 4)):

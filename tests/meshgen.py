@@ -114,6 +114,17 @@ def box_with_plate_mesh(n: int = 12, half: float = 1.8,
     "farfield" marker. Grid planes are snapped onto the cavity bounds so
     the cavity is exactly resolved.
     """
+    return box_with_plates_mesh(n, half,
+                                {"blade": (plate_x, plate_y, plate_z)})
+
+
+def box_with_plates_mesh(n: int, half: float, plates: dict) -> Mesh:
+    """Cube [-half, half]^3 of n^3 hexes with disjoint rectangular cavities.
+
+    plates maps a marker name to the cavity's (x, y, z) bounds; its walls
+    carry that marker, in the order given, and the outer box walls the
+    "farfield" marker. Grid planes are snapped onto every cavity bound.
+    """
     def axis(n_, lo_, hi_, cuts):
         # insert the cut planes, dropping original points that would leave
         # sliver cells next to them
@@ -123,40 +134,43 @@ def box_with_plate_mesh(n: int = 12, half: float = 1.8,
                 if all(abs(p - c) > 0.3 * h for c in cuts)]
         return np.unique(np.concatenate([keep, list(cuts)]))
 
-    xs = axis(n, -half, half, plate_x)
-    ys = axis(n, -half, half, plate_y)
-    zs = axis(n, -half, half, plate_z)
+    xs, ys, zs = (axis(n, -half, half,
+                       [c for bounds in plates.values() for c in bounds[d]])
+                  for d in range(3))
     nx, ny, nz = len(xs) - 1, len(ys) - 1, len(zs) - 1
     pts = np.array([(x, y, z) for z in zs for y in ys for x in xs])
 
     def pid(i, j, k):
         return i + (nx + 1) * (j + (ny + 1) * k)
 
-    def inside(i, j, k):
-        cx = 0.5 * (xs[i] + xs[i + 1])
-        cy = 0.5 * (ys[j] + ys[j + 1])
-        cz = 0.5 * (zs[k] + zs[k + 1])
-        return (plate_x[0] < cx < plate_x[1] and
-                plate_y[0] < cy < plate_y[1] and
-                plate_z[0] < cz < plate_z[1])
+    def cavity(i, j, k):
+        centre = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]),
+                  0.5 * (zs[k] + zs[k + 1]))
+        return next((name for name, bounds in plates.items()
+                     if all(lo < c < hi for c, (lo, hi) in
+                            zip(centre, bounds))), None)
 
     elements = []
-    removed = set()
+    removed = set()  # walls are listed in this set's order
+    cavity_of = {}
     for k in range(nz):
         for j in range(ny):
             for i in range(nx):
-                if inside(i, j, k):
+                name = cavity(i, j, k)
+                if name is not None:
                     removed.add((i, j, k))
+                    cavity_of[(i, j, k)] = name
                     continue
                 elements.append((
                     pid(i, j, k), pid(i + 1, j, k), pid(i + 1, j + 1, k),
                     pid(i, j + 1, k), pid(i, j, k + 1), pid(i + 1, j, k + 1),
                     pid(i + 1, j + 1, k + 1), pid(i, j + 1, k + 1)))
-    if not removed:
+    if set(cavity_of.values()) != set(plates):
         raise ValueError("cavity does not contain any cells; refine the grid")
 
-    blade: list[tuple[int, ...]] = []
+    walls: dict[str, list[tuple[int, ...]]] = {name: [] for name in plates}
     for (i, j, k) in removed:
+        blade = walls[cavity_of[(i, j, k)]]
         if (i - 1, j, k) not in removed:
             blade.append((pid(i, j, k), pid(i, j + 1, k),
                           pid(i, j + 1, k + 1), pid(i, j, k + 1)))
@@ -197,9 +211,10 @@ def box_with_plate_mesh(n: int = 12, half: float = 1.8,
                              pid(i + 1, j + 1, nz), pid(i, j + 1, nz)))
 
     used = np.unique(elements)
+    walls["farfield"] = farfield
     return Mesh(3, pts[used], _hexes(np.searchsorted(used, elements)),
-                {"blade": _quads(np.searchsorted(used, blade)),
-                 "farfield": _quads(np.searchsorted(used, farfield))})
+                {name: _quads(np.searchsorted(used, faces))
+                 for name, faces in walls.items()})
 
 
 def stacked_interface_mesh(na: int = 4, nb: int = 5) -> Mesh:

@@ -85,6 +85,16 @@ def test_info_bad_connectivity_exit_code(tmp_path, capsys):
     assert "line 4: triangle elements are not allowed as 3D cells" in err
 
 
+NO_CELLS = "NDIME= 2\nNELEM= 0\nNPOIN= 1\n0.0 0.0 0\nNMARK= 0\n"
+
+
+def test_info_mesh_without_cells_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "empty.mesh"
+    path.write_text(NO_CELLS)
+    assert main(["info", str(path)]) == 2
+    assert "parse error: mesh has no cells" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     # argparse errors go through the overridden .error -> process exit 1
     for argv in (["info"], ["not-a-command"]):
@@ -375,6 +385,16 @@ def test_face_of_three_cells_is_parse_error(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "parse error: face (0, 1, 2, 3) is shared by cells [0, 1, 2]" in err
+    assert not outdir.exists()
+
+
+def test_deform_mesh_without_cells_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "empty.mesh"
+    path.write_text(NO_CELLS)
+    outdir = tmp_path / "out"
+    assert main(["deform", str(path), "ah1g_high_speed", "--markers",
+                 "blade", "--output-dir", str(outdir)]) == 2
+    assert "parse error: mesh has no cells" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotormesh.kinematics import (BladeMotion, FlightCondition, MotionSeries,
                                   azimuth_matrix, blade_normal_mach,
@@ -275,3 +277,30 @@ def test_grid_velocity_order_on_sine():
 def test_motion_requires_positive_rate():
     with pytest.raises(ValueError, match="rotation_rate"):
         _motion(rate=0.0)
+
+
+ANGLES = st.floats(-4.0, 4.0)
+SERIES = st.builds(MotionSeries, mean=ANGLES,
+                   sine_coeffs=st.lists(ANGLES, max_size=3).map(tuple),
+                   cosine_coeffs=st.lists(ANGLES, max_size=3).map(tuple))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series=SERIES, psi=st.floats(-20.0, 20.0))
+def test_series_bounded_by_coefficient_sum(series, psi):
+    """The driver scales its basis data by this bound on every motion law."""
+    bound = (abs(series.mean) + sum(map(abs, series.sine_coeffs))
+             + sum(map(abs, series.cosine_coeffs)))
+    assert abs(eval_series(series, psi)) <= bound * (1.0 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=ANGLES, delta=ANGLES, theta=ANGLES)
+def test_hinge_rotation_departs_from_identity_by_at_most_angle_sum(
+        beta, delta, theta):
+    """||C - I||_2 <= min(2, |beta| + |delta| + |theta|): each rotation by
+    a moves a unit vector by at most 2 |sin(a / 2)| <= |a|, and a rotation
+    never by more than 2. The driver's greedy tolerance rests on this."""
+    norm = np.linalg.norm(hinge_matrix(beta, delta, theta) - np.eye(3), 2)
+    bound = min(2.0, abs(beta) + abs(delta) + abs(theta))
+    assert norm <= bound * (1.0 + 1e-12) + 1e-15
