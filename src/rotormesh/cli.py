@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import hb
-from .config import ConfigError, load_fixture, load_motion_config, FIXTURE_NAMES
+from .config import (_NUMBER, ConfigError, FIXTURE_NAMES, load_fixture,
+                     load_motion_config)
 from .driver import DeformationFailure, run_deformation
 from .geometry import cell_geometry, orthogonality_metrics, topology
 from .kinematics import blade_normal_mach, eval_series
@@ -45,6 +46,15 @@ def _load_mesh(path: str) -> Mesh:
     except OSError as exc:
         raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
     return parse_mesh(text)
+
+
+def _numbers(text: str) -> list[float]:
+    """Finite numbers separated by commas or spaces (an argparse type)."""
+    entries = text.replace(",", " ").split() or [text]  # none: report text
+    try:
+        return [_NUMBER(float(entry)) for entry in entries]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _load_config(path: str):
@@ -81,10 +91,7 @@ def cmd_info(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    stations = [float(s) for s in args.stations.split(",") if s.strip()]
-    if not stations:
-        raise UsageError("at least one radial station required")
-    if any(s < 0.0 or s > 1.0 for s in stations):
+    if any(s < 0.0 or s > 1.0 for s in args.stations):
         raise UsageError("stations must lie in [0, 1]")
     if args.steps < 1:
         raise UsageError("--steps must be >= 1")
@@ -92,14 +99,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("bad config keys: [flight] section required "
                           "for sweeps")
 
-    rows = []
-    for k in range(args.steps):
-        psi = 2.0 * np.pi * k / args.steps
-        beta = np.degrees(eval_series(cfg.flap, psi))
-        delta = np.degrees(eval_series(cfg.leadlag, psi))
-        theta = np.degrees(eval_series(cfg.pitch, psi))
-        rows.extend((np.degrees(psi), r, beta, delta, theta,
-                     blade_normal_mach(r, cfg.flight, psi)) for r in stations)
+    psi = np.repeat(2.0 * np.pi * np.arange(args.steps) / args.steps,
+                    len(args.stations))
+    r = np.tile(args.stations, args.steps)
+    motion = [eval_series(s, psi) for s in (cfg.flap, cfg.leadlag, cfg.pitch)]
+    rows = np.column_stack([np.degrees(psi), r, *np.degrees(motion),
+                            blade_normal_mach(r, cfg.flight, psi)])
     csv = ("psi_deg,r_over_R,beta_deg,delta_deg,theta_deg,mach_normal\n"
            + _rows("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n", rows))
     if args.output:
@@ -138,10 +143,6 @@ def cmd_deform(args) -> int:
         for res in steps:
             if not res.history.converged:
                 unconverged.append(res.step)
-                print(f"warning: step {res.step}: greedy selection did not "
-                      f"converge with {res.history.selected_points} points; "
-                      f"surface error {res.surface_max_err:.3e} m, tol "
-                      f"{cfg.rbf.greedy_tol:.3e} m", file=sys.stderr)
             quality_rows.append((
                 res.step, np.degrees(res.psi),
                 res.quality.min_orthogonality_deg,
@@ -161,6 +162,11 @@ def cmd_deform(args) -> int:
         print(f"deformation failed: {exc}", file=sys.stderr)
         print(f"last good step: {exc.last_good}", file=sys.stderr)
         exit_code = EXIT_DEFORM
+    if unconverged:  # one selection serves every step of the run
+        print(f"warning: greedy selection did not converge with "
+              f"{res.history.selected_points} points; largest step surface "
+              f"error {max(row[-1] for row in quality_rows):.3e} m, "
+              f"tol {cfg.rbf.greedy_tol:.3e} m", file=sys.stderr)
 
     (outdir / "quality.csv").write_text(
         "step,psi_deg,min_orthogonality_deg,negative_volume_count,min_volume,"
@@ -216,28 +222,24 @@ def cmd_interface(args) -> int:
 
 def _supermesh_vtk(sm) -> str:
     """Legacy VTK polygon soup of the clipped intersection pieces."""
-    sizes = np.array([len(p) for p in sm.polygons], dtype=np.intp)
+    sizes = sm.polygon_counts
     first = np.cumsum(sizes) - sizes
     cells = {}  # polygons grouped by vertex count, as Mesh.cells by kind
     for k in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == k)
         cells[k] = (first[rows, None] + np.arange(k), rows)
-    points = np.concatenate([np.empty((0, 2)), *sm.polygons])
     return _vtk_grid("supermesh intersection polygons",
-                     np.column_stack([points, np.zeros(len(points))]),
+                     np.pad(sm.polygon_vertices, [(0, 0), (0, 1)]),  # z = 0
                      cells, dict.fromkeys(cells, 7))  # VTK_POLYGON
 
 
 def cmd_hb(args) -> int:
-    values = [float(v) for v in args.omega.replace(",", " ").split()]
-    if not values:
-        raise UsageError("--omega requires at least one frequency")
     try:
-        if all(v > 0.0 for v in values):
+        if all(v > 0.0 for v in args.omega):
             fs = hb.FrequencySet.from_values(
-                [0.0] + [s * v for v in values for s in (1.0, -1.0)])
+                [0.0] + [s * v for v in args.omega for s in (1.0, -1.0)])
         else:
-            fs = hb.FrequencySet.from_values(values)
+            fs = hb.FrequencySet.from_values(args.omega)
         if args.instances != fs.count:
             raise UsageError(
                 f"--instances must equal the frequency count {fs.count}")
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="azimuth sweep of motion laws")
     p.add_argument("config", help="motion config path or fixture name")
-    p.add_argument("--stations", default="0.75,1.0",
+    p.add_argument("--stations", default="0.75,1.0", type=_numbers,
                    help="comma-separated r/R list")
     p.add_argument("--steps", type=int, default=360)
     p.add_argument("--output", default=None)
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_interface)
 
     p = sub.add_parser("hb", help="spectral derivative operator demo")
-    p.add_argument("--omega", required=True,
+    p.add_argument("--omega", required=True, type=_numbers,
                    help="frequency list (rad/s); positive tones or the full "
                         "symmetric set")
     p.add_argument("--instances", type=int, required=True)

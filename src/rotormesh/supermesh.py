@@ -12,7 +12,7 @@ centres are closer than the sum of their radii.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -36,7 +36,8 @@ def polygon_area(poly: np.ndarray) -> float:
 
 
 # A stack of P polygons is a (P, k, 2) array; a polygon of n < k vertices
-# repeats its last vertex in slots n..k-1 (the padding rule).
+# repeats its last vertex in slots n..k-1 (the padding rule). A result is
+# flat: (V, 2) vertices, polygon after polygon, and (P,) vertex counts.
 CLIP_BLOCK = 4096  # pairs per clip_convex pass; bounds its temporary arrays
 
 
@@ -56,11 +57,10 @@ def _take(stack: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take_along_axis(stack, idx[..., None], axis=1)
 
 
-def _stack(polygons) -> tuple[np.ndarray, np.ndarray]:
-    """Non-empty (n, 2) polygons as one stack, and their vertex counts."""
-    n = np.fromiter(map(len, polygons), dtype=np.intp, count=len(polygons))
-    flat = np.concatenate([np.zeros((0, 2)), *polygons])
-    return flat[(np.cumsum(n) - n)[:, None] + _slots(n, n.max(initial=1))], n
+def _stack(vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat polygons of counts[i] >= 1 vertices each as one stack."""
+    return vertices[(np.cumsum(counts) - counts)[:, None]
+                    + _slots(counts, counts.max(initial=1))]
 
 
 def _norm(d: np.ndarray) -> np.ndarray:
@@ -122,22 +122,24 @@ def clip_convex(poly_a: np.ndarray, poly_b: np.ndarray,
 
     poly_a and poly_b are one polygon (k, 2) each, or stacks (P, k, 2) of
     P polygons; either may be CW or CCW. Returns the CCW intersection
-    (m, 2), empty (0, 2) for disjoint polygons, or a list of P of them for
-    stacks, clipped CLIP_BLOCK pairs at a time. Raises ValueError naming
-    a polygon that is not convex."""
+    (m, 2), empty (0, 2) for disjoint polygons, or for stacks the flat
+    vertices and counts (0 if disjoint) of P of them, clipped CLIP_BLOCK
+    pairs at a time. Raises ValueError naming a non-convex polygon."""
     a, b = (np.asarray(p, dtype=float) for p in (poly_a, poly_b))
     single = a.ndim == 2
     a, b = (a[None], b[None]) if single else (a, b)
     if a.ndim != 3 or b.ndim != 3 or a.shape[::2] != b.shape[::2] or \
             a.shape[2] != 2:
         raise ValueError("expected two (k, 2) polygons or two stacks")
-    out = []
+    blocks, counts = [np.zeros((0, 2))], np.zeros(len(a), dtype=np.intp)
     for s in range(0, len(a), CLIP_BLOCK):
         block = slice(s, s + CLIP_BLOCK)
         clip, _ = _convex_ccw(a[block], "poly_a", s)
         subject, n = _convex_ccw(b[block], "poly_b", s)
-        out += _clip_block(clip, subject, n, snap)
-    return out[0] if single else out
+        vertices, counts[block] = _clip_block(clip, subject, n, snap)
+        blocks.append(vertices)
+    vertices = np.concatenate(blocks)
+    return vertices if single else (vertices, counts)
 
 
 def _convex_ccw(stack: np.ndarray, name: str, first: int):
@@ -153,11 +155,12 @@ def _convex_ccw(stack: np.ndarray, name: str, first: int):
     return _ccw(stack, n), n
 
 
-def _clip_block(a, b, n, snap) -> list[np.ndarray]:
+def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
     """Clip each CCW polygon b (n vertices) by its CCW convex a, one pass
     per edge of a, then drop each vertex within snap of the last kept one
-    and closing vertices within snap of the first. Every vertex is computed
-    by the same float operations as a loop over pairs and vertices."""
+    and closing vertices within snap of the first: the flat vertices and
+    counts (0 below 3). Every vertex is computed by the same float
+    operations as a loop over pairs and vertices."""
     if snap is None:  # 1e-12 of the diagonal of the pair's bounding box
         span = np.concatenate([a, b], axis=1)
         snap = 1e-12 * np.maximum(
@@ -199,59 +202,53 @@ def _clip_block(a, b, n, snap) -> list[np.ndarray]:
         n = n - pop
     sizes = np.zeros(len(b), dtype=np.intp)
     sizes[live] = np.where(n >= 3, n, 0)
-    verts = poly[np.arange(poly.shape[1]) < sizes[live, None]]
-    ends = np.cumsum(sizes).tolist()
-    return [verts[e - m:e] for e, m in zip(ends, sizes.tolist())]
+    return poly[np.arange(poly.shape[1]) < sizes[live, None]], sizes
 
 
 @dataclass(frozen=True)
 class InterfaceFaceSet:
     """One side of a non-conformal interface after projection.
 
-    For 3D domains faces are planar polygons (k, 2) in the projection
-    plane; for 2D domains they are intervals (2,) on the projection line.
-    Construction stacks and measures the faces once: stack holds them as
-    one padded (n, k, 2) array (intervals: (n, 2)) with counts vertices
-    each, measures their areas (or lengths) and ccw whether each polygon
-    is wound counter-clockwise (always true for intervals, which are
-    stored sorted).
+    faces are planar polygons (k, 2) in the projection plane for 3D
+    domains, and intervals (2,) on the projection line for 2D domains.
+    They are not kept: construction checks them, stores them as one
+    padded stack (n, k, 2) with counts vertices each (intervals: (n, 2),
+    sorted), and measures their areas (or lengths) and ccw whether each
+    polygon is wound counter-clockwise (always true for intervals).
     """
 
     side: str
-    faces: tuple[np.ndarray, ...]
+    faces: InitVar[tuple[np.ndarray, ...]]
     manifold_dim: int = 2
     stack: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
     measures: np.ndarray = field(init=False, repr=False)
     ccw: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.faces) == 0:
+    def __post_init__(self, faces):
+        if len(faces) == 0:
             raise ValueError(f"interface side {self.side!r} has no faces")
-        faces = tuple(np.asarray(f, dtype=float) for f in self.faces)
-        if self.manifold_dim == 2:
-            try:  # fails, or stacks wrongly, unless every face is (k, 2)
-                stack, n = _stack(faces)
-                good = stack.shape[2:] == (2,) and n.min() >= 3 and \
-                    np.isfinite(stack).all()
-            except (TypeError, ValueError, IndexError):
-                good = False
-        else:
-            segments = np.sort(np.reshape(faces, (len(faces), 2)), axis=1)
-            good = np.isfinite(segments).all()
+        polygons = self.manifold_dim == 2
+        try:  # fails, or flattens wrongly, unless every face is well shaped
+            n = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+            flat = np.concatenate(faces, dtype=float)
+            good = flat.shape[1:] == ((2,) if polygons else ()) and \
+                (n >= 3 if polygons else n == 2).all() and \
+                np.isfinite(flat).all()
+        except (TypeError, ValueError):
+            good = False
         if not good:
             raise ValueError(self._first_bad_face(faces))
-        if self.manifold_dim == 2:
+        if polygons:
+            stack = _stack(flat, n)
             signed = _signed_areas(stack, n)
             zero, what = signed == 0.0, "zero-area polygon"
         else:
-            faces = tuple(segments)
-            stack, n = segments, np.full(len(segments), 2)
-            signed = segments[:, 1] - segments[:, 0]
+            stack = np.sort(flat.reshape(-1, 2), axis=1)
+            signed = stack[:, 1] - stack[:, 0]
             zero, what = signed <= 0.0, "zero-length segment"
         if zero.any():
             raise ValueError(f"face {int(np.argmax(zero))}: {what}")
-        object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "counts", n)
         object.__setattr__(self, "measures", np.abs(signed))
@@ -259,11 +256,12 @@ class InterfaceFaceSet:
 
     def _first_bad_face(self, faces) -> str:
         """The error of the first face that is not a finite polygon (k>=3, 2)
-        or interval; a loop that only runs to report an error."""
-        for i, f in enumerate(faces):
-            if self.manifold_dim == 2 and (f.ndim != 2 or f.shape[1] != 2
-                                           or len(f) < 3):
+        or interval (2,); a loop that only runs to report an error."""
+        for i, f in enumerate(map(np.asarray, faces)):
+            if self.manifold_dim == 2 and (f.shape[1:] != (2,) or len(f) < 3):
                 return f"face {i}: expected (k>=3, 2) polygon"
+            if self.manifold_dim == 1 and f.shape != (2,):
+                return f"face {i}: expected (2,) interval"
             if not np.isfinite(f).all():
                 return f"face {i}: non-finite coordinates"
 
@@ -275,9 +273,9 @@ class Supermesh:
     Face q intersects A face parent_a[q] with B face parent_b[q] over
     area[q]; faces are sorted by (A face, B face). weights is the
     n_a x n_b CSR matrix W[a, b] = area(A & B) / area(A) with the same
-    entries in the same order. polygons holds every clipped piece (several
-    for a pair whose faces were split into convex parts) and polygon_pair
-    the index q of each piece's face; both are empty for 1D interfaces.
+    entries in the same order. polygon_vertices holds the clipped pieces in
+    turn (several for a pair split into convex parts), polygon_counts their
+    vertex counts and polygon_pair the face q of each; all empty for 1D.
     """
 
     parent_a: np.ndarray
@@ -286,7 +284,8 @@ class Supermesh:
     weights: csr_array
     area_a: np.ndarray
     area_b: np.ndarray
-    polygons: tuple[np.ndarray, ...]
+    polygon_vertices: np.ndarray
+    polygon_counts: np.ndarray
     polygon_pair: np.ndarray
 
     @property
@@ -313,15 +312,12 @@ class Supermesh:
 
 
 def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
-              polygons: tuple[np.ndarray, ...] = ()) -> Supermesh:
+              vertices: np.ndarray, counts: np.ndarray) -> Supermesh:
     """Supermesh from intersection pieces (rows[k], cols[k], areas[k]) in
     any order; pieces of one (A, B) pair are summed in the order given.
-    polygons, if given, holds the clipped polygon of each piece."""
+    vertices and counts hold the clipped polygon of each piece, or none."""
     shape = (len(area_a), len(area_b))
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    pairs = coo_array((np.asarray(areas, dtype=float), (rows, cols)),
-                      shape=shape)
+    pairs = coo_array((areas, (rows, cols)), shape=shape)
     pairs.sum_duplicates()
     parent_a, parent_b = pairs.coords
     weights = pairs.tocsr()  # pairs is sorted, so the entry order is kept
@@ -329,7 +325,7 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
     polygon_pair = np.searchsorted(parent_a * shape[1] + parent_b,
                                    rows * shape[1] + cols)
     return Supermesh(parent_a, parent_b, pairs.data, weights, area_a, area_b,
-                     polygons, polygon_pair[:len(polygons)])
+                     vertices, counts, polygon_pair[:len(counts)])
 
 
 def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
@@ -394,23 +390,23 @@ def build_supermesh(side_a: InterfaceFaceSet,
     if side_a.manifold_dim == 1:
         return _build_supermesh_1d(side_a, side_b)
 
-    all_pts = np.vstack([np.vstack(side_a.faces), np.vstack(side_b.faces)])
+    # padding repeats vertices, so the stacks span what the faces span
+    all_pts = np.vstack([s.stack.reshape(-1, 2) for s in (side_a, side_b)])
     diag = float(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)))
     snap = 1e-12 * max(diag, 1e-300)
 
     face_a, pieces_a = _convex_pieces(side_a)
     face_b, pieces_b = _convex_pieces(side_b)
     ia, ib = _candidates(pieces_a, pieces_b, snap)
-    overlaps = clip_convex(pieces_a[ia], pieces_b[ib], snap=snap)
-    hit = np.flatnonzero([len(p) for p in overlaps])
-    stack, n = _stack([overlaps[i] for i in hit.tolist()])
-    area = np.abs(_signed_areas(stack, n))  # polygon_area of each overlap
+    vertices, n = clip_convex(pieces_a[ia], pieces_b[ib], snap=snap)
+    hit = n > 0
+    n = n[hit]
+    area = np.abs(_signed_areas(_stack(vertices, n), n))  # polygon_area
     rows, cols = face_a[ia[hit]], face_b[ib[hit]]
     keep = area > 1e-14 * np.minimum(side_a.measures[rows],
                                      side_b.measures[cols])
     return _assemble(rows[keep], cols[keep], area[keep], side_a.measures,
-                     side_b.measures,
-                     tuple(overlaps[i] for i in hit[keep].tolist()))
+                     side_b.measures, vertices[np.repeat(keep, n)], n[keep])
 
 
 def _build_supermesh_1d(side_a: InterfaceFaceSet,
@@ -423,7 +419,8 @@ def _build_supermesh_1d(side_a: InterfaceFaceSet,
         np.maximum(seg_a[..., 0], seg_b[..., 0])
     ia, ib = np.nonzero(overlap > 1e-14 * np.minimum(len_a[:, None],
                                                       len_b[None, :]))
-    return _assemble(ia, ib, overlap[ia, ib], len_a, len_b)
+    return _assemble(ia, ib, overlap[ia, ib], len_a, len_b, np.zeros((0, 2)),
+                     np.zeros(0, dtype=np.intp))
 
 
 def weighted_exchange(sm: Supermesh, field_on_b) -> np.ndarray:

@@ -8,6 +8,8 @@ from meshgen import (SQUARE_2TRI, box_hex_mesh, box_with_plate_mesh,
 
 from rotormesh import geometry
 from rotormesh.cli import _supermesh_vtk, main
+from rotormesh.config import load_fixture
+from rotormesh.kinematics import blade_normal_mach, eval_series
 from rotormesh.mesh import Mesh, write_mesh
 from rotormesh.supermesh import (InterfaceFaceSet, build_supermesh,
                                  polygon_area)
@@ -140,6 +142,50 @@ def test_sweep_zero_coefficients(tmp_path):
                pytest.approx(0.5 * float(r["r_over_R"])) for r in rows)
 
 
+def test_sweep_rows_match_per_azimuth_scalar_evaluation(tmp_path):
+    """The sweep evaluates every azimuth and station at once; each row
+    equals the scalar evaluation at its own azimuth and station."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "ah1g_high_speed", "--stations", "0.25,0.75,1.0",
+                 "--steps", "36", "--output", str(out)]) == 0
+    cfg = load_fixture("ah1g_high_speed")
+    expect = ["psi_deg,r_over_R,beta_deg,delta_deg,theta_deg,mach_normal"]
+    for k in range(36):
+        psi = 2.0 * np.pi * k / 36
+        for r in (0.25, 0.75, 1.0):
+            row = (np.degrees(psi), r,
+                   *(np.degrees(eval_series(s, psi))
+                     for s in (cfg.flap, cfg.leadlag, cfg.pitch)),
+                   blade_normal_mach(r, cfg.flight, psi))
+            expect.append(",".join("%.12g" % v for v in row))
+    assert out.read_text().splitlines() == expect
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "ah1g_low_speed", "--stations", "0.5,abc"],
+     "--stations: could not convert string to float: 'abc'"),
+    (["sweep", "ah1g_low_speed", "--stations", "nan"],
+     "--stations: must be a finite number, got nan"),
+    (["sweep", "ah1g_low_speed", "--stations", " , "],
+     "--stations: could not convert string to float: ' , '"),
+    (["hb", "--omega", "1,x", "--instances", "3"],
+     "--omega: could not convert string to float: 'x'"),
+    (["hb", "--omega", "inf", "--instances", "3"],
+     "--omega: must be a finite number, got inf"),
+    (["hb", "--omega", "nan", "--instances", "3"],
+     "--omega: must be a finite number, got nan"),
+])
+def test_number_list_option_is_checked(argv, message, tmp_path, capsys):
+    """A non-number or non-finite entry of --stations or --omega is a usage
+    error that names the option and the entry, and nothing is written."""
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(out)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f": error: argument {message}\n")
+    assert not out.exists()
+
+
 def test_sweep_bad_config_lists_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[rotor]\nradius_m = 1.0\n")
@@ -216,11 +262,15 @@ def test_deform_reports_unconverged_greedy(tmp_path, capsys):
                  "--steps-per-rev", "2", "--revolutions", "1.0",
                  "--output-dir", str(outdir)])
     assert code == 0
-    err = capsys.readouterr().err
-    for step in range(3):
-        assert f"warning: step {step}: greedy selection did not converge" \
-            in err
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
     meta = json.loads((outdir / "metadata.json").read_text())
+    _, qrows = _read_csv(outdir / "quality.csv")
+    worst = max(float(r["surface_max_err"]) for r in qrows)
+    # the selection is made once per run, so it is reported once
+    assert warnings == ["warning: greedy selection did not converge with 2 "
+                        f"points; largest step surface error {worst:.3e} m, "
+                        "tol 1.000e-12 m"]
     assert meta["greedy_unconverged_steps"] == [0, 1, 2]
     assert meta["last_completed_step"] == 2
     _, grows = _read_csv(outdir / "greedy.csv")

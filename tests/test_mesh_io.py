@@ -450,7 +450,8 @@ def test_supermesh_csv_matches_per_row_reference(n_a, n_b, data):
     weights = csr_array((_float_array(data.draw, FINITE, (len(flat),)),
                          (parent_a, parent_b)), shape=(n_a, n_b))
     sm = Supermesh(parent_a, parent_b, area, weights, np.ones(n_a),
-                   np.ones(n_b), (), np.empty(0, dtype=np.intp))
+                   np.ones(n_b), np.empty((0, 2)), np.empty(0, dtype=np.intp),
+                   np.empty(0, dtype=np.intp))
     assert sm.to_csv() == _ref_csv(sm)
 
 
@@ -461,9 +462,10 @@ def test_supermesh_vtk_matches_per_row_reference():
     beside = square + [1.0, 0.0]
     sm = build_supermesh(InterfaceFaceSet("A", (dart, beside)),
                          InterfaceFaceSet("B", (square, beside)))
-    points = [[x, y, 0.0] for poly in sm.polygons for x, y in poly.tolist()]
+    polygons = np.split(sm.polygon_vertices, np.cumsum(sm.polygon_counts)[:-1])
+    points = [[x, y, 0.0] for poly in polygons for x, y in poly.tolist()]
     cells, start = [], 0
-    for poly in sm.polygons:
+    for poly in polygons:
         cells.append((7, list(range(start, start + len(poly)))))
         start += len(poly)
     assert [len(v) for _, v in cells] == [3, 3, 4]
@@ -550,6 +552,6 @@ def test_marker_groups_match_per_face_references(case):
     flat = proj.project(mesh.points[idx])
     for side, name in ((side_a, "m0"), (side_b, "m1")):
         reference = [flat[np.searchsorted(idx, f)] for f in faces[name]]
-        assert len(side.faces) == len(reference)
-        assert all(np.array_equal(got, ref)
-                   for got, ref in zip(side.faces, reference))
+        assert side.counts.tolist() == [len(ref) for ref in reference]
+        assert all(np.array_equal(got[:len(ref)], ref)
+                   for got, ref in zip(side.stack, reference))

@@ -153,6 +153,17 @@ def test_zero_area_face_rejected():
         InterfaceFaceSet("A", (np.array([0.0, np.inf]),), manifold_dim=1)
     with pytest.raises(ValueError, match="face 0: non-finite coordinates"):
         InterfaceFaceSet("A", (np.array([np.nan, 1.0]),), manifold_dim=1)
+    interval = re.escape("expected (2,) interval")
+    with pytest.raises(ValueError, match="face 0: " + interval):
+        InterfaceFaceSet("A", (np.array([0.0, 1.0, 2.0]),), manifold_dim=1)
+    with pytest.raises(ValueError, match="face 1: " + interval):
+        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.arange(3.0)),
+                         manifold_dim=1)
+    with pytest.raises(ValueError, match="face 1: " + interval):
+        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.array([[1.0, 2.0]])),
+                         manifold_dim=1)
+    with pytest.raises(ValueError, match="face 0: " + interval):
+        InterfaceFaceSet("A", (np.array([[0.0, 1.0]]),), manifold_dim=1)
 
 
 NAN_SQUARE = SQUARE + [np.nan, 0.0]
@@ -203,9 +214,9 @@ def test_nonconvex_quad_split():
     assert sm.total_area == pytest.approx(polygon_area(dart), rel=1e-12)
     assert sm.weight_sums()[0] == pytest.approx(1.0, abs=1e-9)
     # the dart is split in two: both clipped pieces are kept for one face
-    assert len(sm.polygons) == 2 and list(sm.polygon_pair) == [0, 0]
-    pieces = np.bincount(sm.polygon_pair,
-                         weights=[polygon_area(p) for p in sm.polygons])
+    assert len(sm.polygon_counts) == 2 and list(sm.polygon_pair) == [0, 0]
+    pieces = np.bincount(sm.polygon_pair, weights=[polygon_area(p) for p in
+                         split(sm.polygon_vertices, sm.polygon_counts)])
     assert pieces == pytest.approx(sm.area, rel=1e-12)
 
 
@@ -406,6 +417,11 @@ def pad(poly, k=9):
     return np.vstack([poly, np.repeat(poly[-1:], k - len(poly), axis=0)])
 
 
+def split(vertices, counts):
+    """Flat polygons, counts[i] vertices each, one array per polygon."""
+    return np.split(vertices, np.cumsum(counts)[:-1])
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------
@@ -466,15 +482,19 @@ def test_stack_clip_matches_per_pair_reference(pairs, snap):
     """Each pair of a padded stack, and the first pair on its own, clips to
     the per-pair reference bit for bit. A coarse snap makes the clip
     tolerance and the vertex dedupe act on most pairs."""
-    got = clip_convex(np.stack([pad(a) for a, _ in pairs]),
-                      np.stack([pad(b) for _, b in pairs]), snap=snap)
-    assert len(got) == len(pairs)
+    vertices, counts = clip_convex(np.stack([pad(a) for a, _ in pairs]),
+                                   np.stack([pad(b) for _, b in pairs]),
+                                   snap=snap)
+    assert counts.shape == (len(pairs),) and len(vertices) == counts.sum()
+    got = split(vertices, counts)
     for (a, b), poly in zip(pairs, got):
         ref = reference_clip(a, b, snap=snap)
         assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
     a, b = pairs[0]
     single = clip_convex(a, b, snap=snap)
     assert single.tobytes() == got[0].tobytes() and single.ndim == 2
+    one, n = clip_convex(pad(a)[None], pad(b)[None], snap=snap)
+    assert one.tobytes() == single.tobytes() and n.tolist() == [len(single)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -497,9 +517,10 @@ def test_stack_clip_blocks_do_not_change_results(monkeypatch):
     whole = clip_convex(a, b)
     monkeypatch.setattr(supermesh, "CLIP_BLOCK", 7)
     blocked = clip_convex(a, b)
-    assert sum(len(p) > 0 for p in whole) > 10
-    assert [p.tobytes() for p in blocked] == [p.tobytes() for p in whole]
-    assert clip_convex(a[:0], b[:0]) == []
+    assert np.count_nonzero(whole[1]) > 10
+    assert [x.tobytes() for x in blocked] == [x.tobytes() for x in whole]
+    vertices, counts = clip_convex(a[:0], b[:0])
+    assert vertices.shape == (0, 2) and counts.shape == (0,)
     b[23] = pad(CHEVRON)
     with pytest.raises(ValueError, match=r"poly_b\[23\]"):
         clip_convex(a, b)
@@ -519,11 +540,12 @@ def test_build_areas_equal_numpy_shoelace_with_octagons():
               for f in grid_faces(5))
     sm = build_supermesh(InterfaceFaceSet("A", grid_faces(5)),
                          InterfaceFaceSet("B", b))
-    terms = [shoelace_terms(p) for p in sm.polygons if len(p) == 8]
+    polygons = split(sm.polygon_vertices, sm.polygon_counts)
+    terms = [shoelace_terms(p) for p in polygons if len(p) == 8]
     assert any(np.cumsum(t)[-1] != np.sum(t) for t in terms)
     assert list(sm.polygon_pair) == list(range(len(sm.area)))
     assert sm.area.tolist() == [abs(0.5 * np.sum(shoelace_terms(p)))
-                                for p in sm.polygons]
+                                for p in polygons]
 
 
 @settings(max_examples=100, deadline=None)
@@ -559,8 +581,9 @@ def test_build_reaches_clip_through_module_attribute(monkeypatch):
     assert calls and sum(calls) >= len(traced.area)
     assert traced.area.tobytes() == plain.area.tobytes()
     assert traced.weights.data.tobytes() == plain.weights.data.tobytes()
-    assert [p.tobytes() for p in traced.polygons] == \
-        [p.tobytes() for p in plain.polygons]
+    assert traced.polygon_vertices.tobytes() == \
+        plain.polygon_vertices.tobytes()
+    assert traced.polygon_counts.tolist() == plain.polygon_counts.tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -630,7 +653,7 @@ def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
     face_a, pieces_a = _convex_pieces(side_a)
     face_b, pieces_b = _convex_pieces(side_b)
     ka, kb = np.divmod(np.arange(len(face_a) * len(face_b)), len(face_b))
-    overlaps = clip_convex(pieces_a[ka], pieces_b[kb], snap=snap)
+    overlaps = split(*clip_convex(pieces_a[ka], pieces_b[kb], snap=snap))
     for ia, ib, overlap in zip(face_a[ka].tolist(), face_b[kb].tolist(),
                                overlaps):
         if len(overlap) == 0:
@@ -643,8 +666,9 @@ def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
     pairs = sorted(areas)
     assert list(zip(sm.parent_a.tolist(), sm.parent_b.tolist())) == pairs
     assert sm.area.tolist() == [areas[pair] for pair in pairs]
-    assert len(sm.polygons) == len(polygons)
-    assert all(np.array_equal(p, q) for p, q in zip(sm.polygons, polygons))
+    assert sm.polygon_counts.tolist() == [len(p) for p in polygons]
+    assert all(np.array_equal(p, q) for p, q in zip(
+        split(sm.polygon_vertices, sm.polygon_counts), polygons))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +678,8 @@ def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
 def test_interface_from_markers_planar():
     mesh = stacked_interface_mesh(4, 5)
     side_a, side_b, proj = interface_from_markers(mesh, "iface_a", "iface_b")
-    assert len(side_a.faces) == 16
-    assert len(side_b.faces) == 25
+    assert side_a.counts.tolist() == [4] * 16
+    assert side_b.counts.tolist() == [4] * 25
     sm = build_supermesh(side_a, side_b)
     assert np.abs(sm.weight_sums() - 1.0).max() < 1e-9
     assert sm.total_area == pytest.approx(1.0, abs=1e-9)
@@ -691,7 +715,7 @@ def test_interface_from_markers_2d_line():
     assert (side_a.manifold_dim, side_b.manifold_dim) == (1, 1)
     for side, lines in ((side_a, lines_a), (side_b, lines_b)):
         ends = (points[np.array(lines)] - origin) @ axis
-        assert np.allclose(side.faces, np.sort(ends, axis=1), atol=1e-15)
+        assert np.allclose(side.stack, np.sort(ends, axis=1), atol=1e-15)
     sm = build_supermesh(side_a, side_b)
     assert np.allclose(sm.weight_sums(), 1.0)
     assert sm.total_area == pytest.approx(1.0)
