@@ -197,7 +197,7 @@ def cmd_interface(args) -> int:
     mesh = _load_mesh(args.mesh)
     try:
         side_a, side_b, _ = interface_from_markers(
-            mesh, args.marker_a, args.marker_b, projection=args.projection)
+            mesh, args.marker_a, args.marker_b)
     except KeyError as exc:
         raise MeshFormatError(exc.args[0]) from exc
     sm = build_supermesh(side_a, side_b)
@@ -234,15 +234,12 @@ def _supermesh_vtk(sm) -> str:
 
 
 def cmd_hb(args) -> int:
+    if min(args.omega) <= 0.0:
+        raise UsageError(f"--omega takes positive tones only (0 and the "
+                         f"negative tones follow from them), got "
+                         f"{min(args.omega):g}")
     try:
-        if all(v > 0.0 for v in args.omega):
-            fs = hb.FrequencySet.from_values(
-                [0.0] + [s * v for v in args.omega for s in (1.0, -1.0)])
-        else:
-            fs = hb.FrequencySet.from_values(args.omega)
-        if args.instances != fs.count:
-            raise UsageError(
-                f"--instances must equal the frequency count {fs.count}")
+        fs = hb.FrequencySet((0.0, *args.omega, *(-w for w in args.omega)))
         op = hb.build_operator(fs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -263,7 +260,7 @@ def cmd_hb(args) -> int:
     else:
         sys.stdout.write(csv)
     resolved = args.tone_multiple <= len(fs.positive)
-    print(f"instances: {args.instances}, basis condition {op.condition:.3e}",
+    print(f"instances: {fs.count}, basis condition {op.condition:.3e}",
           file=sys.stderr)
     print(f"test tone {args.tone_multiple}x fundamental "
           f"({'resolved' if resolved else 'unresolved'}): "
@@ -306,8 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh")
     p.add_argument("marker_a")
     p.add_argument("marker_b")
-    p.add_argument("--projection", default="auto",
-                   choices=("auto", "plane", "cylinder-z"))
     p.add_argument("--output", default="supermesh.csv")
     p.add_argument("--viz", default=None,
                    help="write intersection polygons as VTK")
@@ -315,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hb", help="spectral derivative operator demo")
     p.add_argument("--omega", required=True, type=_numbers,
-                   help="frequency list (rad/s); positive tones or the full "
-                        "symmetric set")
-    p.add_argument("--instances", type=int, required=True)
+                   help="positive tones only (rad/s), e.g. 6.283 or 1,2.5; "
+                        "0, the negative tones and the 2K + 1 time "
+                        "instances follow from them")
     p.add_argument("--tone-multiple", type=int, default=1,
                    help="test signal frequency as a multiple of the "
                         "fundamental")

@@ -20,10 +20,11 @@ _SEED = 20210527     # their seed, so the choice is reproducible
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Symmetric, zero-inclusive angular frequency set (rad/s)."""
+    """Symmetric, zero-inclusive angular frequency set (rad/s), such as
+    (0, w1, -w1, 2 w1, -2 w1) in any order. Its base period is 2 pi over
+    the smallest positive tone; harmonics builds the set from w1 alone."""
 
     frequencies: tuple[float, ...]
-    base_period: float
 
     def __post_init__(self):
         freqs = np.asarray(sorted(self.frequencies))
@@ -40,15 +41,6 @@ class FrequencySet:
         object.__setattr__(self, "frequencies", tuple(float(f) for f in freqs))
 
     @classmethod
-    def from_values(cls, values) -> "FrequencySet":
-        """Build from an explicit list like (0, w1, -w1, 2w1, -2w1)."""
-        freqs = tuple(float(v) for v in values)
-        pos = sorted(abs(f) for f in freqs if f != 0.0)
-        if not pos:
-            raise ValueError("at least one nonzero frequency required")
-        return cls(freqs, base_period=2.0 * np.pi / pos[0])
-
-    @classmethod
     def harmonics(cls, omega1: float, count: int) -> "FrequencySet":
         """0, +-omega1, ..., +-count*omega1."""
         if omega1 <= 0.0 or count < 1:
@@ -56,7 +48,7 @@ class FrequencySet:
         freqs = [0.0]
         for k in range(1, count + 1):
             freqs.extend([k * omega1, -k * omega1])
-        return cls(tuple(freqs), base_period=2.0 * np.pi / omega1)
+        return cls(tuple(freqs))
 
     @property
     def count(self) -> int:
@@ -65,6 +57,10 @@ class FrequencySet:
     @property
     def positive(self) -> np.ndarray:
         return np.asarray([f for f in self.frequencies if f > 0.0])
+
+    @property
+    def base_period(self) -> float:
+        return float(2.0 * np.pi / self.positive[0])
 
     @property
     def commensurate(self) -> bool:

@@ -129,16 +129,13 @@ def hinge_matrix(beta: float, delta: float, theta: float) -> np.ndarray:
     ])
 
 
-def blade_point(x, motion: BladeMotion, t: float, *,
-                keep_hinge_offset: bool = True):
+def blade_point(x, motion: BladeMotion, t: float):
     """Position of blade point(s) x at time t, plus the hinge-frame stage.
 
     Returns (position, hinge_frame) where hinge_frame is the point after
-    the flap/lead-lag/pitch rotation but before the azimuthal rotation.
-    With keep_hinge_offset the hinge acts as a fixed pivot,
-    hinge_frame = x_hinge + C_hinge (x - x_hinge); without it the hinge
-    offset is dropped, hinge_frame = C_hinge (x - x_hinge), which slides
-    the blade root onto the rotation axis.
+    the flap/lead-lag/pitch rotation about the hinge, a fixed pivot,
+    hinge_frame = x_hinge + C_hinge (x - x_hinge), but before the
+    azimuthal rotation.
     """
     x = np.asarray(x, dtype=float)
     psi = motion.azimuth(t)
@@ -147,8 +144,7 @@ def blade_point(x, motion: BladeMotion, t: float, *,
     theta = eval_series(motion.pitch, psi)
     hinge = np.asarray(motion.hinge)
     c_hinge = hinge_matrix(beta, delta, theta)
-    rel = (x - hinge) @ c_hinge.T
-    hinge_frame = hinge + rel if keep_hinge_offset else rel
+    hinge_frame = hinge + (x - hinge) @ c_hinge.T
     position = hinge_frame @ azimuth_matrix(psi).T
     return position, hinge_frame
 

@@ -458,7 +458,7 @@ def _merge_displacements(entries) -> tuple[np.ndarray, np.ndarray]:
 
 
 def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
-                fixed_markers=(), config: RbfConfig | None = None) -> DeformResult:
+                fixed_markers=(), *, config: RbfConfig) -> DeformResult:
     """Deform the volume mesh so marker points follow their prescribed
     displacements while fixed markers stay put.
 
@@ -466,8 +466,6 @@ def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
     by extract_marker_points. Overlapping markers must agree on shared
     points.
     """
-    if config is None:
-        raise ValueError("an RbfConfig is required")
     entries = []
     for name, disp in marker_displacements.items():
         indices, _ = extract_marker_points(mesh, name)

@@ -1,12 +1,13 @@
 """Conservative supermesh construction between non-conformal interfaces.
 
-Both interface sides are first projected to a common plane (or line for 2D
-domains). Every overlapping pair of faces contributes an intersection
-polygon; its area divided by the receiving face's area is the donor weight
-used for conservative data exchange. Candidate pairs come from one k-d
-tree query: each convex piece lies in the circle about its vertex mean
-through its farthest vertex, so two pieces can only overlap when their
-centres are closer than the sum of their radii.
+Both interface sides are first projected to a common plane or unrolled
+z-axis cylinder (a line for 2D domains). Every overlapping pair of faces
+contributes an intersection polygon (interval); its area (length) divided
+by the receiving face's is the donor weight used for conservative data
+exchange. Candidate pairs come from one k-d tree query: each convex piece,
+an interval being a two-vertex one, lies in the circle about its vertex
+mean through its farthest vertex, so two pieces can only overlap when
+their centres are closer than the sum of their radii.
 """
 
 from __future__ import annotations
@@ -209,9 +210,11 @@ def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
 class InterfaceFaceSet:
     """One side of a non-conformal interface after projection.
 
-    faces are planar polygons (k, 2) in the projection plane for 3D
-    domains, and intervals (2,) on the projection line for 2D domains.
-    They are not kept: construction checks them, stores them as one
+    faces are planar polygons (k, 2), as a 3D domain's faces in their
+    projection plane, or intervals (2,), as a 2D domain's faces on their
+    projection line. The first face tells which, and manifold_dim (2 or 1)
+    records it; a face of the other kind is an error that names it. The
+    faces are not kept: construction checks them, stores them as one
     padded stack (n, k, 2) with counts vertices each (intervals: (n, 2),
     sorted), and measures their areas (or lengths) and ccw whether each
     polygon is wound counter-clockwise (always true for intervals).
@@ -219,7 +222,7 @@ class InterfaceFaceSet:
 
     side: str
     faces: InitVar[tuple[np.ndarray, ...]]
-    manifold_dim: int = 2
+    manifold_dim: int = field(init=False)
     stack: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
     measures: np.ndarray = field(init=False, repr=False)
@@ -228,7 +231,8 @@ class InterfaceFaceSet:
     def __post_init__(self, faces):
         if len(faces) == 0:
             raise ValueError(f"interface side {self.side!r} has no faces")
-        polygons = self.manifold_dim == 2
+        polygons = np.ndim(faces[0]) != 1
+        object.__setattr__(self, "manifold_dim", 2 if polygons else 1)
         try:  # fails, or flattens wrongly, unless every face is well shaped
             n = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
             flat = np.concatenate(faces, dtype=float)
@@ -330,10 +334,14 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
 
 def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
     """Convex CCW pieces of a side's faces in face order: the face index of
-    each piece and the pieces as one stack. Non-convex quads are split at a
-    reflex vertex. Faces wound against their side's majority orientation
-    are reoriented with a warning (a consistently flipped side, e.g. from
-    an arbitrary projection basis, is normalized silently)."""
+    each piece and the pieces as one stack. An interval is one two-vertex
+    piece; non-convex quads are split at a reflex vertex. Faces wound
+    against their side's majority orientation are reoriented with a warning
+    (a consistently flipped side, e.g. from an arbitrary projection basis,
+    is normalized silently)."""
+    if side.manifold_dim == 1:  # an interval is a two-vertex piece on y = 0
+        return np.arange(len(side.stack)), np.stack(
+            [side.stack, np.zeros_like(side.stack)], axis=2)
     majority_ccw = 2 * np.count_nonzero(side.ccw) >= len(side.ccw)
     for i in np.flatnonzero(side.ccw != majority_ccw).tolist():
         warnings.warn(f"reorienting inconsistently wound face {i} "
@@ -387,17 +395,24 @@ def build_supermesh(side_a: InterfaceFaceSet,
     """
     if side_a.manifold_dim != side_b.manifold_dim:
         raise ValueError("both sides must share the manifold dimension")
-    if side_a.manifold_dim == 1:
-        return _build_supermesh_1d(side_a, side_b)
-
-    # padding repeats vertices, so the stacks span what the faces span
-    all_pts = np.vstack([s.stack.reshape(-1, 2) for s in (side_a, side_b)])
-    diag = float(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)))
-    snap = 1e-12 * max(diag, 1e-300)
-
     face_a, pieces_a = _convex_pieces(side_a)
     face_b, pieces_b = _convex_pieces(side_b)
+    # padding repeats vertices, so the pieces span what the faces span
+    all_pts = np.vstack([p.reshape(-1, 2) for p in (pieces_a, pieces_b)])
+    diag = float(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)))
+    snap = 1e-12 * max(diag, 1e-300)
     ia, ib = _candidates(pieces_a, pieces_b, snap)
+
+    if side_a.manifold_dim == 1:  # pieces are faces; overlaps, no polygons
+        seg_a, seg_b = side_a.stack[ia], side_b.stack[ib]
+        area = np.minimum(seg_a[:, 1], seg_b[:, 1]) - \
+            np.maximum(seg_a[:, 0], seg_b[:, 0])
+        keep = area > 1e-14 * np.minimum(side_a.measures[ia],
+                                         side_b.measures[ib])
+        return _assemble(ia[keep], ib[keep], area[keep], side_a.measures,
+                         side_b.measures, np.zeros((0, 2)),
+                         np.zeros(0, dtype=np.intp))
+
     vertices, n = clip_convex(pieces_a[ia], pieces_b[ib], snap=snap)
     hit = n > 0
     n = n[hit]
@@ -407,20 +422,6 @@ def build_supermesh(side_a: InterfaceFaceSet,
                                      side_b.measures[cols])
     return _assemble(rows[keep], cols[keep], area[keep], side_a.measures,
                      side_b.measures, vertices[np.repeat(keep, n)], n[keep])
-
-
-def _build_supermesh_1d(side_a: InterfaceFaceSet,
-                        side_b: InterfaceFaceSet) -> Supermesh:
-    len_a = side_a.measures
-    len_b = side_b.measures
-    seg_a = side_a.stack[:, None, :]
-    seg_b = side_b.stack[None, :, :]
-    overlap = np.minimum(seg_a[..., 1], seg_b[..., 1]) - \
-        np.maximum(seg_a[..., 0], seg_b[..., 0])
-    ia, ib = np.nonzero(overlap > 1e-14 * np.minimum(len_a[:, None],
-                                                      len_b[None, :]))
-    return _assemble(ia, ib, overlap[ia, ib], len_a, len_b, np.zeros((0, 2)),
-                     np.zeros(0, dtype=np.intp))
 
 
 def weighted_exchange(sm: Supermesh, field_on_b) -> np.ndarray:
@@ -463,6 +464,7 @@ class CylinderProjection:
 
     radius: float
     cut_angle: float
+    max_offset: float   # worst distance off the cylinder seen
 
     def project(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -475,21 +477,23 @@ def fit_cylinder_z(points: np.ndarray) -> CylinderProjection:
     """Cylinder about +z; the branch cut goes through the largest angular
     gap so no face straddles it."""
     pts = np.asarray(points, dtype=float)
-    radius = float(np.linalg.norm(pts[:, :2], axis=1).mean())
+    r_xy = np.linalg.norm(pts[:, :2], axis=1)
+    radius = float(r_xy.mean())
     theta = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * np.pi]]))
     k = int(np.argmax(gaps))
     cut = theta[k] + 0.5 * gaps[k]
-    return CylinderProjection(radius, float(cut))
+    return CylinderProjection(radius, float(cut),
+                              float(np.abs(r_xy - radius).max()))
 
 
-def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str,
-                           projection: str = "auto"):
+def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str):
     """Project two mesh markers onto a shared parameterization.
 
-    Returns (side_a, side_b, projection_object). projection may be "auto",
-    "plane", or "cylinder-z"; auto falls back to the cylinder when the
-    plane fit leaves points more than 1e-6 of the diagonal out of plane.
+    Returns (side_a, side_b, projection_object). 2D markers project onto
+    their least-squares line. 3D markers are fitted by both a plane and a
+    z-axis cylinder, and the fit whose farthest point lies nearer to it
+    (max_offset) wins, the plane on a tie.
     """
     groups = [mesh.markers.get(marker_a), mesh.markers.get(marker_b)]
     if None in groups:
@@ -505,18 +509,9 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str,
         origin = cloud.mean(axis=0)
         _, _, vt = np.linalg.svd(cloud - origin, full_matrices=False)
         proj, flat = ("line", origin, vt[0]), (cloud - origin) @ vt[0]
-    else:
-        if projection == "plane":
-            proj = fit_plane(cloud)
-        elif projection == "cylinder-z":
-            proj = fit_cylinder_z(cloud)
-        elif projection == "auto":
-            plane = fit_plane(cloud)
-            diag = float(np.linalg.norm(cloud.max(axis=0) - cloud.min(axis=0)))
-            proj = plane if plane.max_offset <= 1e-6 * max(diag, 1e-300) \
-                else fit_cylinder_z(cloud)
-        else:
-            raise ValueError(f"unknown projection {projection!r}")
+    else:  # min keeps the first of equals: the plane
+        proj = min(fit_plane(cloud), fit_cylinder_z(cloud),
+                   key=lambda fit: fit.max_offset)
         flat = proj.project(cloud)
 
     def side(name, groups):
@@ -525,6 +520,6 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str,
                                          for conn, _ in groups.values()))
         rows = np.concatenate([rows for _, rows in groups.values()])
         return InterfaceFaceSet(name, tuple(map(
-            faces.__getitem__, np.argsort(rows).tolist())), mesh.dim - 1)
+            faces.__getitem__, np.argsort(rows).tolist())))
 
     return side("A", groups[0]), side("B", groups[1]), proj

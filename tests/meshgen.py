@@ -236,6 +236,32 @@ def stacked_interface_mesh(na: int = 4, nb: int = 5) -> Mesh:
     return Mesh(3, pts, _hexes(hexes), markers)
 
 
+def sector_interface_mesh(na: int = 4, nb: int = 5,
+                          radius: float = 2.0) -> Mesh:
+    """Two quarter-annulus hex shells sharing the cylinder r = radius about
+    +z non-conformally, over azimuths 135..225 deg (across the -x axis,
+    where atan2 wraps) and 0 <= z <= 1.
+
+    The inner shell's outer side is tessellated na x na (marker iface_a),
+    the outer shell's inner side nb x nb (marker iface_b); the shells do
+    not share points.
+    """
+    span = (0.75 * np.pi, 1.25 * np.pi)
+    inner = box_hex_mesh(1, na, na, lo=(0.5 * radius, span[0], 0.0),
+                         hi=(radius, span[1], 1.0))
+    outer = box_hex_mesh(1, nb, nb, lo=(radius, span[0], 0.0),
+                         hi=(1.5 * radius, span[1], 1.0))
+    r, theta, z = np.vstack([inner.points, outer.points]).T
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    off = inner.n_points
+    hexes = np.vstack([inner.cells["hexahedron"][0],
+                       outer.cells["hexahedron"][0] + off])
+    iface_b = {kind: (conn + off, rows)
+               for kind, (conn, rows) in outer.markers["xmin"].items()}
+    markers = {"iface_a": inner.markers["xmax"], "iface_b": iface_b}
+    return Mesh(3, pts, _hexes(hexes), markers)
+
+
 def shell_mesh(n_outer: int = 6) -> Mesh:
     """Hex shell between an inner cube (marker inner) and an outer cube."""
     m = box_with_plate_mesh(n=n_outer, half=1.5, plate_x=(-0.5, 0.5),

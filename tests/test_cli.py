@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from meshgen import (SQUARE_2TRI, box_hex_mesh, box_with_plate_mesh,
                      stacked_interface_mesh)
 
 from rotormesh import geometry
-from rotormesh.cli import _supermesh_vtk, main
+from rotormesh.cli import _supermesh_vtk, build_parser, main
 from rotormesh.config import load_fixture
 from rotormesh.kinematics import blade_normal_mach, eval_series
 from rotormesh.mesh import Mesh, write_mesh
@@ -168,11 +171,11 @@ def test_sweep_rows_match_per_azimuth_scalar_evaluation(tmp_path):
      "--stations: must be a finite number, got nan"),
     (["sweep", "ah1g_low_speed", "--stations", " , "],
      "--stations: could not convert string to float: ' , '"),
-    (["hb", "--omega", "1,x", "--instances", "3"],
+    (["hb", "--omega", "1,x"],
      "--omega: could not convert string to float: 'x'"),
-    (["hb", "--omega", "inf", "--instances", "3"],
+    (["hb", "--omega", "inf"],
      "--omega: must be a finite number, got inf"),
-    (["hb", "--omega", "nan", "--instances", "3"],
+    (["hb", "--omega", "nan"],
      "--omega: must be a finite number, got nan"),
 ])
 def test_number_list_option_is_checked(argv, message, tmp_path, capsys):
@@ -554,8 +557,7 @@ def test_interface_unknown_marker(tmp_path, capsys):
 
 def test_hb_single_tone(tmp_path, capsys):
     out = tmp_path / "hb.csv"
-    code = main(["hb", "--omega", "0,6.283185307179586,-6.283185307179586",
-                 "--instances", "3", "--output", str(out)])
+    code = main(["hb", "--omega", "6.283185307179586", "--output", str(out)])
     assert code == 0
     err = capsys.readouterr().err
     assert "max derivative error" in err
@@ -565,22 +567,57 @@ def test_hb_single_tone(tmp_path, capsys):
     assert header == ["t", "input", "exact_derivative", "hb_derivative",
                       "error"]
     assert len(rows) == 3
+    assert err.startswith("instances: 3, ")
 
 
-def test_hb_even_instances_usage_error(capsys):
-    assert main(["hb", "--omega", "0,1,-1", "--instances", "4"]) == 1
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("omega", ["1,-1", "0,1", "-1,2"])
+def test_hb_zero_or_negative_tone_usage_error(omega, tmp_path, capsys):
+    """--omega lists the positive tones only: 0 and the negative half are
+    built from them, so a zero or negative entry is a usage error naming
+    --omega (a leading negative one is taken for an option by argparse),
+    and nothing is written."""
+    out = tmp_path / "hb.csv"
+    try:
+        code = main(["hb", "--omega", omega, "--output", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    assert "--omega" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_hb_unresolved_tone_reported_not_failed(capsys):
-    code = main(["hb", "--omega", "6.2832", "--instances", "3",
-                 "--tone-multiple", "3"])
+    code = main(["hb", "--omega", "6.2832", "--tone-multiple", "3"])
     assert code == 0
     err = capsys.readouterr().err
     assert "unresolved" in err
 
 
 def test_hb_positive_shorthand(capsys):
-    assert main(["hb", "--omega", "2.0", "--instances", "3"]) == 0
+    assert main(["hb", "--omega", "2.0"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("t,input")
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+def test_readme_synopsis_names_every_option():
+    """Each subcommand's --options in README's "Command line" block are
+    exactly those of its parser, so a removed flag cannot linger there."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    documented: dict[str, set[str]] = {}
+    for line in block.split("```", 1)[0].splitlines():
+        words = line.split("#", 1)[0].split()
+        if words[:1] == ["rotormesh"]:
+            command = documented.setdefault(words[1], set())
+        command.update(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    parsed = {name: {option for action in sub._actions
+                     for option in action.option_strings
+                     if option.startswith("--") and option != "--help"}
+              for name, sub in subparsers.choices.items()}
+    assert documented == parsed

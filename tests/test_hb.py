@@ -15,19 +15,26 @@ def two_tone(omega1=2.0 * np.pi):
 
 def test_frequency_set_validation():
     with pytest.raises(ValueError, match="odd"):
-        FrequencySet((0.0, 1.0), base_period=2 * np.pi)
+        FrequencySet((0.0, 1.0))
     with pytest.raises(ValueError, match="include 0"):
-        FrequencySet((-1.0, 0.5, 1.0), base_period=2 * np.pi)
+        FrequencySet((-1.0, 0.5, 1.0))
     with pytest.raises(ValueError, match="symmetric"):
-        FrequencySet((-2.0, 0.0, 1.0), base_period=2 * np.pi)
+        FrequencySet((-2.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="nonzero"):
-        FrequencySet.from_values([0.0])
+        FrequencySet((0.0,))
+    with pytest.raises(TypeError):
+        FrequencySet((0.0, 1.0, -1.0), base_period=2 * np.pi)
 
 
-def test_from_values_symmetric_list():
-    fs = FrequencySet.from_values([0.0, 2 * np.pi, -2 * np.pi])
-    assert fs.count == 3
-    assert fs.base_period == pytest.approx(1.0)
+def test_symmetric_list_derives_base_period():
+    """The base period is 2 pi over the smallest positive tone, whatever
+    the order of the list."""
+    fs = FrequencySet((4 * np.pi, 0.0, 2 * np.pi, -4 * np.pi, -2 * np.pi))
+    assert fs.count == 5
+    assert fs.frequencies == (-4 * np.pi, -2 * np.pi, 0.0, 2 * np.pi,
+                              4 * np.pi)
+    assert fs.base_period == 1.0
+    assert FrequencySet.harmonics(2.5, 3).base_period == 2 * np.pi / 2.5
 
 
 def test_choose_instances_equispaced():
@@ -133,7 +140,7 @@ def test_resonant_instances_rejected():
 def test_quasi_periodic_instances():
     w1 = 1.0
     w2 = np.sqrt(2.0)
-    fs = FrequencySet.from_values([0.0, w1, -w1, w2, -w2])
+    fs = FrequencySet((0.0, w1, -w1, w2, -w2))
     assert not fs.commensurate
     t = choose_instances(fs)
     assert len(np.unique(t)) == 5
@@ -144,7 +151,7 @@ def test_quasi_periodic_instances():
 
 
 def test_quasi_periodic_choice_deterministic():
-    fs = FrequencySet.from_values([0.0, 1.0, -1.0, np.e, -np.e])
+    fs = FrequencySet((0.0, 1.0, -1.0, np.e, -np.e))
     assert np.array_equal(choose_instances(fs), choose_instances(fs))
 
 

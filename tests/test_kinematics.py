@@ -122,13 +122,6 @@ def test_blade_point_pitch_lever():
     assert np.allclose(pos, [1.0, 0.0, c], atol=1e-15)
 
 
-def test_blade_point_dropped_hinge_offset():
-    motion = _motion(hinge=(1.0, 0.0, 0.0))
-    pos, inter = blade_point([1.0, 0.0, 0.0], motion, 0.0,
-                             keep_hinge_offset=False)
-    assert np.allclose(inter, [0.0, 0.0, 0.0])
-
-
 def test_blade_point_periodic():
     motion = _motion(pitch=PITCH_LOW, flap=FLAP_LOW, hinge=(0.2, 0.0, 0.0),
                      rate=3.0)

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from meshgen import stacked_interface_mesh
+from meshgen import sector_interface_mesh, stacked_interface_mesh
 
 import rotormesh.supermesh as supermesh
-from rotormesh.supermesh import (InterfaceFaceSet, _convex_pieces,
+from rotormesh.supermesh import (CylinderProjection, InterfaceFaceSet,
+                                 PlaneProjection, _assemble, _convex_pieces,
                                  build_supermesh, clip_convex,
                                  fit_cylinder_z, interface_from_markers,
                                  polygon_area, signed_area,
@@ -150,20 +151,24 @@ def test_zero_area_face_rejected():
     with pytest.raises(ValueError, match="face 1: non-finite coordinates"):
         InterfaceFaceSet("A", (SQUARE, SQUARE + [np.nan, 0.0]))
     with pytest.raises(ValueError, match="face 0: non-finite coordinates"):
-        InterfaceFaceSet("A", (np.array([0.0, np.inf]),), manifold_dim=1)
+        InterfaceFaceSet("A", (np.array([0.0, np.inf]),))
     with pytest.raises(ValueError, match="face 0: non-finite coordinates"):
-        InterfaceFaceSet("A", (np.array([np.nan, 1.0]),), manifold_dim=1)
+        InterfaceFaceSet("A", (np.array([np.nan, 1.0]),))
+    # the first face's shape decides: (2,) is an interval, (k, 2) a polygon
     interval = re.escape("expected (2,) interval")
     with pytest.raises(ValueError, match="face 0: " + interval):
-        InterfaceFaceSet("A", (np.array([0.0, 1.0, 2.0]),), manifold_dim=1)
+        InterfaceFaceSet("A", (np.array([0.0, 1.0, 2.0]),))
     with pytest.raises(ValueError, match="face 1: " + interval):
-        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.arange(3.0)),
-                         manifold_dim=1)
+        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.arange(3.0)))
     with pytest.raises(ValueError, match="face 1: " + interval):
-        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.array([[1.0, 2.0]])),
-                         manifold_dim=1)
-    with pytest.raises(ValueError, match="face 0: " + interval):
-        InterfaceFaceSet("A", (np.array([[0.0, 1.0]]),), manifold_dim=1)
+        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.array([[1.0, 2.0]])))
+    with pytest.raises(ValueError, match="face 1: " + interval):
+        InterfaceFaceSet("A", (np.array([0.0, 1.0]), SQUARE))
+    polygon = re.escape("expected (k>=3, 2) polygon")
+    with pytest.raises(ValueError, match="face 0: " + polygon):
+        InterfaceFaceSet("A", (np.array([[0.0, 1.0]]),))
+    with pytest.raises(ValueError, match="face 1: " + polygon):
+        InterfaceFaceSet("A", (SQUARE, np.array([0.0, 1.0])))
 
 
 NAN_SQUARE = SQUARE + [np.nan, 0.0]
@@ -295,11 +300,11 @@ def test_weights_invariant_under_rigid_motion():
 
 
 def test_1d_interval_supermesh():
-    a = InterfaceFaceSet("A", (np.array([0.0, 0.5]), np.array([0.5, 1.0])),
-                         manifold_dim=1)
+    a = InterfaceFaceSet("A", (np.array([0.0, 0.5]), np.array([0.5, 1.0])))
     b = InterfaceFaceSet("B", tuple(np.array([x, x + 0.25])
-                                    for x in np.arange(0.0, 1.0, 0.25)),
-                         manifold_dim=1)
+                                    for x in np.arange(0.0, 1.0, 0.25)))
+    assert (a.manifold_dim, InterfaceFaceSet("C", (SQUARE,)).manifold_dim) \
+        == (1, 2)
     sm = build_supermesh(a, b)
     assert np.allclose(sm.weight_sums(), 1.0, atol=1e-12)
     out = weighted_exchange(sm, np.array([1.0, 2.0, 3.0, 4.0]))
@@ -671,6 +676,57 @@ def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
         split(sm.polygon_vertices, sm.polygon_counts), polygons))
 
 
+def dense_1d_supermesh(side_a, side_b):
+    """The 1D supermesh from the full n_a x n_b overlap matrix: the
+    reference for the candidate search."""
+    len_a, len_b = side_a.measures, side_b.measures
+    seg_a, seg_b = side_a.stack[:, None, :], side_b.stack[None, :, :]
+    overlap = np.minimum(seg_a[..., 1], seg_b[..., 1]) - \
+        np.maximum(seg_a[..., 0], seg_b[..., 0])
+    ia, ib = np.nonzero(overlap > 1e-14 * np.minimum(len_a[:, None],
+                                                      len_b[None, :]))
+    return _assemble(ia, ib, overlap[ia, ib], len_a, len_b, np.zeros((0, 2)),
+                     np.zeros(0, dtype=np.intp))
+
+
+@st.composite
+def interval_sides(draw):
+    """Faces of one 1D side: a tiling of [lo, hi] with random spacing, or
+    random intervals that may overlap each other, in either direction."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    lo = draw(st.floats(-1000.0, 1000.0))
+    hi = lo + draw(st.floats(0.01, 100.0))
+    if draw(st.booleans()):
+        xs = np.cumsum(np.concatenate([[0.0], rng.uniform(0.1, 1.9, n)]))
+        ends = lo + (hi - lo) * np.column_stack([xs[:-1], xs[1:]]) / xs[-1]
+    else:
+        start = rng.uniform(lo, hi, n)
+        ends = np.column_stack([start, start + rng.uniform(1e-3, 0.5, n)
+                                * (hi - lo)])
+    ends = np.where(rng.random((n, 1)) < 0.3, ends[:, ::-1], ends)
+    return tuple(ends)
+
+
+@settings(max_examples=100, deadline=None)
+@example(a=(np.array([0.0, 0.5]), np.array([0.5, 1.0])),
+         b=(np.array([0.5, 0.75]), np.array([1.0, 2.0])))
+@given(a=interval_sides(), b=interval_sides())
+def test_1d_candidates_match_dense_reference(a, b):
+    """The k-d tree candidates miss no overlapping interval pair: the
+    supermesh is bit-identical to the one from the dense overlap matrix."""
+    side_a, side_b = InterfaceFaceSet("A", a), InterfaceFaceSet("B", b)
+    sm, ref = build_supermesh(side_a, side_b), dense_1d_supermesh(side_a,
+                                                                  side_b)
+    for name in ("parent_a", "parent_b", "area"):
+        assert np.array_equal(getattr(sm, name), getattr(ref, name))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(sm.weights, name),
+                              getattr(ref.weights, name))
+    assert sm.to_csv() == ref.to_csv()
+    assert len(sm.polygon_vertices) == len(sm.polygon_counts) == 0
+
+
 # ---------------------------------------------------------------------------
 # Marker projection
 # ---------------------------------------------------------------------------
@@ -719,6 +775,41 @@ def test_interface_from_markers_2d_line():
     sm = build_supermesh(side_a, side_b)
     assert np.allclose(sm.weight_sums(), 1.0)
     assert sm.total_area == pytest.approx(1.0)
+
+
+def test_interface_from_markers_cylinder():
+    """Markers on a z-axis cylinder (across the atan2 wrap) unroll to
+    (arc length, z) rectangles; the plane fit leaves points far off."""
+    radius = 2.0
+    mesh = sector_interface_mesh(4, 5, radius)
+    side_a, side_b, proj = interface_from_markers(mesh, "iface_a", "iface_b")
+    assert isinstance(proj, CylinderProjection)
+    assert proj.radius == pytest.approx(radius, rel=1e-14)
+    assert proj.max_offset < 1e-14 * radius
+    width = 0.5 * np.pi * radius  # arc length of the 90 degree sector
+    assert np.allclose(side_a.measures, width / 16, rtol=1e-12)
+    assert np.allclose(side_b.measures, width / 25, rtol=1e-12)
+    sm = build_supermesh(side_a, side_b)
+    assert np.abs(sm.weight_sums() - 1.0).max() < 1e-9
+    assert sm.total_area == pytest.approx(width, rel=1e-12)
+
+
+def test_noisy_plane_projects_as_plane():
+    """Out-of-plane noise of 1e-5 of the diagonal leaves the plane the
+    nearer fit by far, so the sides still tile the unit square."""
+    mesh = stacked_interface_mesh(4, 5)
+    idx = np.flatnonzero(np.isclose(mesh.points[:, 2], 0.0))
+    points = mesh.points.copy()
+    diag = np.sqrt(2.0)  # of the unit square the markers cover
+    noise = np.random.default_rng(7).uniform(-1.0, 1.0, len(idx))
+    points[idx, 2] += 1e-5 * diag * noise
+    side_a, side_b, proj = interface_from_markers(
+        mesh.with_points(points), "iface_a", "iface_b")
+    assert isinstance(proj, PlaneProjection)
+    assert proj.max_offset > 1e-6 * diag  # past a fixed 1e-6 tolerance
+    sm = build_supermesh(side_a, side_b)
+    assert np.abs(sm.weight_sums() - 1.0).max() < 1e-9
+    assert sm.total_area == pytest.approx(1.0, rel=1e-9)
 
 
 def test_interface_unknown_marker():
