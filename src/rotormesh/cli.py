@@ -2,7 +2,8 @@
 interface weights, and the spectral-operator demo.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 deformation
-failure (inverted cells), 4 interface failure (no overlap).
+failure (inverted cells), 4 interface failure (markers that do not
+overlap or cannot be projected together).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .config import (_NUMBER, ConfigError, FIXTURE_NAMES, load_fixture,
 from .driver import DeformationFailure, run_deformation
 from .geometry import cell_geometry, orthogonality_metrics, topology
 from .kinematics import blade_normal_mach, eval_series
-from .mesh import (Mesh, MeshFormatError, _n_rows, _rows, _vtk_grid,
-                   parse_mesh, write_vtk)
+from .mesh import (Mesh, MeshFormatError, _n_rows, _rows, _vtk_cells,
+                   _vtk_points, parse_mesh, write_vtk)
 from .supermesh import build_supermesh, interface_from_markers
 
 EXIT_OK = 0
@@ -200,6 +201,9 @@ def cmd_interface(args) -> int:
             mesh, args.marker_a, args.marker_b)
     except KeyError as exc:
         raise MeshFormatError(exc.args[0]) from exc
+    except ValueError as exc:  # markers that cannot be projected together
+        print(f"rotormesh: interface error: {exc}", file=sys.stderr)
+        return EXIT_INTERFACE
     sm = build_supermesh(side_a, side_b)
     if len(sm.area) == 0:
         print("interface markers do not overlap", file=sys.stderr)
@@ -228,9 +232,9 @@ def _supermesh_vtk(sm) -> str:
     for k in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == k)
         cells[k] = (first[rows, None] + np.arange(k), rows)
-    return _vtk_grid("supermesh intersection polygons",
-                     np.pad(sm.polygon_vertices, [(0, 0), (0, 1)]),  # z = 0
-                     cells, dict.fromkeys(cells, 7))  # VTK_POLYGON
+    points = np.pad(sm.polygon_vertices, [(0, 0), (0, 1)])  # z = 0
+    return (_vtk_points("supermesh intersection polygons", points)
+            + _vtk_cells(cells, dict.fromkeys(cells, 7)))  # VTK_POLYGON
 
 
 def cmd_hb(args) -> int:

@@ -8,32 +8,21 @@ ASCII VTK unstructured-grid format.
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
-# Element type codes used by the native mesh format. The numbering happens to
-# coincide with the legacy VTK cell type ids, which keeps the writer trivial.
-TYPE_CODES = {
-    3: "line",
-    5: "triangle",
-    9: "quadrilateral",
-    10: "tetrahedron",
-    12: "hexahedron",
-    13: "prism",
-    14: "pyramid",
-}
+# Element type codes of the native format with each kind and its vertex
+# count. The numbering happens to coincide with the legacy VTK cell type
+# ids, which keeps the writer trivial.
+_CODES = {3: ("line", 2), 5: ("triangle", 3), 9: ("quadrilateral", 4),
+          10: ("tetrahedron", 4), 12: ("hexahedron", 8), 13: ("prism", 6),
+          14: ("pyramid", 5)}
+TYPE_CODES = {code: kind for code, (kind, _) in _CODES.items()}
 KIND_TO_CODE = {kind: code for code, kind in TYPE_CODES.items()}
-
-VERTEX_COUNT = {
-    "line": 2,
-    "triangle": 3,
-    "quadrilateral": 4,
-    "tetrahedron": 4,
-    "hexahedron": 8,
-    "prism": 6,
-    "pyramid": 5,
-}
+VERTEX_COUNT = dict(_CODES.values())
 
 VOLUME_KINDS = ("tetrahedron", "hexahedron", "prism", "pyramid")
 CELL_KINDS = {2: ("triangle", "quadrilateral"), 3: VOLUME_KINDS}
@@ -120,7 +109,7 @@ class Mesh:
     in range, rows number the cells (the faces of each marker) 0..n-1, cells
     are CELL_KINDS and marker faces MARKER_KINDS of the dimension.
     with_points copies share cells, markers and `derived`, where
-    geometry.topology caches the face table.
+    geometry.topology caches the face table and write_vtk its cell blocks.
     """
 
     dim: int
@@ -170,74 +159,103 @@ def extract_marker_points(mesh: Mesh, marker: str) -> tuple[np.ndarray, np.ndarr
 # Native format parser / writer
 # ---------------------------------------------------------------------------
 
+# The fields numpy reads as an integer and as a float.
+_INT = re.compile("[+-]?[0-9]+").fullmatch
+_FLOAT = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?"
+                    r"|inf(inity)?|nan)", re.IGNORECASE).fullmatch
+
+
+def _fault(line: str, dim: int) -> str | None:
+    """What is wrong with an element line (dim 0) or a point line of dim
+    coordinates, if anything: a check for a block numpy could not read."""
+    fields = line.split()
+    code = int(fields[0]) if _INT(fields[0]) else None
+    kind, nv = _CODES.get(code, (None, 0))
+    if len(fields) < dim:
+        return f"point line has {len(fields)} fields, expected at least {dim}"
+    if dim:
+        return None if all(map(_FLOAT, fields[:dim])) else \
+            f"non-numeric coordinate in {line!r}"
+    if code is None:
+        return f"bad element line {line!r}"
+    if kind is None:
+        return f"unknown element type code {code}"
+    if len(fields) < 1 + nv:
+        return (f"{kind} element needs {nv} vertex indices, "
+                f"got {len(fields) - 1}")
+    if not all(map(_INT, fields[1:1 + nv])):
+        return f"non-integer vertex index in {line!r}"
+    return None
+
+
 class _LineStream:
-    """The (line number, content) pairs of the lines that are not blank or
-    % comments; pos is the index of the one next() returns next, lineno
-    the line number of the last one read."""
+    """Line numbers and contents of the lines not blank or % comments; pos
+    indexes the next line to read, lineno numbers the last one read."""
 
     def __init__(self, text: str):
-        self.lines = [(lineno, content) for lineno, raw
-                      in enumerate(text.splitlines(), start=1)
-                      if (content := raw.split("%", 1)[0].strip())]
-        self.pos = 0
-        self.lineno = 0
+        lines = [raw.split("%", 1)[0].strip() for raw in text.splitlines()]
+        self.numbers = list(compress(range(1, len(lines) + 1), lines))
+        self.contents = list(compress(lines, lines))
+        self.pos = self.lineno = 0
 
-    def next(self, context: str) -> str:
-        if self.pos >= len(self.lines):
-            raise MeshFormatError(f"truncated file while reading {context}",
-                                  self.lineno or None)
-        self.lineno, content = self.lines[self.pos]
-        self.pos += 1
-        return content
+    def take(self, count: int, context: str, read=None, dim: int = 0):
+        """Numbers and contents of the next count lines, and read(contents);
+        if read fails or the file ends first, the first bad line raises."""
+        if count < 0:
+            raise self.error(f"negative count {count} for {context}")
+        numbers = self.numbers[self.pos:self.pos + count]
+        contents = self.contents[self.pos:self.pos + count]
+        self.pos += len(numbers)
+        self.lineno = numbers[-1] if numbers else self.lineno
+        try:
+            if len(numbers) < count:
+                raise self.error(f"truncated file while reading {context}")
+            return numbers, contents, read and read(contents)
+        except (KeyError, ValueError):
+            for lineno, line in zip(numbers, contents):
+                if why := _fault(line, dim):
+                    raise MeshFormatError(why, lineno) from None
+            raise
+
+    def error(self, message: str) -> MeshFormatError:
+        return MeshFormatError(message, self.lineno or None)
+
+    def header(self, key: str, line: str | None = None, cast=int):
+        """The value of the "key= value" line given, or the next, by cast."""
+        line = line or self.take(1, f"{key} header")[1][0]
+        prefix, _, value = line.partition("=")
+        if prefix.strip() != key:
+            raise self.error(f"expected '{key}=' header, got {line!r}")
+        try:
+            return cast(value.strip())
+        except ValueError:
+            raise self.error(f"{key} value {value.strip()!r} is not an "
+                             "integer") from None
 
 
-def _header_value(line: str, key: str, lineno: int) -> str:
-    prefix, _, rest = line.partition("=")
-    if prefix.strip() != key:
-        raise MeshFormatError(f"expected '{key}=' header, got {line!r}", lineno)
-    return rest.strip()
-
-
-def _int_header(line: str, key: str, lineno: int) -> int:
-    value = _header_value(line, key, lineno)
-    try:
-        return int(value)
-    except ValueError:
-        raise MeshFormatError(f"{key} value {value!r} is not an integer",
-                              lineno) from None
+def _columns(lines: list, cols: range, dtype) -> np.ndarray:
+    """Columns cols of whitespace-separated lines in one numpy pass."""
+    if not lines:  # loadtxt warns on empty input
+        return np.empty((0, len(cols)), dtype)
+    return np.loadtxt(lines, dtype, usecols=cols, ndmin=2, comments=None)
 
 
 def _read_groups(stream: _LineStream, count: int, context: str, groups: dict,
-                 key: str | None, line_of: dict):
-    """Read count lines "type_code v0 v1 ..." into groups, kind -> (vertex
-    tuples, positions) as Mesh.cells holds them, numbering on from the rows
-    already there; line_of[key, position] records each line number."""
-    start = _n_rows(groups)
-    for position in range(start, start + count):
-        line = stream.next(context)
-        fields = line.split()
-        try:
-            code = int(fields[0])
-        except (ValueError, IndexError):
-            raise MeshFormatError(f"bad element line {line!r}",
-                                  stream.lineno) from None
-        if code not in TYPE_CODES:
-            raise MeshFormatError(f"unknown element type code {code}",
-                                  stream.lineno)
-        kind = TYPE_CODES[code]
-        nv = VERTEX_COUNT[kind]
-        if len(fields) < 1 + nv:
-            raise MeshFormatError(f"{kind} element needs {nv} vertex indices, "
-                                  f"got {len(fields) - 1}", stream.lineno)
-        try:
-            verts = tuple(int(f) for f in fields[1:1 + nv])
-        except ValueError:
-            raise MeshFormatError(f"non-integer vertex index in {line!r}",
-                                  stream.lineno) from None
-        conn, rows = groups.setdefault(kind, ([], []))
-        conn.append(verts)
-        rows.append(position)
-        line_of[key, position] = stream.lineno
+                 linenos: list):
+    """Read count lines "type_code v0 v1 ..." into groups (as Mesh.cells),
+    numbering on from the rows whose line numbers linenos lists."""
+    def read(lines):
+        codes = _columns(lines, range(1), np.intp)[:, 0]
+        kinds, first = np.unique(codes, return_index=True)
+        for code in kinds[np.argsort(first)].tolist():  # KeyError if unknown
+            (kind, nv), rows = _CODES[code], np.flatnonzero(codes == code)
+            conn = _columns([lines[i] for i in rows], range(1, nv + 1),
+                            np.intp)
+            old = groups.get(kind, (conn[:0], rows[:0]))
+            groups[kind] = (np.concatenate([old[0], conn]),
+                            np.concatenate([old[1], len(linenos) + rows]))
+
+    linenos += stream.take(count, context, read)[0]
 
 
 def parse_mesh(text: str) -> Mesh:
@@ -248,63 +266,42 @@ def parse_mesh(text: str) -> Mesh:
     MeshFormatError with a line number on malformed input.
     """
     stream = _LineStream(text)
-    dim: int | None = None
-    cells: dict[str, tuple[list, list]] = {}
-    points: np.ndarray | None = None
-    markers: dict[str, dict[str, tuple[list, list]]] = {}
-    line_of: dict[tuple[str | None, int], int] = {}
+    dim = points = None
+    cells, markers = {}, {}  # as Mesh.cells, Mesh.markers
+    linenos: dict[str | None, list[int]] = {None: []}  # of rows, by marker
 
-    while stream.pos < len(stream.lines):
-        line = stream.next("section header")
+    while stream.pos < len(stream.contents):
+        line = stream.take(1, "section header")[1][0]
         key = line.partition("=")[0].strip()
         if key == "NDIME":
-            dim = _int_header(line, "NDIME", stream.lineno)
+            dim = stream.header("NDIME", line)
             if dim not in (2, 3):
-                raise MeshFormatError(f"NDIME must be 2 or 3, got {dim}",
-                                      stream.lineno)
+                raise stream.error(f"NDIME must be 2 or 3, got {dim}")
         elif key == "NELEM":
-            _read_groups(stream, _int_header(line, "NELEM", stream.lineno),
-                         "element connectivity", cells, None, line_of)
+            _read_groups(stream, stream.header("NELEM", line),
+                         "element connectivity", cells, linenos[None])
         elif key == "NPOIN":
             if dim is None:
-                raise MeshFormatError("NPOIN section before NDIME",
-                                      stream.lineno)
-            coords = np.zeros((_int_header(line, "NPOIN", stream.lineno), 3))
-            first = stream.pos
-            for i in range(len(coords)):
-                pt_line = stream.next("point coordinates")
-                fields = pt_line.split()
-                if len(fields) < dim:
-                    raise MeshFormatError(
-                        f"point line has {len(fields)} fields, expected at "
-                        f"least {dim}", stream.lineno)
-                try:
-                    coords[i, :dim] = [float(f) for f in fields[:dim]]
-                except ValueError:
-                    raise MeshFormatError(
-                        f"non-numeric coordinate in {pt_line!r}",
-                        stream.lineno) from None
-            bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+                raise stream.error("NPOIN section before NDIME")
+            numbers, lines, coords = stream.take(
+                stream.header("NPOIN", line), "point coordinates",
+                lambda block: _columns(block, range(dim), float), dim)
+            points = np.pad(coords, [(0, 0), (0, 3 - dim)])
+            bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
             if len(bad):
-                lineno, content = stream.lines[first + int(bad[0])]
-                raise MeshFormatError(f"non-finite coordinate in {content!r}",
-                                      lineno)
-            points = coords
+                raise MeshFormatError(f"non-finite coordinate in "
+                                      f"{lines[bad[0]]!r}", numbers[bad[0]])
         elif key == "NMARK":
-            for _ in range(_int_header(line, "NMARK", stream.lineno)):
-                tag_line = stream.next("MARKER_TAG header")
-                name = _header_value(tag_line, "MARKER_TAG", stream.lineno)
+            for _ in range(stream.header("NMARK", line)):
+                name = stream.header("MARKER_TAG", cast=str)
                 if name in markers:
-                    raise MeshFormatError(f"duplicate marker name {name!r}",
-                                          stream.lineno)
-                n_faces = _int_header(stream.next("MARKER_ELEMS header"),
-                                      "MARKER_ELEMS", stream.lineno)
-                markers[name] = {}
-                _read_groups(stream, n_faces, f"marker {name!r} face",
-                             markers[name], name, line_of)
+                    raise stream.error(f"duplicate marker name {name!r}")
+                markers[name], linenos[name] = {}, []
+                _read_groups(stream, stream.header("MARKER_ELEMS"),
+                             f"marker {name!r} face",
+                             markers[name], linenos[name])
         else:
-            raise MeshFormatError(f"unrecognized header {line!r}",
-                                  stream.lineno)
+            raise stream.error(f"unrecognized header {line!r}")
 
     if dim is None:
         raise MeshFormatError("missing NDIME header")
@@ -314,7 +311,8 @@ def parse_mesh(text: str) -> Mesh:
     try:
         return Mesh(dim, points, cells, markers)
     except _BadRow as exc:
-        raise MeshFormatError(exc.args[0], line_of[exc.args[1:]]) from None
+        message, name, position = exc.args
+        raise MeshFormatError(message, linenos[name][position]) from None
 
 
 def _rows(fmt: str, a) -> str:
@@ -357,21 +355,21 @@ def write_mesh(mesh: Mesh) -> str:
 # Legacy VTK writer
 # ---------------------------------------------------------------------------
 
-def _vtk_grid(title: str, points: np.ndarray, cells: dict,
-              types: dict) -> str:
-    """Legacy ASCII VTK header with the POINTS, CELLS and CELL_TYPES blocks.
+def _vtk_points(title: str, points: np.ndarray) -> str:
+    """Legacy ASCII VTK header and POINTS block of (n, 3) points."""
+    return (f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n"
+            + _rows("%.17g %.17g %.17g\n", points))
 
-    points is (n, 3); cells map a key to (conn, rows) as Mesh.cells does,
-    and types map each key to its VTK cell type id.
-    """
+
+def _vtk_cells(cells: dict, types: dict) -> str:
+    """Legacy VTK CELLS and CELL_TYPES blocks; cells map a key to (conn,
+    rows) as Mesh.cells does, types map each key to its VTK cell type id."""
     n_cells = _n_rows(cells)
     size = sum(conn.size + len(rows) for conn, rows in cells.values())
     counts = {key: conn.shape[1] for key, (conn, _) in cells.items()}
     typed = {key: (conn[:, :0], rows) for key, (conn, rows) in cells.items()}
-    return (f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
-            f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n"
-            + _rows("%.17g %.17g %.17g\n", points)
-            + f"CELLS {n_cells} {size}\n" + _lines_in_order(cells, counts)
+    return (f"CELLS {n_cells} {size}\n" + _lines_in_order(cells, counts)
             + f"CELL_TYPES {n_cells}\n" + _lines_in_order(typed, types))
 
 
@@ -397,5 +395,7 @@ def write_vtk(mesh: Mesh, point_fields: dict[str, np.ndarray] | None = None,
                        + _rows("%.17g %.17g %.17g\n", values))
         else:
             raise ValueError(f"field {name!r} must be (n,) or (n, 3)")
-    return "".join([_vtk_grid(title, mesh.points, mesh.cells, KIND_TO_CODE),
-                    *out])
+    if "vtk_cells" not in mesh.derived:  # the cells do not move
+        mesh.derived["vtk_cells"] = _vtk_cells(mesh.cells, KIND_TO_CODE)
+    return "".join([_vtk_points(title, mesh.points),
+                    mesh.derived["vtk_cells"], *out])

@@ -493,7 +493,9 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str):
     Returns (side_a, side_b, projection_object). 2D markers project onto
     their least-squares line. 3D markers are fitted by both a plane and a
     z-axis cylinder, and the fit whose farthest point lies nearer to it
-    (max_offset) wins, the plane on a tie.
+    (max_offset) wins, the plane on a tie. A cylinder's branch cut goes
+    through the widest azimuth gap, so a full 360-degree interface, which
+    has none, raises ValueError naming the side and a face the cut splits.
     """
     groups = [mesh.markers.get(marker_a), mesh.markers.get(marker_b)]
     if None in groups:
@@ -514,12 +516,25 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str):
                    key=lambda fit: fit.max_offset)
         flat = proj.project(cloud)
 
-    def side(name, groups):
+    def side(name, marker, groups):
         """The side's projected faces, looked up per kind group."""
         faces = list(chain.from_iterable(flat[np.searchsorted(idx, conn)]
                                          for conn, _ in groups.values()))
         rows = np.concatenate([rows for _, rows in groups.values()])
-        return InterfaceFaceSet(name, tuple(map(
+        face_set = InterfaceFaceSet(name, tuple(map(
             faces.__getitem__, np.argsort(rows).tolist())))
+        if isinstance(proj, CylinderProjection):
+            # A face the branch cut runs through unrolls across the width;
+            # no real face spans half the circumference.
+            width = np.ptp(face_set.stack[:, :, 0], axis=1)
+            if (wide := width > np.pi * proj.radius).any():
+                i = int(np.argmax(wide))
+                raise ValueError(
+                    f"interface side {name} (marker {marker!r}) face {i} "
+                    f"unrolls to a width of {width[i]:.6g} of the cylinder's "
+                    f"circumference {2 * np.pi * proj.radius:.6g}: a full "
+                    "360-degree interface has no branch cut outside its faces")
+        return face_set
 
-    return side("A", groups[0]), side("B", groups[1]), proj
+    return (side("A", marker_a, groups[0]), side("B", marker_b, groups[1]),
+            proj)

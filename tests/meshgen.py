@@ -236,20 +236,22 @@ def stacked_interface_mesh(na: int = 4, nb: int = 5) -> Mesh:
     return Mesh(3, pts, _hexes(hexes), markers)
 
 
-def sector_interface_mesh(na: int = 4, nb: int = 5,
-                          radius: float = 2.0) -> Mesh:
-    """Two quarter-annulus hex shells sharing the cylinder r = radius about
-    +z non-conformally, over azimuths 135..225 deg (across the -x axis,
-    where atan2 wraps) and 0 <= z <= 1.
+def sector_interface_mesh(na: int = 4, nb: int = 5, radius: float = 2.0,
+                          span=(0.75 * np.pi, 1.25 * np.pi),
+                          nz: int | None = None) -> Mesh:
+    """Two annular-sector hex shells sharing the cylinder r = radius about
+    +z non-conformally, over the azimuths span (by default 135..225 deg,
+    across the -x axis, where atan2 wraps) and 0 <= z <= 1.
 
     The inner shell's outer side is tessellated na x na (marker iface_a),
-    the outer shell's inner side nb x nb (marker iface_b); the shells do
-    not share points.
+    the outer shell's inner side nb x nb (marker iface_b), or na x nz and
+    nb x nz (azimuth x z) given nz; the shells do not share points. Over a
+    full turn, a shell's points at the first and last azimuth coincide, as
+    a mesh generator leaves the seam.
     """
-    span = (0.75 * np.pi, 1.25 * np.pi)
-    inner = box_hex_mesh(1, na, na, lo=(0.5 * radius, span[0], 0.0),
+    inner = box_hex_mesh(1, na, nz or na, lo=(0.5 * radius, span[0], 0.0),
                          hi=(radius, span[1], 1.0))
-    outer = box_hex_mesh(1, nb, nb, lo=(radius, span[0], 0.0),
+    outer = box_hex_mesh(1, nb, nz or nb, lo=(radius, span[0], 0.0),
                          hi=(1.5 * radius, span[1], 1.0))
     r, theta, z = np.vstack([inner.points, outer.points]).T
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from meshgen import (SQUARE_2TRI, box_hex_mesh, box_with_plate_mesh,
-                     stacked_interface_mesh)
+                     sector_interface_mesh, stacked_interface_mesh)
 
 from rotormesh import geometry
 from rotormesh.cli import _supermesh_vtk, build_parser, main
@@ -539,6 +539,19 @@ def test_interface_disjoint_exit_4(tmp_path, capsys):
                  "--output", str(tmp_path / "w.csv")])
     assert code == 4
     assert "overlap" in capsys.readouterr().err
+
+
+def test_interface_full_cylinder_exit_4(tmp_path, capsys):
+    mesh = sector_interface_mesh(12, 15, 2.0, span=(0.0, 2.0 * np.pi), nz=2)
+    mesh_file = tmp_path / "annulus.mesh"
+    mesh_file.write_text(write_mesh(mesh))
+    out = tmp_path / "w.csv"
+    assert main(["interface", str(mesh_file), "iface_a", "iface_b",
+                 "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(
+        "rotormesh: interface error: interface side A (marker 'iface_a') "
+        "face 11 unrolls")
+    assert not out.exists()
 
 
 def test_interface_unknown_marker(tmp_path, capsys):

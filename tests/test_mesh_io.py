@@ -1,16 +1,21 @@
+import re
+import warnings
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
-from meshgen import SQUARE_2TRI, box_hex_mesh, same_markers
+from meshgen import (SQUARE_2TRI, box_hex_mesh, mixed_kind_mesh, same_groups,
+                     same_markers)
 
 from rotormesh.cli import _supermesh_vtk
 from rotormesh.mesh import (CELL_KINDS, KIND_TO_CODE, MARKER_KINDS,
                             TYPE_CODES, VERTEX_COUNT, Mesh, MeshFormatError,
-                            extract_marker_points, parse_mesh, write_mesh,
-                            write_vtk)
+                            _BadRow, extract_marker_points, parse_mesh,
+                            write_mesh, write_vtk)
 from rotormesh.supermesh import (InterfaceFaceSet, Supermesh, build_supermesh,
                                  interface_from_markers)
 
@@ -73,6 +78,147 @@ def test_parse_malformed_header():
         assert exc.value.line == 6
 
 
+# A well-formed 2D mesh for the malformed-line cases: lines 3-4 hold the
+# cells, 6-9 the points and 13-14 the faces of marker 'm'.
+GOOD_2D = """NDIME= 2
+NELEM= 2
+5 0 1 2
+9 0 1 2 3
+NPOIN= 4
+0 0
+1 0
+1 1
+0 1
+NMARK= 1
+MARKER_TAG= m
+MARKER_ELEMS= 2
+3 0 1
+3 1 2
+"""
+
+
+def _with_line(lineno: int, content: str) -> str:
+    lines = GOOD_2D.splitlines()
+    lines[lineno - 1] = content
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lineno,content,message", [
+    (3, "x 0 1 2", "bad element line 'x 0 1 2'"),
+    (4, "9.0 0 1 2 3", "bad element line '9.0 0 1 2 3'"),
+    (14, "- 1 2", "bad element line '- 1 2'"),
+    (4, "7 0 1 2 3", "unknown element type code 7"),
+    (13, "-0 0 1", "unknown element type code 0"),
+    (3, "5 0 1", "triangle element needs 3 vertex indices, got 2"),
+    (4, "9 0 1 2 % 3", "quadrilateral element needs 4 vertex indices, "
+                       "got 3"),
+    (14, "3\t1", "line element needs 2 vertex indices, got 1"),
+    (3, "5 0 1.0 2", "non-integer vertex index in '5 0 1.0 2'"),
+    (4, "9 0 1 2 3e0", "non-integer vertex index in '9 0 1 2 3e0'"),
+    (13, "3 0 one", "non-integer vertex index in '3 0 one'"),
+    (7, "1", "point line has 1 fields, expected at least 2"),
+    (9, "  0  % 1", "point line has 1 fields, expected at least 2"),
+    (9, "0 1,0", "non-numeric coordinate in '0 1,0'"),
+    (6, "0 zero", "non-numeric coordinate in '0 zero'"),
+    (8, "1 1d0 2", "non-numeric coordinate in '1 1d0 2'"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_line_names_message_and_line(lineno, content, message):
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(_with_line(lineno, content))
+    assert (str(exc.value), exc.value.line) == \
+        (f"line {lineno}: {message}", lineno)
+
+
+@pytest.mark.parametrize("lineno,content,message", [
+    (3, "5 0 1_0 2", "non-integer vertex index in '5 0 1_0 2'"),
+    (4, "\u0669 0 1 2 3", "bad element line '\u0669 0 1 2 3'"),
+    (7, "1_0 0", "non-numeric coordinate in '1_0 0'"),
+    (8, "1 \u0661.5", "non-numeric coordinate in '1 \u0661.5'"),
+])
+def test_underscores_and_non_ascii_digits_are_rejected(lineno, content,
+                                                       message):
+    """int() and float() take these; numpy, which reads the sections, and
+    the line check behind it do not."""
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(_with_line(lineno, content))
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
+def test_malformed_point_line_comes_before_non_finite():
+    text = _with_line(6, "nan 0").replace("1 1\n", "1 x\n")
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(text)
+    assert str(exc.value) == "line 8: non-numeric coordinate in '1 x'"
+
+
+@pytest.mark.parametrize("keep,line,context", [
+    (2, 2, "element connectivity"),
+    (3, 3, "element connectivity"),
+    (5, 5, "point coordinates"),
+    (8, 8, "point coordinates"),
+    (10, 10, "MARKER_TAG header"),
+    (11, 11, "MARKER_ELEMS header"),
+    (12, 12, "marker 'm' face"),
+    (13, 13, "marker 'm' face"),
+])
+def test_truncation_in_each_section(keep, line, context):
+    """The file ends after its first keep lines (and a trailing comment);
+    the error names the last line read."""
+    text = "\n".join(GOOD_2D.splitlines()[:keep]) + "\n% the end\n\n"
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(text)
+    assert (str(exc.value), exc.value.line) == \
+        (f"line {line}: truncated file while reading {context}", line)
+
+
+@pytest.mark.parametrize("keep,bad,message", [
+    (3, "5 0 x 2", "line 3: non-integer vertex index in '5 0 x 2'"),
+    (7, "0", "line 7: point line has 1 fields, expected at least 2"),
+    (13, "3 0 % 1", "line 13: line element needs 2 vertex indices, "
+                      "got 1"),
+])
+def test_bad_line_before_truncation_is_reported(keep, bad, message):
+    """Lines are checked in file order, so a malformed line ahead of the
+    end of a short file is what gets reported."""
+    lines = GOOD_2D.splitlines()[:keep]
+    lines[-1] = bad
+    with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+        parse_mesh("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("lineno,content,context", [
+    (2, "NELEM= -1", "element connectivity"),
+    (5, "NPOIN= -2", "point coordinates"),
+    (12, "MARKER_ELEMS= -1", "marker 'm' face"),
+])
+def test_negative_count_is_rejected(lineno, content, context):
+    """A negative count read no lines (NELEM, MARKER_ELEMS) or ended in a
+    bare numpy error (NPOIN); it is an error at its header."""
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(_with_line(lineno, content))
+    count = content.split("=")[1].strip()
+    assert str(exc.value) == f"line {lineno}: negative count {count} for " \
+        f"{context}"
+
+
+@pytest.mark.parametrize("text", [
+    "NDIME= 2\nNELEM= 0\nNPOIN= 1\n0.5 0.5\n",
+    "NDIME= 3\nNELEM= 0\nNPOIN= 0\nNMARK= 1\nMARKER_TAG= m\n"
+    "MARKER_ELEMS= 0\n",
+    "NDIME= 2\nNELEM= 1\n5 0 1 2\nNPOIN= 3\n0 0\n1 0\n0 1\nNMARK= 2\n"
+    "MARKER_TAG= empty\nMARKER_ELEMS= 0\nMARKER_TAG= m\nMARKER_ELEMS= 1\n"
+    "3 0 1\n",
+])
+def test_empty_sections_parse_without_warnings(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = parse_mesh(text)
+    again = parse_mesh(write_mesh(mesh))
+    assert again.n_elements == mesh.n_elements
+    assert again.n_points == mesh.n_points
+    assert same_markers(again, mesh)
+
+
 def test_parse_comments_ignored(square_mesh):
     with_comments = "% header comment\n" + SQUARE_2TRI.replace(
         "NPOIN= 4", "NPOIN= 4 % inline")
@@ -90,7 +236,7 @@ def test_element_order_preserved():
 
 
 def test_roundtrip_exact(square_mesh, block_mesh):
-    for mesh in (square_mesh, block_mesh):
+    for mesh in (square_mesh, block_mesh, mixed_kind_mesh()):
         again = parse_mesh(write_mesh(mesh))
         assert again.dim == mesh.dim
         assert list(again.cells) == list(mesh.cells)
@@ -438,6 +584,11 @@ def test_writers_match_per_row_reference(case):
     cells = [(KIND_TO_CODE[kind], verts) for kind, verts in _ref_cells(mesh)]
     assert write_vtk(mesh, fields, title="t") == \
         _ref_vtk("t", mesh.points, cells, fields)
+    # a moved copy reuses the cell blocks cached by the first write
+    moved = mesh.with_points(-mesh.points)
+    assert "vtk_cells" in moved.derived
+    assert write_vtk(moved, fields, title="t") == \
+        _ref_vtk("t", moved.points, cells, fields)
 
 
 @settings(max_examples=100, deadline=None)
@@ -471,6 +622,248 @@ def test_supermesh_vtk_matches_per_row_reference():
     assert [len(v) for _, v in cells] == [3, 3, 4]
     assert _supermesh_vtk(sm) == _ref_vtk(
         "supermesh intersection polygons", points, cells, {})
+
+
+# ---------------------------------------------------------------------------
+# Parser against a per-line reference parser
+# ---------------------------------------------------------------------------
+
+class _RefLines:
+    """The (line number, content) pairs of the lines that are not blank or
+    % comments, read one at a time."""
+
+    def __init__(self, text: str):
+        self.lines = [(lineno, content) for lineno, raw
+                      in enumerate(text.splitlines(), start=1)
+                      if (content := raw.split("%", 1)[0].strip())]
+        self.pos = self.lineno = 0
+
+    def next(self, context: str) -> str:
+        if self.pos >= len(self.lines):
+            raise MeshFormatError(f"truncated file while reading {context}",
+                                  self.lineno or None)
+        self.lineno, content = self.lines[self.pos]
+        self.pos += 1
+        return content
+
+
+def _ref_header(line: str, key: str, lineno: int, integer: bool = True):
+    prefix, _, value = line.partition("=")
+    if prefix.strip() != key:
+        raise MeshFormatError(f"expected '{key}=' header, got {line!r}",
+                              lineno)
+    if not integer:
+        return value.strip()
+    try:
+        return int(value.strip())
+    except ValueError:
+        raise MeshFormatError(f"{key} value {value.strip()!r} is not an "
+                              "integer", lineno) from None
+
+
+def _ref_groups(stream, count, context, groups, key, line_of):
+    """Read count element lines one by one, converting every field with
+    int(), into kind -> (vertex lists, positions) groups."""
+    if count < 0:
+        raise MeshFormatError(f"negative count {count} for {context}",
+                              stream.lineno)
+    start = sum(len(rows) for _, rows in groups.values())
+    for position in range(start, start + count):
+        line = stream.next(context)
+        fields = line.split()
+        try:
+            code = int(fields[0])
+        except ValueError:
+            raise MeshFormatError(f"bad element line {line!r}",
+                                  stream.lineno) from None
+        if code not in TYPE_CODES:
+            raise MeshFormatError(f"unknown element type code {code}",
+                                  stream.lineno)
+        kind = TYPE_CODES[code]
+        nv = VERTEX_COUNT[kind]
+        if len(fields) < 1 + nv:
+            raise MeshFormatError(f"{kind} element needs {nv} vertex indices, "
+                                  f"got {len(fields) - 1}", stream.lineno)
+        try:
+            verts = [int(f) for f in fields[1:1 + nv]]
+        except ValueError:
+            raise MeshFormatError(f"non-integer vertex index in {line!r}",
+                                  stream.lineno) from None
+        conn, rows = groups.setdefault(kind, ([], []))
+        conn.append(verts)
+        rows.append(position)
+        line_of[key, position] = stream.lineno
+
+
+def _ref_parse(text: str) -> Mesh:
+    """The native reader as a loop over lines and fields: the reference
+    parse_mesh must agree with, result for result and error for error."""
+    stream = _RefLines(text)
+    dim = points = None
+    cells, markers, line_of = {}, {}, {}
+    while stream.pos < len(stream.lines):
+        line = stream.next("section header")
+        key = line.partition("=")[0].strip()
+        if key == "NDIME":
+            dim = _ref_header(line, "NDIME", stream.lineno)
+            if dim not in (2, 3):
+                raise MeshFormatError(f"NDIME must be 2 or 3, got {dim}",
+                                      stream.lineno)
+        elif key == "NELEM":
+            _ref_groups(stream, _ref_header(line, "NELEM", stream.lineno),
+                        "element connectivity", cells, None, line_of)
+        elif key == "NPOIN":
+            if dim is None:
+                raise MeshFormatError("NPOIN section before NDIME",
+                                      stream.lineno)
+            count = _ref_header(line, "NPOIN", stream.lineno)
+            if count < 0:
+                raise MeshFormatError(f"negative count {count} for point "
+                                      "coordinates", stream.lineno)
+            points = np.zeros((count, 3))
+            numbers = []
+            for i in range(len(points)):
+                pt_line = stream.next("point coordinates")
+                fields = pt_line.split()
+                if len(fields) < dim:
+                    raise MeshFormatError(
+                        f"point line has {len(fields)} fields, expected at "
+                        f"least {dim}", stream.lineno)
+                try:
+                    points[i, :dim] = [float(f) for f in fields[:dim]]
+                except ValueError:
+                    raise MeshFormatError(
+                        f"non-numeric coordinate in {pt_line!r}",
+                        stream.lineno) from None
+                numbers.append((stream.lineno, pt_line))
+            for i, (lineno, pt_line) in enumerate(numbers):
+                if not np.isfinite(points[i]).all():
+                    raise MeshFormatError(
+                        f"non-finite coordinate in {pt_line!r}", lineno)
+        elif key == "NMARK":
+            for _ in range(_ref_header(line, "NMARK", stream.lineno)):
+                tag_line = stream.next("MARKER_TAG header")
+                name = _ref_header(tag_line, "MARKER_TAG", stream.lineno,
+                                   integer=False)
+                if name in markers:
+                    raise MeshFormatError(f"duplicate marker name {name!r}",
+                                          stream.lineno)
+                n_faces = _ref_header(stream.next("MARKER_ELEMS header"),
+                                      "MARKER_ELEMS", stream.lineno)
+                markers[name] = {}
+                _ref_groups(stream, n_faces, f"marker {name!r} face",
+                            markers[name], name, line_of)
+        else:
+            raise MeshFormatError(f"unrecognized header {line!r}",
+                                  stream.lineno)
+    if dim is None:
+        raise MeshFormatError("missing NDIME header")
+    if points is None:
+        raise MeshFormatError("missing NPOIN section")
+    try:
+        return Mesh(dim, points, cells, markers)
+    except _BadRow as exc:
+        raise MeshFormatError(exc.args[0], line_of[exc.args[1:]]) from None
+
+
+@st.composite
+def styled_mesh_texts(draw):
+    """The native text of a random mixed-kind 2D or 3D mesh in a random
+    style: the sections after NDIME in any order (the cells maybe split in
+    two NELEM sections), spaces or tabs between fields, trailing index
+    fields or none, float formats, % comments on and between lines, blank
+    lines, LF or CRLF endings."""
+    mesh, _ = draw(meshes_with_fields())
+    rnd = draw(st.randoms(use_true_random=False))  # per-line styles
+    fmt = draw(st.sampled_from([repr, "{:.17g}".format, "{:.17e}".format]))
+
+    def line(fields, index=None):
+        extra = rnd.choice([[], [index], [index, 7]]) \
+            if index is not None else []
+        text = rnd.choice([" ", "  ", "\t", " \t "]).join(
+            map(str, [*fields, *extra]))
+        return [*rnd.choices(["", "  ", "% note"], k=rnd.choice([0, 0, 1, 2])),
+                rnd.choice(["", " ", "\t"]) + text
+                + rnd.choice(["", " ", "%x"])]
+
+    def rows(groups, numbered):
+        return [line([KIND_TO_CODE[kind], *verts], pos if numbered else None)
+                for pos, (kind, verts) in enumerate(_ref_rows(groups))]
+
+    cells = rows(mesh.cells, True)
+    cut = draw(st.integers(0, len(cells) // 2))
+    head = draw(st.sampled_from(["{}= {}", "{}={}", " {} =\t{} "]))
+    parts = {
+        "NELEM": [head.format("NELEM", mesh.n_elements - cut),
+                  *chain.from_iterable(cells[cut:])],
+        "NPOIN": [head.format("NPOIN", mesh.n_points),
+                  *(ln for i, p in enumerate(mesh.points.tolist())
+                    for ln in line(map(fmt, p[:mesh.dim]), i))],
+        "NMARK": [head.format("NMARK", len(mesh.markers))],
+    }
+    if cut:
+        parts["NELEM"] = [head.format("NELEM", cut),
+                          *chain.from_iterable(cells[:cut]), *parts["NELEM"]]
+    for name, groups in mesh.markers.items():
+        parts["NMARK"] += [head.format("MARKER_TAG", name),
+                           head.format("MARKER_ELEMS", sum(
+                               len(r) for _, r in groups.values())),
+                           *chain.from_iterable(rows(groups, False))]
+    order = draw(st.permutations(list(parts)))
+    lines = [head.format("NDIME", mesh.dim),
+             *(ln for key in order for ln in parts[key])]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _same_mesh(a: Mesh, b: Mesh) -> bool:
+    """Equal meshes, the points bit for bit (-0.0 is not 0.0)."""
+    return (a.dim == b.dim and a.points.tobytes() == b.points.tobytes()
+            and same_groups(a.cells, b.cells) and same_markers(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=styled_mesh_texts())
+def test_parser_matches_per_line_reference(text):
+    mesh = parse_mesh(text)
+    assert _same_mesh(mesh, _ref_parse(text))
+    assert _same_mesh(parse_mesh(write_mesh(mesh)), mesh)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except MeshFormatError as exc:
+        return str(exc), exc.line
+
+
+JUNK = st.sampled_from(["x", "1.5", "-1", "+2", "1e3", "nan", "-inf", "0x1",
+                        "-", "=", "99", "5", "3", "12", "1,0", "1d0",
+                        "NPOIN= 1", "%", "MARKER_TAG= m0"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=styled_mesh_texts(), data=st.data())
+def test_parser_matches_per_line_reference_on_damaged_text(text, data):
+    """One field replaced, one line dropped or the file cut short: the
+    parser and the reference give the same mesh or the same error at the
+    same line."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["field", "drop", "cut"]))
+    if how == "field" and (fields := lines[i].split()):
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(JUNK)
+        lines[i] = " ".join(fields)
+    elif how == "drop":
+        del lines[i]
+    elif how == "cut":
+        lines = lines[:i]
+    damaged = "\n".join(lines) + "\n"
+    got, ref = _outcome(parse_mesh, damaged), _outcome(_ref_parse, damaged)
+    if isinstance(ref, Mesh):
+        assert isinstance(got, Mesh) and _same_mesh(got, ref)
+    else:
+        assert got == ref
 
 
 # ---------------------------------------------------------------------------

@@ -794,6 +794,22 @@ def test_interface_from_markers_cylinder():
     assert sm.total_area == pytest.approx(width, rel=1e-12)
 
 
+def test_full_cylinder_interface_is_rejected():
+    """Over a full turn there is no azimuth gap outside the faces, so the
+    branch cut splits a face on each side, which then unrolls across the
+    whole circumference (weight sums of 2 and a total area of 46.08 for
+    12.57 if built); the projection names the first such face."""
+    mesh = sector_interface_mesh(12, 15, 2.0, span=(0.0, 2.0 * np.pi), nz=2)
+    with pytest.raises(ValueError, match=r"^interface side A \(marker "
+                       r"'iface_a'\) face 11 unrolls to a width of 11\.5192 "
+                       r"of the cylinder's circumference 12\.5664: a full "
+                       r"360-degree"):
+        interface_from_markers(mesh, "iface_a", "iface_b")
+    with pytest.raises(ValueError, match=r"^interface side A \(marker "
+                       r"'iface_b'\) face 14 "):
+        interface_from_markers(mesh, "iface_b", "iface_a")
+
+
 def test_noisy_plane_projects_as_plane():
     """Out-of-plane noise of 1e-5 of the diagonal leaves the plane the
     nearer fit by far, so the sides still tile the unit square."""
