@@ -137,6 +137,7 @@ def cmd_deform(args) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     quality_rows, greedy_rows = [], []
+    written = {}  # (phase, velocity scheme) -> the first frame written
 
     exit_code = EXIT_OK
     unconverged = []
@@ -153,12 +154,19 @@ def cmd_deform(args) -> int:
                                 lv.mean_err, lv.seconds)
                                for lv in res.history.levels)
             if res.step % args.stride == 0:
-                frame = mesh.with_points(res.points)
                 path = outdir / f"step_{res.step:04d}.vtk"
-                path.write_text(write_vtk(
-                    frame, {"grid_velocity": res.grid_velocity},
-                    title=f"step {res.step} psi "
-                          f"{np.degrees(res.psi):.3f} deg"))
+                title = f"step {res.step} psi {np.degrees(res.psi):.3f} deg"
+                # the grid is periodic: a step's points, and its velocity
+                # given the scheme, are those of the first step at its phase
+                key = (res.step % args.steps_per_rev, res.velocity_scheme)
+                if key in written:  # that frame's text, with its own title
+                    head, _, rest = written[key].read_text().split("\n", 2)
+                    path.write_text(f"{head}\n{title}\n{rest}")
+                else:
+                    written[key] = path
+                    path.write_text(write_vtk(
+                        mesh.with_points(res.points),
+                        {"grid_velocity": res.grid_velocity}, title=title))
     except DeformationFailure as exc:
         print(f"deformation failed: {exc}", file=sys.stderr)
         print(f"last good step: {exc.last_good}", file=sys.stderr)

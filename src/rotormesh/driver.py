@@ -6,9 +6,11 @@ the blade's offset rotation R_b. RBF interpolation on fixed centers is linear
 in its data: one greedy selection per blade marker, before the first step,
 solves a basis field G_b (x - h_b on blade b, zero on the other markers), and
 a step's rotating-frame grid is X + sum_b G_b @ A_b(psi), rotated rigidly to
-its azimuth. Later revolutions repeat the first and reuse its quality. Grid
-velocities come from the lab-frame history: zero at the first state,
-first-order backward at the second, second-order backward (BDF2) after.
+its azimuth taken within the first revolution. Later revolutions therefore
+repeat the first bit for bit, in the lab frame too, and reuse its quality.
+Grid velocities come from the lab-frame history: zero at the first state,
+first-order backward at the second, second-order backward (BDF2) after, so
+every BDF2 step repeats the velocity of the BDF2 steps at its phase.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class DeformationFailure(RuntimeError):
 class StepResult:
     step: int
     time: float
-    psi: float                      # grid azimuth, radians
-    points: np.ndarray              # lab-frame coordinates
+    psi: float                      # azimuth omega * time, radians
+    points: np.ndarray              # lab-frame coordinates at psi mod 2 pi
     rotor_points: np.ndarray        # rotating-frame coordinates
     grid_velocity: np.ndarray
     velocity_scheme: str            # zero | backward1 | bdf2
@@ -62,9 +64,10 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
     blade marker i sitting at azimuth offset 2 pi i / n_blades, so step 0
     already moves it into its t = 0 attitude. Before the first step,
     deform_mesh runs once per blade marker; a step is then one product with
-    the basis. Step k takes the hinge motion and the quality report of step
-    k % steps_per_rev and carries the run's greedy history and its own
-    surface error. The arguments are checked on call, before any step runs.
+    the basis. Step k takes the hinge motion, the lab-frame points and the
+    quality report of step k % steps_per_rev and carries the run's greedy
+    history and its own surface error. The arguments are checked on call,
+    before any step runs.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -128,10 +131,10 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
     previous: list[np.ndarray] = []    # the last two lab-frame grids
 
     for k in range(int(round(steps_per_rev * revolutions)) + 1):
-        psi = cfg.omega * (k * dt)
         j = k % steps_per_rev
+        phase = cfg.omega * (j * dt)  # the azimuth within revolution 1
         # C_b^T of every blade, (n_blades, 3, 3), then the stacked A_b
-        c_hinge = hinge_matrix(*(eval_series(s, cfg.omega * (j * dt) + offsets)
+        c_hinge = hinge_matrix(*(eval_series(s, phase + offsets)
                                  for s in series)).transpose(2, 1, 0)
         motion = (rots @ (c_hinge - np.eye(3)) @ rots.transpose(0, 2, 1)
                   ).reshape(-1, 3)
@@ -145,7 +148,7 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
             rotor_points[surface] - points[surface] - rigid @ motion,
             axis=1).max(initial=0.0)
 
-        lab_points = rotor_points @ azimuth_matrix(psi).T
+        lab_points = rotor_points @ azimuth_matrix(phase).T
         if len(previous) == 2:
             velocity = grid_velocity_bdf2(lab_points, *previous[::-1], dt)
         elif previous:
@@ -156,7 +159,7 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
         previous = [*previous[-1:], lab_points]
 
         yield StepResult(
-            step=k, time=k * dt, psi=psi, points=lab_points,
+            step=k, time=k * dt, psi=cfg.omega * (k * dt), points=lab_points,
             rotor_points=rotor_points, grid_velocity=velocity,
             velocity_scheme=scheme, quality=reports[j], history=history,
             surface_max_err=float(surface_err))

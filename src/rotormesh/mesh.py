@@ -185,6 +185,10 @@ def _fault(line: str, dim: int) -> str | None:
                 f"got {len(fields) - 1}")
     if not all(map(_INT, fields[1:1 + nv])):
         return f"non-integer vertex index in {line!r}"
+    intp = np.iinfo(np.intp)
+    for index in map(int, fields[1:1 + nv]):
+        if not intp.min <= index <= intp.max:  # beyond what numpy reads
+            return f"vertex index {index} out of range"
     return None
 
 

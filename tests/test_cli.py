@@ -9,11 +9,12 @@ import pytest
 from meshgen import (SQUARE_2TRI, box_hex_mesh, box_with_plate_mesh,
                      sector_interface_mesh, stacked_interface_mesh)
 
-from rotormesh import geometry
+from rotormesh import cli, geometry
 from rotormesh.cli import _supermesh_vtk, build_parser, main
-from rotormesh.config import load_fixture
+from rotormesh.config import load_fixture, parse_motion_config
+from rotormesh.driver import run_deformation
 from rotormesh.kinematics import blade_normal_mach, eval_series
-from rotormesh.mesh import Mesh, write_mesh
+from rotormesh.mesh import Mesh, parse_mesh, write_mesh, write_vtk
 from rotormesh.supermesh import (InterfaceFaceSet, build_supermesh,
                                  polygon_area)
 
@@ -88,6 +89,16 @@ def test_info_bad_connectivity_exit_code(tmp_path, capsys):
     assert main(["info", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 4: triangle elements are not allowed as 3D cells" in err
+
+
+def test_info_vertex_index_beyond_int64_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.mesh"
+    path.write_text(INVERTED_TET.replace("10 0 2 1 3",
+                                         "10 0 1 2 99999999999999999999 0"))
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "rotormesh: parse error: line 4: vertex index 99999999999999999999 "
+        "out of range\n")
 
 
 NO_CELLS = "NDIME= 2\nNELEM= 0\nNPOIN= 1\n0.0 0.0 0\nNMARK= 0\n"
@@ -308,6 +319,47 @@ def test_deform_writes_rows_for_replayed_steps(tmp_path):
         assert [without(r, "step") for r in grows if r["step"] == str(k)] == \
             [without(r, "step") for r in grows if r["step"] == str(k - 3)]
     assert len({r["min_orthogonality_deg"] for r in qrows[:3]}) == 3
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_deform_frames_match_a_fresh_write(tmp_path, monkeypatch, stride):
+    """The grid is periodic, so a frame whose phase and velocity scheme an
+    earlier frame had is written from that frame's text, with its own
+    title. Every frame is still byte for byte write_vtk of its step, also
+    at a stride of 4, which does not divide 6 and so skips some phases."""
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(
+        n=6, plate_x=(0.1, 0.7), plate_y=(-0.3, 0.3), plate_z=(-0.15, 0.15))))
+    text = ZERO_MOTION + "[pitch]\nmean_deg = 4.0\nsin_deg = 3.0\n"
+    cfg = tmp_path / "cyclic.cfg"
+    cfg.write_text(text)
+    formatted = []
+    monkeypatch.setattr(cli, "write_vtk",
+                        lambda *a, **k: formatted.append(a) or write_vtk(
+                            *a, **k))
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "6", "--revolutions", "3",
+                 "--stride", str(stride), "--output-dir", str(outdir)]) == 0
+
+    mesh = parse_mesh(mesh_file.read_text())
+    results = list(run_deformation(mesh, parse_motion_config(text),
+                                   ["blade"], steps_per_rev=6,
+                                   revolutions=3.0))[::stride]
+    assert sorted(p.name for p in outdir.glob("step_*.vtk")) == \
+        [f"step_{r.step:04d}.vtk" for r in results]
+    for r in results:
+        expected = write_vtk(mesh.with_points(r.points),
+                             {"grid_velocity": r.grid_velocity},
+                             title=f"step {r.step} psi "
+                                   f"{np.degrees(r.psi):.3f} deg")
+        assert (outdir / f"step_{r.step:04d}.vtk").read_bytes() == \
+            expected.encode()
+    # the title keeps the azimuth of its own revolution
+    assert expected.splitlines()[1] == \
+        f"step {r.step} psi {60.0 * r.step:.3f} deg"
+    # one write per phase and scheme: 0 zero, 1 backward1, then BDF2
+    assert len(formatted) == {1: 8, 4: 4}[stride]
 
 
 def test_deform_negative_volume_exit_code(tmp_path, capsys):

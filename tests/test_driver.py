@@ -169,30 +169,33 @@ def test_face_table_built_once_per_sweep(monkeypatch):
 
 
 def test_later_revolutions_replay_the_first(small_mesh):
-    """Every step deforms the as-built mesh, so the grid is periodic: each
-    rotating-frame state of revolutions 2 and 3 is the one of revolution
-    1, and the lab-frame grid returns to its earlier state."""
+    """Every step deforms the as-built mesh and turns it by its azimuth
+    within revolution 1, so the grid is periodic bit for bit: each
+    rotating-frame and lab-frame state of revolutions 2 and 3 is the one of
+    revolution 1, and each BDF2 velocity that of the earlier BDF2 steps at
+    its phase."""
     cfg = parse_motion_config(FLAPPING)
     n = 6
     results = list(run_deformation(small_mesh, cfg, ["blade"],
                                    steps_per_rev=n, revolutions=3.0))
     assert len(results) == 3 * n + 1
     assert np.abs(results[1].rotor_points - small_mesh.points).max() > 0.01
-    size = np.ptp(small_mesh.points, axis=0).max()
     for r in results[n:]:
         first = results[r.step % n]
         assert np.array_equal(r.rotor_points, first.rotor_points)
+        assert np.array_equal(r.points, first.points)
         assert r.history == first.history
         assert r.quality.min_orthogonality_deg == \
             first.quality.min_orthogonality_deg
         assert r.surface_max_err == first.surface_max_err
-        assert np.abs(r.points - first.points).max() <= 1e-10 * size
+        assert r.psi == pytest.approx(2.0 * np.pi * r.step / n)
     assert [r.velocity_scheme for r in results[:3]] == \
         ["zero", "backward1", "bdf2"]
-    # a full revolution after step 2 the BDF2 velocity repeats too
-    scale = np.abs(results[2].grid_velocity).max()
-    assert np.abs(results[n + 2].grid_velocity -
-                  results[2].grid_velocity).max() <= 1e-9 * scale
+    assert np.abs(results[2].grid_velocity).max() > 0.01
+    for r in results[n + 2:]:
+        first = results[2 + (r.step - 2) % n]  # the first BDF2 step there
+        assert r.velocity_scheme == "bdf2"
+        assert np.array_equal(r.grid_velocity, first.grid_velocity)
 
 
 def test_hb_velocity_matches_fine_step_bdf2(small_mesh):
@@ -270,7 +273,5 @@ def test_two_blades_follow_their_rigid_hinge_motion():
     # both blades moved well beyond the tolerance
     assert all(np.abs(results[1].rotor_points[idx] - mesh.points[idx]).max()
                > 0.01 for idx, _, _ in blades)
-    size = np.ptp(mesh.points, axis=0).max()
-    assert np.abs(results[-1].points - results[0].points).max() <= \
-        1e-10 * size
+    assert np.array_equal(results[-1].points, results[0].points)
     assert all(r.quality.negative_volume_count == 0 for r in results)

@@ -301,6 +301,24 @@ def test_bad_connectivity_rejected(dim, cell, face, line, message):
              {"m": {TYPE_CODES[face_code]: ([face], [0])}})
 
 
+@pytest.mark.parametrize("cell,face,line,message", [
+    ("10 0 1 2 99999999999999999999 0", "5 0 1 2", 3,
+     "vertex index 99999999999999999999 out of range"),
+    (f"10 0 1 {2**63} 3", "5 0 1 2", 3, f"vertex index {2**63} out of range"),
+    ("10 0 1 2 3", f"5 0 {-2**63 - 1} 2", 12,
+     f"vertex index {-2**63 - 1} out of range"),
+    (f"10 0 1 2 {2**63 - 1}", "5 0 1 2", 3,
+     f"vertex index {2**63 - 1} out of range (NPOIN=4)"),
+])
+def test_vertex_index_beyond_int64_rejected_at_its_line(cell, face, line,
+                                                        message):
+    """An index numpy cannot read as intp is out of range as well, and is
+    reported at its line, not as numpy's own error."""
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(ONE_CELL.format(dim=3, cell=cell, face=face))
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 @pytest.mark.parametrize("dim,cells,faces,line,message", [
     (2, "5 0 1 2\n5 0 2 3\n10 0 1 2 3", "3 0 1", 5,
      "tetrahedron elements are not allowed as 2D cells"),
