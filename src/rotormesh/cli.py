@@ -271,7 +271,7 @@ def cmd_hb(args) -> int:
         Path(args.output).write_text(csv)
     else:
         sys.stdout.write(csv)
-    resolved = args.tone_multiple <= len(fs.positive)
+    resolved = abs(args.tone_multiple) <= len(fs.positive)
     print(f"instances: {fs.count}, basis condition {op.condition:.3e}",
           file=sys.stderr)
     print(f"test tone {args.tone_multiple}x fundamental "
@@ -344,9 +344,6 @@ def main(argv=None) -> int:
     except (MeshFormatError, ConfigError) as exc:
         print(f"rotormesh: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DeformationFailure as exc:
-        print(f"rotormesh: {exc}", file=sys.stderr)
-        return EXIT_DEFORM
 
 
 if __name__ == "__main__":

@@ -99,15 +99,12 @@ _KEYS = {
             lambda v: _name(v) or _list(v, _name),
             lambda v: (v,) if _name(v) else tuple(v)),
     },
-    "interface": {"pair": _rule("a list of 2 marker names",
-                                lambda v: _list(v, _name) and len(v) == 2,
-                                tuple)},
 }
 _REQUIRED = {"rotor": ("radius_m", "rpm"), "flight": ("tip_mach",)}
 # the dataclass field of each key not named like it
 _FIELDS = {"mean_deg": "mean", "sin_deg": "sine_coeffs",
            "cos_deg": "cosine_coeffs", "affine": "with_affine",
-           "greedy_tol_m": "greedy_tol", "pair": "interface_pair"}
+           "greedy_tol_m": "greedy_tol"}
 
 
 def _read_config(text: str) -> dict[str, dict[str, object]]:
@@ -158,7 +155,6 @@ class MotionConfig:
     flight: FlightCondition | None = None
     rbf: RbfConfig | None = None
     fixed_markers: tuple[str, ...] = ()
-    interface_pair: tuple[str, str] | None = None
 
     @property
     def omega(self) -> float:
@@ -216,8 +212,7 @@ def parse_motion_config(text: str) -> MotionConfig:
         **rotor,
         **{name: MotionSeries(**sections.get(name, {}))
            for name in ("pitch", "flap", "leadlag")},
-        flight=flight, rbf=rbf_cfg, fixed_markers=fixed,
-        **sections.get("interface", {}))
+        flight=flight, rbf=rbf_cfg, fixed_markers=fixed)
 
 
 def load_motion_config(path: str | Path) -> MotionConfig:

@@ -67,7 +67,8 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
     the basis. Step k takes the hinge motion, the lab-frame points and the
     quality report of step k % steps_per_rev and carries the run's greedy
     history and its own surface error. The arguments are checked on call,
-    before any step runs.
+    before any step runs: a blade marker may share no point with another
+    blade or fixed marker.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -86,6 +87,14 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
 
     markers = {name: extract_marker_points(mesh, name)[0]
                for name in (*blade_markers, *cfg.fixed_markers)}
+    for i, name in enumerate(blade_markers):  # a blade moves its points alone
+        for other in (*blade_markers[i + 1:], *cfg.fixed_markers):
+            shared = len(np.intersect1d(markers[name], markers[other],
+                                        assume_unique=True))
+            if shared:
+                kind = "fixed" if other in cfg.fixed_markers else "blade"
+                raise ValueError(f"blade marker {name!r} shares {shared} "
+                                 f"points with {kind} marker {other!r}")
     return _steps(mesh, cfg, blade_markers, markers, steps_per_rev,
                   revolutions)
 

@@ -2,8 +2,10 @@
 
 Everything comes from the unique-face table (Topology), which depends on
 connectivity alone: topology() builds it once and caches it in mesh.derived,
-which every with_points copy shares. Faces split into triangles about their
-lowest-numbered vertex, alike from either of their cells. One face pass
+which every with_points copy shares. A 3D face is stored once, rolled to
+start at its lowest-numbered vertex, and is the fan of triangles about that
+vertex, alike from either of its cells; triangles and quads take one path,
+the quad's two triangles sharing the diagonal through it. One face pass
 gives the face metrics and, for both cells of each face, the cone from the
 cell's vertex mean (not a global origin, which loses digits far from it) to
 the face; cones sum to cell volumes and centroids. Mirrored cells get
@@ -46,7 +48,7 @@ class Topology:
     face_owner: np.ndarray     # (nface,)
     face_neighbor: np.ndarray  # (nface,), -1 on the boundary
     neighbor_sign: np.ndarray  # (nface,), +1.0 or -1.0
-    # per face size: face ids, and (n, 2) edges or _split_faces corners
+    # per face size: face ids, and (n, 2) edges or lowest-first (n, nv) faces
     face_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -86,65 +88,21 @@ class QualityReport:
     min_volume: float
 
 
-def _split_faces(idx: np.ndarray) -> np.ndarray:
-    """(3, ntri, nface) corner vertex indices of the triangles of (nface, 3)
-    or (nface, 4) faces.
-
-    Faces are rolled to start at their lowest-numbered vertex, and a quad is
-    split along the diagonal through it. Both windings of a face then give
-    the same triangles with the same first corner, in reverse order and
-    each wound the other way.
-    """
-    nv = idx.shape[1]
-    if nv not in (3, 4):
-        raise ValueError(f"unsupported face size {nv}")
-    roll = (np.argmin(idx, axis=1)[:, None] + np.arange(nv)) % nv
-    corners = np.array(((0, 0), (1, 2), (2, 3)))[:, :nv - 2]  # of each tri
-    return np.take_along_axis(idx, roll, axis=1).T[corners]
-
-
-def _triangle_faces(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Area, unit normal and centroid of faces split into triangles a b c,
-    each a (3, ntri, nface) array of coordinates, and the triangles' cross
-    products (b - a) x (c - a). Vectors come first-axis, as (3, ...).
-
-    The unit normal of a quad is the normalized average of its two triangle
-    unit normals; the area is the sum of the triangle areas.
-    """
-    u, v = b - a, c - a
-    cross = np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                      u[0] * v[1] - u[1] * v[0]])
-    del u, v  # face-sized: freed before the next temporaries
-    tri_area = 0.5 * np.linalg.norm(cross, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tri_unit = np.where(tri_area > 0.0, 0.5 * cross / tri_area, 0.0)
-    area = tri_area.sum(axis=0)
-    normal_sum = tri_unit.sum(axis=1)
-    nn = np.linalg.norm(normal_sum, axis=0)
-    normal = np.where(nn > 0.0, normal_sum / np.where(nn > 0.0, nn, 1.0), 0.0)
-    tri_centroid = (a + b + c) / 3.0
-    centroid = np.where(area > 0.0, (tri_centroid * tri_area).sum(axis=1)
-                        / np.where(area > 0.0, area, 1.0),
-                        tri_centroid.mean(axis=1))
-    return area, normal, centroid, cross
-
-
-def faces_area_normal_centroid(points: np.ndarray, idx: np.ndarray):
-    """Area, unit normal, and centroid for a batch of faces given as (n, 3)
-    or (n, 4) vertex indices, split as _split_faces does."""
-    area, normal, centroid, _ = _triangle_faces(
-        *(points.T[:, corner] for corner in _split_faces(idx)))
-    return area, normal.T, centroid.T
+def _lowest_first(faces: np.ndarray) -> np.ndarray:
+    """(nface, nv) faces rolled to start at their lowest-numbered vertex."""
+    nv = faces.shape[1]
+    roll = (np.argmin(faces, axis=1)[:, None] + np.arange(nv)) % nv
+    return np.take_along_axis(faces, roll, axis=1)
 
 
 def build_topology(mesh: Mesh) -> Topology:
-    """Unique-face table and triangle split of the mesh's connectivity.
+    """Unique-face table of the mesh's connectivity.
 
     Per face size, every cell-side face is stacked and duplicates are
     identified by their sorted vertex set (lexsort); the first visitor owns
-    the face and its stored winding (outward from the owner). A mesh with
-    no cells, or a face listed by more than two cells, raises
-    MeshFormatError, a ValueError.
+    the face and its stored winding (outward from the owner), a 3D face
+    rolled to start at its lowest-numbered vertex. A mesh with no cells, or
+    a face listed by more than two cells, raises MeshFormatError, a ValueError.
     """
     if mesh.n_elements == 0:
         raise MeshFormatError("mesh has no cells")
@@ -176,9 +134,10 @@ def build_topology(mesh: Mesh) -> Topology:
         neighbor.append(np.where(paired, cells[two], -1))
         # the two cells wind a face alike when the vertex after its lowest
         # is the same for both (for an edge, its first vertex)
-        own = faces[one] if nv == 2 else _split_faces(faces[one])
-        alike = (own[:, 0] == faces[two][:, 0] if nv == 2 else
-                 own[1, 0] == _split_faces(faces[two])[1, 0])
+        own, other = faces[one], faces[two]
+        if nv > 2:
+            own, other = _lowest_first(own), _lowest_first(other)
+        alike = own[:, 1] == other[:, 1]
         sign.append(np.where(paired & alike, 1.0, -1.0))
         ids = np.arange(len(first)) + sum(map(len, owner[:-1]))
         groups.append((ids, own))
@@ -197,10 +156,12 @@ def topology(mesh: Mesh) -> Topology:
 def _face_group(coords: np.ndarray, idx: np.ndarray, o: np.ndarray):
     """Areas, unit normals and centroids of a face group, and the volume and
     first moment about o of the cone from each side's cell origin o to each
-    face, stacked as (4, side, nf). idx holds (nf, 2) edges in 2D and the
-    corners of _split_faces in 3D; vectors come first, o as (3, side, nf)."""
-    if idx.ndim == 2:
-        a, b = coords[:, idx[:, 0]], coords[:, idx[:, 1]]
+    face, stacked as (4, side, nf). idx holds (nf, 2) edges in 2D and
+    lowest-vertex-first (nf, nv) faces in 3D; vectors come first, o as
+    (3, side, nf)."""
+    p = coords[:, idx.T]  # (3, nv, nf)
+    if idx.shape[1] == 2:
+        a, b = p[:, 0], p[:, 1]
         t = b - a
         area = np.linalg.norm(t, axis=0)
         normal = np.stack([t[1], -t[0], 0.0 * t[0]]) \
@@ -209,8 +170,24 @@ def _face_group(coords: np.ndarray, idx: np.ndarray, o: np.ndarray):
         vol = (ra[0] * rb[1] - ra[1] * rb[0]) / 2.0
         moment = vol * ((a + b)[:, None] - 2.0 * o) / 3.0
         return area, normal, 0.5 * (a + b), np.vstack([vol[None], moment])
-    a, b, c = (coords[:, corner] for corner in idx)  # (3, tri, nf)
-    area, normal, centroid, cross = _triangle_faces(a, b, c)
+    a, b, c = p[:, :1], p[:, 1:-1], p[:, 2:]  # fan triangles (3, tri, nf)
+    u, v = b - a, c - a
+    cross = np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                      u[0] * v[1] - u[1] * v[0]])
+    del u, v  # face-sized: freed before the next temporaries
+    tri_area = 0.5 * np.linalg.norm(cross, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tri_unit = np.where(tri_area > 0.0, 0.5 * cross / tri_area, 0.0)
+    # area: the sum of the triangle areas; unit normal: the normalized sum
+    # of the triangle unit normals; centroid: area-weighted
+    area = tri_area.sum(axis=0)
+    normal_sum = tri_unit.sum(axis=1)
+    nn = np.linalg.norm(normal_sum, axis=0)
+    normal = np.where(nn > 0.0, normal_sum / np.where(nn > 0.0, nn, 1.0), 0.0)
+    tri_centroid = (a + b + c) / 3.0
+    centroid = np.where(area > 0.0, (tri_centroid * tri_area).sum(axis=1)
+                        / np.where(area > 0.0, area, 1.0),
+                        tri_centroid.mean(axis=1))
     o = o[:, :, None]
     cone = ((a[:, None] - o) * cross[:, None]).sum(axis=0) / 6.0
     moment = (cone * ((a + (b + c))[:, None] - 3.0 * o) / 4.0).sum(axis=2)

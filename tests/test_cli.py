@@ -617,6 +617,27 @@ def test_interface_unknown_marker(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+def test_deform_blade_sharing_points_is_usage_error(tmp_path, capsys):
+    """A blade marker that shares points with a fixed marker ends the run
+    with exit 1 and a message naming both, before any output exists."""
+    mesh = box_with_plate_mesh(n=6)
+    kind, (conn, _) = next(iter(mesh.markers["blade"].items()))
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(Mesh(
+        3, mesh.points, mesh.cells,
+        {**mesh.markers, "hub": {kind: (conn[:1], [0])}})))
+    cfg = tmp_path / "hub.cfg"
+    cfg.write_text(ZERO_MOTION.replace('["farfield"]', '["farfield", "hub"]')
+                   + "\n[pitch]\nmean_deg = 5.0\n")
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "4", "--revolutions", "0",
+                 "--output-dir", str(outdir)]) == 1
+    assert ("error: blade marker 'blade' shares 4 points with fixed marker "
+            "'hub'") in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 # hb
 # ---------------------------------------------------------------------------
 
@@ -651,11 +672,20 @@ def test_hb_zero_or_negative_tone_usage_error(omega, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_hb_unresolved_tone_reported_not_failed(capsys):
-    code = main(["hb", "--omega", "6.2832", "--tone-multiple", "3"])
+@pytest.mark.parametrize("multiple", [3, -3])
+def test_hb_unresolved_tone_reported_not_failed(multiple, capsys):
+    code = main(["hb", "--omega", "6.2832", "--tone-multiple", str(multiple)])
     assert code == 0
     err = capsys.readouterr().err
     assert "unresolved" in err
+
+
+def test_hb_negative_resolved_tone(capsys):
+    """Tone k w1 is resolved when |k| <= K, whatever its sign."""
+    assert main(["hb", "--omega", "6.2832", "--tone-multiple", "-1"]) == 0
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.startswith("test tone -1x fundamental (resolved): ")
+    assert float(line.rsplit(" ", 1)[1]) < 1e-10
 
 
 def test_hb_positive_shorthand(capsys):

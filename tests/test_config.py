@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,10 +147,13 @@ def test_support_keys_that_would_be_ignored_are_rejected(rbf, message):
         parse_motion_config(MINIMAL + "chord_m = 0.3\n[rbf]\n" + rbf)
 
 
-def test_interface_pair():
+def test_interface_section_is_unknown():
+    """rotormesh interface takes its markers as arguments, so a config
+    section naming them would be read and then ignored."""
     text = MINIMAL + '[interface]\npair = ["rotor_outer", "stator_inner"]\n'
-    cfg = parse_motion_config(text)
-    assert cfg.interface_pair == ("rotor_outer", "stator_inner")
+    with pytest.raises(ConfigError, match=re.escape(
+            "bad config keys: [interface] (unknown section)")):
+        parse_motion_config(text)
 
 
 def test_flight_requires_tip_mach():
@@ -201,7 +203,6 @@ FULL = {
             "support_radius_chords": "2.5", "affine": "false",
             "greedy_tol_m": "1e-6", "level_caps": "[8, 32]",
             "fixed_markers": '["farfield"]'},
-    "interface": {"pair": '["a", "b"]'},
 }
 
 _POSITIVE = ["abc", "0", "-1", "nan", "1e999", "-1e999", "true", "[1.0]",
@@ -225,7 +226,6 @@ BAD_VALUES = {
     "affine": ['"yes"', "1", "abc", "[true]"],
     "level_caps": ["[]", "()", "[8, 0]", "8", "[8, 2.5]", "[8, true]", "abc"],
     "fixed_markers": ["5", "[1, 2]", '["a", 3]', "true"],
-    "pair": ['["a"]', '["a", "b", "c"]', "abc", "[1, 2]", '"a"'],
 }
 
 
@@ -258,7 +258,6 @@ def test_full_config_covers_the_table():
     assert cfg.rbf == RbfConfig(RbfKernel("wendland_c2", 0.5), False, 1e-6,
                                 (8, 32))
     assert cfg.flight.freestream_mach == 0.12
-    assert cfg.interface_pair == ("a", "b")
 
 
 @pytest.mark.parametrize("section,key", TABLE)
@@ -369,7 +368,6 @@ def test_fixture_parity(name):
 def test_readme_example_parity():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-    expected = replace(
-        _ah1g(315.25, (11.7, [1.7], [-5.5]), (0.0,), 0.65, 0.19, 0.00464),
-        interface_pair=("rotor_outer", "stator_inner"))
+    expected = _ah1g(315.25, (11.7, [1.7], [-5.5]), (0.0,), 0.65, 0.19,
+                     0.00464)
     assert parse_motion_config(example) == expected

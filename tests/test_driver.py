@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from rotormesh import geometry, hb
 from rotormesh.config import parse_motion_config
 from rotormesh.driver import DeformationFailure, run_deformation
 from rotormesh.kinematics import BladeMotion, azimuth_matrix, blade_point
-from rotormesh.mesh import extract_marker_points
+from rotormesh.mesh import Mesh, extract_marker_points
 
 STILL_ROTOR = """
 [rotor]
@@ -139,6 +141,30 @@ def test_bad_blade_marker_list_rejected_on_call(small_mesh, markers, message):
     cfg = parse_motion_config(STILL_ROTOR)
     with pytest.raises(ValueError, match=message):
         run_deformation(small_mesh, cfg, markers, steps_per_rev=4,
+                        revolutions=0.0)
+
+
+def with_hub(mesh):
+    """mesh plus a marker "hub": the first face of its marker "blade"."""
+    kind, (conn, _) = next(iter(mesh.markers["blade"].items()))
+    return Mesh(mesh.dim, mesh.points, mesh.cells,
+                {**mesh.markers, "hub": {kind: (conn[:1], [0])}})
+
+
+@pytest.mark.parametrize("markers,fixed,message", [
+    (["blade"], ["farfield", "hub"], "blade marker 'blade' shares 4 points "
+                                     "with fixed marker 'hub'"),
+    (["blade", "hub"], ["farfield"], "blade marker 'blade' shares 4 points "
+                                     "with blade marker 'hub'"),
+])
+def test_blade_marker_sharing_points_rejected_on_call(small_mesh, markers,
+                                                      fixed, message):
+    """A blade marker's points move with it alone: one shared with another
+    blade or a fixed marker would get two targets, so the call fails
+    before any step runs."""
+    cfg = replace(parse_motion_config(STILL_ROTOR), fixed_markers=fixed)
+    with pytest.raises(ValueError, match=message):
+        run_deformation(with_hub(small_mesh), cfg, markers, steps_per_rev=4,
                         revolutions=0.0)
 
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from meshgen import box_hex_mesh, mixed_kind_mesh
 
-from rotormesh.geometry import (CELL_FACES_3D, cell_geometry,
-                                faces_area_normal_centroid,
-                                orthogonality_metrics)
+from rotormesh.geometry import (CELL_EDGES_2D, CELL_FACES_3D, cell_geometry,
+                                orthogonality_metrics, topology)
 from rotormesh.kinematics import hinge_matrix
 from rotormesh.mesh import Mesh, parse_mesh, write_mesh
 
@@ -80,10 +79,35 @@ def test_deformed_block_volume_sum():
     assert geo.volumes.sum() == pytest.approx(1.0, rel=1e-10)
 
 
-def test_shared_face_normals_antiparallel(block_mesh):
+def reference_face(points, face):
+    """Area, unit normal and centroid of one face, given by its vertex
+    indices in the order a cell lists them, one triangle at a time.
+
+    An edge (2D) has its length, the unit normal to its right and its
+    midpoint. A polygon is the fan of triangles about its lowest-numbered
+    vertex: area = the sum of the triangle areas, unit normal = the
+    normalized sum of the triangle unit normals, centroid = the
+    area-weighted triangle centroids.
+    """
+    if len(face) == 2:
+        a, b = points[face]
+        length = np.linalg.norm(b - a)
+        return length, np.array([b[1] - a[1], a[0] - b[0], 0.0]) / length, \
+            (a + b) / 2.0
+    a, *rest = points[np.roll(face, -np.argmin(face))]
+    area, normal, moment = 0.0, np.zeros(3), np.zeros(3)
+    for b, c in zip(rest[:-1], rest[1:]):
+        cross = np.cross(b - a, c - a)
+        tri_area = np.linalg.norm(cross) / 2.0
+        area += tri_area
+        normal += cross / (2.0 * tri_area)
+        moment += tri_area * (a + b + c) / 3.0
+    return area, normal / np.linalg.norm(normal), moment / area
+
+
+def test_shared_face_normals_antiparallel():
     """Recompute each interior face's normal from both sides; the winding
     rule must make them exactly antiparallel."""
-    from rotormesh.geometry import CELL_FACES_3D
     mesh = box_hex_mesh(3, 2, 2)
     rng = np.random.default_rng(3)
     pts = np.array(mesh.points)
@@ -94,8 +118,7 @@ def test_shared_face_normals_antiparallel(block_mesh):
     for verts in mesh.cells["hexahedron"][0]:
         for local in CELL_FACES_3D["hexahedron"]:
             face = verts[list(local)]
-            _, normal, _ = faces_area_normal_centroid(
-                mesh.points, face[None, :])
+            _, normal, _ = reference_face(mesh.points, face)
             sides.setdefault(tuple(sorted(face.tolist())), []).append(normal)
     shared = [v for v in sides.values() if len(v) == 2]
     assert shared, "expected interior faces"
@@ -295,15 +318,10 @@ MIRRORED = {"tetrahedron": [0, 2, 1, 3], "pyramid": [0, 3, 2, 1, 4],
             "triangle": [0, 2, 1], "quadrilateral": [0, 3, 2, 1]}
 
 
-@settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(TOPOLOGY_MESHES)),
-       seed=st.integers(0, 2**32 - 1),
-       shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
-def test_face_table_geometry_matches_per_cell_reference(name, seed, shift):
-    """Volumes and centroids from the unique-face table match the per-cell
-    fan, tetrahedron and shoelace formulas on jittered meshes in which a
-    random subset of cells is mirrored, however far the mesh is moved from
-    the origin."""
+def jittered_mesh(name, seed, shift):
+    """TOPOLOGY_MESHES[name] with its points jittered, a random subset of
+    its cells mirrored, and moved by shift times its size; with the offset
+    and the size."""
     base = TOPOLOGY_MESHES[name]
     rng = np.random.default_rng(seed)
     size = np.ptp(base.points, axis=0).max()
@@ -314,13 +332,27 @@ def test_face_table_geometry_matches_per_cell_reference(name, seed, shift):
     points = base.points + 0.05 * size * rng.uniform(-1, 1, base.points.shape)
     if base.dim == 2:
         points[:, 2] = offset[2] = 0.0
-    mesh = Mesh(base.dim, points + offset, cells)
+    return Mesh(base.dim, points + offset, cells), offset, size
 
+
+JITTERED = dict(name=st.sampled_from(sorted(TOPOLOGY_MESHES)),
+                seed=st.integers(0, 2**32 - 1),
+                shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**JITTERED)
+def test_face_table_geometry_matches_per_cell_reference(name, seed, shift):
+    """Volumes and centroids from the unique-face table match the per-cell
+    fan, tetrahedron and shoelace formulas on jittered meshes in which a
+    random subset of cells is mirrored, however far the mesh is moved from
+    the origin."""
+    mesh, offset, size = jittered_mesh(name, seed, shift)
     geo = cell_geometry(mesh)
     # the reference runs on the same points moved back to the origin, where
     # its absolute-coordinate shoelace loses no digits
     want_vol, want_cent = reference_volumes_centroids(
-        Mesh(mesh.dim, mesh.points - offset, cells))
+        Mesh(mesh.dim, mesh.points - offset, mesh.cells))
     want_cent += offset
     assert np.abs(geo.volumes - want_vol).max() \
         <= 1e-12 * np.abs(want_vol).max()
@@ -328,6 +360,32 @@ def test_face_table_geometry_matches_per_cell_reference(name, seed, shift):
         <= 1e-12 * (np.linalg.norm(offset) + size)
     assert np.count_nonzero(geo.volumes < 0) == \
         np.count_nonzero(want_vol < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**JITTERED)
+def test_face_metrics_match_per_face_reference(name, seed, shift):
+    """Every unique face's area, unit normal and centroid match
+    reference_face of the face as its owner cell lists it, on the meshes
+    of the volume test above."""
+    mesh, offset, size = jittered_mesh(name, seed, shift)
+    geo = cell_geometry(mesh)
+    local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
+    listed = {(pos, tuple(sorted(face.tolist()))): face
+              for kind, (conn, rows) in mesh.cells.items()
+              for verts, pos in zip(conn, rows.tolist())
+              for face in (verts[list(local)] for local in local_faces[kind])}
+    vertex_set = {}  # face id -> sorted vertices, from the face table
+    for ids, idx in topology(mesh).face_groups:
+        vertex_set.update(zip(ids.tolist(), map(tuple, np.sort(idx).tolist())))
+    area, normal, centroid = map(np.array, zip(*(
+        reference_face(mesh.points, listed[owner, vertex_set[f]])
+        for f, owner in enumerate(geo.face_owner.tolist()))))
+    assert len(vertex_set) == len(geo.face_areas)
+    assert np.abs(geo.face_areas - area).max() <= 1e-12 * area.max()
+    assert np.abs(geo.face_normals - normal).max() <= 1e-12
+    assert np.abs(geo.face_centroids - centroid).max() \
+        <= 1e-12 * (np.linalg.norm(offset) + size)
 
 
 @pytest.mark.parametrize("dim,kind,verts", [
