@@ -271,7 +271,9 @@ def cmd_hb(args) -> int:
         Path(args.output).write_text(csv)
     else:
         sys.stdout.write(csv)
-    resolved = abs(args.tone_multiple) <= len(fs.positive)
+    # resolved: |k| w1 is 0 or one of the tones
+    resolved = w_test == 0.0 or bool(np.isclose(
+        fs.positive, abs(w_test), rtol=1e-12, atol=0.0).any())
     print(f"instances: {fs.count}, basis condition {op.condition:.3e}",
           file=sys.stderr)
     print(f"test tone {args.tone_multiple}x fundamental "

@@ -3,13 +3,12 @@
 Everything comes from the unique-face table (Topology), which depends on
 connectivity alone: topology() builds it once and caches it in mesh.derived,
 which every with_points copy shares. A 3D face is stored once, rolled to
-start at its lowest-numbered vertex, and is the fan of triangles about that
-vertex, alike from either of its cells; triangles and quads take one path,
-the quad's two triangles sharing the diagonal through it. One face pass
-gives the face metrics and, for both cells of each face, the cone from the
-cell's vertex mean (not a global origin, which loses digits far from it) to
-the face; cones sum to cell volumes and centroids. Mirrored cells get
-negative volume; a face shared by more than two cells is rejected.
+start at its lowest-numbered vertex a: the fan of triangles (a, b, c) about a,
+alike from either of its cells. A pass over cache-sized blocks of faces gives
+the face metrics and the cone from each adjacent cell's vertex mean o (not a
+global origin, which loses digits far from it), sum_t (a - o).(u x v)_t / 6
+with u = b - a, v = c - a, of moment 3/4 (a - o) cone + 1/4 sum_t cone_t
+(u + v)_t; cones sum to cell volumes and centroids, negative when mirrored.
 """
 
 from __future__ import annotations
@@ -153,45 +152,42 @@ def topology(mesh: Mesh) -> Topology:
     return mesh.derived["topology"]
 
 
-def _face_group(coords: np.ndarray, idx: np.ndarray, o: np.ndarray):
-    """Areas, unit normals and centroids of a face group, and the volume and
-    first moment about o of the cone from each side's cell origin o to each
-    face, stacked as (4, side, nf). idx holds (nf, 2) edges in 2D and
-    lowest-vertex-first (nf, nv) faces in 3D; vectors come first, o as
-    (3, side, nf)."""
-    p = coords[:, idx.T]  # (3, nv, nf)
+def _face_group(coords: np.ndarray, idx: np.ndarray, origin: np.ndarray,
+                sides: np.ndarray):
+    """Areas, unit normals and centroids of a block of faces, and the volume
+    and moment about o of the cone from the origin o of each of their (nf,
+    side) cells; idx holds (nf, 2) edges or lowest-first (nf, nv) faces."""
+    p = coords.take(idx.T, axis=1)  # (3, nv, nf), contiguous per coordinate
+    o = origin.take(sides, axis=1)  # (3, nf, side)
     if idx.shape[1] == 2:
         a, b = p[:, 0], p[:, 1]
         t = b - a
         area = np.linalg.norm(t, axis=0)
         normal = np.stack([t[1], -t[0], 0.0 * t[0]]) \
             / np.where(area > 0.0, area, 1.0)  # right of the edge
-        ra, rb = a[:, None] - o, b[:, None] - o
+        ra, rb = a[..., None] - o, b[..., None] - o
         vol = (ra[0] * rb[1] - ra[1] * rb[0]) / 2.0
-        moment = vol * ((a + b)[:, None] - 2.0 * o) / 3.0
-        return area, normal, 0.5 * (a + b), np.vstack([vol[None], moment])
-    a, b, c = p[:, :1], p[:, 1:-1], p[:, 2:]  # fan triangles (3, tri, nf)
-    u, v = b - a, c - a
+        return area, normal, 0.5 * (a + b), vol, \
+            vol * ((a + b)[..., None] - 2.0 * o) / 3.0
+    a, b, c = p[:, 0], p[:, 1:-1], p[:, 2:]  # fan about a: b, c (3, tri, nf)
+    u, v = b - a[:, None], c - a[:, None]
     cross = np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                       u[0] * v[1] - u[1] * v[0]])
-    del u, v  # face-sized: freed before the next temporaries
-    tri_area = 0.5 * np.linalg.norm(cross, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tri_unit = np.where(tri_area > 0.0, 0.5 * cross / tri_area, 0.0)
-    # area: the sum of the triangle areas; unit normal: the normalized sum
-    # of the triangle unit normals; centroid: area-weighted
-    area = tri_area.sum(axis=0)
-    normal_sum = tri_unit.sum(axis=1)
-    nn = np.linalg.norm(normal_sum, axis=0)
-    normal = np.where(nn > 0.0, normal_sum / np.where(nn > 0.0, nn, 1.0), 0.0)
-    tri_centroid = (a + b + c) / 3.0
-    centroid = np.where(area > 0.0, (tri_centroid * tri_area).sum(axis=1)
-                        / np.where(area > 0.0, area, 1.0),
-                        tri_centroid.mean(axis=1))
-    o = o[:, :, None]
-    cone = ((a[:, None] - o) * cross[:, None]).sum(axis=0) / 6.0
-    moment = (cone * ((a + (b + c))[:, None] - 3.0 * o) / 4.0).sum(axis=2)
-    return area, normal, centroid, np.vstack([cone.sum(axis=1)[None], moment])
+    twice = np.linalg.norm(cross, axis=0)  # twice the triangle areas
+    area = 0.5 * twice.sum(axis=0)
+    normal = np.divide(cross, twice, out=np.zeros_like(cross),
+                       where=twice > 0.0).sum(axis=1)
+    nn = np.linalg.norm(normal, axis=0)
+    normal = np.divide(normal, nn, out=np.zeros_like(normal), where=nn > 0.0)
+    w = u + v  # 3 (triangle centroid - a)
+    centroid = a + np.divide((0.5 * twice * w).sum(axis=1), 3.0 * area,
+                             out=w.mean(axis=1) / 3.0, where=area > 0.0)
+    d = a[..., None] - o  # (3, nf, side)
+    cone = (d[0] * cross[0, ..., None] + d[1] * cross[1, ..., None]
+            + d[2] * cross[2, ..., None]) / 6.0  # (tri, nf, side)
+    vol = cone.sum(axis=0)
+    moment = np.stack([(cone * wk[..., None]).sum(axis=0) for wk in w])
+    return area, normal, centroid, vol, (3.0 * d * vol + moment) / 4.0
 
 
 def cell_geometry(mesh: Mesh) -> MeshGeometry:
@@ -203,29 +199,32 @@ def cell_geometry(mesh: Mesh) -> MeshGeometry:
     neighbours, so its volume and centroid do not depend on them.
     """
     topo = topology(mesh)
-    n, coords = mesh.n_elements, mesh.points.T
-    origin = np.zeros((n + 1, 3))  # row n takes the boundary's missing side
-    for conn, rows in mesh.cells.values():
-        origin[rows] = mesh.points[conn].mean(axis=1)
-    cells = np.stack([topo.face_owner, topo.face_neighbor])
+    n, coords = mesh.n_elements, np.ascontiguousarray(mesh.points.T)
+    origin = np.zeros((3, n + 1))  # column n takes the boundary's missing side
+    for conn, rows in mesh.cells.values():  # the mean of the corner columns
+        origin[:, rows] = coords.take(conn.T, axis=1).sum(axis=1) / len(conn.T)
+    cells = np.stack([topo.face_owner, topo.face_neighbor], axis=1)
     cells[cells < 0] = n
-    sign = np.stack([np.ones_like(topo.neighbor_sign), topo.neighbor_sign])
 
-    parts = []  # per face group: areas, normals, centroids, side terms
+    nface = len(cells)
+    areas, (normals, fcentroids) = np.empty(nface), np.empty((2, 3, nface))
+    terms = np.empty((4, nface, 2))  # volume and moment of either side
     for ids, idx in topo.face_groups:  # ids run on from group to group
-        area, normal, centroid, terms = _face_group(
-            coords, idx, origin.T[:, cells[:, ids]])
-        parts.append((area, normal.T, centroid.T, (terms * sign[:, ids]).T))
-    areas, normals, fcentroids, terms = map(np.concatenate, zip(*parts))
+        for lo in range(0, len(ids), 4096):  # a block's temporaries fit cache
+            block = idx[lo:lo + 4096]
+            at = slice(ids[lo], ids[lo] + len(block))
+            areas[at], normals[:, at], fcentroids[:, at], terms[0, at], \
+                terms[1:, at] = _face_group(coords, block, origin, cells[at])
+    terms[..., 1] *= topo.neighbor_sign
 
-    sums = np.bincount((4 * cells.T[..., None] + np.arange(4)).ravel(),
-                       terms.ravel(), minlength=4 * (n + 1)).reshape(-1, 4)
-    volumes = sums[:n, 0]
-    centroids = origin[:n] + np.divide(sums[:n, 1:], volumes[:, None],
-                                       out=np.zeros((n, 3)),
-                                       where=volumes[:, None] != 0.0)
-    return MeshGeometry(volumes, centroids, topo.face_owner,
-                        topo.face_neighbor, areas, normals, fcentroids)
+    cells = cells.ravel()  # face by face, so each cell sums in face order
+    volumes, *moment = (np.bincount(cells, t.ravel(), minlength=n + 1)[:n]
+                        for t in terms)
+    moment = np.divide(moment, volumes, out=np.zeros((3, n)),
+                       where=volumes != 0.0)
+    return MeshGeometry(volumes, (origin[:, :n] + moment).T.copy(),
+                        topo.face_owner, topo.face_neighbor, areas,
+                        normals.T.copy(), fcentroids.T.copy())
 
 
 def orthogonality_metrics(mesh: Mesh,
@@ -238,18 +237,19 @@ def orthogonality_metrics(mesh: Mesh,
     minimum over its faces; 90 is ideal.
     """
     geo = geometry if geometry is not None else cell_geometry(mesh)
-    d = np.where((geo.face_neighbor >= 0)[:, None],
-                 geo.centroids[geo.face_neighbor] - geo.centroids[geo.face_owner],
-                 geo.face_centroids - geo.centroids[geo.face_owner])
-    dn = np.linalg.norm(d, axis=1)
-    dn = np.where(dn > 0.0, dn, 1.0)
-    cosang = np.abs(np.einsum("ij,ij->i", geo.face_normals, d) / dn)
+    # from the owner's centroid to the neighbour's, or to the face centroid
+    inner = geo.interior
+    ends = np.concatenate([geo.centroids.T, geo.face_centroids.T], axis=1)
+    far = np.where(inner, geo.face_neighbor,
+                   geo.n_cells + np.arange(len(inner)))
+    d = ends.take(far, axis=1) - ends.take(geo.face_owner, axis=1)
+    dot, dn = (geo.face_normals.T * d).sum(axis=0), np.linalg.norm(d, axis=0)
+    cosang = np.abs(dot) / np.where(dn > 0.0, dn, 1.0)
     theta = 90.0 - np.degrees(np.arccos(np.clip(cosang, 0.0, 1.0)))
 
     per_cell = np.full(geo.n_cells, 90.0)
     np.minimum.at(per_cell, geo.face_owner, theta)
-    interior = geo.interior
-    np.minimum.at(per_cell, geo.face_neighbor[interior], theta[interior])
+    np.minimum.at(per_cell, geo.face_neighbor[inner], theta[inner])
 
     return QualityReport(
         min_orthogonality_deg=float(per_cell.min()),

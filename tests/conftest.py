@@ -1,9 +1,21 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Under CI (GitHub Actions sets it) a failing property test also prints the
+# @reproduce_failure blob that replays it locally. The profile is the
+# default one plus the blob; it replaces the ci profile recent hypothesis
+# versions load by themselves, which would also derandomize the search and
+# drop deadlines.
+settings.register_profile("ci", settings.get_profile("default"),
+                          print_blob=True)
+if "CI" in os.environ:
+    settings.load_profile("ci")
 
 from meshgen import SQUARE_2TRI, box_hex_mesh  # noqa: E402
 

@@ -681,11 +681,31 @@ def test_hb_unresolved_tone_reported_not_failed(multiple, capsys):
 
 
 def test_hb_negative_resolved_tone(capsys):
-    """Tone k w1 is resolved when |k| <= K, whatever its sign."""
+    """Tone k w1 is resolved when |k| w1 is a tone, whatever the sign of k."""
     assert main(["hb", "--omega", "6.2832", "--tone-multiple", "-1"]) == 0
     line = capsys.readouterr().err.splitlines()[-1]
     assert line.startswith("test tone -1x fundamental (resolved): ")
     assert float(line.rsplit(" ", 1)[1]) < 1e-10
+
+
+@pytest.mark.parametrize("omega,multiple,resolved", [
+    ("1,2.5", 2, False), ("1,2.5", 3, False), ("1,2.5", -1, True),
+    ("1,2.5", 0, True),
+    *(("1,2,3", k, True) for k in range(-3, 4)), ("1,2,3", 4, False),
+    ("1,2,3", -4, False),
+])
+def test_hb_resolved_means_a_tone_of_the_set(omega, multiple, resolved,
+                                             capsys):
+    """Tone k w1 is resolved iff |k| w1 is 0 or one of the tones: 2 rad/s
+    is no tone of {1, 2.5}, although k = 2 <= K; for harmonics w1, 2 w1, 3 w1
+    the rule is |k| <= 3. A resolved tone's derivative is exact."""
+    assert main(["hb", "--omega", omega, "--tone-multiple",
+                 str(multiple)]) == 0
+    line = capsys.readouterr().err.splitlines()[-1]
+    label = "resolved" if resolved else "unresolved"
+    assert line.startswith(f"test tone {multiple}x fundamental ({label}): ")
+    error = float(line.rsplit(" ", 1)[1])
+    assert (error < 1e-10) if resolved else (error > 1e-3)
 
 
 def test_hb_positive_shorthand(capsys):

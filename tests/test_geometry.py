@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,8 +87,9 @@ def reference_face(points, face):
     An edge (2D) has its length, the unit normal to its right and its
     midpoint. A polygon is the fan of triangles about its lowest-numbered
     vertex: area = the sum of the triangle areas, unit normal = the
-    normalized sum of the triangle unit normals, centroid = the
-    area-weighted triangle centroids.
+    normalized sum of the unit normals of the triangles with area (zero if
+    none has), centroid = the area-weighted triangle centroids (their plain
+    mean if the face has no area).
     """
     if len(face) == 2:
         a, b = points[face]
@@ -95,14 +97,36 @@ def reference_face(points, face):
         return length, np.array([b[1] - a[1], a[0] - b[0], 0.0]) / length, \
             (a + b) / 2.0
     a, *rest = points[np.roll(face, -np.argmin(face))]
-    area, normal, moment = 0.0, np.zeros(3), np.zeros(3)
+    area, normal, moment, centroids = 0.0, np.zeros(3), np.zeros(3), []
     for b, c in zip(rest[:-1], rest[1:]):
         cross = np.cross(b - a, c - a)
         tri_area = np.linalg.norm(cross) / 2.0
         area += tri_area
-        normal += cross / (2.0 * tri_area)
+        if tri_area > 0.0:
+            normal += cross / (2.0 * tri_area)
         moment += tri_area * (a + b + c) / 3.0
-    return area, normal / np.linalg.norm(normal), moment / area
+        centroids.append((a + b + c) / 3.0)
+    length = np.linalg.norm(normal)
+    return area, normal / length if length > 0.0 else normal, \
+        moment / area if area > 0.0 else np.mean(centroids, axis=0)
+
+
+def reference_faces(mesh):
+    """reference_face of every unique face as its owner cell lists it, as
+    (area, normal, centroid) arrays in face-table order."""
+    local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
+    listed = {(pos, tuple(sorted(face.tolist()))): face
+              for kind, (conn, rows) in mesh.cells.items()
+              for verts, pos in zip(conn, rows.tolist())
+              for face in (verts[list(local)] for local in local_faces[kind])}
+    topo = topology(mesh)
+    vertex_set = {}  # face id -> sorted vertices, from the face table
+    for ids, idx in topo.face_groups:
+        vertex_set.update(zip(ids.tolist(), map(tuple, np.sort(idx).tolist())))
+    assert len(vertex_set) == len(topo.face_owner)
+    return map(np.array, zip(*(
+        reference_face(mesh.points, listed[owner, vertex_set[f]])
+        for f, owner in enumerate(topo.face_owner.tolist()))))
 
 
 def test_shared_face_normals_antiparallel():
@@ -370,22 +394,99 @@ def test_face_metrics_match_per_face_reference(name, seed, shift):
     of the volume test above."""
     mesh, offset, size = jittered_mesh(name, seed, shift)
     geo = cell_geometry(mesh)
-    local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
-    listed = {(pos, tuple(sorted(face.tolist()))): face
-              for kind, (conn, rows) in mesh.cells.items()
-              for verts, pos in zip(conn, rows.tolist())
-              for face in (verts[list(local)] for local in local_faces[kind])}
-    vertex_set = {}  # face id -> sorted vertices, from the face table
-    for ids, idx in topology(mesh).face_groups:
-        vertex_set.update(zip(ids.tolist(), map(tuple, np.sort(idx).tolist())))
-    area, normal, centroid = map(np.array, zip(*(
-        reference_face(mesh.points, listed[owner, vertex_set[f]])
-        for f, owner in enumerate(geo.face_owner.tolist()))))
-    assert len(vertex_set) == len(geo.face_areas)
+    area, normal, centroid = reference_faces(mesh)
     assert np.abs(geo.face_areas - area).max() <= 1e-12 * area.max()
     assert np.abs(geo.face_normals - normal).max() <= 1e-12
     assert np.abs(geo.face_centroids - centroid).max() \
         <= 1e-12 * (np.linalg.norm(offset) + size)
+
+
+UNIT_HEX = np.array([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)], dtype=float)
+
+
+@pytest.mark.parametrize("moved,zero_faces", [
+    # vertex 3 on the diagonal 0-2 of the bottom face (0, 3, 2, 1): its fan
+    # triangle (0, 3, 2) has no area, the face keeps that of (0, 2, 1)
+    ({3: (0.5, 0.5, 0.0)}, 0),
+    # the top face (4, 5, 6, 7) collapsed onto the segment 4-5, so the cell
+    # is a prism: that face has no area and triangle centroids (2/3, .5, 1)
+    # and (1/3, .5, 1); the side faces (1, 2, 6, 5) and (3, 0, 4, 7) have
+    # one zero-area fan triangle each
+    ({4: (0.0, 0.5, 1.0), 5: (1.0, 0.5, 1.0), 6: (1.0, 0.5, 1.0),
+      7: (0.0, 0.5, 1.0)}, 1),
+])
+def test_degenerate_faces_match_reference(moved, zero_faces):
+    """A zero-area fan triangle adds nothing to its face's normal; a face
+    with no area has a zero normal and the plain mean of its triangle
+    centroids as centroid. The kernel gets there without a floating-point
+    warning, and its volumes and centroids match the per-cell fans."""
+    points = UNIT_HEX.copy()
+    for k, xyz in moved.items():
+        points[k] = xyz
+    mesh = Mesh(3, points, {"hexahedron": ([list(range(8))], [0])})
+    with np.errstate(divide="raise", invalid="raise", over="raise"), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geo = cell_geometry(mesh)
+    area, normal, centroid = reference_faces(mesh)
+    assert np.count_nonzero(geo.face_areas == 0.0) == zero_faces
+    assert np.abs(geo.face_areas - area).max() <= 1e-15
+    assert np.abs(geo.face_normals - normal).max() <= 1e-15
+    assert np.array_equal(np.linalg.norm(geo.face_normals, axis=1) > 0.0,
+                          area > 0.0)
+    assert np.abs(geo.face_centroids - centroid).max() <= 1e-15
+    want_vol, want_cent = reference_volumes_centroids(mesh)
+    assert geo.volumes == pytest.approx(want_vol, rel=1e-14)
+    assert np.abs(geo.centroids - want_cent).max() <= 1e-15
+
+
+def reference_orthogonality(mesh):
+    """Per-cell orthogonality angles (degrees), one face at a time: cell
+    centroids from reference_volumes_centroids, each face's normal and
+    centroid from reference_face of the face as its first cell lists it."""
+    _, cell_centroids = reference_volumes_centroids(mesh)
+    local_faces = CELL_EDGES_2D if mesh.dim == 2 else CELL_FACES_3D
+    sides = {}  # sorted vertices -> [(cell, face as the cell lists it)]
+    for kind, (conn, rows) in mesh.cells.items():
+        for verts, pos in zip(conn, rows.tolist()):
+            for local in local_faces[kind]:
+                face = verts[list(local)]
+                sides.setdefault(tuple(sorted(face.tolist())), []).append(
+                    (pos, face))
+    per_cell = np.full(mesh.n_elements, 90.0)
+    for (owner, face), *other in sides.values():
+        _, normal, face_centroid = reference_face(mesh.points, face)
+        far = cell_centroids[other[0][0]] if other else face_centroid
+        d = far - cell_centroids[owner]
+        cosang = min(abs(normal @ d) / np.linalg.norm(d), 1.0)
+        angle = 90.0 - np.degrees(np.arccos(cosang))
+        for cell in [owner] + [c for c, _ in other]:
+            per_cell[cell] = min(per_cell[cell], angle)
+    return per_cell
+
+
+@settings(max_examples=40, deadline=None)
+@given(**JITTERED)
+def test_orthogonality_matches_per_face_reference(name, seed, shift):
+    """Per-cell orthogonality angles of the jittered, partly mirrored,
+    moved 2D and 3D meshes match the per-face loop within 1e-9 degrees;
+    the volume summary is that of the cell volumes."""
+    mesh, offset, size = jittered_mesh(name, seed, shift)
+    report = orthogonality_metrics(mesh)
+    # angles do not depend on where the mesh is; the reference runs at the
+    # origin, where its shoelace loses no digits
+    at_origin = Mesh(mesh.dim, mesh.points - offset, mesh.cells)
+    want = reference_orthogonality(at_origin)
+    assert np.abs(report.per_cell_deg - want).max() <= 1e-9
+    assert report.min_orthogonality_deg == report.per_cell_deg.min()
+    volumes = cell_geometry(mesh).volumes
+    want_vol, _ = reference_volumes_centroids(at_origin)
+    assert report.negative_volume_count == np.count_nonzero(volumes < 0) \
+        == np.count_nonzero(want_vol < 0)
+    assert report.min_volume == volumes.min()
+    assert abs(report.min_volume - want_vol.min()) \
+        <= 1e-12 * np.abs(want_vol).max()
 
 
 @pytest.mark.parametrize("dim,kind,verts", [
