@@ -197,7 +197,10 @@ class _LineStream:
     indexes the next line to read, lineno numbers the last one read."""
 
     def __init__(self, text: str):
-        lines = [raw.split("%", 1)[0].strip() for raw in text.splitlines()]
+        lines = list(map(str.strip, text.splitlines()))
+        if "%" in text:  # cut the comment from each line that has one
+            lines = [line.split("%", 1)[0].rstrip() if "%" in line else line
+                     for line in lines]
         self.numbers = list(compress(range(1, len(lines) + 1), lines))
         self.contents = list(compress(lines, lines))
         self.pos = self.lineno = 0

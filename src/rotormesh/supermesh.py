@@ -7,7 +7,9 @@ by the receiving face's is the donor weight used for conservative data
 exchange. Candidate pairs come from one k-d tree query: each convex piece,
 an interval being a two-vertex one, lies in the circle about its vertex
 mean through its farthest vertex, so two pieces can only overlap when
-their centres are closer than the sum of their radii.
+their centres are closer than the sum of their radii. Of those, only the
+pairs whose bounding boxes meet are clipped, each box padded by how far
+the clip's inside tolerance reaches past its piece (see _candidates).
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ CLIP_BLOCK = 4096  # pairs per clip_convex pass; bounds its temporary arrays
 
 def _counts(stack: np.ndarray) -> np.ndarray:
     """Vertex count of each polygon of a stack."""
-    differs = (stack != stack[:, -1:]).any(axis=2)[:, ::-1]
+    differs = stack != stack[:, -1:]
+    differs = (differs[..., 0] | differs[..., 1])[:, ::-1]
     return np.where(differs.any(axis=1),
                     stack.shape[1] + 1 - differs.argmax(axis=1), 1)
 
@@ -73,6 +76,10 @@ def _turns(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cross product of edge i with edge i + 1, i.e. the turn at vertex
     i + 1 (positive left, negative right); 0 in padding slots."""
     j = np.arange(stack.shape[1])
+    if (n == len(j)).all():  # no padding: the next vertex is a roll away
+        e = np.roll(stack, -1, axis=1) - stack
+        e_next = np.roll(e, -1, axis=1)
+        return e[..., 0] * e_next[..., 1] - e[..., 1] * e_next[..., 0]
     nxt = np.where(j + 1 < n[:, None], j + 1, 0)
     e = _take(stack, nxt) - stack
     e_next = _take(e, nxt)
@@ -82,10 +89,11 @@ def _turns(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 def _convex(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cross-product sign test; collinear vertices are allowed."""
-    cross = _turns(stack, n)
-    cross = cross / np.maximum(np.abs(cross).max(axis=1), 1e-300)[:, None]
-    return (n >= 3) & ((cross >= -1e-12).all(axis=1)
-                       | (cross <= 1e-12).all(axis=1))
+    cross = _turns(stack, n)  # the turns over the largest |turn|, in sign
+    lo, hi = cross.min(axis=1), cross.max(axis=1)
+    scale = np.maximum(np.maximum(-lo, hi), 1e-300)
+    return (n >= 3) & np.isfinite(scale) & ((lo / scale >= -1e-12)
+                                            | (hi / scale <= 1e-12))
 
 
 def _signed_areas(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -101,20 +109,22 @@ def _signed_areas(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def _ccw(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The stack with its clockwise polygons reversed."""
-    j = np.arange(stack.shape[1])
-    back = np.where(j < n[:, None], n[:, None] - 1 - j, 0)
-    return _take(stack, np.where((_signed_areas(stack, n) < 0.0)[:, None],
-                                 back, j))
+    """The stack with its clockwise polygons reversed (the stack itself if
+    none is)."""
+    cw = _signed_areas(stack, n) < 0.0
+    if not cw.any():
+        return stack
+    j, m = np.arange(stack.shape[1]), n[cw, None]
+    stack = stack.copy()
+    stack[cw] = _take(stack[cw], np.where(j < m, m - 1 - j, 0))
+    return stack
 
 
 def _compact(keep: np.ndarray, cand: np.ndarray):
     """The kept slots of each row of cand (P, w, 2) moved to its front in
-    order (cumulative-sum compaction) and padded, and their counts."""
+    order and padded, and their counts; every row keeps at least one."""
     n = keep.sum(axis=1)
-    out = np.zeros((len(n), max(n.max(initial=0), 1), 2))
-    out[np.nonzero(keep)[0], (np.cumsum(keep, axis=1) - 1)[keep]] = cand[keep]
-    return _take(out, _slots(np.maximum(n, 1), out.shape[1])), n
+    return _stack(cand[keep], n), n
 
 
 def clip_convex(poly_a: np.ndarray, poly_b: np.ndarray,
@@ -169,28 +179,36 @@ def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
     snap = np.broadcast_to(np.asarray(snap, dtype=float), (len(a),))
     eps = snap * np.maximum(np.maximum(np.abs(a).max(axis=(1, 2)),
                                        np.abs(b).max(axis=(1, 2))), 1.0)
-    live = np.arange(len(a))  # pairs whose polygon is not yet empty
-    poly, k = b, a.shape[1]
+    poly, k = b.copy(), a.shape[1]
     for i in range(k):  # a padding edge has zero length: all inside
         p0, edge = a[:, i], a[:, (i + 1) % k] - a[:, i]
         side = edge[:, :1] * (poly[..., 1] - p0[:, 1:]) - \
             edge[:, 1:] * (poly[..., 0] - p0[:, :1])
         inside = side >= -eps[:, None]
+        n[~inside.any(axis=1)] = 0  # an empty polygon stays empty
+        # only the polygons the edge cuts change
+        if not (cut := (n > 0) & ~inside.all(axis=1)).any():
+            continue
+        c_poly, c_side, c_inside = poly[cut], side[cut], inside[cut]
+        w = poly.shape[1]
         # a padding slot repeats its predecessor, so never crosses
-        cross = inside != np.roll(inside, 1, axis=1)
-        prev = np.roll(poly, 1, axis=1)[cross]
-        before = np.roll(side, 1, axis=1)[cross]
-        u = before / (before - side[cross])
+        rows, cols = np.nonzero(c_inside != c_inside[:, np.arange(-1, w - 1)])
+        prev, cur = c_poly[rows, cols - 1], c_poly[rows, cols]
+        before = c_side[rows, cols - 1]
+        u = before / (before - c_side[rows, cols])
         u = np.where(u > 1.0, 1.0, np.where(u < 0.0, 0.0, u))
-        cand = np.stack([poly, poly], axis=2)  # [crossing, vertex] slots
-        cand[:, :, 0][cross] = prev + u[:, None] * (poly[cross] - prev)
-        keep = np.stack([cross, inside & (np.arange(poly.shape[1])
-                                          < n[:, None])], axis=2)
-        w = 2 * poly.shape[1]
-        poly, n = _compact(keep.reshape(-1, w), cand.reshape(-1, w, 2))
-        rows = n > 0  # an empty polygon stays empty: drop its pair
-        live, a, eps, snap, poly, n = (x[rows] for x in
-                                       (live, a, eps, snap, poly, n))
+        cand = np.stack([c_poly, c_poly], axis=2)  # [crossing, vertex] slots
+        cand[rows, cols, 0] = prev + u[:, None] * (cur - prev)
+        keep = np.zeros(cand.shape[:3], dtype=bool)
+        keep[rows, cols, 0] = True
+        keep[:, :, 1] = c_inside & (np.arange(w) < n[cut, None])
+        c_poly, n[cut] = _compact(keep.reshape(-1, 2 * w),
+                                  cand.reshape(-1, 2 * w, 2))
+        grow = c_poly.shape[1] - w  # pad the narrower side to match
+        if grow > 0:
+            poly = np.pad(poly, [(0, 0), (0, grow), (0, 0)], mode="edge")
+        poly[cut] = np.pad(c_poly, [(0, 0), (0, max(-grow, 0)), (0, 0)],
+                           mode="edge")
 
     keep = [np.ones(len(n), dtype=bool)]
     last = poly[:, 0]
@@ -201,9 +219,8 @@ def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
     while (pop := (n > 1) & (_norm(poly[np.arange(len(n)), n - 1]
                                    - poly[:, 0]) <= snap)).any():
         n = n - pop
-    sizes = np.zeros(len(b), dtype=np.intp)
-    sizes[live] = np.where(n >= 3, n, 0)
-    return poly[np.arange(poly.shape[1]) < sizes[live, None]], sizes
+    n = np.where(n >= 3, n, 0)
+    return poly[np.arange(poly.shape[1]) < n[:, None]], n
 
 
 @dataclass(frozen=True)
@@ -365,25 +382,61 @@ def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
     return face[order], pieces[order]
 
 
-def _bounding_circles(pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centre (vertex mean) and radius (farthest vertex) of each piece."""
+def _bounds(pieces: np.ndarray, tol: float):
+    """Centre (vertex mean), radius (farthest vertex) and pad (the reach of
+    the inside tolerance tol, as _candidates derives it) of each piece."""
     n = _counts(pieces)
     centres = np.cumsum(pieces, axis=1)[np.arange(len(n)), n - 1] / n[:, None]
     radii = np.linalg.norm(pieces - centres[:, None], axis=2).max(axis=1)
-    return centres, radii
+    if not tol:
+        return centres, radii, np.zeros(len(n))
+    # edge j runs from slot j to j + 1; a padding edge has zero length
+    e, d = np.roll(pieces, -1, axis=1) - pieces, centres[:, None] - pieces
+    cross = e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]
+    low = np.where((e != 0.0).any(axis=2), np.maximum(cross, 0.0),
+                   np.inf).min(axis=1)
+    with np.errstate(divide="ignore"):  # no interior centre: no bound
+        return centres, radii, 2.0 * tol * radii / low
 
 
-def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float):
-    """Index arrays of the (A piece, B piece) pairs whose bounding circles
-    may overlap, sorted by A piece, then B piece."""
-    (centres_a, radii_a), (centres_b, radii_b) = map(_bounding_circles,
-                                                     (pieces_a, pieces_b))
-    # pieces overlap only if their centres are within r_a + r_b
+def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float,
+                tol: float):
+    """Index arrays of the (A piece, B piece) pairs whose padded bounding
+    boxes meet, sorted by A piece, then B piece. No other pair can clip to
+    a polygon (or, for intervals, overlap).
+
+    The pad. At the edge e of an A piece from p, the clip counts a point v
+    inside when cross(e, v - p) >= -eps, i.e. up to eps / |e| outside the
+    edge's line, with eps = snap * max(|coordinate of the pair|, 1) <= tol.
+    Each vertex it emits is a vertex of B or a point between two earlier
+    ones, and either passed that test at each edge or lies on the edge's
+    line. So a clipped polygon lies in B and in A', the piece with each
+    edge's line moved out by tol / |e| (up to rounding). The piece holds
+    its centre c inside, cross(e, c - p) / |e| from each edge's line, so
+    scaling it about c by 1 + s, s = tol / min_e cross(e, c - p), moves
+    every line out by at least tol / |e|: A' lies within s * r of the piece
+    (r its radius). A sharp vertex makes some cross(e, c - p) small and the
+    reach long; a zero-length edge binds nothing and is left out. Boxes are
+    padded by 2 * s * r, the second s * r for rounding, which is a few ulps
+    of the coordinates, far below tol / |e| >= 1e-12 * max(|coordinate|, 1)
+    (snap being 1e-12 of the interface's diagonal, at least |e|). Boxes
+    that do not meet leave no point of A' in B. Nor can such pieces'
+    centres lie farther apart than r_a + pad_a + r_b + pad_b, which the k-d
+    tree query covers. Intervals come with tol = 0 and no pad: their
+    overlap is measured exactly.
+    """
+    (centres_a, radii_a, pad_a), (centres_b, radii_b, pad_b) = (
+        _bounds(p, tol) for p in (pieces_a, pieces_b))
     near = cKDTree(centres_b).query_ball_point(
-        centres_a, radii_a + radii_b.max() + snap, return_sorted=True)
+        centres_a, radii_a + pad_a + (radii_b + pad_b).max() + snap,
+        return_sorted=True)
     ia = np.repeat(np.arange(len(near)), [len(c) for c in near])
-    return ia, np.fromiter(chain.from_iterable(near), dtype=np.intp,
-                           count=len(ia))
+    ib = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(ia))
+    (lo_a, hi_a), (lo_b, hi_b) = (
+        (p.min(axis=1) - pad[:, None], p.max(axis=1) + pad[:, None])
+        for p, pad in ((pieces_a, pad_a), (pieces_b, pad_b)))
+    meet = ((lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia])).all(axis=1)
+    return ia[meet], ib[meet]
 
 
 def build_supermesh(side_a: InterfaceFaceSet,
@@ -401,7 +454,10 @@ def build_supermesh(side_a: InterfaceFaceSet,
     all_pts = np.vstack([p.reshape(-1, 2) for p in (pieces_a, pieces_b)])
     diag = float(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)))
     snap = 1e-12 * max(diag, 1e-300)
-    ia, ib = _candidates(pieces_a, pieces_b, snap)
+    # the largest inside tolerance of the clip; intervals have none
+    tol = snap * max(float(np.abs(all_pts).max()), 1.0) \
+        if side_a.manifold_dim == 2 else 0.0
+    ia, ib = _candidates(pieces_a, pieces_b, snap, tol)
 
     if side_a.manifold_dim == 1:  # pieces are faces; overlaps, no polygons
         seg_a, seg_b = side_a.stack[ia], side_b.stack[ib]
