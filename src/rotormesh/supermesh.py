@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import InitVar, dataclass, field
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -41,90 +42,94 @@ def polygon_area(poly: np.ndarray) -> float:
 # A stack of P polygons is a (P, k, 2) array; a polygon of n < k vertices
 # repeats its last vertex in slots n..k-1 (the padding rule). A result is
 # flat: (V, 2) vertices, polygon after polygon, and (P,) vertex counts.
+# The kernels take these layouts in any memory order but run slot-major, on
+# stack.T (2, k, P): x and y as one row per slot, contiguous for a stack in
+# Fortran order, so that a reduction over slots is an elementwise op between
+# rows. clip_convex puts each block in that order once on entry.
 CLIP_BLOCK = 4096  # pairs per clip_convex pass; bounds its temporary arrays
 
 
 def _counts(stack: np.ndarray) -> np.ndarray:
     """Vertex count of each polygon of a stack."""
-    differs = stack != stack[:, -1:]
-    differs = (differs[..., 0] | differs[..., 1])[:, ::-1]
-    return np.where(differs.any(axis=1),
-                    stack.shape[1] + 1 - differs.argmax(axis=1), 1)
+    x, y = stack.T
+    differs = (x != x[-1]) | (y != y[-1])
+    return np.max(differs * np.arange(2, len(x) + 2)[:, None], axis=0,
+                  initial=1)
 
 
 def _slots(n: np.ndarray, k: int) -> np.ndarray:
-    """(P, k) vertex indices that pad polygons of n vertices to k."""
-    return np.minimum(np.arange(k), n[:, None] - 1)
-
-
-def _take(stack: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return np.take_along_axis(stack, idx[..., None], axis=1)
+    """(k, P) vertex indices that pad polygons of n vertices to k."""
+    return np.minimum(np.arange(k)[:, None], n - 1)
 
 
 def _stack(vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Flat polygons of counts[i] >= 1 vertices each as one stack."""
-    return vertices[(np.cumsum(counts) - counts)[:, None]
-                    + _slots(counts, counts.max(initial=1))]
+    return np.take(vertices.T, np.cumsum(counts) - counts + _slots(
+        counts, counts.max(initial=1)), axis=1).T
 
 
 def _norm(d: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each 2-vector to the bit (a dot, not x*x + y*y)."""
+    d = np.ascontiguousarray(d)  # as the norm's ravel: the same dot kernel
     return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 def _turns(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cross product of edge i with edge i + 1, i.e. the turn at vertex
     i + 1 (positive left, negative right); 0 in padding slots."""
-    j = np.arange(stack.shape[1])
-    if (n == len(j)).all():  # no padding: the next vertex is a roll away
-        e = np.roll(stack, -1, axis=1) - stack
+    s = stack.T
+    e = np.roll(s, -1, axis=1) - s  # slot j's edge, to slot j + 1
+    if (n == s.shape[1]).all():  # no padding: the next edge is a roll away
         e_next = np.roll(e, -1, axis=1)
-        return e[..., 0] * e_next[..., 1] - e[..., 1] * e_next[..., 0]
-    nxt = np.where(j + 1 < n[:, None], j + 1, 0)
-    e = _take(stack, nxt) - stack
-    e_next = _take(e, nxt)
-    cross = e[..., 0] * e_next[..., 1] - e[..., 1] * e_next[..., 0]
-    return np.where(j < n[:, None], cross, 0.0)
+        return (e[0] * e_next[1] - e[1] * e_next[0]).T
+    j = np.arange(s.shape[1])[:, None]  # the closing edge is the last slot's
+    last = j == n - 1
+    e = np.where(last, e[:, -1:], e)
+    e_next = np.where(last, e[:, :1], np.roll(e, -1, axis=1))
+    return np.where(j < n, e[0] * e_next[1] - e[1] * e_next[0], 0.0).T
 
 
 def _convex(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Cross-product sign test; collinear vertices are allowed."""
-    cross = _turns(stack, n)  # the turns over the largest |turn|, in sign
-    lo, hi = cross.min(axis=1), cross.max(axis=1)
-    scale = np.maximum(np.maximum(-lo, hi), 1e-300)
-    return (n >= 3) & np.isfinite(scale) & ((lo / scale >= -1e-12)
-                                            | (hi / scale <= 1e-12))
+    """Cross-product sign test; collinear vertices are allowed. A polygon
+    with a non-finite vertex or turn fails, with no floating-point warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = _turns(stack, n)  # the turns over the largest |turn|, in sign
+        lo, hi = cross.min(axis=1), cross.max(axis=1)
+        scale = np.maximum(np.maximum(-lo, hi), 1e-300)
+        return (n >= 3) & np.isfinite(scale) & ((lo / scale >= -1e-12)
+                                                | (hi / scale <= 1e-12))
 
 
 def _signed_areas(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Shoelace signed area of each polygon. A padding slot adds an exact
     zero, and the terms are summed in order, as np.sum does for up to 7
     terms; more terms are summed by np.sum, which then sums pairwise."""
-    x, y = stack[..., 0], stack[..., 1]
-    terms = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
-    area = 0.5 * np.cumsum(terms, axis=1)[:, -1]
+    x, y = stack.T
+    terms = x * np.roll(y, -1, axis=0) - np.roll(x, -1, axis=0) * y
+    area = 0.5 * reduce(np.add, terms)  # slot by slot
     for i in np.flatnonzero(n > 7).tolist():  # drop the padding terms
-        area[i] = 0.5 * np.sum(np.delete(terms[i], np.s_[n[i] - 1:-1]))
+        area[i] = 0.5 * np.sum(np.delete(terms[:, i], np.s_[n[i] - 1:-1]))
     return area
 
 
 def _ccw(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """The stack with its clockwise polygons reversed (the stack itself if
     none is)."""
-    cw = _signed_areas(stack, n) < 0.0
-    if not cw.any():
+    cw = np.flatnonzero(_signed_areas(stack, n) < 0.0)
+    if len(cw) == 0:
         return stack
-    j, m = np.arange(stack.shape[1]), n[cw, None]
-    stack = stack.copy()
-    stack[cw] = _take(stack[cw], np.where(j < m, m - 1 - j, 0))
-    return stack
+    s, j, m = stack.T.copy(), np.arange(stack.shape[1])[:, None], n[cw]
+    s[..., cw] = np.take(s.reshape(2, -1), np.where(j < m, m - 1 - j, 0)
+                         * s.shape[2] + cw, axis=1)
+    return s.T
 
 
-def _compact(keep: np.ndarray, cand: np.ndarray):
-    """The kept slots of each row of cand (P, w, 2) moved to its front in
-    order and padded, and their counts; every row keeps at least one."""
-    n = keep.sum(axis=1)
-    return _stack(cand[keep], n), n
+def _kept(keep: np.ndarray):
+    """The slots keep (m, P) keeps, polygon after polygon, as indices j * P
+    + c (polygon c) into a row of a (2, m, P) stack; their counts, starts."""
+    (m, p), n = keep.shape, keep.sum(axis=0)  # flatnonzero gives c * m + j
+    return np.flatnonzero(keep.T) * p - np.repeat(np.arange(p), n) * (
+        m * p - 1), n, np.cumsum(n) - n
 
 
 def clip_convex(poly_a: np.ndarray, poly_b: np.ndarray,
@@ -154,12 +159,11 @@ def clip_convex(poly_a: np.ndarray, poly_b: np.ndarray,
 
 
 def _convex_ccw(stack: np.ndarray, name: str, first: int):
-    """The stack wound CCW and its vertex counts. Raises ValueError naming
-    a polygon that is not convex, as name[first + its index]."""
+    """The stack, slot-major and wound CCW, and its vertex counts. Raises
+    ValueError naming a non-convex polygon as name[first + its index]."""
+    stack = np.asfortranarray(stack)
     n = _counts(stack)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    bad = ~finite | ~_convex(np.where(finite[:, None, None], stack, 0.0), n)
-    if bad.any():
+    if (bad := ~_convex(stack, n)).any():
         raise ValueError(f"clip_convex requires convex polygons: "
                          f"{name}[{first + int(np.argmax(bad))}] is not a "
                          "convex polygon of at least 3 finite vertices")
@@ -172,55 +176,58 @@ def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
     and closing vertices within snap of the first: the flat vertices and
     counts (0 below 3). Every vertex is computed by the same float
     operations as a loop over pairs and vertices."""
+    a, poly = a.T, b.T.copy()  # slot-major rows (2, k, P)
     if snap is None:  # 1e-12 of the diagonal of the pair's bounding box
-        span = np.concatenate([a, b], axis=1)
-        snap = 1e-12 * np.maximum(
-            _norm(span.max(axis=1) - span.min(axis=1)), 1e-300)
-    snap = np.broadcast_to(np.asarray(snap, dtype=float), (len(a),))
-    eps = snap * np.maximum(np.maximum(np.abs(a).max(axis=(1, 2)),
-                                       np.abs(b).max(axis=(1, 2))), 1.0)
-    poly, k = b.copy(), a.shape[1]
+        span = np.ptp(np.concatenate([a, poly], axis=1), axis=1)
+        snap = 1e-12 * np.maximum(_norm(span.T), 1e-300)
+    snap = np.broadcast_to(np.asarray(snap, dtype=float), n.shape)
+    eps = snap * np.maximum(np.maximum(np.abs(a).max(axis=(0, 1)),
+                                       np.abs(poly).max(axis=(0, 1))), 1.0)
+    k = a.shape[1]
     for i in range(k):  # a padding edge has zero length: all inside
         p0, edge = a[:, i], a[:, (i + 1) % k] - a[:, i]
-        side = edge[:, :1] * (poly[..., 1] - p0[:, 1:]) - \
-            edge[:, 1:] * (poly[..., 0] - p0[:, :1])
-        inside = side >= -eps[:, None]
-        n[~inside.any(axis=1)] = 0  # an empty polygon stays empty
+        side = edge[0] * (poly[1] - p0[1]) - edge[1] * (poly[0] - p0[0])
+        inside = side >= -eps
+        n[~inside.any(axis=0)] = 0  # an empty polygon stays empty
         # only the polygons the edge cuts change
-        if not (cut := (n > 0) & ~inside.all(axis=1)).any():
+        if not (cut := (n > 0) & ~inside.all(axis=0)).any():
             continue
-        c_poly, c_side, c_inside = poly[cut], side[cut], inside[cut]
-        w = poly.shape[1]
+        cut, w = np.flatnonzero(cut), poly.shape[1]
+        # each cut polygon, closed by a copy of its last slot before slot 0
+        closed = np.arange(-1, w)[:, None] % w * len(n) + cut
+        c_poly = np.take(poly.reshape(2, -1), closed, axis=1)
+        c_side = np.take(side, closed)
+        c_inside = c_side >= -eps[cut]
+        prev, cur, before, after = c_poly[:, :-1], c_poly[:, 1:], \
+            c_side[:-1], c_side[1:]
         # a padding slot repeats its predecessor, so never crosses
-        rows, cols = np.nonzero(c_inside != c_inside[:, np.arange(-1, w - 1)])
-        prev, cur = c_poly[rows, cols - 1], c_poly[rows, cols]
-        before = c_side[rows, cols - 1]
-        u = before / (before - c_side[rows, cols])
+        crossing = c_inside[:-1] != c_inside[1:]
+        u = np.divide(before, before - after, out=np.zeros_like(after),
+                      where=crossing)
         u = np.where(u > 1.0, 1.0, np.where(u < 0.0, 0.0, u))
-        cand = np.stack([c_poly, c_poly], axis=2)  # [crossing, vertex] slots
-        cand[rows, cols, 0] = prev + u[:, None] * (cur - prev)
-        keep = np.zeros(cand.shape[:3], dtype=bool)
-        keep[rows, cols, 0] = True
-        keep[:, :, 1] = c_inside & (np.arange(w) < n[cut, None])
-        c_poly, n[cut] = _compact(keep.reshape(-1, 2 * w),
-                                  cand.reshape(-1, 2 * w, 2))
-        grow = c_poly.shape[1] - w  # pad the narrower side to match
-        if grow > 0:
-            poly = np.pad(poly, [(0, 0), (0, grow), (0, 0)], mode="edge")
-        poly[cut] = np.pad(c_poly, [(0, 0), (0, max(-grow, 0)), (0, 0)],
-                           mode="edge")
+        # each slot's [crossing, vertex], kept in turn
+        cand = np.stack([prev + u * (cur - prev), cur], axis=2)
+        keep = np.stack([crossing, c_inside[1:] & (np.arange(w)[:, None]
+                                                   < n[cut])], axis=1)
+        kept, n[cut], first = _kept(keep.reshape(2 * w, -1))
+        width = max(w, n.max())  # pad the narrower side to match
+        if width > w:
+            poly = np.take(poly, np.minimum(np.arange(width), w - 1), axis=1)
+        poly[..., cut] = np.take(cand.reshape(2, -1), kept[
+            first + _slots(n[cut], width)], axis=1)
 
-    keep = [np.ones(len(n), dtype=bool)]
-    last = poly[:, 0]
+    keep, last = [np.ones(len(n), dtype=bool)], poly[:, 0]
     for j in range(1, poly.shape[1]):
-        keep.append((j < n) & (_norm(poly[:, j] - last) > snap))
-        last = np.where(keep[-1][:, None], poly[:, j], last)
-    poly, n = _compact(np.stack(keep, axis=1), poly)
-    while (pop := (n > 1) & (_norm(poly[np.arange(len(n)), n - 1]
-                                   - poly[:, 0]) <= snap)).any():
+        keep.append((j < n) & (_norm((poly[:, j] - last).T) > snap))
+        last = np.where(keep[-1], poly[:, j], last)
+    kept, n, first = _kept(np.stack(keep))
+    xy = poly.reshape(2, -1)
+    while (pop := (n > 1) & (_norm((np.take(xy, kept[first + n - 1], axis=1)
+                                    - poly[:, 0]).T) <= snap)).any():
         n = n - pop
-    n = np.where(n >= 3, n, 0)
-    return poly[np.arange(poly.shape[1]) < n[:, None]], n
+    n = np.where(n >= 3, n, 0)  # each polygon's first n kept slots
+    return np.take(xy, kept[np.arange(n.sum()) + np.repeat(
+        first - np.cumsum(n) + n, n)], axis=1).T, n
 
 
 @dataclass(frozen=True)
@@ -260,17 +267,19 @@ class InterfaceFaceSet:
             good = False
         if not good:
             raise ValueError(self._first_bad_face(faces))
-        if polygons:
-            stack = _stack(flat, n)
-            signed = _signed_areas(stack, n)
-            zero, what = signed == 0.0, "zero-area polygon"
-        else:
-            stack = np.sort(flat.reshape(-1, 2), axis=1)
-            signed = stack[:, 1] - stack[:, 0]
-            zero, what = signed <= 0.0, "zero-length segment"
-        if zero.any():
-            raise ValueError(f"face {int(np.argmax(zero))}: {what}")
-        object.__setattr__(self, "stack", stack)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if polygons:
+                stack = _stack(flat, n)
+                signed = _signed_areas(stack, n)
+            else:  # sorted: a length is never negative
+                stack = np.sort(flat.reshape(-1, 2), axis=1)
+                signed = stack[:, 1] - stack[:, 0]
+        what, kind = ("area", "polygon") if polygons else ("length", "segment")
+        for bad, error in ((~np.isfinite(signed), f"{what} is not finite"),
+                           (signed == 0.0, f"zero-{what} {kind}")):
+            if bad.any():
+                raise ValueError(f"face {int(np.argmax(bad))}: {error}")
+        object.__setattr__(self, "stack", np.ascontiguousarray(stack))
         object.__setattr__(self, "counts", n)
         object.__setattr__(self, "measures", np.abs(signed))
         object.__setattr__(self, "ccw", signed >= 0.0)
@@ -358,13 +367,13 @@ def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
     is normalized silently)."""
     if side.manifold_dim == 1:  # an interval is a two-vertex piece on y = 0
         return np.arange(len(side.stack)), np.stack(
-            [side.stack, np.zeros_like(side.stack)], axis=2)
+            [side.stack.T, np.zeros_like(side.stack.T)]).T
     majority_ccw = 2 * np.count_nonzero(side.ccw) >= len(side.ccw)
     for i in np.flatnonzero(side.ccw != majority_ccw).tolist():
         warnings.warn(f"reorienting inconsistently wound face {i} "
                       f"on side {side.side}")
     n = side.counts
-    faces = _ccw(side.stack, n)
+    faces = _ccw(np.asfortranarray(side.stack), n)
     split = np.flatnonzero(~_convex(faces, n))
     if (n[split] != 4).any():
         i = split[n[split] != 4][0]
@@ -372,31 +381,34 @@ def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
                          f"{n[i]} vertices is not supported")
     # two triangles from the vertex after the offending turn
     reflex = np.argmin(_turns(faces[split], n[split])[:, :4], axis=1) + 1
-    tris = _take(faces[split], (reflex[:, None] + [0, 1, 2, 0, 2, 3]) % 4)
+    tris = np.take_along_axis(faces[split], (
+        (reflex[:, None] + [0, 1, 2, 0, 2, 3]) % 4)[..., None], axis=1)
     tris = _ccw(tris.reshape(-1, 3, 2), np.full(2 * len(split), 3))
     face = np.concatenate([np.delete(np.arange(len(n)), split),
                            np.repeat(split, 2)])
-    pieces = np.concatenate([np.delete(faces, split, axis=0), _take(
-        tris, _slots(np.full(len(tris), 3), faces.shape[1]))])
+    pieces = np.concatenate([np.delete(faces, split, axis=0), tris[
+        :, np.minimum(np.arange(faces.shape[1]), 2)]])  # padded to k slots
     order = np.argsort(face, kind="stable")
-    return face[order], pieces[order]
+    return face[order], np.asfortranarray(pieces[order])
 
 
 def _bounds(pieces: np.ndarray, tol: float):
     """Centre (vertex mean), radius (farthest vertex) and pad (the reach of
     the inside tolerance tol, as _candidates derives it) of each piece."""
-    n = _counts(pieces)
-    centres = np.cumsum(pieces, axis=1)[np.arange(len(n)), n - 1] / n[:, None]
-    radii = np.linalg.norm(pieces - centres[:, None], axis=2).max(axis=1)
+    n, s = _counts(pieces), pieces.T
+    centres = np.take_along_axis(np.cumsum(s, axis=1), n[None, None] - 1,
+                                 axis=1)[:, 0] / n
+    d = centres[:, None] - s
+    radii = np.sqrt(d[0] * d[0] + d[1] * d[1]).max(axis=0)  # np.linalg.norm
     if not tol:
-        return centres, radii, np.zeros(len(n))
+        return centres.T, radii, np.zeros(len(n))
     # edge j runs from slot j to j + 1; a padding edge has zero length
-    e, d = np.roll(pieces, -1, axis=1) - pieces, centres[:, None] - pieces
-    cross = e[..., 0] * d[..., 1] - e[..., 1] * d[..., 0]
-    low = np.where((e != 0.0).any(axis=2), np.maximum(cross, 0.0),
-                   np.inf).min(axis=1)
+    e = np.roll(s, -1, axis=1) - s
+    cross = e[0] * d[1] - e[1] * d[0]
+    low = np.where((e[0] != 0.0) | (e[1] != 0.0), np.maximum(cross, 0.0),
+                   np.inf).min(axis=0)
     with np.errstate(divide="ignore"):  # no interior centre: no bound
-        return centres, radii, 2.0 * tol * radii / low
+        return centres.T, radii, 2.0 * tol * radii / low
 
 
 def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float,
@@ -432,10 +444,11 @@ def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float,
         return_sorted=True)
     ia = np.repeat(np.arange(len(near)), [len(c) for c in near])
     ib = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(ia))
-    (lo_a, hi_a), (lo_b, hi_b) = (
-        (p.min(axis=1) - pad[:, None], p.max(axis=1) + pad[:, None])
-        for p, pad in ((pieces_a, pad_a), (pieces_b, pad_b)))
-    meet = ((lo_a[ia] <= hi_b[ib]) & (lo_b[ib] <= hi_a[ia])).all(axis=1)
+    (lo_a, hi_a), (lo_b, hi_b) = (  # the pairs' boxes, x and y as rows
+        (np.take(p.T.min(axis=1) - pad, i, axis=1),
+         np.take(p.T.max(axis=1) + pad, i, axis=1))
+        for p, pad, i in ((pieces_a, pad_a, ia), (pieces_b, pad_b, ib)))
+    meet = ((lo_a <= hi_b) & (lo_b <= hi_a)).all(axis=0)
     return ia[meet], ib[meet]
 
 
@@ -451,8 +464,8 @@ def build_supermesh(side_a: InterfaceFaceSet,
     face_a, pieces_a = _convex_pieces(side_a)
     face_b, pieces_b = _convex_pieces(side_b)
     # padding repeats vertices, so the pieces span what the faces span
-    all_pts = np.vstack([p.reshape(-1, 2) for p in (pieces_a, pieces_b)])
-    diag = float(np.linalg.norm(all_pts.max(axis=0) - all_pts.min(axis=0)))
+    all_pts = np.hstack([p.T.reshape(2, -1) for p in (pieces_a, pieces_b)])
+    diag = float(np.linalg.norm(all_pts.max(axis=1) - all_pts.min(axis=1)))
     snap = 1e-12 * max(diag, 1e-300)
     # the largest inside tolerance of the clip; intervals have none
     tol = snap * max(float(np.abs(all_pts).max()), 1.0) \
@@ -476,8 +489,9 @@ def build_supermesh(side_a: InterfaceFaceSet,
     rows, cols = face_a[ia[hit]], face_b[ib[hit]]
     keep = area > 1e-14 * np.minimum(side_a.measures[rows],
                                      side_b.measures[cols])
+    vertices = np.compress(np.repeat(keep, n), vertices, axis=0)
     return _assemble(rows[keep], cols[keep], area[keep], side_a.measures,
-                     side_b.measures, vertices[np.repeat(keep, n)], n[keep])
+                     side_b.measures, vertices, n[keep])
 
 
 def weighted_exchange(sm: Supermesh, field_on_b) -> np.ndarray:

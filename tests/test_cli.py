@@ -606,6 +606,23 @@ def test_interface_full_cylinder_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_interface_face_area_overflow_exit_4(tmp_path, capsys):
+    """In-plane coordinates of about 1e150 by 1e200 project without an
+    overflow, but every face's shoelace terms overflow: the first face is
+    rejected by name, exit 4, before the build could fail on it."""
+    x, y, z = stacked_interface_mesh(2, 2).points.T  # z = 0 becomes y = 0
+    mesh = stacked_interface_mesh(2, 2).with_points(
+        np.column_stack([x * 1e150, z, y * 1e200]))
+    mesh_file = tmp_path / "huge.mesh"
+    mesh_file.write_text(write_mesh(mesh))
+    out = tmp_path / "w.csv"
+    assert main(["interface", str(mesh_file), "iface_a", "iface_b",
+                 "--output", str(out)]) == 4
+    assert capsys.readouterr().err == \
+        "rotormesh: interface error: face 0: area is not finite\n"
+    assert not out.exists()
+
+
 def test_interface_unknown_marker(tmp_path, capsys):
     mesh = stacked_interface_mesh(2, 2)
     mesh_file = tmp_path / "pair.mesh"

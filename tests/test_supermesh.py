@@ -89,6 +89,15 @@ def test_clip_rejects_nonconvex():
         clip_convex(CHEVRON, SQUARE)
 
 
+def test_clip_names_polygon_whose_turns_overflow():
+    """Finite coordinates whose turns overflow fail the convexity check
+    with its usual message and no floating-point warning (which the test
+    settings would raise instead)."""
+    with pytest.raises(ValueError, match=re.escape(
+            "poly_a[0] is not a convex polygon of at least 3 finite")):
+        clip_convex(SQUARE * 1e160, SQUARE * 1e160)
+
+
 def test_clip_contained_vertices_and_edge_points():
     small = 0.5 * SQUARE + [0.75, 0.25]  # pokes out of the unit square
     out = clip_convex(SQUARE, small)
@@ -170,6 +179,16 @@ def test_zero_area_face_rejected():
         InterfaceFaceSet("A", (np.array([[0.0, 1.0]]),))
     with pytest.raises(ValueError, match="face 1: " + polygon):
         InterfaceFaceSet("A", (SQUARE, np.array([0.0, 1.0])))
+
+
+def test_face_whose_measure_overflows_rejected():
+    """Finite faces whose shoelace terms (or length) overflow are rejected
+    by name at construction, without a floating-point warning, rather than
+    measured as inf and failing the build in its k-d tree."""
+    with pytest.raises(ValueError, match=r"^face 1: area is not finite$"):
+        InterfaceFaceSet("A", (SQUARE, SQUARE * 1e160))
+    with pytest.raises(ValueError, match=r"^face 0: length is not finite$"):
+        InterfaceFaceSet("A", (np.array([-1e308, 1e308]),))
 
 
 NAN_SQUARE = SQUARE + [np.nan, 0.0]
@@ -530,6 +549,50 @@ def test_stack_clip_blocks_do_not_change_results(monkeypatch):
     b[23] = pad(CHEVRON)
     with pytest.raises(ValueError, match=r"poly_b\[23\]"):
         clip_convex(a, b)
+
+
+def test_stack_clip_views_match_contiguous_copies():
+    """Sliced, reversed and transposed (slot-major) views of the stacks
+    clip to the same bytes as their contiguous copies, and are left as
+    they were."""
+    rng = np.random.default_rng(8)
+    a = np.stack([pad(random_convex(rng)) for _ in range(30)])
+    b = np.stack([pad(random_convex(rng)) for _ in range(30)])
+    slot_major = [np.ascontiguousarray(p.T).T for p in (a, b)]
+    for view_a, view_b in [(a[::2], b[::2]), (a[::-1], b[::-1]), slot_major]:
+        assert not view_a.flags.c_contiguous
+        before = view_a.copy(), view_b.copy()
+        got = clip_convex(view_a, view_b)
+        expect = clip_convex(*map(np.ascontiguousarray, (view_a, view_b)))
+        assert np.count_nonzero(expect[1]) > 5
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expect]
+        assert view_a.tobytes() == before[0].tobytes()
+        assert view_b.tobytes() == before[1].tobytes()
+
+
+def test_clip_kernel_compacts_any_inside_pattern():
+    """A pass keeps whatever its side test keeps, not one run of slots. A
+    convex polygon flips inside/outside at most twice per edge in exact
+    arithmetic, more only by rounding; this CCW zigzag flips four times
+    along an edge of the clip square. Fed to the kernel directly, turned
+    to face each edge in turn and stacked with a convex pair of another
+    vertex count, every row clips to the per-pair reference bit for bit."""
+    zigzag = np.array([[0.1, -0.1], [0.2, 0.1], [0.3, -0.1], [0.6, 0.5],
+                       [0.1, 0.5]])
+    assert signed_area(zigzag) > 0.0
+    inside = zigzag[:, 1] >= 0.0  # of the square's first edge, along y = 0
+    assert np.count_nonzero(inside != np.roll(inside, 1)) == 4
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    subjects = [(zigzag - 0.5) @ np.linalg.matrix_power(quarter, t).T + 0.5
+                for t in range(4)] + [random_convex(np.random.default_rng(3))]
+    a = np.stack([SQUARE] * len(subjects))
+    b = np.stack([pad(s) for s in subjects])
+    vertices, counts = supermesh._clip_block(
+        a, b, np.array([len(s) for s in subjects]), None)
+    assert counts.min() > 0
+    for s, poly in zip(subjects, split(vertices, counts)):
+        ref = reference_clip(SQUARE, s)
+        assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
 
 
 def test_norm_is_numpy_vector_norm_to_the_bit():
