@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -159,14 +160,19 @@ def cmd_deform(args) -> int:
                 # the grid is periodic: a step's points, and its velocity
                 # given the scheme, are those of the first step at its phase
                 key = (res.step % args.steps_per_rev, res.velocity_scheme)
-                if key in written:  # that frame's text, with its own title
-                    head, _, rest = written[key].read_text().split("\n", 2)
-                    path.write_text(f"{head}\n{title}\n{rest}")
+                if key in written:  # that frame's bytes, with its own title
+                    with written[key].open("rb") as src, \
+                            path.open("wb") as dst:
+                        dst.write(src.readline())
+                        dst.write(f"{title}\n".encode())
+                        src.readline()
+                        shutil.copyfileobj(src, dst)
                 else:
                     written[key] = path
-                    path.write_text(write_vtk(
+                    path.write_bytes(write_vtk(
                         mesh.with_points(res.points),
-                        {"grid_velocity": res.grid_velocity}, title=title))
+                        {"grid_velocity": res.grid_velocity},
+                        title=title).encode())
     except DeformationFailure as exc:
         print(f"deformation failed: {exc}", file=sys.stderr)
         print(f"last good step: {exc.last_good}", file=sys.stderr)

@@ -7,7 +7,9 @@ grows its center set one worst-residual point at a time up to a cap, the
 next level interpolates whatever residual is left, and the final field is
 the sum of the per-level fields. For positive definite kernels the greedy
 loop grows a Newton basis of the centers by one column per added point and
-re-solves only once per level to verify the level's solution.
+re-solves only once per level to verify the level's solution. The field is
+evaluated the same way for every kernel, compact or global: a dense kernel
+matrix per block of targets times the weights.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
-from scipy.sparse import coo_array
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .geometry import QualityReport, orthogonality_metrics
@@ -34,7 +34,7 @@ _NEEDS_RADIUS = ("wendland_c2", "gaussian", "multiquadric",
 # factor (Wendland C2: Wendland, Adv. Comput. Math. 4, 1995).
 _SPD_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
 
-EVAL_CHUNK = 2048  # targets per evaluate_field block
+EVAL_CHUNK = 512  # targets per evaluate_field block
 
 
 class RbfSystemError(RuntimeError):
@@ -64,23 +64,27 @@ class RbfKernel:
                 raise ValueError(
                     f"{self.kind} kernel requires a positive support_radius")
 
-    @property
-    def compact(self) -> bool:
-        return self.kind == "wendland_c2"
-
 
 def kernel_eval(kernel: RbfKernel, d):
-    """Evaluate the kernel at distances d >= 0 (scalar or array)."""
+    """Evaluate the kernel at distances d >= 0 (scalar or array); NaN
+    distances raise like negative ones."""
     d = np.asarray(d, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("distances must be non-negative")
+    if not np.all(d >= 0.0):
+        raise ValueError("distances must be non-negative, not NaN")
     rho = kernel.support_radius
     if kernel.kind == "wendland_c2":
-        q = d / rho
-        out = np.zeros_like(q)
-        inside = q < 1.0  # compact support: evaluate only inside it
-        q = q[inside]
-        out[inside] = (1.0 - q) ** 4 * (4.0 * q + 1.0)
+        # (1 - q)^4 (4q + 1) on the values inside the compact support only,
+        # in place on q = d / rho and on one compact array of those values
+        out = np.divide(d, rho, out=np.empty_like(d))
+        inside = out < 1.0
+        q = out[inside]
+        poly = 1.0 - q
+        poly **= 4
+        q *= 4.0
+        q += 1.0
+        poly *= q
+        out.fill(0.0)
+        out[inside] = poly
     elif kernel.kind == "thin_plate_spline":
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(d > 0.0, d * d * np.log(np.where(d > 0.0, d, 1.0)),
@@ -108,9 +112,9 @@ def _poly_block(points: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(points), 1)), points])
 
 
-def _assemble(centers: np.ndarray, data: np.ndarray, kernel: RbfKernel,
-              with_affine: bool):
-    phi = kernel_eval(kernel, cdist(centers, centers))
+def _assemble(centers: np.ndarray, dist: np.ndarray, data: np.ndarray,
+              kernel: RbfKernel, with_affine: bool):
+    phi = kernel_eval(kernel, dist)
     if not with_affine:
         return phi, data
     p = _poly_block(centers)
@@ -156,13 +160,12 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
         raise ValueError("one displacement per center required")
     if len(centers) == 0:
         raise ValueError("at least one center required")
-    if len(centers) > 1:
-        d2 = cdist(centers, centers)
-        np.fill_diagonal(d2, np.inf)
-        if d2.min() == 0.0:
-            raise ValueError("duplicate centers")
+    dist = cdist(centers, centers)
+    # a zero off the diagonal is a duplicate center
+    if np.count_nonzero(dist == 0.0) > len(centers):
+        raise ValueError("duplicate centers")
 
-    a, rhs = _assemble(centers, data, kernel, with_affine)
+    a, rhs = _assemble(centers, dist, data, kernel, with_affine)
     x = _solve_dense(a, rhs)
     m = len(centers)
     weights = x[:m]
@@ -180,35 +183,18 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
 
 
 def evaluate_field(solution: RbfSolution, targets) -> np.ndarray:
-    """Displacement field at target points, in blocks of EVAL_CHUNK targets.
-
-    Compact kernels build one KD-tree of the centers and, per block, one
-    sparse kernel matrix of the (target, center) pairs inside the support
-    times the weights; other kernels evaluate each block densely.
-    """
+    """Displacement field at target points: per block of EVAL_CHUNK targets,
+    the dense kernel matrix of the block against the centers times the
+    weights, for every kernel. Non-finite targets raise ValueError."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    n = len(targets)
-    k = solution.weights.shape[1]
-    out = np.zeros((n, k))
-    centers = solution.centers
-    kernel = solution.kernel
-    sparse = kernel.compact and n * len(centers) > 512 * 512
-    if sparse:
-        center_tree = cKDTree(centers)
-
-    for start in range(0, n, EVAL_CHUNK):
+    bad = ~np.isfinite(targets).all(axis=1)
+    if bad.any():
+        raise ValueError(f"target {int(np.argmax(bad))} is not finite")
+    out = np.empty((len(targets), solution.weights.shape[1]))
+    for start in range(0, len(targets), EVAL_CHUNK):
         block = targets[start:start + EVAL_CHUNK]
-        if sparse:
-            pairs = cKDTree(block).sparse_distance_matrix(
-                center_tree, kernel.support_radius, output_type="ndarray")
-            # canonical CSR: centers ascending within each target's row
-            phi = coo_array((kernel_eval(kernel, pairs["v"]),
-                             (pairs["i"], pairs["j"])),
-                            shape=(len(block), len(centers))).tocsr()
-        else:
-            phi = kernel_eval(kernel, cdist(block, centers))
-        out[start:start + len(block)] = phi @ solution.weights
-
+        out[start:start + len(block)] = kernel_eval(
+            solution.kernel, cdist(block, solution.centers)) @ solution.weights
     if solution.affine is not None:
         out += _poly_block(targets) @ solution.affine
     return out

@@ -1,15 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from meshgen import shell_mesh
 
 import rotormesh.rbf as rbf
-from rotormesh.rbf import (RbfConfig, RbfKernel, RbfSystemError,
+from rotormesh.rbf import (RbfConfig, RbfKernel, RbfSolution, RbfSystemError,
                            deform_mesh, evaluate_field, greedy_select,
                            kernel_eval, solve_weights)
 
@@ -166,31 +167,67 @@ def test_linearity_in_data():
     assert np.abs(f12 - (a * f1 + b * f2)).max() < 1e-10 * max(ref, 1.0)
 
 
-def test_truncated_and_dense_paths_agree(monkeypatch):
+@pytest.mark.parametrize("kernel", [WENDLAND, RbfKernel("gaussian", 0.4)])
+def test_blocked_field_matches_one_dense_product(kernel):
     rng = np.random.default_rng(13)
     pts = rng.uniform(size=(40, 3))
     disp = 0.05 * rng.normal(size=(40, 3))
-    sol = solve_weights(pts, disp, WENDLAND)
-    # 7001 targets x 40 centers crosses the 512^2 KD-tree threshold; 7001
-    # is three full 2048-target blocks plus a partial one
-    targets = rng.uniform(-0.2, 1.2, size=(7001, 3))
-    assert len(targets) * len(pts) > 512 * 512
-    trees = []
-
-    def counting_tree(data, *args, **kwargs):
-        trees.append(len(data))
-        return cKDTree(data, *args, **kwargs)
-
-    monkeypatch.setattr(rbf, "cKDTree", counting_tree)
-    sparse = evaluate_field(sol, targets)
-    assert trees == [40, 2048, 2048, 2048, 857]
-    dense = kernel_eval(WENDLAND, cdist(targets, pts)) @ sol.weights
+    sol = solve_weights(pts, disp, kernel)
+    # three full EVAL_CHUNK blocks plus a partial one
+    targets = rng.uniform(-0.2, 1.2, size=(3 * rbf.EVAL_CHUNK + 345, 3))
+    blocked = evaluate_field(sol, targets)
+    dense = kernel_eval(kernel, cdist(targets, pts)) @ sol.weights
     assert np.abs(dense).min() > 0.0  # a dropped block would show
-    assert np.abs(sparse - dense).max() < 1e-13
-    # single-target calls stay below the threshold: dense path
-    small = np.vstack([evaluate_field(sol, targets[i:i + 1])
-                       for i in range(100)])
-    assert np.abs(small - dense[:100]).max() < 1e-13
+    assert np.abs(blocked - dense).max() < 1e-13
+    single = np.vstack([evaluate_field(sol, targets[i:i + 1])
+                        for i in range(100)])
+    assert np.abs(single - dense[:100]).max() < 1e-13
+
+
+def test_evaluate_field_traced_peak():
+    """10,164 targets x 355 centers, a fifth of the pairs inside the
+    support: one EVAL_CHUNK block's kernel arrays at a time."""
+    rng = np.random.default_rng(21)
+    sol = RbfSolution(rng.uniform(size=(355, 3)), rng.normal(size=(355, 3)),
+                      RbfKernel("wendland_c2", 0.8))
+    targets = rng.uniform(-0.5, 1.5, size=(10164, 3))
+    tracemalloc.start()
+    try:
+        evaluate_field(sol, targets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6
+
+
+@pytest.mark.parametrize("kernel", [WENDLAND, RbfKernel("gaussian", 0.5)])
+def test_kernel_nan_distance_raises(kernel):
+    with pytest.raises(ValueError, match="non-negative"):
+        kernel_eval(kernel, np.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        kernel_eval(kernel, np.array([0.2, np.nan, 0.1]))
+
+
+def test_kernel_infinite_distance_values():
+    inf = np.inf
+    assert kernel_eval(WENDLAND, inf) == 0.0
+    assert kernel_eval(RbfKernel("gaussian", 0.5), inf) == 0.0
+    assert kernel_eval(RbfKernel("inverse_multiquadric", 1.0), inf) == 0.0
+    assert kernel_eval(RbfKernel("multiquadric", 1.0), inf) == inf
+    assert kernel_eval(RbfKernel("thin_plate_spline"), inf) == inf
+    assert np.array_equal(kernel_eval(WENDLAND, np.array([0.0, inf])),
+                          [1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_field_rejects_non_finite_targets(bad):
+    sol = solve_weights([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
+                        [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]], WENDLAND)
+    targets = np.zeros((5, 3))
+    targets[3, 1] = bad
+    targets[4, 0] = bad
+    with pytest.raises(ValueError, match="target 3 is not finite"):
+        evaluate_field(sol, targets)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
