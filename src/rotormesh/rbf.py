@@ -337,7 +337,9 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     basis = 0  # leading columns of cols that are Newton basis columns
 
     level_records: list[GreedyLevel] = []
-    level_solutions: list[tuple[int, np.ndarray, np.ndarray | None]] = []
+    # each level's solution is added in as the level ends
+    total_weights = np.zeros((width, data.shape[1]))
+    affine_total: np.ndarray | None = None
     converged = False
 
     for level, cap in enumerate(caps):
@@ -389,18 +391,15 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
             level=level + 1, points=len(selected), max_err=max_err,
             mean_err=float(err.mean()),
             seconds=time.perf_counter() - level_t0))
-        level_solutions.append((len(selected), sol.weights, sol.affine))
+        total_weights[:len(selected)] += sol.weights
+        if sol.affine is not None:  # the first level's, if any
+            affine_total = sol.affine
         residual = err_vec
         if converged:
             break
 
-    total_weights = np.zeros((len(selected), data.shape[1]))
-    affine_total: np.ndarray | None = None
-    for count, weights, affine in level_solutions:
-        total_weights[:count] += weights
-        if affine is not None:
-            affine_total = affine if affine_total is None else affine_total + affine
-    merged = RbfSolution(pts[selected], total_weights, kernel, affine_total)
+    merged = RbfSolution(pts[selected], total_weights[:len(selected)], kernel,
+                         affine_total)
     return merged, GreedyHistory(tuple(level_records), converged)
 
 

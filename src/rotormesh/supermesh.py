@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_array, csr_array
 from scipy.spatial import cKDTree
 
-from .mesh import Mesh, _n_rows, _rows, extract_marker_points
+from .mesh import Mesh, _n_rows, _rows
 
 
 def signed_area(poly: np.ndarray) -> float:
@@ -112,10 +112,10 @@ def _signed_areas(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     return area
 
 
-def _ccw(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The stack with its clockwise polygons reversed (the stack itself if
-    none is)."""
-    cw = np.flatnonzero(_signed_areas(stack, n) < 0.0)
+def _ccw(stack: np.ndarray, n: np.ndarray, cw: np.ndarray) -> np.ndarray:
+    """The stack with the polygons cw marks (its clockwise ones) reversed;
+    the stack itself if it marks none."""
+    cw = np.flatnonzero(cw)
     if len(cw) == 0:
         return stack
     s, j, m = stack.T.copy(), np.arange(stack.shape[1])[:, None], n[cw]
@@ -160,14 +160,18 @@ def clip_convex(poly_a: np.ndarray, poly_b: np.ndarray,
 
 def _convex_ccw(stack: np.ndarray, name: str, first: int):
     """The stack, slot-major and wound CCW, and its vertex counts. Raises
-    ValueError naming a non-convex polygon as name[first + its index]."""
+    ValueError naming a non-convex polygon, or one whose area is not
+    finite, as name[first + its index], with no floating-point warning."""
     stack = np.asfortranarray(stack)
     n = _counts(stack)
-    if (bad := ~_convex(stack, n)).any():
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = _signed_areas(stack, n)
+    if (bad := ~(_convex(stack, n) & np.isfinite(area))).any():
         raise ValueError(f"clip_convex requires convex polygons: "
                          f"{name}[{first + int(np.argmax(bad))}] is not a "
-                         "convex polygon of at least 3 finite vertices")
-    return _ccw(stack, n), n
+                         "convex polygon of at least 3 finite vertices "
+                         "and finite area")
+    return _ccw(stack, n, area < 0.0), n
 
 
 def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
@@ -234,18 +238,18 @@ def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
 class InterfaceFaceSet:
     """One side of a non-conformal interface after projection.
 
-    faces are planar polygons (k, 2), as a 3D domain's faces in their
-    projection plane, or intervals (2,), as a 2D domain's faces on their
-    projection line. The first face tells which, and manifold_dim (2 or 1)
-    records it; a face of the other kind is an error that names it. The
-    faces are not kept: construction checks them, stores them as one
-    padded stack (n, k, 2) with counts vertices each (intervals: (n, 2),
-    sorted), and measures their areas (or lengths) and ccw whether each
-    polygon is wound counter-clockwise (always true for intervals).
+    faces is one array: (n, k, 2) polygons padded by the padding rule, as a
+    3D domain's faces in their projection plane, or (n, 2) intervals, as a
+    2D domain's faces on their projection line; manifold_dim (2 or 1)
+    records which. Construction checks the whole array's shape, then each
+    face's finiteness, vertex count and area (length), naming the first bad
+    face. It stores the faces as stack (intervals sorted) with counts
+    vertices each, and measures their areas (or lengths) and ccw whether
+    each polygon is wound counter-clockwise (always true for intervals).
     """
 
     side: str
-    faces: InitVar[tuple[np.ndarray, ...]]
+    faces: InitVar[np.ndarray]
     manifold_dim: int = field(init=False)
     stack: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
@@ -253,47 +257,36 @@ class InterfaceFaceSet:
     ccw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, faces):
-        if len(faces) == 0:
+        faces = np.asarray(faces, dtype=float)
+        if faces.shape[:1] == (0,):
             raise ValueError(f"interface side {self.side!r} has no faces")
-        polygons = np.ndim(faces[0]) != 1
+        polygons = faces.ndim == 3
+        if faces.shape[1:] != ((max(faces.shape[1], 3), 2) if polygons
+                               else (2,)):
+            raise ValueError(f"interface side {self.side!r}: expected an "
+                             "(n, k>=3, 2) polygon stack or (n, 2) "
+                             f"intervals, got shape {faces.shape}")
         object.__setattr__(self, "manifold_dim", 2 if polygons else 1)
-        try:  # fails, or flattens wrongly, unless every face is well shaped
-            n = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
-            flat = np.concatenate(faces, dtype=float)
-            good = flat.shape[1:] == ((2,) if polygons else ()) and \
-                (n >= 3 if polygons else n == 2).all() and \
-                np.isfinite(flat).all()
-        except (TypeError, ValueError):
-            good = False
-        if not good:
-            raise ValueError(self._first_bad_face(faces))
+        n = _counts(faces) if polygons else np.full(len(faces), 2)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             if polygons:
-                stack = _stack(flat, n)
-                signed = _signed_areas(stack, n)
+                stack, signed = faces, _signed_areas(faces, n)
             else:  # sorted: a length is never negative
-                stack = np.sort(flat.reshape(-1, 2), axis=1)
+                stack = np.sort(faces, axis=1)
                 signed = stack[:, 1] - stack[:, 0]
         what, kind = ("area", "polygon") if polygons else ("length", "segment")
-        for bad, error in ((~np.isfinite(signed), f"{what} is not finite"),
-                           (signed == 0.0, f"zero-{what} {kind}")):
+        for bad, error in (
+                (~np.isfinite(faces).reshape(len(n), -1).all(axis=1),
+                 "non-finite coordinates"),
+                ((n < 3) & polygons, "fewer than 3 vertices"),
+                (~np.isfinite(signed), f"{what} is not finite"),
+                (signed == 0.0, f"zero-{what} {kind}")):
             if bad.any():
                 raise ValueError(f"face {int(np.argmax(bad))}: {error}")
         object.__setattr__(self, "stack", np.ascontiguousarray(stack))
         object.__setattr__(self, "counts", n)
         object.__setattr__(self, "measures", np.abs(signed))
         object.__setattr__(self, "ccw", signed >= 0.0)
-
-    def _first_bad_face(self, faces) -> str:
-        """The error of the first face that is not a finite polygon (k>=3, 2)
-        or interval (2,); a loop that only runs to report an error."""
-        for i, f in enumerate(map(np.asarray, faces)):
-            if self.manifold_dim == 2 and (f.shape[1:] != (2,) or len(f) < 3):
-                return f"face {i}: expected (k>=3, 2) polygon"
-            if self.manifold_dim == 1 and f.shape != (2,):
-                return f"face {i}: expected (2,) interval"
-            if not np.isfinite(f).all():
-                return f"face {i}: non-finite coordinates"
 
 
 @dataclass(frozen=True)
@@ -373,7 +366,7 @@ def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
         warnings.warn(f"reorienting inconsistently wound face {i} "
                       f"on side {side.side}")
     n = side.counts
-    faces = _ccw(np.asfortranarray(side.stack), n)
+    faces = _ccw(np.asfortranarray(side.stack), n, ~side.ccw)
     split = np.flatnonzero(~_convex(faces, n))
     if (n[split] != 4).any():
         i = split[n[split] != 4][0]
@@ -383,7 +376,8 @@ def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
     reflex = np.argmin(_turns(faces[split], n[split])[:, :4], axis=1) + 1
     tris = np.take_along_axis(faces[split], (
         (reflex[:, None] + [0, 1, 2, 0, 2, 3]) % 4)[..., None], axis=1)
-    tris = _ccw(tris.reshape(-1, 3, 2), np.full(2 * len(split), 3))
+    tris, three = tris.reshape(-1, 3, 2), np.full(2 * len(split), 3)
+    tris = _ccw(tris, three, _signed_areas(tris, three) < 0.0)
     face = np.concatenate([np.delete(np.arange(len(n)), split),
                            np.repeat(split, 2)])
     pieces = np.concatenate([np.delete(faces, split, axis=0), tris[
@@ -408,7 +402,7 @@ def _bounds(pieces: np.ndarray, tol: float):
     low = np.where((e[0] != 0.0) | (e[1] != 0.0), np.maximum(cross, 0.0),
                    np.inf).min(axis=0)
     with np.errstate(divide="ignore"):  # no interior centre: no bound
-        return centres.T, radii, 2.0 * tol * radii / low
+        return centres.T, radii, 2.0 * tol * (radii / low)  # no overflow
 
 
 def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float,
@@ -547,7 +541,9 @@ def fit_cylinder_z(points: np.ndarray) -> CylinderProjection:
     """Cylinder about +z; the branch cut goes through the largest angular
     gap so no face straddles it."""
     pts = np.asarray(points, dtype=float)
-    r_xy = np.linalg.norm(pts[:, :2], axis=1)
+    # scaled by a power of two first, exactly, so that squares cannot overflow
+    scale = np.ldexp(1.0, -np.frexp(np.abs(pts[:, :2]).max())[1])
+    r_xy = np.linalg.norm(pts[:, :2] * scale, axis=1) / scale
     radius = float(r_xy.mean())
     theta = np.sort(np.arctan2(pts[:, 1], pts[:, 0]))
     gaps = np.diff(np.concatenate([theta, [theta[0] + 2.0 * np.pi]]))
@@ -574,8 +570,15 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str):
     if not all(map(_n_rows, groups)):
         raise ValueError("interface markers must contain faces")
 
-    idx = np.union1d(extract_marker_points(mesh, marker_a)[0],
-                     extract_marker_points(mesh, marker_b)[0])
+    conns = []  # each side's faces in marker order, padded to its widest
+    for kinds in groups:
+        k = max(conn.shape[1] for conn, _ in kinds.values())
+        conn = np.empty((_n_rows(kinds), k), dtype=np.intp)
+        for c, rows in kinds.values():
+            conn[rows] = c[:, np.minimum(np.arange(k), c.shape[1] - 1)]
+        conns.append(conn)
+    idx, inverse = np.unique(np.concatenate([c.ravel() for c in conns]),
+                             return_inverse=True)
     cloud = mesh.points[idx]
     if mesh.dim == 2:
         origin = cloud.mean(axis=0)
@@ -585,26 +588,20 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str):
         proj = min(fit_plane(cloud), fit_cylinder_z(cloud),
                    key=lambda fit: fit.max_offset)
         flat = proj.project(cloud)
-
-    def side(name, marker, groups):
-        """The side's projected faces, looked up per kind group."""
-        faces = list(chain.from_iterable(flat[np.searchsorted(idx, conn)]
-                                         for conn, _ in groups.values()))
-        rows = np.concatenate([rows for _, rows in groups.values()])
-        face_set = InterfaceFaceSet(name, tuple(map(
-            faces.__getitem__, np.argsort(rows).tolist())))
-        if isinstance(proj, CylinderProjection):
-            # A face the branch cut runs through unrolls across the width;
-            # no real face spans half the circumference.
-            width = np.ptp(face_set.stack[:, :, 0], axis=1)
+    faces = np.split(flat[inverse], [conns[0].size])  # A's, then B's
+    sides = [InterfaceFaceSet(name, f.reshape(c.shape + flat.shape[1:]))
+             for name, f, c in zip("AB", faces, conns)]
+    if isinstance(proj, CylinderProjection):
+        # A face the branch cut runs through unrolls across the width;
+        # no real face spans half the circumference.
+        for side, marker in zip(sides, (marker_a, marker_b)):
+            width = np.ptp(side.stack[:, :, 0], axis=1)
             if (wide := width > np.pi * proj.radius).any():
                 i = int(np.argmax(wide))
                 raise ValueError(
-                    f"interface side {name} (marker {marker!r}) face {i} "
-                    f"unrolls to a width of {width[i]:.6g} of the cylinder's "
-                    f"circumference {2 * np.pi * proj.radius:.6g}: a full "
-                    "360-degree interface has no branch cut outside its faces")
-        return face_set
-
-    return (side("A", marker_a, groups[0]), side("B", marker_b, groups[1]),
-            proj)
+                    f"interface side {side.side} (marker {marker!r}) face "
+                    f"{i} unrolls to a width of {width[i]:.6g} of the "
+                    f"cylinder's circumference {2 * np.pi * proj.radius:.6g}"
+                    ": a full 360-degree interface has no branch cut outside "
+                    "its faces")
+    return (*sides, proj)

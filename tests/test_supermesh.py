@@ -98,6 +98,19 @@ def test_clip_names_polygon_whose_turns_overflow():
         clip_convex(SQUARE * 1e160, SQUARE * 1e160)
 
 
+@pytest.mark.parametrize("wound", ["ccw", "cw"])
+def test_clip_names_polygon_whose_area_overflows(wound):
+    """Turns that stay finite far from the origin, with shoelace terms that
+    overflow: the winding cannot be read from the area, so the polygon is
+    rejected by name whichever way it is wound, with no floating-point
+    warning, rather than clipped as if counter-clockwise."""
+    a = SQUARE * 1e145 + 1e155
+    with pytest.raises(ValueError, match=re.escape(
+            "poly_a[0] is not a convex polygon of at least 3 finite "
+            "vertices and finite area")):
+        clip_convex(a if wound == "ccw" else a[::-1], a + 0.5e145)
+
+
 def test_clip_contained_vertices_and_edge_points():
     small = 0.5 * SQUARE + [0.75, 0.25]  # pokes out of the unit square
     out = clip_convex(SQUARE, small)
@@ -150,8 +163,10 @@ def test_partial_coverage_reported_not_renormalized():
 
 
 def test_empty_face_set_rejected():
-    with pytest.raises(ValueError, match="no faces"):
-        InterfaceFaceSet("A", ())
+    for faces in ((), np.zeros((0, 4, 2)), np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="^interface side 'A' has no "
+                           "faces$"):
+            InterfaceFaceSet("A", faces)
 
 
 def test_zero_area_face_rejected():
@@ -164,21 +179,6 @@ def test_zero_area_face_rejected():
         InterfaceFaceSet("A", (np.array([0.0, np.inf]),))
     with pytest.raises(ValueError, match="face 0: non-finite coordinates"):
         InterfaceFaceSet("A", (np.array([np.nan, 1.0]),))
-    # the first face's shape decides: (2,) is an interval, (k, 2) a polygon
-    interval = re.escape("expected (2,) interval")
-    with pytest.raises(ValueError, match="face 0: " + interval):
-        InterfaceFaceSet("A", (np.array([0.0, 1.0, 2.0]),))
-    with pytest.raises(ValueError, match="face 1: " + interval):
-        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.arange(3.0)))
-    with pytest.raises(ValueError, match="face 1: " + interval):
-        InterfaceFaceSet("A", (np.array([0.0, 1.0]), np.array([[1.0, 2.0]])))
-    with pytest.raises(ValueError, match="face 1: " + interval):
-        InterfaceFaceSet("A", (np.array([0.0, 1.0]), SQUARE))
-    polygon = re.escape("expected (k>=3, 2) polygon")
-    with pytest.raises(ValueError, match="face 0: " + polygon):
-        InterfaceFaceSet("A", (np.array([[0.0, 1.0]]),))
-    with pytest.raises(ValueError, match="face 1: " + polygon):
-        InterfaceFaceSet("A", (SQUARE, np.array([0.0, 1.0])))
 
 
 def test_face_whose_measure_overflows_rejected():
@@ -191,26 +191,59 @@ def test_face_whose_measure_overflows_rejected():
         InterfaceFaceSet("A", (np.array([-1e308, 1e308]),))
 
 
+@pytest.mark.parametrize("faces", [
+    np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 2)), np.zeros((1, 0, 2)),
+    np.zeros((2, 4, 3)), np.zeros((1, 4, 2, 2)), np.float64(1.0),
+    (np.array([[0.0, 1.0]]),), (np.array([0.0, 1.0, 2.0]),),
+])
+def test_face_array_of_wrong_shape_rejected(faces):
+    """The shape is checked once, for the whole array: (n, k>=3, 2)
+    polygons or (n, 2) intervals."""
+    shape = np.shape(faces)
+    with pytest.raises(ValueError, match=re.escape(
+            "interface side 'A': expected an (n, k>=3, 2) polygon stack or "
+            f"(n, 2) intervals, got shape {shape}")):
+        InterfaceFaceSet("A", faces)
+
+
 NAN_SQUARE = SQUARE + [np.nan, 0.0]
+TWO_VERTICES = SQUARE[[0, 1, 1, 1]]  # by the padding rule, 2 vertices
 
 
 @pytest.mark.parametrize("faces,message", [
-    ((SQUARE, SQUARE[:2]), "face 1: expected"),
-    ((SQUARE, np.zeros((4, 3))), "face 1: expected"),
-    ((SQUARE, np.zeros(4)), "face 1: expected"),
-    ((SQUARE, SQUARE[None]), "face 1: expected"),
-    ((np.zeros((0, 2)),), "face 0: expected"),
-    ((SQUARE, np.float64(1.0)), "face 1: expected"),
-    ((NAN_SQUARE, SQUARE[:2]), "face 0: non-finite coordinates"),
-    ((SQUARE[:2], NAN_SQUARE), "face 0: expected"),
-    ((SQUARE, SQUARE, NAN_SQUARE[:3], np.zeros((4, 3))),
-     "face 2: non-finite coordinates"),
+    ((SQUARE, TWO_VERTICES), "face 1: fewer than 3 vertices"),
+    ((SQUARE, SQUARE, NAN_SQUARE), "face 2: non-finite coordinates"),
+    ((TWO_VERTICES, NAN_SQUARE), "face 1: non-finite coordinates"),
+    ((SQUARE, SQUARE * 1e160, TWO_VERTICES), "face 2: fewer than 3"),
+    ((SQUARE, SQUARE[[0, 1, 1, 1]] + [0.0, 1.0], SQUARE * 1e160),
+     "face 1: fewer than 3"),
+    ((np.array([np.inf, 1.0]), np.array([0.0, np.nan])),
+     "face 0: non-finite coordinates"),
+    ((np.array([0.0, 1.0]), np.array([2.0, 2.0])),
+     "face 1: zero-length segment"),
 ])
 def test_bad_face_is_named_by_its_index(faces, message):
-    """The faces are checked as one stack; the first bad face, in the order
-    of a per-face check of shape and then finiteness, is reported."""
+    """Each face check runs over the whole stack, in the order finiteness,
+    vertex count (by the padding rule), then area; the first face that
+    fails the first failing check is named."""
     with pytest.raises(ValueError, match=re.escape(message)):
         InterfaceFaceSet("A", faces)
+
+
+def test_padded_stack_of_triangles_and_quads():
+    """A stack that mixes triangles, padded to 4 slots, with quads gives
+    each face its own vertex count and shoelace measure."""
+    tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+    kite = np.array([[0.0, 0.0], [1.0, -1.0], [3.0, 0.0], [1.0, 1.0]])
+    faces = np.stack([pad(tri, 4), SQUARE, pad(tri[::-1], 4), kite])
+    side = InterfaceFaceSet("A", faces)
+    assert side.manifold_dim == 2
+    assert side.counts.tolist() == [3, 4, 3, 4]
+    expect = [0.5 * np.sum(shoelace_terms(p)) for p in (tri, SQUARE,
+                                                        tri[::-1], kite)]
+    assert side.measures.tolist() == [abs(a) for a in expect]
+    assert side.ccw.tolist() == [True, True, False, True]
+    assert side.stack.tobytes() == faces.tobytes()
 
 
 def test_inconsistent_orientation_warns_and_reorients():
@@ -246,7 +279,7 @@ def test_nonconvex_quad_split():
 
 
 def test_nonconvex_face_other_than_quad_rejected():
-    faces = (SQUARE + [3.0, 0.0], CHEVRON, CHEVRON + [0.0, 2.0])
+    faces = (pad(SQUARE + [3.0, 0.0], 5), CHEVRON, CHEVRON + [0.0, 2.0])
     with pytest.raises(ValueError, match="non-convex face 1 on side A with "
                        "5 vertices is not supported"):
         build_supermesh(InterfaceFaceSet("A", faces),
@@ -988,6 +1021,30 @@ def test_noisy_plane_projects_as_plane():
     sm = build_supermesh(side_a, side_b)
     assert np.abs(sm.weight_sums() - 1.0).max() < 1e-9
     assert sm.total_area == pytest.approx(1.0, rel=1e-9)
+
+
+def test_projection_far_from_the_axis_names_the_face():
+    """Coordinates near 1e160 square to beyond the float range: the
+    cylinder fit measures their distance from the axis without overflow,
+    and the face whose area overflows is named."""
+    mesh = stacked_interface_mesh(2, 2)
+    with pytest.raises(ValueError, match=r"^face 0: area is not finite$"):
+        interface_from_markers(mesh.with_points(mesh.points * 1e160),
+                               "iface_a", "iface_b")
+
+
+def test_build_scales_exactly_by_a_power_of_two():
+    """Scaled by 2**400, the interface gives the same weights bit for bit
+    and areas exactly 4**400 times as large, with no overflow on the way
+    (the box pads included)."""
+    mesh = stacked_interface_mesh(12, 15)
+    plain = build_supermesh(*interface_from_markers(
+        mesh, "iface_a", "iface_b")[:2])
+    scaled = build_supermesh(*interface_from_markers(
+        mesh.with_points(mesh.points * 2.0**400), "iface_a", "iface_b")[:2])
+    assert scaled.weights.data.tobytes() == plain.weights.data.tobytes()
+    assert scaled.weights.indices.tolist() == plain.weights.indices.tolist()
+    assert scaled.area.tobytes() == (plain.area * 4.0**400).tobytes()
 
 
 def test_interface_unknown_marker():
