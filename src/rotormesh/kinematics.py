@@ -107,8 +107,7 @@ def flap_matrix(beta: float) -> np.ndarray:
 
 def leadlag_matrix(delta: float) -> np.ndarray:
     """Lead-lag rotation about +z (positive takes +x toward +y)."""
-    c, s = np.cos(delta), np.sin(delta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return azimuth_matrix(delta)
 
 
 def pitch_matrix(theta: float) -> np.ndarray:

@@ -68,12 +68,6 @@ def _stack(vertices: np.ndarray, counts: np.ndarray) -> np.ndarray:
         counts, counts.max(initial=1)), axis=1).T
 
 
-def _norm(d: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each 2-vector to the bit (a dot, not x*x + y*y)."""
-    d = np.ascontiguousarray(d)  # as the norm's ravel: the same dot kernel
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
-
-
 def _turns(stack: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Cross product of edge i with edge i + 1, i.e. the turn at vertex
     i + 1 (positive left, negative right); 0 in padding slots."""
@@ -176,17 +170,18 @@ def _convex_ccw(stack: np.ndarray, name: str, first: int):
 
 def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
     """Clip each CCW polygon b (n vertices) by its CCW convex a, one pass
-    per edge of a, then drop each vertex within snap of the last kept one
-    and closing vertices within snap of the first: the flat vertices and
-    counts (0 below 3). Every vertex is computed by the same float
-    operations as a loop over pairs and vertices."""
+    per edge of a, with the inside tolerance eps that _candidates states,
+    then drop each vertex within snap of the last kept one and closing
+    vertices within snap of the first: the flat vertices and counts (0
+    below 3). Every vertex is computed by the same float operations as a
+    loop over pairs and vertices."""
     a, poly = a.T, b.T.copy()  # slot-major rows (2, k, P)
     if snap is None:  # 1e-12 of the diagonal of the pair's bounding box
         span = np.ptp(np.concatenate([a, poly], axis=1), axis=1)
-        snap = 1e-12 * np.maximum(_norm(span.T), 1e-300)
+        snap = 1e-12 * np.maximum(np.hypot(*span), 1e-300)
     snap = np.broadcast_to(np.asarray(snap, dtype=float), n.shape)
-    eps = snap * np.maximum(np.maximum(np.abs(a).max(axis=(0, 1)),
-                                       np.abs(poly).max(axis=(0, 1))), 1.0)
+    eps = snap * np.maximum(np.abs(a).max(axis=(0, 1)),
+                            np.abs(poly).max(axis=(0, 1)))
     k = a.shape[1]
     for i in range(k):  # a padding edge has zero length: all inside
         p0, edge = a[:, i], a[:, (i + 1) % k] - a[:, i]
@@ -222,12 +217,12 @@ def _clip_block(a, b, n, snap) -> tuple[np.ndarray, np.ndarray]:
 
     keep, last = [np.ones(len(n), dtype=bool)], poly[:, 0]
     for j in range(1, poly.shape[1]):
-        keep.append((j < n) & (_norm((poly[:, j] - last).T) > snap))
+        keep.append((j < n) & (np.hypot(*(poly[:, j] - last)) > snap))
         last = np.where(keep[-1], poly[:, j], last)
     kept, n, first = _kept(np.stack(keep))
-    xy = poly.reshape(2, -1)
-    while (pop := (n > 1) & (_norm((np.take(xy, kept[first + n - 1], axis=1)
-                                    - poly[:, 0]).T) <= snap)).any():
+    xy, start = poly.reshape(2, -1), poly[:, 0]
+    while (pop := (n > 1) & (np.hypot(*(np.take(
+            xy, kept[first + n - 1], axis=1) - start)) <= snap)).any():
         n = n - pop
     n = np.where(n >= 3, n, 0)  # each polygon's first n kept slots
     return np.take(xy, kept[np.arange(n.sum()) + np.repeat(
@@ -242,10 +237,11 @@ class InterfaceFaceSet:
     3D domain's faces in their projection plane, or (n, 2) intervals, as a
     2D domain's faces on their projection line; manifold_dim (2 or 1)
     records which. Construction checks the whole array's shape, then each
-    face's finiteness, vertex count and area (length), naming the first bad
-    face. It stores the faces as stack (intervals sorted) with counts
-    vertices each, and measures their areas (or lengths) and ccw whether
-    each polygon is wound counter-clockwise (always true for intervals).
+    face's finiteness, vertex count and area (length), nonzero and not
+    subnormal, naming the first bad face. It stores the faces as stack
+    (intervals sorted) with counts vertices each, and measures their areas
+    (or lengths) and ccw whether each polygon is wound counter-clockwise
+    (always true for intervals).
     """
 
     side: str
@@ -280,7 +276,9 @@ class InterfaceFaceSet:
                  "non-finite coordinates"),
                 ((n < 3) & polygons, "fewer than 3 vertices"),
                 (~np.isfinite(signed), f"{what} is not finite"),
-                (signed == 0.0, f"zero-{what} {kind}")):
+                (signed == 0.0, f"zero-{what} {kind}"),
+                (np.abs(signed) < np.finfo(float).tiny,
+                 f"{what} is subnormal")):
             if bad.any():
                 raise ValueError(f"face {int(np.argmax(bad))}: {error}")
         object.__setattr__(self, "stack", np.ascontiguousarray(stack))
@@ -393,7 +391,7 @@ def _bounds(pieces: np.ndarray, tol: float):
     centres = np.take_along_axis(np.cumsum(s, axis=1), n[None, None] - 1,
                                  axis=1)[:, 0] / n
     d = centres[:, None] - s
-    radii = np.sqrt(d[0] * d[0] + d[1] * d[1]).max(axis=0)  # np.linalg.norm
+    radii = np.hypot(*d).max(axis=0)
     if not tol:
         return centres.T, radii, np.zeros(len(n))
     # edge j runs from slot j to j + 1; a padding edge has zero length
@@ -411,25 +409,28 @@ def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float,
     boxes meet, sorted by A piece, then B piece. No other pair can clip to
     a polygon (or, for intervals, overlap).
 
-    The pad. At the edge e of an A piece from p, the clip counts a point v
-    inside when cross(e, v - p) >= -eps, i.e. up to eps / |e| outside the
-    edge's line, with eps = snap * max(|coordinate of the pair|, 1) <= tol.
-    Each vertex it emits is a vertex of B or a point between two earlier
-    ones, and either passed that test at each edge or lies on the edge's
-    line. So a clipped polygon lies in B and in A', the piece with each
-    edge's line moved out by tol / |e| (up to rounding). The piece holds
-    its centre c inside, cross(e, c - p) / |e| from each edge's line, so
-    scaling it about c by 1 + s, s = tol / min_e cross(e, c - p), moves
-    every line out by at least tol / |e|: A' lies within s * r of the piece
-    (r its radius). A sharp vertex makes some cross(e, c - p) small and the
-    reach long; a zero-length edge binds nothing and is left out. Boxes are
-    padded by 2 * s * r, the second s * r for rounding, which is a few ulps
-    of the coordinates, far below tol / |e| >= 1e-12 * max(|coordinate|, 1)
-    (snap being 1e-12 of the interface's diagonal, at least |e|). Boxes
-    that do not meet leave no point of A' in B. Nor can such pieces'
-    centres lie farther apart than r_a + pad_a + r_b + pad_b, which the k-d
-    tree query covers. Intervals come with tol = 0 and no pad: their
-    overlap is measured exactly.
+    The tolerance. At the edge e of an A piece from p, the clip counts a
+    point v inside when cross(e, v - p) >= -eps, eps = snap * the pair's
+    largest |coordinate|: both sides scale as length squared, so a
+    power-of-two scale of the interface changes no test. tol is the same
+    rule over the whole interface, so eps <= tol.
+
+    The pad. Each vertex the clip emits is a vertex of B or a point
+    between two earlier ones, and either passed that test at each edge or
+    lies on the edge's line. So a clipped polygon lies in B and in A', the
+    piece with each edge's line moved out by tol / |e| (up to rounding).
+    The piece holds its centre c inside, cross(e, c - p) / |e| from each
+    edge's line, so scaling it about c by 1 + s, s = tol / min_e cross(e,
+    c - p), moves every line out by at least tol / |e|: A' lies within
+    s * r of the piece (r its radius). A sharp vertex makes some cross(e,
+    c - p) small and the reach long; a zero-length edge binds nothing and
+    is left out. Boxes are padded by 2 * s * r, the second s * r for
+    rounding, a few ulps of the coordinates, far below tol / |e| >= 1e-12
+    * |coordinate| (snap being 1e-12 of the interface's diagonal, at least
+    |e|). Boxes that do not meet leave no point of A' in B. Nor can such
+    pieces' centres lie farther apart than r_a + pad_a + r_b + pad_b, which
+    the k-d tree query covers. Intervals come with tol = 0 and no pad:
+    their overlap is measured exactly.
     """
     (centres_a, radii_a, pad_a), (centres_b, radii_b, pad_b) = (
         _bounds(p, tol) for p in (pieces_a, pieces_b))
@@ -459,11 +460,9 @@ def build_supermesh(side_a: InterfaceFaceSet,
     face_b, pieces_b = _convex_pieces(side_b)
     # padding repeats vertices, so the pieces span what the faces span
     all_pts = np.hstack([p.T.reshape(2, -1) for p in (pieces_a, pieces_b)])
-    diag = float(np.linalg.norm(all_pts.max(axis=1) - all_pts.min(axis=1)))
-    snap = 1e-12 * max(diag, 1e-300)
-    # the largest inside tolerance of the clip; intervals have none
-    tol = snap * max(float(np.abs(all_pts).max()), 1.0) \
-        if side_a.manifold_dim == 2 else 0.0
+    snap = 1e-12 * max(float(np.hypot(*np.ptp(all_pts, axis=1))), 1e-300)
+    # the clip's eps over the whole interface; intervals have none
+    tol = snap * np.abs(all_pts).max() if side_a.manifold_dim == 2 else 0.0
     ia, ib = _candidates(pieces_a, pieces_b, snap, tol)
 
     if side_a.manifold_dim == 1:  # pieces are faces; overlaps, no polygons

@@ -31,8 +31,8 @@ def _versions() -> str:
 
 
 def pytest_report_header(config):
-    """The clip and shoelace tests assert bit identity with numpy's
-    summation order, so every run names the versions it ran with."""
+    """The shoelace tests assert bit identity with numpy's summation
+    order (np.sum), so every run names the versions it ran with."""
     return _versions()
 
 

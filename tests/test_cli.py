@@ -623,6 +623,22 @@ def test_interface_face_area_overflow_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_interface_subnormal_face_area_exit_4(tmp_path, capsys):
+    """Scaled by 2**-520, every face's area is a subnormal float, whose
+    lost digits would skew the weights unnoticed: the first face is
+    rejected by name, exit 4, before any output exists."""
+    mesh = stacked_interface_mesh(2, 2)
+    mesh_file = tmp_path / "tiny.mesh"
+    mesh_file.write_text(write_mesh(mesh.with_points(mesh.points
+                                                     * 2.0**-520)))
+    out = tmp_path / "w.csv"
+    assert main(["interface", str(mesh_file), "iface_a", "iface_b",
+                 "--output", str(out)]) == 4
+    assert capsys.readouterr().err == \
+        "rotormesh: interface error: face 0: area is subnormal\n"
+    assert not out.exists()
+
+
 def test_interface_unknown_marker(tmp_path, capsys):
     mesh = stacked_interface_mesh(2, 2)
     mesh_file = tmp_path / "pair.mesh"

@@ -191,6 +191,20 @@ def test_face_whose_measure_overflows_rejected():
         InterfaceFaceSet("A", (np.array([-1e308, 1e308]),))
 
 
+def test_face_of_subnormal_measure_rejected():
+    """A nonzero area (length) below the smallest normal float has lost
+    most of its digits, and weights divided by it would be off by more
+    than rounding: the face is rejected by name. The smallest normal
+    measure is kept."""
+    tiny = np.finfo(float).tiny
+    with pytest.raises(ValueError, match=r"^face 1: area is subnormal$"):
+        InterfaceFaceSet("A", (SQUARE, SQUARE * 2.0**-520))
+    with pytest.raises(ValueError, match=r"^face 0: length is subnormal$"):
+        InterfaceFaceSet("A", (np.array([0.0, tiny / 2]),))
+    assert InterfaceFaceSet("A", (np.array([0.0, tiny]),)).measures[0] == \
+        tiny
+
+
 @pytest.mark.parametrize("faces", [
     np.zeros(4), np.zeros((2, 3)), np.zeros((1, 2, 2)), np.zeros((1, 0, 2)),
     np.zeros((2, 4, 3)), np.zeros((1, 4, 2, 2)), np.float64(1.0),
@@ -412,9 +426,9 @@ def _dedupe(poly, snap):
         return poly
     keep = [poly[0]]
     for p in poly[1:]:
-        if np.linalg.norm(p - keep[-1]) > snap:
+        if np.hypot(*(p - keep[-1])) > snap:
             keep.append(p)
-    while len(keep) > 1 and np.linalg.norm(keep[-1] - keep[0]) <= snap:
+    while len(keep) > 1 and np.hypot(*(keep[-1] - keep[0])) <= snap:
         keep.pop()
     return np.asarray(keep)
 
@@ -432,9 +446,9 @@ def reference_clip(poly_a, poly_b, snap=None):
             for p in (np.asarray(poly_a, float), np.asarray(poly_b, float)))
     if snap is None:
         span = np.vstack([a, b])
-        diag = float(np.linalg.norm(span.max(axis=0) - span.min(axis=0)))
+        diag = float(np.hypot(*(span.max(axis=0) - span.min(axis=0))))
         snap = 1e-12 * max(diag, 1e-300)
-    eps = snap * max(float(np.abs(np.vstack([a, b])).max()), 1.0)
+    eps = snap * float(np.abs(np.vstack([a, b])).max())
 
     output = list(b)
     for i in range(len(a)):
@@ -533,13 +547,19 @@ def clip_pairs(draw):
 
 @settings(max_examples=150, deadline=None)
 @example(pairs=[(4.0 * SQUARE - 1.0, np.array(  # collinear vertices 0.6 apart
-    [[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [1.2, 1.0], [0.0, 1.0]]))], snap=0.7)
+    [[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [1.2, 1.0], [0.0, 1.0]]))], snap=0.7,
+    j=0)
 @given(pairs=st.lists(clip_pairs(), min_size=1, max_size=12),
-       snap=st.one_of(st.none(), st.just(3e-12), st.floats(1e-3, 0.3)))
-def test_stack_clip_matches_per_pair_reference(pairs, snap):
+       snap=st.one_of(st.none(), st.just(3e-12), st.floats(1e-3, 0.3)),
+       j=st.integers(-60, 60))
+def test_stack_clip_matches_per_pair_reference(pairs, snap, j):
     """Each pair of a padded stack, and the first pair on its own, clips to
     the per-pair reference bit for bit. A coarse snap makes the clip
-    tolerance and the vertex dedupe act on most pairs."""
+    tolerance and the vertex dedupe act on most pairs. Both polygons and
+    any given snap are scaled by 2**j, so that coordinates far below and
+    above one unit are clipped too."""
+    pairs = [(a * 2.0**j, b * 2.0**j) for a, b in pairs]
+    snap = None if snap is None else snap * 2.0**j
     vertices, counts = clip_convex(np.stack([pad(a) for a, _ in pairs]),
                                    np.stack([pad(b) for _, b in pairs]),
                                    snap=snap)
@@ -626,11 +646,6 @@ def test_clip_kernel_compacts_any_inside_pattern():
     for s, poly in zip(subjects, split(vertices, counts)):
         ref = reference_clip(SQUARE, s)
         assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
-
-
-def test_norm_is_numpy_vector_norm_to_the_bit():
-    d = np.random.default_rng(2).normal(size=(4000, 2)) * 1e3
-    assert supermesh._norm(d).tolist() == [np.linalg.norm(v) for v in d]
 
 
 def test_build_areas_equal_numpy_shoelace_with_octagons():
@@ -754,7 +769,7 @@ def assert_matches_all_pairs(side_a, side_b):
     sm = build_supermesh(side_a, side_b)
     pts = np.vstack([side_a.stack.reshape(-1, 2),
                      side_b.stack.reshape(-1, 2)])
-    snap = 1e-12 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    snap = 1e-12 * float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     areas: dict[tuple[int, int], float] = {}
     polygons = []
     face_a, pieces_a = _convex_pieces(side_a)
@@ -826,8 +841,8 @@ def near_miss_sides(draw):
 
     zero = np.zeros_like(length)
     pts = np.vstack([a, *b_faces(zero, zero, zero)])
-    snap = 1e-12 * float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    t = snap * max(float(np.abs(pts).max()), 1.0) / length
+    snap = 1e-12 * float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    t = snap * float(np.abs(pts).max()) / length
     off = zero + {"touch": 0.0, "snap / 2": snap / 2, "snap": snap,
                   "t / 2": t / 2, "t": t, "10 t": 10 * t}[gap]
     near = np.minimum(off, np.roll(off, 1))  # the narrower band at a vertex
@@ -844,20 +859,25 @@ def test_box_filter_keeps_near_touching_pairs(sides):
     assert_matches_all_pairs(*sides)
 
 
-def test_box_filter_is_tight(monkeypatch):
-    """The pairs handed to clip_convex stay within 1.08 times those that
-    clip to a polygon (1.0596 here, against 1.51 for the k-d tree query
-    alone), so the filter cannot widen unnoticed. The interface is
-    stretched to 1 x 0.8, so that the plane fit's frame follows its long
-    side rather than an arbitrary diagonal."""
-    mesh = stacked_interface_mesh(20, 25)
+def turned_interface_mesh(n_a, n_b, degrees):
+    """stacked_interface_mesh(n_a, n_b) stretched to 1 x 0.8, so that the
+    plane fit's frame follows its long side rather than an arbitrary
+    diagonal, with the iface_b side turned by degrees about the centre."""
+    mesh = stacked_interface_mesh(n_a, n_b)
     moved, _ = extract_marker_points(mesh, "iface_b")
-    c, s = np.cos(np.radians(7.0)), np.sin(np.radians(7.0))
+    c, s = np.cos(np.radians(degrees)), np.sin(np.radians(degrees))
     points, centre = mesh.points * [1.0, 0.8, 1.0], np.array([0.5, 0.4])
     points[moved, :2] = (points[moved, :2] - centre) @ np.array(
         [[c, s], [-s, c]]) + centre
-    side_a, side_b, _ = interface_from_markers(mesh.with_points(points),
-                                               "iface_a", "iface_b")
+    return mesh.with_points(points)
+
+
+def test_box_filter_is_tight(monkeypatch):
+    """The pairs handed to clip_convex stay within 1.08 times those that
+    clip to a polygon (1.0596 here, against 1.51 for the k-d tree query
+    alone), so the filter cannot widen unnoticed."""
+    side_a, side_b, _ = interface_from_markers(
+        turned_interface_mesh(20, 25, 7.0), "iface_a", "iface_b")
     kernel, calls = supermesh.clip_convex, []
 
     def counting(*args, **kwargs):
@@ -1033,18 +1053,23 @@ def test_projection_far_from_the_axis_names_the_face():
                                "iface_a", "iface_b")
 
 
-def test_build_scales_exactly_by_a_power_of_two():
-    """Scaled by 2**400, the interface gives the same weights bit for bit
-    and areas exactly 4**400 times as large, with no overflow on the way
-    (the box pads included)."""
-    mesh = stacked_interface_mesh(12, 15)
-    plain = build_supermesh(*interface_from_markers(
-        mesh, "iface_a", "iface_b")[:2])
-    scaled = build_supermesh(*interface_from_markers(
-        mesh.with_points(mesh.points * 2.0**400), "iface_a", "iface_b")[:2])
+@settings(max_examples=40, deadline=None)
+@example(k=400)
+@example(k=-60)
+@given(k=st.integers(-400, 400))
+def test_build_scales_exactly_by_a_power_of_two(k):
+    """Scaled by 2**k, a 12 x 15 interface turned 7 degrees gives the same
+    weights bit for bit and areas exactly 4**k times as large: every
+    tolerance scales with the interface, and nothing overflows on the way
+    (the box pads included). From |k| = 459 or 460 on, the plane fit's SVD
+    rescales internally, and its basis is no longer exact."""
+    mesh = turned_interface_mesh(12, 15, 7.0)
+    plain, scaled = (build_supermesh(*interface_from_markers(
+        mesh.with_points(mesh.points * scale), "iface_a", "iface_b")[:2])
+        for scale in (1.0, 2.0**k))
     assert scaled.weights.data.tobytes() == plain.weights.data.tobytes()
     assert scaled.weights.indices.tolist() == plain.weights.indices.tolist()
-    assert scaled.area.tobytes() == (plain.area * 4.0**400).tobytes()
+    assert scaled.area.tobytes() == (plain.area * 4.0**k).tobytes()
 
 
 def test_interface_unknown_marker():
