@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -323,8 +324,96 @@ def parse_mesh(text: str) -> Mesh:
 
 
 def _rows(fmt: str, a) -> str:
-    """Every row of the array a formatted by fmt, in a single % pass."""
+    """Every row of a formatted by fmt in one % pass: the %d and %.12g rows."""
     return (fmt * len(a)) % tuple(np.ravel(a).tolist())
+
+
+def _halves(a):  # Veltkamp's split into high + low halves of 26 bits
+    high = 134217729.0 * a - (134217729.0 * a - a)  # 2**27 + 1
+    return high, a - high
+
+
+# Column x + 31: 10**(16 - x) as hi + lo, for decimal exponents x in [-31, 30]
+_TEN = np.array([[float(t), float(t - Fraction(float(t)))] for t in
+                 (Fraction(10) ** (16 - x) for x in range(-31, 31))]).T
+# "%04d" bytes of each 4-digit group; the last nonzero digit of each (-99
+# for 0000) as an index into the 17 digits, which start at byte 3 of the
+# first group; masks that keep digits 0..k of the groups' 20 bytes.
+_ASCII = np.frombuffer(b"".join(b"%04d" % v for v in range(10**4)), "<u4")
+_LAST = np.array([len((b"%04d" % v).rstrip(b"0")) - 1 if v else -99
+                  for v in range(10**4)], np.int8)
+_GROUP_START = np.array([-3, 1, 5, 9, 13], np.int8)[:, None]
+_KEEP = np.array([[0] * 3 + [255] * (k + 1) + [0] * (16 - k)
+                  for k in range(17)], np.uint8).view("<u4")
+_PREFIX = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0"
+                        b"0.000", np.uint8).reshape(5, 5)  # for X = -1..-4
+_EXPONENT = np.frombuffer(b"".join(b"e%+03d" % x for x in range(-30, 31)),
+                          np.uint8).reshape(61, 4)
+
+
+def _scaled(ax: np.ndarray, x: np.ndarray):
+    """floor(ax * 10**(16 - x)) as int64 and the fraction it drops, both to
+    within 2**-45: Dekker's product with the double-double power of ten."""
+    hi, lo = _TEN.take(x + 31, axis=1)
+    p = ax * hi
+    (ah, al), (bh, bl) = _halves(ax), _halves(hi)
+    rest = ((ah * bh - p) + ah * bl + al * bh) + al * bl + ax * lo
+    whole = np.floor(p)
+    rest += p - whole
+    low = np.floor(rest)
+    return whole.astype(np.int64) + low.astype(np.int64), rest - low
+
+
+def _float_rows(a) -> str:
+    """The rows of the (n, c) float array a ((n,) is one column) as
+    _rows(" ".join(["%.17g"] * c) + "\\n", a) formats them, byte for byte.
+
+    The 17 digits of v are round-half-even(|v| * 10**(16 - X)) for the
+    exponent X that puts the floor of the unrounded product in [10**16,
+    10**17); a carry to 10**17 moves X up one (Steele & White, Gay 1990).
+    Each value is one 44-byte row (sign, the "0.000" of -4 <= X < 0, each
+    digit with a slot for the point after it, the exponent of X < -4 or
+    X > 16, separator) whose 0 bytes are dropped. % formats alone values
+    not finite, outside 1e-30 <= |v| < 1e30 or within 2**-20 of a tie.
+    """
+    a = np.asarray(a, dtype=float)
+    flat, columns = a.ravel(), a.shape[1] if a.ndim > 1 else 1
+    ax = np.abs(flat)
+    nonzero = (ax >= 1e-30) & (ax < 1e30)
+    fast = nonzero | (ax == 0)
+    ax = np.where(nonzero, ax, 1.0)
+    x = np.floor(np.log10(ax)).astype(np.int64)
+    whole, frac = _scaled(ax, x)
+    for step in (-1, 1):  # the log may be one off next to a power of ten
+        off = np.flatnonzero(whole < 10**16 if step < 0 else whole >= 10**17)
+        x[off] += step
+        whole[off], frac[off] = _scaled(ax[off], x[off])
+    fast &= (whole >= 10**16) & (whole < 10**17) & (abs(frac - 0.5) > 2**-20)
+    digits = whole + (frac > 0.5)
+    x += (carry := digits == 10**17)
+    digits = np.where(carry, 10**16, digits) * nonzero  # 0 has X = 0
+    groups = np.empty((5, len(flat)), np.int64)
+    for j in range(4, 0, -1):
+        digits, groups[j] = np.divmod(digits, 10**4)
+    groups[0] = digits
+    last = (_LAST[groups] + _GROUP_START).max(axis=0)  # < 0 for 0
+    fixed = (x >= -4) & (x < 17)
+    point = np.where(fixed, x, 0)  # the digit the point follows, < 0: none
+    out = np.zeros((len(flat), 44), np.uint8)
+    out[:, 6:40:2] = (_ASCII[groups].T & _KEEP.take(
+        np.maximum(last, point), axis=0)).view(np.uint8)[:, 3:]
+    dot = np.flatnonzero((point >= 0) & (point < last))
+    out.reshape(-1)[44 * dot + 7 + 2 * point[dot]] = ord(".")
+    out[:, 1:6] = _PREFIX.take(np.where(fixed & (x < 0), -x, 0), axis=0)
+    rows = np.flatnonzero(~fixed & fast)
+    out[rows, 39:43] = _EXPONENT.take(x[rows] + 30, axis=0)
+    out[~fast, 1:43] = 0
+    out[:, 0] = np.where(fast, np.signbit(flat) * np.uint8(ord("-")), 1)
+    out[:, 43] = ord(" ")
+    out[columns - 1::columns, 43] = ord("\n")
+    text = out.tobytes().translate(None, b"\0").decode()
+    return "%s".join(text.split("\1")) % tuple(  # the values marked 1
+        "%.17g" % v for v in flat[~fast].tolist())
 
 
 def _lines_in_order(groups: dict, head: dict) -> str:
@@ -341,7 +430,8 @@ def write_mesh(mesh: Mesh) -> str:
     """Serialize a Mesh back to the native ASCII format.
 
     Coordinates are written with 17 significant digits so that a
-    parse -> write -> parse round trip is exact.
+    parse -> write -> parse round trip is exact; the point index, a float
+    column below 1e16, prints as %d would print it.
     """
     numbered = {kind: (np.column_stack([conn, rows]), rows)
                 for kind, (conn, rows) in mesh.cells.items()}
@@ -350,7 +440,7 @@ def write_mesh(mesh: Mesh) -> str:
     out = [f"NDIME= {mesh.dim}\nNELEM= {mesh.n_elements}\n",
            _lines_in_order(numbered, KIND_TO_CODE),
            f"NPOIN= {mesh.n_points}\n",
-           _rows("%.17g " * mesh.dim + "%d\n", points),
+           _float_rows(points),
            f"NMARK= {len(mesh.markers)}\n"]
     for name, groups in mesh.markers.items():
         out.append(f"MARKER_TAG= {name}\nMARKER_ELEMS= {_n_rows(groups)}\n")
@@ -366,7 +456,7 @@ def _vtk_points(title: str, points: np.ndarray) -> str:
     """Legacy ASCII VTK header and POINTS block of (n, 3) points."""
     return (f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
             f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n"
-            + _rows("%.17g %.17g %.17g\n", points))
+            + _float_rows(points))
 
 
 def _vtk_cells(cells: dict, types: dict) -> str:
@@ -396,10 +486,10 @@ def write_vtk(mesh: Mesh, point_fields: dict[str, np.ndarray] | None = None,
                 f"field {name!r} has {values.shape[0]} values for {n} points")
         if values.ndim == 1:
             out.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
-                       + _rows("%.17g\n", values))
+                       + _float_rows(values))
         elif values.shape[1:] == (3,):
             out.append(f"VECTORS {name} double\n"
-                       + _rows("%.17g %.17g %.17g\n", values))
+                       + _float_rows(values))
         else:
             raise ValueError(f"field {name!r} must be (n,) or (n, 3)")
     if "vtk_cells" not in mesh.derived:  # the cells do not move

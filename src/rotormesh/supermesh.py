@@ -515,7 +515,10 @@ def fit_plane(points: np.ndarray) -> PlaneProjection:
     """Least-squares plane through a point cloud (SVD)."""
     pts = np.asarray(points, dtype=float)
     origin = pts.mean(axis=0)
-    _, _, vt = np.linalg.svd(pts - origin, full_matrices=False)
+    # scaled by a power of two first, exactly, so that LAPACK does not
+    # rescale inside and the basis is the same at every scale
+    scale = np.ldexp(1.0, -np.frexp(np.abs(pts - origin).max())[1])
+    _, _, vt = np.linalg.svd((pts - origin) * scale, full_matrices=False)
     basis = vt[:2]
     offset = float(np.abs((pts - origin) @ vt[2]).max()) if len(vt) > 2 else 0.0
     return PlaneProjection(origin, basis, offset)

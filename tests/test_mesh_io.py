@@ -1,5 +1,6 @@
 import re
 import warnings
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -14,8 +15,8 @@ from meshgen import (SQUARE_2TRI, box_hex_mesh, mixed_kind_mesh, same_groups,
 from rotormesh.cli import _supermesh_vtk
 from rotormesh.mesh import (CELL_KINDS, KIND_TO_CODE, MARKER_KINDS,
                             TYPE_CODES, VERTEX_COUNT, Mesh, MeshFormatError,
-                            _BadRow, extract_marker_points, parse_mesh,
-                            write_mesh, write_vtk)
+                            _BadRow, _float_rows, extract_marker_points,
+                            parse_mesh, write_mesh, write_vtk)
 from rotormesh.supermesh import (InterfaceFaceSet, Supermesh, build_supermesh,
                                  interface_from_markers)
 
@@ -607,6 +608,45 @@ def test_writers_match_per_row_reference(case):
     assert "vtk_cells" in moved.derived
     assert write_vtk(moved, fields, title="t") == \
         _ref_vtk("t", moved.points, cells, fields)
+
+
+def _percent_pass(a):
+    """The one % pass over the rows that _float_rows stands in for."""
+    fmt = " ".join(["%.17g"] * (a.shape[1] if a.ndim > 1 else 1)) + "\n"
+    return (fmt * len(a)) % tuple(a.ravel().tolist())
+
+
+@settings(deadline=None)
+@given(columns=st.sampled_from((1, 3)), bits=st.booleans(), data=st.data())
+def test_float_rows_match_a_percent_pass(columns, bits, data):
+    """Any float64: NaN, infinities, subnormals and signed zeros drawn as
+    floats, or every bit pattern drawn as a uint64."""
+    n = data.draw(st.integers(0, 40))
+    if bits:
+        a = np.array(data.draw(st.lists(
+            st.integers(0, 2**64 - 1), min_size=n * columns,
+            max_size=n * columns)), np.uint64).view(float).reshape(n, columns)
+    else:
+        a = _float_array(data.draw, st.floats(), (n, columns))
+    assert _float_rows(a) == _percent_pass(a)
+
+
+def test_float_rows_match_a_percent_pass_at_their_boundaries():
+    """Values the formatter decides at a boundary: powers of ten and their
+    neighbours (1e-14 is the double below 10**-14 whose 17 digits round up
+    to it), exact 17-digit ties, integers, the switches to and from the
+    exponent form, -0.0."""
+    powers = np.array([float(f"1e{k}") for k in range(-32, 33)])
+    ties = np.arange(131073, 1310720, 2) / 2**17
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        ties, -ties[::97], np.arange(-2000.0, 2000.0), 2.0 ** np.arange(64),
+        [9999999999999998.0, 99999999999999984.0, 1e-4, 1e-5, 1e16, 1e17,
+         -0.0]])
+    assert Fraction(1e-14) < Fraction(10) ** -14 and "%.17g" % 1e-14 == \
+        "1e-14"
+    assert "%.17g" % ties[0] == "1.0000076293945312"
+    assert _float_rows(values) == _percent_pass(values)
 
 
 @settings(max_examples=100, deadline=None)
