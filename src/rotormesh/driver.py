@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .config import MotionConfig
 from .geometry import QualityReport, orthogonality_metrics
@@ -107,22 +106,24 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
     series = (cfg.flap, cfg.leadlag, cfg.pitch)
     offsets = 2.0 * np.pi * np.arange(len(blade_markers)) / cfg.n_blades
     rots = np.stack([azimuth_matrix(offset) for offset in offsets])
-    # x - h_b, h_b blade b's own hinge: its displacement per unit of A_b
-    arms = [points[markers[name]] - rot @ np.asarray(cfg.hinge)
-            for name, rot in zip(blade_markers, rots)]
+    # every marker point once, and its rigid displacement per unit of each
+    # A_b: x - h_b on blade b, h_b its own hinge, and zero elsewhere
+    surface = np.unique(np.concatenate(list(markers.values())))
+    rigid = np.zeros((len(surface), 3 * len(blade_markers)))
+    for b, (name, rot) in enumerate(zip(blade_markers, rots)):
+        rigid[np.searchsorted(surface, markers[name]), 3 * b:3 * b + 3] = \
+            points[markers[name]] - rot @ np.asarray(cfg.hinge)
     # |eval_series| <= |mean| + sum |s_k| + sum |c_k|, and three rotations
     # by beta, delta, theta give ||C - I||_2 <= min(2, |beta| + |delta| +
     # |theta|), which bounds every ||A_b||_2. Each basis field is solved on
-    # its arm times n_blades times that bound, so a greedy converged to
-    # greedy_tol keeps every step's surface error below it.
+    # its rigid displacement times n_blades times that bound, so a greedy
+    # converged to greedy_tol keeps every step's surface error below it.
     bound = sum(abs(s.mean) + sum(map(abs, s.sine_coeffs))
                 + sum(map(abs, s.cosine_coeffs)) for s in series)
     scale = len(blade_markers) * min(2.0, bound)
     fields, levels, converged = [], [], True
-    for name, arm in zip(blade_markers, arms):
-        res = deform_mesh(mesh, {name: scale * arm}, config=cfg.rbf,
-                          fixed_markers=[*cfg.fixed_markers, *(
-                              b for b in blade_markers if b != name)])
+    for unit in np.hsplit(scale * rigid, len(blade_markers)):
+        res = deform_mesh(mesh, surface, unit, config=cfg.rbf)
         # with no hinge motion nothing moves and every field is zero
         fields.append((res.mesh.points - points) / (scale or 1.0))
         before = levels[-1].points if levels else 0
@@ -132,10 +133,6 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
         converged = converged and res.history.converged
     basis = np.hstack(fields)
     history = GreedyHistory(tuple(levels), converged)
-    # every marker point and its rigid displacement per unit of each A_b
-    surface = np.concatenate(list(markers.values()))
-    n_fixed = len(surface) - sum(map(len, arms))
-    rigid = block_diag(*arms, np.zeros((n_fixed, 0)))
     reports: list[QualityReport] = []  # one per first-revolution step
     previous: list[np.ndarray] = []    # the last two lab-frame grids
 

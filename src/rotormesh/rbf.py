@@ -22,7 +22,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .geometry import QualityReport, orthogonality_metrics
-from .mesh import Mesh, extract_marker_points
+from .mesh import Mesh
 
 KERNEL_KINDS = ("wendland_c2", "thin_plate_spline", "gaussian",
                 "multiquadric", "inverse_multiquadric")
@@ -287,10 +287,11 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
                   with_affine: bool = False) -> tuple[RbfSolution, GreedyHistory]:
     """Multi-level greedy control-point reduction.
 
-    Each iteration adds the worst-residual surface point and re-solves;
-    a level ends when the cumulative point count reaches its cap, and the
-    following level interpolates the remaining residual (previously
-    selected points stay in the center set, pinning the field there).
+    Each iteration adds the worst-residual surface point and updates the
+    residual, by a solve or by a Newton step (below); a level ends when
+    the cumulative point count reaches its cap, and the following level
+    interpolates the remaining residual (previously selected points stay
+    in the center set, pinning the field there).
     Terminates once the max surface residual drops below tol.
 
     Positive definite kernels without an affine block keep the surface
@@ -420,61 +421,37 @@ class DeformResult:
     quality_after: QualityReport
 
 
-def _merge_displacements(entries) -> tuple[np.ndarray, np.ndarray]:
-    """One displacement per point from (indices, disp, label) entries, in
-    processing order: each must be np.allclose (atol 1e-12) to the one
-    before it for the same point, or the first that is not raises; the last
-    one wins. Returns the sorted point indices and their displacements."""
-    indices = np.concatenate([np.empty(0, np.intp), *(e[0] for e in entries)])
-    disp = np.concatenate([np.empty((0, 3)), *(e[1] for e in entries)])
-    order = np.argsort(indices, kind="stable")
-    idx, disp = indices[order], disp[order]
-    again = np.flatnonzero(idx[1:] == idx[:-1]) + 1
-    bad = again[~np.isclose(disp[again - 1], disp[again],
-                            atol=1e-12).all(axis=1)]
-    if len(bad):
-        first = int(order[bad].min())
-        ends = np.cumsum([len(e[0]) for e in entries])
-        label = entries[int(np.searchsorted(ends, first, side="right"))][2]
-        raise ValueError(f"conflicting displacement at point "
-                         f"{indices[first]} from {label}")
-    last = np.diff(idx, append=-1) != 0
-    return idx[last], disp[last]
+def deform_mesh(mesh: Mesh, indices, displacements, *,
+                config: RbfConfig) -> DeformResult:
+    """Deform the volume mesh so each listed point moves by its row of
+    displacements and every other point follows the interpolated field.
 
-
-def deform_mesh(mesh: Mesh, marker_displacements: dict[str, np.ndarray],
-                fixed_markers=(), *, config: RbfConfig) -> DeformResult:
-    """Deform the volume mesh so marker points follow their prescribed
-    displacements while fixed markers stay put.
-
-    Displacement arrays align with the sorted unique point indices returned
-    by extract_marker_points. Overlapping markers must agree on shared
-    points.
+    The indices are distinct, in any order; a point that must stay put is
+    listed with a zero row, and no marker merging is done. The greedy sees
+    the points sorted by index, so their order does not change the result.
     """
-    entries = []
-    for name, disp in marker_displacements.items():
-        indices, _ = extract_marker_points(mesh, name)
-        disp = np.asarray(disp, dtype=float)
-        if disp.shape != (len(indices), 3):
-            raise ValueError(
-                f"marker {name!r} expects displacement shape "
-                f"{(len(indices), 3)}, got {disp.shape}")
-        if not np.all(np.isfinite(disp)):
-            raise ValueError(f"marker {name!r} displacement must be finite")
-        entries.append((indices, disp, f"marker {name!r}"))
-    for name in fixed_markers:
-        indices, _ = extract_marker_points(mesh, name)
-        entries.append((indices, np.zeros((len(indices), 3)),
-                        f"fixed marker {name!r}"))
-    surf_idx, surf_disp = _merge_displacements(entries)
+    idx = np.asarray(indices)
+    disp = np.asarray(displacements, dtype=float)
+    if idx.ndim != 1 or disp.shape != (len(idx), 3):
+        raise ValueError(f"expected 1-D indices and (n, 3) displacements, "
+                         f"got shapes {idx.shape} and {disp.shape}")
+    if not np.all(np.isfinite(disp)):
+        raise ValueError("displacements must be finite")
+    order = np.argsort(idx)
+    idx, disp = idx[order], disp[order]
+    if len(idx) and not 0 <= idx[0] <= idx[-1] < len(mesh.points):
+        raise ValueError(f"point indices must lie in [0, {len(mesh.points)})")
+    again = idx[1:][idx[1:] == idx[:-1]]
+    if len(again):
+        raise ValueError(f"point {again[0]} is listed twice")
 
-    if np.abs(surf_disp).max(initial=0.0) == 0.0:
+    if np.abs(disp).max(initial=0.0) == 0.0:
         # nothing moves; keep the exact point array
-        history = GreedyHistory((GreedyLevel(1, 1, 0.0, 0.0, 0.0),), True)
+        history = GreedyHistory((GreedyLevel(1, 0, 0.0, 0.0, 0.0),), True)
         return DeformResult(mesh, history, orthogonality_metrics(mesh))
 
     solution, history = greedy_select(
-        mesh.points[surf_idx], surf_disp, config.kernel,
+        mesh.points[idx], disp, config.kernel,
         tol=config.greedy_tol, level_caps=config.level_caps,
         with_affine=config.with_affine)
     displacement = evaluate_field(solution, mesh.points)

@@ -258,7 +258,10 @@ def test_deform_zero_motion(tmp_path):
     assert np.allclose(np.asarray(pts), rotated, atol=1e-12)
     meta = json.loads((outdir / "metadata.json").read_text())
     assert meta["greedy_unconverged_steps"] == []
-    assert (outdir / "greedy.csv").exists()
+    # nothing moves, so no center is selected
+    _, grows = _read_csv(outdir / "greedy.csv")
+    assert len(grows) == 11
+    assert {r["points"] for r in grows} == {"0"}
 
 
 def test_deform_reports_unconverged_greedy(tmp_path, capsys):

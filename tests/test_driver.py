@@ -2,13 +2,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshgen import box_with_plate_mesh, box_with_plates_mesh
 
 from rotormesh import geometry, hb
 from rotormesh.config import parse_motion_config
 from rotormesh.driver import DeformationFailure, run_deformation
-from rotormesh.kinematics import BladeMotion, azimuth_matrix, blade_point
+from rotormesh.kinematics import (BladeMotion, MotionSeries, azimuth_matrix,
+                                  blade_point)
 from rotormesh.mesh import Mesh, extract_marker_points
 
 STILL_ROTOR = """
@@ -144,11 +147,11 @@ def test_bad_blade_marker_list_rejected_on_call(small_mesh, markers, message):
                         revolutions=0.0)
 
 
-def with_hub(mesh):
-    """mesh plus a marker "hub": the first face of its marker "blade"."""
-    kind, (conn, _) = next(iter(mesh.markers["blade"].items()))
+def with_first_face(mesh, name, of):
+    """mesh plus a marker name: the first face of its marker of."""
+    kind, (conn, _) = next(iter(mesh.markers[of].items()))
     return Mesh(mesh.dim, mesh.points, mesh.cells,
-                {**mesh.markers, "hub": {kind: (conn[:1], [0])}})
+                {**mesh.markers, name: {kind: (conn[:1], [0])}})
 
 
 @pytest.mark.parametrize("markers,fixed,message", [
@@ -163,9 +166,9 @@ def test_blade_marker_sharing_points_rejected_on_call(small_mesh, markers,
     blade or a fixed marker would get two targets, so the call fails
     before any step runs."""
     cfg = replace(parse_motion_config(STILL_ROTOR), fixed_markers=fixed)
+    mesh = with_first_face(small_mesh, "hub", "blade")
     with pytest.raises(ValueError, match=message):
-        run_deformation(with_hub(small_mesh), cfg, markers, steps_per_rev=4,
-                        revolutions=0.0)
+        run_deformation(mesh, cfg, markers, steps_per_rev=4, revolutions=0.0)
 
 
 def test_negative_volume_aborts():
@@ -301,3 +304,77 @@ def test_two_blades_follow_their_rigid_hinge_motion():
                > 0.01 for idx, _, _ in blades)
     assert np.array_equal(results[-1].points, results[0].points)
     assert all(r.quality.negative_volume_count == 0 for r in results)
+
+
+PLATES = {"blade_a": ((0.3, 0.9), (-0.15, 0.15), (-0.05, 0.05)),
+          "blade_b": ((-0.9, -0.3), (-0.15, 0.15), (-0.05, 0.05)),
+          "blade_c": ((-0.15, 0.15), (0.3, 0.9), (-0.05, 0.05))}
+# "corner" is one face of "farfield": fixed markers may share points
+PLATES_MESH = with_first_face(box_with_plates_mesh(6, 1.2, PLATES),
+                              "corner", "farfield")
+PLATES_POINTS = {name: extract_marker_points(PLATES_MESH, name)
+                 for name in PLATES}
+
+ANGLE = st.floats(-15.0, 15.0).map(np.radians).map(float)
+SERIES = st.builds(MotionSeries, ANGLE,
+                   st.lists(ANGLE, max_size=2).map(tuple),
+                   st.lists(ANGLE, max_size=2).map(tuple))
+
+
+@st.composite
+def rotor_configs(draw):
+    """1-3 blades, blade markers on the first 1-3 of them, a hinge offset,
+    flap, lead-lag and pitch laws of up to two harmonics, and fixed
+    markers that may overlap."""
+    n_blades = draw(st.integers(1, 3))
+    markers = draw(st.permutations(list(PLATES)))[
+        :draw(st.integers(1, n_blades))]
+    cfg = replace(parse_motion_config(STILL_ROTOR), n_blades=n_blades,
+                  hinge=(draw(st.floats(0.0, 0.25)), 0.0, 0.0),
+                  flap=draw(SERIES), leadlag=draw(SERIES),
+                  pitch=draw(SERIES), fixed_markers=draw(st.sampled_from(
+                      [("farfield",), ("farfield", "corner")])))
+    return cfg, markers
+
+
+# one example is a whole run, so a fifth of the profile's examples
+@settings(max_examples=max(10, settings.default.max_examples // 5),
+          deadline=None)
+@given(case=rotor_configs(), steps_per_rev=st.integers(3, 12))
+def test_any_motion_keeps_the_surface_and_the_period(case, steps_per_rev):
+    """At every step of two revolutions: the surface error is within
+    greedy_tol, every blade point is within greedy_tol of blade_point at
+    its blade's azimuth offset, and the state of revolution 2 is that of
+    revolution 1 bit for bit, the grid velocity by phase and scheme. A
+    motion that inverts cells stops at the first step that does."""
+    cfg, markers = case
+    n = steps_per_rev
+    tol = cfg.rbf.greedy_tol
+    results = []
+    try:
+        for r in run_deformation(PLATES_MESH, cfg, markers,
+                                 steps_per_rev=n, revolutions=2.0):
+            results.append(r)
+    except DeformationFailure as exc:
+        # revolution 1 checks each phase once; later ones replay it
+        assert exc.step == len(results) < n
+        assert exc.last_good == exc.step - 1
+        assert exc.report.negative_volume_count > 0
+    assert all(r.quality.negative_volume_count == 0 for r in results)
+    if results:
+        assert results[0].history.converged
+    seen = {}
+    for r in results:
+        assert r.surface_max_err <= tol
+        for b, name in enumerate(markers):
+            idx, coords = PLATES_POINTS[name]
+            offset = 2.0 * np.pi * b / cfg.n_blades
+            target = blade_point(coords @ azimuth_matrix(offset),
+                                 cfg.blade_motion(b), r.time)[0]
+            assert np.linalg.norm(r.points[idx] - target, axis=1).max() \
+                <= tol
+        first = results[r.step % n]
+        assert np.array_equal(r.rotor_points, first.rotor_points)
+        assert np.array_equal(r.points, first.points)
+        first = seen.setdefault((r.step % n, r.velocity_scheme), r)
+        assert np.array_equal(r.grid_velocity, first.grid_velocity)

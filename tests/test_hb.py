@@ -1,6 +1,13 @@
+import contextlib
+import io
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotormesh.cli import main
 from rotormesh.hb import (FrequencySet, apply, build_operator,
                           choose_instances)
 
@@ -160,3 +167,71 @@ def test_commensurate_multi_harmonic_equispaced():
     t = choose_instances(fs)
     period = 2 * np.pi / 4.0
     assert np.allclose(t, np.arange(5) * period / 5)
+
+
+@st.composite
+def tone_sets(draw):
+    """w1 and the 1-6 multiples of it that are the tones, 1 among them:
+    either any multiples up to 12, two of which may alias at the N = 2K + 1
+    equispaced instances of K tones, or a set that does not alias, whose
+    multiple for each residue r = 2..K is r or N - r, plus N or not (the
+    harmonics 1..K among them)."""
+    w1 = draw(st.floats(0.01, 100.0))
+    if draw(st.booleans()):
+        return w1, sorted({1, *draw(st.lists(st.integers(2, 12),
+                                             max_size=5))})
+    n = 2 * draw(st.integers(1, 6)) + 1
+    return w1, [1, *(draw(st.sampled_from([r, n - r]))
+                     + n * draw(st.integers(0, 1))
+                     for r in range(2, n // 2 + 1))]
+
+
+@settings(deadline=None)
+@given(tones=tone_sets(), data=st.data())
+def test_exact_on_resolved_tones_of_any_set(tones, data):
+    """apply is exact to 1e-10 relative on any signal of the tones, and
+    rotormesh hb reports a test tone resolved only when it is 0 or one of
+    the tones; an unresolved one is visibly not differentiated. Only a set
+    two of whose tones alias at its equispaced instances is rejected."""
+    w1, ks = tones
+    w = w1 * np.array(ks, dtype=float)
+    fs = FrequencySet((0.0, *w, *-w))
+    assert fs.commensurate
+    n = fs.count
+    multiple = data.draw(st.integers(-max(ks) - 2, max(ks) + 2))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["hb", "--omega=" + ",".join(map(repr, w.tolist())),
+                     f"--tone-multiple={multiple}", "--output", os.devnull])
+    try:
+        op = build_operator(fs)
+    except ValueError as exc:
+        # only where two tones alias at the N equispaced instances
+        assert "near-singular" in str(exc)
+        assert len({0, *(k % n for k in ks), *(-k % n for k in ks)}) < n
+        assert code == 1 and "near-singular" in err.getvalue()
+        return
+
+    # 0 or at least 1e-6 in size: products that underflow keep no
+    # relative precision to test
+    coef = st.floats(-1.0, 1.0).map(lambda x: round(x, 6))
+    c0 = data.draw(coef)
+    a, b = (np.array(data.draw(st.lists(coef, min_size=len(ks),
+                                        max_size=len(ks))))
+            for _ in range(2))
+    wt = np.outer(op.instances, w)
+    signal = c0 + (a * np.cos(wt) + b * np.sin(wt)).sum(axis=1)
+    exact = (w * (b * np.cos(wt) - a * np.sin(wt))).sum(axis=1)
+    scale = w.max() * (abs(c0) + np.abs(a).sum() + np.abs(b).sum())
+    assert np.abs(apply(op, signal) - exact).max() <= 1e-10 * scale
+
+    assert code == 0
+    report = err.getvalue().splitlines()[-1]
+    error = float(report.rsplit(" ", 1)[1])
+    if multiple == 0 or abs(multiple) in ks:
+        assert "(resolved)" in report
+        assert error <= 1e-10 * abs(multiple) * w1
+    else:
+        # it aliases to a tone of another magnitude, or to 0
+        assert "(unresolved)" in report
+        assert error >= 0.5 * w1

@@ -10,6 +10,7 @@ from scipy.spatial.distance import cdist
 from meshgen import shell_mesh
 
 import rotormesh.rbf as rbf
+from rotormesh.mesh import extract_marker_points
 from rotormesh.rbf import (RbfConfig, RbfKernel, RbfSolution, RbfSystemError,
                            deform_mesh, evaluate_field, greedy_select,
                            kernel_eval, solve_weights)
@@ -610,21 +611,37 @@ def _config(**kw):
     return RbfConfig(**defaults)
 
 
+def _moving_and_fixed(mesh, disp_of, fixed="outer"):
+    """The points of marker "inner", moved by disp_of(coords), then those
+    of the fixed marker with zero rows."""
+    idx, coords = extract_marker_points(mesh, "inner")
+    still = extract_marker_points(mesh, fixed)[0] if fixed else idx[:0]
+    return (np.concatenate([idx, still]),
+            np.vstack([disp_of(coords), np.zeros((len(still), 3))]))
+
+
+def _levels(history):
+    """The greedy record without its wall times."""
+    return [(lv.level, lv.points, lv.max_err, lv.mean_err)
+            for lv in history.levels]
+
+
 def test_deform_zero_displacement_identity():
     mesh = shell_mesh()
-    from rotormesh.mesh import extract_marker_points
-    idx, _ = extract_marker_points(mesh, "inner")
-    result = deform_mesh(mesh, {"inner": np.zeros((len(idx), 3))},
-                         fixed_markers=("outer",), config=_config())
+    idx, disp = _moving_and_fixed(mesh, np.zeros_like)
+    result = deform_mesh(mesh, idx, disp, config=_config())
     assert result.mesh is mesh  # bitwise-identical points
+    # no center was selected
+    assert _levels(result.history) == [(1, 0, 0.0, 0.0)]
+    assert result.history.converged
 
 
 def test_deform_translation_with_affine():
     mesh = shell_mesh()
-    from rotormesh.mesh import extract_marker_points
-    idx, _ = extract_marker_points(mesh, "inner")
     u = np.array([0.02, -0.01, 0.03])
-    result = deform_mesh(mesh, {"inner": np.tile(u, (len(idx), 1))},
+    idx, disp = _moving_and_fixed(mesh, lambda c: np.tile(u, (len(c), 1)),
+                                  fixed=None)
+    result = deform_mesh(mesh, idx, disp,
                          config=_config(with_affine=True, greedy_tol=1e-9))
     assert np.allclose(result.mesh.points, mesh.points + u, atol=1e-8)
 
@@ -632,115 +649,62 @@ def test_deform_translation_with_affine():
 def test_deform_pitch_keeps_positive_volumes():
     mesh = shell_mesh()
     from rotormesh.kinematics import hinge_matrix
-    from rotormesh.mesh import extract_marker_points
-    idx, coords = extract_marker_points(mesh, "inner")
     rot = hinge_matrix(0.0, 0.0, np.radians(10.0))
-    disp = coords @ rot.T - coords
-    result = deform_mesh(mesh, {"inner": disp}, fixed_markers=("outer",),
-                         config=_config(greedy_tol=1e-6))
+    idx, disp = _moving_and_fixed(mesh, lambda c: c @ rot.T - c)
+    result = deform_mesh(mesh, idx, disp, config=_config(greedy_tol=1e-6))
     assert result.quality_after.negative_volume_count == 0
     assert result.history.final_max_err < 1e-6
 
 
-def test_deform_conflicting_markers():
+def test_deform_rejects_a_repeated_point():
+    """A point listed twice, even with equal rows, is rejected by the
+    lowest such index, whatever the listed order."""
     mesh = shell_mesh()
-    from rotormesh.mesh import extract_marker_points
-    idx, _ = extract_marker_points(mesh, "inner")
-    disp = np.tile([0.01, 0.0, 0.0], (len(idx), 1))
-    with pytest.raises(ValueError, match="conflicting"):
-        deform_mesh(mesh, {"inner": disp}, fixed_markers=("inner",),
-                    config=_config())
+    idx, disp = _moving_and_fixed(mesh, np.zeros_like)
+    twice = idx[[5, 2]]
+    idx, disp = np.concatenate([idx, twice[::-1]]), np.vstack([disp, disp[:2]])
+    with pytest.raises(ValueError) as exc:
+        deform_mesh(mesh, idx, disp, config=_config())
+    assert str(exc.value) == f"point {twice.min()} is listed twice"
 
 
 def test_deform_fixed_markers_unmoved():
     mesh = shell_mesh()
-    from rotormesh.mesh import extract_marker_points
-    idx, coords = extract_marker_points(mesh, "inner")
-    disp = np.tile([0.03, 0.0, 0.0], (len(idx), 1))
-    result = deform_mesh(mesh, {"inner": disp}, fixed_markers=("outer",),
-                         config=_config(greedy_tol=1e-7))
-    out_idx, _ = extract_marker_points(mesh, "outer")
+    idx, disp = _moving_and_fixed(
+        mesh, lambda c: np.tile([0.03, 0.0, 0.0], (len(c), 1)))
+    result = deform_mesh(mesh, idx, disp, config=_config(greedy_tol=1e-7))
+    inner = extract_marker_points(mesh, "inner")[0]
+    out_idx = extract_marker_points(mesh, "outer")[0]
     assert np.abs(result.mesh.points[out_idx]
                   - mesh.points[out_idx]).max() < 1e-7
-    moved = result.mesh.points[idx] - mesh.points[idx]
-    assert np.abs(moved - disp).max() < 1e-6
+    moved = result.mesh.points[inner] - mesh.points[inner]
+    assert np.abs(moved - disp[:len(inner)]).max() < 1e-6
 
 
-def _merge_reference(entries):
-    """The per-point loop the array merge replaced."""
-    merged = {}
-    for indices, disp, label in entries:
-        for idx, vec in zip(indices, disp):
-            prev = merged.get(int(idx))
-            if prev is not None and not np.allclose(prev, vec, atol=1e-12):
-                raise ValueError(
-                    f"conflicting displacement at point {idx} from {label}")
-            merged[int(idx)] = vec
-    keys = sorted(merged)
-    return np.array(keys, dtype=np.intp), np.array([merged[k] for k in keys])
+def test_deform_order_free_and_checked():
+    """The listed order of the points does not change the result, bit for
+    bit; malformed indices or displacements are rejected by name."""
+    mesh = shell_mesh()
+    from rotormesh.kinematics import hinge_matrix
+    rot = hinge_matrix(np.radians(3.0), 0.0, np.radians(6.0))
+    idx, disp = _moving_and_fixed(mesh, lambda c: c @ rot.T - c)
+    cfg = _config(greedy_tol=1e-6)
+    base = deform_mesh(mesh, idx, disp, config=cfg)
+    perm = np.random.default_rng(3).permutation(len(idx))
+    shuffled = deform_mesh(mesh, list(idx[perm]), disp[perm], config=cfg)
+    assert shuffled.mesh.points.tobytes() == base.mesh.points.tobytes()
+    assert _levels(shuffled.history) == _levels(base.history)
+    assert shuffled.history.converged == base.history.converged
 
-
-def test_deform_three_overlapping_markers():
-    """xmin and ymin share an edge and agree within the tolerance; zmin
-    shares edges with both and conflicts first at point 0."""
-    from meshgen import box_hex_mesh
-    from rotormesh.mesh import extract_marker_points
-    mesh = box_hex_mesh(2, 2, 2)
-
-    def tiled(name, vec):
-        return np.tile(vec, (len(extract_marker_points(mesh, name)[0]), 1))
-
-    disp = {"xmin": tiled("xmin", [0.01, 0.0, 0.0]),
-            "ymin": tiled("ymin", [0.01 + 1e-13, 0.0, 0.0])}
-    result = deform_mesh(mesh, disp, config=_config())
-    assert result.history.converged
-    disp["zmin"] = tiled("zmin", [0.0, 0.0, 0.01])
-    with pytest.raises(ValueError) as exc:
-        deform_mesh(mesh, disp, config=_config())
-    assert str(exc.value) == \
-        "conflicting displacement at point 0 from marker 'zmin'"
-
-
-# 1 + _EDGE is within np.allclose's tolerance of 1, but not 1 of it
-_EDGE = 1e-5 + 5e-11
-
-
-def _check_merge(entries):
-    try:
-        expected = _merge_reference(entries)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            rbf._merge_displacements(entries)
-        assert str(got.value) == str(exc)
-        return
-    idx, disp = rbf._merge_displacements(entries)
-    assert idx.tolist() == expected[0].tolist()
-    assert np.array_equal(disp.reshape(-1, 3), expected[1].reshape(-1, 3))
-
-
-@pytest.mark.parametrize("first,second", [
-    (1.0, 1.0 + _EDGE),   # agrees: the second entry wins
-    (1.0 + _EDGE, 1.0),   # conflicts in this argument order
-    (0.0, 1e-13),         # agrees within atol: the second entry wins
-])
-def test_merge_displacements_order_rules(first, second):
-    point = np.array([3], dtype=np.intp)
-    _check_merge([(point, np.array([[first, 0.0, 0.0]]), "marker 'a'"),
-                  (point, np.array([[second, 0.0, 0.0]]), "marker 'b'")])
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_merge_displacements_matches_per_point_loop(data):
-    """Values one relative tolerance apart agree in one argument order only,
-    so the comparison order and the last-wins rule both show."""
-    values = st.sampled_from([1.0, 1.0 + 1e-13, 1.0 + _EDGE, 2.0])
-    entries = []
-    for k in range(data.draw(st.integers(0, 4))):
-        idx = np.array(sorted(data.draw(st.sets(st.integers(0, 6),
-                                                max_size=5))), dtype=np.intp)
-        x = data.draw(st.lists(values, min_size=len(idx), max_size=len(idx)))
-        disp = np.zeros((len(idx), 3))
-        disp[:, k % 3] = x
-        entries.append((idx, disp, f"marker 'm{k}'"))
-    _check_merge(entries)
+    n = len(mesh.points)
+    nan = disp.copy()
+    nan[7, 1] = np.nan
+    for args, message in (
+            ((idx[:, None], disp), "1-D indices"),
+            ((idx, disp[:-1]), r"\(n, 3\) displacements"),
+            ((idx, disp[:, :2]), r"\(n, 3\) displacements"),
+            ((idx, nan), "must be finite"),
+            ((np.where(idx == idx.max(), n, idx), disp), r"\[0, %d\)" % n),
+            ((np.where(idx == idx.min(), -1, idx), disp), r"\[0, %d\)" % n)):
+        with pytest.raises(ValueError, match=message):
+            deform_mesh(mesh, *args, config=cfg)
