@@ -22,7 +22,7 @@ from .config import (_NUMBER, ConfigError, FIXTURE_NAMES, load_fixture,
 from .driver import DeformationFailure, run_deformation
 from .geometry import cell_geometry, orthogonality_metrics, topology
 from .kinematics import blade_normal_mach, eval_series
-from .mesh import (Mesh, MeshFormatError, _n_rows, _rows, _vtk_cells,
+from .mesh import (Mesh, MeshFormatError, _float_rows, _n_rows, _vtk_cells,
                    _vtk_points, parse_mesh, write_vtk)
 from .supermesh import build_supermesh, interface_from_markers
 
@@ -108,7 +108,7 @@ def cmd_sweep(args) -> int:
     rows = np.column_stack([np.degrees(psi), r, *np.degrees(motion),
                             blade_normal_mach(r, cfg.flight, psi)])
     csv = ("psi_deg,r_over_R,beta_deg,delta_deg,theta_deg,mach_normal\n"
-           + _rows("%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n", rows))
+           + _float_rows(rows, 12, ","))
     if args.output:
         Path(args.output).write_text(csv)
     else:
@@ -186,10 +186,10 @@ def cmd_deform(args) -> int:
     (outdir / "quality.csv").write_text(
         "step,psi_deg,min_orthogonality_deg,negative_volume_count,min_volume,"
         "surface_max_err\n"
-        + _rows("%d,%.12g,%.12g,%d,%.12g,%.12g\n", quality_rows))
+        + _float_rows(quality_rows, 12, ","))
     (outdir / "greedy.csv").write_text(
         "step,level,points,max_err,mean_err,seconds\n"
-        + _rows("%d,%d,%d,%.12g,%.12g,%.12g\n", greedy_rows))
+        + _float_rows(greedy_rows, 12, ","))
     meta = {
         "mesh": args.mesh,
         "config": args.config,
@@ -271,8 +271,8 @@ def cmd_hb(args) -> int:
     err = approx - exact
 
     csv = ("t,input,exact_derivative,hb_derivative,error\n"
-           + _rows("%.12g,%.12g,%.12g,%.12g,%.12g\n",
-                   np.column_stack([t, signal, exact, approx, err])))
+           + _float_rows(np.column_stack([t, signal, exact, approx, err]),
+                         12, ","))
     if args.output:
         Path(args.output).write_text(csv)
     else:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _COMMENSURATE_RTOL = 1e-9
+_MAX_CONDITION = 1e12  # of a basis matrix build_operator accepts
 _CANDIDATES = 200    # jittered instance sets tried for a non-commensurate set
 _SEED = 20210527     # their seed, so the choice is reproducible
 
@@ -88,23 +89,20 @@ def choose_instances(fs: FrequencySet) -> np.ndarray:
     """The fs.count time instances for the operator.
 
     Commensurate sets get the classic equispaced placement over the base
-    period. Non-commensurate (almost-periodic) sets pick, out of a seeded
-    batch of jittered equispaced candidates, the one whose basis matrix is
-    best conditioned.
+    period, unless two of their tones alias there (as 4 = -1 mod 5 does for
+    the tones 1 and 4). Those and non-commensurate (almost-periodic) sets
+    pick, out of a seeded batch of jittered equispaced candidates, the one
+    whose basis matrix is best conditioned.
     """
     n = fs.count
     base = np.arange(n) * fs.base_period / n
-    if fs.commensurate:
+    if fs.commensurate and \
+            np.linalg.cond(_basis_matrix(fs, base)[0]) <= _MAX_CONDITION:
         return base
-    rng = np.random.default_rng(_SEED)
-    best, best_cond = base, np.linalg.cond(_basis_matrix(fs, base)[0])
-    for _ in range(_CANDIDATES):
-        jitter = rng.uniform(-0.45, 0.45, n)
-        trial = (np.arange(n) + jitter) * fs.base_period / n
-        cond = np.linalg.cond(_basis_matrix(fs, trial)[0])
-        if cond < best_cond:
-            best, best_cond = trial, cond
-    return best
+    jitter = np.random.default_rng(_SEED).uniform(-0.45, 0.45,
+                                                  (_CANDIDATES, n))
+    trials = np.vstack([base, (np.arange(n) + jitter) * fs.base_period / n])
+    return trials[np.argmin(np.linalg.cond(_basis_matrix(fs, trials)[0]))]
 
 
 def _basis_matrix(fs: FrequencySet, instances: np.ndarray):
@@ -114,7 +112,7 @@ def _basis_matrix(fs: FrequencySet, instances: np.ndarray):
     for w in fs.positive:
         cols.extend([np.cos(w * t), np.sin(w * t)])
         dcols.extend([-w * np.sin(w * t), w * np.cos(w * t)])
-    return np.column_stack(cols), np.column_stack(dcols)
+    return np.stack(cols, axis=-1), np.stack(dcols, axis=-1)
 
 
 def build_operator(fs: FrequencySet, instances=None) -> SpectralOperator:
@@ -132,7 +130,7 @@ def build_operator(fs: FrequencySet, instances=None) -> SpectralOperator:
         raise ValueError("time instances must be distinct")
     e, edot = _basis_matrix(fs, t)
     cond = float(np.linalg.cond(e))
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > _MAX_CONDITION:
         raise ValueError(
             f"basis matrix near-singular at these instances "
             f"(condition estimate {cond:.3e})")

@@ -324,7 +324,7 @@ def parse_mesh(text: str) -> Mesh:
 
 
 def _rows(fmt: str, a) -> str:
-    """Every row of a formatted by fmt in one % pass: the %d and %.12g rows."""
+    """Every row of a formatted by fmt in one % pass: the %d connectivity."""
     return (fmt * len(a)) % tuple(np.ravel(a).tolist())
 
 
@@ -333,87 +333,127 @@ def _halves(a):  # Veltkamp's split into high + low halves of 26 bits
     return high, a - high
 
 
-# Column x + 31: 10**(16 - x) as hi + lo, for decimal exponents x in [-31, 30]
-_TEN = np.array([[float(t), float(t - Fraction(float(t)))] for t in
-                 (Fraction(10) ** (16 - x) for x in range(-31, 31))]).T
-# "%04d" bytes of each 4-digit group; the last nonzero digit of each (-99
-# for 0000) as an index into the 17 digits, which start at byte 3 of the
-# first group; masks that keep digits 0..k of the groups' 20 bytes.
+# Column p + 19: 10**p as hi + lo and hi's halves, for p in [-19, 47]
+_TEN = np.array([[h, float(t - Fraction(h)), *_halves(h)] for t in
+                 (Fraction(10) ** p for p in range(-19, 48))
+                 for h in [float(t)]]).T
+# By 4-digit group g: "%04d" with a point after each digit, and the last
+# nonzero digit (-99 for 0000); by g, "%4d" with the spaces as 0 bytes, and
+# by 10**4 + g, "%04d", for groups after the first nonzero one.
 _ASCII = np.frombuffer(b"".join(b"%04d" % v for v in range(10**4)), "<u4")
+_DOTTED = (_ASCII.view(np.uint8).astype("<u2") | 0x2E00).view("<u8")
 _LAST = np.array([len((b"%04d" % v).rstrip(b"0")) - 1 if v else -99
                   for v in range(10**4)], np.int8)
-_GROUP_START = np.array([-3, 1, 5, 9, 13], np.int8)[:, None]
-_KEEP = np.array([[0] * 3 + [255] * (k + 1) + [0] * (16 - k)
-                  for k in range(17)], np.uint8).view("<u4")
-_PREFIX = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0"
-                        b"0.000", np.uint8).reshape(5, 5)  # for X = -1..-4
-_EXPONENT = np.frombuffer(b"".join(b"e%+03d" % x for x in range(-30, 31)),
-                          np.uint8).reshape(61, 4)
+_GROUPS = np.concatenate([np.frombuffer(b"".join(
+    b"%4d" % v for v in range(10**4)).replace(b" ", b"\0"), "<u4"), _ASCII])
+# By 64 s + x + 32 for sign s and decimal exponent x in [-32, 32): a slot
+# for the separator, the sign, the "0.000" of -4 <= x < 0; then the % mark.
+_HEAD = np.frombuffer(b"".join(
+    (b"\0" + s + b"0.000"[:1 - x] * (-4 <= x < 0)).ljust(8, b"\0") for s in
+    (b"\0", b"-") for x in range(-32, 32)) + b"\0\1" + bytes(6), "<u8")
+# By digit count d: by x + 32, the exponent text and the group byte whose
+# digit the point follows (none if in the -d % 4 bytes before digit 0); by
+# 24 k + p + 4, the mask of dotted groups that keeps the digits to byte k
+# and the point after byte p if 0 <= p < k.
+_FORM = {d: (np.frombuffer(b"".join(bytes(4) if -4 <= x < d else b"e%+03d" % x
+                                    for x in range(-32, 32)), "<u4"),
+             np.array([x * (-4 <= x < d) - d % -4 for x in range(-32, 32)]),
+             np.array([[255 * (-d % 4 <= j // 2 and (
+                 p == j // 2 < k if j % 2 else j // 2 <= k))
+                        for j in range(-d // 4 * -8)] for k in range(20)
+                       for p in range(-4, 20)], np.uint8).view("<u8"))
+         for d in (12, 17)}
 
 
-def _scaled(ax: np.ndarray, x: np.ndarray):
-    """floor(ax * 10**(16 - x)) as int64 and the fraction it drops, both to
-    within 2**-45: Dekker's product with the double-double power of ten."""
-    hi, lo = _TEN.take(x + 31, axis=1)
-    p = ax * hi
-    (ah, al), (bh, bl) = _halves(ax), _halves(hi)
-    rest = ((ah * bh - p) + ah * bl + al * bh) + al * bl + ax * lo
-    whole = np.floor(p)
-    rest += p - whole
+def _scaled(ax: np.ndarray, p: np.ndarray):
+    """floor(ax * 10**p) as int64 and the fraction it drops, both to within
+    2**-45: Dekker's product with the double-double power of ten."""
+    hi, lo, bh, bl = _TEN.take(p + 19, axis=1)
+    prod = ax * hi
+    ah, al = _halves(ax)
+    rest = ((ah * bh - prod) + ah * bl + al * bh) + al * bl + ax * lo
+    rest += prod - (whole := np.floor(prod))
     low = np.floor(rest)
-    return whole.astype(np.int64) + low.astype(np.int64), rest - low
+    return np.add(whole, low, dtype=np.int64, casting="unsafe"), rest - low
 
 
-def _float_rows(a) -> str:
-    """The rows of the (n, c) float array a ((n,) is one column) as
-    _rows(" ".join(["%.17g"] * c) + "\\n", a) formats them, byte for byte.
-
-    The 17 digits of v are round-half-even(|v| * 10**(16 - X)) for the
-    exponent X that puts the floor of the unrounded product in [10**16,
-    10**17); a carry to 10**17 moves X up one (Steele & White, Gay 1990).
-    Each value is one 44-byte row (sign, the "0.000" of -4 <= X < 0, each
-    digit with a slot for the point after it, the exponent of X < -4 or
-    X > 16, separator) whose 0 bytes are dropped. % formats alone values
-    not finite, outside 1e-30 <= |v| < 1e30 or within 2**-20 of a tie.
-    """
-    a = np.asarray(a, dtype=float)
-    flat, columns = a.ravel(), a.shape[1] if a.ndim > 1 else 1
-    ax = np.abs(flat)
-    nonzero = (ax >= 1e-30) & (ax < 1e30)
-    fast = nonzero | (ax == 0)
+def _float_fields(v: np.ndarray, digits: int, sep: str, field: np.ndarray):
+    """Floats v, (k, n), as "%.{digits}g" formats them after sep into field,
+    (k, n, 3 + 2 g) words (g digit groups); returns the mask left to %."""
+    shape, v = v.shape, v.ravel()
+    ax, top = np.abs(v), 10**(digits - 1)
+    fast = (nonzero := (ax >= 1e-30) & (ax < 1e30)) | (ax == 0)
     ax = np.where(nonzero, ax, 1.0)
     x = np.floor(np.log10(ax)).astype(np.int64)
-    whole, frac = _scaled(ax, x)
-    for step in (-1, 1):  # the log may be one off next to a power of ten
-        off = np.flatnonzero(whole < 10**16 if step < 0 else whole >= 10**17)
-        x[off] += step
-        whole[off], frac[off] = _scaled(ax[off], x[off])
-    fast &= (whole >= 10**16) & (whole < 10**17) & (abs(frac - 0.5) > 2**-20)
-    digits = whole + (frac > 0.5)
-    x += (carry := digits == 10**17)
-    digits = np.where(carry, 10**16, digits) * nonzero  # 0 has X = 0
-    groups = np.empty((5, len(flat)), np.int64)
-    for j in range(4, 0, -1):
-        digits, groups[j] = np.divmod(digits, 10**4)
-    groups[0] = digits
-    last = (_LAST[groups] + _GROUP_START).max(axis=0)  # < 0 for 0
-    fixed = (x >= -4) & (x < 17)
-    point = np.where(fixed, x, 0)  # the digit the point follows, < 0: none
-    out = np.zeros((len(flat), 44), np.uint8)
-    out[:, 6:40:2] = (_ASCII[groups].T & _KEEP.take(
-        np.maximum(last, point), axis=0)).view(np.uint8)[:, 3:]
-    dot = np.flatnonzero((point >= 0) & (point < last))
-    out.reshape(-1)[44 * dot + 7 + 2 * point[dot]] = ord(".")
-    out[:, 1:6] = _PREFIX.take(np.where(fixed & (x < 0), -x, 0), axis=0)
-    rows = np.flatnonzero(~fixed & fast)
-    out[rows, 39:43] = _EXPONENT.take(x[rows] + 30, axis=0)
-    out[~fast, 1:43] = 0
-    out[:, 0] = np.where(fast, np.signbit(flat) * np.uint8(ord("-")), 1)
-    out[:, 43] = ord(" ")
-    out[columns - 1::columns, 43] = ord("\n")
-    text = out.tobytes().translate(None, b"\0").decode()
-    return "%s".join(text.split("\1")) % tuple(  # the values marked 1
-        "%.17g" % v for v in flat[~fast].tolist())
+    whole, frac = _scaled(ax, digits - 1 - x)
+    off = np.flatnonzero((whole < top) | (whole >= 10 * top))
+    if len(off):  # the log was one off, next to a power of ten
+        x[off] += np.where(whole[off] < top, -1, 1)
+        whole[off], frac[off] = _scaled(ax[off], digits - 1 - x[off])
+    fast &= (whole >= top) & (whole < 10 * top) & (abs(frac - 0.5) > 2**-20)
+    whole += frac > 0.5
+    x += (carry := whole == 10 * top) + 32
+    whole = np.where(carry, top, whole) * nonzero  # 0 has x = 0
+    groups, last = np.empty((len(v), -(-digits // 4)), np.int64), -99
+    for j in range(groups.shape[1] - 1, -1, -1):  # // by a constant is fast
+        groups[:, j] = whole - (whole := whole // 10**4) * 10**4
+        last = np.maximum(last, _LAST[groups[:, j]] + 4 * j)  # its byte
+    exponent, point, keep = _FORM[digits]
+    point = point.take(x, mode="clip")
+    text = _DOTTED[groups] & keep.take(
+        24 * np.maximum(last, point) + point + 4, axis=0)
+    field[..., 2:-1] = text.view("<u4").reshape(*shape, -1)
+    field[..., :2] = (_HEAD | np.uint64(ord(sep))).take(np.where(
+        fast, 64 * np.signbit(v) + x, 128), mode="clip").view("<u4").reshape(
+        *shape, 2)
+    field[..., -1] = exponent.take(x, mode="clip").reshape(shape)
+    field[~fast.reshape(shape), 2:] = 0
+    return ~fast.reshape(shape)
+
+
+def _float_rows(a, digits: int = 17, sep: str = " ") -> str:
+    """The rows of the (n, c) array a ((n,) is one column) as
+    _rows(sep.join([f"%.{digits}g"] * c) + "\\n", a) formats them, byte for
+    byte, for 12 or 17 digits.
+
+    Each value is a field of 4-byte words, separator first, in one row matrix
+    per block of rows whose 0 bytes are dropped. A column of integers in [0,
+    10**digits) is its digits. Otherwise the digits are round-half-even(|v|
+    * 10**(digits - 1 - X)) for the X that puts the unrounded product's
+    floor in [10**(digits - 1), 10**digits), moved up one by a carry (Gay
+    1990), after the sign and the "0.000" of -4 <= X < 0, each with a slot
+    for a point, then the exponent of X < -4 or X >= digits. % formats
+    alone values not finite, outside [1e-30, 1e30) or within 2**-20 of a tie.
+    """
+    columns = np.atleast_2d(np.asarray(a, dtype=float).T).copy()
+    top = columns.max(axis=1, initial=0).tolist()
+    ints = [t < 10.0**digits and not np.signbit(c).any() and np.array_equal(
+        c, np.trunc(c)) for c, t in zip(columns, top)]
+    words = [(len("%d" % t) - 1) // 4 + 2 if i else 3 + 2 * -(-digits // 4)
+             for t, i in zip(top, ints)]  # of each column's fields
+    ends, text = 4 * np.cumsum(words), []
+    cuts = [0, *np.flatnonzero(np.diff(words)) + 1, len(words)]
+    step = -(-8192 // max(1, len(ints) - sum(ints)))  # rows of ~8192 floats
+    for block in np.split(columns, range(step, columns.shape[1], step), 1):
+        out = np.zeros((block.shape[1], ends[-1] + 4), np.uint8)
+        slow = np.zeros(block.shape, bool)
+        for lo, hi in zip(cuts, cuts[1:]):  # runs of one field size
+            field = out[:, ends[lo] - 4 * words[lo]:ends[hi - 1]].view(
+                "<u4").reshape(len(out), hi - lo, words[lo]).transpose(1, 0, 2)
+            if ints[lo]:  # sep, 4-digit groups from the first nonzero one
+                q = block[lo:hi, :, None].astype(np.int64) // 10 ** np.arange(
+                    4 * words[lo] - 8, -1, -4)
+                field[..., 0], field[..., 1:] = ord(sep), _GROUPS[
+                    q - q // 10**4 * 10**4 + 10**4 * (q >= 10**4)] * (
+                    (q > 0) | (np.arange(words[lo] - 1) == words[lo] - 2))
+            else:
+                slow[lo:hi] = _float_fields(block[lo:hi], digits, sep, field)
+        out[:, 0], out[:, -4] = 0, ord("\n")
+        text.append(out.tobytes().translate(None, b"\0").decode())
+        if slow.any():  # the values marked 1
+            text[-1] = "%s".join(text[-1].split("\1")) % tuple(
+                f"%.{digits}g" % v for v in block.T[slow.T].tolist())
+    return "".join(text)
 
 
 def _lines_in_order(groups: dict, head: dict) -> str:

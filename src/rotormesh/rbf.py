@@ -282,6 +282,14 @@ def _next_point(err: np.ndarray, selected: list[int]) -> int | None:
     return nxt if masked[nxt] > 0.0 else None
 
 
+def _kernel_column(kernel: RbfKernel, pts: np.ndarray, i: int) -> np.ndarray:
+    """kernel_eval(kernel, cdist(pts, pts[[i]]))[:, 0] bit for bit, without
+    cdist's call cost: the squared differences summed in coordinate order."""
+    d = pts - pts[i]
+    return kernel_eval(kernel, np.sqrt(sum((c * c for c in d.T[1:]),
+                                           d[:, 0] * d[:, 0])))
+
+
 def greedy_select(surface_points, displacements, kernel: RbfKernel,
                   tol: float, level_caps=(8, 32, 64, 256),
                   with_affine: bool = False) -> tuple[RbfSolution, GreedyHistory]:
@@ -382,7 +390,7 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
                 # Newton updates go on from the checked residual
                 running = err_vec
             selected.append(nxt)
-            cols[:, m] = kernel_eval(kernel, cdist(pts, pts[[nxt]]))[:, 0]
+            cols[:, m] = _kernel_column(kernel, pts, nxt)
             if newton:
                 _extend_newton(cols, factor, selected, m, phi0, pts, kernel)
                 basis = m + 1

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import coo_array, csr_array
 from scipy.spatial import cKDTree
 
-from .mesh import Mesh, _n_rows, _rows
+from .mesh import Mesh, _float_rows, _n_rows
 
 
 def signed_area(poly: np.ndarray) -> float:
@@ -328,8 +328,7 @@ class Supermesh:
     def to_csv(self) -> str:
         rows = np.column_stack([self.parent_a, self.parent_b, self.area,
                                 self.weights.data])
-        return "a_face,b_face,area,weight\n" + _rows("%d,%d,%.12g,%.12g\n",
-                                                      rows)
+        return "a_face,b_face,area,weight\n" + _float_rows(rows, 12, ",")
 
 
 def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,

@@ -191,8 +191,9 @@ def tone_sets(draw):
 def test_exact_on_resolved_tones_of_any_set(tones, data):
     """apply is exact to 1e-10 relative on any signal of the tones, and
     rotormesh hb reports a test tone resolved only when it is 0 or one of
-    the tones; an unresolved one is visibly not differentiated. Only a set
-    two of whose tones alias at its equispaced instances is rejected."""
+    the tones. The instances are equispaced unless two tones alias there,
+    and only at equispaced instances is an unresolved tone visibly not
+    differentiated."""
     w1, ks = tones
     w = w1 * np.array(ks, dtype=float)
     fs = FrequencySet((0.0, *w, *-w))
@@ -203,14 +204,10 @@ def test_exact_on_resolved_tones_of_any_set(tones, data):
     with contextlib.redirect_stderr(err):
         code = main(["hb", "--omega=" + ",".join(map(repr, w.tolist())),
                      f"--tone-multiple={multiple}", "--output", os.devnull])
-    try:
-        op = build_operator(fs)
-    except ValueError as exc:
-        # only where two tones alias at the N equispaced instances
-        assert "near-singular" in str(exc)
-        assert len({0, *(k % n for k in ks), *(-k % n for k in ks)}) < n
-        assert code == 1 and "near-singular" in err.getvalue()
-        return
+    op = build_operator(fs)
+    aliased = len({0, *(k % n for k in ks), *(-k % n for k in ks)}) < n
+    assert np.array_equal(op.instances,
+                          np.arange(n) * fs.base_period / n) != aliased
 
     # 0 or at least 1e-6 in size: products that underflow keep no
     # relative precision to test
@@ -232,6 +229,31 @@ def test_exact_on_resolved_tones_of_any_set(tones, data):
         assert "(resolved)" in report
         assert error <= 1e-10 * abs(multiple) * w1
     else:
-        # it aliases to a tone of another magnitude, or to 0
+        # at equispaced instances it aliases to a tone of another
+        # magnitude, or to 0
         assert "(unresolved)" in report
-        assert error >= 0.5 * w1
+        assert aliased or error >= 0.5 * w1
+
+
+def test_tones_aliasing_at_equispaced_instances_get_jittered_ones():
+    """4 = -1 mod 5: the tones 1 and 4 alias at the 5 equispaced instances,
+    where the basis matrix is singular, so the set gets the best conditioned
+    of the jittered instance sets, on which it is exact."""
+    fs = FrequencySet((0.0, 1.0, -1.0, 4.0, -4.0))
+    assert fs.commensurate
+    with pytest.raises(ValueError, match="near-singular"):
+        build_operator(fs, np.arange(5) * fs.base_period / 5)
+    t = choose_instances(fs)
+    assert np.array_equal(t, choose_instances(fs))
+    op = build_operator(fs, t)
+    assert op.condition < 10.0
+    signal = np.sin(4.0 * t) + 0.5 * np.cos(t) - 0.25
+    exact = 4.0 * np.cos(4.0 * t) - 0.5 * np.sin(t)
+    assert np.abs(apply(op, signal) - exact).max() <= 1e-13
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["hb", "--omega", "1,4", "--tone-multiple", "4",
+                     "--output", os.devnull])
+    assert code == 0
+    report = err.getvalue().splitlines()[-1]
+    assert "(resolved)" in report and float(report.rsplit(" ", 1)[1]) <= 1e-13

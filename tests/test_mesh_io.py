@@ -610,10 +610,10 @@ def test_writers_match_per_row_reference(case):
         _ref_vtk("t", moved.points, cells, fields)
 
 
-def _percent_pass(a):
+def _percent_pass(a, digits=17, sep=" "):
     """The one % pass over the rows that _float_rows stands in for."""
-    fmt = " ".join(["%.17g"] * (a.shape[1] if a.ndim > 1 else 1)) + "\n"
-    return (fmt * len(a)) % tuple(a.ravel().tolist())
+    fmt = sep.join([f"%.{digits}g"] * (a.shape[1] if a.ndim > 1 else 1))
+    return ((fmt + "\n") * len(a)) % tuple(a.ravel().tolist())
 
 
 @settings(deadline=None)
@@ -647,6 +647,67 @@ def test_float_rows_match_a_percent_pass_at_their_boundaries():
         "1e-14"
     assert "%.17g" % ties[0] == "1.0000076293945312"
     assert _float_rows(values) == _percent_pass(values)
+
+
+# Exact 12-digit ties: a (13 - j)-digit integer plus an odd multiple of
+# 2**-j has 13 significant digits, the last a 5.
+TIES_12 = np.array([(i * 2**j + odd) / 2**j for j in range(1, 13)
+                    for i in (10**(12 - j), 10**(13 - j) - 1,
+                              3 * 10**(12 - j) + 7)
+                    for odd in (1, 2**j - 1, 2**j // 3 | 1)])
+# Powers of ten and their neighbours, and the values on either side of the
+# switches between fixed and exponent form: X = -5 / -4 and X = 11 / 12.
+POWERS = np.array([float(f"1e{k}") for k in range(-32, 33)])
+BOUNDS_12 = np.concatenate([
+    POWERS, np.nextafter(POWERS, 0), np.nextafter(POWERS, np.inf),
+    [9.9999999999951e-05, 9.9999999999949e-05, 9.9999999999951e-06, 1e-5,
+     999999999999.5, 999999999999.4, 99999999999.951, 99999999999.94]])
+
+
+@st.composite
+def _column_12(draw, n):
+    """n values of one kind, so that whole columns of integers, which take
+    the integer path, are drawn too."""
+    kind = draw(st.sampled_from(("bits", "floats", "integers", "counts",
+                                 "ties", "bounds")))
+    if kind == "bits":
+        return np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=n,
+                                      max_size=n)), np.uint64).view(float)
+    values = {"floats": st.floats(),
+              "integers": st.integers(-10**12, 10**12) | st.integers(
+                  -2**53, 2**53),
+              "counts": st.integers(0, 10**12 - 1),
+              "ties": st.sampled_from(TIES_12) | st.sampled_from(-TIES_12),
+              "bounds": st.sampled_from(BOUNDS_12) | st.sampled_from(
+                  -BOUNDS_12)}[kind]
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), float)
+
+
+@settings(deadline=None)
+@given(columns=st.integers(1, 5), data=st.data())
+def test_float_rows_at_12_digits_match_a_percent_pass(columns, data):
+    """Columns of raw float64 bit patterns, any floats, integers up to
+    +-10**12 and beyond, counts, exact 12-digit ties or boundary values."""
+    n = data.draw(st.integers(0, 24))
+    a = np.column_stack([data.draw(_column_12(n)) for _ in range(columns)])
+    assert _float_rows(a, 12, ",") == _percent_pass(a, 12, ",")
+
+
+def test_float_rows_at_12_digits_match_a_percent_pass_at_their_boundaries():
+    """Every exact tie and boundary value in one column, and a column of
+    counts up to 10**12 - 1 beside a column of floats."""
+    values = np.concatenate([TIES_12, -TIES_12, BOUNDS_12, -BOUNDS_12,
+                             np.arange(-2000.0, 2000.0), 2.0 ** np.arange(64),
+                             [0.0, -0.0, 1e12 - 1, 1e12, 1e12 + 1]])
+    assert ["%.12g" % v for v in TIES_12[[0, 3, 6]]] == \
+        ["100000000000", "1e+12", "300000000008"]  # half to even
+    assert ["%.12g" % v for v in BOUNDS_12[-8:-4]] == \
+        ["0.0001", "9.99999999999e-05", "1e-05", "1e-05"]
+    assert ["%.12g" % v for v in BOUNDS_12[-4:]] == \
+        ["1e+12", "999999999999", "100000000000", "99999999999.9"]
+    assert _float_rows(values, 12, ",") == _percent_pass(values, 12, ",")
+    counts = np.column_stack([np.arange(len(values)) ** 3 % 10**12, values])
+    assert _float_rows(counts, 12, ",") == _percent_pass(counts, 12, ",")
 
 
 @settings(max_examples=100, deadline=None)

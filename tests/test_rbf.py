@@ -508,6 +508,23 @@ def test_newton_greedy_matches_cholesky_greedy(kind, n, seed, shape, tol_exp,
             1e-10 * np.abs(affine).max()
 
 
+@settings(deadline=None)
+@given(kind=st.sampled_from(rbf.KERNEL_KINDS), radius=st.floats(1e-3, 1e3),
+       dim=st.integers(1, 3), data=st.data())
+def test_kernel_column_matches_cdist(kind, radius, dim, data):
+    """An added center's column in greedy_select is the kernel of cdist's
+    distances bit for bit, over coordinates from 1e-3 to 1e3 and beyond."""
+    n = data.draw(st.integers(1, 30))
+    scale = 10.0 ** data.draw(st.integers(-3, 3))
+    coords = st.floats(-1e3, 1e3, allow_nan=False)
+    pts = scale * np.array(data.draw(st.lists(
+        coords, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    i = data.draw(st.integers(0, n - 1))
+    kernel = RbfKernel(kind, support_radius=radius)
+    want = kernel_eval(kernel, cdist(pts, pts[[i]]))[:, 0]
+    assert rbf._kernel_column(kernel, pts, i).tobytes() == want.tobytes()
+
+
 def test_newton_greedy_has_no_per_point_solves(monkeypatch):
     """An added point costs a basis column and a rank-1 residual update:
     one triangular solve per level (its data in the Newton basis) and one
