@@ -120,7 +120,7 @@ def cmd_deform(args) -> int:
     mesh = _load_mesh(args.mesh)
     topology(mesh)  # built and cached now, so a bad face fails before output
     cfg = _load_config(args.config)
-    markers = args.markers.split(",")
+    markers = [name.strip() for name in args.markers.split(",")]
     if args.stride < 1:
         raise UsageError("--stride must be >= 1")
     if cfg.rbf is None:

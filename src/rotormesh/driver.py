@@ -71,8 +71,8 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
-    if revolutions < 0:
-        raise ValueError("revolutions must be >= 0")
+    if not 0 <= revolutions < np.inf:  # NaN fails too
+        raise ValueError("revolutions must be finite and >= 0")
     blade_markers = list(blade_markers)
     if not blade_markers:
         raise ValueError("at least one blade marker required")

@@ -31,6 +31,9 @@ class FrequencySet:
         freqs = np.asarray(sorted(self.frequencies))
         if len(freqs) % 2 == 0 or len(freqs) == 0:
             raise ValueError("frequency count must be odd (0 plus +- pairs)")
+        repeated = freqs[1:][np.diff(freqs) == 0.0]
+        if len(repeated):  # two equal tones make the basis singular
+            raise ValueError(f"tone {float(repeated[-1])!r} is repeated")
         if not np.any(freqs == 0.0):
             raise ValueError("frequency set must include 0")
         pos = freqs[freqs > 0.0]

@@ -323,11 +323,6 @@ def parse_mesh(text: str) -> Mesh:
         raise MeshFormatError(message, linenos[name][position]) from None
 
 
-def _rows(fmt: str, a) -> str:
-    """Every row of a formatted by fmt in one % pass: the %d connectivity."""
-    return (fmt * len(a)) % tuple(np.ravel(a).tolist())
-
-
 def _halves(a):  # Veltkamp's split into high + low halves of 26 bits
     high = 134217729.0 * a - (134217729.0 * a - a)  # 2**27 + 1
     return high, a - high
@@ -412,9 +407,9 @@ def _float_fields(v: np.ndarray, digits: int, sep: str, field: np.ndarray):
 
 
 def _float_rows(a, digits: int = 17, sep: str = " ") -> str:
-    """The rows of the (n, c) array a ((n,) is one column) as
-    _rows(sep.join([f"%.{digits}g"] * c) + "\\n", a) formats them, byte for
-    byte, for 12 or 17 digits.
+    """The rows of the (n, c) array a ((n,) is one column) as one % pass of
+    sep.join([f"%.{digits}g"] * c) + "\\n" over them formats them, byte for
+    byte, for 12 or 17 digits; an integer below 10**digits prints as %d.
 
     Each value is a field of 4-byte words, separator first, in one row matrix
     per block of rows whose 0 bytes are dropped. A column of integers in [0,
@@ -426,11 +421,11 @@ def _float_rows(a, digits: int = 17, sep: str = " ") -> str:
     alone values not finite, outside [1e-30, 1e30) or within 2**-20 of a tie.
     """
     columns = np.atleast_2d(np.asarray(a, dtype=float).T).copy()
-    top = columns.max(axis=1, initial=0).tolist()
-    ints = [t < 10.0**digits and not np.signbit(c).any() and np.array_equal(
-        c, np.trunc(c)) for c, t in zip(columns, top)]
+    top = columns.max(axis=1, initial=0)
+    ints = ((top < 10.0**digits) & ~np.signbit(columns).any(axis=1)
+            & (columns == np.trunc(columns)).all(axis=1)).tolist()
     words = [(len("%d" % t) - 1) // 4 + 2 if i else 3 + 2 * -(-digits // 4)
-             for t, i in zip(top, ints)]  # of each column's fields
+             for t, i in zip(top.tolist(), ints)]  # of each column's fields
     ends, text = 4 * np.cumsum(words), []
     cuts = [0, *np.flatnonzero(np.diff(words)) + 1, len(words)]
     step = -(-8192 // max(1, len(ints) - sum(ints)))  # rows of ~8192 floats
@@ -458,11 +453,12 @@ def _float_rows(a, digits: int = 17, sep: str = " ") -> str:
 
 def _lines_in_order(groups: dict, head: dict) -> str:
     """A line "head[key] v0 v1 ..." for every row of the (conn, rows) groups
-    (as Mesh.cells), ordered by the rows' positions."""
+    (as Mesh.cells), ordered by the rows' positions. The values are counts
+    and indices, far below the 2**53 up to which floats hold integers."""
     lines = np.empty(_n_rows(groups), object)
     for key, (conn, rows) in groups.items():
-        fmt = f"{head[key]}" + " %d" * conn.shape[1] + "\n"
-        lines[rows] = _rows(fmt, conn).splitlines(keepends=True)
+        block = np.insert(conn, 0, head[key], axis=1)
+        lines[rows] = _float_rows(block).splitlines(keepends=True)
     return "".join(lines)
 
 

@@ -457,6 +457,8 @@ def test_deform_config_typo_is_parse_error(tmp_path, capsys, old, new,
 @pytest.mark.parametrize("markers,message", [
     ("blade,blade", "'blade' is listed twice"),
     ("blade,farfield", "'farfield' is also a fixed marker"),
+    (" blade , blade", "'blade' is listed twice"),
+    ("blade, farfield", "'farfield' is also a fixed marker"),
 ])
 def test_deform_bad_marker_list_is_usage_error(tmp_path, capsys, markers,
                                                message):
@@ -470,6 +472,23 @@ def test_deform_bad_marker_list_is_usage_error(tmp_path, capsys, markers,
     assert message in capsys.readouterr().err
     assert not outdir.exists()
 
+
+
+@pytest.mark.parametrize("revolutions", ["nan", "inf", "-1"])
+def test_deform_bad_revolutions_is_usage_error(tmp_path, capsys,
+                                               revolutions):
+    """Exits 1 before any greedy work, not with a traceback once the basis
+    is built."""
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_MOTION)
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--revolutions", revolutions,
+                 "--output-dir", str(outdir)]) == 1
+    assert "revolutions must be finite and >= 0" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("command", ["info", "deform"])
@@ -690,6 +709,17 @@ def test_hb_single_tone(tmp_path, capsys):
                       "error"]
     assert len(rows) == 3
     assert err.startswith("instances: 3, ")
+
+
+@pytest.mark.parametrize("omega", ["1,1", "2.5,1,2.5"])
+def test_hb_repeated_tone_usage_error(omega, tmp_path, capsys):
+    """A tone listed twice would make the basis matrix singular; it is a
+    usage error that names the tone, and nothing is written."""
+    out = tmp_path / "hb.csv"
+    assert main(["hb", "--omega", omega, "--output", str(out)]) == 1
+    tone = float(omega.split(",")[0])
+    assert f"tone {tone!r} is repeated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("omega", ["1,-1", "0,1", "-1,2"])

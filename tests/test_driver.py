@@ -147,6 +147,17 @@ def test_bad_blade_marker_list_rejected_on_call(small_mesh, markers, message):
                         revolutions=0.0)
 
 
+@pytest.mark.parametrize("revolutions", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_revolutions_rejected_on_call(small_mesh,
+                                                             revolutions):
+    """Rejected when called, before the basis is built: a NaN or infinite
+    count has no last step."""
+    cfg = parse_motion_config(STILL_ROTOR)
+    with pytest.raises(ValueError, match="revolutions must be finite"):
+        run_deformation(small_mesh, cfg, ["blade"], steps_per_rev=4,
+                        revolutions=revolutions)
+
+
 def with_first_face(mesh, name, of):
     """mesh plus a marker name: the first face of its marker of."""
     kind, (conn, _) = next(iter(mesh.markers[of].items()))

@@ -29,6 +29,10 @@ def test_frequency_set_validation():
         FrequencySet((-2.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="nonzero"):
         FrequencySet((0.0,))
+    with pytest.raises(ValueError, match="tone 1.0 is repeated"):
+        FrequencySet((0.0, 1.0, -1.0, 1.0, -1.0))
+    with pytest.raises(ValueError, match="tone 0.0 is repeated"):
+        FrequencySet((0.0, 0.0, 0.0, 1.0, -1.0))
     with pytest.raises(TypeError):
         FrequencySet((0.0, 1.0, -1.0), base_period=2 * np.pi)
 

@@ -2,6 +2,7 @@ import re
 import warnings
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from meshgen import (SQUARE_2TRI, box_hex_mesh, mixed_kind_mesh, same_groups,
 from rotormesh.cli import _supermesh_vtk
 from rotormesh.mesh import (CELL_KINDS, KIND_TO_CODE, MARKER_KINDS,
                             TYPE_CODES, VERTEX_COUNT, Mesh, MeshFormatError,
-                            _BadRow, _float_rows, extract_marker_points,
-                            parse_mesh, write_mesh, write_vtk)
+                            _BadRow, _float_rows, _groups, _vtk_cells,
+                            extract_marker_points, parse_mesh, write_mesh,
+                            write_vtk)
 from rotormesh.supermesh import (InterfaceFaceSet, Supermesh, build_supermesh,
                                  interface_from_markers)
 
@@ -510,10 +512,7 @@ def _ref_vtk(title, points, cells, fields):
     out = ["# vtk DataFile Version 3.0", title, "ASCII",
            "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
     out += [" ".join(f"{c:.17g}" for c in p) for p in points]
-    out.append(f"CELLS {len(cells)} {sum(1 + len(v) for _, v in cells)}")
-    out += [" ".join(map(str, [len(v), *v])) for _, v in cells]
-    out.append(f"CELL_TYPES {len(cells)}")
-    out += [str(code) for code, _ in cells]
+    out.append(_ref_vtk_cells(cells).rstrip("\n"))
     if fields:
         out.append(f"POINT_DATA {len(points)}")
     for name, values in fields.items():
@@ -523,6 +522,16 @@ def _ref_vtk(title, points, cells, fields):
         else:
             out.append(f"VECTORS {name} double")
             out += [" ".join(f"{c:.17g}" for c in v) for v in values]
+    return "\n".join(out) + "\n"
+
+
+def _ref_vtk_cells(cells):
+    """The CELLS and CELL_TYPES blocks of (VTK type id, vertex list) cells,
+    in file order, one %d row at a time."""
+    out = [f"CELLS {len(cells)} {sum(1 + len(v) for _, v in cells)}"]
+    out += [" ".join("%d" % i for i in [len(v), *v]) for _, v in cells]
+    out.append(f"CELL_TYPES {len(cells)}")
+    out += ["%d" % code for code, _ in cells]
     return "\n".join(out) + "\n"
 
 
@@ -547,10 +556,11 @@ def _float_array(draw, elements, shape):
 
 
 def _draw_groups(draw, allowed, vertex, max_size):
-    """kind -> (conn, rows) groups of random rows with kinds interleaved."""
+    """kind -> (conn, rows) groups of random rows with kinds interleaved,
+    in shuffled file order."""
     kinds = draw(st.lists(st.sampled_from(allowed), max_size=max_size))
     groups = {}
-    for pos, kind in enumerate(kinds):
+    for pos, kind in zip(draw(st.permutations(range(len(kinds)))), kinds):
         nv = VERTEX_COUNT[kind]
         conn, rows = groups.setdefault(kind, ([], []))
         conn.append(draw(st.lists(vertex, min_size=nv, max_size=nv)))
@@ -608,6 +618,58 @@ def test_writers_match_per_row_reference(case):
     assert "vtk_cells" in moved.derived
     assert write_vtk(moved, fields, title="t") == \
         _ref_vtk("t", moved.points, cells, fields)
+
+
+# Vertex indices at the edges of the writer's 4-digit groups
+GROUP_EDGES = (0, 9, 9999, 10000, 10**8 - 1, 10**8)
+
+
+@st.composite
+def connectivity_at_group_edges(draw):
+    """A stand-in for a Mesh with the attributes write_mesh reads: cells
+    and marker faces of mixed kinds in shuffled file order, with vertex
+    indices at GROUP_EDGES or anywhere below 2 * 10**8. They name points
+    that are not there, which a Mesh rejects, but the writers only format
+    them."""
+    dim = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 3))
+    points = np.zeros((n, 3))
+    points[:, :dim] = _float_array(draw, FINITE, (n, dim))
+    vertex = st.sampled_from(GROUP_EDGES) | st.integers(0, 2 * 10**8)
+    cells = _groups(_draw_groups(draw, CELL_KINDS[dim], vertex, 10))
+    markers = {f"m{m}": _groups(_draw_groups(draw, MARKER_KINDS[dim],
+                                             vertex, 6))
+               for m in range(draw(st.integers(0, 2)))}
+    n_elements = sum(len(rows) for _, rows in cells.values())
+    return SimpleNamespace(dim=dim, points=points, cells=cells,
+                           markers=markers, n_points=n, n_elements=n_elements)
+
+
+@settings(deadline=None)
+@given(mesh=connectivity_at_group_edges(),
+       sizes=st.lists(st.integers(3, 8), max_size=6))
+@example(mesh=_INTERLEAVED, sizes=[3] * 3333 + [4, 5])
+def test_connectivity_at_group_edges_matches_per_row_reference(mesh, sizes):
+    """The integer rows of write_mesh and of the VTK cell blocks, and the
+    --viz polygons, of sizes vertices each. The example's 3333 triangles
+    end at vertex index 9998, so the quadrilateral after them crosses into
+    5-digit indices."""
+    assert write_mesh(mesh) == _ref_write_mesh(mesh)
+    cells = [(KIND_TO_CODE[kind], verts) for kind, verts in _ref_cells(mesh)]
+    assert _vtk_cells(mesh.cells, KIND_TO_CODE) == _ref_vtk_cells(cells)
+
+    vertices = np.arange(2.0 * sum(sizes)).reshape(-1, 2)
+    sm = Supermesh(*[np.empty(0)] * 3, csr_array((0, 0)), np.empty(0),
+                   np.empty(0), vertices, np.array(sizes, np.intp),
+                   np.zeros(len(sizes), np.intp))
+    starts = np.cumsum([0, *sizes]).tolist()
+    polygons = [(7, list(range(a, b))) for a, b in zip(starts, starts[1:])]
+    ref = _ref_vtk("supermesh intersection polygons",
+                   np.pad(vertices, [(0, 0), (0, 1)]), polygons, {})
+    # as lines, so that a failure reports the first bad line at once and
+    # not a diff of the whole 10,000-line text
+    assert _supermesh_vtk(sm).splitlines(keepends=True) == \
+        ref.splitlines(keepends=True)
 
 
 def _percent_pass(a, digits=17, sep=" "):
