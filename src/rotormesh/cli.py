@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -57,6 +58,28 @@ def _numbers(text: str) -> list[float]:
         return [_NUMBER(float(entry)) for entry in entries]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _check_outputs(args) -> None:
+    """Usage error for an output file that cannot be written or an
+    --output-dir that cannot be made, raised before any input is read."""
+    for option in ("output", "viz", "output_dir"):
+        path = getattr(args, option, None)
+        if path is None:
+            continue
+        target, directory = Path(path), option == "output_dir"
+        existing = next(p for p in (target, *target.parents) if p.exists())
+        if existing == target and existing.is_dir() != directory:
+            reason = f"it is {'not ' * directory}a directory"
+        elif existing != target and not existing.is_dir():
+            reason = f"{existing} is not a directory"
+        elif existing not in (target, target.parent) and not directory:
+            reason = f"{target.parent} does not exist"
+        elif not os.access(existing, os.W_OK):
+            reason = f"{existing} is not writable"
+        else:
+            continue
+        raise UsageError(f"cannot write output {path}: {reason}")
 
 
 def _load_config(path: str):
@@ -109,18 +132,17 @@ def cmd_sweep(args) -> int:
                             blade_normal_mach(r, cfg.flight, psi)])
     csv = ("psi_deg,r_over_R,beta_deg,delta_deg,theta_deg,mach_normal\n"
            + _float_rows(rows, 12, ","))
-    if args.output:
-        Path(args.output).write_text(csv)
-    else:
-        sys.stdout.write(csv)
+    (Path(args.output).write_text if args.output else sys.stdout.write)(csv)
     return EXIT_OK
 
 
 def cmd_deform(args) -> int:
+    markers = [name.strip() for name in args.markers.split(",")]
+    if "" in markers:
+        raise UsageError(f"--markers {args.markers!r} has an empty name")
     mesh = _load_mesh(args.mesh)
     topology(mesh)  # built and cached now, so a bad face fails before output
     cfg = _load_config(args.config)
-    markers = [name.strip() for name in args.markers.split(",")]
     if args.stride < 1:
         raise UsageError("--stride must be >= 1")
     if cfg.rbf is None:
@@ -273,10 +295,7 @@ def cmd_hb(args) -> int:
     csv = ("t,input,exact_derivative,hb_derivative,error\n"
            + _float_rows(np.column_stack([t, signal, exact, approx, err]),
                          12, ","))
-    if args.output:
-        Path(args.output).write_text(csv)
-    else:
-        sys.stdout.write(csv)
+    (Path(args.output).write_text if args.output else sys.stdout.write)(csv)
     # resolved: |k| w1 is 0 or one of the tones
     resolved = w_test == 0.0 or bool(np.isclose(
         fs.positive, abs(w_test), rtol=1e-12, atol=0.0).any())
@@ -345,6 +364,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"rotormesh: error: {exc}", file=sys.stderr)

@@ -103,9 +103,15 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
            revolutions: float) -> Iterator[StepResult]:
     dt = cfg.revolution_period / steps_per_rev
     points = mesh.points
-    series = (cfg.flap, cfg.leadlag, cfg.pitch)
     offsets = 2.0 * np.pi * np.arange(len(blade_markers)) / cfg.n_blades
     rots = np.stack([azimuth_matrix(offset) for offset in offsets])
+    # every step takes one of the phases of revolution 1: C_b^T for each
+    # phase and blade, (steps_per_rev, n_blades, 3, 3), then the stacked A_b
+    phases = cfg.omega * (np.arange(steps_per_rev) * dt)
+    c_hinge = hinge_matrix(*(eval_series(s, phases[:, None] + offsets)
+                             for s in (cfg.flap, cfg.leadlag, cfg.pitch)))
+    motions = (rots @ (c_hinge.transpose(2, 3, 1, 0) - np.eye(3))
+               @ rots.transpose(0, 2, 1))
     # every marker point once, and its rigid displacement per unit of each
     # A_b: x - h_b on blade b, h_b its own hinge, and zero elsewhere
     surface = np.unique(np.concatenate(list(markers.values())))
@@ -113,14 +119,11 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
     for b, (name, rot) in enumerate(zip(blade_markers, rots)):
         rigid[np.searchsorted(surface, markers[name]), 3 * b:3 * b + 3] = \
             points[markers[name]] - rot @ np.asarray(cfg.hinge)
-    # |eval_series| <= |mean| + sum |s_k| + sum |c_k|, and three rotations
-    # by beta, delta, theta give ||C - I||_2 <= min(2, |beta| + |delta| +
-    # |theta|), which bounds every ||A_b||_2. Each basis field is solved on
-    # its rigid displacement times n_blades times that bound, so a greedy
-    # converged to greedy_tol keeps every step's surface error below it.
-    bound = sum(abs(s.mean) + sum(map(abs, s.sine_coeffs))
-                + sum(map(abs, s.cosine_coeffs)) for s in series)
-    scale = len(blade_markers) * min(2.0, bound)
+    # each basis field is solved on its rigid displacement times n_blades
+    # times the largest ||A_b||_2 of any step, so a greedy converged to
+    # greedy_tol keeps every step's surface error below it
+    scale = len(blade_markers) * np.linalg.norm(motions, 2,
+                                                axis=(-2, -1)).max()
     fields, levels, converged = [], [], True
     for unit in np.hsplit(scale * rigid, len(blade_markers)):
         res = deform_mesh(mesh, surface, unit, config=cfg.rbf)
@@ -138,12 +141,7 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
 
     for k in range(int(round(steps_per_rev * revolutions)) + 1):
         j = k % steps_per_rev
-        phase = cfg.omega * (j * dt)  # the azimuth within revolution 1
-        # C_b^T of every blade, (n_blades, 3, 3), then the stacked A_b
-        c_hinge = hinge_matrix(*(eval_series(s, phase + offsets)
-                                 for s in series)).transpose(2, 1, 0)
-        motion = (rots @ (c_hinge - np.eye(3)) @ rots.transpose(0, 2, 1)
-                  ).reshape(-1, 3)
+        motion = motions[j].reshape(-1, 3)
         rotor_points = points + basis @ motion
         if j == len(reports):
             report = orthogonality_metrics(mesh.with_points(rotor_points))
@@ -154,7 +152,7 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
             rotor_points[surface] - points[surface] - rigid @ motion,
             axis=1).max(initial=0.0)
 
-        lab_points = rotor_points @ azimuth_matrix(phase).T
+        lab_points = rotor_points @ azimuth_matrix(phases[j]).T
         if len(previous) == 2:
             velocity = grid_velocity_bdf2(lab_points, *previous[::-1], dt)
         elif previous:

@@ -781,6 +781,85 @@ def test_hb_positive_shorthand(capsys):
 
 
 # ---------------------------------------------------------------------------
+# output paths and marker lists, checked before any input is read
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def inputs_unread(tmp_path, monkeypatch):
+    """A deformable box and an interface pair on disk, and the list of the
+    meshes and configs the command reads."""
+    (tmp_path / "box.mesh").write_text(write_mesh(box_with_plate_mesh(n=4)))
+    (tmp_path / "pair.mesh").write_text(write_mesh(
+        stacked_interface_mesh(2, 2)))
+    (tmp_path / "taken").write_text("")
+    read = []
+    for name in ("_load_mesh", "_load_config"):
+        load = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda path, load=load: read.append(path)
+                            or load(path))
+    return read
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["sweep", "ah1g_high_speed", "--output", "{missing}/x.csv"],
+     "{missing}/x.csv"),
+    (["hb", "--omega", "1", "--output", "{missing}/h.csv"], "{missing}/h.csv"),
+    (["interface", "{tmp}/pair.mesh", "iface_a", "iface_b",
+      "--output", "{missing}/x.csv"], "{missing}/x.csv"),
+    (["interface", "{tmp}/pair.mesh", "iface_a", "iface_b",
+      "--output", "{tmp}/ok.csv", "--viz", "{missing}/v.vtk"],
+     "{missing}/v.vtk"),
+    (["interface", "{tmp}/pair.mesh", "iface_a", "iface_b",
+      "--output", "{tmp}"], "{tmp}"),
+    (["deform", "{tmp}/box.mesh", "ah1g_high_speed", "--markers", "blade",
+      "--output-dir", "{tmp}/taken"], "{tmp}/taken"),
+    (["deform", "{tmp}/box.mesh", "ah1g_high_speed", "--markers", "blade",
+      "--output-dir", "{tmp}/taken/out"], "{tmp}/taken/out"),
+], ids=["sweep", "hb", "interface", "interface-viz", "interface-dir",
+        "deform-file", "deform-under-file"])
+def test_unusable_output_path_is_usage_error(tmp_path, inputs_unread, capsys,
+                                             argv, bad):
+    """A missing directory, a directory where a file goes or a file where a
+    directory goes: exit 1 with one line naming the path, before the mesh
+    or config is read, and nothing written."""
+    names = {"tmp": tmp_path, "missing": tmp_path / "missing"}
+    before = sorted(tmp_path.iterdir())
+    assert main([arg.format(**names) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rotormesh: error: cannot write output "
+                          f"{bad.format(**names)}: ")
+    assert err.count("\n") == 1
+    assert inputs_unread == []
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_output_dir_parents_are_made(tmp_path):
+    outdir = tmp_path / "a" / "b"
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_MOTION)
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "2", "--revolutions", "0",
+                 "--output-dir", str(outdir)]) == 0
+    assert (outdir / "quality.csv").exists()
+
+
+@pytest.mark.parametrize("markers", ["blade,", ",blade", "blade,,hub", " "])
+def test_deform_empty_marker_name_is_usage_error(tmp_path, inputs_unread,
+                                                 capsys, markers):
+    outdir = tmp_path / "out"
+    assert main(["deform", str(tmp_path / "box.mesh"), "ah1g_high_speed",
+                 "--markers", markers, "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        f"rotormesh: error: --markers {markers!r} has an empty name\n")
+    assert inputs_unread == []
+    assert not outdir.exists()
+
+
+# ---------------------------------------------------------------------------
 # README
 # ---------------------------------------------------------------------------
 

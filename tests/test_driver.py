@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import strategies as st
 
 from meshgen import box_with_plate_mesh, box_with_plates_mesh
 
-from rotormesh import geometry, hb
+from rotormesh import driver, geometry, hb
 from rotormesh.config import parse_motion_config
 from rotormesh.driver import DeformationFailure, run_deformation
 from rotormesh.kinematics import (BladeMotion, MotionSeries, azimuth_matrix,
-                                  blade_point)
+                                  blade_point, eval_series, hinge_matrix)
 from rotormesh.mesh import Mesh, extract_marker_points
 
 STILL_ROTOR = """
@@ -208,6 +209,26 @@ def test_face_table_built_once_per_sweep(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("steps_per_rev,revolutions",
+                         [(1, 0.0), (4, 2.5), (7, 1.0)])
+def test_kinematics_evaluated_once_per_run(small_mesh, monkeypatch,
+                                           steps_per_rev, revolutions):
+    """The hinge motion of every phase of revolution 1 is one table, built
+    before the basis: one eval_series call per motion law and one
+    hinge_matrix call, whatever the number of steps."""
+    calls = []
+    for name in ("eval_series", "hinge_matrix", "deform_mesh"):
+        def logged(*args, name=name, fn=getattr(driver, name), **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(driver, name, logged)
+    results = list(run_deformation(small_mesh, parse_motion_config(FLAPPING),
+                                   ["blade"], steps_per_rev=steps_per_rev,
+                                   revolutions=revolutions))
+    assert len(results) == round(steps_per_rev * revolutions) + 1
+    assert calls == ["eval_series"] * 3 + ["hinge_matrix", "deform_mesh"]
+
+
 def test_later_revolutions_replay_the_first(small_mesh):
     """Every step deforms the as-built mesh and turns it by its azimuth
     within revolution 1, so the grid is periodic bit for bit: each
@@ -389,3 +410,54 @@ def test_any_motion_keeps_the_surface_and_the_period(case, steps_per_rev):
         assert np.array_equal(r.points, first.points)
         first = seen.setdefault((r.step % n, r.velocity_scheme), r)
         assert np.array_equal(r.grid_velocity, first.grid_velocity)
+
+
+@settings(max_examples=max(10, settings.default.max_examples // 5),
+          deadline=None)
+@given(case=rotor_configs(), steps_per_rev=st.integers(3, 12))
+def test_any_motion_solves_the_basis_at_its_largest_hinge_motion(
+        case, steps_per_rev):
+    """Each basis field is solved on its blade's rigid displacement times
+    n_blades times the largest ||A_b||_2 = ||C_b - I||_2 over the run's
+    phases. That scale never exceeds the bound the config alone gives,
+    n_blades min(2, sum of |mean| + |s_k| + |c_k|), and every step's
+    surface error stays within greedy_tol."""
+    cfg, markers = case
+    n = steps_per_rev
+    dt = cfg.revolution_period / n
+    offsets = 2.0 * np.pi * np.arange(len(markers)) / cfg.n_blades
+    largest = max(
+        np.linalg.norm(hinge_matrix(*(
+            eval_series(s, cfg.omega * (j * dt) + offset)
+            for s in (cfg.flap, cfg.leadlag, cfg.pitch))) - np.eye(3), 2)
+        for j in range(n) for offset in offsets)
+    scale = len(markers) * largest
+    bound = sum(abs(s.mean) + sum(map(abs, s.sine_coeffs))
+                + sum(map(abs, s.cosine_coeffs))
+                for s in (cfg.flap, cfg.leadlag, cfg.pitch))
+    assert scale <= len(markers) * min(2.0, bound) * (1.0 + 1e-12)
+
+    surface = np.unique(np.concatenate(
+        [extract_marker_points(PLATES_MESH, name)[0]
+         for name in (*markers, *cfg.fixed_markers)]))
+    results = []
+    with mock.patch.object(driver, "deform_mesh",
+                           wraps=driver.deform_mesh) as solve:
+        try:
+            for r in run_deformation(PLATES_MESH, cfg, markers,
+                                     steps_per_rev=n, revolutions=1.0):
+                results.append(r)
+        except DeformationFailure:
+            pass
+    assert solve.call_count == len(markers)
+    for b, (name, call) in enumerate(zip(markers, solve.call_args_list)):
+        idx, coords = PLATES_POINTS[name]
+        rigid = np.zeros((len(surface), 3))
+        rigid[np.searchsorted(surface, idx)] = \
+            coords - azimuth_matrix(offsets[b]) @ cfg.hinge
+        mesh, where, displacement = call.args
+        assert mesh is PLATES_MESH
+        assert np.array_equal(where, surface)
+        np.testing.assert_allclose(displacement, scale * rigid,
+                                   rtol=1e-12, atol=1e-15)
+    assert all(r.surface_max_err <= cfg.rbf.greedy_tol for r in results)

@@ -281,7 +281,7 @@ SERIES = st.builds(MotionSeries, mean=ANGLES,
 @settings(max_examples=200, deadline=None)
 @given(series=SERIES, psi=st.floats(-20.0, 20.0))
 def test_series_bounded_by_coefficient_sum(series, psi):
-    """The driver scales its basis data by this bound on every motion law."""
+    """A motion law never exceeds the sum of its coefficients' sizes."""
     bound = (abs(series.mean) + sum(map(abs, series.sine_coeffs))
              + sum(map(abs, series.cosine_coeffs)))
     assert abs(eval_series(series, psi)) <= bound * (1.0 + 1e-12)
@@ -293,7 +293,8 @@ def test_hinge_rotation_departs_from_identity_by_at_most_angle_sum(
         beta, delta, theta):
     """||C - I||_2 <= min(2, |beta| + |delta| + |theta|): each rotation by
     a moves a unit vector by at most 2 |sin(a / 2)| <= |a|, and a rotation
-    never by more than 2. The driver's greedy tolerance rests on this."""
+    never by more than 2. With the bound above, the largest hinge motion
+    that the driver measures never exceeds a bound from the config."""
     norm = np.linalg.norm(hinge_matrix(beta, delta, theta) - np.eye(3), 2)
     bound = min(2.0, abs(beta) + abs(delta) + abs(theta))
     assert norm <= bound * (1.0 + 1e-12) + 1e-15
