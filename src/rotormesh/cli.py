@@ -46,7 +46,7 @@ class UsageError(ValueError):
 def _load_mesh(path: str) -> Mesh:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
     return parse_mesh(text)
 
@@ -87,7 +87,7 @@ def _load_config(path: str):
         return load_fixture(path)
     try:
         return load_motion_config(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
@@ -274,18 +274,17 @@ def _supermesh_vtk(sm) -> str:
 
 
 def cmd_hb(args) -> int:
-    if min(args.omega) <= 0.0:
-        raise UsageError(f"--omega takes positive tones only (0 and the "
-                         f"negative tones follow from them), got "
-                         f"{min(args.omega):g}")
     try:
-        fs = hb.FrequencySet((0.0, *args.omega, *(-w for w in args.omega)))
+        fs = hb.FrequencySet(args.omega)
         op = hb.build_operator(fs)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"--omega: {exc}") from exc
 
-    w1 = float(fs.positive[0])
-    w_test = args.tone_multiple * w1
+    w1, k = fs.positive[0], args.tone_multiple
+    w_test = k * w1 if abs(k) <= sys.float_info.max else np.inf
+    if abs(w_test) == np.inf:
+        raise UsageError(f"--tone-multiple {k} times the fundamental "
+                         f"{w1!r} rad/s is not finite")
     t = op.instances
     signal = np.sin(w_test * t)
     exact = w_test * np.cos(w_test * t)

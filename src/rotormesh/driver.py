@@ -73,6 +73,9 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
         raise ValueError("steps_per_rev must be >= 1")
     if not 0 <= revolutions < np.inf:  # NaN fails too
         raise ValueError("revolutions must be finite and >= 0")
+    if steps_per_rev * revolutions == np.inf:
+        raise ValueError(f"steps_per_rev x revolutions = {steps_per_rev} x "
+                         f"{revolutions:g} is not a finite step count")
     blade_markers = list(blade_markers)
     if not blade_markers:
         raise ValueError("at least one blade marker required")

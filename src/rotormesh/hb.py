@@ -1,77 +1,62 @@
 """Harmonic-balance spectral time-derivative operator.
 
-A signal resolved by frequencies (0, +-w_1, ..., +-w_K) is represented by
-its values at N = 2K + 1 time instances. The operator matrix maps those
-samples to the samples of the exact time derivative of the trigonometric
-interpolant: H = E' E^-1, where E evaluates the real basis
+A signal resolved by the K positive tones w_k (and so by 0 and -w_k) is
+represented by its values at N = 2K + 1 time instances. The operator matrix
+maps those samples to the samples of the exact time derivative of the
+trigonometric interpolant: H = E' E^-1, where E evaluates the real basis
 {1, cos(w_k t), sin(w_k t)} at the instances and E' its derivative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_COMMENSURATE_RTOL = 1e-9
 _MAX_CONDITION = 1e12  # of a basis matrix build_operator accepts
-_CANDIDATES = 200    # jittered instance sets tried for a non-commensurate set
+_CANDIDATES = 200    # jittered instance sets tried after the equispaced one
 _SEED = 20210527     # their seed, so the choice is reproducible
+# no instance set beats sqrt(2): the constant column gives sigma_max >=
+# sqrt(N), and any cos/sin pair has a column that gives sigma_min <= sqrt(N/2)
+_OPTIMAL_CONDITION = math.sqrt(2.0) * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """Symmetric, zero-inclusive angular frequency set (rad/s), such as
-    (0, w1, -w1, 2 w1, -2 w1) in any order. Its base period is 2 pi over
-    the smallest positive tone; harmonics builds the set from w1 alone."""
+    """The K positive angular frequencies (rad/s) of a harmonic-balance set,
+    given in any order and kept sorted; 0 and the negated tones follow from
+    them. Its base period is 2 pi over the smallest tone; harmonics builds
+    the set w1, 2 w1, ..., K w1."""
 
-    frequencies: tuple[float, ...]
+    positive: tuple[float, ...]
 
     def __post_init__(self):
-        freqs = np.asarray(sorted(self.frequencies))
-        if len(freqs) % 2 == 0 or len(freqs) == 0:
-            raise ValueError("frequency count must be odd (0 plus +- pairs)")
-        repeated = freqs[1:][np.diff(freqs) == 0.0]
-        if len(repeated):  # two equal tones make the basis singular
-            raise ValueError(f"tone {float(repeated[-1])!r} is repeated")
-        if not np.any(freqs == 0.0):
-            raise ValueError("frequency set must include 0")
-        pos = freqs[freqs > 0.0]
-        neg = -freqs[freqs < 0.0][::-1]
-        if len(pos) != len(neg) or not np.allclose(pos, neg, rtol=1e-12):
-            raise ValueError("frequency set must be symmetric about 0")
-        if len(pos) == 0:
-            raise ValueError("at least one nonzero frequency required")
-        object.__setattr__(self, "frequencies", tuple(float(f) for f in freqs))
+        tones = tuple(sorted(float(w) for w in self.positive))
+        if not tones or not all(0 < w < math.inf for w in tones):  # NaN fails
+            raise ValueError(f"need positive finite tones (0 and the negative "
+                             f"ones follow from them), got {list(tones)}")
+        repeated = [a for a, b in zip(tones, tones[1:]) if a == b]
+        if repeated:  # two equal tones make the basis singular
+            raise ValueError(f"tone {repeated[-1]!r} is repeated")
+        object.__setattr__(self, "positive", tones)
+        # instances (i + jitter) T / N with i + jitter < N, phases below w_K T
+        if not math.isfinite(self.count * self.base_period * max(*tones, 1.0)):
+            raise ValueError(f"tones {list(tones)} have time instances or "
+                             f"phases over their base period that overflow")
 
     @classmethod
     def harmonics(cls, omega1: float, count: int) -> "FrequencySet":
-        """0, +-omega1, ..., +-count*omega1."""
-        if omega1 <= 0.0 or count < 1:
-            raise ValueError("omega1 must be positive, count >= 1")
-        freqs = [0.0]
-        for k in range(1, count + 1):
-            freqs.extend([k * omega1, -k * omega1])
-        return cls(tuple(freqs))
+        """omega1, 2 omega1, ..., count * omega1."""
+        return cls(tuple(k * omega1 for k in range(1, count + 1)))
 
     @property
     def count(self) -> int:
-        return len(self.frequencies)
-
-    @property
-    def positive(self) -> np.ndarray:
-        return np.asarray([f for f in self.frequencies if f > 0.0])
+        return 2 * len(self.positive) + 1
 
     @property
     def base_period(self) -> float:
-        return float(2.0 * np.pi / self.positive[0])
-
-    @property
-    def commensurate(self) -> bool:
-        pos = self.positive
-        ratios = pos / pos[0]
-        return bool(np.all(np.abs(ratios - np.round(ratios))
-                           <= _COMMENSURATE_RTOL * ratios))
+        return 2.0 * np.pi / self.positive[0]
 
 
 @dataclass(frozen=True)
@@ -80,7 +65,6 @@ class SpectralOperator:
 
     matrix: np.ndarray
     instances: np.ndarray
-    frequencies: FrequencySet
     condition: float
 
     @property
@@ -89,18 +73,16 @@ class SpectralOperator:
 
 
 def choose_instances(fs: FrequencySet) -> np.ndarray:
-    """The fs.count time instances for the operator.
-
-    Commensurate sets get the classic equispaced placement over the base
-    period, unless two of their tones alias there (as 4 = -1 mod 5 does for
-    the tones 1 and 4). Those and non-commensurate (almost-periodic) sets
-    pick, out of a seeded batch of jittered equispaced candidates, the one
-    whose basis matrix is best conditioned.
+    """The fs.count time instances for the operator: the best conditioned
+    of the N equispaced instances over the base period and a seeded batch
+    of jittered ones (Guedeney et al., J. Comput. Phys. 236, 2013). The
+    equispaced set, taken without the search when its condition is sqrt(2)
+    within 1e-9 relative, is optimal for integer multiples of the smallest
+    tone no two of which alias there (as 4 = -1 mod 5 does for 1 and 4).
     """
     n = fs.count
     base = np.arange(n) * fs.base_period / n
-    if fs.commensurate and \
-            np.linalg.cond(_basis_matrix(fs, base)[0]) <= _MAX_CONDITION:
+    if np.linalg.cond(_basis_matrix(fs, base)[0]) <= _OPTIMAL_CONDITION:
         return base
     jitter = np.random.default_rng(_SEED).uniform(-0.45, 0.45,
                                                   (_CANDIDATES, n))
@@ -138,7 +120,7 @@ def build_operator(fs: FrequencySet, instances=None) -> SpectralOperator:
             f"basis matrix near-singular at these instances "
             f"(condition estimate {cond:.3e})")
     h = np.linalg.solve(e.T, edot.T).T
-    return SpectralOperator(h, t, fs, cond)
+    return SpectralOperator(h, t, cond)
 
 
 def apply(op: SpectralOperator, samples) -> np.ndarray:
@@ -147,6 +129,4 @@ def apply(op: SpectralOperator, samples) -> np.ndarray:
     if values.shape[0] != op.size:
         raise ValueError(
             f"expected {op.size} per-instance samples, got {values.shape[0]}")
-    flat = values.reshape(op.size, -1)
-    out = op.matrix @ flat
-    return out.reshape(values.shape)
+    return (op.matrix @ values.reshape(op.size, -1)).reshape(values.shape)

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshgen import (SQUARE_2TRI, box_hex_mesh, box_with_plate_mesh,
                      sector_interface_mesh, stacked_interface_mesh)
@@ -491,6 +496,47 @@ def test_deform_bad_revolutions_is_usage_error(tmp_path, capsys,
     assert not outdir.exists()
 
 
+def test_deform_infinite_step_count_is_usage_error(tmp_path, capsys):
+    """8 steps per revolution over 1e308 revolutions overflow to an
+    infinite step count: exit 1 before the output directory is made."""
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), "ah1g_high_speed", "--markers",
+                 "blade", "--steps-per-rev", "8", "--revolutions", "1e308",
+                 "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        "rotormesh: error: steps_per_rev x revolutions = 8 x 1e+308 is not a "
+        "finite step count\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["info", "{bad}"], "mesh"),
+    (["sweep", "{bad}", "--output", "{tmp}/sweep.csv"], "config"),
+    (["deform", "{bad}", "ah1g_high_speed", "--markers", "blade",
+      "--output-dir", "{tmp}/out"], "mesh"),
+    (["deform", "{tmp}/box.mesh", "{bad}", "--markers", "blade",
+      "--output-dir", "{tmp}/out"], "config"),
+    (["interface", "{bad}", "iface_a", "iface_b", "--output",
+      "{tmp}/x.csv"], "mesh"),
+], ids=["info", "sweep", "deform-mesh", "deform-config", "interface"])
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, argv, kind):
+    """A mesh or config file that is not UTF-8 text is one parse error
+    line naming the file, exit 2, and nothing is written."""
+    bad = tmp_path / "bad.su2"
+    bad.write_bytes(b"NDIME= 2\n\xff\xfe\n")
+    (tmp_path / "box.mesh").write_text(write_mesh(box_with_plate_mesh(n=4)))
+    before = sorted(tmp_path.iterdir())
+    assert main([arg.format(bad=bad, tmp=tmp_path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"rotormesh: parse error: cannot read {kind} file {bad}: "
+                   "'utf-8' codec can't decode byte 0xff in position 9: "
+                   "invalid start byte\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("command", ["info", "deform"])
 def test_face_of_three_cells_is_parse_error(tmp_path, capsys, command):
     """A hex listed three times makes each of its faces bound three cells:
@@ -738,6 +784,26 @@ def test_hb_zero_or_negative_tone_usage_error(omega, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--omega", "1e-310"], "--omega: tones [1e-310] have time instances "
+                            "or phases over their base period that overflow"),
+    (["--omega=1e-300,1e300"], "--omega: tones [1e-300, 1e+300] have"),
+    (["--omega", "1e308", "--tone-multiple", "3"],
+     "--tone-multiple 3 times the fundamental 1e+308 rad/s is not finite"),
+    (["--omega", "1", "--tone-multiple", "1" + "0" * 400],
+     "--tone-multiple 1000"),
+], ids=["subnormal", "ratio-1e600", "test-tone-inf", "multiple-beyond-float"])
+def test_hb_overflow_is_usage_error(argv, message, tmp_path, capsys):
+    """Tones whose instances or phases overflow, and a test tone that does,
+    are one usage error line, with no RuntimeWarning and nothing written."""
+    out = tmp_path / "hb.csv"
+    assert main(["hb", *argv, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rotormesh: error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("multiple", [3, -3])
 def test_hb_unresolved_tone_reported_not_failed(multiple, capsys):
     code = main(["hb", "--omega", "6.2832", "--tone-multiple", str(multiple)])
@@ -857,6 +923,113 @@ def test_deform_empty_marker_name_is_usage_error(tmp_path, inputs_unread,
         f"rotormesh: error: --markers {markers!r} has an empty name\n")
     assert inputs_unread == []
     assert not outdir.exists()
+
+
+# ---------------------------------------------------------------------------
+# any argv: a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+GRAMMAR_FILES = {
+    "box.mesh": write_mesh(box_with_plate_mesh(n=3)).encode(),
+    "pair.mesh": write_mesh(stacked_interface_mesh(2, 2)).encode(),
+    "zero.cfg": ZERO_MOTION.encode(),
+    "bad.bin": b"NDIME= 2\n\xff\xfe\n[rotor]\n",
+}
+# each "{tmp}/..." path is a file of GRAMMAR_FILES, a directory, or missing
+INPUTS = ["{tmp}/box.mesh", "{tmp}/pair.mesh", "{tmp}/zero.cfg", "{tmp}/dir",
+          "{tmp}/none.su2", "{tmp}/none/x.su2", "{tmp}/bad.bin"]
+OUTPUTS = ["{tmp}/zero.cfg", "{tmp}/dir", "{tmp}/none/out",
+           "{tmp}/box.mesh/out"]
+NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-310"]
+HUGE_INT = "1" + "0" * 400  # no float holds it
+
+
+def _either(valid, bad):
+    """A valid value three times in four, else a bad one."""
+    return st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(valid if i < 3 else bad))
+
+
+def _listed(valid, bad):
+    """A comma-separated list of one to three values."""
+    return st.lists(_either(valid, bad), min_size=1, max_size=3).map(
+        ",".join)
+
+
+@st.composite
+def command_lines(draw):
+    """argv of every subcommand from a small grammar: input paths that are
+    files, directories, missing or non-UTF-8; numbers that are NaN, inf,
+    negative, zero, 1e308 or 1e-310; marker lists with empty, spaced and
+    repeated names; output paths that exist, are directories or lie under
+    a missing directory or a file. Tiny meshes, at most 4 steps per
+    revolution and 2 revolutions bound the work; no output goes to the
+    working directory."""
+    command = draw(st.sampled_from(["info", "sweep", "deform", "interface",
+                                    "hb"]))
+    configs = ["ah1g_high_speed", "caradonna_tung_hover", "{tmp}/zero.cfg"]
+    options = {}
+    if command == "info":
+        argv = [draw(_either(INPUTS[:2], INPUTS[2:]))]
+    elif command == "sweep":
+        argv = [draw(_either(configs[:2], INPUTS))]
+        options = {"--stations": _listed(["0.5", "1"], NUMBERS),
+                   "--steps": _either(["1", "4"], NUMBERS),
+                   "--output": _either(["{tmp}/out.csv"], OUTPUTS)}
+    elif command == "deform":
+        steps = draw(_either(["1", "2", "4"], NUMBERS[:5]))
+        # 1e308 revolutions over 2 steps or more are an infinite count
+        revolutions = NUMBERS[:4] + ["1e308"] * (steps != "1")
+        argv = [draw(_either(INPUTS[:1], INPUTS[1:])),
+                draw(_either(configs, INPUTS)),
+                "--markers=" + draw(_either(
+                    ["blade", " blade "],
+                    ["", "blade,", "blade,blade", " blade , blade",
+                     "blade,farfield", "nope", "iface_a"])),
+                f"--steps-per-rev={steps}",
+                "--revolutions=" + draw(_either(["0", "0.5", "2", "1e-310"],
+                                                revolutions)),
+                "--output-dir=" + draw(_either(["{tmp}/out", "{tmp}/dir",
+                                                "{tmp}/none/out"],
+                                               OUTPUTS[:1] + OUTPUTS[3:]))]
+        options = {"--stride": _either(["1", "2", HUGE_INT], NUMBERS)}
+    elif command == "interface":
+        markers = ["blade", "farfield", "", " iface_a", "nope"]
+        argv = [draw(_either(INPUTS[1:2], INPUTS[:1] + INPUTS[2:])),
+                draw(_either(["iface_a"], markers + ["iface_b"])),
+                draw(_either(["iface_b"], markers + ["iface_a"])),
+                "--output=" + draw(_either(["{tmp}/out.csv"], OUTPUTS))]
+        options = {"--viz": _either(["{tmp}/out.vtk"], OUTPUTS)}
+    else:
+        argv = ["--omega=" + draw(_listed(["1", "2.5", "4"], NUMBERS))]
+        options = {"--tone-multiple": _either(["-1", "0", "3"],
+                                              NUMBERS + [HUGE_INT]),
+                   "--output": _either(["{tmp}/out.csv"], OUTPUTS)}
+    for option, values in options.items():
+        if draw(st.booleans()):
+            argv.append(f"{option}={draw(values)}")
+    return [command, *argv]
+
+
+@settings(deadline=None)
+@given(argv=command_lines())
+def test_any_argv_returns_a_documented_code(argv):
+    """Every draw returns 0-4 (argparse's own usage errors exit 1 through
+    SystemExit) and raises nothing; RuntimeWarnings are errors here too. A
+    nonzero code says why on stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in GRAMMAR_FILES.items():
+            (Path(tmp) / name).write_bytes(data)
+        (Path(tmp) / "dir").mkdir()
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in range(5)
+    assert code == 0 or err.getvalue().strip()
 
 
 # ---------------------------------------------------------------------------

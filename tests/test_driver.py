@@ -159,6 +159,19 @@ def test_non_finite_or_negative_revolutions_rejected_on_call(small_mesh,
                         revolutions=revolutions)
 
 
+@pytest.mark.parametrize("steps_per_rev,revolutions",
+                         [(8, 1e308), (2, 1e308), (10**6, 1e303)])
+def test_infinite_step_count_rejected_on_call(small_mesh, steps_per_rev,
+                                              revolutions):
+    """Finite revolutions whose step count overflows to infinity have no
+    last step either: a ValueError when called, before the basis is
+    built."""
+    cfg = parse_motion_config(STILL_ROTOR)
+    with pytest.raises(ValueError, match="is not a finite step count"):
+        run_deformation(small_mesh, cfg, ["blade"],
+                        steps_per_rev=steps_per_rev, revolutions=revolutions)
+
+
 def with_first_face(mesh, name, of):
     """mesh plus a marker name: the first face of its marker of."""
     kind, (conn, _) = next(iter(mesh.markers[of].items()))

@@ -1,14 +1,15 @@
 import contextlib
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotormesh.cli import main
-from rotormesh.hb import (FrequencySet, apply, build_operator,
+from rotormesh.hb import (FrequencySet, _basis_matrix, apply, build_operator,
                           choose_instances)
 
 
@@ -20,31 +21,50 @@ def two_tone(omega1=2.0 * np.pi):
     return FrequencySet.harmonics(omega1, 2)
 
 
+BAD_TONES = [
+    ((), "need positive finite tones"),
+    ((0.0,), r"got \[0.0\]"),
+    ((1.0, 0.0), r"got \[0.0, 1.0\]"),
+    ((-1.0, 2.0), r"got \[-1.0, 2.0\]"),
+    ((np.inf,), r"got \[inf\]"),
+    ((1.0, np.nan), "need positive finite tones"),
+    ((1.0, 1.0), "tone 1.0 is repeated"),
+    ((2.5, 1.0, 2.5), "tone 2.5 is repeated"),
+    ((1e-310,), r"tones \[1e-310\] have time instances or phases over "
+                "their base period that overflow"),
+    ((1e-300, 1e300), r"tones \[1e-300, 1e\+300\] have"),
+]
+
+
 def test_frequency_set_validation():
-    with pytest.raises(ValueError, match="odd"):
-        FrequencySet((0.0, 1.0))
-    with pytest.raises(ValueError, match="include 0"):
-        FrequencySet((-1.0, 0.5, 1.0))
-    with pytest.raises(ValueError, match="symmetric"):
-        FrequencySet((-2.0, 0.0, 1.0))
-    with pytest.raises(ValueError, match="nonzero"):
-        FrequencySet((0.0,))
-    with pytest.raises(ValueError, match="tone 1.0 is repeated"):
-        FrequencySet((0.0, 1.0, -1.0, 1.0, -1.0))
-    with pytest.raises(ValueError, match="tone 0.0 is repeated"):
-        FrequencySet((0.0, 0.0, 0.0, 1.0, -1.0))
+    """An empty set, 0, a negative, infinite, NaN or repeated tone, and a
+    set whose instances or phases overflow (a subnormal tone, a ratio of
+    1e600) are each a ValueError naming the tones, raised before any
+    arithmetic that could warn."""
+    for tones, message in BAD_TONES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                FrequencySet(tones)
+
+
+def test_frequency_set_fields():
     with pytest.raises(TypeError):
-        FrequencySet((0.0, 1.0, -1.0), base_period=2 * np.pi)
+        FrequencySet((1.0,), base_period=2 * np.pi)
+    with pytest.raises(ValueError, match="need positive finite tones"):
+        FrequencySet.harmonics(-1.0, 2)
+    with pytest.raises(ValueError, match="need positive finite tones"):
+        FrequencySet.harmonics(1.0, 0)
 
 
-def test_symmetric_list_derives_base_period():
-    """The base period is 2 pi over the smallest positive tone, whatever
-    the order of the list."""
-    fs = FrequencySet((4 * np.pi, 0.0, 2 * np.pi, -4 * np.pi, -2 * np.pi))
+def test_positive_tones_derive_base_period():
+    """The tones are kept sorted and the base period is 2 pi over the
+    smallest, whatever the order of the list."""
+    fs = FrequencySet([4 * np.pi, 2 * np.pi])
     assert fs.count == 5
-    assert fs.frequencies == (-4 * np.pi, -2 * np.pi, 0.0, 2 * np.pi,
-                              4 * np.pi)
+    assert fs.positive == (2 * np.pi, 4 * np.pi)
     assert fs.base_period == 1.0
+    assert FrequencySet.harmonics(2.5, 3).positive == (2.5, 5.0, 7.5)
     assert FrequencySet.harmonics(2.5, 3).base_period == 2 * np.pi / 2.5
 
 
@@ -151,8 +171,7 @@ def test_resonant_instances_rejected():
 def test_quasi_periodic_instances():
     w1 = 1.0
     w2 = np.sqrt(2.0)
-    fs = FrequencySet((0.0, w1, -w1, w2, -w2))
-    assert not fs.commensurate
+    fs = FrequencySet((w1, w2))
     t = choose_instances(fs)
     assert len(np.unique(t)) == 5
     op = build_operator(fs, t)
@@ -162,7 +181,7 @@ def test_quasi_periodic_instances():
 
 
 def test_quasi_periodic_choice_deterministic():
-    fs = FrequencySet((0.0, 1.0, -1.0, np.e, -np.e))
+    fs = FrequencySet((1.0, np.e))
     assert np.array_equal(choose_instances(fs), choose_instances(fs))
 
 
@@ -190,36 +209,48 @@ def tone_sets(draw):
                      for r in range(2, n // 2 + 1))]
 
 
+# 0 or at least 1e-6 in size: products that underflow keep no relative
+# precision to test
+COEF = st.floats(-1.0, 1.0).map(lambda x: round(x, 6))
+
+
 @settings(deadline=None)
-@given(tones=tone_sets(), data=st.data())
-def test_exact_on_resolved_tones_of_any_set(tones, data):
-    """apply is exact to 1e-10 relative on any signal of the tones, and
-    rotormesh hb reports a test tone resolved only when it is 0 or one of
-    the tones. The instances are equispaced unless two tones alias there,
-    and only at equispaced instances is an unresolved tone visibly not
-    differentiated."""
+@given(tones=tone_sets(),
+       shift=st.tuples(st.integers(0, 5),
+                       st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6])),
+       multiple=st.integers(-26, 26),
+       coefs=st.lists(COEF, min_size=13, max_size=13))
+@example(tones=(1.0, [1, 4]), shift=(1, 1e-10), multiple=1,
+         coefs=[0.5] * 13)
+@example(tones=(2.0, [1, 2, 5]), shift=(0, 1e-10), multiple=2,
+         coefs=[0.5] * 13)
+def test_exact_on_resolved_tones_of_any_set(tones, shift, multiple, coefs):
+    """apply is exact to 1e-10 relative on any signal of the tones, also
+    when one of them is shifted by delta relative, which makes the set
+    near-harmonic; rotormesh hb reports a test tone resolved only when it
+    is 0 or one of the tones, and a resolved one exact. Unshifted sets get
+    equispaced instances unless two tones alias there, and only at
+    equispaced instances is an unresolved tone visibly not differentiated.
+    The examples are near-aliasing sets, whose equispaced instances have
+    condition 1e10 and more."""
     w1, ks = tones
+    index, delta = shift
     w = w1 * np.array(ks, dtype=float)
-    fs = FrequencySet((0.0, *w, *-w))
-    assert fs.commensurate
+    w[index % len(ks)] *= 1.0 + delta
+    fs = FrequencySet(w.tolist())
     n = fs.count
-    multiple = data.draw(st.integers(-max(ks) - 2, max(ks) + 2))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["hb", "--omega=" + ",".join(map(repr, w.tolist())),
                      f"--tone-multiple={multiple}", "--output", os.devnull])
     op = build_operator(fs)
     aliased = len({0, *(k % n for k in ks), *(-k % n for k in ks)}) < n
-    assert np.array_equal(op.instances,
-                          np.arange(n) * fs.base_period / n) != aliased
+    equispaced = np.array_equal(op.instances,
+                                np.arange(n) * fs.base_period / n)
+    assert delta or equispaced != aliased
 
-    # 0 or at least 1e-6 in size: products that underflow keep no
-    # relative precision to test
-    coef = st.floats(-1.0, 1.0).map(lambda x: round(x, 6))
-    c0 = data.draw(coef)
-    a, b = (np.array(data.draw(st.lists(coef, min_size=len(ks),
-                                        max_size=len(ks))))
-            for _ in range(2))
+    c0, a, b = coefs[0], np.array(coefs[1:7]), np.array(coefs[7:])
+    a, b = a[:len(ks)], b[:len(ks)]
     wt = np.outer(op.instances, w)
     signal = c0 + (a * np.cos(wt) + b * np.sin(wt)).sum(axis=1)
     exact = (w * (b * np.cos(wt) - a * np.sin(wt))).sum(axis=1)
@@ -229,9 +260,12 @@ def test_exact_on_resolved_tones_of_any_set(tones, data):
     assert code == 0
     report = err.getvalue().splitlines()[-1]
     error = float(report.rsplit(" ", 1)[1])
+    if "(resolved)" in report:
+        assert error <= 1e-10 * abs(multiple) * fs.positive[0]
+    if delta:
+        return
     if multiple == 0 or abs(multiple) in ks:
         assert "(resolved)" in report
-        assert error <= 1e-10 * abs(multiple) * w1
     else:
         # at equispaced instances it aliases to a tone of another
         # magnitude, or to 0
@@ -239,12 +273,42 @@ def test_exact_on_resolved_tones_of_any_set(tones, data):
         assert aliased or error >= 0.5 * w1
 
 
+@pytest.mark.parametrize("tones", [
+    (1.0, 4.0000000001), (1.0 + 1e-10, 4.0), (1.0, 4.0 - 1e-11),
+    (1.0, 2.0, 5.0000000001), (0.37, 0.37 * 4 * (1 + 1e-10)),
+])
+def test_near_aliasing_tones_get_well_conditioned_instances(tones):
+    """Tones within 1e-9 of multiples that alias at the equispaced instances
+    (1 and 4 at N = 5, 2 and 5 at N = 7) make those instances near-singular
+    (condition 1e10 and more), so the set gets the best conditioned of the
+    jittered instance sets, on which every tone is exact; rotormesh hb
+    reports the fundamental resolved and exact."""
+    fs = FrequencySet(tones)
+    n = fs.count
+    equispaced = np.arange(n) * fs.base_period / n
+    assert np.linalg.cond(_basis_matrix(fs, equispaced)[0]) > 1e9
+    op = build_operator(fs)
+    assert op.condition < 10.0
+    t = op.instances
+    for w in fs.positive:
+        for sig, dsig in ((np.sin(w * t), w * np.cos(w * t)),
+                          (np.cos(w * t), -w * np.sin(w * t))):
+            assert np.abs(apply(op, sig) - dsig).max() <= 1e-12 * w
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["hb", "--omega=" + ",".join(map(repr, tones)),
+                     "--tone-multiple", "1", "--output", os.devnull])
+    assert code == 0
+    report = err.getvalue().splitlines()[-1]
+    assert "(resolved)" in report
+    assert float(report.rsplit(" ", 1)[1]) <= 1e-12 * fs.positive[0]
+
+
 def test_tones_aliasing_at_equispaced_instances_get_jittered_ones():
     """4 = -1 mod 5: the tones 1 and 4 alias at the 5 equispaced instances,
     where the basis matrix is singular, so the set gets the best conditioned
     of the jittered instance sets, on which it is exact."""
-    fs = FrequencySet((0.0, 1.0, -1.0, 4.0, -4.0))
-    assert fs.commensurate
+    fs = FrequencySet((1.0, 4.0))
     with pytest.raises(ValueError, match="near-singular"):
         build_operator(fs, np.arange(5) * fs.base_period / 5)
     t = choose_instances(fs)
