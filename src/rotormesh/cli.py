@@ -124,9 +124,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("bad config keys: [flight] section required "
                           "for sweeps")
 
-    psi = np.repeat(2.0 * np.pi * np.arange(args.steps) / args.steps,
-                    len(args.stations))
-    r = np.tile(args.stations, args.steps)
+    try:  # a table numpy cannot size or the memory cannot hold
+        psi = np.repeat(2.0 * np.pi * np.arange(args.steps) / args.steps,
+                        len(args.stations))
+        r = np.tile(args.stations, args.steps)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise UsageError(f"--steps {args.steps} is too many: {exc}") from None
     motion = [eval_series(s, psi) for s in (cfg.flap, cfg.leadlag, cfg.pitch)]
     rows = np.column_stack([np.degrees(psi), r, *np.degrees(motion),
                             blade_normal_mach(r, cfg.flight, psi)])

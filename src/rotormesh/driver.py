@@ -15,6 +15,7 @@ every BDF2 step repeats the velocity of the BDF2 steps at its phase.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -73,7 +74,9 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
         raise ValueError("steps_per_rev must be >= 1")
     if not 0 <= revolutions < np.inf:  # NaN fails too
         raise ValueError("revolutions must be finite and >= 0")
-    if steps_per_rev * revolutions == np.inf:
+    # compared first: an int beyond float range times a float overflows
+    if steps_per_rev > sys.float_info.max \
+            or steps_per_rev * revolutions == np.inf:
         raise ValueError(f"steps_per_rev x revolutions = {steps_per_rev} x "
                          f"{revolutions:g} is not a finite step count")
     blade_markers = list(blade_markers)

@@ -202,8 +202,9 @@ class _LineStream:
         if "%" in text:  # cut the comment from each line that has one
             lines = [line.split("%", 1)[0].rstrip() if "%" in line else line
                      for line in lines]
-        self.numbers = list(compress(range(1, len(lines) + 1), lines))
-        self.contents = list(compress(lines, lines))
+        numbers = range(1, len(lines) + 1)
+        self.numbers, self.contents = (numbers, lines) if all(lines) else (
+            list(compress(numbers, lines)), list(compress(lines, lines)))
         self.pos = self.lineno = 0
 
     def take(self, count: int, context: str, read=None, dim: int = 0):
@@ -253,15 +254,29 @@ def _read_groups(stream: _LineStream, count: int, context: str, groups: dict,
     """Read count lines "type_code v0 v1 ..." into groups (as Mesh.cells),
     numbering on from the rows whose line numbers linenos lists."""
     def read(lines):
-        codes = _columns(lines, range(1), np.intp)[:, 0]
-        kinds, first = np.unique(codes, return_index=True)
-        for code in kinds[np.argsort(first)].tolist():  # KeyError if unknown
+        # Codes and vertices in one pass if the first and last lines share
+        # a kind (a bad code there raises for the line check); one more
+        # pass for each other kind with more vertices.
+        heads = {line.split(None, 1)[0] for line in lines[:1] + lines[-1:]}
+        nv = _CODES[int(*heads)][1] if len(heads) == 1 else 0
+        try:
+            block = _columns(lines, range(nv + 1), np.intp)
+        except ValueError:  # a line of a shorter kind, or a bad line
+            if not nv:
+                raise
+            block = _columns(lines, range(1), np.intp)
+        codes = block[:, 0]
+        kinds = codes[:1] if (codes == codes[:1]).all() else codes[
+            np.sort(np.unique(codes, return_index=True)[1])]
+        for code in kinds.tolist():  # in file order; KeyError if unknown
             (kind, nv), rows = _CODES[code], np.flatnonzero(codes == code)
-            conn = _columns([lines[i] for i in rows], range(1, nv + 1),
-                            np.intp)
-            old = groups.get(kind, (conn[:0], rows[:0]))
-            groups[kind] = (np.concatenate([old[0], conn]),
-                            np.concatenate([old[1], len(linenos) + rows]))
+            conn = block[rows, 1:nv + 1] if nv < block.shape[1] else _columns(
+                [lines[i] for i in rows], range(1, nv + 1), np.intp)
+            rows = len(linenos) + rows
+            if kind in groups:  # a kind an earlier section also has
+                conn, rows = map(np.concatenate,
+                                 zip(groups[kind], (conn, rows)))
+            groups[kind] = conn, rows
 
     linenos += stream.take(count, context, read)[0]
 

@@ -205,6 +205,20 @@ def test_number_list_option_is_checked(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("steps", ["100000000000000000000", "1" + "0" * 400])
+def test_sweep_too_many_steps_is_usage_error(tmp_path, capsys, steps):
+    """A --steps whose table numpy cannot size (np.arange raises "Maximum
+    allowed size exceeded") exits 1 with one error line naming --steps,
+    and nothing is written."""
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "ah1g_high_speed", "--steps", steps,
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rotormesh: error: --steps {steps} is too many: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_sweep_bad_config_lists_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[rotor]\nradius_m = 1.0\n")
@@ -508,6 +522,22 @@ def test_deform_infinite_step_count_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "rotormesh: error: steps_per_rev x revolutions = 8 x 1e+308 is not a "
         "finite step count\n")
+    assert not outdir.exists()
+
+
+def test_deform_steps_per_rev_beyond_float_range_is_usage_error(tmp_path,
+                                                                capsys):
+    """A --steps-per-rev no float holds exits 1 with one error line, not an
+    OverflowError traceback, before the output directory is made."""
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), "ah1g_high_speed", "--markers",
+                 "blade", "--steps-per-rev", HUGE_INT, "--revolutions", "1",
+                 "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err == (
+        f"rotormesh: error: steps_per_rev x revolutions = {HUGE_INT} x 1 "
+        "is not a finite step count\n")
     assert not outdir.exists()
 
 
@@ -942,6 +972,8 @@ OUTPUTS = ["{tmp}/zero.cfg", "{tmp}/dir", "{tmp}/none/out",
            "{tmp}/box.mesh/out"]
 NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-310"]
 HUGE_INT = "1" + "0" * 400  # no float holds it
+# step counts numpy refuses to size at once: nothing allocated, no 10**10
+HUGE_STEPS = ["100000000000000000000", HUGE_INT]
 
 
 def _either(valid, bad):
@@ -960,11 +992,11 @@ def _listed(valid, bad):
 def command_lines(draw):
     """argv of every subcommand from a small grammar: input paths that are
     files, directories, missing or non-UTF-8; numbers that are NaN, inf,
-    negative, zero, 1e308 or 1e-310; marker lists with empty, spaced and
-    repeated names; output paths that exist, are directories or lie under
-    a missing directory or a file. Tiny meshes, at most 4 steps per
-    revolution and 2 revolutions bound the work; no output goes to the
-    working directory."""
+    negative, zero, 1e308 or 1e-310; step counts numpy cannot size or no
+    float holds; marker lists with empty, spaced and repeated names; output
+    paths that exist, are directories or lie under a missing directory or
+    a file. Tiny meshes, at most 4 steps per revolution that run and 2
+    revolutions bound the work; no output goes to the working directory."""
     command = draw(st.sampled_from(["info", "sweep", "deform", "interface",
                                     "hb"]))
     configs = ["ah1g_high_speed", "caradonna_tung_hover", "{tmp}/zero.cfg"]
@@ -974,10 +1006,10 @@ def command_lines(draw):
     elif command == "sweep":
         argv = [draw(_either(configs[:2], INPUTS))]
         options = {"--stations": _listed(["0.5", "1"], NUMBERS),
-                   "--steps": _either(["1", "4"], NUMBERS),
+                   "--steps": _either(["1", "4"], NUMBERS + HUGE_STEPS),
                    "--output": _either(["{tmp}/out.csv"], OUTPUTS)}
     elif command == "deform":
-        steps = draw(_either(["1", "2", "4"], NUMBERS[:5]))
+        steps = draw(_either(["1", "2", "4"], NUMBERS[:5] + [HUGE_INT]))
         # 1e308 revolutions over 2 steps or more are an infinite count
         revolutions = NUMBERS[:4] + ["1e308"] * (steps != "1")
         argv = [draw(_either(INPUTS[:1], INPUTS[1:])),

@@ -159,13 +159,16 @@ def test_non_finite_or_negative_revolutions_rejected_on_call(small_mesh,
                         revolutions=revolutions)
 
 
-@pytest.mark.parametrize("steps_per_rev,revolutions",
-                         [(8, 1e308), (2, 1e308), (10**6, 1e303)])
+@pytest.mark.parametrize("steps_per_rev,revolutions", [
+    (8, 1e308), (2, 1e308), (10**6, 1e303),
+    pytest.param(10**400, 1.0, id="10**400-1.0"),
+    pytest.param(10**400, 0.0, id="10**400-0.0")])
 def test_infinite_step_count_rejected_on_call(small_mesh, steps_per_rev,
                                               revolutions):
     """Finite revolutions whose step count overflows to infinity have no
-    last step either: a ValueError when called, before the basis is
-    built."""
+    last step either, nor does a steps_per_rev no float holds, whose
+    product with a float raises OverflowError: a ValueError when called,
+    before the basis is built."""
     cfg = parse_motion_config(STILL_ROTOR)
     with pytest.raises(ValueError, match="is not a finite step count"):
         run_deformation(small_mesh, cfg, ["blade"],

@@ -556,9 +556,11 @@ def _float_array(draw, elements, shape):
 
 
 def _draw_groups(draw, allowed, vertex, max_size):
-    """kind -> (conn, rows) groups of random rows with kinds interleaved,
-    in shuffled file order."""
-    kinds = draw(st.lists(st.sampled_from(allowed), max_size=max_size))
+    """kind -> (conn, rows) groups of random rows, half the time all of one
+    kind and else with kinds interleaved, in shuffled file order."""
+    pool = draw(st.one_of(st.just(allowed), st.sampled_from(allowed).map(
+        lambda kind: (kind,))))
+    kinds = draw(st.lists(st.sampled_from(pool), max_size=max_size))
     groups = {}
     for pos, kind in zip(draw(st.permutations(range(len(kinds)))), kinds):
         nv = VERTEX_COUNT[kind]
@@ -570,8 +572,9 @@ def _draw_groups(draw, allowed, vertex, max_size):
 
 @st.composite
 def meshes_with_fields(draw):
-    """Random connectivity (only its ranges are validated) with cell and
-    marker face kinds interleaved, special coordinates and fields."""
+    """Random connectivity (only its ranges are validated) with the cells
+    and each marker's faces of one kind or of kinds interleaved, special
+    coordinates and fields."""
     dim = draw(st.sampled_from((2, 3)))
     n = draw(st.integers(1, 12))
     points = np.zeros((n, 3))
@@ -949,8 +952,9 @@ def _ref_parse(text: str) -> Mesh:
 
 @st.composite
 def styled_mesh_texts(draw):
-    """The native text of a random mixed-kind 2D or 3D mesh in a random
-    style: the sections after NDIME in any order (the cells maybe split in
+    """The native text of a random 2D or 3D mesh, its cells and each
+    marker's faces of one kind or mixed, in a random style: the sections
+    after NDIME in any order (the cells maybe split in
     two NELEM sections), spaces or tabs between fields, trailing index
     fields or none, float formats, % comments on and between lines, blank
     lines, LF or CRLF endings."""
@@ -998,9 +1002,14 @@ def styled_mesh_texts(draw):
 
 
 def _same_mesh(a: Mesh, b: Mesh) -> bool:
-    """Equal meshes, the points bit for bit (-0.0 is not 0.0)."""
+    """Equal meshes, the points bit for bit (-0.0 is not 0.0), and every
+    conn array of both C-contiguous, the layout topology and the writers
+    read."""
     return (a.dim == b.dim and a.points.tobytes() == b.points.tobytes()
-            and same_groups(a.cells, b.cells) and same_markers(a, b))
+            and same_groups(a.cells, b.cells) and same_markers(a, b)
+            and all(conn.flags.c_contiguous for mesh in (a, b)
+                    for groups in (mesh.cells, *mesh.markers.values())
+                    for conn, _ in groups.values()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1045,6 +1054,67 @@ def test_parser_matches_per_line_reference_on_damaged_text(text, data):
         assert isinstance(got, Mesh) and _same_mesh(got, ref)
     else:
         assert got == ref
+
+
+def _section_text(cells, faces, n_points=8):
+    """A 3D mesh text: a NELEM section of (code, vertices) rows, n_points
+    points and one marker "m" of (code, vertices) face rows."""
+    rows = [" ".join(map(str, [code, *verts])) for code, verts in cells]
+    return "\n".join([
+        "NDIME= 3", f"NELEM= {len(rows)}", *rows, f"NPOIN= {n_points}",
+        *(f"{i} {i % 3} {i % 5}" for i in range(n_points)),
+        "NMARK= 1", "MARKER_TAG= m", f"MARKER_ELEMS= {len(faces)}",
+        *(" ".join(map(str, [code, *verts])) for code, verts in faces)]) + "\n"
+
+
+HEX, TET, PYRAMID, PRISM = ((12, list(range(8))), (10, [0, 1, 2, 3]),
+                            (14, [0, 1, 2, 3, 4]), (13, list(range(6))))
+QUAD, TRI = (9, [0, 1, 2, 3]), (5, [0, 1, 2])
+
+
+@pytest.mark.parametrize("cells,faces", [
+    # shorter kinds between the ends: the one pass at the ends' kind
+    # fails, then one per kind
+    ([HEX, TET, PYRAMID, HEX], [QUAD, TRI, QUAD]),
+    # longer kinds between the ends: the ends' pass reads the codes, one
+    # more pass reads each longer kind
+    ([TET, HEX, PRISM, TET, PYRAMID, TET], [TRI, QUAD, TRI]),
+    ([TET], [QUAD]),
+])
+def test_mixed_section_with_ends_of_one_kind_matches_reference(cells, faces):
+    text = _section_text(cells, faces)
+    mesh = parse_mesh(text)
+    assert _same_mesh(mesh, _ref_parse(text))
+    assert _ref_cells(mesh) == [(TYPE_CODES[code], verts)
+                                for code, verts in cells]
+
+
+DEEP_LINE = 2 + 1500  # the 1500th of 2000 hexahedron lines
+
+
+@pytest.mark.parametrize("line,message", [
+    ("12 0 1 2 3 4 5 6 x", "non-integer vertex index in '12 0 1 2 3 4 5 6 x'"),
+    ("12 0 1 2 3 4 5 6", "hexahedron element needs 8 vertex indices, got 7"),
+    ("99 0 1 2 3 4 5 6 7", "unknown element type code 99"),
+    ("1.5 0 1 2 3 4 5 6 7", "bad element line '1.5 0 1 2 3 4 5 6 7'"),
+    ("12 0 1 2 3 4 5 6 8", "vertex index 8 out of range (NPOIN=8)"),
+    ("9 0 1 2 3", "quadrilateral elements are not allowed as 3D cells"),
+    ("10 0 1 2 3", None),  # a tetrahedron among them: a valid mixed section
+])
+def test_single_kind_section_with_one_odd_line_matches_reference(line,
+                                                                  message):
+    """2000 hexahedron lines, one of them replaced deep inside: the same
+    mesh, or the same message at the same line, as the per-line reader."""
+    cells = [HEX] * 2000
+    lines = _section_text(cells, [QUAD]).split("\n")
+    lines[DEEP_LINE - 1] = line
+    text = "\n".join(lines)
+    got, ref = _outcome(parse_mesh, text), _outcome(_ref_parse, text)
+    if message is None:
+        assert isinstance(got, Mesh) and _same_mesh(got, ref)
+        assert len(got.cells["hexahedron"][0]) == 1999
+    else:
+        assert got == ref == (f"line {DEEP_LINE}: {message}", DEEP_LINE)
 
 
 # ---------------------------------------------------------------------------
