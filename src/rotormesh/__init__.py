@@ -5,8 +5,8 @@ from .mesh import Mesh, MeshFormatError, extract_marker_points, parse_mesh, \
     write_mesh, write_vtk
 from .geometry import MeshGeometry, QualityReport, cell_geometry, \
     orthogonality_metrics
-from .kinematics import BladeMotion, FlightCondition, MotionSeries, \
-    azimuth_matrix, blade_normal_mach, blade_point, eval_series, flap_matrix, \
+from .kinematics import FlightCondition, MotionSeries, azimuth_matrix, \
+    blade_normal_mach, blade_point, eval_series, flap_matrix, \
     grid_velocity_bdf2, hinge_matrix, leadlag_matrix, pitch_matrix, \
     rotating_frame_velocity
 from .rbf import GreedyHistory, RbfConfig, RbfKernel, RbfSolution, \

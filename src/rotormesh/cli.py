@@ -2,8 +2,9 @@
 interface weights, and the spectral-operator demo.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 deformation
-failure (inverted cells), 4 interface failure (markers that do not
-overlap or cannot be projected together).
+failure (inverted cells, or an interpolation system that cannot be
+solved), 4 interface failure (markers that do not overlap or cannot be
+projected together).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .geometry import cell_geometry, orthogonality_metrics, topology
 from .kinematics import blade_normal_mach, eval_series
 from .mesh import (Mesh, MeshFormatError, _float_rows, _n_rows, _vtk_cells,
                    _vtk_points, parse_mesh, write_vtk)
+from .rbf import RbfSystemError
 from .supermesh import build_supermesh, interface_from_markers
 
 EXIT_OK = 0
@@ -201,6 +203,9 @@ def cmd_deform(args) -> int:
     except DeformationFailure as exc:
         print(f"deformation failed: {exc}", file=sys.stderr)
         print(f"last good step: {exc.last_good}", file=sys.stderr)
+        exit_code = EXIT_DEFORM
+    except RbfSystemError as exc:  # solving the basis, before step 0
+        print(f"deformation failed: {exc}", file=sys.stderr)
         exit_code = EXIT_DEFORM
     if unconverged:  # one selection serves every step of the run
         print(f"warning: greedy selection did not converge with "

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import BladeMotion, FlightCondition, MotionSeries, rpm_to_rad_s
+from .kinematics import FlightCondition, MotionSeries, rpm_to_rad_s
 from .rbf import KERNEL_KINDS, RbfConfig, RbfKernel
 
 FIXTURE_NAMES = ("caradonna_tung_hover", "ah1g_low_speed", "ah1g_high_speed")
@@ -163,12 +163,6 @@ class MotionConfig:
     @property
     def revolution_period(self) -> float:
         return 2.0 * np.pi / self.omega
-
-    def blade_motion(self, blade_index: int = 0) -> BladeMotion:
-        offset = 2.0 * np.pi * blade_index / self.n_blades
-        return BladeMotion(flap=self.flap, leadlag=self.leadlag,
-                           pitch=self.pitch, hinge=self.hinge,
-                           rotation_rate=self.omega, azimuth_offset=offset)
 
 
 def parse_motion_config(text: str) -> MotionConfig:

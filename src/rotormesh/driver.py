@@ -66,9 +66,11 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
     deform_mesh runs once per blade marker; a step is then one product with
     the basis. Step k takes the hinge motion, the lab-frame points and the
     quality report of step k % steps_per_rev and carries the run's greedy
-    history and its own surface error. The arguments are checked on call,
-    before any step runs: a blade marker may share no point with another
-    blade or fixed marker.
+    history and its own surface error. On call, before any step runs, the
+    arguments are checked and the hinge motion of every phase tabulated: a
+    blade marker may share no point with another blade or fixed marker,
+    and a steps_per_rev whose table numpy cannot size or hold is a
+    ValueError.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -100,24 +102,31 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
                 kind = "fixed" if other in cfg.fixed_markers else "blade"
                 raise ValueError(f"blade marker {name!r} shares {shared} "
                                  f"points with {kind} marker {other!r}")
-    return _steps(mesh, cfg, blade_markers, markers, steps_per_rev,
-                  revolutions)
+
+    dt = cfg.revolution_period / steps_per_rev
+    offsets = 2.0 * np.pi * np.arange(len(blade_markers)) / cfg.n_blades
+    rots = np.stack([azimuth_matrix(offset) for offset in offsets])
+    try:  # a phase table numpy cannot size or the memory cannot hold
+        # every step takes one of the phases of revolution 1: C_b^T for
+        # each phase and blade, (steps_per_rev, n_blades, 3, 3), then the
+        # stacked A_b
+        phases = cfg.omega * (np.arange(steps_per_rev) * dt)
+        c_hinge = hinge_matrix(*(eval_series(s, phases[:, None] + offsets)
+                                 for s in (cfg.flap, cfg.leadlag, cfg.pitch)))
+        motions = (rots @ (c_hinge.transpose(2, 3, 1, 0) - np.eye(3))
+                   @ rots.transpose(0, 2, 1))
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"steps_per_rev {steps_per_rev} is too many: "
+                         f"{exc}") from None
+    return _steps(mesh, cfg, blade_markers, markers, dt, rots, phases,
+                  motions, revolutions)
 
 
 def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
-           markers: dict, steps_per_rev: int,
-           revolutions: float) -> Iterator[StepResult]:
-    dt = cfg.revolution_period / steps_per_rev
+           markers: dict, dt: float, rots: np.ndarray, phases: np.ndarray,
+           motions: np.ndarray, revolutions: float) -> Iterator[StepResult]:
+    steps_per_rev = len(phases)
     points = mesh.points
-    offsets = 2.0 * np.pi * np.arange(len(blade_markers)) / cfg.n_blades
-    rots = np.stack([azimuth_matrix(offset) for offset in offsets])
-    # every step takes one of the phases of revolution 1: C_b^T for each
-    # phase and blade, (steps_per_rev, n_blades, 3, 3), then the stacked A_b
-    phases = cfg.omega * (np.arange(steps_per_rev) * dt)
-    c_hinge = hinge_matrix(*(eval_series(s, phases[:, None] + offsets)
-                             for s in (cfg.flap, cfg.leadlag, cfg.pitch)))
-    motions = (rots @ (c_hinge.transpose(2, 3, 1, 0) - np.eye(3))
-               @ rots.transpose(0, 2, 1))
     # every marker point once, and its rigid displacement per unit of each
     # A_b: x - h_b on blade b, h_b its own hinge, and zero elsewhere
     surface = np.unique(np.concatenate(list(markers.values())))

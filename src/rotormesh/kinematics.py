@@ -43,26 +43,6 @@ def eval_series(series: MotionSeries, psi):
 
 
 @dataclass(frozen=True)
-class BladeMotion:
-    """Blade motion laws plus hinge location and rotor speed (about +z)."""
-
-    flap: MotionSeries
-    leadlag: MotionSeries
-    pitch: MotionSeries
-    hinge: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    rotation_rate: float = 1.0      # rad/s
-    azimuth_offset: float = 0.0     # per-blade phase, radians
-
-    def __post_init__(self):
-        if not self.rotation_rate > 0.0:
-            raise ValueError("rotation_rate must be positive")
-        object.__setattr__(self, "hinge", tuple(float(c) for c in self.hinge))
-
-    def azimuth(self, t: float) -> float:
-        return self.rotation_rate * t + self.azimuth_offset
-
-
-@dataclass(frozen=True)
 class FlightCondition:
     """Rotor operating point; advance ratio defaults to the Mach ratio.
 
@@ -128,16 +108,18 @@ def hinge_matrix(beta: float, delta: float, theta: float) -> np.ndarray:
     ])
 
 
-def blade_point(x, motion: BladeMotion, t: float):
-    """Position of blade point(s) x at time t, plus the hinge-frame stage.
+def blade_point(x, motion, t: float, blade: int = 0):
+    """Position of point(s) x of blade `blade` at time t, plus the
+    hinge-frame stage, for the rotor motion of a MotionConfig.
 
-    Returns (position, hinge_frame) where hinge_frame is the point after
-    the flap/lead-lag/pitch rotation about the hinge, a fixed pivot,
+    The blade sits at azimuth omega t + 2 pi blade / n_blades. Returns
+    (position, hinge_frame) where hinge_frame is the point after the
+    flap/lead-lag/pitch rotation about the hinge, a fixed pivot,
     hinge_frame = x_hinge + C_hinge (x - x_hinge), but before the
     azimuthal rotation.
     """
     x = np.asarray(x, dtype=float)
-    psi = motion.azimuth(t)
+    psi = motion.omega * t + 2.0 * np.pi * blade / motion.n_blades
     beta = eval_series(motion.flap, psi)
     delta = eval_series(motion.leadlag, psi)
     theta = eval_series(motion.pitch, psi)

@@ -166,30 +166,39 @@ _FLOAT = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?"
                     r"|inf(inity)?|nan)", re.IGNORECASE).fullmatch
 
 
+def _integer(field: str) -> int | str:
+    """The value of an _INT field, or past 40 digits (int() refuses more
+    than 4300, intp holds 19) the text "of N digits" that names it."""
+    digits = field.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > 40:
+        return f"of {len(digits)} digits"
+    return -int(digits) if field[0] == "-" else int(digits)
+
+
 def _fault(line: str, dim: int) -> str | None:
     """What is wrong with an element line (dim 0) or a point line of dim
     coordinates, if anything: a check for a block numpy could not read."""
     fields = line.split()
-    code = int(fields[0]) if _INT(fields[0]) else None
-    kind, nv = _CODES.get(code, (None, 0))
     if len(fields) < dim:
         return f"point line has {len(fields)} fields, expected at least {dim}"
     if dim:
         return None if all(map(_FLOAT, fields[:dim])) else \
             f"non-numeric coordinate in {line!r}"
-    if code is None:
+    if not _INT(fields[0]):
         return f"bad element line {line!r}"
-    if kind is None:
+    code = _integer(fields[0])
+    if code not in _CODES:
         return f"unknown element type code {code}"
+    kind, nv = _CODES[code]
     if len(fields) < 1 + nv:
         return (f"{kind} element needs {nv} vertex indices, "
                 f"got {len(fields) - 1}")
     if not all(map(_INT, fields[1:1 + nv])):
         return f"non-integer vertex index in {line!r}"
     intp = np.iinfo(np.intp)
-    for index in map(int, fields[1:1 + nv]):
-        if not intp.min <= index <= intp.max:  # beyond what numpy reads
-            return f"vertex index {index} out of range"
+    for index in map(_integer, fields[1:1 + nv]):
+        if type(index) is str or not intp.min <= index <= intp.max:
+            return f"vertex index {index} out of range"  # numpy cannot read
     return None
 
 

@@ -106,6 +106,21 @@ def test_info_vertex_index_beyond_int64_is_parse_error(tmp_path, capsys):
         "out of range\n")
 
 
+@pytest.mark.parametrize("line,message", [
+    ("1" + "0" * 4999 + " 0 2 1 3",
+     "unknown element type code of 5000 digits"),
+    ("10 0 2 1 " + "3" * 5000, "vertex index of 5000 digits out of range"),
+], ids=["type-code", "vertex-index"])
+def test_info_integer_of_thousands_of_digits_is_parse_error(
+        tmp_path, capsys, line, message):
+    """More digits than int() converts: one short line, no traceback."""
+    path = tmp_path / "long.mesh"
+    path.write_text(INVERTED_TET.replace("10 0 2 1 3", line))
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        f"rotormesh: parse error: line 4: {message}\n"
+
+
 NO_CELLS = "NDIME= 2\nNELEM= 0\nNPOIN= 1\n0.0 0.0 0\nNMARK= 0\n"
 
 
@@ -216,6 +231,15 @@ def test_sweep_too_many_steps_is_usage_error(tmp_path, capsys, steps):
     err = capsys.readouterr().err
     assert err.startswith(f"rotormesh: error: --steps {steps} is too many: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_zero_steps_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "ah1g_high_speed", "--steps", "0",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "rotormesh: error: --steps must be >= 1\n"
     assert not out.exists()
 
 
@@ -539,6 +563,81 @@ def test_deform_steps_per_rev_beyond_float_range_is_usage_error(tmp_path,
         f"rotormesh: error: steps_per_rev x revolutions = {HUGE_INT} x 1 "
         "is not a finite step count\n")
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("steps", ["100000000000000000000",
+                                   "1000000000000000000"])
+def test_deform_steps_per_rev_numpy_cannot_size_is_usage_error(
+        tmp_path, capsys, steps):
+    """A --steps-per-rev whose phase table numpy cannot size (10**20) or
+    allocate (10**18; both refused without allocating) exits 1 with one
+    error line, before the output directory is made."""
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), "ah1g_high_speed", "--markers",
+                 "blade", "--steps-per-rev", steps, "--revolutions", "0",
+                 "--output-dir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"rotormesh: error: steps_per_rev {steps} is too "
+                          "many: ")
+    assert err.count("\n") == 1
+    assert not outdir.exists()
+
+
+def test_deform_zero_stride_is_usage_error(tmp_path, capsys):
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), "ah1g_high_speed", "--markers",
+                 "blade", "--stride", "0", "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err == \
+        "rotormesh: error: --stride must be >= 1\n"
+    assert not outdir.exists()
+
+
+# a gaussian far wider than the box, to a tolerance of 1e-12: the first
+# interpolation system is too ill-conditioned to solve
+ILL_CONDITIONED = """
+[rotor]
+radius_m = 1.0
+chord_m = 0.3
+rpm = 60.0
+n_blades = 1
+
+[pitch]
+mean_deg = 4.0
+sin_deg = 3.0
+
+[rbf]
+kernel = gaussian
+support_radius_m = 50.0
+greedy_tol_m = 1e-12
+fixed_markers = ["farfield"]
+"""
+
+
+def test_deform_unsolvable_system_exit_code(tmp_path, capsys):
+    """An interpolation system the basis cannot be solved on exits 3 with
+    one line, and writes the CSVs and metadata.json as a failure at step
+    0 does: headers only, last completed step -1."""
+    mesh_file = tmp_path / "box.mesh"
+    mesh_file.write_text(write_mesh(box_with_plate_mesh(
+        n=6, plate_x=(0.1, 0.7), plate_y=(-0.3, 0.3), plate_z=(-0.15, 0.15))))
+    cfg = tmp_path / "gaussian.cfg"
+    cfg.write_text(ILL_CONDITIONED)
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "4", "--revolutions", "1",
+                 "--output-dir", str(outdir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("deformation failed: interpolation residual ")
+    assert "ill-conditioned" in err and err.count("\n") == 1
+    assert (outdir / "quality.csv").read_text().count("\n") == 1
+    assert (outdir / "greedy.csv").read_text().count("\n") == 1
+    meta = json.loads((outdir / "metadata.json").read_text())
+    assert meta["last_completed_step"] == -1
+    assert not list(outdir.glob("*.vtk"))
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -1009,7 +1108,7 @@ def command_lines(draw):
                    "--steps": _either(["1", "4"], NUMBERS + HUGE_STEPS),
                    "--output": _either(["{tmp}/out.csv"], OUTPUTS)}
     elif command == "deform":
-        steps = draw(_either(["1", "2", "4"], NUMBERS[:5] + [HUGE_INT]))
+        steps = draw(_either(["1", "2", "4"], NUMBERS[:5] + HUGE_STEPS))
         # 1e308 revolutions over 2 steps or more are an infinite count
         revolutions = NUMBERS[:4] + ["1e308"] * (steps != "1")
         argv = [draw(_either(INPUTS[:1], INPUTS[1:])),

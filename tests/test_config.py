@@ -7,7 +7,7 @@ import pytest
 from rotormesh import config
 from rotormesh.config import (ConfigError, MotionConfig, load_fixture,
                               parse_motion_config, FIXTURE_NAMES)
-from rotormesh.kinematics import FlightCondition, MotionSeries
+from rotormesh.kinematics import FlightCondition, MotionSeries, blade_point
 from rotormesh.rbf import RbfConfig, RbfKernel
 
 MINIMAL = """
@@ -67,6 +67,21 @@ def test_fixture_hover_values():
     assert cfg.pitch.sine_coeffs == cfg.pitch.cosine_coeffs == ()
 
 
+def test_unknown_fixture_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown fixture 'nope'"):
+        load_fixture("nope")
+
+
+@pytest.mark.parametrize("text", [
+    "radius_m = 1.0\n",                   # no section header
+    "[rotor]\nradius_m = 1.0\n[rotor]\n",  # a section twice
+    "[rotor]\nrpm\n",                     # a key with no value
+])
+def test_text_configparser_cannot_read_is_config_error(text):
+    with pytest.raises(ConfigError, match="^cannot parse config: "):
+        parse_motion_config(text)
+
+
 def test_all_fixtures_parse():
     for name in FIXTURE_NAMES:
         cfg = load_fixture(name)
@@ -74,12 +89,15 @@ def test_all_fixtures_parse():
 
 
 def test_blade_motion_offsets():
+    """Two blades: blade 1 at t is where blade 0 is half a turn later."""
     cfg = load_fixture("ah1g_low_speed")
-    m0 = cfg.blade_motion(0)
-    m1 = cfg.blade_motion(1)
-    assert m0.azimuth_offset == 0.0
-    assert m1.azimuth_offset == pytest.approx(np.pi)
-    assert m0.rotation_rate == pytest.approx(cfg.omega)
+    assert cfg.n_blades == 2
+    x = np.array([[1.0, 0.05, 0.02], [6.5, -0.3, 0.1]])
+    half = cfg.revolution_period / 2.0
+    for t in (0.0, 0.013, 0.4):
+        np.testing.assert_allclose(blade_point(x, cfg, t, blade=1),
+                                   blade_point(x, cfg, t + half),
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_missing_required_keys_listed():

@@ -11,8 +11,8 @@ from meshgen import box_with_plate_mesh, box_with_plates_mesh
 from rotormesh import driver, geometry, hb
 from rotormesh.config import parse_motion_config
 from rotormesh.driver import DeformationFailure, run_deformation
-from rotormesh.kinematics import (BladeMotion, MotionSeries, azimuth_matrix,
-                                  blade_point, eval_series, hinge_matrix)
+from rotormesh.kinematics import (MotionSeries, azimuth_matrix, blade_point,
+                                  eval_series, hinge_matrix)
 from rotormesh.mesh import Mesh, extract_marker_points
 
 STILL_ROTOR = """
@@ -138,10 +138,12 @@ def test_missing_rbf_section_rejected(small_mesh):
 @pytest.mark.parametrize("markers,message", [
     (["blade", "blade"], "'blade' is listed twice"),
     (["blade", "farfield"], "'farfield' is also a fixed marker"),
+    ([], "at least one blade marker required"),
 ])
 def test_bad_blade_marker_list_rejected_on_call(small_mesh, markers, message):
     """Rejected when called, before a step runs: a repeated marker would
-    leave only its last azimuth offset, a fixed one conflicting targets."""
+    leave only its last azimuth offset, a fixed one conflicting targets,
+    and no marker nothing to move."""
     cfg = parse_motion_config(STILL_ROTOR)
     with pytest.raises(ValueError, match=message):
         run_deformation(small_mesh, cfg, markers, steps_per_rev=4,
@@ -173,6 +175,21 @@ def test_infinite_step_count_rejected_on_call(small_mesh, steps_per_rev,
     with pytest.raises(ValueError, match="is not a finite step count"):
         run_deformation(small_mesh, cfg, ["blade"],
                         steps_per_rev=steps_per_rev, revolutions=revolutions)
+
+
+@pytest.mark.parametrize("steps_per_rev,message", [
+    (0, "steps_per_rev must be >= 1"),
+    (10**20, "steps_per_rev 100000000000000000000 is too many: "),
+    (10**18, "steps_per_rev 1000000000000000000 is too many: ")])
+def test_step_count_without_a_phase_table_rejected_on_call(
+        small_mesh, steps_per_rev, message):
+    """No phase at all, or more phases than numpy can size (10**20) or
+    allocate (10**18; both refused without allocating): a ValueError when
+    called, before the basis is built."""
+    cfg = parse_motion_config(STILL_ROTOR)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run_deformation(small_mesh, cfg, ["blade"],
+                        steps_per_rev=steps_per_rev, revolutions=0.0)
 
 
 def with_first_face(mesh, name, of):
@@ -330,17 +347,14 @@ def test_two_blades_follow_their_rigid_hinge_motion():
     assert results[0].history.converged
     tol = cfg.rbf.greedy_tol
     blades = []
-    for offset, name in ((0.0, "blade_a"), (2 * np.pi / 3, "blade_b")):
+    for b, name in enumerate(("blade_a", "blade_b")):
         idx, coords = extract_marker_points(mesh, name)
-        motion = BladeMotion(cfg.flap, cfg.leadlag, cfg.pitch,
-                             hinge=cfg.hinge, rotation_rate=cfg.omega,
-                             azimuth_offset=offset)
-        blades.append((idx, coords @ azimuth_matrix(offset), motion))
+        blades.append((b, idx, coords @ azimuth_matrix(2 * np.pi * b / 3)))
     far, far_coords = extract_marker_points(mesh, "farfield")
     for r in results:
         blade_err = max(np.linalg.norm(
-            r.points[idx] - blade_point(reference, motion, r.time)[0],
-            axis=1).max() for idx, reference, motion in blades)
+            r.points[idx] - blade_point(reference, cfg, r.time, b)[0],
+            axis=1).max() for b, idx, reference in blades)
         assert blade_err <= tol
         far_err = np.linalg.norm(
             r.points[far] - far_coords @ azimuth_matrix(r.psi).T,
@@ -349,7 +363,7 @@ def test_two_blades_follow_their_rigid_hinge_motion():
                                                   rel=0.0, abs=1e-12)
     # both blades moved well beyond the tolerance
     assert all(np.abs(results[1].rotor_points[idx] - mesh.points[idx]).max()
-               > 0.01 for idx, _, _ in blades)
+               > 0.01 for _, idx, _ in blades)
     assert np.array_equal(results[-1].points, results[0].points)
     assert all(r.quality.negative_volume_count == 0 for r in results)
 
@@ -417,8 +431,8 @@ def test_any_motion_keeps_the_surface_and_the_period(case, steps_per_rev):
         for b, name in enumerate(markers):
             idx, coords = PLATES_POINTS[name]
             offset = 2.0 * np.pi * b / cfg.n_blades
-            target = blade_point(coords @ azimuth_matrix(offset),
-                                 cfg.blade_motion(b), r.time)[0]
+            target = blade_point(coords @ azimuth_matrix(offset), cfg,
+                                 r.time, b)[0]
             assert np.linalg.norm(r.points[idx] - target, axis=1).max() \
                 <= tol
         first = results[r.step % n]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotormesh.kinematics import (BladeMotion, FlightCondition, MotionSeries,
+from rotormesh.config import MotionConfig
+from rotormesh.kinematics import (FlightCondition, MotionSeries,
                                   azimuth_matrix, blade_normal_mach,
                                   blade_point, eval_series, flap_matrix,
                                   grid_velocity_bdf2, hinge_matrix,
@@ -92,9 +93,11 @@ def test_pure_pitch_action():
 
 
 def _motion(pitch=MotionSeries(), flap=MotionSeries(), leadlag=MotionSeries(),
-            hinge=(0.0, 0.0, 0.0), rate=1.0, offset=0.0):
-    return BladeMotion(flap=flap, leadlag=leadlag, pitch=pitch, hinge=hinge,
-                       rotation_rate=rate, azimuth_offset=offset)
+            hinge=(0.0, 0.0, 0.0), rate=1.0, n_blades=1):
+    """A rotor turning at rate rad/s with these laws and hinge."""
+    return MotionConfig(radius_m=1.0, rpm=rate * 60.0 / (2.0 * np.pi),
+                        n_blades=n_blades, hinge=hinge, pitch=pitch,
+                        flap=flap, leadlag=leadlag)
 
 
 def test_blade_point_identity():
@@ -109,7 +112,7 @@ def test_blade_point_hinge_fixed():
                      rate=2.0)
     t = 0.7
     pos, _ = blade_point([0.5, 0.1, 0.0], motion, t)
-    expected = azimuth_matrix(motion.azimuth(t)) @ [0.5, 0.1, 0.0]
+    expected = azimuth_matrix(motion.omega * t) @ [0.5, 0.1, 0.0]
     assert np.allclose(pos, expected, atol=1e-14)
 
 
@@ -125,7 +128,7 @@ def test_blade_point_pitch_lever():
 def test_blade_point_periodic():
     motion = _motion(pitch=PITCH_LOW, flap=FLAP_LOW, hinge=(0.2, 0.0, 0.0),
                      rate=3.0)
-    period = 2 * np.pi / motion.rotation_rate
+    period = motion.revolution_period
     x = np.array([1.1, 0.2, -0.1])
     p1, _ = blade_point(x, motion, 0.37)
     p2, _ = blade_point(x, motion, 0.37 + period)
@@ -133,17 +136,14 @@ def test_blade_point_periodic():
 
 
 def test_hover_axisymmetry():
-    # zero cyclic: blade 2 (offset pi) mirrors blade 1 rotated by pi
-    collective = MotionSeries(mean=8.0 * DEG)
-    coning = MotionSeries(mean=2.0 * DEG)
-    blade1 = _motion(pitch=collective, flap=coning, hinge=(0.1, 0.0, 0.0),
-                     rate=rpm_to_rad_s(1250.0))
-    blade2 = _motion(pitch=collective, flap=coning, hinge=(0.1, 0.0, 0.0),
-                     rate=rpm_to_rad_s(1250.0), offset=np.pi)
+    # zero cyclic: blade 1 (offset pi) mirrors blade 0 rotated by pi
+    rotor = _motion(pitch=MotionSeries(mean=8.0 * DEG),
+                    flap=MotionSeries(mean=2.0 * DEG), hinge=(0.1, 0.0, 0.0),
+                    rate=rpm_to_rad_s(1250.0), n_blades=2)
     x = np.array([1.0, 0.05, 0.02])
     for t in (0.0, 0.013, 0.4):
-        p1, _ = blade_point(x, blade1, t)
-        p2, _ = blade_point(x, blade2, t)
+        p1, _ = blade_point(x, rotor, t)
+        p2, _ = blade_point(x, rotor, t, blade=1)
         assert np.allclose(p2, azimuth_matrix(np.pi) @ p1, atol=1e-12)
 
 
@@ -265,11 +265,6 @@ def test_grid_velocity_order_on_sine():
         errors.append(err.max())
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
-
-
-def test_motion_requires_positive_rate():
-    with pytest.raises(ValueError, match="rotation_rate"):
-        _motion(rate=0.0)
 
 
 ANGLES = st.floats(-4.0, 4.0)

@@ -61,6 +61,17 @@ def test_parse_index_out_of_range():
         parse_mesh(text)
 
 
+@pytest.mark.parametrize("old,new,line,message", [
+    ("NDIME= 2", "NDIME= 4", 2, "NDIME must be 2 or 3, got 4"),
+    ("MARKER_TAG= right", "MARKER_TAG= lower", 15,
+     "duplicate marker name 'lower'"),
+])
+def test_bad_header_value_names_its_line(old, new, line, message):
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(SQUARE_2TRI.replace(old, new))
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_parse_truncated_section():
     text = "NDIME= 2\nNELEM= 2\n5 0 1 2\n"
     with pytest.raises(MeshFormatError, match="truncated"):
@@ -322,6 +333,29 @@ def test_vertex_index_beyond_int64_rejected_at_its_line(cell, face, line,
     assert str(exc.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("cell,face,line,message", [
+    ("1" + "0" * 4999 + " 0 1 2 3", "5 0 1 2", 3,
+     "unknown element type code of 5000 digits"),
+    ("10 0 1 2 " + "9" * 5000, "5 0 1 2", 3,
+     "vertex index of 5000 digits out of range"),
+    ("10 0 1 2 -" + "9" * 5000, "5 0 1 2", 3,
+     "vertex index of 5000 digits out of range"),
+    # leading zeros numpy reads past, in a block a later line breaks
+    ("10 0 1 2 3", "0" * 4999 + "5 0 1 " + "0" * 4999 + "2\n5 0 x 2", 13,
+     "non-integer vertex index in '5 0 x 2'"),
+], ids=["type-code", "vertex-index", "negative-vertex-index", "zeros"])
+def test_integer_of_thousands_of_digits_is_a_short_error(cell, face, line,
+                                                         message):
+    """A type code or vertex index longer than int() converts (4300 digits)
+    is reported at its line in a short message, not as int()'s ValueError;
+    the faces count follows the face lines given."""
+    text = ONE_CELL.format(dim=3, cell=cell, face=face).replace(
+        "MARKER_ELEMS= 1", f"MARKER_ELEMS= {face.count(chr(10)) + 1}")
+    with pytest.raises(MeshFormatError) as exc:
+        parse_mesh(text)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 @pytest.mark.parametrize("dim,cells,faces,line,message", [
     (2, "5 0 1 2\n5 0 2 3\n10 0 1 2 3", "3 0 1", 5,
      "tetrahedron elements are not allowed as 2D cells"),
@@ -472,6 +506,11 @@ def test_write_vtk_field_length_mismatch(square_mesh):
         write_vtk(square_mesh, {"bad": np.zeros(3)})
 
 
+def test_write_vtk_field_neither_scalar_nor_vector(square_mesh):
+    with pytest.raises(ValueError, match=r"field 'uv' must be \(n,\) or"):
+        write_vtk(square_mesh, {"uv": np.zeros((4, 2))})
+
+
 # ---------------------------------------------------------------------------
 # Writers against per-row reference writers
 # ---------------------------------------------------------------------------
@@ -605,7 +644,9 @@ _INTERLEAVED_FIELDS = {"s": np.array([-0.0, 5e-324, 1e308, np.nan, 1.0]),
                        "v": np.full((5, 3), -1e308)}
 
 
-@settings(max_examples=150, deadline=None)
+# 150 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@settings(max_examples=max(150, settings.default.max_examples // 5),
+          deadline=None)
 @given(case=meshes_with_fields())
 @example(case=(_INTERLEAVED, _INTERLEAVED_FIELDS))
 @example(case=(parse_mesh(SQUARE_2TRI), {"s": np.array([-0.0, 5e-324,
@@ -775,7 +816,9 @@ def test_float_rows_at_12_digits_match_a_percent_pass_at_their_boundaries():
     assert _float_rows(counts, 12, ",") == _percent_pass(counts, 12, ",")
 
 
-@settings(max_examples=100, deadline=None)
+# 100 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@settings(max_examples=max(100, settings.default.max_examples // 5),
+          deadline=None)
 @given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), data=st.data())
 def test_supermesh_csv_matches_per_row_reference(n_a, n_b, data):
     flat = np.unique(data.draw(st.lists(st.integers(0, n_a * n_b - 1),
@@ -1012,7 +1055,9 @@ def _same_mesh(a: Mesh, b: Mesh) -> bool:
                     for conn, _ in groups.values()))
 
 
-@settings(max_examples=100, deadline=None)
+# 100 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@settings(max_examples=max(100, settings.default.max_examples // 5),
+          deadline=None)
 @given(text=styled_mesh_texts())
 def test_parser_matches_per_line_reference(text):
     mesh = parse_mesh(text)
@@ -1032,7 +1077,9 @@ JUNK = st.sampled_from(["x", "1.5", "-1", "+2", "1e3", "nan", "-inf", "0x1",
                         "NPOIN= 1", "%", "MARKER_TAG= m0"])
 
 
-@settings(max_examples=200, deadline=None)
+# 200 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@settings(max_examples=max(200, settings.default.max_examples // 5),
+          deadline=None)
 @given(text=styled_mesh_texts(), data=st.data())
 def test_parser_matches_per_line_reference_on_damaged_text(text, data):
     """One field replaced, one line dropped or the file cut short: the
