@@ -106,18 +106,18 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
     dt = cfg.revolution_period / steps_per_rev
     offsets = 2.0 * np.pi * np.arange(len(blade_markers)) / cfg.n_blades
     rots = np.stack([azimuth_matrix(offset) for offset in offsets])
-    try:  # a phase table numpy cannot size or the memory cannot hold
-        # every step takes one of the phases of revolution 1: C_b^T for
-        # each phase and blade, (steps_per_rev, n_blades, 3, 3), then the
-        # stacked A_b
+    try:  # a phase count numpy cannot size or a table it cannot hold
         phases = cfg.omega * (np.arange(steps_per_rev) * dt)
-        c_hinge = hinge_matrix(*(eval_series(s, phases[:, None] + offsets)
-                                 for s in (cfg.flap, cfg.leadlag, cfg.pitch)))
-        motions = (rots @ (c_hinge.transpose(2, 3, 1, 0) - np.eye(3))
-                   @ rots.transpose(0, 2, 1))
+        motions = np.empty((steps_per_rev, len(offsets), 3, 3))
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"steps_per_rev {steps_per_rev} is too many: "
                          f"{exc}") from None
+    # every step takes one of the phases of revolution 1: C_b^T for each
+    # phase and blade, (steps_per_rev, n_blades, 3, 3), then the stacked A_b
+    c_hinge = hinge_matrix(*(eval_series(s, phases[:, None] + offsets)
+                             for s in (cfg.flap, cfg.leadlag, cfg.pitch)))
+    np.matmul(rots @ (c_hinge.transpose(2, 3, 1, 0) - np.eye(3)),
+              rots.transpose(0, 2, 1), out=motions)
     return _steps(mesh, cfg, blade_markers, markers, dt, rots, phases,
                   motions, revolutions)
 

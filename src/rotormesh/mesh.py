@@ -160,19 +160,11 @@ def extract_marker_points(mesh: Mesh, marker: str) -> tuple[np.ndarray, np.ndarr
 # Native format parser / writer
 # ---------------------------------------------------------------------------
 
-# The fields numpy reads as an integer and as a float.
-_INT = re.compile("[+-]?[0-9]+").fullmatch
+# The fields numpy reads as an integer, with its sign and its digits past
+# any leading zeros, and the fields it reads as a float.
+_INT = re.compile("([+-]?)0*([0-9]+)").fullmatch
 _FLOAT = re.compile(r"[+-]?(([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?"
                     r"|inf(inity)?|nan)", re.IGNORECASE).fullmatch
-
-
-def _integer(field: str) -> int | str:
-    """The value of an _INT field, or past 40 digits (int() refuses more
-    than 4300, intp holds 19) the text "of N digits" that names it."""
-    digits = field.lstrip("+-").lstrip("0") or "0"
-    if len(digits) > 40:
-        return f"of {len(digits)} digits"
-    return -int(digits) if field[0] == "-" else int(digits)
 
 
 def _fault(line: str, dim: int) -> str | None:
@@ -184,21 +176,28 @@ def _fault(line: str, dim: int) -> str | None:
     if dim:
         return None if all(map(_FLOAT, fields[:dim])) else \
             f"non-numeric coordinate in {line!r}"
-    if not _INT(fields[0]):
+    code = _INT(fields[0])
+    if code is None:
         return f"bad element line {line!r}"
-    code = _integer(fields[0])
-    if code not in _CODES:
+    sign, digits = code.groups()
+    if len(digits) > 4300:  # more than int() takes: named by its length
+        return f"unknown element type code of {len(digits)} digits"
+    code = int(sign + digits)
+    kind, nv = _CODES.get(code, (None, 0))
+    if kind is None:
         return f"unknown element type code {code}"
-    kind, nv = _CODES[code]
     if len(fields) < 1 + nv:
         return (f"{kind} element needs {nv} vertex indices, "
                 f"got {len(fields) - 1}")
-    if not all(map(_INT, fields[1:1 + nv])):
+    indices = [_INT(field) for field in fields[1:1 + nv]]
+    if not all(indices):
         return f"non-integer vertex index in {line!r}"
     intp = np.iinfo(np.intp)
-    for index in map(_integer, fields[1:1 + nv]):
-        if type(index) is str or not intp.min <= index <= intp.max:
-            return f"vertex index {index} out of range"  # numpy cannot read
+    for sign, digits in (index.groups() for index in indices):
+        if len(digits) > 4300:
+            return f"vertex index of {len(digits)} digits out of range"
+        if not intp.min <= int(sign + digits) <= intp.max:
+            return f"vertex index {int(sign + digits)} out of range"
     return None
 
 
