@@ -68,9 +68,9 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
     quality report of step k % steps_per_rev and carries the run's greedy
     history and its own surface error. On call, before any step runs, the
     arguments are checked and the hinge motion of every phase tabulated: a
-    blade marker may share no point with another blade or fixed marker,
-    and a steps_per_rev whose table numpy cannot size or hold is a
-    ValueError.
+    2D mesh, a blade marker that shares a point with another blade or fixed
+    marker, and a steps_per_rev whose table numpy cannot size or hold are
+    each a ValueError.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -94,6 +94,8 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
 
     markers = {name: extract_marker_points(mesh, name)[0]
                for name in (*blade_markers, *cfg.fixed_markers)}
+    if mesh.dim != 3:  # flap and pitch move a blade out of a 2D mesh's plane
+        raise ValueError("deformation needs a 3D mesh, got a 2D one")
     for i, name in enumerate(blade_markers):  # a blade moves its points alone
         for other in (*blade_markers[i + 1:], *cfg.fixed_markers):
             shared = len(np.intersect1d(markers[name], markers[other],

@@ -10,13 +10,13 @@ trigonometric interpolant: H = E' E^-1, where E evaluates the real basis
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 _MAX_CONDITION = 1e12  # of a basis matrix build_operator accepts
-_CANDIDATES = 200    # jittered instance sets tried after the equispaced one
-_SEED = 20210527     # their seed, so the choice is reproducible
+_OVERSAMPLING = 32   # candidate instances per instance for the pivoted QR
 # no instance set beats sqrt(2): the constant column gives sigma_max >=
 # sqrt(N), and any cos/sin pair has a column that gives sigma_min <= sqrt(N/2)
 _OPTIMAL_CONDITION = math.sqrt(2.0) * (1.0 + 1e-9)
@@ -26,24 +26,27 @@ _OPTIMAL_CONDITION = math.sqrt(2.0) * (1.0 + 1e-9)
 class FrequencySet:
     """The K positive angular frequencies (rad/s) of a harmonic-balance set,
     given in any order and kept sorted; 0 and the negated tones follow from
-    them. Its base period is 2 pi over the smallest tone; harmonics builds
-    the set w1, 2 w1, ..., K w1."""
+    them. Its base period is 2 pi over the smallest tone, its window 2 pi over
+    the smallest gap in {0, w_1, ..., w_K}; harmonics builds w1, ..., K w1."""
 
     positive: tuple[float, ...]
+    window: float = field(init=False, repr=False)
 
     def __post_init__(self):
         tones = tuple(sorted(float(w) for w in self.positive))
         if not tones or not all(0 < w < math.inf for w in tones):  # NaN fails
             raise ValueError(f"need positive finite tones (0 and the negative "
                              f"ones follow from them), got {list(tones)}")
-        repeated = [a for a, b in zip(tones, tones[1:]) if a == b]
-        if repeated:  # two equal tones make the basis singular
-            raise ValueError(f"tone {repeated[-1]!r} is repeated")
+        gaps = [b - a for a, b in zip((0.0, *tones), tones)]
+        if 0.0 in gaps:  # two equal tones make the basis singular
+            raise ValueError(f"tone {tones[gaps.index(0.0)]!r} is repeated")
         object.__setattr__(self, "positive", tones)
-        # instances (i + jitter) T / N with i + jitter < N, phases below w_K T
-        if not math.isfinite(self.count * self.base_period * max(*tones, 1.0)):
+        # in Python floats a subnormal gap gives inf, not a numpy warning
+        object.__setattr__(self, "window", 2.0 * math.pi / min(gaps))
+        # instances i T / N < N T or in [0, W) with T <= W, phases below w_K W
+        if not math.isfinite(self.count * self.window * max(*tones, 1.0)):
             raise ValueError(f"tones {list(tones)} have time instances or "
-                             f"phases over their base period that overflow")
+                             f"phases over their window that overflow")
 
     @classmethod
     def harmonics(cls, omega1: float, count: int) -> "FrequencySet":
@@ -73,21 +76,21 @@ class SpectralOperator:
 
 
 def choose_instances(fs: FrequencySet) -> np.ndarray:
-    """The fs.count time instances for the operator: the best conditioned
-    of the N equispaced instances over the base period and a seeded batch
-    of jittered ones (Guedeney et al., J. Comput. Phys. 236, 2013). The
-    equispaced set, taken without the search when its condition is sqrt(2)
-    within 1e-9 relative, is optimal for integer multiples of the smallest
-    tone no two of which alias there (as 4 = -1 mod 5 does for 1 and 4).
-    """
+    """The fs.count time instances: the N equispaced ones over the base
+    period when their condition is sqrt(2), the optimum, within 1e-9 (for
+    multiples of the smallest tone no two of which alias there); otherwise
+    the N, sorted, that QR with column pivoting of the basis matrix picks
+    first from _OVERSAMPLING N golden-ratio points W frac(j phi) over the
+    window W (Kundert et al., IEEE MTT 36(2), 1988; Guedeney et al., 2013)."""
     n = fs.count
     base = np.arange(n) * fs.base_period / n
     if np.linalg.cond(_basis_matrix(fs, base)[0]) <= _OPTIMAL_CONDITION:
         return base
-    jitter = np.random.default_rng(_SEED).uniform(-0.45, 0.45,
-                                                  (_CANDIDATES, n))
-    trials = np.vstack([base, (np.arange(n) + jitter) * fs.base_period / n])
-    return trials[np.argmin(np.linalg.cond(_basis_matrix(fs, trials)[0]))]
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    candidates = fs.window * (np.arange(_OVERSAMPLING * n) * golden % 1.0)
+    pivots = scipy.linalg.qr(_basis_matrix(fs, candidates)[0].T,
+                             pivoting=True, mode="r")[1]
+    return np.sort(candidates[pivots[:n]])
 
 
 def _basis_matrix(fs: FrequencySet, instances: np.ndarray):
@@ -101,14 +104,10 @@ def _basis_matrix(fs: FrequencySet, instances: np.ndarray):
 
 
 def build_operator(fs: FrequencySet, instances=None) -> SpectralOperator:
-    """Spectral derivative operator for the frequency set.
-
-    Raises ValueError for duplicate/resonant instances (singular or
-    extremely ill-conditioned basis matrix), reporting its condition.
-    """
-    if instances is None:
-        instances = choose_instances(fs)
-    t = np.asarray(instances, dtype=float)
+    """Spectral derivative operator for the frequency set; a ValueError for
+    duplicate or resonant instances (near-singular E) reports the condition."""
+    t = np.asarray(choose_instances(fs) if instances is None else instances,
+                   dtype=float)
     if t.ndim != 1 or len(t) != fs.count:
         raise ValueError(f"need exactly {fs.count} instances")
     if len(np.unique(t)) != len(t):

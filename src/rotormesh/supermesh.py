@@ -563,6 +563,7 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str):
     (max_offset) wins, the plane on a tie. A cylinder's branch cut goes
     through the widest azimuth gap, so a full 360-degree interface, which
     has none, raises ValueError naming the side and a face the cut splits.
+    A fit collapsing a face of distinct points raises one naming both markers.
     """
     groups = [mesh.markers.get(marker_a), mesh.markers.get(marker_b)]
     if None in groups:
@@ -589,9 +590,22 @@ def interface_from_markers(mesh: Mesh, marker_a: str, marker_b: str):
         proj = min(fit_plane(cloud), fit_cylinder_z(cloud),
                    key=lambda fit: fit.max_offset)
         flat = proj.project(cloud)
-    faces = np.split(flat[inverse], [conns[0].size])  # A's, then B's
-    sides = [InterfaceFaceSet(name, f.reshape(c.shape + flat.shape[1:]))
-             for name, f, c in zip("AB", faces, conns)]
+    faces = [f.reshape(c.shape + flat.shape[1:]) for f, c in  # A's, B's
+             zip(np.split(flat[inverse], [conns[0].size]), conns)]
+    try:
+        sides = [InterfaceFaceSet(name, f) for name, f in zip("AB", faces)]
+    except ValueError:  # the fit may have collapsed a face of distinct points
+        for f, c, marker in zip(faces, conns, (marker_a, marker_b)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                zero = (f[:, 0] == f[:, 1] if mesh.dim == 2
+                        else _signed_areas(f, _counts(f)) == 0.0)
+            if np.ptp(mesh.points[c[zero]], axis=1).any():
+                fit = "line" if mesh.dim == 2 else "plane or z-axis cylinder"
+                raise ValueError(
+                    f"interface markers {marker_a!r} and {marker_b!r} do not "
+                    f"lie on one common {fit}: the fit collapses faces of "
+                    f"marker {marker!r}") from None
+        raise
     if isinstance(proj, CylinderProjection):
         # A face the branch cut runs through unrolls across the width;
         # no real face spans half the circumference.

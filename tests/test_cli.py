@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +425,27 @@ def test_deform_negative_volume_exit_code(tmp_path, capsys):
     assert "last good step" in err
 
 
+def test_deform_2d_mesh_is_usage_error(square_file, tmp_path, capsys):
+    """Flap and pitch would move a blade marker of a 2D mesh out of its
+    plane (z = -0.05 at step 1 here), so deform refuses the mesh: exit 1,
+    one line, no output directory."""
+    text = resources.files("rotormesh").joinpath(
+        "fixtures/ah1g_low_speed.cfg").read_text()
+    cfg = tmp_path / "square.cfg"
+    cfg.write_text(text.replace('fixed_markers = ["farfield"]',
+                                'fixed_markers = ["upper"]')
+                   .replace("support_radius_chords = 2.5",
+                            "support_radius_m = 3.0"))
+    outdir = tmp_path / "out"
+    assert main(["deform", square_file, str(cfg), "--markers", "lower",
+                 "--steps-per-rev", "4", "--revolutions", "1",
+                 "--output-dir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("rotormesh: error: deformation needs a 3D mesh, "
+                   "got a 2D one\n")
+    assert not outdir.exists()
+
+
 def test_deform_unknown_marker(square_file, tmp_path, capsys):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(ZERO_MOTION)
@@ -803,6 +825,21 @@ def test_interface_full_cylinder_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_interface_markers_off_one_line_exit_4(square_file, tmp_path,
+                                              capsys):
+    """The parallel sides of the square have no common line: exit 4 with
+    one line that names both markers and the line fit, not the face of
+    length 1 that the fit collapsed, and no output."""
+    out = tmp_path / "w.csv"
+    assert main(["interface", square_file, "lower", "upper",
+                 "--output", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "rotormesh: interface error: interface markers 'lower' and 'upper' "
+        "do not lie on one common line: the fit collapses faces of marker "
+        "'lower'\n")
+    assert not out.exists()
+
+
 def test_interface_face_area_overflow_exit_4(tmp_path, capsys):
     """In-plane coordinates of about 1e150 by 1e200 project without an
     overflow, but every face's shoelace terms overflow: the first face is
@@ -915,7 +952,7 @@ def test_hb_zero_or_negative_tone_usage_error(omega, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["--omega", "1e-310"], "--omega: tones [1e-310] have time instances "
-                            "or phases over their base period that overflow"),
+                            "or phases over their window that overflow"),
     (["--omega=1e-300,1e300"], "--omega: tones [1e-300, 1e+300] have"),
     (["--omega", "1e308", "--tone-multiple", "3"],
      "--tone-multiple 3 times the fundamental 1e+308 rad/s is not finite"),

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import warnings
 
@@ -31,7 +32,7 @@ BAD_TONES = [
     ((1.0, 1.0), "tone 1.0 is repeated"),
     ((2.5, 1.0, 2.5), "tone 2.5 is repeated"),
     ((1e-310,), r"tones \[1e-310\] have time instances or phases over "
-                "their base period that overflow"),
+                "their window that overflow"),
     ((1e-300, 1e300), r"tones \[1e-300, 1e\+300\] have"),
 ]
 
@@ -58,12 +59,14 @@ def test_frequency_set_fields():
 
 
 def test_positive_tones_derive_base_period():
-    """The tones are kept sorted and the base period is 2 pi over the
-    smallest, whatever the order of the list."""
+    """The tones are kept sorted, the base period is 2 pi over the smallest
+    and the window 2 pi over the smallest gap in {0, w_1, ..., w_K},
+    whatever the order of the list."""
     fs = FrequencySet([4 * np.pi, 2 * np.pi])
     assert fs.count == 5
     assert fs.positive == (2 * np.pi, 4 * np.pi)
-    assert fs.base_period == 1.0
+    assert fs.base_period == 1.0 and fs.window == 1.0
+    assert FrequencySet([3.0, 1.0, 1.5]).window == 2 * np.pi / 0.5
     assert FrequencySet.harmonics(2.5, 3).positive == (2.5, 5.0, 7.5)
     assert FrequencySet.harmonics(2.5, 3).base_period == 2 * np.pi / 2.5
 
@@ -276,17 +279,20 @@ def test_exact_on_resolved_tones_of_any_set(tones, shift, multiple, coefs):
 @pytest.mark.parametrize("tones", [
     (1.0, 4.0000000001), (1.0 + 1e-10, 4.0), (1.0, 4.0 - 1e-11),
     (1.0, 2.0, 5.0000000001), (0.37, 0.37 * 4 * (1 + 1e-10)),
+    tuple(math.sqrt(k) for k in range(2, 13)), (1.0, 1.000001),
 ])
 def test_near_aliasing_tones_get_well_conditioned_instances(tones):
     """Tones within 1e-9 of multiples that alias at the equispaced instances
-    (1 and 4 at N = 5, 2 and 5 at N = 7) make those instances near-singular
-    (condition 1e10 and more), so the set gets the best conditioned of the
-    jittered instance sets, on which every tone is exact; rotormesh hb
-    reports the fundamental resolved and exact."""
+    (1 and 4 at N = 5, 2 and 5 at N = 7), and tones closer to each other
+    than the smallest tone (sqrt(2), ..., sqrt(12); 1 and 1.000001), make
+    those instances ill-conditioned (condition 1e6 and more), so the set
+    gets the instances that pivoted QR picks over its window, on which
+    every tone is exact; rotormesh hb reports the fundamental resolved and
+    exact."""
     fs = FrequencySet(tones)
     n = fs.count
     equispaced = np.arange(n) * fs.base_period / n
-    assert np.linalg.cond(_basis_matrix(fs, equispaced)[0]) > 1e9
+    assert np.linalg.cond(_basis_matrix(fs, equispaced)[0]) > 1e6
     op = build_operator(fs)
     assert op.condition < 10.0
     t = op.instances
@@ -304,10 +310,10 @@ def test_near_aliasing_tones_get_well_conditioned_instances(tones):
     assert float(report.rsplit(" ", 1)[1]) <= 1e-12 * fs.positive[0]
 
 
-def test_tones_aliasing_at_equispaced_instances_get_jittered_ones():
+def test_tones_aliasing_at_equispaced_instances_get_pivoted_ones():
     """4 = -1 mod 5: the tones 1 and 4 alias at the 5 equispaced instances,
-    where the basis matrix is singular, so the set gets the best conditioned
-    of the jittered instance sets, on which it is exact."""
+    where the basis matrix is singular, so the set gets the instances that
+    pivoted QR picks over its window, on which it is exact."""
     fs = FrequencySet((1.0, 4.0))
     with pytest.raises(ValueError, match="near-singular"):
         build_operator(fs, np.arange(5) * fs.base_period / 5)
@@ -325,3 +331,51 @@ def test_tones_aliasing_at_equispaced_instances_get_jittered_ones():
     assert code == 0
     report = err.getvalue().splitlines()[-1]
     assert "(resolved)" in report and float(report.rsplit(" ", 1)[1]) <= 1e-13
+
+
+@st.composite
+def any_tone_sets(draw):
+    """1 to 20 tones: random (four decimals in [1, 3]), near-harmonic
+    (distinct multiples of 1, each shifted by up to 1e-3 relative) or evenly
+    spaced 1 + g k with g from 1e-6 to 1; all scaled by 1e-2 to 1e3."""
+    k = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["random", "near-harmonic", "even"]))
+    if kind == "random":
+        tones = draw(st.lists(st.floats(1.0, 3.0).map(lambda x: round(x, 4)),
+                              min_size=k, max_size=k, unique=True))
+    elif kind == "near-harmonic":
+        multiples = draw(st.lists(st.integers(1, 2 * k + 1), min_size=k,
+                                  max_size=k, unique=True))
+        tones = [m * (1.0 + draw(st.floats(-1e-3, 1e-3))) for m in multiples]
+    else:
+        g = 10.0 ** draw(st.floats(-6.0, 0.0))
+        tones = [1.0 + g * i for i in range(k)]
+    scale = 10.0 ** draw(st.floats(-2.0, 3.0))
+    return [scale * w for w in tones]
+
+
+@settings(deadline=None)
+@given(tones=any_tone_sets())
+@example(tones=[math.sqrt(k) for k in range(2, 13)])
+@example(tones=[1.0 + 2e-6 * k for k in range(20)])
+def test_pivoted_instances_resolve_any_set(tones):
+    """Whatever the set, close, near-harmonic or evenly spaced tones
+    included, the instances have condition at most 1e6, every tone is
+    differentiated to 1e-10 relative to the largest, and rotormesh hb exits
+    0 with the fundamental resolved to the same tolerance."""
+    fs = FrequencySet(tones)
+    op = build_operator(fs)
+    assert op.condition <= 1e6
+    t, w_max = op.instances, fs.positive[-1]
+    for w in fs.positive:
+        for sig, dsig in ((np.sin(w * t), w * np.cos(w * t)),
+                          (np.cos(w * t), -w * np.sin(w * t))):
+            assert np.abs(apply(op, sig) - dsig).max() <= 1e-10 * w_max
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["hb", "--omega=" + ",".join(map(repr, tones)),
+                     "--tone-multiple", "1", "--output", os.devnull])
+    assert code == 0
+    report = err.getvalue().splitlines()[-1]
+    assert "(resolved)" in report
+    assert float(report.rsplit(" ", 1)[1]) <= 1e-10 * w_max

@@ -992,6 +992,23 @@ def test_interface_from_markers_2d_line():
     assert sm.total_area == pytest.approx(1.0)
 
 
+def test_interface_fit_collapsing_a_face_names_the_markers(square_mesh):
+    """The square's parallel lower and upper sides have no common line:
+    the fit through their four corners runs along one of them and collapses
+    the other's face, a segment of length 1, to a point. That is reported
+    as markers off one common line, naming both. A face whose own points
+    coincide is still reported by the face set."""
+    with pytest.raises(ValueError, match=re.escape(
+            "interface markers 'lower' and 'upper' do not lie on one common "
+            "line: the fit collapses faces of marker 'lower'")):
+        interface_from_markers(square_mesh, "lower", "upper")
+    points = square_mesh.points.copy()
+    points[0] = points[1]  # lower's two ends now coincide
+    with pytest.raises(ValueError, match="^face 0: zero-length segment$"):
+        interface_from_markers(square_mesh.with_points(points), "lower",
+                               "right")
+
+
 def test_interface_from_markers_cylinder():
     """Markers on a z-axis cylinder (across the atan2 wrap) unroll to
     (arc length, z) rectangles; the plane fit leaves points far off."""
