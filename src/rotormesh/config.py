@@ -28,9 +28,11 @@ class ConfigError(ValueError):
 
 
 def _coerce(raw: str):
+    """The Python literal raw spells, else raw as text: also a literal
+    Python cannot build ({[1]: 2}) or nests too deeply for its parser."""
     try:
         return ast.literal_eval(raw)
-    except (ValueError, SyntaxError):
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
         raw = raw.strip()
         return {"true": True, "false": False}.get(raw.lower(), raw)
 
@@ -75,32 +77,31 @@ _SERIES = {  # degrees in the file, radians in memory
 # section -> key -> converter; each converter raises ValueError on a bad value
 _KEYS = {
     "rotor": {
-        "radius_m": _POSITIVE, "rpm": _POSITIVE, "chord_m": _POSITIVE,
+        "rpm": _POSITIVE, "chord_m": _POSITIVE,
         "n_blades": _rule("a positive integer", _count, int),
         "hinge": _rule("a list of 3 numbers",
                        lambda v: _list(v, _real) and len(v) == 3,
                        lambda v: tuple(map(float, v))),
     },
     "pitch": _SERIES, "flap": _SERIES, "leadlag": _SERIES,
-    "flight": {"tip_mach": _POSITIVE, "advance_ratio": _NON_NEGATIVE,
-               "freestream_mach": _NON_NEGATIVE,
-               "thrust_coefficient": _NUMBER},
+    "flight": {"tip_mach": _POSITIVE, "advance_ratio": _NON_NEGATIVE},
     "rbf": {
         "kernel": _rule("one of " + ", ".join(KERNEL_KINDS),
                         lambda v: v in KERNEL_KINDS, str),
-        "support_radius_m": _POSITIVE, "support_radius_chords": _POSITIVE,
+        "support_radius_chords": _POSITIVE,
         "affine": _rule("true or false", lambda v: type(v) is bool, bool),
         "greedy_tol_m": _POSITIVE,
         "level_caps": _rule(
-            "a non-empty list of positive integers",
-            lambda v: _list(v, _count) and len(v) > 0, tuple),
+            "a non-empty, strictly increasing list of positive integers",
+            lambda v: _list(v, _count) and len(v) > 0
+            and all(a < b for a, b in zip(v, v[1:])), tuple),
         "fixed_markers": _rule(
             "a marker name or a list of them",
             lambda v: _name(v) or _list(v, _name),
             lambda v: (v,) if _name(v) else tuple(v)),
     },
 }
-_REQUIRED = {"rotor": ("radius_m", "rpm"), "flight": ("tip_mach",)}
+_REQUIRED = {"rotor": ("rpm",), "flight": ("tip_mach",)}
 # the dataclass field of each key not named like it
 _FIELDS = {"mean_deg": "mean", "sin_deg": "sine_coeffs",
            "cos_deg": "cosine_coeffs", "affine": "with_affine",
@@ -111,7 +112,8 @@ def _read_config(text: str) -> dict[str, dict[str, object]]:
     """Each section ([rotor] even if absent) with its values converted by
     _KEYS and keyed by field. One ConfigError lists every unknown section,
     unknown key and missing required key, else names the first bad value."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -141,14 +143,12 @@ def _read_config(text: str) -> dict[str, dict[str, object]]:
 
 @dataclass(frozen=True)
 class MotionConfig:
-    """Parsed configuration: rotor geometry, motion laws, flight condition,
-    and RBF deformation settings."""
+    """Parsed configuration: rotor speed and blades, motion laws, flight
+    condition, and RBF deformation settings."""
 
-    radius_m: float
     rpm: float
     n_blades: int = 1
     hinge: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    chord_m: float | None = None
     pitch: MotionSeries = MotionSeries()
     flap: MotionSeries = MotionSeries()
     leadlag: MotionSeries = MotionSeries()
@@ -168,45 +168,37 @@ class MotionConfig:
 def parse_motion_config(text: str) -> MotionConfig:
     sections = _read_config(text)
     rotor = sections["rotor"]
-    flight = None
-    if "flight" in sections:
-        try:
-            flight = FlightCondition(rotor_radius=rotor["radius_m"],
-                                     **sections["flight"])
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: [flight] {exc}") from exc
+    chord = rotor.pop("chord_m", None)
 
-    # RBF settings are optional for motion-only configs (sweeps); a missing
-    # support radius is an error only once a kernel actually needs one.
+    # RBF settings are optional for motion-only configs (sweeps); the support
+    # radius, support_radius_chords (default 2.5) chords, needs [rotor]
+    # chord_m only once a kernel actually uses one.
     rbf = sections.get("rbf", {})
     fixed = rbf.pop("fixed_markers", ())
     rbf_cfg = None
-    if "rbf" in sections or "chord_m" in rotor:
+    if "rbf" in sections or chord is not None:
         kind = rbf.pop("kernel", "wendland_c2")
-        support = rbf.pop("support_radius_m", None)
         chords = rbf.pop("support_radius_chords", None)
+        support = None
         if kind == "thin_plate_spline":
-            unused = [f"[rbf] {key} (unused by thin_plate_spline)"
-                      for key, value in (("support_radius_m", support),
-                                         ("support_radius_chords", chords))
-                      if value is not None]
-            if unused:
-                raise ConfigError("bad config keys: " + "; ".join(unused))
-        elif support is None:
-            if "chord_m" not in rotor:
-                raise ConfigError(
-                    "[rbf] support radius in chords requires [rotor] chord_m")
-            support = (2.5 if chords is None else chords) * rotor["chord_m"]
-        elif chords is not None:
-            raise ConfigError("bad config keys: [rbf] support_radius_chords "
-                              "(conflicts with support_radius_m)")
+            if chords is not None:
+                raise ConfigError("bad config keys: [rbf] "
+                                  "support_radius_chords (unused by "
+                                  "thin_plate_spline)")
+        elif chord is None:
+            raise ConfigError(
+                "[rbf] support radius in chords requires [rotor] chord_m")
+        else:
+            support = (2.5 if chords is None else chords) * chord
         rbf_cfg = RbfConfig(RbfKernel(kind, support), **rbf)
 
     return MotionConfig(
         **rotor,
         **{name: MotionSeries(**sections.get(name, {}))
            for name in ("pitch", "flap", "leadlag")},
-        flight=flight, rbf=rbf_cfg, fixed_markers=fixed)
+        flight=(FlightCondition(**sections["flight"])
+                if "flight" in sections else None),
+        rbf=rbf_cfg, fixed_markers=fixed)
 
 
 def load_motion_config(path: str | Path) -> MotionConfig:

@@ -67,10 +67,10 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
     the basis. Step k takes the hinge motion, the lab-frame points and the
     quality report of step k % steps_per_rev and carries the run's greedy
     history and its own surface error. On call, before any step runs, the
-    arguments are checked and the hinge motion of every phase tabulated: a
-    2D mesh, a blade marker that shares a point with another blade or fixed
-    marker, and a steps_per_rev whose table numpy cannot size or hold are
-    each a ValueError.
+    arguments are checked and the hinge motion of every phase tabulated:
+    more blade markers than n_blades, a 2D mesh, a blade marker that shares
+    a point with another blade or fixed marker, and a steps_per_rev whose
+    table numpy cannot size or hold are each a ValueError.
     """
     if steps_per_rev < 1:
         raise ValueError("steps_per_rev must be >= 1")
@@ -91,6 +91,9 @@ def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
             raise ValueError(f"blade marker {name!r} is listed twice")
         if name in cfg.fixed_markers:
             raise ValueError(f"blade marker {name!r} is also a fixed marker")
+    if len(blade_markers) > cfg.n_blades:
+        raise ValueError(f"{len(blade_markers)} blade markers for a rotor "
+                         f"of n_blades = {cfg.n_blades}")
 
     markers = {name: extract_marker_points(mesh, name)[0]
                for name in (*blade_markers, *cfg.fixed_markers)}

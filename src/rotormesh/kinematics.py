@@ -44,33 +44,11 @@ def eval_series(series: MotionSeries, psi):
 
 @dataclass(frozen=True)
 class FlightCondition:
-    """Rotor operating point; advance ratio defaults to the Mach ratio.
-
-    If both advance_ratio and freestream_mach are supplied they must be
-    consistent (mu = M_inf / M_tip) to within 1e-6.
-    """
+    """Rotor operating point: tip Mach number and advance ratio (0 in
+    hover)."""
 
     tip_mach: float
-    rotor_radius: float
-    advance_ratio: float | None = None
-    freestream_mach: float | None = None
-    thrust_coefficient: float | None = None
-
-    def __post_init__(self):
-        if self.tip_mach <= 0.0:
-            raise ValueError("tip_mach must be positive")
-        mu, minf = self.advance_ratio, self.freestream_mach
-        if mu is None and minf is None:
-            object.__setattr__(self, "advance_ratio", 0.0)
-            object.__setattr__(self, "freestream_mach", 0.0)
-        elif mu is None:
-            object.__setattr__(self, "advance_ratio", minf / self.tip_mach)
-        elif minf is None:
-            object.__setattr__(self, "freestream_mach", mu * self.tip_mach)
-        elif abs(mu - minf / self.tip_mach) > 1e-6:
-            raise ValueError(
-                f"advance_ratio {mu} inconsistent with freestream/tip Mach "
-                f"ratio {minf / self.tip_mach}")
+    advance_ratio: float = 0.0
 
 
 def azimuth_matrix(psi: float) -> np.ndarray:
@@ -116,8 +94,11 @@ def blade_point(x, motion, t: float, blade: int = 0):
     (position, hinge_frame) where hinge_frame is the point after the
     flap/lead-lag/pitch rotation about the hinge, a fixed pivot,
     hinge_frame = x_hinge + C_hinge (x - x_hinge), but before the
-    azimuthal rotation.
+    azimuthal rotation. A blade outside [0, n_blades) is a ValueError.
     """
+    if not 0 <= blade < motion.n_blades:
+        raise ValueError(f"blade {blade} is not one of the "
+                         f"{motion.n_blades} blades (0 to n_blades - 1)")
     x = np.asarray(x, dtype=float)
     psi = motion.omega * t + 2.0 * np.pi * blade / motion.n_blades
     beta = eval_series(motion.flap, psi)

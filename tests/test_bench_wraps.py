@@ -23,7 +23,6 @@ SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 CYCLIC = """
 [rotor]
-radius_m = 1.0
 chord_m = 0.3
 rpm = 60.0
 n_blades = 1

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshgen import (SQUARE_2TRI, box_hex_mesh, box_with_plate_mesh,
-                     sector_interface_mesh, stacked_interface_mesh)
+                     box_with_plates_mesh, sector_interface_mesh,
+                     stacked_interface_mesh)
 
 from rotormesh import cli, geometry
 from rotormesh.cli import _supermesh_vtk, build_parser, main
@@ -26,7 +27,6 @@ from rotormesh.supermesh import (InterfaceFaceSet, build_supermesh,
 
 ZERO_MOTION = """
 [rotor]
-radius_m = 1.0
 chord_m = 0.3
 rpm = 60.0
 n_blades = 1
@@ -246,7 +246,7 @@ def test_sweep_zero_steps_is_usage_error(tmp_path, capsys):
 
 def test_sweep_bad_config_lists_keys(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[rotor]\nradius_m = 1.0\n")
+    cfg.write_text("[rotor]\nn_blades = 2\n")
     assert main(["sweep", str(cfg)]) == 2
     assert "rpm" in capsys.readouterr().err
 
@@ -433,9 +433,7 @@ def test_deform_2d_mesh_is_usage_error(square_file, tmp_path, capsys):
         "fixtures/ah1g_low_speed.cfg").read_text()
     cfg = tmp_path / "square.cfg"
     cfg.write_text(text.replace('fixed_markers = ["farfield"]',
-                                'fixed_markers = ["upper"]')
-                   .replace("support_radius_chords = 2.5",
-                            "support_radius_m = 3.0"))
+                                'fixed_markers = ["upper"]'))
     outdir = tmp_path / "out"
     assert main(["deform", square_file, str(cfg), "--markers", "lower",
                  "--steps-per-rev", "4", "--revolutions", "1",
@@ -457,7 +455,7 @@ def test_deform_without_rbf_settings_is_config_error(tmp_path, capsys):
     mesh_file = tmp_path / "box.mesh"
     mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
     cfg = tmp_path / "motion.cfg"
-    cfg.write_text("[rotor]\nradius_m = 1.0\nrpm = 60.0\n")
+    cfg.write_text("[rotor]\nrpm = 60.0\n")
     outdir = tmp_path / "out"
     assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
                  "--output-dir", str(outdir)]) == 2
@@ -492,15 +490,13 @@ def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
 
 
 @pytest.mark.parametrize("old,new,message", [
-    ("radius_m = 1.0", "radius_m = abc",
-     "bad config value: [rotor] radius_m must be a positive number, "
-     "got 'abc'"),
+    ("rpm = 60.0", "rpm = abc",
+     "bad config value: [rotor] rpm must be a positive number, got 'abc'"),
     ("fixed_markers", "fixed_marker",
      "bad config keys: [rbf] fixed_marker (unknown)"),
     ("support_radius_chords = 2.5",
      "support_radius_chords = 9\nsupport_radius_m = 0.4",
-     "bad config keys: [rbf] support_radius_chords (conflicts with "
-     "support_radius_m)"),
+     "bad config keys: [rbf] support_radius_m (unknown)"),
     ("support_radius_chords = 2.5",
      "kernel = thin_plate_spline\nsupport_radius_chords = 2.5",
      "bad config keys: [rbf] support_radius_chords (unused by "
@@ -516,6 +512,54 @@ def test_deform_config_typo_is_parse_error(tmp_path, capsys, old, new,
     assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
                  "--output-dir", str(outdir)]) == 2
     assert f"parse error: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "deform"])
+@pytest.mark.parametrize("section,key,raw", [
+    ("rotor", "radius_m", "1.0"),
+    ("flight", "freestream_mach", "0.12"),
+    ("flight", "thrust_coefficient", "0.005"),
+    ("rbf", "support_radius_m", "0.4"),
+])
+def test_removed_config_key_is_parse_error(tmp_path, capsys, command,
+                                           section, key, raw):
+    """Keys the program never read (radius_m, thrust_coefficient) or read
+    a second way (freestream_mach, support_radius_m) are unknown: exit 2,
+    one line, nothing written."""
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text((ZERO_MOTION + "[flight]\ntip_mach = 0.6\n").replace(
+        f"[{section}]\n", f"[{section}]\n{key} = {raw}\n"))
+    out = tmp_path / "out"
+    if command == "sweep":
+        argv = ["sweep", str(cfg), "--output", str(out)]
+    else:
+        mesh_file = tmp_path / "box.mesh"
+        mesh_file.write_text(write_mesh(box_with_plate_mesh(n=4)))
+        argv = ["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                "--output-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("rotormesh: parse error: bad config "
+                                       f"keys: [{section}] {key} (unknown)\n")
+    assert not out.exists()
+
+
+def test_deform_more_blade_markers_than_blades_is_usage_error(tmp_path,
+                                                              capsys):
+    """Blade marker i sits at azimuth 2 pi i / n_blades, so on a one-bladed
+    rotor a second marker would move at the first one's azimuth: exit 1,
+    one line, no output directory."""
+    mesh_file = tmp_path / "plates.mesh"
+    mesh_file.write_text(write_mesh(box_with_plates_mesh(4, 1.8, {
+        "b0": ((0.4, 1.4), (-0.15, 0.15), (-0.05, 0.05)),
+        "b1": ((-1.4, -0.4), (-0.15, 0.15), (-0.05, 0.05))})))
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_MOTION)
+    outdir = tmp_path / "out"
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "b0,b1",
+                 "--output-dir", str(outdir)]) == 1
+    assert capsys.readouterr().err == ("rotormesh: error: 2 blade markers "
+                                       "for a rotor of n_blades = 1\n")
     assert not outdir.exists()
 
 
@@ -622,8 +666,7 @@ def test_deform_zero_stride_is_usage_error(tmp_path, capsys):
 # interpolation system is too ill-conditioned to solve
 ILL_CONDITIONED = """
 [rotor]
-radius_m = 1.0
-chord_m = 0.3
+chord_m = 1.0
 rpm = 60.0
 n_blades = 1
 
@@ -633,7 +676,7 @@ sin_deg = 3.0
 
 [rbf]
 kernel = gaussian
-support_radius_m = 50.0
+support_radius_chords = 50.0
 greedy_tol_m = 1e-12
 fixed_markers = ["farfield"]
 """

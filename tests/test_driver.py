@@ -17,7 +17,6 @@ from rotormesh.mesh import Mesh, extract_marker_points
 
 STILL_ROTOR = """
 [rotor]
-radius_m = 1.0
 chord_m = 0.3
 rpm = 60.0
 n_blades = 1
@@ -47,7 +46,6 @@ sin_deg = -3.0
 
 TWO_BLADES = """
 [rotor]
-radius_m = 1.0
 chord_m = 0.3
 rpm = 60.0
 n_blades = 3
@@ -129,7 +127,7 @@ def test_unknown_marker_rejected(small_mesh):
 
 
 def test_missing_rbf_section_rejected(small_mesh):
-    cfg = parse_motion_config("[rotor]\nradius_m = 1.0\nrpm = 60.0\n")
+    cfg = parse_motion_config("[rotor]\nrpm = 60.0\n")
     with pytest.raises(ValueError, match="rbf"):
         list(run_deformation(small_mesh, cfg, ["blade"], steps_per_rev=4,
                              revolutions=0.0))
@@ -210,7 +208,8 @@ def test_blade_marker_sharing_points_rejected_on_call(small_mesh, markers,
     """A blade marker's points move with it alone: one shared with another
     blade or a fixed marker would get two targets, so the call fails
     before any step runs."""
-    cfg = replace(parse_motion_config(STILL_ROTOR), fixed_markers=fixed)
+    cfg = replace(parse_motion_config(STILL_ROTOR), n_blades=2,
+                  fixed_markers=fixed)
     mesh = with_first_face(small_mesh, "hub", "blade")
     with pytest.raises(ValueError, match=message):
         run_deformation(mesh, cfg, markers, steps_per_rev=4, revolutions=0.0)
@@ -376,6 +375,16 @@ PLATES_MESH = with_first_face(box_with_plates_mesh(6, 1.2, PLATES),
                               "corner", "farfield")
 PLATES_POINTS = {name: extract_marker_points(PLATES_MESH, name)
                  for name in PLATES}
+
+
+def test_more_blade_markers_than_blades_rejected_on_call():
+    """Marker i sits at azimuth 2 pi i / n_blades, so a second marker on a
+    one-bladed rotor would move at the first one's azimuth."""
+    cfg = parse_motion_config(STILL_ROTOR)
+    with pytest.raises(ValueError,
+                       match="2 blade markers for a rotor of n_blades = 1"):
+        run_deformation(PLATES_MESH, cfg, ["blade_a", "blade_b"],
+                        steps_per_rev=4, revolutions=0.0)
 
 ANGLE = st.floats(-15.0, 15.0).map(np.radians).map(float)
 SERIES = st.builds(MotionSeries, ANGLE,

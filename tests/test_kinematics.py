@@ -95,7 +95,7 @@ def test_pure_pitch_action():
 def _motion(pitch=MotionSeries(), flap=MotionSeries(), leadlag=MotionSeries(),
             hinge=(0.0, 0.0, 0.0), rate=1.0, n_blades=1):
     """A rotor turning at rate rad/s with these laws and hinge."""
-    return MotionConfig(radius_m=1.0, rpm=rate * 60.0 / (2.0 * np.pi),
+    return MotionConfig(rpm=rate * 60.0 / (2.0 * np.pi),
                         n_blades=n_blades, hinge=hinge, pitch=pitch,
                         flap=flap, leadlag=leadlag)
 
@@ -147,6 +147,14 @@ def test_hover_axisymmetry():
         assert np.allclose(p2, azimuth_matrix(np.pi) @ p1, atol=1e-12)
 
 
+@pytest.mark.parametrize("blade", [-1, 2, 3])
+def test_blade_point_rejects_a_blade_the_rotor_lacks(blade):
+    """Blade 2 of a two-bladed rotor would sit at blade 0's azimuth."""
+    with pytest.raises(ValueError, match=f"blade {blade} is not one of the "
+                       "2 blades"):
+        blade_point([1.0, 0.0, 0.0], _motion(n_blades=2), 0.0, blade=blade)
+
+
 def test_blade_point_array_input():
     motion = _motion(pitch=PITCH_LOW, rate=2.0)
     xs = np.random.default_rng(0).normal(size=(10, 3))
@@ -160,38 +168,24 @@ def test_blade_point_array_input():
 # Flight condition and blade normal Mach
 # ---------------------------------------------------------------------------
 
-def test_flight_condition_derivations():
-    fc = FlightCondition(tip_mach=0.65, rotor_radius=6.71, advance_ratio=0.19)
-    assert fc.freestream_mach == pytest.approx(0.1235)
-    fc2 = FlightCondition(tip_mach=0.5, rotor_radius=1.0,
-                          freestream_mach=0.1)
-    assert fc2.advance_ratio == pytest.approx(0.2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        FlightCondition(tip_mach=0.65, rotor_radius=6.71, advance_ratio=0.19,
-                        freestream_mach=0.12)
-    ok = FlightCondition(tip_mach=0.65, rotor_radius=6.71,
-                         advance_ratio=0.19, freestream_mach=0.1235)
-    assert ok.advance_ratio == pytest.approx(0.19, abs=1e-12)
-
-
 def test_blade_normal_mach_advancing_tip():
-    fc = FlightCondition(tip_mach=0.65, rotor_radius=6.71, advance_ratio=0.19)
+    fc = FlightCondition(tip_mach=0.65, advance_ratio=0.19)
     assert blade_normal_mach(1.0, fc, np.pi / 2) == pytest.approx(0.7735)
 
 
 def test_blade_normal_mach_zero_azimuth():
-    fc = FlightCondition(tip_mach=0.439, rotor_radius=1.143,
-                         advance_ratio=0.0)
+    fc = FlightCondition(tip_mach=0.439)  # hover: advance ratio 0
+    assert fc.advance_ratio == 0.0
     assert blade_normal_mach(1.0, fc, 0.0) == pytest.approx(0.439)
 
 
 def test_blade_normal_mach_reverse_flow():
-    fc = FlightCondition(tip_mach=0.64, rotor_radius=6.71, advance_ratio=0.38)
+    fc = FlightCondition(tip_mach=0.64, advance_ratio=0.38)
     assert blade_normal_mach(0.2, fc, 1.5 * np.pi) == pytest.approx(-0.1152)
 
 
 def test_blade_normal_mach_sine_symmetry():
-    fc = FlightCondition(tip_mach=0.65, rotor_radius=6.71, advance_ratio=0.19)
+    fc = FlightCondition(tip_mach=0.65, advance_ratio=0.19)
     for psi in np.linspace(-3.0, 3.0, 17):
         a = blade_normal_mach(0.7, fc, psi)
         b = blade_normal_mach(0.7, fc, np.pi - psi)
@@ -199,7 +193,7 @@ def test_blade_normal_mach_sine_symmetry():
 
 
 def test_blade_normal_mach_range_check():
-    fc = FlightCondition(tip_mach=0.65, rotor_radius=6.71, advance_ratio=0.19)
+    fc = FlightCondition(tip_mach=0.65, advance_ratio=0.19)
     with pytest.raises(ValueError, match="r_over_R"):
         blade_normal_mach(1.2, fc, 0.0)
 

@@ -3,7 +3,8 @@
 Every module-level function, class and constant of src/rotormesh/*.py is
 read somewhere in the package outside its own definition; a re-export
 from __init__.py counts. No module but __init__.py, whose imports are the
-re-exports, imports a name it never reads.
+re-exports, imports a name it never reads. Every field of the
+configuration dataclasses is read as an attribute somewhere in the package.
 """
 
 import ast
@@ -64,3 +65,25 @@ def test_no_unused_imports():
                    for bound in [alias.asname or alias.name.split(".")[0]]
                    if bound not in loaded]
     assert not unused, f"imported but never read: {unused}"
+
+
+# the dataclasses a motion config file is parsed into
+CONFIG_CLASSES = ("MotionConfig", "FlightCondition", "MotionSeries",
+                  "RbfConfig", "RbfKernel")
+
+
+def test_every_config_field_is_read():
+    """A field nothing reads holds a config value that is parsed, checked
+    and then ignored. Reading it as an attribute anywhere in the package
+    counts, self.rpm inside the omega property too."""
+    fields = [(node.name, statement.target.id)
+              for tree in TREES.values() for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES
+              for statement in node.body
+              if isinstance(statement, ast.AnnAssign)]
+    assert {name for name, _ in fields} == set(CONFIG_CLASSES)
+    read = {n.attr for tree in TREES.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{name}.{field}" for name, field in fields
+              if field not in read]
+    assert not unread, f"config fields never read in the package: {unread}"
