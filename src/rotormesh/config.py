@@ -171,25 +171,29 @@ def parse_motion_config(text: str) -> MotionConfig:
     chord = rotor.pop("chord_m", None)
 
     # RBF settings are optional for motion-only configs (sweeps); the support
-    # radius, support_radius_chords (default 2.5) chords, needs [rotor]
-    # chord_m only once a kernel actually uses one.
+    # radius is support_radius_chords (default 2.5) x [rotor] chord_m, two
+    # keys the thin plate spline, which has no radius, does not take.
     rbf = sections.get("rbf", {})
     fixed = rbf.pop("fixed_markers", ())
-    rbf_cfg = None
+    rbf_cfg = support = None
     if "rbf" in sections or chord is not None:
         kind = rbf.pop("kernel", "wendland_c2")
         chords = rbf.pop("support_radius_chords", None)
-        support = None
         if kind == "thin_plate_spline":
-            if chords is not None:
-                raise ConfigError("bad config keys: [rbf] "
-                                  "support_radius_chords (unused by "
-                                  "thin_plate_spline)")
+            for key, value in (("[rbf] support_radius_chords", chords),
+                               ("[rotor] chord_m", chord)):
+                if value is not None:
+                    raise ConfigError(f"bad config keys: {key} (unused by "
+                                      "thin_plate_spline)")
         elif chord is None:
             raise ConfigError(
                 "[rbf] support radius in chords requires [rotor] chord_m")
         else:
             support = (2.5 if chords is None else chords) * chord
+            if not 0.0 < support < np.inf:  # the product over- or underflows
+                raise ConfigError("bad config value: [rotor] chord_m x [rbf] "
+                                  "support_radius_chords must be a positive "
+                                  f"finite number, got {support!r}")
         rbf_cfg = RbfConfig(RbfKernel(kind, support), **rbf)
 
     return MotionConfig(

@@ -128,29 +128,28 @@ def rotating_frame_velocity(omega, r):
     return np.cross(np.asarray(omega, dtype=float), np.asarray(r, dtype=float))
 
 
+def _grids(dt: float, *grids) -> list[np.ndarray]:
+    """The position arrays as floats, of one shape, and a positive dt."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    grids = [np.asarray(x, dtype=float) for x in grids]
+    if any(x.shape != grids[0].shape for x in grids):
+        raise ValueError("position arrays must have matching shapes")
+    return grids
+
+
 def grid_velocity_bdf2(x_np1, x_n, x_nm1, dt: float):
     """Second-order backward-difference grid velocity.
 
     (3 x^{n+1} - 4 x^n + x^{n-1}) / (2 dt), applied componentwise.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    x_np1 = np.asarray(x_np1, dtype=float)
-    x_n = np.asarray(x_n, dtype=float)
-    x_nm1 = np.asarray(x_nm1, dtype=float)
-    if x_np1.shape != x_n.shape or x_n.shape != x_nm1.shape:
-        raise ValueError("position arrays must have matching shapes")
+    x_np1, x_n, x_nm1 = _grids(dt, x_np1, x_n, x_nm1)
     return (3.0 * x_np1 - 4.0 * x_n + x_nm1) / (2.0 * dt)
 
 
 def grid_velocity_backward(x_np1, x_n, dt: float):
     """First-order one-sided grid velocity for start-up steps."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    x_np1 = np.asarray(x_np1, dtype=float)
-    x_n = np.asarray(x_n, dtype=float)
-    if x_np1.shape != x_n.shape:
-        raise ValueError("position arrays must have matching shapes")
+    x_np1, x_n = _grids(dt, x_np1, x_n)
     return (x_np1 - x_n) / dt
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import get_lapack_funcs, lu_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .geometry import QualityReport, orthogonality_metrics
@@ -59,10 +59,10 @@ class RbfKernel:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in _NEEDS_RADIUS:
-            if self.support_radius is None or self.support_radius <= 0.0:
-                raise ValueError(
-                    f"{self.kind} kernel requires a positive support_radius")
+        if self.kind in _NEEDS_RADIUS and \
+                not 0.0 < (self.support_radius or 0.0) < np.inf:
+            raise ValueError(f"{self.kind} kernel requires a positive, "
+                             "finite support_radius")
 
 
 def kernel_eval(kernel: RbfKernel, d):
@@ -127,16 +127,35 @@ def _assemble(centers: np.ndarray, dist: np.ndarray, data: np.ndarray,
     return a, rhs
 
 
+def _rows(what: str, points, displacements=None):
+    """points as float coordinate rows (1-D: one point) and displacements,
+    if given, as (n, k) rows, one per point, n > 0; names a non-finite row."""
+    rows = {what: np.atleast_2d(np.asarray(points, dtype=float))}
+    if displacements is not None:
+        rows["displacement"] = np.asarray(displacements, dtype=float)
+    for name, a in rows.items():
+        if a.ndim != 2:
+            raise ValueError(f"{name}s must be 2-D rows, got shape {a.shape}")
+        bad = ~np.isfinite(a).all(axis=1)
+        if bad.any():
+            raise ValueError(f"{name} {int(np.argmax(bad))} is not finite; "
+                             f"{name}s must be finite")
+    pts, data = rows[what], rows.get("displacement")
+    if data is not None and not 0 < len(pts) == len(data):
+        raise ValueError(f"need at least one {what} and one displacement "
+                         f"per {what}, got {len(pts)} and {len(data)}")
+    return pts, data
+
+
 def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """LU solve with one refinement pass; least-squares fallback for
-    rank-deficient affine blocks (e.g. coplanar centers)."""
-    try:
-        lu = lu_factor(a)
-        x = lu_solve(lu, rhs)
-        if np.all(np.isfinite(x)):
-            x += lu_solve(lu, rhs - a @ x)
-    except np.linalg.LinAlgError:
-        x = None
+    """LU solve with one refinement pass; an exactly zero LU pivot or a
+    non-finite solution (rank-deficient affine blocks, e.g. coplanar
+    centers) goes to least squares."""
+    getrf, = get_lapack_funcs(("getrf",), (a,))
+    lu, piv, info = getrf(np.asarray_chkfinite(a))  # info > 0: zero pivot
+    x = lu_solve((lu, piv), rhs) if info == 0 else None
+    if x is not None and np.all(np.isfinite(x)):
+        x += lu_solve((lu, piv), rhs - a @ x)
     if x is None or not np.all(np.isfinite(x)):
         x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
         if not np.all(np.isfinite(x)):
@@ -150,16 +169,10 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
     """Solve the dense symmetric interpolation system per component.
 
     Raises RbfSystemError (with a condition estimate) when the system
-    cannot reproduce the data, and ValueError for duplicate centers.
+    cannot reproduce the data, and ValueError for duplicate centers or
+    for rows _rows rejects.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    data = np.asarray(displacements, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    if len(centers) != len(data):
-        raise ValueError("one displacement per center required")
-    if len(centers) == 0:
-        raise ValueError("at least one center required")
+    centers, data = _rows("center", centers, displacements)
     dist = cdist(centers, centers)
     # a zero off the diagonal is a duplicate center
     if np.count_nonzero(dist == 0.0) > len(centers):
@@ -168,13 +181,10 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
     a, rhs = _assemble(centers, dist, data, kernel, with_affine)
     x = _solve_dense(a, rhs)
     m = len(centers)
-    weights = x[:m]
-    affine = x[m:] if with_affine else None
-    sol = RbfSolution(centers, weights, kernel, affine)
+    sol = RbfSolution(centers, x[:m], kernel, x[m:] if with_affine else None)
 
-    achieved = evaluate_field(sol, centers)
     scale = 1.0 + float(np.abs(data).max(initial=0.0))
-    err = float(np.abs(achieved - data).max())
+    err = float(np.abs(evaluate_field(sol, centers) - data).max())
     if err > 1e-8 * scale:
         raise RbfSystemError(
             f"interpolation residual {err:.3e} exceeds tolerance; system is "
@@ -186,10 +196,7 @@ def evaluate_field(solution: RbfSolution, targets) -> np.ndarray:
     """Displacement field at target points: per block of EVAL_CHUNK targets,
     the dense kernel matrix of the block against the centers times the
     weights, for every kernel. Non-finite targets raise ValueError."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    bad = ~np.isfinite(targets).all(axis=1)
-    if bad.any():
-        raise ValueError(f"target {int(np.argmax(bad))} is not finite")
+    targets, _ = _rows("target", targets)
     out = np.empty((len(targets), solution.weights.shape[1]))
     for start in range(0, len(targets), EVAL_CHUNK):
         block = targets[start:start + EVAL_CHUNK]
@@ -310,16 +317,7 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     solve_weights call on its centers, whose checked solution, residual
     and error make the level's record and decide convergence.
     """
-    pts = np.atleast_2d(np.asarray(surface_points, dtype=float))
-    data = np.asarray(displacements, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    if len(pts) == 0:
-        raise ValueError("at least one surface point required")
-    if len(pts) != len(data):
-        raise ValueError("one displacement per surface point required")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("displacements must be finite")
+    pts, data = _rows("surface point", surface_points, displacements)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
@@ -443,8 +441,6 @@ def deform_mesh(mesh: Mesh, indices, displacements, *,
     if idx.ndim != 1 or disp.shape != (len(idx), 3):
         raise ValueError(f"expected 1-D indices and (n, 3) displacements, "
                          f"got shapes {idx.shape} and {disp.shape}")
-    if not np.all(np.isfinite(disp)):
-        raise ValueError("displacements must be finite")
     order = np.argsort(idx)
     idx, disp = idx[order], disp[order]
     if len(idx) and not 0 <= idx[0] <= idx[-1] < len(mesh.points):

@@ -472,6 +472,8 @@ def test_deform_without_rbf_settings_is_config_error(tmp_path, capsys):
     ("", "kernel = foo"),
     ("", "level_caps = []"),
     ("", "[flight]\ntip_mach = 0"),
+    # 2.5 chords of 1e308 m overflow to an infinite support radius
+    ("chord_m = 0.3", "chord_m = 1e308"),
 ])
 def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
     mesh_file = tmp_path / "box.mesh"
@@ -501,6 +503,11 @@ def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
      "kernel = thin_plate_spline\nsupport_radius_chords = 2.5",
      "bad config keys: [rbf] support_radius_chords (unused by "
      "thin_plate_spline)"),
+    ("support_radius_chords = 2.5", "kernel = thin_plate_spline",
+     "bad config keys: [rotor] chord_m (unused by thin_plate_spline)"),
+    ("chord_m = 0.3", "chord_m = 1e308",
+     "bad config value: [rotor] chord_m x [rbf] support_radius_chords must "
+     "be a positive finite number, got inf"),
 ])
 def test_deform_config_typo_is_parse_error(tmp_path, capsys, old, new,
                                            message):

@@ -151,10 +151,13 @@ def test_support_radius_in_chords_requires_chord():
     ("kernel = thin_plate_spline\nsupport_radius_chords = 2.5\n",
      "bad config keys: [rbf] support_radius_chords (unused by "
      "thin_plate_spline)"),
+    ("kernel = thin_plate_spline\n",
+     "bad config keys: [rotor] chord_m (unused by thin_plate_spline)"),
 ])
 def test_support_keys_that_would_be_ignored_are_rejected(rbf, message):
-    """A support key the kernel would not use is an error, not a value read,
-    checked and dropped; the support radius has one key, so an absolute
+    """A support key the kernel would not use, support_radius_chords or
+    the chord it scales, is an error, not a value read, checked and
+    dropped; the support radius has one key, so an absolute
     support_radius_m is unknown."""
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         parse_motion_config(MINIMAL + "chord_m = 0.3\n[rbf]\n" + rbf)
@@ -176,6 +179,9 @@ def test_flight_requires_tip_mach():
 
 
 WITH_RBF = MINIMAL + "chord_m = 0.3\n[rbf]\n"
+SUPPORT_RANGE = (r"^bad config value: \[rotor\] chord_m x \[rbf\] "
+                 r"support_radius_chords must be a positive finite number, "
+                 r"got ")
 
 
 @pytest.mark.parametrize("text,key", [
@@ -192,6 +198,12 @@ WITH_RBF = MINIMAL + "chord_m = 0.3\n[rbf]\n"
     (MINIMAL.replace("60.0", "0"), r"\[rotor\] rpm"),
     (MINIMAL.replace("60.0", "-300"), r"\[rotor\] rpm"),
     (MINIMAL + "[flight]\ntip_mach = 0\n", r"\[flight\] tip_mach"),
+    # finite keys whose product, the support radius, leaves float range
+    (MINIMAL + "chord_m = 1e308\n[rbf]\nsupport_radius_chords = 1e308\n",
+     SUPPORT_RANGE + "inf$"),
+    (MINIMAL + "chord_m = 1e308\n", SUPPORT_RANGE + "inf$"),  # 2.5 chords
+    (MINIMAL + "chord_m = 1e-300\n[rbf]\nsupport_radius_chords = 1e-300\n",
+     SUPPORT_RANGE + r"0\.0$"),
 ])
 def test_bad_values_name_their_key(text, key):
     with pytest.raises(ConfigError, match=key):

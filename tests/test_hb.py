@@ -171,6 +171,13 @@ def test_resonant_instances_rejected():
         build_operator(fs, np.array([0.0, 0.0, 0.5]))
 
 
+@pytest.mark.parametrize("instances", [[0.0, 0.5], [0.0, 0.2, 0.4, 0.6],
+                                       [[0.0, 0.2, 0.4]]])
+def test_build_operator_needs_one_instance_per_phase(instances):
+    with pytest.raises(ValueError, match="^need exactly 3 instances$"):
+        build_operator(single_tone(), np.array(instances))
+
+
 def test_quasi_periodic_instances():
     w1 = 1.0
     w2 = np.sqrt(2.0)

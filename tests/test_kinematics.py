@@ -7,6 +7,7 @@ from rotormesh.config import MotionConfig
 from rotormesh.kinematics import (FlightCondition, MotionSeries,
                                   azimuth_matrix, blade_normal_mach,
                                   blade_point, eval_series, flap_matrix,
+                                  grid_velocity_backward,
                                   grid_velocity_bdf2, hinge_matrix,
                                   leadlag_matrix, pitch_matrix,
                                   rotating_frame_velocity, rpm_to_rad_s)
@@ -248,6 +249,12 @@ def test_grid_velocity_errors():
         grid_velocity_bdf2(x, x, x, 0.0)
     with pytest.raises(ValueError, match="shape"):
         grid_velocity_bdf2(x, x, np.zeros((2, 3)), 0.1)
+    for dt in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            grid_velocity_backward(x, x, dt)
+    with pytest.raises(ValueError, match="^position arrays must have "
+                       "matching shapes$"):
+        grid_velocity_backward(x, np.zeros((2, 3)), 0.1)
 
 
 def test_grid_velocity_order_on_sine():

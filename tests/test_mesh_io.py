@@ -273,6 +273,24 @@ def test_mesh_invariant_validation():
         Mesh(2, pts, {"triangle": ([[0, 1, 2]], [1])})
     with pytest.raises(ValueError, match="'m': rows must number the marker"):
         Mesh(2, pts, {}, {"m": {"line": ([[0, 1], [1, 2]], [0, 0])}})
+    for points in (np.zeros((3, 2)), np.zeros(3), np.zeros((1, 3, 3))):
+        with pytest.raises(ValueError, match=r"^points must have shape "
+                           r"\(n, 3\)$"):
+            Mesh(2, points, {})
+    for dim in (0, 1, 4):
+        with pytest.raises(ValueError, match=f"^dim must be 2 or 3, got "
+                           f"{dim}$"):
+            Mesh(dim, pts, {})
+
+
+def test_with_points_keeps_the_point_count(square_mesh):
+    n = square_mesh.n_points
+    for points in (np.zeros((n + 1, 3)), np.zeros((n - 1, 3))):
+        with pytest.raises(ValueError, match="^replacement point array has "
+                           "wrong shape$"):
+            square_mesh.with_points(points)
+    with pytest.raises(ValueError, match=r"^points must have shape \(n, 3\)$"):
+        square_mesh.with_points(np.zeros((n, 2)))
 
 
 ONE_CELL = """NDIME= {dim}

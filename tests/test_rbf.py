@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,10 @@ def test_kernel_requires_radius():
         RbfKernel("gaussian", support_radius=-1.0)
     with pytest.raises(ValueError, match="unknown kernel"):
         RbfKernel("cubic", support_radius=1.0)
+    for radius in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match=r"^multiquadric kernel requires "
+                           r"a positive, finite support_radius$"):
+            RbfKernel("multiquadric", support_radius=radius)
 
 
 def test_kernel_negative_distance():
@@ -231,7 +236,70 @@ def test_evaluate_field_rejects_non_finite_targets(bad):
         evaluate_field(sol, targets)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def _solve(centers, disp):
+    return solve_weights(centers, disp, WENDLAND)
+
+
+def _greedy(points, disp):
+    return greedy_select(points, disp, WENDLAND, tol=1e-6)
+
+
+@pytest.mark.parametrize("fit,name", [(_solve, "center"),
+                                      (_greedy, "surface point")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_are_named(fit, name, bad):
+    """solve_weights and greedy_select name the first non-finite point or
+    displacement row by its index."""
+    points = np.random.default_rng(3).uniform(size=(9, 3))
+    disp = np.full((9, 3), 0.01)
+    nan_points, nan_disp = points.copy(), disp.copy()
+    nan_points[[5, 7], 2] = bad
+    nan_disp[[6, 8], 0] = bad
+    with pytest.raises(ValueError, match=f"^{name} 5 is not finite; "
+                       f"{name}s must be finite$"):
+        fit(nan_points, disp)
+    with pytest.raises(ValueError, match="^displacement 6 is not finite; "
+                       "displacements must be finite$"):
+        fit(points, nan_disp)
+
+
+@pytest.mark.parametrize("fit,name", [(_solve, "center"),
+                                      (_greedy, "surface point")])
+def test_malformed_rows_are_rejected(fit, name):
+    """Displacements are (n, k) rows, one per point: a 1-D array is a
+    ValueError, not one column."""
+    points = np.random.default_rng(3).uniform(size=(4, 3))
+    with pytest.raises(ValueError, match=r"^displacements must be 2-D rows, "
+                       r"got shape \(4,\)$"):
+        fit(points, np.full(4, 0.01))
+    with pytest.raises(ValueError, match=f"^{name}s must be 2-D rows, got "
+                       r"shape \(1, 4, 3\)$"):
+        fit(points[None], np.zeros((1, 4, 3)))
+    with pytest.raises(ValueError, match=f"^need at least one {name} and one "
+                       f"displacement per {name}, got 4 and 3$"):
+        fit(points, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=f"^need at least one {name} and one "
+                       f"displacement per {name}, got 0 and 0$"):
+        fit(np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+def test_coplanar_affine_goes_to_least_squares_without_a_warning():
+    """Eight centers at z = 0 leave the affine block's z column zero: the
+    LU factor has an exactly zero pivot, and the least-squares solve
+    reproduces the data without a warning."""
+    rng = np.random.default_rng(11)
+    pts = np.column_stack([rng.uniform(size=(8, 2)), np.zeros(8)])
+    disp = 0.01 * rng.normal(size=(8, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_weights(pts, disp, WENDLAND, with_affine=True)
+        assert np.abs(evaluate_field(sol, pts) - disp).max() < 1e-9
+        greedy, hist = greedy_select(pts, disp, WENDLAND, tol=1e-12,
+                                     with_affine=True)
+        assert hist.converged
+        assert np.abs(evaluate_field(greedy, pts) - disp).max() < 1e-9
+
+
 @pytest.mark.parametrize("gap", [1e-13, 1e-9, 1e-6])
 def test_near_duplicate_centers_raise(gap):
     rng = np.random.default_rng(0)
@@ -317,6 +385,9 @@ def test_greedy_validation_errors():
         greedy_select(pts, bad, WENDLAND, tol=1e-6)
     with pytest.raises(ValueError, match="surface point"):
         greedy_select(np.zeros((0, 3)), np.zeros((0, 3)), WENDLAND, tol=1e-6)
+    with pytest.raises(ValueError, match="^at least one level required$"):
+        greedy_select(pts, np.zeros_like(pts), WENDLAND, tol=1e-6,
+                      level_caps=())
 
 
 def test_greedy_inverse_deformation_roundtrip():
@@ -387,8 +458,9 @@ _SPD_RADII = {"wendland_c2": (0.4, 1.5), "gaussian": (0.05, 0.2),
               "inverse_multiquadric": (0.05, 0.3)}
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+# 40 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@settings(max_examples=max(40, settings.default.max_examples // 5),
+          deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(sorted(_SPD_RADII)),
        n=st.integers(2, 60), seed=st.integers(0, 2 ** 32 - 1),
        shape=st.floats(0.0, 1.0), tol_exp=st.integers(-9, -3),
@@ -476,8 +548,9 @@ def _cholesky_greedy(pts, data, kernel, tol, caps, with_affine=False):
     return selected, counts, converged, weights, affine
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+# 60 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@settings(max_examples=max(60, settings.default.max_examples // 5),
+          deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(kind=st.sampled_from(sorted(_SPD_RADII)),
        n=st.integers(2, 80), seed=st.integers(0, 2 ** 32 - 1),
        shape=st.floats(0.0, 1.0), tol_exp=st.integers(-9, -3),

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull
 from meshgen import sector_interface_mesh, stacked_interface_mesh
 
 import rotormesh.supermesh as supermesh
-from rotormesh.mesh import extract_marker_points
+from rotormesh.mesh import Mesh, extract_marker_points
 from rotormesh.supermesh import (CylinderProjection, InterfaceFaceSet,
                                  PlaneProjection, _assemble, _convex_pieces,
                                  build_supermesh, clip_convex,
@@ -1090,6 +1090,35 @@ def test_build_scales_exactly_by_a_power_of_two(k):
     assert scaled.weights.data.tobytes() == plain.weights.data.tobytes()
     assert scaled.weights.indices.tolist() == plain.weights.indices.tolist()
     assert scaled.area.tobytes() == (plain.area * 4.0**k).tobytes()
+
+
+@pytest.mark.parametrize("a,b", [
+    (SQUARE, SQUARE[:, :1]),                 # one coordinate per vertex
+    (SQUARE[None], SQUARE),                  # a stack against one polygon
+    (np.stack([SQUARE] * 2), SQUARE[None]),  # stacks of 2 and 1 polygons
+    (SQUARE.ravel(), SQUARE.ravel()),        # flat coordinates
+])
+def test_clip_rejects_mismatched_shapes(a, b):
+    with pytest.raises(ValueError, match=r"^expected two \(k, 2\) polygons "
+                       "or two stacks$"):
+        clip_convex(a, b)
+
+
+def test_build_needs_one_manifold_dimension():
+    with pytest.raises(ValueError, match="^both sides must share the "
+                       "manifold dimension$"):
+        build_supermesh(InterfaceFaceSet("A", (SQUARE,)),
+                        InterfaceFaceSet("B", np.array([[0.0, 1.0]])))
+
+
+def test_interface_marker_without_faces_rejected():
+    mesh = stacked_interface_mesh(2, 3)
+    hollow = Mesh(mesh.dim, mesh.points, mesh.cells,
+                  {**mesh.markers, "hollow": {}})
+    for pair in (("iface_a", "hollow"), ("hollow", "iface_b")):
+        with pytest.raises(ValueError, match="^interface markers must "
+                           "contain faces$"):
+            interface_from_markers(hollow, *pair)
 
 
 def test_interface_unknown_marker():
