@@ -56,8 +56,8 @@ class StepResult:
 
 
 def run_deformation(mesh: Mesh, cfg: MotionConfig, blade_markers,
-                    steps_per_rev: int = 360,
-                    revolutions: float = 5.0) -> Iterator[StepResult]:
+                    steps_per_rev: int,
+                    revolutions: float) -> Iterator[StepResult]:
     """Iterator of one StepResult per physical time step, step 0 included.
 
     The as-built mesh is the blade geometry at zero flap, lead-lag and pitch,

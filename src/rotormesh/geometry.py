@@ -79,10 +79,9 @@ class MeshGeometry:
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Orthogonality and volume quality summary of a mesh."""
+    """Worst orthogonality angle and volume summary of a mesh."""
 
     min_orthogonality_deg: float
-    per_cell_deg: np.ndarray
     negative_volume_count: int
     min_volume: float
 
@@ -229,12 +228,11 @@ def cell_geometry(mesh: Mesh) -> MeshGeometry:
 
 def orthogonality_metrics(mesh: Mesh,
                           geometry: MeshGeometry | None = None) -> QualityReport:
-    """Orthogonality-angle quality report.
-
-    Per face, the angle is 90 degrees minus the angle between the face
-    normal and the line joining the adjacent cell centroids (the line from
-    cell centroid to face centroid on the boundary). A cell's value is the
-    minimum over its faces; 90 is ideal.
+    """Minimum orthogonality angle, inverted-cell count and smallest signed
+    volume. Per face, the angle is 90 degrees minus the angle between the
+    face normal and the line joining the adjacent cell centroids (the line
+    from cell centroid to face centroid on the boundary); 90 is ideal, and
+    the report keeps the minimum over all faces (NaN if any is NaN).
     """
     geo = geometry if geometry is not None else cell_geometry(mesh)
     # from the owner's centroid to the neighbour's, or to the face centroid
@@ -246,14 +244,8 @@ def orthogonality_metrics(mesh: Mesh,
     dot, dn = (geo.face_normals.T * d).sum(axis=0), np.linalg.norm(d, axis=0)
     cosang = np.abs(dot) / np.where(dn > 0.0, dn, 1.0)
     theta = 90.0 - np.degrees(np.arccos(np.clip(cosang, 0.0, 1.0)))
-
-    per_cell = np.full(geo.n_cells, 90.0)
-    np.minimum.at(per_cell, geo.face_owner, theta)
-    np.minimum.at(per_cell, geo.face_neighbor[inner], theta[inner])
-
     return QualityReport(
-        min_orthogonality_deg=float(per_cell.min()),
-        per_cell_deg=per_cell,
+        min_orthogonality_deg=float(theta.min(initial=90.0)),
         negative_volume_count=int(np.count_nonzero(geo.volumes < 0.0)),
         min_volume=float(geo.volumes.min()),
     )

@@ -103,15 +103,11 @@ def _basis_matrix(fs: FrequencySet, instances: np.ndarray):
     return np.stack(cols, axis=-1), np.stack(dcols, axis=-1)
 
 
-def build_operator(fs: FrequencySet, instances=None) -> SpectralOperator:
-    """Spectral derivative operator for the frequency set; a ValueError for
-    duplicate or resonant instances (near-singular E) reports the condition."""
-    t = np.asarray(choose_instances(fs) if instances is None else instances,
-                   dtype=float)
-    if t.ndim != 1 or len(t) != fs.count:
-        raise ValueError(f"need exactly {fs.count} instances")
-    if len(np.unique(t)) != len(t):
-        raise ValueError("time instances must be distinct")
+def build_operator(fs: FrequencySet) -> SpectralOperator:
+    """Spectral derivative operator of the frequency set at the instances
+    choose_instances picks; a ValueError reports the condition when its
+    basis matrix E is near-singular there."""
+    t = choose_instances(fs)
     e, edot = _basis_matrix(fs, t)
     cond = float(np.linalg.cond(e))
     if not np.isfinite(cond) or cond > _MAX_CONDITION:

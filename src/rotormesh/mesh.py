@@ -48,7 +48,7 @@ class _BadRow(ValueError):
 
 
 def _points_array(points) -> np.ndarray:
-    pts = np.ascontiguousarray(np.asarray(points, dtype=float))
+    pts = np.array(points, dtype=float, order="C")
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
     pts.flags.writeable = False
@@ -56,8 +56,8 @@ def _points_array(points) -> np.ndarray:
 
 
 def _groups(groups: dict) -> dict:
-    """kind -> (conn, rows) with both as read-only intp arrays."""
-    out = {kind: tuple(np.asarray(a, dtype=np.intp) for a in pair)
+    """kind -> (conn, rows) with both as read-only intp copies."""
+    out = {kind: tuple(np.array(a, dtype=np.intp) for a in pair)
            for kind, pair in groups.items()}
     for conn, rows in out.values():
         conn.flags.writeable = rows.flags.writeable = False
@@ -103,8 +103,9 @@ class Mesh:
     points are stored as an (n, 3) float array (z = 0 for 2D meshes), cells
     as a mapping from element kind to (conn, rows): an (n_k, nv) integer
     array of vertex indices and the (n_k,) file-order position of each row,
-    both read-only. markers map a marker name to boundary faces stored the
-    same way, rows holding each face's position within the marker.
+    both read-only copies of the caller's, whose flags stay as they were.
+    markers map a marker name to boundary faces stored the same way, rows
+    holding each face's position within the marker.
 
     Construction validates connectivity once, with numpy: vertex indices are
     in range, rows number the cells (the faces of each marker) 0..n-1, cells

@@ -35,6 +35,7 @@ _NEEDS_RADIUS = ("wendland_c2", "gaussian", "multiquadric",
 _SPD_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
 
 EVAL_CHUNK = 512  # targets per evaluate_field block
+LEVEL_CAPS = (8, 32, 64, 256)  # default cumulative caps of the greedy levels
 
 
 class RbfSystemError(RuntimeError):
@@ -67,7 +68,8 @@ class RbfKernel:
 
 def kernel_eval(kernel: RbfKernel, d):
     """Evaluate the kernel at distances d >= 0 (scalar or array); NaN
-    distances raise like negative ones."""
+    distances raise like negative ones. Far points overflow the thin plate
+    spline and multiquadric to inf, with no warning."""
     d = np.asarray(d, dtype=float)
     if not np.all(d >= 0.0):
         raise ValueError("distances must be non-negative, not NaN")
@@ -86,15 +88,15 @@ def kernel_eval(kernel: RbfKernel, d):
         out.fill(0.0)
         out[inside] = poly
     elif kernel.kind == "thin_plate_spline":
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = np.where(d > 0.0, d * d * np.log(np.where(d > 0.0, d, 1.0)),
                            0.0)
-    elif kernel.kind == "gaussian":
-        out = np.exp(-((d / rho) ** 2))
-    elif kernel.kind == "multiquadric":
-        out = np.sqrt(1.0 + (d / rho) ** 2)
-    else:  # inverse_multiquadric
-        out = 1.0 / np.sqrt(1.0 + (d / rho) ** 2)
+    else:  # the gaussian and the multiquadrics of (d / rho)^2
+        with np.errstate(over="ignore"):
+            r2 = (d / rho) ** 2
+        out = np.exp(-r2) if kernel.kind == "gaussian" else np.sqrt(1.0 + r2)
+        if kernel.kind == "inverse_multiquadric":
+            out = 1.0 / out
     return out if out.shape else float(out)
 
 
@@ -152,7 +154,7 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     non-finite solution (rank-deficient affine blocks, e.g. coplanar
     centers) goes to least squares."""
     getrf, = get_lapack_funcs(("getrf",), (a,))
-    lu, piv, info = getrf(np.asarray_chkfinite(a))  # info > 0: zero pivot
+    lu, piv, info = getrf(a)  # info > 0: zero pivot
     x = lu_solve((lu, piv), rhs) if info == 0 else None
     if x is not None and np.all(np.isfinite(x)):
         x += lu_solve((lu, piv), rhs - a @ x)
@@ -169,8 +171,9 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
     """Solve the dense symmetric interpolation system per component.
 
     Raises RbfSystemError (with a condition estimate) when the system
-    cannot reproduce the data, and ValueError for duplicate centers or
-    for rows _rows rejects.
+    cannot reproduce the data or (naming the kernel and the largest center
+    distance) when the kernel of far centers overflows, and ValueError for
+    duplicate centers or for rows _rows rejects.
     """
     centers, data = _rows("center", centers, displacements)
     dist = cdist(centers, centers)
@@ -179,6 +182,9 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
         raise ValueError("duplicate centers")
 
     a, rhs = _assemble(centers, dist, data, kernel, with_affine)
+    if not np.isfinite(a).all():  # the kernel of far centers overflowed
+        raise RbfSystemError(f"{kernel.kind} kernel overflows at center "
+                             f"distance {dist.max():.3e}")
     x = _solve_dense(a, rhs)
     m = len(centers)
     sol = RbfSolution(centers, x[:m], kernel, x[m:] if with_affine else None)
@@ -230,6 +236,7 @@ class GreedyHistory:
         return self.levels[-1].max_err if self.levels else 0.0
 
 
+@np.errstate(invalid="ignore")  # far points: NaN areas fail the > 0 tests
 def _affine_seed(points: np.ndarray, first: int) -> list[int]:
     """First point plus up to three more spanning points so the affine
     block starts well-posed (farthest-point heuristic)."""
@@ -297,8 +304,9 @@ def _kernel_column(kernel: RbfKernel, pts: np.ndarray, i: int) -> np.ndarray:
                                            d[:, 0] * d[:, 0])))
 
 
+@np.errstate(over="ignore")  # far points: inf distances, as from cdist
 def greedy_select(surface_points, displacements, kernel: RbfKernel,
-                  tol: float, level_caps=(8, 32, 64, 256),
+                  tol: float, level_caps=LEVEL_CAPS,
                   with_affine: bool = False) -> tuple[RbfSolution, GreedyHistory]:
     """Multi-level greedy control-point reduction.
 
@@ -315,7 +323,8 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     update. The affine level and conditionally positive kernels call
     solve_weights every iteration. Either way the level ends with a
     solve_weights call on its centers, whose checked solution, residual
-    and error make the level's record and decide convergence.
+    and error make the level's record and decide convergence. A solve on
+    centers whose kernel overflows raises RbfSystemError.
     """
     pts, data = _rows("surface point", surface_points, displacements)
     if not tol > 0.0:
@@ -417,7 +426,7 @@ class RbfConfig:
     kernel: RbfKernel
     with_affine: bool = False
     greedy_tol: float = 1e-6
-    level_caps: tuple[int, ...] = (8, 32, 64, 256)
+    level_caps: tuple[int, ...] = LEVEL_CAPS
 
 
 @dataclass(frozen=True)

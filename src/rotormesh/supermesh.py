@@ -293,7 +293,7 @@ class Supermesh:
 
     Face q intersects A face parent_a[q] with B face parent_b[q] over
     area[q]; faces are sorted by (A face, B face). weights is the
-    n_a x n_b CSR matrix W[a, b] = area(A & B) / area(A) with the same
+    n_a x n_b CSR matrix W[a, b] = area(A & B) / area_a[a] with the same
     entries in the same order. polygon_vertices holds the clipped pieces in
     turn (several for a pair split into convex parts), polygon_counts their
     vertex counts and polygon_pair the face q of each; all empty for 1D.
@@ -304,7 +304,6 @@ class Supermesh:
     area: np.ndarray
     weights: csr_array
     area_a: np.ndarray
-    area_b: np.ndarray
     polygon_vertices: np.ndarray
     polygon_counts: np.ndarray
     polygon_pair: np.ndarray
@@ -331,12 +330,12 @@ class Supermesh:
         return "a_face,b_face,area,weight\n" + _float_rows(rows, 12, ",")
 
 
-def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
+def _assemble(rows, cols, areas, area_a: np.ndarray, n_b: int,
               vertices: np.ndarray, counts: np.ndarray) -> Supermesh:
-    """Supermesh from intersection pieces (rows[k], cols[k], areas[k]) in
-    any order; pieces of one (A, B) pair are summed in the order given.
+    """Supermesh of the A faces of area_a and n_b B faces from the pieces
+    (rows[k], cols[k], areas[k]) in any order, a pair's summed in order;
     vertices and counts hold the clipped polygon of each piece, or none."""
-    shape = (len(area_a), len(area_b))
+    shape = (len(area_a), n_b)
     pairs = coo_array((areas, (rows, cols)), shape=shape)
     pairs.sum_duplicates()
     parent_a, parent_b = pairs.coords
@@ -344,7 +343,7 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, area_b: np.ndarray,
     weights.data = weights.data / area_a[parent_a]
     polygon_pair = np.searchsorted(parent_a * shape[1] + parent_b,
                                    rows * shape[1] + cols)
-    return Supermesh(parent_a, parent_b, pairs.data, weights, area_a, area_b,
+    return Supermesh(parent_a, parent_b, pairs.data, weights, area_a,
                      vertices, counts, polygon_pair[:len(counts)])
 
 
@@ -471,7 +470,7 @@ def build_supermesh(side_a: InterfaceFaceSet,
         keep = area > 1e-14 * np.minimum(side_a.measures[ia],
                                          side_b.measures[ib])
         return _assemble(ia[keep], ib[keep], area[keep], side_a.measures,
-                         side_b.measures, np.zeros((0, 2)),
+                         len(side_b.measures), np.zeros((0, 2)),
                          np.zeros(0, dtype=np.intp))
 
     vertices, n = clip_convex(pieces_a[ia], pieces_b[ib], snap=snap)
@@ -483,7 +482,7 @@ def build_supermesh(side_a: InterfaceFaceSet,
                                      side_b.measures[cols])
     vertices = np.compress(np.repeat(keep, n), vertices, axis=0)
     return _assemble(rows[keep], cols[keep], area[keep], side_a.measures,
-                     side_b.measures, vertices, n[keep])
+                     len(side_b.measures), vertices, n[keep])
 
 
 def weighted_exchange(sm: Supermesh, field_on_b) -> np.ndarray:

@@ -712,6 +712,25 @@ def test_deform_unsolvable_system_exit_code(tmp_path, capsys):
     assert not list(outdir.glob("*.vtk"))
 
 
+def test_deform_kernel_overflow_exit_code(tmp_path, capsys):
+    """A mesh so large that the thin plate spline of its marker points
+    overflows exits 3 with the one line that names the kernel."""
+    mesh = box_with_plate_mesh(n=6, plate_x=(0.1, 0.7), plate_y=(-0.3, 0.3),
+                               plate_z=(-0.15, 0.15))
+    mesh_file = tmp_path / "far.mesh"
+    mesh_file.write_text(write_mesh(mesh.with_points(1e200 * mesh.points)))
+    cfg = tmp_path / "tps.cfg"
+    cfg.write_text("[rotor]\nrpm = 60.0\nn_blades = 1\n[pitch]\n"
+                   "mean_deg = 4.0\n[rbf]\nkernel = thin_plate_spline\n"
+                   "affine = true\nfixed_markers = [\"farfield\"]\n")
+    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
+                 "--steps-per-rev", "4", "--revolutions", "1",
+                 "--output-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == ("deformation failed: thin_plate_"
+                                       "spline kernel overflows at center "
+                                       "distance inf\n")
+
+
 @pytest.mark.parametrize("argv,kind", [
     (["info", "{bad}"], "mesh"),
     (["sweep", "{bad}", "--output", "{tmp}/sweep.csv"], "config"),

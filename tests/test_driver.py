@@ -276,6 +276,9 @@ def test_later_revolutions_replay_the_first(small_mesh):
     for r in results[n:]:
         first = results[r.step % n]
         assert np.array_equal(r.rotor_points, first.rotor_points)
+        # revolution 1's quality check leaves its points as writeable
+        assert r.rotor_points.flags.writeable and \
+            first.rotor_points.flags.writeable
         assert np.array_equal(r.points, first.points)
         assert r.history == first.history
         assert r.quality.min_orthogonality_deg == \

@@ -427,6 +427,25 @@ def test_points_immutable(square_mesh):
         square_mesh.points[0, 0] = 99.0
 
 
+def test_mesh_leaves_the_callers_arrays_alone(square_mesh):
+    """Mesh(...) and with_points keep copies: the caller's float64 and intp
+    arrays stay writeable, and writing to them does not change the mesh,
+    whose own arrays stay read-only."""
+    pts = np.array(square_mesh.points)
+    (kind, (conn, rows)), = square_mesh.cells.items()
+    conn, rows = np.array(conn, dtype=np.intp), np.array(rows, dtype=np.intp)
+    mesh = Mesh(2, pts, {kind: (conn, rows)})
+    moved_pts = pts + 1.0
+    moved = mesh.with_points(moved_pts)
+    assert all(a.flags.writeable for a in (pts, conn, rows, moved_pts))
+    pts[0, 0], conn[0, 0], moved_pts[0, 0] = 99.0, 1, 99.0
+    assert mesh.points[0, 0] == moved.points[0, 0] - 1.0 == \
+        square_mesh.points[0, 0]
+    assert np.array_equal(mesh.cells[kind][0], square_mesh.cells[kind][0])
+    for a in (mesh.points, moved.points, *mesh.cells[kind]):
+        assert not a.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # VTK output
 # ---------------------------------------------------------------------------
@@ -722,7 +741,7 @@ def test_connectivity_at_group_edges_matches_per_row_reference(mesh, sizes):
 
     vertices = np.arange(2.0 * sum(sizes)).reshape(-1, 2)
     sm = Supermesh(*[np.empty(0)] * 3, csr_array((0, 0)), np.empty(0),
-                   np.empty(0), vertices, np.array(sizes, np.intp),
+                   vertices, np.array(sizes, np.intp),
                    np.zeros(len(sizes), np.intp))
     starts = np.cumsum([0, *sizes]).tolist()
     polygons = [(7, list(range(a, b))) for a, b in zip(starts, starts[1:])]
@@ -846,7 +865,7 @@ def test_supermesh_csv_matches_per_row_reference(n_a, n_b, data):
     weights = csr_array((_float_array(data.draw, FINITE, (len(flat),)),
                          (parent_a, parent_b)), shape=(n_a, n_b))
     sm = Supermesh(parent_a, parent_b, area, weights, np.ones(n_a),
-                   np.ones(n_b), np.empty((0, 2)), np.empty(0, dtype=np.intp),
+                   np.empty((0, 2)), np.empty(0, dtype=np.intp),
                    np.empty(0, dtype=np.intp))
     assert sm.to_csv() == _ref_csv(sm)
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -298,6 +299,40 @@ def test_coplanar_affine_goes_to_least_squares_without_a_warning():
                                      with_affine=True)
         assert hist.converged
         assert np.abs(evaluate_field(greedy, pts) - disp).max() < 1e-9
+
+
+FAR_KERNELS = [RbfKernel("thin_plate_spline"),
+               RbfKernel("multiquadric", support_radius=0.5)]
+
+
+@pytest.mark.parametrize("kernel", FAR_KERNELS)
+def test_far_centers_overflow_to_inf_without_a_warning(kernel):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_eval(kernel, 1e200) == np.inf
+        assert np.array_equal(kernel_eval(kernel, np.array([0.0, 1e200]))
+                              == np.inf, [False, True])
+
+
+@pytest.mark.parametrize("kernel", FAR_KERNELS)
+@pytest.mark.parametrize("spacing,shown", [(1e200, "inf"),
+                                           (1e154, "1.000e+154")])
+def test_far_centers_raise_a_named_system_error(kernel, spacing, shown):
+    """Centers whose kernel overflows make the solve and the greedy raise
+    RbfSystemError naming the kernel and the largest center distance (inf
+    once the distance itself overflows), with no warning on the way."""
+    pts = np.array([[0.0, 0.0, 0.0], [spacing, 0.0, 0.0], [0.0, 1.0, 0.0],
+                    [0.0, 0.0, 1.0]])
+    disp = np.ones((4, 3))
+    message = re.escape(f"{kernel.kind} kernel overflows at center "
+                        f"distance {shown}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for with_affine in (False, True):
+            with pytest.raises(RbfSystemError, match=message):
+                solve_weights(pts, disp, kernel, with_affine=with_affine)
+        with pytest.raises(RbfSystemError, match=message):
+            greedy_select(pts, disp, kernel, tol=1e-6, with_affine=True)
 
 
 @pytest.mark.parametrize("gap", [1e-13, 1e-9, 1e-6])

@@ -900,8 +900,8 @@ def dense_1d_supermesh(side_a, side_b):
         np.maximum(seg_a[..., 0], seg_b[..., 0])
     ia, ib = np.nonzero(overlap > 1e-14 * np.minimum(len_a[:, None],
                                                       len_b[None, :]))
-    return _assemble(ia, ib, overlap[ia, ib], len_a, len_b, np.zeros((0, 2)),
-                     np.zeros(0, dtype=np.intp))
+    return _assemble(ia, ib, overlap[ia, ib], len_a, len(len_b),
+                     np.zeros((0, 2)), np.zeros(0, dtype=np.intp))
 
 
 @st.composite
