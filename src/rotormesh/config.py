@@ -2,8 +2,10 @@
 
 Plain INI-style sections with literal values (numbers, booleans, quoted
 strings, bracketed lists). Angles are degrees in the file and radians in
-memory. Shipped fixtures cover a model-rotor hover case and the two-bladed
-helicopter low/high speed forward-flight operating points.
+memory. [rbf] picks one of the strictly positive definite kernels of
+rbf.KERNEL_KINDS, whose support radius is given in chords. Shipped fixtures
+cover a model-rotor hover case and the two-bladed helicopter low/high speed
+forward-flight operating points.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ _KEYS = {
         "kernel": _rule("one of " + ", ".join(KERNEL_KINDS),
                         lambda v: v in KERNEL_KINDS, str),
         "support_radius_chords": _POSITIVE,
-        "affine": _rule("true or false", lambda v: type(v) is bool, bool),
         "greedy_tol_m": _POSITIVE,
         "level_caps": _rule(
             "a non-empty, strictly increasing list of positive integers",
@@ -104,8 +105,7 @@ _KEYS = {
 _REQUIRED = {"rotor": ("rpm",), "flight": ("tip_mach",)}
 # the dataclass field of each key not named like it
 _FIELDS = {"mean_deg": "mean", "sin_deg": "sine_coeffs",
-           "cos_deg": "cosine_coeffs", "affine": "with_affine",
-           "greedy_tol_m": "greedy_tol"}
+           "cos_deg": "cosine_coeffs", "greedy_tol_m": "greedy_tol"}
 
 
 def _read_config(text: str) -> dict[str, dict[str, object]]:
@@ -171,30 +171,21 @@ def parse_motion_config(text: str) -> MotionConfig:
     chord = rotor.pop("chord_m", None)
 
     # RBF settings are optional for motion-only configs (sweeps); the support
-    # radius is support_radius_chords (default 2.5) x [rotor] chord_m, two
-    # keys the thin plate spline, which has no radius, does not take.
+    # radius is support_radius_chords (default 2.5) x [rotor] chord_m
     rbf = sections.get("rbf", {})
     fixed = rbf.pop("fixed_markers", ())
-    rbf_cfg = support = None
+    rbf_cfg = None
     if "rbf" in sections or chord is not None:
-        kind = rbf.pop("kernel", "wendland_c2")
-        chords = rbf.pop("support_radius_chords", None)
-        if kind == "thin_plate_spline":
-            for key, value in (("[rbf] support_radius_chords", chords),
-                               ("[rotor] chord_m", chord)):
-                if value is not None:
-                    raise ConfigError(f"bad config keys: {key} (unused by "
-                                      "thin_plate_spline)")
-        elif chord is None:
+        if chord is None:
             raise ConfigError(
                 "[rbf] support radius in chords requires [rotor] chord_m")
-        else:
-            support = (2.5 if chords is None else chords) * chord
-            if not 0.0 < support < np.inf:  # the product over- or underflows
-                raise ConfigError("bad config value: [rotor] chord_m x [rbf] "
-                                  "support_radius_chords must be a positive "
-                                  f"finite number, got {support!r}")
-        rbf_cfg = RbfConfig(RbfKernel(kind, support), **rbf)
+        support = rbf.pop("support_radius_chords", 2.5) * chord
+        if not 0.0 < support < np.inf:  # the product over- or underflows
+            raise ConfigError("bad config value: [rotor] chord_m x [rbf] "
+                              "support_radius_chords must be a positive "
+                              f"finite number, got {support!r}")
+        rbf_cfg = RbfConfig(RbfKernel(rbf.pop("kernel", "wendland_c2"),
+                                      support), **rbf)
 
     return MotionConfig(
         **rotor,

@@ -1,21 +1,23 @@
 """Radial basis function mesh deformation.
 
-Surface displacements are interpolated by a weighted sum of radial kernels
-(plus an optional affine polynomial) and evaluated at volume nodes. Control
+Surface displacements are interpolated by a weighted sum of strictly
+positive definite radial kernels and evaluated at volume nodes. Control
 points are chosen by a multi-level greedy worst-point selection: each level
 grows its center set one worst-residual point at a time up to a cap, the
 next level interpolates whatever residual is left, and the final field is
-the sum of the per-level fields. For positive definite kernels the greedy
-loop grows a Newton basis of the centers by one column per added point and
-re-solves only once per level to verify the level's solution. The field is
-evaluated the same way for every kernel, compact or global: a dense kernel
-matrix per block of targets times the weights.
+the sum of the per-level fields. The greedy loop grows a Newton basis of
+the centers by one column per added point and re-solves only once per
+level to verify the level's solution. The field is evaluated the same way
+for every kernel, compact or global: a dense kernel matrix per block of
+targets times the weights. solve_weights can add an affine polynomial to
+the kernel sum; the greedy selection does not.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_solve, solve_triangular
@@ -24,15 +26,7 @@ from scipy.spatial.distance import cdist
 from .geometry import QualityReport, orthogonality_metrics
 from .mesh import Mesh
 
-KERNEL_KINDS = ("wendland_c2", "thin_plate_spline", "gaussian",
-                "multiquadric", "inverse_multiquadric")
-
-_NEEDS_RADIUS = ("wendland_c2", "gaussian", "multiquadric",
-                 "inverse_multiquadric")
-
-# Strictly positive definite in 3D: the kernel matrix alone has a Cholesky
-# factor (Wendland C2: Wendland, Adv. Comput. Math. 4, 1995).
-_SPD_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
+KERNEL_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
 
 EVAL_CHUNK = 512  # targets per evaluate_field block
 LEVEL_CAPS = (8, 32, 64, 256)  # default cumulative caps of the greedy levels
@@ -50,26 +44,26 @@ class RbfSystemError(RuntimeError):
 
 @dataclass(frozen=True)
 class RbfKernel:
-    """Radial kernel; support_radius doubles as the shape parameter for the
-    gaussian and multiquadric families and is unused by the thin plate
-    spline."""
+    """Strictly positive definite radial kernel: its kernel matrix alone
+    has a Cholesky factor (Wendland C2: Wendland, Adv. Comput. Math. 4,
+    1995). support_radius is the compact support of wendland_c2 and the
+    shape parameter of the gaussian and the inverse multiquadric."""
 
     kind: str
-    support_radius: float | None = None
+    support_radius: float
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in _NEEDS_RADIUS and \
-                not 0.0 < (self.support_radius or 0.0) < np.inf:
+        if not 0.0 < self.support_radius < np.inf:
             raise ValueError(f"{self.kind} kernel requires a positive, "
                              "finite support_radius")
 
 
 def kernel_eval(kernel: RbfKernel, d):
     """Evaluate the kernel at distances d >= 0 (scalar or array); NaN
-    distances raise like negative ones. Far points overflow the thin plate
-    spline and multiquadric to inf, with no warning."""
+    distances raise like negative ones. Every kernel is at most 1 and
+    falls to 0 at far (even infinite) distances, with no warning."""
     d = np.asarray(d, dtype=float)
     if not np.all(d >= 0.0):
         raise ValueError("distances must be non-negative, not NaN")
@@ -87,16 +81,11 @@ def kernel_eval(kernel: RbfKernel, d):
         poly *= q
         out.fill(0.0)
         out[inside] = poly
-    elif kernel.kind == "thin_plate_spline":
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            out = np.where(d > 0.0, d * d * np.log(np.where(d > 0.0, d, 1.0)),
-                           0.0)
-    else:  # the gaussian and the multiquadrics of (d / rho)^2
+    else:  # the gaussian and the inverse multiquadric of (d / rho)^2
         with np.errstate(over="ignore"):
             r2 = (d / rho) ** 2
-        out = np.exp(-r2) if kernel.kind == "gaussian" else np.sqrt(1.0 + r2)
-        if kernel.kind == "inverse_multiquadric":
-            out = 1.0 / out
+        out = np.exp(-r2) if kernel.kind == "gaussian" \
+            else 1.0 / np.sqrt(1.0 + r2)
     return out if out.shape else float(out)
 
 
@@ -171,9 +160,8 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
     """Solve the dense symmetric interpolation system per component.
 
     Raises RbfSystemError (with a condition estimate) when the system
-    cannot reproduce the data or (naming the kernel and the largest center
-    distance) when the kernel of far centers overflows, and ValueError for
-    duplicate centers or for rows _rows rejects.
+    cannot reproduce the data, and ValueError for duplicate centers or for
+    rows _rows rejects.
     """
     centers, data = _rows("center", centers, displacements)
     dist = cdist(centers, centers)
@@ -182,9 +170,6 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
         raise ValueError("duplicate centers")
 
     a, rhs = _assemble(centers, dist, data, kernel, with_affine)
-    if not np.isfinite(a).all():  # the kernel of far centers overflowed
-        raise RbfSystemError(f"{kernel.kind} kernel overflows at center "
-                             f"distance {dist.max():.3e}")
     x = _solve_dense(a, rhs)
     m = len(centers)
     sol = RbfSolution(centers, x[:m], kernel, x[m:] if with_affine else None)
@@ -236,31 +221,20 @@ class GreedyHistory:
         return self.levels[-1].max_err if self.levels else 0.0
 
 
-@np.errstate(invalid="ignore")  # far points: NaN areas fail the > 0 tests
-def _affine_seed(points: np.ndarray, first: int) -> list[int]:
-    """First point plus up to three more spanning points so the affine
-    block starts well-posed (farthest-point heuristic)."""
-    seed = [first]
-    if len(points) < 2:
-        return seed
-    d = np.linalg.norm(points - points[first], axis=1)
-    seed.append(int(np.argmax(d)))
-    if len(points) < 3:
-        return seed
-    ab = points[seed[1]] - points[seed[0]]
-    area = np.linalg.norm(np.cross(ab, points - points[seed[0]]), axis=1)
-    area[seed] = -1.0
-    third = int(np.argmax(area))
-    if area[third] > 0.0:
-        seed.append(third)
-    if len(points) >= 4 and len(seed) == 3:
-        normal = np.cross(ab, points[seed[2]] - points[seed[0]])
-        height = np.abs((points - points[seed[0]]) @ normal)
-        height[seed] = -1.0
-        fourth = int(np.argmax(height))
-        if height[fourth] > 0.0:
-            seed.append(fourth)
-    return seed
+def _check_greedy(tol, level_caps, tol_name: str = "tol") -> tuple[int, ...]:
+    """The level caps as ints, once tol is a finite positive number and
+    the caps a non-empty, strictly increasing list of positive integers;
+    else a ValueError naming the field."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"{tol_name} must be a finite positive number, "
+                         f"got {tol!r}")
+    caps = tuple(level_caps)
+    if not (caps and all(isinstance(c, Integral) and type(c) is not bool
+                         and c > 0 for c in caps)
+            and all(a < b for a, b in zip(caps, caps[1:]))):
+        raise ValueError("level_caps must be a non-empty, strictly "
+                         f"increasing list of positive integers, got {caps!r}")
+    return tuple(map(int, caps))
 
 
 def _extend_newton(cols: np.ndarray, factor: np.ndarray, selected: list[int],
@@ -271,11 +245,19 @@ def _extend_newton(cols: np.ndarray, factor: np.ndarray, selected: list[int],
     2011) and extend the lower Cholesky factor of their kernel matrix, one
     center at a time: the center's Cholesky row l is the basis row at that
     center, the new pivot is d^2 = phi(0) - l.l, and its basis column is
-    (kernel column - basis @ l) / d, one n x j product per center."""
+    (kernel column - basis @ l) / d, one n x j product per center. A pivot
+    that is not positive raises RbfSystemError, naming both surface points
+    if the center coincides with a selected one."""
     for j in range(start, len(selected)):
         row = cols[selected[j], :j].copy()
         d2 = phi0 - float(row @ row)
         if not (np.isfinite(d2) and d2 > np.finfo(float).eps * phi0):
+            same = np.flatnonzero(
+                (pts[selected[:j]] == pts[selected[j]]).all(axis=1))
+            if len(same):
+                raise RbfSystemError(
+                    f"duplicate centers: surface points {selected[same[0]]} "
+                    f"and {selected[j]} coincide")
             centers = pts[selected[:j + 1]]
             block = kernel_eval(kernel, cdist(centers, centers))
             raise RbfSystemError(
@@ -306,86 +288,61 @@ def _kernel_column(kernel: RbfKernel, pts: np.ndarray, i: int) -> np.ndarray:
 
 @np.errstate(over="ignore")  # far points: inf distances, as from cdist
 def greedy_select(surface_points, displacements, kernel: RbfKernel,
-                  tol: float, level_caps=LEVEL_CAPS,
-                  with_affine: bool = False) -> tuple[RbfSolution, GreedyHistory]:
+                  tol: float, level_caps=LEVEL_CAPS
+                  ) -> tuple[RbfSolution, GreedyHistory]:
     """Multi-level greedy control-point reduction.
 
-    Each iteration adds the worst-residual surface point and updates the
-    residual, by a solve or by a Newton step (below); a level ends when
-    the cumulative point count reaches its cap, and the following level
-    interpolates the remaining residual (previously selected points stay
-    in the center set, pinning the field there).
-    Terminates once the max surface residual drops below tol.
+    Each iteration adds the worst-residual surface point; a level ends
+    when the cumulative point count reaches its cap, and the following
+    level interpolates the remaining residual (previously selected points
+    stay in the center set, pinning the field there). Terminates once the
+    max surface residual drops below tol.
 
-    Positive definite kernels without an affine block keep the surface
-    residual in a Newton basis of the selected centers: an added point
-    costs one basis column (an n x m product) and a rank-1 residual
-    update. The affine level and conditionally positive kernels call
-    solve_weights every iteration. Either way the level ends with a
-    solve_weights call on its centers, whose checked solution, residual
-    and error make the level's record and decide convergence. A solve on
-    centers whose kernel overflows raises RbfSystemError.
+    The surface residual is kept in a Newton basis of the selected
+    centers: an added point costs one basis column (an n x m product) and
+    a rank-1 residual update. Each level ends with a solve_weights call on
+    its centers, whose checked solution, residual and error make the
+    level's record and decide convergence. tol and level_caps are checked
+    as RbfConfig checks them.
     """
     pts, data = _rows("surface point", surface_points, displacements)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
-    caps = [int(c) for c in level_caps]
-    if not caps:
-        raise ValueError("at least one level required")
+    caps = _check_greedy(tol, level_caps)
 
     n = len(pts)
-    first = int(np.argmax(np.linalg.norm(data, axis=1)))
-    selected = _affine_seed(pts, first) if with_affine else [first]
-    selected = list(dict.fromkeys(selected))
-
+    selected = [int(np.argmax(np.linalg.norm(data, axis=1)))]
     residual = data.copy()
-    # columns of the selected centers at every surface point, one written
-    # per added point: kernel columns, turned into Newton basis columns
-    # once a positive definite level needs them
-    width = max(min(max(caps), n), len(selected))
+    # Newton basis columns of the selected centers at every surface point,
+    # one added per selected point, and the Cholesky factor of their
+    # kernel matrix
+    width = min(caps[-1], n)
     cols = np.empty((n, width), order="F")
-    cols[:, :len(selected)] = kernel_eval(kernel, cdist(pts, pts[selected]))
-    poly = _poly_block(pts)
-    spd = kernel.kind in _SPD_KINDS
+    cols[:, :1] = kernel_eval(kernel, cdist(pts, pts[selected]))
     phi0 = kernel_eval(kernel, 0.0)
-    factor = np.zeros((width, width)) if spd else None
-    basis = 0  # leading columns of cols that are Newton basis columns
+    factor = np.zeros((width, width))
+    _extend_newton(cols, factor, selected, 0, phi0, pts, kernel)
 
     level_records: list[GreedyLevel] = []
     # each level's solution is added in as the level ends
     total_weights = np.zeros((width, data.shape[1]))
-    affine_total: np.ndarray | None = None
     converged = False
 
     for level, cap in enumerate(caps):
         level_t0 = time.perf_counter()
-        affine_here = with_affine and level == 0
-        newton = spd and not affine_here
-        if newton:
-            _extend_newton(cols, factor, selected, basis, phi0, pts, kernel)
-            basis = len(selected)
-            # residual left by interpolating this level's data on the centers
-            running = residual - cols[:, :basis] @ solve_triangular(
-                factor[:basis, :basis], residual[selected], lower=True)
+        m = len(selected)
+        # residual left by interpolating this level's data on the centers
+        running = residual - cols[:, :m] @ solve_triangular(
+            factor[:m, :m], residual[selected], lower=True)
         while True:
             m = len(selected)
             at_cap = m >= min(cap, n)
-            nxt = None
-            if newton:
-                err = np.linalg.norm(running, axis=1)
-                if not (at_cap or err.max() < tol):
-                    nxt = _next_point(err, selected)
+            err = np.linalg.norm(running, axis=1)
+            nxt = None if at_cap or err.max() < tol \
+                else _next_point(err, selected)
             if nxt is None:
-                sol = solve_weights(pts[selected], residual[selected], kernel,
-                                    with_affine=affine_here)
-                # kernel weights, or their Newton basis coefficients L^T w
-                coeffs = factor[:m, :m].T @ sol.weights if newton \
-                    else sol.weights
-                surf_field = cols[:, :m] @ coeffs
-                if sol.affine is not None:
-                    surf_field += poly @ sol.affine
-                err_vec = residual - surf_field
+                sol = solve_weights(pts[selected], residual[selected], kernel)
+                # the weights' Newton basis coefficients are L^T w
+                err_vec = residual - cols[:, :m] @ (factor[:m, :m].T
+                                                    @ sol.weights)
                 err = np.linalg.norm(err_vec, axis=1)
                 max_err = float(err.max())
                 if max_err < tol:
@@ -398,35 +355,33 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
                 running = err_vec
             selected.append(nxt)
             cols[:, m] = _kernel_column(kernel, pts, nxt)
-            if newton:
-                _extend_newton(cols, factor, selected, m, phi0, pts, kernel)
-                basis = m + 1
-                running = running - np.outer(cols[:, m],
-                                             running[nxt] / factor[m, m])
+            _extend_newton(cols, factor, selected, m, phi0, pts, kernel)
+            running = running - np.outer(cols[:, m],
+                                         running[nxt] / factor[m, m])
         level_records.append(GreedyLevel(
             level=level + 1, points=len(selected), max_err=max_err,
             mean_err=float(err.mean()),
             seconds=time.perf_counter() - level_t0))
         total_weights[:len(selected)] += sol.weights
-        if sol.affine is not None:  # the first level's, if any
-            affine_total = sol.affine
         residual = err_vec
         if converged:
             break
 
-    merged = RbfSolution(pts[selected], total_weights[:len(selected)], kernel,
-                         affine_total)
+    merged = RbfSolution(pts[selected], total_weights[:len(selected)], kernel)
     return merged, GreedyHistory(tuple(level_records), converged)
 
 
 @dataclass(frozen=True)
 class RbfConfig:
-    """Deformation settings: kernel, affine augmentation, greedy controls."""
+    """Deformation settings: the kernel and the greedy controls, checked
+    on construction as greedy_select checks them."""
 
     kernel: RbfKernel
-    with_affine: bool = False
     greedy_tol: float = 1e-6
     level_caps: tuple[int, ...] = LEVEL_CAPS
+
+    def __post_init__(self):
+        _check_greedy(self.greedy_tol, self.level_caps, "greedy_tol")
 
 
 @dataclass(frozen=True)
@@ -465,8 +420,7 @@ def deform_mesh(mesh: Mesh, indices, displacements, *,
 
     solution, history = greedy_select(
         mesh.points[idx], disp, config.kernel,
-        tol=config.greedy_tol, level_caps=config.level_caps,
-        with_affine=config.with_affine)
+        tol=config.greedy_tol, level_caps=config.level_caps)
     displacement = evaluate_field(solution, mesh.points)
     deformed = mesh.with_points(mesh.points + displacement)
     return DeformResult(deformed, history, orthogonality_metrics(deformed))

@@ -293,7 +293,7 @@ class Supermesh:
 
     Face q intersects A face parent_a[q] with B face parent_b[q] over
     area[q]; faces are sorted by (A face, B face). weights is the
-    n_a x n_b CSR matrix W[a, b] = area(A & B) / area_a[a] with the same
+    n_a x n_b CSR matrix W[a, b] = area(A & B) / area(A) with the same
     entries in the same order. polygon_vertices holds the clipped pieces in
     turn (several for a pair split into convex parts), polygon_counts their
     vertex counts and polygon_pair the face q of each; all empty for 1D.
@@ -303,7 +303,6 @@ class Supermesh:
     parent_b: np.ndarray
     area: np.ndarray
     weights: csr_array
-    area_a: np.ndarray
     polygon_vertices: np.ndarray
     polygon_counts: np.ndarray
     polygon_pair: np.ndarray
@@ -343,8 +342,8 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, n_b: int,
     weights.data = weights.data / area_a[parent_a]
     polygon_pair = np.searchsorted(parent_a * shape[1] + parent_b,
                                    rows * shape[1] + cols)
-    return Supermesh(parent_a, parent_b, pairs.data, weights, area_a,
-                     vertices, counts, polygon_pair[:len(counts)])
+    return Supermesh(parent_a, parent_b, pairs.data, weights, vertices,
+                     counts, polygon_pair[:len(counts)])
 
 
 def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:

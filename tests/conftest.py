@@ -15,9 +15,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("ci", settings.get_profile("default"),
                           print_blob=True)
 # For the byte-identity tests of the writers and the deformation, HB, CLI
-# and config grammar property tests, run alone under
-# --hypothesis-profile=thorough: a writer that is fast but not exact is
-# wrong, and a rare value is found only by many examples.
+# and config grammar property tests (marked thorough), run alone with
+# -m thorough --hypothesis-profile=thorough: a writer that is fast but not
+# exact is wrong, and a rare value is found only by many examples.
 settings.register_profile("thorough", settings.get_profile("ci"),
                           max_examples=5000, deadline=None)
 if "CI" in os.environ:

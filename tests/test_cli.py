@@ -499,12 +499,14 @@ def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
     ("support_radius_chords = 2.5",
      "support_radius_chords = 9\nsupport_radius_m = 0.4",
      "bad config keys: [rbf] support_radius_m (unknown)"),
-    ("support_radius_chords = 2.5",
-     "kernel = thin_plate_spline\nsupport_radius_chords = 2.5",
-     "bad config keys: [rbf] support_radius_chords (unused by "
-     "thin_plate_spline)"),
+    # only strictly positive definite kernels
     ("support_radius_chords = 2.5", "kernel = thin_plate_spline",
-     "bad config keys: [rotor] chord_m (unused by thin_plate_spline)"),
+     "bad config value: [rbf] kernel must be one of wendland_c2, gaussian, "
+     "inverse_multiquadric, got 'thin_plate_spline'"),
+    ("support_radius_chords = 2.5",
+     "kernel = multiquadric\nsupport_radius_chords = 2.5",
+     "bad config value: [rbf] kernel must be one of wendland_c2, gaussian, "
+     "inverse_multiquadric, got 'multiquadric'"),
     ("chord_m = 0.3", "chord_m = 1e308",
      "bad config value: [rotor] chord_m x [rbf] support_radius_chords must "
      "be a positive finite number, got inf"),
@@ -528,12 +530,14 @@ def test_deform_config_typo_is_parse_error(tmp_path, capsys, old, new,
     ("flight", "freestream_mach", "0.12"),
     ("flight", "thrust_coefficient", "0.005"),
     ("rbf", "support_radius_m", "0.4"),
+    ("rbf", "affine", "false"),
 ])
 def test_removed_config_key_is_parse_error(tmp_path, capsys, command,
                                            section, key, raw):
-    """Keys the program never read (radius_m, thrust_coefficient) or read
-    a second way (freestream_mach, support_radius_m) are unknown: exit 2,
-    one line, nothing written."""
+    """Keys the program never read (radius_m, thrust_coefficient), read a
+    second way (freestream_mach, support_radius_m) or no longer takes
+    (affine: the greedy selection adds no affine polynomial) are unknown:
+    exit 2, one line, nothing written."""
     cfg = tmp_path / "old.cfg"
     cfg.write_text((ZERO_MOTION + "[flight]\ntip_mach = 0.6\n").replace(
         f"[{section}]\n", f"[{section}]\n{key} = {raw}\n"))
@@ -710,25 +714,6 @@ def test_deform_unsolvable_system_exit_code(tmp_path, capsys):
     meta = json.loads((outdir / "metadata.json").read_text())
     assert meta["last_completed_step"] == -1
     assert not list(outdir.glob("*.vtk"))
-
-
-def test_deform_kernel_overflow_exit_code(tmp_path, capsys):
-    """A mesh so large that the thin plate spline of its marker points
-    overflows exits 3 with the one line that names the kernel."""
-    mesh = box_with_plate_mesh(n=6, plate_x=(0.1, 0.7), plate_y=(-0.3, 0.3),
-                               plate_z=(-0.15, 0.15))
-    mesh_file = tmp_path / "far.mesh"
-    mesh_file.write_text(write_mesh(mesh.with_points(1e200 * mesh.points)))
-    cfg = tmp_path / "tps.cfg"
-    cfg.write_text("[rotor]\nrpm = 60.0\nn_blades = 1\n[pitch]\n"
-                   "mean_deg = 4.0\n[rbf]\nkernel = thin_plate_spline\n"
-                   "affine = true\nfixed_markers = [\"farfield\"]\n")
-    assert main(["deform", str(mesh_file), str(cfg), "--markers", "blade",
-                 "--steps-per-rev", "4", "--revolutions", "1",
-                 "--output-dir", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == ("deformation failed: thin_plate_"
-                                       "spline kernel overflows at center "
-                                       "distance inf\n")
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -1248,6 +1233,7 @@ def command_lines(draw):
     return [command, *argv]
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(argv=command_lines())
 def test_any_argv_returns_a_documented_code(argv):

@@ -125,7 +125,6 @@ def test_rbf_section_parsing():
 [rbf]
 kernel = gaussian
 support_radius_chords = 0.4
-affine = true
 greedy_tol_m = 1e-3
 level_caps = [4, 16]
 fixed_markers = ["outer", "walls"]
@@ -133,7 +132,6 @@ fixed_markers = ["outer", "walls"]
     cfg = parse_motion_config(text)
     assert cfg.rbf.kernel.kind == "gaussian"
     assert cfg.rbf.kernel.support_radius == 0.4
-    assert cfg.rbf.with_affine is True
     assert cfg.rbf.greedy_tol == 1e-3
     assert cfg.rbf.level_caps == (4, 16)
     assert cfg.fixed_markers == ("outer", "walls")
@@ -148,17 +146,29 @@ def test_support_radius_in_chords_requires_chord():
 @pytest.mark.parametrize("rbf,message", [
     ("support_radius_m = 0.4\nsupport_radius_chords = 9\n",
      "bad config keys: [rbf] support_radius_m (unknown)"),
-    ("kernel = thin_plate_spline\nsupport_radius_chords = 2.5\n",
-     "bad config keys: [rbf] support_radius_chords (unused by "
-     "thin_plate_spline)"),
-    ("kernel = thin_plate_spline\n",
-     "bad config keys: [rotor] chord_m (unused by thin_plate_spline)"),
 ])
 def test_support_keys_that_would_be_ignored_are_rejected(rbf, message):
-    """A support key the kernel would not use, support_radius_chords or
-    the chord it scales, is an error, not a value read, checked and
-    dropped; the support radius has one key, so an absolute
-    support_radius_m is unknown."""
+    """The support radius has one key, so an absolute support_radius_m is
+    unknown, not a value read, checked and dropped."""
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        parse_motion_config(MINIMAL + "chord_m = 0.3\n[rbf]\n" + rbf)
+
+
+@pytest.mark.parametrize("rbf,message", [
+    ("kernel = thin_plate_spline\n", "bad config value: [rbf] kernel must "
+     "be one of wendland_c2, gaussian, inverse_multiquadric, got "
+     "'thin_plate_spline'"),
+    ("kernel = multiquadric\n", "bad config value: [rbf] kernel must be "
+     "one of wendland_c2, gaussian, inverse_multiquadric, got "
+     "'multiquadric'"),
+    ("affine = false\n", "bad config keys: [rbf] affine (unknown)"),
+    ("affine = true\n", "bad config keys: [rbf] affine (unknown)"),
+])
+def test_conditionally_positive_kernels_and_affine_are_rejected(rbf,
+                                                                 message):
+    """Only strictly positive definite kernels are offered, and the greedy
+    selection adds no affine polynomial, so the conditionally positive
+    definite kernels and an affine key are errors."""
     with pytest.raises(ConfigError, match=re.escape(message) + "$"):
         parse_motion_config(MINIMAL + "chord_m = 0.3\n[rbf]\n" + rbf)
 
@@ -222,7 +232,6 @@ FULL = {
        for name in ("pitch", "flap", "leadlag")},
     "flight": {"tip_mach": "0.6", "advance_ratio": "0.2"},
     "rbf": {"kernel": "wendland_c2", "support_radius_chords": "2.5",
-            "affine": "false",
             "greedy_tol_m": "1e-6", "level_caps": "[8, 32]",
             "fixed_markers": '["farfield"]'},
 }
@@ -245,7 +254,6 @@ BAD_VALUES = {
               "[0, 0, 1e999]", "[0, 0, true]"],
     # text too: a %, a literal Python cannot build, one too deep to parse
     "kernel": ["foo", "5", "[1]", "50%", "{[1]: 2}", "-" * 100_000 + "1"],
-    "affine": ['"yes"', "1", "abc", "[true]"],
     "level_caps": ["[]", "()", "[8, 0]", "8", "[8, 2.5]", "[8, true]", "abc",
                    "[32, 8]", "[8, 8]"],
     "fixed_markers": ["5", "[1, 2]", '["a", 3]', "true"],
@@ -275,8 +283,8 @@ def test_full_config_covers_the_table():
     assert cfg.leadlag == MotionSeries(np.radians(8.0), tuple(
         np.radians([1.5, 0.5])), (np.radians(-2.0),))
     assert cfg.flight == FlightCondition(0.6, 0.2)
-    assert cfg.rbf == RbfConfig(RbfKernel("wendland_c2", 2.5 * 0.3), False,
-                                1e-6, (8, 32))
+    assert cfg.rbf == RbfConfig(RbfKernel("wendland_c2", 2.5 * 0.3), 1e-6,
+                                (8, 32))
 
 
 @pytest.mark.parametrize("section,key", TABLE)
@@ -331,7 +339,6 @@ greedy_tol = 1e-3
      "[rotor] rpm must be a positive number, got 'abc'"),
     ("rotor", "chord_m", "-1",
      "[rotor] chord_m must be a positive number, got -1"),
-    ("rbf", "affine", '"yes"', "[rbf] affine must be true or false, got 'yes'"),
 ])
 def test_bad_value_message(section, key, raw, message):
     with pytest.raises(ConfigError, match=re.escape(
@@ -345,7 +352,7 @@ def test_bad_value_message(section, key, raw, message):
 
 # keys the format does not have: typos, and keys it no longer reads
 UNKNOWN_KEYS = ("typo_key", "radius_m", "freestream_mach",
-                "thrust_coefficient", "support_radius_m")
+                "thrust_coefficient", "support_radius_m", "affine")
 KEYS = sorted({key for _, key in TABLE} | set(UNKNOWN_KEYS))
 # per key: more raw values its converter takes than FULL's
 MORE_VALID = {
@@ -353,7 +360,7 @@ MORE_VALID = {
     "n_blades": ["1", "3"], "hinge": ["(0, 0, 0)"], "mean_deg": ["-2.5"],
     "sin_deg": ["3", "[]"], "cos_deg": ["[0.5]"], "advance_ratio": ["0"],
     "kernel": list(KERNEL_KINDS), "support_radius_chords": ["0.4", "1e308"],
-    "affine": ["true"], "level_caps": ["[4]", "(1, 2, 3)"],
+    "level_caps": ["[4]", "(1, 2, 3)"],
     "fixed_markers": ['"farfield"', "[]"]}
 VALID = {key: [raw, *MORE_VALID.get(key, ())]
          for keys in FULL.values() for key, raw in keys.items()}
@@ -393,6 +400,7 @@ def config_texts(draw):
     return _config(sections), set(sections)
 
 
+@pytest.mark.thorough
 @given(config_texts())
 def test_any_config_parses_or_is_one_config_error(case):
     """parse_motion_config returns a MotionConfig or raises one ConfigError
@@ -423,7 +431,7 @@ def _ah1g(rpm, pitch, flap, tip_mach, mu):
         rpm=rpm, n_blades=2, hinge=(0.0, 0.0, 0.0), pitch=_series(*pitch),
         flap=_series(*flap), leadlag=_series(0.0),
         flight=FlightCondition(tip_mach, mu),
-        rbf=RbfConfig(RbfKernel("wendland_c2", 2.5 * 0.686), False, 1e-4,
+        rbf=RbfConfig(RbfKernel("wendland_c2", 2.5 * 0.686), 1e-4,
                       (8, 32, 128, 512)),
         fixed_markers=("farfield",))
 
@@ -433,7 +441,7 @@ PARITY = {
         rpm=1250.0, n_blades=2, hinge=(0.0, 0.0, 0.0), pitch=_series(8.0),
         flap=_series(0.0), leadlag=_series(0.0),
         flight=FlightCondition(0.439, 0.0),
-        rbf=RbfConfig(RbfKernel("wendland_c2", 2.5 * 0.191), False, 1e-5,
+        rbf=RbfConfig(RbfKernel("wendland_c2", 2.5 * 0.191), 1e-5,
                       (8, 32, 64, 256)),
         fixed_markers=("farfield",)),
     "ah1g_low_speed": _ah1g(315.2548702865871, (11.7, [1.7], [-5.5]),

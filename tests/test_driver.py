@@ -412,6 +412,7 @@ def rotor_configs(draw):
 
 
 # one example is a whole run, so a fifth of the profile's examples
+@pytest.mark.thorough
 @settings(max_examples=max(10, settings.default.max_examples // 5),
           deadline=None)
 @given(case=rotor_configs(), steps_per_rev=st.integers(3, 12))
@@ -454,6 +455,7 @@ def test_any_motion_keeps_the_surface_and_the_period(case, steps_per_rev):
         assert np.array_equal(r.grid_velocity, first.grid_velocity)
 
 
+@pytest.mark.thorough
 @settings(max_examples=max(10, settings.default.max_examples // 5),
           deadline=None)
 @given(case=rotor_configs(), steps_per_rev=st.integers(3, 12))

@@ -463,6 +463,7 @@ def reference_orthogonality(mesh):
     return worst
 
 
+@pytest.mark.thorough
 @settings(max_examples=max(40, settings.default.max_examples // 5),
           deadline=None)
 @given(**JITTERED)

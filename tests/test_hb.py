@@ -221,6 +221,7 @@ def tone_sets(draw):
 COEF = st.floats(-1.0, 1.0).map(lambda x: round(x, 6))
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(tones=tone_sets(),
        shift=st.tuples(st.integers(0, 5),
@@ -363,6 +364,7 @@ def any_tone_sets(draw):
     return [scale * w for w in tones]
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(tones=any_tone_sets())
 @example(tones=[math.sqrt(k) for k in range(2, 13)])

@@ -682,6 +682,7 @@ _INTERLEAVED_FIELDS = {"s": np.array([-0.0, 5e-324, 1e308, np.nan, 1.0]),
 
 
 # 150 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@pytest.mark.thorough
 @settings(max_examples=max(150, settings.default.max_examples // 5),
           deadline=None)
 @given(case=meshes_with_fields())
@@ -726,6 +727,7 @@ def connectivity_at_group_edges(draw):
                            markers=markers, n_points=n, n_elements=n_elements)
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(mesh=connectivity_at_group_edges(),
        sizes=st.lists(st.integers(3, 8), max_size=6))
@@ -740,9 +742,8 @@ def test_connectivity_at_group_edges_matches_per_row_reference(mesh, sizes):
     assert _vtk_cells(mesh.cells, KIND_TO_CODE) == _ref_vtk_cells(cells)
 
     vertices = np.arange(2.0 * sum(sizes)).reshape(-1, 2)
-    sm = Supermesh(*[np.empty(0)] * 3, csr_array((0, 0)), np.empty(0),
-                   vertices, np.array(sizes, np.intp),
-                   np.zeros(len(sizes), np.intp))
+    sm = Supermesh(*[np.empty(0)] * 3, csr_array((0, 0)), vertices,
+                   np.array(sizes, np.intp), np.zeros(len(sizes), np.intp))
     starts = np.cumsum([0, *sizes]).tolist()
     polygons = [(7, list(range(a, b))) for a, b in zip(starts, starts[1:])]
     ref = _ref_vtk("supermesh intersection polygons",
@@ -759,6 +760,7 @@ def _percent_pass(a, digits=17, sep=" "):
     return ((fmt + "\n") * len(a)) % tuple(a.ravel().tolist())
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(columns=st.sampled_from((1, 3)), bits=st.booleans(), data=st.data())
 def test_float_rows_match_a_percent_pass(columns, bits, data):
@@ -774,6 +776,7 @@ def test_float_rows_match_a_percent_pass(columns, bits, data):
     assert _float_rows(a) == _percent_pass(a)
 
 
+@pytest.mark.thorough
 def test_float_rows_match_a_percent_pass_at_their_boundaries():
     """Values the formatter decides at a boundary: powers of ten and their
     neighbours (1e-14 is the double below 10**-14 whose 17 digits round up
@@ -826,6 +829,7 @@ def _column_12(draw, n):
     return np.array(draw(st.lists(values, min_size=n, max_size=n)), float)
 
 
+@pytest.mark.thorough
 @settings(deadline=None)
 @given(columns=st.integers(1, 5), data=st.data())
 def test_float_rows_at_12_digits_match_a_percent_pass(columns, data):
@@ -836,6 +840,7 @@ def test_float_rows_at_12_digits_match_a_percent_pass(columns, data):
     assert _float_rows(a, 12, ",") == _percent_pass(a, 12, ",")
 
 
+@pytest.mark.thorough
 def test_float_rows_at_12_digits_match_a_percent_pass_at_their_boundaries():
     """Every exact tie and boundary value in one column, and a column of
     counts up to 10**12 - 1 beside a column of floats."""
@@ -854,6 +859,7 @@ def test_float_rows_at_12_digits_match_a_percent_pass_at_their_boundaries():
 
 
 # 100 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@pytest.mark.thorough
 @settings(max_examples=max(100, settings.default.max_examples // 5),
           deadline=None)
 @given(n_a=st.integers(1, 40), n_b=st.integers(1, 40), data=st.data())
@@ -864,12 +870,12 @@ def test_supermesh_csv_matches_per_row_reference(n_a, n_b, data):
     area = _float_array(data.draw, FINITE, (len(flat),))
     weights = csr_array((_float_array(data.draw, FINITE, (len(flat),)),
                          (parent_a, parent_b)), shape=(n_a, n_b))
-    sm = Supermesh(parent_a, parent_b, area, weights, np.ones(n_a),
-                   np.empty((0, 2)), np.empty(0, dtype=np.intp),
-                   np.empty(0, dtype=np.intp))
+    sm = Supermesh(parent_a, parent_b, area, weights, np.empty((0, 2)),
+                   np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
     assert sm.to_csv() == _ref_csv(sm)
 
 
+@pytest.mark.thorough
 def test_supermesh_vtk_matches_per_row_reference():
     """The split dart beside a square: triangles, then a quadrilateral."""
     dart = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]])
@@ -1093,6 +1099,7 @@ def _same_mesh(a: Mesh, b: Mesh) -> bool:
 
 
 # 100 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@pytest.mark.thorough
 @settings(max_examples=max(100, settings.default.max_examples // 5),
           deadline=None)
 @given(text=styled_mesh_texts())
@@ -1115,6 +1122,7 @@ JUNK = st.sampled_from(["x", "1.5", "-1", "+2", "1e3", "nan", "-inf", "0x1",
 
 
 # 200 examples in tier-1; a fifth of a larger profile's (thorough: 1000)
+@pytest.mark.thorough
 @settings(max_examples=max(200, settings.default.max_examples // 5),
           deadline=None)
 @given(text=styled_mesh_texts(), data=st.data())
