@@ -1,7 +1,7 @@
 """Motion / deformation configuration files.
 
-Plain INI-style sections with literal values (numbers, booleans, quoted
-strings, bracketed lists). Angles are degrees in the file and radians in
+Plain INI-style sections with literal values (numbers, quoted strings,
+bracketed lists). Angles are degrees in the file and radians in
 memory. [rbf] picks one of the strictly positive definite kernels of
 rbf.KERNEL_KINDS, whose support radius is given in chords. Shipped fixtures
 cover a model-rotor hover case and the two-bladed helicopter low/high speed
@@ -15,6 +15,7 @@ import configparser
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,7 @@ def _coerce(raw: str):
     try:
         return ast.literal_eval(raw)
     except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-        raw = raw.strip()
-        return {"true": True, "false": False}.get(raw.lower(), raw)
+        return raw.strip()
 
 
 def _rule(what: str, ok, convert=float):
@@ -144,7 +144,8 @@ def _read_config(text: str) -> dict[str, dict[str, object]]:
 @dataclass(frozen=True)
 class MotionConfig:
     """Parsed configuration: rotor speed and blades, motion laws, flight
-    condition, and RBF deformation settings."""
+    condition, and RBF deformation settings; rpm, n_blades and hinge are
+    checked on construction as the parser checks them."""
 
     rpm: float
     n_blades: int = 1
@@ -155,6 +156,18 @@ class MotionConfig:
     flight: FlightCondition | None = None
     rbf: RbfConfig | None = None
     fixed_markers: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        n = self.n_blades
+        for name, ok, what in (
+                ("rpm", 0.0 < self.rpm < np.inf, "a finite positive number"),
+                ("n_blades", isinstance(n, Integral) and type(n) is not bool
+                 and n >= 1, "an integer of at least 1"),
+                ("hinge", np.shape(self.hinge) == (3,)
+                 and np.isfinite(self.hinge).all(), "3 finite numbers")):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, "
+                                 f"got {getattr(self, name)!r}")
 
     @property
     def omega(self) -> float:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 _MAX_CONDITION = 1e12  # of a basis matrix build_operator accepts
 _OVERSAMPLING = 32   # candidate instances per instance for the pivoted QR
@@ -81,13 +80,16 @@ def choose_instances(fs: FrequencySet) -> np.ndarray:
     multiples of the smallest tone no two of which alias there); otherwise
     the N, sorted, that QR with column pivoting of the basis matrix picks
     first from _OVERSAMPLING N golden-ratio points W frac(j phi) over the
-    window W (Kundert et al., IEEE MTT 36(2), 1988; Guedeney et al., 2013)."""
+    window W (Kundert et al., IEEE MTT 36(2), 1988; Guedeney et al., 2013).
+    numpy has no pivoted QR, so only this path imports scipy.linalg: a
+    second BLAS that every other command does without."""
     n = fs.count
     base = np.arange(n) * fs.base_period / n
     if np.linalg.cond(_basis_matrix(fs, base)[0]) <= _OPTIMAL_CONDITION:
         return base
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     candidates = fs.window * (np.arange(_OVERSAMPLING * n) * golden % 1.0)
+    import scipy.linalg
     pivots = scipy.linalg.qr(_basis_matrix(fs, candidates)[0].T,
                              pivoting=True, mode="r")[1]
     return np.sort(candidates[pivots[:n]])

@@ -45,10 +45,18 @@ def eval_series(series: MotionSeries, psi):
 @dataclass(frozen=True)
 class FlightCondition:
     """Rotor operating point: tip Mach number and advance ratio (0 in
-    hover)."""
+    hover), checked on construction as the config parser checks them."""
 
     tip_mach: float
     advance_ratio: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 < self.tip_mach < np.inf:
+            raise ValueError("tip_mach must be a finite positive number, "
+                             f"got {self.tip_mach!r}")
+        if not 0.0 <= self.advance_ratio < np.inf:
+            raise ValueError("advance_ratio must be a finite non-negative "
+                             f"number, got {self.advance_ratio!r}")
 
 
 def azimuth_matrix(psi: float) -> np.ndarray:

@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_solve, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .geometry import QualityReport, orthogonality_metrics
 from .mesh import Mesh
 
 KERNEL_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
 
-EVAL_CHUNK = 512  # targets per evaluate_field block
+EVAL_CHUNK = 256  # targets per evaluate_field block
 LEVEL_CAPS = (8, 32, 64, 256)  # default cumulative caps of the greedy levels
 
 
@@ -99,6 +97,21 @@ class RbfSolution:
     affine: np.ndarray | None = None  # (4, k): constant, x, y, z rows
 
 
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances (n, m) from rows x (n, c) to rows y (m, c), bit
+    for bit as scipy's cdist: the squared coordinate differences summed in
+    coordinate order, then the square root; far points give inf."""
+    with np.errstate(over="ignore"):
+        sq = x[:, 0, None] - y[:, 0]
+        sq *= sq
+        d = np.empty_like(sq)
+        for c in range(1, x.shape[1]):
+            np.subtract(x[:, c, None], y[:, c], out=d)
+            d *= d
+            sq += d
+    return np.sqrt(sq, out=sq)
+
+
 def _poly_block(points: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(points), 1)), points])
 
@@ -142,11 +155,12 @@ def _solve_dense(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """LU solve with one refinement pass; an exactly zero LU pivot or a
     non-finite solution (rank-deficient affine blocks, e.g. coplanar
     centers) goes to least squares."""
-    getrf, = get_lapack_funcs(("getrf",), (a,))
-    lu, piv, info = getrf(a)  # info > 0: zero pivot
-    x = lu_solve((lu, piv), rhs) if info == 0 else None
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:  # a zero pivot
+        x = None
     if x is not None and np.all(np.isfinite(x)):
-        x += lu_solve((lu, piv), rhs - a @ x)
+        x += np.linalg.solve(a, rhs - a @ x)
     if x is None or not np.all(np.isfinite(x)):
         x, *_ = np.linalg.lstsq(a, rhs, rcond=None)
         if not np.all(np.isfinite(x)):
@@ -164,7 +178,7 @@ def solve_weights(centers, displacements, kernel: RbfKernel,
     rows _rows rejects.
     """
     centers, data = _rows("center", centers, displacements)
-    dist = cdist(centers, centers)
+    dist = _distances(centers, centers)
     # a zero off the diagonal is a duplicate center
     if np.count_nonzero(dist == 0.0) > len(centers):
         raise ValueError("duplicate centers")
@@ -191,8 +205,8 @@ def evaluate_field(solution: RbfSolution, targets) -> np.ndarray:
     out = np.empty((len(targets), solution.weights.shape[1]))
     for start in range(0, len(targets), EVAL_CHUNK):
         block = targets[start:start + EVAL_CHUNK]
-        out[start:start + len(block)] = kernel_eval(
-            solution.kernel, cdist(block, solution.centers)) @ solution.weights
+        out[start:start + len(block)] = kernel_eval(solution.kernel, _distances(
+            block, solution.centers)) @ solution.weights
     if solution.affine is not None:
         out += _poly_block(targets) @ solution.affine
     return out
@@ -259,7 +273,7 @@ def _extend_newton(cols: np.ndarray, factor: np.ndarray, selected: list[int],
                     f"duplicate centers: surface points {selected[same[0]]} "
                     f"and {selected[j]} coincide")
             centers = pts[selected[:j + 1]]
-            block = kernel_eval(kernel, cdist(centers, centers))
+            block = kernel_eval(kernel, _distances(centers, centers))
             raise RbfSystemError(
                 f"kernel matrix not positive definite at center {j + 1} "
                 f"(pivot {d2:.3e})", condition=float(np.linalg.cond(block)))
@@ -279,14 +293,11 @@ def _next_point(err: np.ndarray, selected: list[int]) -> int | None:
 
 
 def _kernel_column(kernel: RbfKernel, pts: np.ndarray, i: int) -> np.ndarray:
-    """kernel_eval(kernel, cdist(pts, pts[[i]]))[:, 0] bit for bit, without
-    cdist's call cost: the squared differences summed in coordinate order."""
-    d = pts - pts[i]
-    return kernel_eval(kernel, np.sqrt(sum((c * c for c in d.T[1:]),
-                                           d[:, 0] * d[:, 0])))
+    """The kernel column of point i at every point: the kernel of the
+    _distances column to point i."""
+    return kernel_eval(kernel, _distances(pts, pts[[i]])[:, 0])
 
 
-@np.errstate(over="ignore")  # far points: inf distances, as from cdist
 def greedy_select(surface_points, displacements, kernel: RbfKernel,
                   tol: float, level_caps=LEVEL_CAPS
                   ) -> tuple[RbfSolution, GreedyHistory]:
@@ -316,7 +327,7 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     # kernel matrix
     width = min(caps[-1], n)
     cols = np.empty((n, width), order="F")
-    cols[:, :1] = kernel_eval(kernel, cdist(pts, pts[selected]))
+    cols[:, :1] = kernel_eval(kernel, _distances(pts, pts[selected]))
     phi0 = kernel_eval(kernel, 0.0)
     factor = np.zeros((width, width))
     _extend_newton(cols, factor, selected, 0, phi0, pts, kernel)
@@ -330,8 +341,8 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
         level_t0 = time.perf_counter()
         m = len(selected)
         # residual left by interpolating this level's data on the centers
-        running = residual - cols[:, :m] @ solve_triangular(
-            factor[:m, :m], residual[selected], lower=True)
+        running = residual - cols[:, :m] @ np.linalg.solve(
+            factor[:m, :m], residual[selected])
         while True:
             m = len(selected)
             at_cap = m >= min(cap, n)

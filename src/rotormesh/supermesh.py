@@ -4,12 +4,10 @@ Both interface sides are first projected to a common plane or unrolled
 z-axis cylinder (a line for 2D domains). Every overlapping pair of faces
 contributes an intersection polygon (interval); its area (length) divided
 by the receiving face's is the donor weight used for conservative data
-exchange. Candidate pairs come from one k-d tree query: each convex piece,
-an interval being a two-vertex one, lies in the circle about its vertex
-mean through its farthest vertex, so two pieces can only overlap when
-their centres are closer than the sum of their radii. Of those, only the
-pairs whose bounding boxes meet are clipped, each box padded by how far
-the clip's inside tolerance reaches past its piece (see _candidates).
+exchange. Only the pairs of convex pieces (an interval being a two-vertex
+one) whose bounding boxes meet are clipped, each box padded by how far the
+clip's inside tolerance reaches past its piece; a grid of cells as large as
+the largest B box finds them (see _candidates).
 """
 
 from __future__ import annotations
@@ -17,11 +15,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
-from itertools import chain
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
-from scipy.spatial import cKDTree
 
 from .mesh import Mesh, _float_rows, _n_rows
 
@@ -381,27 +377,32 @@ def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:
     return face[order], np.asfortranarray(pieces[order])
 
 
-def _bounds(pieces: np.ndarray, tol: float):
-    """Centre (vertex mean), radius (farthest vertex) and pad (the reach of
-    the inside tolerance tol, as _candidates derives it) of each piece."""
+def _pads(pieces: np.ndarray, tol: float) -> np.ndarray:
+    """How far the inside tolerance tol reaches past each piece, by the
+    bound _candidates derives from its centre (vertex mean) and radius."""
+    if not tol:
+        return np.zeros(len(pieces))
     n, s = _counts(pieces), pieces.T
     centres = np.take_along_axis(np.cumsum(s, axis=1), n[None, None] - 1,
                                  axis=1)[:, 0] / n
     d = centres[:, None] - s
     radii = np.hypot(*d).max(axis=0)
-    if not tol:
-        return centres.T, radii, np.zeros(len(n))
     # edge j runs from slot j to j + 1; a padding edge has zero length
     e = np.roll(s, -1, axis=1) - s
     cross = e[0] * d[1] - e[1] * d[0]
     low = np.where((e[0] != 0.0) | (e[1] != 0.0), np.maximum(cross, 0.0),
                    np.inf).min(axis=0)
     with np.errstate(divide="ignore"):  # no interior centre: no bound
-        return centres.T, radii, 2.0 * tol * (radii / low)  # no overflow
+        return 2.0 * tol * (radii / low)  # no overflow
 
 
-def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float,
-                tol: float):
+def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The ranges start[i] .. stop[i] - 1, one after another."""
+    n = stop - start
+    return np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)
+
+
+def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, tol: float):
     """Index arrays of the (A piece, B piece) pairs whose padded bounding
     boxes meet, sorted by A piece, then B piece. No other pair can clip to
     a polygon (or, for intervals, overlap).
@@ -424,24 +425,40 @@ def _candidates(pieces_a: np.ndarray, pieces_b: np.ndarray, snap: float,
     is left out. Boxes are padded by 2 * s * r, the second s * r for
     rounding, a few ulps of the coordinates, far below tol / |e| >= 1e-12
     * |coordinate| (snap being 1e-12 of the interface's diagonal, at least
-    |e|). Boxes that do not meet leave no point of A' in B. Nor can such
-    pieces' centres lie farther apart than r_a + pad_a + r_b + pad_b, which
-    the k-d tree query covers. Intervals come with tol = 0 and no pad:
-    their overlap is measured exactly.
+    |e|). Boxes that do not meet leave no point of A' in B. Intervals come
+    with tol = 0 and no pad: their overlap is measured exactly.
+
+    The search. The B boxes are binned by low corner on square cells a
+    little (2**-10, for rounding) larger than the largest B box, so a B box
+    meeting an A box lies in a cell from the one below the A box's low
+    corner to the one holding its high corner. Boxes are cut to the span
+    of all pieces for this, which keeps every pair that meets, and the
+    cells are at least 2**-20 of the span, which bounds their count.
     """
-    (centres_a, radii_a, pad_a), (centres_b, radii_b, pad_b) = (
-        _bounds(p, tol) for p in (pieces_a, pieces_b))
-    near = cKDTree(centres_b).query_ball_point(
-        centres_a, radii_a + pad_a + (radii_b + pad_b).max() + snap,
-        return_sorted=True)
-    ia = np.repeat(np.arange(len(near)), [len(c) for c in near])
-    ib = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=len(ia))
-    (lo_a, hi_a), (lo_b, hi_b) = (  # the pairs' boxes, x and y as rows
-        (np.take(p.T.min(axis=1) - pad, i, axis=1),
-         np.take(p.T.max(axis=1) + pad, i, axis=1))
-        for p, pad, i in ((pieces_a, pad_a, ia), (pieces_b, pad_b, ib)))
-    meet = ((lo_a <= hi_b) & (lo_b <= hi_a)).all(axis=0)
-    return ia[meet], ib[meet]
+    (lo_a, hi_a), (lo_b, hi_b) = (  # padded boxes, x and y as rows
+        (p.T.min(axis=1) - pad, p.T.max(axis=1) + pad)
+        for p in (pieces_a, pieces_b) for pad in [_pads(p, tol)])
+    pts = np.hstack([p.T.reshape(2, -1) for p in (pieces_a, pieces_b)])
+    lo, hi = pts.min(axis=1, keepdims=True), pts.max(axis=1, keepdims=True)
+    cut = [np.clip(x, lo, hi) - lo for x in (lo_a, hi_a, lo_b, hi_b)]
+    side = max(float((cut[3] - cut[2]).max()),
+               float((hi - lo).max()) * 2**-20) * (1.0 + 2**-10)
+    (x0, y0), (x1, y1), cell_b = (np.floor(x / side).astype(np.intp)
+                                  for x in cut[:3])
+    x0, y0 = np.maximum(x0 - 1, 0), np.maximum(y0 - 1, 0)
+    ny = int(np.floor((hi - lo)[1, 0] / side)) + 1  # y cells
+    keys = cell_b[0] * ny + cell_b[1]
+    order = np.argsort(keys)
+    keys = keys[order]
+    rows = np.repeat(np.arange(len(x0)), x1 + 1 - x0)  # (A piece, x cell)
+    row_keys = _ranges(x0, x1 + 1) * ny
+    start = np.searchsorted(keys, row_keys + y0[rows])
+    stop = np.searchsorted(keys, row_keys + y1[rows], side="right")
+    ia, ib = np.repeat(rows, stop - start), order[_ranges(start, stop)]
+    meet = ((lo_a[:, ia] <= hi_b[:, ib]) & (lo_b[:, ib] <= hi_a[:, ia])
+            ).all(axis=0)
+    first = np.lexsort((ib[meet], ia[meet]))
+    return ia[meet][first], ib[meet][first]
 
 
 def build_supermesh(side_a: InterfaceFaceSet,
@@ -460,7 +477,7 @@ def build_supermesh(side_a: InterfaceFaceSet,
     snap = 1e-12 * max(float(np.hypot(*np.ptp(all_pts, axis=1))), 1e-300)
     # the clip's eps over the whole interface; intervals have none
     tol = snap * np.abs(all_pts).max() if side_a.manifold_dim == 2 else 0.0
-    ia, ib = _candidates(pieces_a, pieces_b, snap, tol)
+    ia, ib = _candidates(pieces_a, pieces_b, tol)
 
     if side_a.manifold_dim == 1:  # pieces are faces; overlaps, no polygons
         seg_a, seg_b = side_a.stack[ia], side_b.stack[ib]

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +257,7 @@ BAD_VALUES = {
     "kernel": ["foo", "5", "[1]", "50%", "{[1]: 2}", "-" * 100_000 + "1"],
     "level_caps": ["[]", "()", "[8, 0]", "8", "[8, 2.5]", "[8, true]", "abc",
                    "[32, 8]", "[8, 8]"],
-    "fixed_markers": ["5", "[1, 2]", '["a", 3]', "true"],
+    "fixed_markers": ["5", "[1, 2]", '["a", 3]', "True"],
 }
 
 
@@ -339,11 +340,49 @@ greedy_tol = 1e-3
      "[rotor] rpm must be a positive number, got 'abc'"),
     ("rotor", "chord_m", "-1",
      "[rotor] chord_m must be a positive number, got -1"),
+    # lowercase true is text, not a bool
+    ("rotor", "rpm", "true",
+     "[rotor] rpm must be a positive number, got 'true'"),
 ])
 def test_bad_value_message(section, key, raw, message):
     with pytest.raises(ConfigError, match=re.escape(
             f"bad config value: {message}")):
         parse_motion_config(_with(section, key, raw))
+
+
+@pytest.mark.parametrize("settings,field,message", [
+    (lambda: MotionConfig(0.0), "rpm", "a finite positive number, got 0.0"),
+    (lambda: MotionConfig(np.nan), "rpm", "a finite positive number"),
+    (lambda: MotionConfig(-300.0), "rpm", "a finite positive number"),
+    (lambda: MotionConfig(np.inf), "rpm", "a finite positive number"),
+    (lambda: MotionConfig(60.0, n_blades=0), "n_blades",
+     "an integer of at least 1, got 0"),
+    (lambda: MotionConfig(60.0, n_blades=2.0), "n_blades", "an integer"),
+    (lambda: MotionConfig(60.0, n_blades=True), "n_blades", "an integer"),
+    (lambda: MotionConfig(60.0, hinge=(0.0, np.nan, 0.0)), "hinge",
+     "3 finite numbers, got (0.0, nan, 0.0)"),
+    (lambda: MotionConfig(60.0, hinge=(0.0, 0.0)), "hinge",
+     "3 finite numbers"),
+    (lambda: FlightCondition(0.0), "tip_mach",
+     "a finite positive number, got 0.0"),
+    (lambda: FlightCondition(np.nan), "tip_mach", "a finite positive number"),
+    (lambda: FlightCondition(0.6, -0.1), "advance_ratio",
+     "a finite non-negative number, got -0.1"),
+    (lambda: FlightCondition(0.6, np.inf), "advance_ratio",
+     "a finite non-negative number"),
+])
+def test_settings_check_their_fields(settings, field, message):
+    """A library caller gets the parser's rules on construction, each
+    break a ValueError naming the field, not a late numeric failure."""
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{field} must be {message}")):
+        settings()
+
+
+def test_settings_check_their_fields_on_replace():
+    """A changed copy is checked too: rpm 0 no longer reaches a run."""
+    with pytest.raises(ValueError, match="^rpm must be"):
+        replace(load_fixture("ah1g_low_speed"), rpm=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +400,7 @@ MORE_VALID = {
     "sin_deg": ["3", "[]"], "cos_deg": ["[0.5]"], "advance_ratio": ["0"],
     "kernel": list(KERNEL_KINDS), "support_radius_chords": ["0.4", "1e308"],
     "level_caps": ["[4]", "(1, 2, 3)"],
-    "fixed_markers": ['"farfield"', "[]"]}
+    "fixed_markers": ['"farfield"', "[]", "true"]}  # a bare word is a name
 VALID = {key: [raw, *MORE_VALID.get(key, ())]
          for keys in FULL.values() for key, raw in keys.items()}
 RAW = st.one_of(

@@ -1,6 +1,10 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,20 +607,23 @@ def test_kernel_column_matches_cdist(kind, radius, dim, data):
 
 def test_newton_greedy_has_no_per_point_solves(monkeypatch):
     """An added point costs a basis column and a rank-1 residual update:
-    one triangular solve per level (its data in the Newton basis) and one
-    checked solve_weights call, however many points the level adds."""
+    one solve with the Cholesky factor per level (its data in the Newton
+    basis) and one checked solve_weights call, however many points the
+    level adds."""
     pts = surface_grid(12)
     disp = np.zeros_like(pts)
     disp[:, 2] = 0.02 * np.sin(np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
-    triangular = []
-    original = rbf.solve_triangular
-    monkeypatch.setattr(rbf, "solve_triangular", lambda *a, **k: (
-        triangular.append(1), original(*a, **k))[1])
+    triangular = []  # the solves greedy_select makes itself
+    original = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: (
+        sys._getframe(1).f_code.co_name == "greedy_select"
+        and triangular.append(a[0]), original(*a))[1])
     calls = _count_solves(monkeypatch)
     _, hist = greedy_select(pts, disp, WENDLAND, tol=1e-7,
                             level_caps=(8, 32, 64))
     assert hist.selected_points > 4 * len(hist.levels)
     assert len(triangular) == len(calls) == len(hist.levels)
+    assert all(np.array_equal(a, np.tril(a)) for a in triangular)
 
 
 def test_newton_pivot_of_a_near_duplicate_raises():
@@ -630,6 +637,60 @@ def test_newton_pivot_of_a_near_duplicate_raises():
                        r"center 2 .*condition estimate") as err:
         greedy_select(pts, disp, WENDLAND, tol=1e-9)
     assert err.value.condition > 1e12
+
+
+@pytest.mark.thorough
+@settings(deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6),
+                       st.integers(1, 3)),
+       exponent=st.sampled_from([0, 150, 200, 306, -150, -160, -170, -320]),
+       data=st.data())
+def test_distances_match_cdist(shape, exponent, data):
+    """The distance helper gives cdist's distances bit for bit, with no
+    warning: far points near 1e200 overflow to inf as in cdist, and
+    spacings near 1e-160 or below square to subnormals or to 0."""
+    n, m, dim = shape
+    coords = st.floats(-10.0, 10.0, allow_nan=False)
+    x, y = (10.0 ** exponent * np.array(data.draw(st.lists(
+        coords, min_size=k * dim, max_size=k * dim))).reshape(k, dim)
+        for k in (n, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rbf._distances(x, y)
+    assert got.tobytes() == cdist(x, y).tobytes()
+
+
+def test_deform_and_interface_load_no_second_blas():
+    """A deformation and an interface build plus exchange, in a fresh
+    interpreter, import neither scipy.linalg nor scipy.spatial: numpy's
+    BLAS is the only one the process maps."""
+    script = """if True:
+        import sys
+        import numpy as np
+        from meshgen import box_with_plate_mesh
+        from rotormesh import (InterfaceFaceSet, build_supermesh,
+                               load_fixture, weighted_exchange)
+        from rotormesh.driver import run_deformation
+        mesh = box_with_plate_mesh(n=8, plate_x=(0.3, 0.9),
+                                   plate_y=(-0.3, 0.3), plate_z=(-0.1, 0.1))
+        list(run_deformation(mesh, load_fixture("ah1g_low_speed"),
+                             ["blade"], steps_per_rev=4, revolutions=0.5))
+        quads = [[(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+                 for i in range(4) for j in range(4)]
+        a, b = (InterfaceFaceSet(name, tuple(np.array(q) * h + 0.01
+                                             for q in quads))
+                for name, h in (("A", 1 / 4), ("B", 1 / 5)))
+        weighted_exchange(build_supermesh(a, b), np.ones(16))
+        print(sorted(name for name in sys.modules
+                     if name.startswith(("scipy.linalg", "scipy.spatial"))))
+    """
+    tests = str(Path(__file__).parent)
+    src = str(Path(rbf.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], cwd=tests,
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [tests, src])})
+    assert out.stdout.strip() == "[]"
 
 
 def _count_solves(monkeypatch):

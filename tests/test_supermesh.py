@@ -743,10 +743,16 @@ def test_operator_matches_csv_rows(n_a, n_b, turn, seed):
 @given(n_a=st.integers(1, 5), extra=st.integers(1, 3),
        turn=st.floats(-3.2, 3.2),
        shift=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
-       dart=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
+       dart=st.booleans(), giant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_a=4, extra=2, turn=0.3, shift=(0.1, -0.05), dart=True,
+         giant=True, seed=7)
+def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, giant,
+                                    seed):
     """The candidate search misses no overlapping pair of two graded grids,
-    one turned and shifted, some A quads split in two."""
+    one turned and shifted, some A quads split in two, and one B quad
+    perhaps grown 10**3 times about its centre, so that its box sets the
+    search grid's cells."""
     rng = np.random.default_rng(seed)
     a_faces = graded_grid(n_a, rng)
     for k in {0, seed % len(a_faces)} if dart else ():
@@ -758,6 +764,10 @@ def test_candidates_match_all_pairs(n_a, extra, turn, shift, dart, seed):
     rot = np.array([[c, -s], [s, c]])
     b_faces = [(f - 0.5) @ rot.T + 0.5 + shift
                for f in graded_grid(n_a + extra, rng)]
+    if giant:
+        k = seed % len(b_faces)
+        centre = b_faces[k].mean(axis=0)
+        b_faces[k] = (b_faces[k] - centre) * 1e3 + centre
     assert_matches_all_pairs(InterfaceFaceSet("A", tuple(a_faces)),
                              InterfaceFaceSet("B", tuple(b_faces)))
 
