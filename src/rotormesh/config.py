@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import configparser
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from numbers import Integral
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import FlightCondition, MotionSeries, rpm_to_rad_s
+from .kinematics import FlightCondition, MotionSeries, _real, rpm_to_rad_s
 from .rbf import KERNEL_KINDS, RbfConfig, RbfKernel
 
 FIXTURE_NAMES = ("caradonna_tung_hover", "ah1g_low_speed", "ah1g_high_speed")
@@ -46,11 +45,6 @@ def _rule(what: str, ok, convert=float):
             raise ValueError(f"must be {what}, got {value!r}")
         return convert(value)
     return run
-
-
-def _real(value) -> bool:
-    """A finite int or float literal (a bool or a string is not one)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _count(value) -> bool:

@@ -156,18 +156,18 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
         converged = converged and res.history.converged
     basis = np.hstack(fields)
     history = GreedyHistory(tuple(levels), converged)
-    reports: list[QualityReport] = []  # one per first-revolution step
+    reports: dict[bytes, QualityReport] = {}  # one per distinct motion
     previous: list[np.ndarray] = []    # the last two lab-frame grids
 
     for k in range(int(round(steps_per_rev * revolutions)) + 1):
         j = k % steps_per_rev
         motion = motions[j].reshape(-1, 3)
         rotor_points = points + basis @ motion
-        if j == len(reports):
+        if (key := motion.tobytes()) not in reports:
             report = orthogonality_metrics(mesh.with_points(rotor_points))
             if report.negative_volume_count > 0:
                 raise DeformationFailure(k, k - 1, report)
-            reports.append(report)
+            reports[key] = report
         surface_err = np.linalg.norm(
             rotor_points[surface] - points[surface] - rigid @ motion,
             axis=1).max(initial=0.0)
@@ -185,5 +185,5 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
         yield StepResult(
             step=k, time=k * dt, psi=cfg.omega * (k * dt), points=lab_points,
             rotor_points=rotor_points, grid_velocity=velocity,
-            velocity_scheme=scheme, quality=reports[j], history=history,
+            velocity_scheme=scheme, quality=reports[key], history=history,
             surface_max_err=float(surface_err))

@@ -13,9 +13,17 @@ lead-lag rotates +x toward +y, and positive flap rotates +x toward -z.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
+
+
+def _real(value) -> bool:
+    """A finite real number (a bool or a string is not one)."""
+    return isinstance(value, Real) and type(value) is not bool \
+        and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -23,12 +31,20 @@ class MotionSeries:
     """Fourier motion law: mean - sum_k (s_k sin k*psi + c_k cos k*psi).
 
     Coefficients are radians; index k starts at 1. Harmonics beyond the
-    supplied coefficients are zero.
+    supplied coefficients are zero. Each field is checked on construction.
     """
 
     mean: float = 0.0
     sine_coeffs: tuple[float, ...] = ()
     cosine_coeffs: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            values = (value,) if name == "mean" else value
+            if type(values) is not tuple or not all(map(_real, values)):
+                what = ("a finite real number" if name == "mean"
+                        else "a tuple of finite real numbers")
+                raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def eval_series(series: MotionSeries, psi):

@@ -15,11 +15,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import InitVar, dataclass, field
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
 
 from .mesh import Mesh, _float_rows, _n_rows
+
+if TYPE_CHECKING:  # only _assemble imports scipy.sparse, when it runs
+    from scipy.sparse import csr_array
 
 
 def signed_area(poly: np.ndarray) -> float:
@@ -330,10 +333,11 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, n_b: int,
     """Supermesh of the A faces of area_a and n_b B faces from the pieces
     (rows[k], cols[k], areas[k]) in any order, a pair's summed in order;
     vertices and counts hold the clipped polygon of each piece, or none."""
+    from scipy.sparse import coo_array  # only a build pays its ~20 MB
     shape = (len(area_a), n_b)
     pairs = coo_array((areas, (rows, cols)), shape=shape)
     pairs.sum_duplicates()
-    parent_a, parent_b = pairs.coords
+    parent_a, parent_b = pairs.row, pairs.col
     weights = pairs.tocsr()  # pairs is sorted, so the entry order is kept
     weights.data = weights.data / area_a[parent_a]
     polygon_pair = np.searchsorted(parent_a * shape[1] + parent_b,

@@ -370,6 +370,15 @@ def test_bad_value_message(section, key, raw, message):
      "a finite non-negative number, got -0.1"),
     (lambda: FlightCondition(0.6, np.inf), "advance_ratio",
      "a finite non-negative number"),
+    (lambda: MotionSeries(mean=np.nan), "mean",
+     "a finite real number, got nan"),
+    (lambda: MotionSeries(mean=True), "mean", "a finite real number"),
+    (lambda: MotionSeries(sine_coeffs=(np.inf,)), "sine_coeffs",
+     "a tuple of finite real numbers, got (inf,)"),
+    (lambda: MotionSeries(sine_coeffs=[0.1]), "sine_coeffs",
+     "a tuple of finite real numbers, got [0.1]"),
+    (lambda: MotionSeries(cosine_coeffs=("x",)), "cosine_coeffs",
+     "a tuple of finite real numbers, got ('x',)"),
 ])
 def test_settings_check_their_fields(settings, field, message):
     """A library caller gets the parser's rules on construction, each

@@ -241,6 +241,27 @@ def test_face_table_built_once_per_sweep(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("text,reports", [(PITCHING, 1), (FLAPPING, 8)],
+                         ids=["hover", "cyclic"])
+def test_quality_report_once_per_distinct_motion(small_mesh, monkeypatch,
+                                                 text, reports):
+    """Quality is checked once per distinct rotating-frame motion: a hover
+    (collective pitch alone) moves the blade alike at every phase, so one
+    report serves the whole run; cyclic pitch and flap need one per phase."""
+    calls = []
+    metrics = driver.orthogonality_metrics
+    monkeypatch.setattr(driver, "orthogonality_metrics",
+                        lambda mesh: calls.append(mesh) or metrics(mesh))
+    results = list(run_deformation(small_mesh, parse_motion_config(text),
+                                   ["blade"], steps_per_rev=8,
+                                   revolutions=2.0))
+    assert len(results) == 17
+    assert len(calls) == reports
+    if reports == 1:  # the one report holds for every step's grid
+        assert all(np.array_equal(r.rotor_points, results[0].rotor_points)
+                   for r in results)
+
+
 @pytest.mark.parametrize("steps_per_rev,revolutions",
                          [(1, 0.0), (4, 2.5), (7, 1.0)])
 def test_kinematics_evaluated_once_per_run(small_mesh, monkeypatch,

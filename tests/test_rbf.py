@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -660,37 +661,63 @@ def test_distances_match_cdist(shape, exponent, data):
     assert got.tobytes() == cdist(x, y).tobytes()
 
 
-def test_deform_and_interface_load_no_second_blas():
-    """A deformation and an interface build plus exchange, in a fresh
-    interpreter, import neither scipy.linalg nor scipy.spatial: numpy's
+def test_deform_and_interface_load_no_second_blas(tmp_path):
+    """In a fresh interpreter, with no scipy module imported before: a
+    deformation through the library and through rotormesh deform loads no
+    scipy module at all, and an interface build plus exchange then loads
+    scipy.sparse alone, without scipy.linalg or scipy.spatial, so numpy's
     BLAS is the only one the process maps."""
     script = """if True:
+        import contextlib
+        import io
+        import json
         import sys
         import numpy as np
         from meshgen import box_with_plate_mesh
         from rotormesh import (InterfaceFaceSet, build_supermesh,
                                load_fixture, weighted_exchange)
+        from rotormesh.cli import main
         from rotormesh.driver import run_deformation
+        from rotormesh.mesh import write_mesh
+
+        def loaded():
+            return sorted(name for name in sys.modules
+                          if name.startswith("scipy."))
+
         mesh = box_with_plate_mesh(n=8, plate_x=(0.3, 0.9),
                                    plate_y=(-0.3, 0.3), plate_z=(-0.1, 0.1))
         list(run_deformation(mesh, load_fixture("ah1g_low_speed"),
                              ["blade"], steps_per_rev=4, revolutions=0.5))
+        mesh_file = sys.argv[1] + "/box.mesh"
+        with open(mesh_file, "w") as out:
+            out.write(write_mesh(mesh))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["deform", mesh_file, "ah1g_low_speed",
+                         "--markers", "blade", "--steps-per-rev", "4",
+                         "--revolutions", "0.5",
+                         "--output-dir", sys.argv[1] + "/out"])
+        deform = loaded()
         quads = [[(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
                  for i in range(4) for j in range(4)]
         a, b = (InterfaceFaceSet(name, tuple(np.array(q) * h + 0.01
                                              for q in quads))
                 for name, h in (("A", 1 / 4), ("B", 1 / 5)))
         weighted_exchange(build_supermesh(a, b), np.ones(16))
-        print(sorted(name for name in sys.modules
-                     if name.startswith(("scipy.linalg", "scipy.spatial"))))
+        print(json.dumps([code, deform, loaded()]))
     """
     tests = str(Path(__file__).parent)
     src = str(Path(rbf.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", script], cwd=tests,
-                         capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
-                             [tests, src])})
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         cwd=tests, capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH":
+                                          os.pathsep.join([tests, src])})
+    code, deform, interface = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert (tmp_path / "out" / "quality.csv").exists()
+    assert deform == []
+    assert "scipy.sparse" in interface
+    assert not [name for name in interface
+                if name.startswith(("scipy.linalg", "scipy.spatial"))]
 
 
 def _count_solves(monkeypatch):
