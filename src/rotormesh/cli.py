@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import hb
-from .config import (_NUMBER, ConfigError, FIXTURE_NAMES, load_fixture,
+from .config import (ConfigError, FIXTURE_NAMES, load_fixture,
                      load_motion_config)
 from .driver import DeformationFailure, run_deformation
 from .geometry import cell_geometry, orthogonality_metrics, topology
-from .kinematics import blade_normal_mach, eval_series
+from .kinematics import _real, blade_normal_mach, eval_series
 from .mesh import (Mesh, MeshFormatError, _float_rows, _n_rows, _vtk_cells,
                    _vtk_points, parse_mesh, write_vtk)
 from .rbf import RbfSystemError
@@ -57,9 +57,13 @@ def _numbers(text: str) -> list[float]:
     """Finite numbers separated by commas or spaces (an argparse type)."""
     entries = text.replace(",", " ").split() or [text]  # none: report text
     try:
-        return [_NUMBER(float(entry)) for entry in entries]
+        numbers = [float(entry) for entry in entries]
+        for number in numbers:
+            if not _real(number):
+                raise ValueError(f"must be a finite number, got {number!r}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return numbers
 
 
 def _check_outputs(args) -> None:

@@ -3,9 +3,10 @@
 Plain INI-style sections with literal values (numbers, quoted strings,
 bracketed lists). Angles are degrees in the file and radians in
 memory. [rbf] picks one of the strictly positive definite kernels of
-rbf.KERNEL_KINDS, whose support radius is given in chords. Shipped fixtures
-cover a model-rotor hover case and the two-bladed helicopter low/high speed
-forward-flight operating points.
+rbf.KERNEL_KINDS, whose support radius is given in chords. The parser
+converts each value, and the settings type that holds it checks it.
+Shipped fixtures cover a model-rotor hover case and the two-bladed
+helicopter low/high speed forward-flight operating points.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ import ast
 import configparser
 from dataclasses import dataclass
 from importlib import resources
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .kinematics import FlightCondition, MotionSeries, _real, rpm_to_rad_s
-from .rbf import KERNEL_KINDS, RbfConfig, RbfKernel
+from .kinematics import (FlightCondition, MotionSeries, _check, _count,
+                         _positive, _real, rpm_to_rad_s)
+from .rbf import RbfConfig, RbfKernel
 
 FIXTURE_NAMES = ("caradonna_tung_hover", "ah1g_low_speed", "ah1g_high_speed")
 
@@ -29,83 +30,55 @@ class ConfigError(ValueError):
     """Unknown or missing keys, all listed, or the first bad value."""
 
 
-def _coerce(raw: str):
-    """The Python literal raw spells, else raw as text: also a literal
-    Python cannot build ({[1]: 2}) or nests too deeply for its parser."""
+def _coerce(raw: str, convert=None):
+    """The Python literal raw spells, else raw as text (also a literal
+    Python cannot build, {[1]: 2}, or one too deep for its parser), then
+    converted by convert if given."""
     try:
-        return ast.literal_eval(raw)
+        value = ast.literal_eval(raw)
     except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
-        return raw.strip()
+        value = raw.strip()
+    return convert(value) if convert else value
 
 
-def _rule(what: str, ok, convert=float):
-    """Converter: convert(value) if ok(value), else a ValueError."""
-    def run(value):
-        if not ok(value):
-            raise ValueError(f"must be {what}, got {value!r}")
-        return convert(value)
-    return run
+def _tuple(value):
+    """A list as a tuple; any other value as it is."""
+    return tuple(value) if type(value) is list else value
 
 
-def _count(value) -> bool:
-    return type(value) is int and value > 0
+def _radians(value):
+    """Degrees in radians: a real number, or each entry of a list or tuple
+    as a tuple; any other value as it is."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_radians, value))
+    return float(np.radians(float(value))) if _real(value) else value
 
 
-def _list(value, ok) -> bool:
-    return type(value) in (list, tuple) and all(map(ok, value))
+_SERIES = {"mean_deg": _radians, **dict.fromkeys(  # a number is one harmonic
+    ("sin_deg", "cos_deg"), lambda v: _radians([v] if _real(v) else v))}
 
-
-def _name(value) -> bool:
-    return type(value) is str
-
-
-_NUMBER = _rule("a finite number", _real)
-_POSITIVE = _rule("a positive number", lambda v: _real(v) and v > 0)
-_NON_NEGATIVE = _rule("a non-negative number", lambda v: _real(v) and v >= 0)
-_SERIES = {  # degrees in the file, radians in memory
-    "mean_deg": _rule("a finite number", _real,
-                      lambda v: float(np.radians(v))),
-    **dict.fromkeys(("sin_deg", "cos_deg"), _rule(
-        "a number or a list of numbers", lambda v: _real(v) or _list(v, _real),
-        lambda v: tuple(np.radians(np.atleast_1d(v)).tolist()))),
-}
-
-# section -> key -> converter; each converter raises ValueError on a bad value
+# section -> key -> conversion of its value (None: none); the settings
+# types check the values, parse_motion_config the two keys none holds
 _KEYS = {
-    "rotor": {
-        "rpm": _POSITIVE, "chord_m": _POSITIVE,
-        "n_blades": _rule("a positive integer", _count, int),
-        "hinge": _rule("a list of 3 numbers",
-                       lambda v: _list(v, _real) and len(v) == 3,
-                       lambda v: tuple(map(float, v))),
-    },
+    "rotor": {"rpm": None, "chord_m": None, "n_blades": None,
+              "hinge": _tuple},
     "pitch": _SERIES, "flap": _SERIES, "leadlag": _SERIES,
-    "flight": {"tip_mach": _POSITIVE, "advance_ratio": _NON_NEGATIVE},
-    "rbf": {
-        "kernel": _rule("one of " + ", ".join(KERNEL_KINDS),
-                        lambda v: v in KERNEL_KINDS, str),
-        "support_radius_chords": _POSITIVE,
-        "greedy_tol_m": _POSITIVE,
-        "level_caps": _rule(
-            "a non-empty, strictly increasing list of positive integers",
-            lambda v: _list(v, _count) and len(v) > 0
-            and all(a < b for a, b in zip(v, v[1:])), tuple),
-        "fixed_markers": _rule(
-            "a marker name or a list of them",
-            lambda v: _name(v) or _list(v, _name),
-            lambda v: (v,) if _name(v) else tuple(v)),
-    },
+    "flight": {"tip_mach": None, "advance_ratio": None},
+    "rbf": {"kernel": None, "support_radius_chords": None,
+            "greedy_tol_m": None, "level_caps": _tuple,
+            "fixed_markers": lambda v: (v,) if type(v) is str else _tuple(v)},
 }
 _REQUIRED = {"rotor": ("rpm",), "flight": ("tip_mach",)}
-# the dataclass field of each key not named like it
+# the settings field of each key not named like it
 _FIELDS = {"mean_deg": "mean", "sin_deg": "sine_coeffs",
-           "cos_deg": "cosine_coeffs", "greedy_tol_m": "greedy_tol"}
+           "cos_deg": "cosine_coeffs", "greedy_tol_m": "greedy_tol",
+           "kernel": "kind"}
 
 
 def _read_config(text: str) -> dict[str, dict[str, object]]:
     """Each section ([rotor] even if absent) with its values converted by
     _KEYS and keyed by field. One ConfigError lists every unknown section,
-    unknown key and missing required key, else names the first bad value."""
+    unknown key and missing required key."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
@@ -123,23 +96,30 @@ def _read_config(text: str) -> dict[str, dict[str, object]]:
                      for key in _REQUIRED.get(name, ()) if key not in values]
     if problems:
         raise ConfigError("bad config keys: " + "; ".join(problems))
-    converted = {name: {} for name in sections}
-    for name, values in sections.items():
-        for key, raw in values.items():
-            try:
-                value = _KEYS[name][key](_coerce(raw))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad config value: [{name}] {key} {exc}") from exc
-            converted[name][_FIELDS.get(key, key)] = value
-    return converted
+    return {name: {_FIELDS.get(key, key): _coerce(raw, _KEYS[name][key])
+                   for key, raw in values.items()}
+            for name, values in sections.items()}
+
+
+def _build(settings, *sections: str, **fields):
+    """settings(**fields), a settings type whose ValueError "<field> must
+    be ..." becomes a ConfigError naming the key of that field in the
+    first of sections that has one."""
+    try:
+        return settings(**fields)
+    except ValueError as exc:
+        field, rule = str(exc).split(" ", 1)
+        section, key = next((name, key) for name in sections
+                            for key in _KEYS[name]
+                            if _FIELDS.get(key, key) == field)
+        raise ConfigError(
+            f"bad config value: [{section}] {key} {rule}") from exc
 
 
 @dataclass(frozen=True)
 class MotionConfig:
     """Parsed configuration: rotor speed and blades, motion laws, flight
-    condition, and RBF deformation settings; rpm, n_blades and hinge are
-    checked on construction as the parser checks them."""
+    condition and RBF deformation settings, checked on construction."""
 
     rpm: float
     n_blades: int = 1
@@ -152,16 +132,13 @@ class MotionConfig:
     fixed_markers: tuple[str, ...] = ()
 
     def __post_init__(self):
-        n = self.n_blades
-        for name, ok, what in (
-                ("rpm", 0.0 < self.rpm < np.inf, "a finite positive number"),
-                ("n_blades", isinstance(n, Integral) and type(n) is not bool
-                 and n >= 1, "an integer of at least 1"),
-                ("hinge", np.shape(self.hinge) == (3,)
-                 and np.isfinite(self.hinge).all(), "3 finite numbers")):
-            if not ok:
-                raise ValueError(f"{name} must be {what}, "
-                                 f"got {getattr(self, name)!r}")
+        _check(self, rpm=(_positive, "a finite positive number"),
+               n_blades=(_count, "an integer of at least 1"),
+               hinge=(lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+                      and all(map(_real, v)), "3 finite numbers"),
+               fixed_markers=(lambda v: isinstance(v, (list, tuple))
+                              and all(isinstance(m, str) for m in v),
+                              "a list or tuple of marker names"))
 
     @property
     def omega(self) -> float:
@@ -186,19 +163,26 @@ def parse_motion_config(text: str) -> MotionConfig:
         if chord is None:
             raise ConfigError(
                 "[rbf] support radius in chords requires [rotor] chord_m")
-        support = rbf.pop("support_radius_chords", 2.5) * chord
+        chords = rbf.pop("support_radius_chords", 2.5)
+        for key, value in (("[rotor] chord_m", chord),
+                           ("[rbf] support_radius_chords", chords)):
+            if not _positive(value):
+                raise ConfigError(f"bad config value: {key} must be a "
+                                  f"finite positive number, got {value!r}")
+        support = float(chords) * float(chord)
         if not 0.0 < support < np.inf:  # the product over- or underflows
             raise ConfigError("bad config value: [rotor] chord_m x [rbf] "
                               "support_radius_chords must be a positive "
                               f"finite number, got {support!r}")
-        rbf_cfg = RbfConfig(RbfKernel(rbf.pop("kernel", "wendland_c2"),
-                                      support), **rbf)
+        rbf_cfg = _build(RbfConfig, "rbf", kernel=_build(
+            RbfKernel, "rbf", kind=rbf.pop("kind", "wendland_c2"),
+            support_radius=support), **rbf)
 
-    return MotionConfig(
-        **rotor,
-        **{name: MotionSeries(**sections.get(name, {}))
+    return _build(
+        MotionConfig, "rotor", "rbf", **rotor,
+        **{name: _build(MotionSeries, name, **sections.get(name, {}))
            for name in ("pitch", "flap", "leadlag")},
-        flight=(FlightCondition(**sections["flight"])
+        flight=(_build(FlightCondition, "flight", **sections["flight"])
                 if "flight" in sections else None),
         rbf=rbf_cfg, fixed_markers=fixed)
 

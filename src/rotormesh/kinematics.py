@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,6 +24,25 @@ def _real(value) -> bool:
     """A finite real number (a bool or a string is not one)."""
     return isinstance(value, Real) and type(value) is not bool \
         and abs(value) <= sys.float_info.max
+
+
+def _positive(value) -> bool:
+    """A finite real number above 0."""
+    return _real(value) and value > 0
+
+
+def _count(value) -> bool:
+    """An integer of at least 1 (a bool is not one)."""
+    return isinstance(value, Integral) and type(value) is not bool \
+        and value >= 1
+
+
+def _check(settings, **rules) -> None:
+    """Each field of settings by its rule (ok, what), in order: the first
+    value ok rejects is a ValueError "<field> must be <what>, got <value>"."""
+    for field, (ok, what) in rules.items():
+        if not ok(value := getattr(settings, field)):
+            raise ValueError(f"{field} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,12 +58,10 @@ class MotionSeries:
     cosine_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            values = (value,) if name == "mean" else value
-            if type(values) is not tuple or not all(map(_real, values)):
-                what = ("a finite real number" if name == "mean"
-                        else "a tuple of finite real numbers")
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+        coeffs = (lambda v: type(v) is tuple and all(map(_real, v)),
+                  "a tuple of finite real numbers")
+        _check(self, mean=(_real, "a finite real number"),
+               sine_coeffs=coeffs, cosine_coeffs=coeffs)
 
 
 def eval_series(series: MotionSeries, psi):
@@ -61,18 +78,15 @@ def eval_series(series: MotionSeries, psi):
 @dataclass(frozen=True)
 class FlightCondition:
     """Rotor operating point: tip Mach number and advance ratio (0 in
-    hover), checked on construction as the config parser checks them."""
+    hover), each checked on construction."""
 
     tip_mach: float
     advance_ratio: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.tip_mach < np.inf:
-            raise ValueError("tip_mach must be a finite positive number, "
-                             f"got {self.tip_mach!r}")
-        if not 0.0 <= self.advance_ratio < np.inf:
-            raise ValueError("advance_ratio must be a finite non-negative "
-                             f"number, got {self.advance_ratio!r}")
+        _check(self, tip_mach=(_positive, "a finite positive number"),
+               advance_ratio=(lambda v: _real(v) and v >= 0,
+                              "a finite non-negative number"))
 
 
 def azimuth_matrix(psi: float) -> np.ndarray:

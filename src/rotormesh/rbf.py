@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from numbers import Integral
+from types import SimpleNamespace
 
 import numpy as np
 
 from .geometry import QualityReport, orthogonality_metrics
+from .kinematics import _check, _count, _positive
 from .mesh import Mesh
 
 KERNEL_KINDS = ("wendland_c2", "gaussian", "inverse_multiquadric")
@@ -51,11 +52,9 @@ class RbfKernel:
     support_radius: float
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not 0.0 < self.support_radius < np.inf:
-            raise ValueError(f"{self.kind} kernel requires a positive, "
-                             "finite support_radius")
+        _check(self, kind=(lambda v: isinstance(v, str) and v in KERNEL_KINDS,
+                           "one of " + ", ".join(KERNEL_KINDS)),
+               support_radius=(_positive, "a finite positive number"))
 
 
 def kernel_eval(kernel: RbfKernel, d):
@@ -235,20 +234,16 @@ class GreedyHistory:
         return self.levels[-1].max_err if self.levels else 0.0
 
 
-def _check_greedy(tol, level_caps, tol_name: str = "tol") -> tuple[int, ...]:
-    """The level caps as ints, once tol is a finite positive number and
-    the caps a non-empty, strictly increasing list of positive integers;
-    else a ValueError naming the field."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"{tol_name} must be a finite positive number, "
-                         f"got {tol!r}")
-    caps = tuple(level_caps)
-    if not (caps and all(isinstance(c, Integral) and type(c) is not bool
-                         and c > 0 for c in caps)
-            and all(a < b for a, b in zip(caps, caps[1:]))):
-        raise ValueError("level_caps must be a non-empty, strictly "
-                         f"increasing list of positive integers, got {caps!r}")
-    return tuple(map(int, caps))
+def _check_greedy(settings, tol_name: str = "tol") -> None:
+    """The greedy controls of settings, an RbfConfig or greedy_select's
+    arguments: a ValueError naming the first that breaks its rule."""
+    _check(settings, **{
+        tol_name: (_positive, "a finite positive number"),
+        "level_caps": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                       and all(map(_count, v))
+                       and all(a < b for a, b in zip(v, v[1:])),
+                       "a non-empty, strictly increasing list of positive "
+                       "integers")})
 
 
 def _extend_newton(cols: np.ndarray, factor: np.ndarray, selected: list[int],
@@ -317,7 +312,7 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     as RbfConfig checks them.
     """
     pts, data = _rows("surface point", surface_points, displacements)
-    caps = _check_greedy(tol, level_caps)
+    _check_greedy(SimpleNamespace(tol=tol, level_caps=level_caps))
 
     n = len(pts)
     selected = [int(np.argmax(np.linalg.norm(data, axis=1)))]
@@ -325,7 +320,7 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     # Newton basis columns of the selected centers at every surface point,
     # one added per selected point, and the Cholesky factor of their
     # kernel matrix
-    width = min(caps[-1], n)
+    width = min(level_caps[-1], n)
     cols = np.empty((n, width), order="F")
     cols[:, :1] = kernel_eval(kernel, _distances(pts, pts[selected]))
     phi0 = kernel_eval(kernel, 0.0)
@@ -337,7 +332,7 @@ def greedy_select(surface_points, displacements, kernel: RbfKernel,
     total_weights = np.zeros((width, data.shape[1]))
     converged = False
 
-    for level, cap in enumerate(caps):
+    for level, cap in enumerate(level_caps):
         level_t0 = time.perf_counter()
         m = len(selected)
         # residual left by interpolating this level's data on the centers
@@ -392,7 +387,7 @@ class RbfConfig:
     level_caps: tuple[int, ...] = LEVEL_CAPS
 
     def __post_init__(self):
-        _check_greedy(self.greedy_tol, self.level_caps, "greedy_tol")
+        _check_greedy(self, "greedy_tol")
 
 
 @dataclass(frozen=True)

@@ -257,7 +257,7 @@ def test_sweep_rejects_negative_advance_ratio(tmp_path, capsys):
                                  "advance_ratio = -0.2\n")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", str(cfg), "--output", str(out)]) == 2
-    assert "bad config value: [flight] advance_ratio must be a " \
+    assert "bad config value: [flight] advance_ratio must be a finite " \
         "non-negative number, got -0.2" in capsys.readouterr().err
     assert not out.exists()
 
@@ -493,7 +493,8 @@ def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
 
 @pytest.mark.parametrize("old,new,message", [
     ("rpm = 60.0", "rpm = abc",
-     "bad config value: [rotor] rpm must be a positive number, got 'abc'"),
+     "bad config value: [rotor] rpm must be a finite positive number, got "
+     "'abc'"),
     ("fixed_markers", "fixed_marker",
      "bad config keys: [rbf] fixed_marker (unknown)"),
     ("support_radius_chords = 2.5",

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +222,7 @@ def test_bad_values_name_their_key(text, key):
 
 
 # ---------------------------------------------------------------------------
-# The key table: every section and key, its converter and its errors
+# The key table: every section and key, its conversion and its errors
 # ---------------------------------------------------------------------------
 
 # every section and key of the format with a valid raw value
@@ -241,7 +241,7 @@ _POSITIVE = ["abc", "0", "-1", "nan", "1e999", "-1e999", "true", "[1.0]",
              '"1.0"', ""]
 _NUMBER = ["abc", "nan", "1e999", "true", "[1.0]", '"1.0"', ""]
 _NON_NEGATIVE = _NUMBER + ["-0.2", "-1e-300", "-1e999"]
-# per key: raw values its converter must reject
+# per key: raw values the parse must reject
 BAD_VALUES = {
     **dict.fromkeys(("rpm", "chord_m", "support_radius_chords",
                      "greedy_tol_m", "tip_mach"), _POSITIVE),
@@ -296,6 +296,35 @@ def test_bad_value_names_section_and_key(section, key):
             parse_motion_config(_with(section, key, raw))
 
 
+# each settings type with valid values for the fields it has no default for
+SETTINGS = {MotionConfig: {"rpm": 60.0}, MotionSeries: {},
+            FlightCondition: {"tip_mach": 0.6},
+            RbfKernel: {"kind": "wendland_c2", "support_radius": 1.0},
+            RbfConfig: {"kernel": RbfKernel("wendland_c2", 1.0)}}
+# the keys no settings type holds, which the parser checks itself
+FILE_ONLY = ("chord_m", "support_radius_chords")
+
+
+@pytest.mark.parametrize("section,key", [(section, key)
+                                         for section, key in TABLE
+                                         if key not in FILE_ONLY])
+def test_bad_value_is_the_settings_types_error(section, key):
+    """A key's converted bad value is rejected by the settings type that
+    holds its field, and the parse error is that type's message with the
+    key named in place of the field: one rule, not two that can drift."""
+    field = config._FIELDS.get(key, key)
+    kind = next(kind for kind in SETTINGS
+                if field in {f.name for f in fields(kind)})
+    for raw in BAD_VALUES[key]:
+        value = config._coerce(raw, config._KEYS[section][key])
+        with pytest.raises(ValueError, match=f"^{field} must be ") as built:
+            kind(**{**SETTINGS[kind], field: value})
+        with pytest.raises(ConfigError) as parsed:
+            parse_motion_config(_with(section, key, raw))
+        assert str(parsed.value) == (f"bad config value: [{section}] {key}"
+                                     + str(built.value)[len(field):])
+
+
 @pytest.mark.parametrize("section", list(config._KEYS))
 def test_unknown_key_listed_in_every_section(section):
     text = _with(section, "typo_key", "1")
@@ -334,15 +363,16 @@ greedy_tol = 1e-3
 
 @pytest.mark.parametrize("section,key,raw,message", [
     ("rotor", "hinge", '[0, "x", 0]',
-     "[rotor] hinge must be a list of 3 numbers, got [0, 'x', 0]"),
-    ("rotor", "rpm", "-1", "[rotor] rpm must be a positive number, got -1"),
+     "[rotor] hinge must be 3 finite numbers, got (0, 'x', 0)"),
+    ("rotor", "rpm", "-1",
+     "[rotor] rpm must be a finite positive number, got -1"),
     ("rotor", "rpm", "abc",
-     "[rotor] rpm must be a positive number, got 'abc'"),
+     "[rotor] rpm must be a finite positive number, got 'abc'"),
     ("rotor", "chord_m", "-1",
-     "[rotor] chord_m must be a positive number, got -1"),
+     "[rotor] chord_m must be a finite positive number, got -1"),
     # lowercase true is text, not a bool
     ("rotor", "rpm", "true",
-     "[rotor] rpm must be a positive number, got 'true'"),
+     "[rotor] rpm must be a finite positive number, got 'true'"),
 ])
 def test_bad_value_message(section, key, raw, message):
     with pytest.raises(ConfigError, match=re.escape(
@@ -379,6 +409,30 @@ def test_bad_value_message(section, key, raw, message):
      "a tuple of finite real numbers, got [0.1]"),
     (lambda: MotionSeries(cosine_coeffs=("x",)), "cosine_coeffs",
      "a tuple of finite real numbers, got ('x',)"),
+    # non-numbers and numbers beyond float range, each named by its field
+    (lambda: MotionConfig(60.0, hinge=("x", 0, 0)), "hinge",
+     "3 finite numbers, got ('x', 0, 0)"),
+    (lambda: MotionConfig(60.0, hinge=(10**400, 0, 0)), "hinge",
+     "3 finite numbers, got (1000"),
+    (lambda: MotionConfig("60"), "rpm", "a finite positive number, got '60'"),
+    (lambda: MotionConfig(True), "rpm", "a finite positive number, got True"),
+    (lambda: MotionConfig(10**400), "rpm",
+     "a finite positive number, got 1000"),
+    (lambda: FlightCondition("x"), "tip_mach",
+     "a finite positive number, got 'x'"),
+    (lambda: FlightCondition(0.6, "x"), "advance_ratio",
+     "a finite non-negative number, got 'x'"),
+    (lambda: RbfKernel("wendland_c2", "x"), "support_radius",
+     "a finite positive number, got 'x'"),
+    (lambda: RbfKernel("foo", 1.0), "kind", "one of wendland_c2, gaussian, "
+     "inverse_multiquadric, got 'foo'"),
+    (lambda: RbfConfig(RbfKernel("wendland_c2", 1.0), "x"), "greedy_tol",
+     "a finite positive number, got 'x'"),
+    (lambda: RbfConfig(RbfKernel("wendland_c2", 1.0), level_caps=8),
+     "level_caps", "a non-empty, strictly increasing list of positive "
+     "integers, got 8"),
+    (lambda: MotionConfig(60.0, fixed_markers=["farfield", 3]),
+     "fixed_markers", "a list or tuple of marker names, got ['farfield', 3]"),
 ])
 def test_settings_check_their_fields(settings, field, message):
     """A library caller gets the parser's rules on construction, each
@@ -394,6 +448,53 @@ def test_settings_check_their_fields_on_replace():
         replace(load_fixture("ah1g_low_speed"), rpm=0.0)
 
 
+def test_fixed_markers_are_a_list_of_names():
+    """A bare marker name is not a list of them: its letters would be read
+    as markers, and `in` would match any substring of it."""
+    cfg = load_fixture("ah1g_low_speed")
+    assert replace(cfg, fixed_markers=["farfield", "hub"]).fixed_markers \
+        == ["farfield", "hub"]
+    with pytest.raises(ValueError, match=re.escape(
+            "fixed_markers must be a list or tuple of marker names, got "
+            "'farfield'") + "$"):
+        replace(cfg, fixed_markers="farfield")
+
+
+# any value a library caller may pass: None, bools, nan, infinities,
+# integers beyond float range, text, and lists and tuples of them, nested
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.text(max_size=4) | st.sampled_from(KERNEL_KINDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple), max_leaves=8)
+
+
+@st.composite
+def settings_builds(draw):
+    """A settings type and a value for each of its fields: a valid one, or
+    any value."""
+    kind = draw(st.sampled_from(list(SETTINGS)))
+    return kind, {f.name: draw(st.just(SETTINGS[kind].get(f.name, f.default))
+                               | ANY_VALUE) for f in fields(kind)}
+
+
+@pytest.mark.thorough
+@given(settings_builds())
+def test_any_settings_build_or_name_the_field(case):
+    """A settings type built from any values returns an object or raises a
+    ValueError naming one of its fields; a TypeError or OverflowError, or
+    any other exception, fails."""
+    kind, values = case
+    try:
+        settings = kind(**values)
+    except ValueError as exc:
+        named = re.match(r"(\w+) must be ", str(exc))
+        assert named and named.group(1) in values, str(exc)
+    else:
+        assert isinstance(settings, kind)
+
+
 # ---------------------------------------------------------------------------
 # Grammar: any mix of known and unknown sections, keys and values
 # ---------------------------------------------------------------------------
@@ -402,7 +503,7 @@ def test_settings_check_their_fields_on_replace():
 UNKNOWN_KEYS = ("typo_key", "radius_m", "freestream_mach",
                 "thrust_coefficient", "support_radius_m", "affine")
 KEYS = sorted({key for _, key in TABLE} | set(UNKNOWN_KEYS))
-# per key: more raw values its converter takes than FULL's
+# per key: more raw values the parse takes than FULL's
 MORE_VALID = {
     "rpm": ["1250", "1e-3"], "chord_m": ["1", "1e308"],
     "n_blades": ["1", "3"], "hinge": ["(0, 0, 0)"], "mean_deg": ["-2.5"],
