@@ -6,9 +6,8 @@ from .mesh import Mesh, MeshFormatError, extract_marker_points, parse_mesh, \
 from .geometry import MeshGeometry, QualityReport, cell_geometry, \
     orthogonality_metrics
 from .kinematics import FlightCondition, MotionSeries, azimuth_matrix, \
-    blade_normal_mach, blade_point, eval_series, flap_matrix, \
-    grid_velocity_bdf2, hinge_matrix, leadlag_matrix, pitch_matrix, \
-    rotating_frame_velocity
+    blade_normal_mach, blade_point, eval_series, grid_velocity_bdf2, \
+    hinge_matrix
 from .rbf import GreedyHistory, RbfConfig, RbfKernel, RbfSolution, \
     deform_mesh, evaluate_field, greedy_select, kernel_eval, solve_weights
 from .supermesh import InterfaceFaceSet, Supermesh, build_supermesh, \

@@ -138,7 +138,15 @@ class MotionConfig:
                       and all(map(_real, v)), "3 finite numbers"),
                fixed_markers=(lambda v: isinstance(v, (list, tuple))
                               and all(isinstance(m, str) for m in v),
-                              "a list or tuple of marker names"))
+                              "a list or tuple of marker names"),
+               **dict.fromkeys(("pitch", "flap", "leadlag"), (
+                   lambda v: isinstance(v, MotionSeries), "a MotionSeries")))
+        # omega, its period and each blade's azimuth are finite floats too
+        _check(self, rpm=(lambda _: _positive(self.omega)
+                          and _positive(self.revolution_period),
+                          "a speed of finite positive omega and period"),
+               n_blades=(lambda v: _real(v) and _real(2.0 * np.pi * v),
+                         "small enough for a finite azimuth 2 pi n_blades"))
 
     @property
     def omega(self) -> float:

@@ -138,7 +138,7 @@ def _steps(mesh: Mesh, cfg: MotionConfig, blade_markers: list,
     rigid = np.zeros((len(surface), 3 * len(blade_markers)))
     for b, (name, rot) in enumerate(zip(blade_markers, rots)):
         rigid[np.searchsorted(surface, markers[name]), 3 * b:3 * b + 3] = \
-            points[markers[name]] - rot @ np.asarray(cfg.hinge)
+            points[markers[name]] - rot @ np.asarray(cfg.hinge, dtype=float)
     # each basis field is solved on its rigid displacement times n_blades
     # times the largest ||A_b||_2 of any step, so a greedy converged to
     # greedy_tol keeps every step's surface error below it

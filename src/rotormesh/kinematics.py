@@ -42,7 +42,13 @@ def _check(settings, **rules) -> None:
     value ok rejects is a ValueError "<field> must be <what>, got <value>"."""
     for field, (ok, what) in rules.items():
         if not ok(value := getattr(settings, field)):
-            raise ValueError(f"{field} must be {what}, got {value!r}")
+            try:
+                shown = repr(value)
+            except ValueError:  # an int of 4300+ digits, from Python 3.10.7
+                shown = (f"an integer of {value.bit_length()} bits"
+                         if isinstance(value, int) else
+                         "a value holding an int too long for repr")
+            raise ValueError(f"{field} must be {what}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -95,23 +101,6 @@ def azimuth_matrix(psi: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def flap_matrix(beta: float) -> np.ndarray:
-    """Flap rotation about +y (positive flap takes +x toward -z)."""
-    c, s = np.cos(beta), np.sin(beta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def leadlag_matrix(delta: float) -> np.ndarray:
-    """Lead-lag rotation about +z (positive takes +x toward +y)."""
-    return azimuth_matrix(delta)
-
-
-def pitch_matrix(theta: float) -> np.ndarray:
-    """Pitch rotation about +x (positive takes +y toward +z)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def hinge_matrix(beta: float, delta: float, theta: float) -> np.ndarray:
     """Combined flap * lead-lag * pitch rotation, written out explicitly."""
     cb, sb = np.cos(beta), np.sin(beta)
@@ -142,7 +131,7 @@ def blade_point(x, motion, t: float, blade: int = 0):
     beta = eval_series(motion.flap, psi)
     delta = eval_series(motion.leadlag, psi)
     theta = eval_series(motion.pitch, psi)
-    hinge = np.asarray(motion.hinge)
+    hinge = np.asarray(motion.hinge, dtype=float)
     c_hinge = hinge_matrix(beta, delta, theta)
     hinge_frame = hinge + (x - hinge) @ c_hinge.T
     position = hinge_frame @ azimuth_matrix(psi).T
@@ -159,11 +148,6 @@ def blade_normal_mach(r_over_R, fc: FlightCondition, psi):
         raise ValueError("r_over_R must lie in [0, 1]")
     out = fc.tip_mach * (r + fc.advance_ratio * np.sin(psi))
     return out if out.shape else float(out)
-
-
-def rotating_frame_velocity(omega, r):
-    """Rigid-rotation velocity omega x r (both broadcastable to (..., 3))."""
-    return np.cross(np.asarray(omega, dtype=float), np.asarray(r, dtype=float))
 
 
 def _grids(dt: float, *grids) -> list[np.ndarray]:

@@ -229,10 +229,6 @@ class GreedyHistory:
     def selected_points(self) -> int:
         return self.levels[-1].points if self.levels else 0
 
-    @property
-    def final_max_err(self) -> float:
-        return self.levels[-1].max_err if self.levels else 0.0
-
 
 def _check_greedy(settings, tol_name: str = "tol") -> None:
     """The greedy controls of settings, an RbfConfig or greedy_select's

@@ -25,17 +25,12 @@ if TYPE_CHECKING:  # only _assemble imports scipy.sparse, when it runs
     from scipy.sparse import csr_array
 
 
-def signed_area(poly: np.ndarray) -> float:
-    """Shoelace signed area of a planar polygon (k, 2)."""
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a planar polygon (k, 2); 0 for a degenerate one."""
     poly = np.asarray(poly, dtype=float)
     if len(poly) < 3:
         return 0.0
-    return float(_signed_areas(poly[None], np.array([len(poly)]))[0])
-
-
-def polygon_area(poly: np.ndarray) -> float:
-    """Absolute polygon area; 0 for degenerate/collinear input."""
-    return abs(signed_area(poly))
+    return abs(float(_signed_areas(poly[None], np.array([len(poly)]))[0]))
 
 
 # A stack of P polygons is a (P, k, 2) array; a polygon of n < k vertices
@@ -294,8 +289,8 @@ class Supermesh:
     area[q]; faces are sorted by (A face, B face). weights is the
     n_a x n_b CSR matrix W[a, b] = area(A & B) / area(A) with the same
     entries in the same order. polygon_vertices holds the clipped pieces in
-    turn (several for a pair split into convex parts), polygon_counts their
-    vertex counts and polygon_pair the face q of each; all empty for 1D.
+    turn (several for a pair split into convex parts) and polygon_counts
+    their vertex counts; both empty for 1D.
     """
 
     parent_a: np.ndarray
@@ -304,7 +299,6 @@ class Supermesh:
     weights: csr_array
     polygon_vertices: np.ndarray
     polygon_counts: np.ndarray
-    polygon_pair: np.ndarray
 
     @property
     def n_a(self) -> int:
@@ -334,16 +328,13 @@ def _assemble(rows, cols, areas, area_a: np.ndarray, n_b: int,
     (rows[k], cols[k], areas[k]) in any order, a pair's summed in order;
     vertices and counts hold the clipped polygon of each piece, or none."""
     from scipy.sparse import coo_array  # only a build pays its ~20 MB
-    shape = (len(area_a), n_b)
-    pairs = coo_array((areas, (rows, cols)), shape=shape)
+    pairs = coo_array((areas, (rows, cols)), shape=(len(area_a), n_b))
     pairs.sum_duplicates()
     parent_a, parent_b = pairs.row, pairs.col
     weights = pairs.tocsr()  # pairs is sorted, so the entry order is kept
     weights.data = weights.data / area_a[parent_a]
-    polygon_pair = np.searchsorted(parent_a * shape[1] + parent_b,
-                                   rows * shape[1] + cols)
     return Supermesh(parent_a, parent_b, pairs.data, weights, vertices,
-                     counts, polygon_pair[:len(counts)])
+                     counts)
 
 
 def _convex_pieces(side: InterfaceFaceSet) -> tuple[np.ndarray, np.ndarray]:

@@ -474,6 +474,9 @@ def test_deform_without_rbf_settings_is_config_error(tmp_path, capsys):
     ("", "[flight]\ntip_mach = 0"),
     # 2.5 chords of 1e308 m overflow to an infinite support radius
     ("chord_m = 0.3", "chord_m = 1e308"),
+    # omega underflows to 0, or overflows to an infinite speed of period 0
+    ("rpm = 60.0", "rpm = 5e-324"),
+    ("rpm = 60.0", "rpm = 1e308"),
 ])
 def test_deform_bad_config_value_is_parse_error(tmp_path, capsys, old, new):
     mesh_file = tmp_path / "box.mesh"

@@ -1,4 +1,6 @@
+import itertools
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -373,6 +375,8 @@ greedy_tol = 1e-3
     # lowercase true is text, not a bool
     ("rotor", "rpm", "true",
      "[rotor] rpm must be a finite positive number, got 'true'"),
+    ("rotor", "rpm", "5e-324", "[rotor] rpm must be a speed of finite "
+     "positive omega and period, got 5e-324"),
 ])
 def test_bad_value_message(section, key, raw, message):
     with pytest.raises(ConfigError, match=re.escape(
@@ -433,6 +437,26 @@ def test_bad_value_message(section, key, raw, message):
      "integers, got 8"),
     (lambda: MotionConfig(60.0, fixed_markers=["farfield", 3]),
      "fixed_markers", "a list or tuple of marker names, got ['farfield', 3]"),
+    (lambda: MotionConfig(60.0, pitch=None), "pitch",
+     "a MotionSeries, got None"),
+    (lambda: MotionConfig(60.0, leadlag=(0.1,)), "leadlag",
+     "a MotionSeries, got (0.1,)"),
+    # finite positive, but omega underflows to 0 (the period would divide
+    # by it) or overflows to inf (a period of 0)
+    (lambda: MotionConfig(5e-324), "rpm",
+     "a speed of finite positive omega and period, got 5e-324"),
+    (lambda: MotionConfig(1e308), "rpm",
+     "a speed of finite positive omega and period, got 1e+308"),
+    # the azimuth 2 pi blade / n_blades would take it as a float
+    (lambda: MotionConfig(60.0, n_blades=10**400), "n_blades",
+     "small enough for a finite azimuth 2 pi n_blades, got 1000"),
+    (lambda: MotionConfig(60.0, n_blades=10**308), "n_blades",
+     "small enough for a finite azimuth 2 pi n_blades, got 1000"),
+    # repr refuses ints of over 4300 digits from Python 3.10.7 on
+    (lambda: MotionConfig(10**5000), "rpm",
+     "a finite positive number, got "),
+    (lambda: MotionConfig(60.0, hinge=(0, -10**5000, 0)), "hinge",
+     "3 finite numbers, got "),
 ])
 def test_settings_check_their_fields(settings, field, message):
     """A library caller gets the parser's rules on construction, each
@@ -440,6 +464,22 @@ def test_settings_check_their_fields(settings, field, message):
     with pytest.raises(ValueError, match="^" + re.escape(
             f"{field} must be {message}")):
         settings()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="before Python 3.10.7, repr shows any int")
+def test_int_repr_refuses_is_shown_by_its_size():
+    """The message is built without the conversion Python refuses, so the
+    error names the field, not the conversion limit."""
+    with pytest.raises(ValueError, match=re.escape(
+            "rpm must be a finite positive number, got an integer of 16610 "
+            "bits") + "$"):
+        MotionConfig(10**5000)
+    with pytest.raises(ValueError, match=re.escape(
+            "level_caps must be a non-empty, strictly increasing list of "
+            "positive integers, got a value holding an int too long for "
+            "repr") + "$"):
+        RbfConfig(RbfKernel("wendland_c2", 1.0), level_caps=[1, -10**5000])
 
 
 def test_settings_check_their_fields_on_replace():
@@ -460,11 +500,19 @@ def test_fixed_markers_are_a_list_of_names():
         replace(cfg, fixed_markers="farfield")
 
 
-# any value a library caller may pass: None, bools, nan, infinities,
-# integers beyond float range, text, and lists and tuples of them, nested
+# any number: floats with nan and infinities, the ends of the float range
+# (st.floats draws them about once in a thousand), integers beyond float
+# range, and beyond what repr shows (4300 digits; hypothesis reprs a
+# strategy's elements, so those are built by a map)
+NUMBER = (st.floats() | st.floats(0.0, 1e-300) | st.floats(1e300)
+          | st.integers()
+          | st.integers(2**1024, 2**1100).flatmap(
+              lambda n: st.sampled_from([n, -n]))
+          | st.sampled_from([1, -1]).map(lambda sign: sign * 10**5000))
+# any value a library caller may pass: None, bools, numbers, text, and
+# lists and tuples of them, nested
 ANY_VALUE = st.recursive(
-    st.none() | st.booleans() | st.floats() | st.integers()
-    | st.integers(2**1024, 2**1100).flatmap(lambda n: st.sampled_from([n, -n]))
+    st.none() | st.booleans() | NUMBER
     | st.text(max_size=4) | st.sampled_from(KERNEL_KINDS),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple), max_leaves=8)
@@ -484,7 +532,7 @@ def settings_builds(draw):
 def test_any_settings_build_or_name_the_field(case):
     """A settings type built from any values returns an object or raises a
     ValueError naming one of its fields; a TypeError or OverflowError, or
-    any other exception, fails."""
+    any other exception, fails. A MotionConfig that builds moves."""
     kind, values = case
     try:
         settings = kind(**values)
@@ -493,6 +541,34 @@ def test_any_settings_build_or_name_the_field(case):
         assert named and named.group(1) in values, str(exc)
     else:
         assert isinstance(settings, kind)
+        if kind is MotionConfig:
+            _assert_moves(settings)
+
+
+def _assert_moves(motion: MotionConfig) -> None:
+    """A finite positive revolution period, and finite points of the
+    first, middle and last blades over one revolution."""
+    period, n = motion.revolution_period, motion.n_blades
+    assert 0.0 < period < np.inf
+    for blade, t in itertools.product({0, n // 2, n - 1},
+                                      (0.0, period / 3, period)):
+        position, hinge_frame = blade_point((1.0, 0.0, 0.0), motion, t, blade)
+        assert np.isfinite([position, hinge_frame]).all()
+
+
+@pytest.mark.thorough
+@given(rpm=NUMBER, n_blades=st.integers(1, 4) | NUMBER,
+       hinge=st.tuples(NUMBER, NUMBER, NUMBER))
+def test_any_rotor_moves_or_names_the_field(rpm, n_blades, hinge):
+    """The rotor numbers alone, every other field valid (the draw above
+    rarely builds a MotionConfig that is not the default rotor): a rotor
+    that builds moves, with a finite speed, period and blade azimuths."""
+    try:
+        motion = MotionConfig(rpm, n_blades, hinge)
+    except ValueError as exc:
+        assert re.match(r"(rpm|n_blades|hinge) must be ", str(exc)), str(exc)
+    else:
+        _assert_moves(motion)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotations import flap_matrix, leadlag_matrix, pitch_matrix
+
 from rotormesh.config import MotionConfig
 from rotormesh.kinematics import (FlightCondition, MotionSeries,
                                   azimuth_matrix, blade_normal_mach,
-                                  blade_point, eval_series, flap_matrix,
+                                  blade_point, eval_series,
                                   grid_velocity_backward,
                                   grid_velocity_bdf2, hinge_matrix,
-                                  leadlag_matrix, pitch_matrix,
-                                  rotating_frame_velocity, rpm_to_rad_s)
+                                  rpm_to_rad_s)
 
 DEG = np.pi / 180.0
 
@@ -200,25 +201,8 @@ def test_blade_normal_mach_range_check():
 
 
 # ---------------------------------------------------------------------------
-# Rotating frame velocity and grid velocity
+# Grid velocity
 # ---------------------------------------------------------------------------
-
-def test_rotating_frame_velocity_parallel():
-    assert np.allclose(rotating_frame_velocity([0, 0, 5.0], [0, 0, 2.0]), 0.0)
-
-
-def test_rotating_frame_velocity_tip_speed():
-    omega = np.array([0.0, 0.0, rpm_to_rad_s(1250.0)])
-    u = rotating_frame_velocity(omega, [1.143, 0.0, 0.0])
-    assert u[0] == 0.0 and u[2] == 0.0
-    assert u[1] == pytest.approx(149.62, abs=5e-3)
-    assert np.linalg.norm(u) / 340.8 == pytest.approx(0.439, abs=2e-3)
-
-
-def test_rotating_frame_velocity_cross():
-    assert np.allclose(rotating_frame_velocity([0, 0, 1.0], [0, 1.0, 0]),
-                       [-1.0, 0.0, 0.0])
-
 
 def test_grid_velocity_constant_positions():
     x = np.ones((7, 3))

@@ -743,7 +743,7 @@ def test_connectivity_at_group_edges_matches_per_row_reference(mesh, sizes):
 
     vertices = np.arange(2.0 * sum(sizes)).reshape(-1, 2)
     sm = Supermesh(*[np.empty(0)] * 3, csr_array((0, 0)), vertices,
-                   np.array(sizes, np.intp), np.zeros(len(sizes), np.intp))
+                   np.array(sizes, np.intp))
     starts = np.cumsum([0, *sizes]).tolist()
     polygons = [(7, list(range(a, b))) for a, b in zip(starts, starts[1:])]
     ref = _ref_vtk("supermesh intersection polygons",
@@ -871,7 +871,7 @@ def test_supermesh_csv_matches_per_row_reference(n_a, n_b, data):
     weights = csr_array((_float_array(data.draw, FINITE, (len(flat),)),
                          (parent_a, parent_b)), shape=(n_a, n_b))
     sm = Supermesh(parent_a, parent_b, area, weights, np.empty((0, 2)),
-                   np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+                   np.empty(0, dtype=np.intp))
     assert sm.to_csv() == _ref_csv(sm)
 
 

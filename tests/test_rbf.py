@@ -319,7 +319,7 @@ def test_greedy_zero_displacement():
     pts = surface_grid(5)
     sol, hist = greedy_select(pts, np.zeros_like(pts), WENDLAND, tol=1e-6)
     assert hist.levels[0].points == 1
-    assert hist.final_max_err == 0.0
+    assert hist.levels[-1].max_err == 0.0
     assert hist.converged
 
 
@@ -335,7 +335,7 @@ def test_greedy_sinusoidal_reduction():
 
     sol, hist = greedy_select(pts, disp, kernel, tol=1e-4)
     assert hist.converged
-    assert hist.final_max_err < 1e-4
+    assert hist.levels[-1].max_err < 1e-4
     assert hist.selected_points < 400
     errs = [lv.max_err for lv in hist.levels]
     assert all(errs[i + 1] <= errs[i] + 1e-15 for i in range(len(errs) - 1))
@@ -787,7 +787,7 @@ def test_deform_pitch_keeps_positive_volumes():
     idx, disp = _moving_and_fixed(mesh, lambda c: c @ rot.T - c)
     result = deform_mesh(mesh, idx, disp, config=_config(greedy_tol=1e-6))
     assert result.quality_after.negative_volume_count == 0
-    assert result.history.final_max_err < 1e-6
+    assert result.history.levels[-1].max_err < 1e-6
 
 
 def test_deform_rejects_a_repeated_point():

@@ -14,8 +14,7 @@ from rotormesh.supermesh import (CylinderProjection, InterfaceFaceSet,
                                  PlaneProjection, _assemble, _convex_pieces,
                                  build_supermesh, clip_convex,
                                  fit_cylinder_z, interface_from_markers,
-                                 polygon_area, signed_area,
-                                 weighted_exchange)
+                                 polygon_area, weighted_exchange)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 CHEVRON = np.array([[0, 0], [2, 0], [1, 0.25], [2, 1], [0, 1]], dtype=float)
@@ -286,10 +285,10 @@ def test_nonconvex_quad_split():
     assert sm.total_area == pytest.approx(polygon_area(dart), rel=1e-12)
     assert sm.weight_sums()[0] == pytest.approx(1.0, abs=1e-9)
     # the dart is split in two: both clipped pieces are kept for one face
-    assert len(sm.polygon_counts) == 2 and list(sm.polygon_pair) == [0, 0]
-    pieces = np.bincount(sm.polygon_pair, weights=[polygon_area(p) for p in
-                         split(sm.polygon_vertices, sm.polygon_counts)])
-    assert pieces == pytest.approx(sm.area, rel=1e-12)
+    assert len(sm.polygon_counts) == 2 and len(sm.area) == 1
+    pieces = sum(polygon_area(p) for p in
+                 split(sm.polygon_vertices, sm.polygon_counts))
+    assert pieces == pytest.approx(sm.area[0], rel=1e-12)
 
 
 def test_nonconvex_face_other_than_quad_rejected():
@@ -484,6 +483,12 @@ def shoelace_terms(p):
     return p[:, 0] * yn - xn * p[:, 1]
 
 
+def signed_area(poly):
+    """Shoelace signed area by np.sum, which the package's areas equal bit
+    for bit (test_signed_areas_match_numpy_shoelace); > 0 when CCW."""
+    return 0.5 * float(np.sum(shoelace_terms(np.asarray(poly, float))))
+
+
 def pad(poly, k=9):
     """The padding rule: repeat the last vertex up to k slots."""
     return np.vstack([poly, np.repeat(poly[-1:], k - len(poly), axis=0)])
@@ -660,7 +665,7 @@ def test_build_areas_equal_numpy_shoelace_with_octagons():
     polygons = split(sm.polygon_vertices, sm.polygon_counts)
     terms = [shoelace_terms(p) for p in polygons if len(p) == 8]
     assert any(np.cumsum(t)[-1] != np.sum(t) for t in terms)
-    assert list(sm.polygon_pair) == list(range(len(sm.area)))
+    assert len(sm.polygon_counts) == len(sm.area)  # one piece per face
     assert sm.area.tolist() == [abs(0.5 * np.sum(shoelace_terms(p)))
                                 for p in polygons]
 
@@ -669,13 +674,13 @@ def test_build_areas_equal_numpy_shoelace_with_octagons():
 @given(sizes=st.lists(st.integers(3, 12), min_size=1, max_size=8),
        seed=st.integers(0, 2**32 - 1))
 def test_signed_areas_match_numpy_shoelace(sizes, seed):
-    """signed_area and the stacked areas (padded to 12 slots) equal the
+    """polygon_area and the stacked areas (padded to 12 slots) equal the
     shoelace sum by np.sum bit for bit, at every vertex count."""
     rng = np.random.default_rng(seed)
     polys = [rng.normal(size=(k, 2)) * 10.0 ** rng.integers(-3, 4)
              for k in sizes]
     expect = [0.5 * np.sum(shoelace_terms(p)) for p in polys]
-    assert [signed_area(p) for p in polys] == expect
+    assert [polygon_area(p) for p in polys] == [abs(a) for a in expect]
     areas = supermesh._signed_areas(np.stack([pad(p, 12) for p in polys]),
                                     np.array(sizes))
     assert areas.tolist() == expect
